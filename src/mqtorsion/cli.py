@@ -61,10 +61,7 @@ def cmd_jac_structure(args) -> int:
         "order": st.order,
     }
     if model.genus == 2:
-        from .poly import code_domain
-
-        dom = code_domain(ff.make_field(args.prime, args.deg))
-        C = hyperjac.HyperCurve.from_ints(dom, model.f_coeffs, model.label)
+        C = mwtors.hyper_reduction(model, args.prime, args.deg)
         n1, n2, L, nj, _ = hyperjac.zeta_order(C)
         if nj != st.order:
             raise CrossCheckError("zeta oracle disagrees with enumeration")
@@ -105,16 +102,16 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_models(report):
-    for label in sorted(mwtors.model_registry()):
+def _verify_models(report, labels):
+    for label in labels:
         mwtors.verify_model_integrity(mwtors.get_model(label))
         report.append(("model-integrity " + label, True, ""))
 
 
-def _verify_tables(report):
+def _verify_tables(report, labels):
     gens = (-1, 2, -2, 3, -3, 5, -7)
     fields = qfield.all_subfields(gens)
-    for label in sorted(mwtors.model_registry()):
+    for label in labels:
         bad = []
         for K in fields:
             try:
@@ -144,15 +141,12 @@ def _verify_scan(report):
 
 
 def _verify_symmetric_square(report):
-    from .poly import code_domain
-
     for label in ("X1(13)", "X1(16)", "X1(18)"):
         model = mwtors.get_model(label)
         for p in (3, 5):
             try:
-                dom = code_domain(ff.make_field(p, 2))
-                C = hyperjac.HyperCurve.from_ints(dom, model.f_coeffs, label)
-            except hyperjac.JacError:
+                C = mwtors.hyper_reduction(model, p, 2)
+            except ellcurve.BadReduction:
                 report.append((f"symmetric-square {label} p={p}", True, "bad reduction, skipped"))
                 continue
             hyperjac.symmetric_square_points(C)  # raises on any failed check
@@ -160,8 +154,8 @@ def _verify_symmetric_square(report):
 
 
 VERIFY_GROUPS = {
-    "models": _verify_models,
-    "torsion": _verify_tables,
+    "models": lambda report: _verify_models(report, sorted(mwtors.model_registry())),
+    "torsion": lambda report: _verify_tables(report, sorted(mwtors.model_registry())),
     "exceptional": _verify_exceptional,
     "scan": _verify_scan,
     "symmetric-square": _verify_symmetric_square,
@@ -173,33 +167,22 @@ def cmd_verify(args) -> int:
         raise ModelError(f"unknown verification group {args.only!r}")
     report: list[tuple[str, bool, str]] = []
     if args.only in mwtors.model_registry():
-        label = args.only
-        mwtors.verify_model_integrity(mwtors.get_model(label))
-        report.append(("model-integrity " + label, True, ""))
-        gens = (-1, 2, -2, 3, -3, 5, -7)
-        bad = []
-        for K in qfield.all_subfields(gens):
-            try:
-                r = mwtors.torsion_table(label, K, "derive")
-            except PreconditionError:
-                continue
-            tab = mwtors.table_lookup(label, K)
-            if not r.closed or (tab and r.lower != AbGroupStructure.from_summands(tab)):
-                bad.append(K.signature())
-        report.append((f"torsion-matrix {label}", not bad, str(bad[:3])))
+        _verify_models(report, [args.only])
+        _verify_tables(report, [args.only])
     else:
-        groups = [args.only] if args.only else list(VERIFY_GROUPS)
-        for name in groups:
+        for name in [args.only] if args.only else VERIFY_GROUPS:
             VERIFY_GROUPS[name](report)
-    ok = True
-    for name, passed, detail in report:
-        status = "pass" if passed else "FAIL"
-        line = f"{status}  {name}"
-        if detail and not passed:
-            line += f"  ({detail})"
-        print(line)
-        ok = ok and passed
-    print(f"{'pass' if ok else 'FAIL'}  total: {sum(1 for _ in report)} checks")
+    ok = all(passed for _, passed, _ in report)
+    if args.format == "text":
+        for name, passed, detail in report:
+            line = f"{'pass' if passed else 'FAIL'}  {name}"
+            if detail and not passed:
+                line += f"  ({detail})"
+            print(line)
+        print(f"{'pass' if ok else 'FAIL'}  total: {len(report)} checks")
+    else:
+        checks = [{"name": n, "passed": p, "detail": d} for n, p, d in report]
+        _emit({"checks": checks, "ok": ok, "total": len(report)}, args.format)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -163,27 +163,6 @@ class FqElem:
         return f"{self.c0}+{self.c1}t"
 
 
-def arith(a: FqElem, b: FqElem | None, op: str) -> FqElem:
-    """String-dispatched arithmetic; `frobenius` ignores b."""
-    if op == "frobenius":
-        return a.frobenius()
-    if b is None:
-        raise FieldError(f"operation {op} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        if b.c1 != 0:
-            raise FieldError("exponent must lie in the prime field")
-        return a ** b.c0
-    raise FieldError(f"unknown operation {op}")
-
-
 def is_square(a: FqElem) -> bool:
     """Euler criterion in F_p; norm-then-base test in F_{p^2}."""
     if a.is_zero():

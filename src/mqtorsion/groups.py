@@ -180,6 +180,11 @@ def _scalar(n, x, add, identity):
     return out
 
 
+def torsion_elements(elements, n, add, identity) -> list:
+    """The elements x with n*x = identity, in their given order."""
+    return [x for x in elements if _scalar(n, x, add, identity) == identity]
+
+
 def subgroup_span(generators, add, neg, identity, cap: int | None = None):
     """All elements generated by `generators`; None if the span exceeds cap."""
     seen = {identity}

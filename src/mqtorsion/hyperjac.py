@@ -1,22 +1,27 @@
 """Genus-2 hyperelliptic Jacobians: Mumford/Cantor arithmetic for degree-5
 models and balanced degree-6 split models, a zeta-function counting oracle,
-full group-structure censuses over small fields, the symmetric square with
-its P^1 of x-fibers, Galois analysis of 2-torsion through Weierstrass
-points, and quadratic-twist groups over F_p via the Frobenius kernel.
+the enumeration of every divisor class over a small field, the symmetric
+square with its P^1 of x-fibers, Galois analysis of 2-torsion through
+Weierstrass points, and Frobenius on classes over F_{p^2}.
 
 Divisor classes are triples (u, v, n): u monic of degree <= 2, v of lower
 degree with v^2 = F mod u, and n the number of copies of the +infinity place
 in the balanced representation of a degree-6 split model (n = 0 throughout
-for degree-5 models, whose single infinite place is Weierstrass).
+for degree-5 models, whose single infinite place is Weierstrass).  Reduced
+triples are unique in their class, so tuple equality is class equality.
+
+The census of a reduction (`mwtors.Census`) is built from the pieces here:
+`all_classes` lists J(F_q) once per (field, model), `fast_jac_ops` gives the
+table-bound group law, and `frobenius_on_class` selects the inert quadratic
+twist as the classes D with Frobenius(D) = -D.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ff, poly
-from .groups import AbGroupStructure, GroupError, structure_from_elements
+from .groups import AbGroupStructure
 from .intutil import rational_sqrt
 from .poly import (
     QQ,
@@ -38,12 +43,6 @@ from .poly import (
 
 class JacError(ValueError):
     pass
-
-
-class BadHyperReduction(JacError):
-    def __init__(self, p):
-        super().__init__(f"bad reduction at {p}")
-        self.p = p
 
 
 class ZetaMismatch(JacError):
@@ -233,37 +232,6 @@ def is_valid_divisor(C: HyperCurve, D) -> bool:
     if C.degree == 6:
         return 0 <= n <= 2 - pdegree(u)
     return n == 0
-
-
-@dataclass(frozen=True)
-class MumfordDiv:
-    """Public wrapper for a reduced divisor class."""
-
-    curve: HyperCurve
-    a: tuple
-    b: tuple
-    w: int
-
-    def __post_init__(self):
-        if not is_valid_divisor(self.curve, (self.a, self.b, self.w)):
-            raise JacError("invalid Mumford data")
-
-    def key(self):
-        return (self.a, self.b, self.w)
-
-    def __add__(self, other: "MumfordDiv") -> "MumfordDiv":
-        if other.curve is not self.curve:
-            raise JacError("divisors on different curves")
-        return MumfordDiv(self.curve, *jac_add(self.curve, self.key(), other.key()))
-
-    def __neg__(self) -> "MumfordDiv":
-        return MumfordDiv(self.curve, *jac_neg(self.curve, self.key()))
-
-    def __rmul__(self, k: int) -> "MumfordDiv":
-        return MumfordDiv(self.curve, *jac_mul(self.curve, k, self.key()))
-
-    def order(self, bound: int = 100000) -> int:
-        return jac_order(self.curve, self.key(), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +544,10 @@ _CLASS_CACHE: dict = {}
 
 
 def all_classes(C: HyperCurve) -> list:
-    """Every reduced divisor class over F_q, cross-checked against zeta.
-    Cached per (field, model) since enumeration dominates repeated censuses."""
-    key = (id(C.domain), C.F)
+    """Every reduced divisor class over F_q, sorted, cross-checked against
+    zeta.  Cached per (field, model): a reduction's census, its inert twist
+    and the symmetric-square check all start from the same list."""
+    key = (C.domain.field, C.F)
     hit = _CLASS_CACHE.get(key)
     if hit is not None:
         return hit
@@ -588,7 +557,6 @@ def all_classes(C: HyperCurve) -> list:
 
 
 def _all_classes_uncached(C: HyperCurve) -> list:
-    dom = C.domain
     pts = rational_points_code(C)
     classes = {C.identity()}
     for i, P in enumerate(pts):
@@ -602,18 +570,6 @@ def _all_classes_uncached(C: HyperCurve) -> list:
     if len(classes) != nJ:
         raise ZetaMismatch(f"{C}: enumerated {len(classes)} classes, zeta says {nJ}")
     return sorted(classes)
-
-
-def jac_group_structure(C: HyperCurve) -> AbGroupStructure:
-    """Invariant factors of J(F_q) by enumeration + order census; the
-    cardinality must match the zeta oracle exactly."""
-    classes = all_classes(C)
-    fast_add, _, ident = fast_jac_ops(C)
-    st = structure_from_elements(classes, fast_add, ident, max_rank=4)
-    q = C.domain.q
-    if len(st.factors) == 4 and (q - 1) % st.factors[0] != 0:
-        raise GroupError(f"Weil constraint violated: {st} over F_{q}")
-    return st
 
 
 # ---------------------------------------------------------------------------
@@ -748,28 +704,18 @@ def two_torsion_galois(F: Poly, K) -> tuple[AbGroupStructure, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic twists over F_p through the Frobenius kernel
+# Frobenius on classes (the quadratic twist over F_p is ker(1 + Frobenius)
+# in J(F_{p^2}); `mwtors.Census` filters it)
 # ---------------------------------------------------------------------------
 
 
 def frobenius_on_class(C: HyperCurve, D):
     """The p-power Frobenius on a class over F_{p^2} (split monic models fix
-    both infinite places, so the weight is unchanged)."""
+    both infinite places, so the weight is unchanged).  It maps a reduced
+    Mumford triple to a reduced triple, coefficient by coefficient."""
     t = C.domain.tables
     u, v, n = D
     return (tuple(t.frob[c] for c in u), tuple(t.frob[c] for c in v), n)
-
-
-def twisted_jac_structure(C2: HyperCurve, p: int) -> AbGroupStructure:
-    """Group structure of the quadratic twist's Jacobian over F_p, computed
-    inside J(F_{p^2}) as the kernel of 1 + Frobenius.
-
-    C2 must be the model over F_{p^2}; the twist order L(-1) from the zeta
-    oracle over F_p is enforced as a cross-check by the caller."""
-    classes = all_classes(C2)
-    fast_add, _, ident = fast_jac_ops(C2)
-    kernel = [D for D in classes if fast_add(D, frobenius_on_class(C2, D)) == ident]
-    return structure_from_elements(kernel, fast_add, ident, max_rank=4)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,16 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import ellcurve, ff, hyperjac, poly, qfield
-from .groups import AbGroupStructure, subgroup_span
+from .groups import (
+    AbGroupStructure,
+    GroupError,
+    structure_from_elements,
+    subgroup_span,
+    torsion_elements,
+)
 from .intutil import crt_pair, factorize, is_prime, kronecker, rational_reconstruct
 from .poly import QQ, Poly, code_domain
 
@@ -224,12 +230,80 @@ def jac_structure(model: CurveModel, p: int, f: int) -> AbGroupStructure:
         raise ModelError(f"{p} is not an odd prime")
     if model.genus == 1:
         return ellcurve.group_structure(ellcurve.reduce_mod_p(model.elliptic(), p, f))
+    return census(model, p, f, False).structure
+
+
+@lru_cache(maxsize=None)
+def hyper_reduction(model: CurveModel, p: int, f: int) -> hyperjac.HyperCurve:
+    """A genus-2 model over F_{p^f}; BadReduction where the reduction is not
+    a curve the group law accepts."""
     dom = code_domain(ff.make_field(p, f))
     try:
-        C = hyperjac.HyperCurve.from_ints(dom, model.f_coeffs, model.label)
+        return hyperjac.HyperCurve.from_ints(dom, model.f_coeffs, model.label)
     except hyperjac.JacError as exc:
         raise ellcurve.BadReduction(p) from exc
-    return hyperjac.jac_group_structure(C)
+
+
+class Census:
+    """One reduction of a genus-2 model, enumerated once.
+
+    Untwisted, `classes` is J(F_{p^f}), checked against the zeta oracle by
+    `hyperjac.all_classes`.  Twisted (f = 2), it is the kernel of
+    1 + Frobenius in J(F_{p^2}): the Jacobian over F_p of the quadratic
+    twist by any non-square, whose order must equal L(-1) from the zeta
+    oracle over F_p.  `structure` and the ell-torsion pairs are computed on
+    first use.
+
+    The kernel is filtered by negation, without a Cantor step.  A reduced
+    Mumford triple is unique in its class, so two classes are equal exactly
+    when their triples are, and D + phi(D) = 0 holds exactly when
+    phi(D) = -D.  Both sides are reduced triples: phi acts coefficientwise
+    and `neg_cls` only reduces -v mod u and reflects the weight.
+    """
+
+    def __init__(self, model: CurveModel, p: int, f: int, twisted: bool):
+        C = hyper_reduction(model, p, f)
+        self.add, neg, self.identity = hyperjac.fast_jac_ops(C)
+        classes = hyperjac.all_classes(C)
+        if twisted:
+            classes = [D for D in classes if hyperjac.frobenius_on_class(C, D) == neg(D)]
+            expected = _zeta_orders(model, p)[1]
+            if len(classes) != expected:
+                raise CrossCheckError(
+                    f"{model.label} inert twist at {p}: kernel {len(classes)} != zeta {expected}"
+                )
+        self.classes = classes
+        self.tables = C.domain.tables
+        self.weil_q = None if twisted else p**f
+        self._ell_pairs: dict = {}
+
+    @cached_property
+    def structure(self) -> AbGroupStructure:
+        """Invariant factors by the order census; on the full J(F_q) the
+        Weil pairing makes the first of four factors divide q - 1."""
+        st = structure_from_elements(self.classes, self.add, self.identity, max_rank=4)
+        q = self.weil_q
+        if q is not None and len(st.factors) == 4 and (q - 1) % st.factors[0]:
+            raise GroupError(f"Weil constraint violated: {st} over F_{q}")
+        return st
+
+    def ell_pairs(self, ell: int) -> tuple:
+        """(u, v) of the non-trivial ell-torsion classes with deg u = 2 and
+        n = 0, in class order.  By Cauchy there are none unless ell divides
+        the group order, and then no class is scanned."""
+        if ell not in self._ell_pairs:
+            torsion = []
+            if len(self.classes) % ell == 0:
+                torsion = torsion_elements(self.classes, ell, self.add, self.identity)
+            self._ell_pairs[ell] = tuple((u, v) for u, v, n in torsion if len(u) == 3 and n == 0)
+        return self._ell_pairs[ell]
+
+
+@lru_cache(maxsize=None)
+def census(model: CurveModel, p: int, f: int, twisted: bool) -> Census:
+    """The census of J(F_{p^f}), or for f = 2 with `twisted` of the inert
+    twist over F_p; built once per process."""
+    return Census(model, p, f, twisted)
 
 
 def group_meet(
@@ -292,12 +366,6 @@ def genus1_twist_torsion(model: CurveModel, d: int) -> AbGroupStructure:
     return ellcurve.torsion_structure_q(ellcurve.quadratic_twist(E, d), hint=hint)
 
 
-@lru_cache(maxsize=None)
-def _hyper_curve_ff(model: CurveModel, p: int, f: int) -> hyperjac.HyperCurve:
-    dom = code_domain(ff.make_field(p, f))
-    return hyperjac.HyperCurve.from_ints(dom, model.f_coeffs, model.label)
-
-
 def genus2_twist_reduction(model: CurveModel, d: int, p: int) -> AbGroupStructure:
     """Structure of the d-twisted Jacobian over F_p: the base reduction when
     d is a square mod p, else the kernel of 1 + Frobenius inside J(F_{p^2}).
@@ -306,35 +374,7 @@ def genus2_twist_reduction(model: CurveModel, d: int, p: int) -> AbGroupStructur
         raise ellcurve.BadReduction(p)
     if kronecker(d, p) == 1:
         return jac_structure(model, p, 1)
-    return _inert_twist_structure(model, p)
-
-
-@lru_cache(maxsize=None)
-def _inert_kernel(model: CurveModel, p: int) -> tuple:
-    """Classes of ker(1 + Frobenius) on J(F_{p^2}): the twisted Jacobian over
-    F_p for every non-square twist class."""
-    C2 = _hyper_curve_ff(model, p, 2)
-    fadd, _, ident = hyperjac.fast_jac_ops(C2)
-    kernel = tuple(
-        D
-        for D in hyperjac.all_classes(C2)
-        if fadd(D, hyperjac.frobenius_on_class(C2, D)) == ident
-    )
-    expected = hyperjac.zeta_order(_hyper_curve_ff(model, p, 1))[4]
-    if len(kernel) != expected:
-        raise CrossCheckError(
-            f"{model.label} inert twist at {p}: kernel {len(kernel)} != zeta {expected}"
-        )
-    return kernel
-
-
-@lru_cache(maxsize=None)
-def _inert_twist_structure(model: CurveModel, p: int) -> AbGroupStructure:
-    C2 = _hyper_curve_ff(model, p, 2)
-    fadd, _, ident = hyperjac.fast_jac_ops(C2)
-    from .groups import structure_from_elements
-
-    return structure_from_elements(list(_inert_kernel(model, p)), fadd, ident, max_rank=4)
+    return census(model, p, 2, True).structure
 
 
 @lru_cache(maxsize=None)
@@ -366,8 +406,6 @@ def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
     )
     if span is None:  # pragma: no cover
         raise CrossCheckError(f"{model.label}: rational span exceeds reduction bound")
-    from .groups import structure_from_elements
-
     lower = structure_from_elements(
         sorted(span), lambda a, b: hyperjac.jac_add(C, a, b), C.identity()
     )
@@ -433,50 +471,16 @@ def _good_twist_prime(model: CurveModel, d: int, p: int) -> bool:
     if d % p == 0:
         return False
     try:
-        _hyper_curve_ff(model, p, 1)
-    except hyperjac.JacError:
+        hyper_reduction(model, p, 1)
+    except ellcurve.BadReduction:
         return False
     return True
 
 
 @lru_cache(maxsize=None)
-def _split_ell_classes(model: CurveModel, p: int, ell: int) -> tuple:
-    """(u, v) of the nontrivial ell-torsion of J(F_p) with deg u = 2, n = 0."""
-    from .groups import _scalar
-
-    C = _hyper_curve_ff(model, p, 1)
-    fadd, _, ident = hyperjac.fast_jac_ops(C)
-    out = []
-    for D in hyperjac.all_classes(C):
-        if D != ident and _scalar(ell, D, fadd, ident) == ident:
-            u, v, n = D
-            if len(u) - 1 == 2 and n == 0:
-                out.append((u, v))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _inert_ell_classes(model: CurveModel, p: int, ell: int) -> tuple:
-    """(u, v) over F_{p^2} of the nontrivial ell-torsion of the inert-twist
-    kernel, deg u = 2, n = 0."""
-    from .groups import _scalar
-
-    C = _hyper_curve_ff(model, p, 2)
-    fadd, _, ident = hyperjac.fast_jac_ops(C)
-    out = []
-    for D in _inert_kernel(model, p):
-        if D != ident and _scalar(ell, D, fadd, ident) == ident:
-            u, v, n = D
-            if len(u) - 1 == 2 and n == 0:
-                out.append((u, v))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _zeta_orders(model: CurveModel, p: int) -> tuple[int, int]:
     """(#J(F_p), twisted order L(-1)) from the zeta oracle; cheap."""
-    C = _hyper_curve_ff(model, p, 1)
-    z = hyperjac.zeta_order(C)
+    z = hyperjac.zeta_order(hyper_reduction(model, p, 1))
     return z[3], z[4]
 
 
@@ -492,7 +496,7 @@ def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGro
             continue
         try:
             orders = _zeta_orders(model, p)
-        except hyperjac.JacError:
+        except ellcurve.BadReduction:
             continue
         order = orders[0] if kronecker(d, p) == 1 else orders[1]
         if order % ell:
@@ -510,20 +514,17 @@ def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGro
 
 def _twisted_ell_torsion_data(model: CurveModel, d: int, p: int, ell: int):
     """Twisted Mumford pairs (u, v_d) over F_p of the nontrivial ell-torsion
-    classes of the d-twisted Jacobian, with deg u = 2 and weight 0."""
+    classes of the d-twisted Jacobian, with deg u = 2 and weight 0: from
+    J(F_p) when d is a square mod p, else from the inert-twist kernel, whose
+    pairs count only when u and sqrt(d) * v are fixed by Frobenius."""
+    cen = census(model, p, 1, False) if kronecker(d, p) == 1 else census(model, p, 2, True)
+    t = cen.tables
+    s = t.sqrt[t.from_int(d)][0]
     out = []
-    if kronecker(d, p) == 1:
-        t = _hyper_curve_ff(model, p, 1).domain.tables
-        s = t.sqrt[t.from_int(d)][0]
-        for u, v in _split_ell_classes(model, p, ell):
-            out.append((u, tuple(t.mul[s][c] for c in v), p))
-    else:
-        t = _hyper_curve_ff(model, p, 2).domain.tables
-        s = t.sqrt[t.from_int(d)][0]
-        for u, v in _inert_ell_classes(model, p, ell):
-            vd = tuple(t.mul[s][c] for c in v)
-            if all(t.frob[c] == c for c in u) and all(t.frob[c] == c for c in vd):
-                out.append((u, vd, p))
+    for u, v in cen.ell_pairs(ell):
+        vd = tuple(t.mul[s][c] for c in v)
+        if all(t.frob[c] == c for c in u + vd):  # always so over F_p
+            out.append((u, vd, p))
     return out
 
 

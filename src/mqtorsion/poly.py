@@ -294,31 +294,6 @@ def peval(dom, f, x):
     return acc
 
 
-def pcompose_linear(dom, f, a, b):
-    """f(a*x + b)."""
-    acc = ()
-    lin = pnormalize(dom, (b, a))
-    for c in reversed(f):
-        acc = padd(dom, pmul(dom, acc, lin), (c,) if not dom.is_zero(c) else ())
-    return acc
-
-
-def ppow_mod(dom, f, e, m):
-    out = (dom.one,)
-    f = pmod(dom, f, m)
-    while e:
-        if e & 1:
-            out = pmod(dom, pmul(dom, out, f), m)
-        f = pmod(dom, pmul(dom, f, f), m)
-        e >>= 1
-    return out
-
-
-def froots(dom, f):
-    """Roots over a finite domain, by exhaustive evaluation."""
-    return [x for x in dom.elements() if dom.is_zero(peval(dom, f, x))]
-
-
 # ---------------------------------------------------------------------------
 # Poly wrapper
 # ---------------------------------------------------------------------------
@@ -559,8 +534,7 @@ def primitive_kernel_poly_b(b, n: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic mod p on int-tuple polynomials (used by factor extraction and by
-# irreducibility/rootlessness certificates).
+# Arithmetic mod p on int-tuple polynomials (used by factor extraction).
 # ---------------------------------------------------------------------------
 
 
@@ -638,13 +612,6 @@ def mp_pow_mod(f, e, m, p):
         f = mp_divmod(mp_mul(f, f, p), m, p)[1]
         e >>= 1
     return out
-
-
-def mp_eval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def mp_factor_squarefree(f, p):
@@ -953,25 +920,3 @@ def splitting_quadratic_field(f: Poly) -> int:
         return 1
     return squarefree_part(disc.numerator * disc.denominator)
 
-
-def rootless_mod_p_certificate(
-    g: Poly, span: list[int], p_limit: int = 20000
-) -> int | None:
-    """A prime p, split in every Q(sqrt(d)) for d in span, with the monic
-    associate of g rootless mod p.  Such a p certifies that g has no root in
-    the multi-quadratic field spanned by `span`.  None if no prime < p_limit
-    works (caller must treat the answer as inconclusive)."""
-    from .intutil import kronecker
-
-    F = _int_coeffs(g)
-    L = F[-1]
-    n = len(F) - 1
-    G = tuple(F[i] * L ** (n - 1 - i) for i in range(len(F)))
-    p = 3
-    while p < p_limit:
-        if is_prime(p) and G[-1] % p and all(d % p and kronecker(d, p) == 1 for d in span if d != 1):
-            Gp = mp_norm(G, p)
-            if len(Gp) == len(G) and not any(mp_eval(Gp, x, p) == 0 for x in range(p)):
-                return p
-        p += 2
-    return None

@@ -119,6 +119,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--only", "exceptional")
         assert code == 0 and out.count("pass") >= 4
 
+    def test_json_format_matches_text(self, capsys):
+        code_t, out_t, _ = run(capsys, "verify", "--only", "scan")
+        code_j, out_j, _ = run(capsys, "verify", "--only", "scan", "--format", "json")
+        payload = json.loads(out_j)
+        assert code_j == code_t == 0
+        assert payload["ok"] is True and payload["total"] == len(payload["checks"]) == 1
+        text_status = [line.split()[0] == "pass" for line in out_t.splitlines()[:-1]]
+        assert [c["passed"] for c in payload["checks"]] == text_status
+        assert payload["checks"][0]["name"] == "scan F9 no order-16"
+
     def test_unknown_group_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--only", "bogus")
         assert code == 2

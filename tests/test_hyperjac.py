@@ -6,17 +6,14 @@ import pytest
 from mqtorsion import ff
 from mqtorsion.groups import AbGroupStructure
 from mqtorsion.hyperjac import (
-    BadHyperReduction,
     HyperCurve,
     JacError,
-    MumfordDiv,
     all_classes,
     classes_from_rational_points,
     fast_jac_ops,
     frobenius_on_class,
     is_valid_divisor,
     jac_add,
-    jac_group_structure,
     jac_mul,
     jac_neg,
     jac_order,
@@ -24,11 +21,11 @@ from mqtorsion.hyperjac import (
     search_rational_points,
     symmetric_square_points,
     tower_curve,
-    twisted_jac_structure,
     two_torsion_galois,
     weierstrass_orbits,
     zeta_order,
 )
+from mqtorsion.mwtors import census, model_registry
 from mqtorsion.poly import QQ, Poly, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
 
@@ -37,6 +34,10 @@ X16 = [0, -1, 2, 0, 2, 1]  # x(x^2+1)(x^2+2x-1)
 X18 = [1, 4, 10, 10, 5, 2, 1]  # x^6 + 2x^5 + 5x^4 + 10x^3 + 10x^2 + 4x + 1
 
 MODELS = {"X1(13)": X13, "X1(16)": X16, "X1(18)": X18}
+
+
+def model_of(coeffs):
+    return next(m for m in model_registry().values() if m.f_coeffs == tuple(coeffs))
 
 
 def curve(coeffs, p, f, label=None):
@@ -100,14 +101,10 @@ class TestGroupLaw:
         C = curve(X13, 3, 2)
         assert any(jac_order(C, D, 60) == 19 for D in all_classes(C))
 
-    def test_mumford_wrapper(self):
+    def test_invalid_mumford_data_rejected(self):
         C = curve(X13, 3, 2)
-        cls = all_classes(C)
-        D = MumfordDiv(C, *cls[5])
-        assert (-D) + D == MumfordDiv(C, *C.identity())
-        assert 57 % D.order() == 0
-        with pytest.raises(JacError):
-            MumfordDiv(C, (1, 1, 1, 1), (), 0)
+        assert is_valid_divisor(C, all_classes(C)[5])
+        assert is_valid_divisor(C, ((1, 1, 1, 1), (), 0)) is False
 
 
 class TestZeta:
@@ -149,7 +146,7 @@ class TestGroupStructure:
         ],
     )
     def test_paper_structures(self, coeffs, p, f, expect):
-        st = jac_group_structure(curve(coeffs, p, f))
+        st = census(model_of(coeffs), p, f, False).structure
         assert st == AbGroupStructure.from_summands(expect)
 
 
@@ -202,16 +199,47 @@ class TestTwistedStructures:
     def test_kernel_order_equals_twisted_zeta(self):
         """#ker(1 + Frobenius) on J(F_{p^2}) = L(-1) over F_p, for inert twists."""
         for coeffs, p in [(X13, 3), (X16, 3), (X18, 5), (X18, 7)]:
-            C2 = curve(coeffs, p, 2)
             Cp = curve(coeffs, p, 1)
-            tw = twisted_jac_structure(C2, p)
+            tw = census(model_of(coeffs), p, 2, True).structure
             assert tw.order == zeta_order(Cp)[4]
 
     def test_x18_minus3_twist_is_z3_compatible(self):
         # the twist group over F_5 must admit Z/3 (its rational torsion)
-        C2 = curve(X18, 5, 2)
-        tw = twisted_jac_structure(C2, 5)
+        tw = census(model_of(X18), 5, 2, True).structure
         assert AbGroupStructure.cyclic(3).embeds_in(tw)
+
+    def test_negation_kernel_equals_addition_kernel(self):
+        """Frobenius(D) == -D selects exactly the D with D + Frobenius(D) = 0."""
+        pairs = 0
+        for label, coeffs in MODELS.items():
+            for p in (3, 5, 7):
+                try:
+                    C2 = curve(coeffs, p, 2)
+                except JacError:
+                    continue
+                fadd, _, ident = fast_jac_ops(C2)
+                by_addition = [
+                    D for D in all_classes(C2) if fadd(D, frobenius_on_class(C2, D)) == ident
+                ]
+                assert census(model_of(coeffs), p, 2, True).classes == by_addition
+                pairs += 1
+        assert pairs == 8
+
+    def test_ell_pairs_match_generic_scan(self):
+        """Skipping ell prime to the group order loses no ell-torsion."""
+        found = 0
+        for coeffs, p, f, twisted in [(X13, 3, 1, False), (X18, 5, 1, False), (X18, 5, 2, True)]:
+            cen = census(model_of(coeffs), p, f, twisted)
+            C = curve(coeffs, p, f)
+            for ell in (2, 3, 5, 7, 19):
+                slow = tuple(
+                    (u, v)
+                    for u, v, n in cen.classes
+                    if len(u) == 3 and n == 0 and jac_mul(C, ell, (u, v, n)) == C.identity()
+                )
+                assert cen.ell_pairs(ell) == slow
+                found += bool(slow)
+        assert found >= 2
 
 
 class TestRationalLowerBounds:

@@ -9,15 +9,14 @@ from mqtorsion.poly import (
     Poly,
     QQ,
     code_domain,
-    froots,
     kill_poly,
     low_degree_factors,
     mp_factor_squarefree,
     mp_mul,
     mp_norm,
+    peval,
     primitive_kernel_poly_b,
     rational_roots,
-    rootless_mod_p_certificate,
     splitting_quadratic_field,
     two_torsion_cubic,
 )
@@ -69,7 +68,7 @@ class TestArith:
         dom = code_domain(make_field(13, 2))
         # x^2 + 1 over F_169 has two roots
         f = (dom.one, dom.zero, dom.one)
-        roots = froots(dom, f)
+        roots = [x for x in dom.elements() if dom.is_zero(peval(dom, f, x))]
         assert len(roots) == 2
 
     def test_resultant_sylvester_small_oracle(self):
@@ -242,11 +241,3 @@ class TestModP:
             prod = mp_mul(prod, g, p)
         assert prod == f
         assert all(len(g) - 1 in (1, 2) for g in facs)
-
-    def test_rootless_certificate(self):
-        # x^2 - 2 has no root in Q(sqrt(3)); a split rootless prime certifies it
-        g = Poly.from_ints(QQ, [-2, 0, 1])
-        p = rootless_mod_p_certificate(g, [3])
-        assert p is not None
-        # and no certificate should ever be produced for x^2 - 3 over Q(sqrt(3))
-        assert rootless_mod_p_certificate(Poly.from_ints(QQ, [-3, 0, 1]), [3], 400) is None
