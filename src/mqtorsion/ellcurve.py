@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ff, poly, qfield
-from .groups import AbGroupStructure, GroupError, structure_from_elements
+from .groups import AbGroupStructure, GroupError, structure_from_elements, subgroup_span
 from .intutil import (
     factorize,
     integer_cubic_roots,
@@ -712,10 +712,13 @@ def two_primary_over_tower(A: int, B: int, K, probe16: bool = True):
 
 
 def _order_reps(E: EllipticCurve, witnesses, order: int) -> list:
-    """Elements of exact `order` in the span of the witnesses, one per +-pair."""
-    from .groups import subgroup_span
+    """Elements of exact `order` in the span of the witnesses, one per +-pair.
 
-    span = subgroup_span(witnesses, E.add, E.neg, INF, cap=512)
+    The witnesses have 2-power orders, so their span is a 2-group and each P
+    in it has order 2^j for some j.  Then P has order exactly 2^j iff
+    2^(j-1)*P != O and 2^j*P = O, so j doublings find it; a P with
+    64*P != O after six doublings raises CurveError."""
+    span = subgroup_span(witnesses, E.add, INF, cap=512)
     if span is None:
         raise CurveError("2-primary span exceeded sanity cap")  # pragma: no cover
     reps = []
@@ -723,7 +726,12 @@ def _order_reps(E: EllipticCurve, witnesses, order: int) -> list:
     for P in span:
         if P is INF or P in seen:
             continue
-        if E.point_order(P, 64) == order:
+        n, Q = 1, P
+        while Q is not INF:
+            if n == 64:
+                raise CurveError("point order exceeds bound 64")
+            n, Q = 2 * n, E.add(Q, Q)
+        if n == order:
             reps.append(P)
             seen.add(P)
             seen.add(E.neg(P))

@@ -112,17 +112,29 @@ class AbGroupStructure:
 def structure_from_elements(
     elements, add, identity, expected_order: int | None = None, max_rank: int | None = None
 ) -> AbGroupStructure:
-    """Invariant factors of a finite abelian group given all its elements.
+    """Invariant factors of a finite abelian group G given all its elements.
 
-    Counts, for each prime ell | order and each i, the ell^i-torsion by
-    repeatedly applying multiplication-by-ell with memoized layers; the counts
-    determine the ell-Sylow partition.  Exact, no randomness.
+    For each prime ell with ell^2 | n, the layers ell^i * G are counted as
+    multisets; the multiplicity of the identity in ell^i * G is |G[ell^i]|,
+    and these counts determine the ell-Sylow partition.  (When only ell | n,
+    the ell-Sylow subgroup is Z/ell.)  Exact, no randomness.
+
+    Every layer multiplies by ell through one table dbl = {x: 2x : x in G},
+    built once per call and only when some ell^2 | n: ell * y is summed over
+    the binary expansion of ell, from y, 2y, 4y, ..., so 2-layers cost no
+    further additions and an odd ell costs popcount(ell) - 1 per element.
+    Every lookup hits: the layers satisfy ell^i * G <= G, and G is closed
+    under doubling, so each y and each 2^k * y looked up lies in G.  (As for
+    the identity count, equal elements must compare and hash equal.)
     """
     n = len(elements)
     if expected_order is not None and n != expected_order:
         raise GroupError(f"element count {n} != expected order {expected_order}")
     prime_exps: dict[int, list[int]] = {}
-    for ell, e_max in factorize(n).items():
+    ell_exps = factorize(n)
+    if any(e_max > 1 for e_max in ell_exps.values()):
+        double = {x: add(x, x) for x in elements}.__getitem__
+    for ell, e_max in ell_exps.items():
         if e_max == 1:
             prime_exps[ell] = [1]
             continue
@@ -133,7 +145,7 @@ def structure_from_elements(
         for _ in range(e_max):
             nxt: dict = {}
             for x, c in layer.items():
-                y = _scalar(ell, x, add, identity)
+                y = scalar_mul(ell, x, add, double, identity)
                 nxt[y] = nxt.get(y, 0) + c
             layer = nxt
             counts.append(layer.get(identity, 0))
@@ -163,49 +175,55 @@ def structure_from_elements(
     return out
 
 
-def _scalar(n, x, add, identity):
+def scalar_mul(n, x, add, double, identity):
+    """n * x for n >= 0 by the binary expansion of n: bit_length(n) - 1 calls
+    of `double` and popcount(n) - 1 calls of `add`."""
     if n == 0:
         return identity
-    base = x
     while not n & 1:
-        base = add(base, base)
+        x = double(x)
         n >>= 1
-    out = base
+    out = x
     n >>= 1
     while n:
-        base = add(base, base)
+        x = double(x)
         if n & 1:
-            out = add(out, base)
+            out = add(out, x)
         n >>= 1
     return out
 
 
 def torsion_elements(elements, n, add, identity) -> list:
     """The elements x with n*x = identity, in their given order."""
-    return [x for x in elements if _scalar(n, x, add, identity) == identity]
+    double = lambda x: add(x, x)
+    return [x for x in elements if scalar_mul(n, x, add, double, identity) == identity]
 
 
-def subgroup_span(generators, add, neg, identity, cap: int | None = None):
-    """All elements generated by `generators`; None if the span exceeds cap."""
+def subgroup_span(generators, add, identity, cap: int | None = None):
+    """The subgroup generated by `generators` in a finite abelian group, as a
+    set; None if it has more than `cap` elements.
+
+    Built by coset extension.  With H the span of the generators taken so
+    far and g the next one, <H, g> is the union of the cosets H + k*g for
+    0 <= k < m, where m >= 1 is least with m*g in H (it exists, the group
+    being finite).  These cosets partition <H, g>: a common element of
+    H + i*g and H + j*g, 0 <= i < j < m, would put (j - i)*g in H.  The
+    coset H + (k+1)*g is the previous coset plus g, elementwise and in the
+    same order, so its first element is (k+1)*g and membership of that one
+    element decides whether it is new.  Each element of the span thus costs
+    one addition, and the cap is checked before each new coset is built.
+    No negation is needed: -g = (ord(g) - 1)*g, so in a finite group the
+    additive closure of a set is already a subgroup.
+    """
+    span = [identity]
     seen = {identity}
-    frontier = [identity]
-    gens = []
     for g in generators:
-        gens.append(g)
-        gens.append(neg(g))
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            for x in list(seen):
-                y = add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    changed = True
-                    if cap is not None and len(seen) > cap:
-                        return None
+        coset, first = span, g
+        while first not in seen:
+            if cap is not None and len(seen) + len(coset) > cap:
+                return None
+            coset = [first, *(add(x, g) for x in coset[1:])]
+            span.extend(coset)
+            seen.update(coset)
+            first = add(first, g)
     return seen

@@ -400,7 +400,6 @@ def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
     span = subgroup_span(
         good,
         lambda a, b: hyperjac.jac_add(C, a, b),
-        lambda a: hyperjac.jac_neg(C, a),
         C.identity(),
         cap=upper.order,
     )

@@ -282,6 +282,23 @@ class TestTowerTorsion:
         orders = sorted(c.point_order(P, 64) for P in witnesses)
         assert 8 in orders and all(o in (2, 4, 8) for o in orders)
 
+    def test_order_reps_match_point_order(self):
+        """Orders found by doubling agree with repeated addition, one
+        representative per +-pair."""
+        from mqtorsion.ellcurve import _order_reps, tower_short_curve
+        from mqtorsion.groups import subgroup_span
+
+        K = MultiQuadField([-3, 5])
+        _, witnesses, _ = two_primary_over_tower(-27, 8694, K)
+        c = tower_short_curve(-27, 8694, K)
+        span = subgroup_span(witnesses, c.add, INF)
+        assert len(span) == 16
+        for order in (2, 4, 8):
+            reps = _order_reps(c, witnesses, order)
+            pairs = {frozenset((P, c.neg(P))) for P in reps}
+            expect = {frozenset((P, c.neg(P))) for P in span if c.point_order(P, 64) == order}
+            assert len(pairs) == len(reps) and pairs == expect
+
 
 class TestDivisionPolynomialSurface:
     def test_kill_and_primitive_wrappers(self):

@@ -1,8 +1,20 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mqtorsion.groups import AbGroupStructure, GroupError, structure_from_elements, subgroup_span
+from mqtorsion.groups import (
+    AbGroupStructure,
+    GroupError,
+    scalar_mul,
+    structure_from_elements,
+    subgroup_span,
+)
+
+# derandomized, so that every run draws the same examples
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 class TestAbGroupStructure:
@@ -42,8 +54,6 @@ class TestAbGroupStructure:
 
 def cyclic_product_elements(ns):
     """Model group: tuples mod ns."""
-    from itertools import product
-
     els = list(product(*[range(n) for n in ns]))
     add = lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, ns))
     zero = tuple(0 for _ in ns)
@@ -83,7 +93,72 @@ class TestCensus:
 
     def test_subgroup_span(self):
         els, add, zero = cyclic_product_elements((4, 6))
-        neg = lambda a: tuple((-x) % n for x, n in zip(a, (4, 6)))
-        span = subgroup_span([(2, 0), (0, 3)], add, neg, zero)
-        assert len(span) == 4
-        assert subgroup_span([(1, 1)], add, neg, zero, cap=3) is None
+        span = subgroup_span([(2, 0), (0, 3)], add, zero)
+        assert span == {(0, 0), (2, 0), (0, 3), (2, 3)}
+        assert subgroup_span([(1, 1)], add, zero, cap=3) is None
+
+    def test_subgroup_span_cap_counts_generators(self):
+        # the span of 1 and 2 in Z/5 is all 5 elements, over a cap of 4
+        els, add, zero = cyclic_product_elements((5,))
+        assert subgroup_span([(1,), (2,)], add, zero, cap=4) is None
+        assert len(subgroup_span([(1,), (2,)], add, zero, cap=5)) == 5
+
+    def test_two_group_census_adds_once_per_element(self):
+        # the doubling table is the only addition a 2-group census makes
+        els, add, zero = cyclic_product_elements((2, 4, 8))
+        calls = []
+        counted = lambda a, b: calls.append(1) or add(a, b)
+        assert structure_from_elements(els, counted, zero) == AbGroupStructure((2, 4, 8))
+        assert len(calls) == len(els)
+
+
+def brute_span(generators, add, zero):
+    """Closure of {zero} under adding generators, one pass at a time."""
+    out = {zero}
+    while True:
+        grown = out | {add(x, g) for x in out for g in generators}
+        if grown == out:
+            return out
+        out = grown
+
+
+@st.composite
+def group_elements(draw, max_elements=4):
+    """(ns, elements, add, zero, some elements) for a product of up to three Z/n, n <= 16."""
+    ns = tuple(draw(st.lists(st.integers(1, 16), min_size=1, max_size=3)))
+    els, add, zero = cyclic_product_elements(ns)
+    picks = draw(st.lists(st.sampled_from(els), max_size=max_elements))
+    return ns, els, add, zero, picks
+
+
+class TestCensusProperties:
+    @PROPERTY
+    @given(group_elements(), st.one_of(st.none(), st.integers(1, 300)))
+    def test_span_matches_brute_closure(self, group, cap):
+        ns, els, add, zero, gens = group
+        calls = []
+        counted = lambda a, b: calls.append(1) or add(a, b)
+        expect = brute_span(gens, add, zero)
+        span = subgroup_span(gens, counted, zero, cap=cap)
+        if cap is not None and len(expect) > cap:
+            assert span is None
+        else:
+            assert span == expect
+            assert len(calls) == len(span) - 1  # one addition per new element
+
+    @PROPERTY
+    @given(group_elements(max_elements=0))
+    def test_structure_matches_summands(self, group):
+        ns, els, add, zero, _ = group
+        assert structure_from_elements(els, add, zero) == AbGroupStructure.from_summands(ns)
+
+    @PROPERTY
+    @given(group_elements(max_elements=1), st.integers(0, 200))
+    def test_table_scalar_matches_repeated_addition(self, group, n):
+        ns, els, add, zero, picks = group
+        x = picks[0] if picks else els[-1]
+        double = {y: add(y, y) for y in els}.__getitem__
+        expect = zero
+        for _ in range(n):
+            expect = add(expect, x)
+        assert scalar_mul(n, x, add, double, zero) == expect
