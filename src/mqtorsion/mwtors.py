@@ -12,6 +12,7 @@ cross-checked whenever both are available.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -318,6 +319,9 @@ def group_meet(
 
 
 def meet_many(sides) -> AbGroupStructure:
+    """Meet of (structure, excluded primes) sides.  A side says nothing at
+    an excluded ell, so an ell that occurs in some structure but is excluded
+    by every side has no bound: ModelError, never a silent trivial part."""
     sides = [(s, frozenset(ex)) for s, ex in sides]
     primes = set()
     for s, _ in sides:
@@ -330,7 +334,7 @@ def meet_many(sides) -> AbGroupStructure:
             if ell not in ex
         ]
         if not vectors:
-            continue  # no side carries information at ell
+            raise ModelError(f"no reduction prime bounds the {ell}-part; add a prime other than {ell}")
         width = min(len(v) for v in vectors)
         if width == 0:
             continue
@@ -489,7 +493,8 @@ def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGro
 
     An order screen over a pool of good primes usually kills it outright
     (ell does not divide the twisted group order at some prime); otherwise
-    the structure meet over the supplied primes is returned."""
+    the meet of the ell-parts over the supplied primes other than ell is
+    returned, or None when no such prime has good reduction."""
     for p in range(3, 48, 2):
         if not is_prime(p) or d % p == 0:
             continue
@@ -502,13 +507,15 @@ def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGro
             return AbGroupStructure.trivial()
     sides = []
     for p in primes:
+        if p == ell:
+            continue
         try:
-            sides.append((genus2_twist_reduction(model, d, p), frozenset({p})))
+            sides.append((genus2_twist_reduction(model, d, p).ell_part(ell), frozenset()))
         except ellcurve.BadReduction:
             continue
     if not sides:
         return None  # no usable evidence for this summand
-    return meet_many(sides).ell_part(ell)
+    return meet_many(sides)
 
 
 def _twisted_ell_torsion_data(model: CurveModel, d: int, p: int, ell: int):
@@ -608,7 +615,7 @@ def derive_torsion(model: CurveModel, K, primes=None) -> TorsionResult:
              "structure": list(jac_structure(model, p, f).factors)}
         )
     if model.genus == 1:
-        exact = ellcurve.torsion_over_tower(model.elliptic(), K)
+        exact = _genus1_torsion(model, torsion_support_field(model, K, primes, upper))
         trace.append({"step": "tower-torsion-exact", "structure": list(exact.factors)})
         if not exact.embeds_in(upper):
             raise CrossCheckError(
@@ -616,6 +623,37 @@ def derive_torsion(model: CurveModel, K, primes=None) -> TorsionResult:
             )
         return TorsionResult(model.label, K.signature(), exact, exact, True, tuple(trace))
     return _derive_genus2(model, K, primes, upper, trace)
+
+
+def torsion_support_field(model: CurveModel, K, primes, upper: AbGroupStructure):
+    """K_S: the subfield of K generated by the sqrt(d) with every prime of d
+    in S = {2} u primes(minimal disc) u primes(upper.order), together with
+    a lone reduction prime.  For a genus-1 model J(K)_tors = J(K_S)_tors.
+
+    Proof.  Let P in J(K) have order n.  Every prime ell of n divides
+    upper.order: reduction at a good p != ell is injective on the ell-part,
+    and `meet_many` refuses an ell that occurs but no such p bounds.  Only
+    with one distinct reduction prime p can the p-part go unbounded without
+    occurring, so that p joins S.  Q(P) lies in K n Q(J[n]), and
+    Q(J[n]) is unramified outside n*N (Neron-Ogg-Shafarevich; Serre-Tate),
+    with N supported on the primes of the minimal discriminant.  Q(P) is
+    multi-quadratic, spanned by its quadratic subfields Q(sqrt d), and
+    Q(sqrt d) is ramified at every odd p | d; with 2 in S, each such d has
+    all its primes in S.  So Q(P) lies in K_S, and J(K)_tors = J(K_S)_tors.
+    Q(sqrt d) lies in Q(zeta_m) iff |disc| divides m, so for
+    m = 8 * prod(odd p in S), K n Q(zeta_m) is exactly K_S.
+    """
+    support = {2} | set(factorize(ellcurve.minimal_disc(model.elliptic())))
+    support |= set(upper.prime_exponents())
+    if len(set(primes)) == 1:
+        support |= set(primes)
+    return K.cyclotomic_intersection(8 * math.prod(support - {2}))
+
+
+@lru_cache(maxsize=None)
+def _genus1_torsion(model: CurveModel, K) -> AbGroupStructure:
+    """Exact J(K)_tors of a genus-1 model, once per (model, K)."""
+    return ellcurve.torsion_over_tower(model.elliptic(), K)
 
 
 def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:

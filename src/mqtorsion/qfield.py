@@ -448,8 +448,13 @@ def hyperplane_avoiding(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple
     return tuple(phi)
 
 
+# generators are factored by trial division; this keeps that prompt
+MAX_GENERATOR = 10**6
+
+
 def parse_field(literal: str) -> MultiQuadField:
-    """Parse a CLI/config field literal: "Q" or comma-separated generators."""
+    """Parse a CLI/config field literal: "Q" or comma-separated generators,
+    each at most MAX_GENERATOR in absolute value."""
     s = literal.strip()
     if s in ("Q", "q", ""):
         return QQ_FIELD
@@ -457,6 +462,9 @@ def parse_field(literal: str) -> MultiQuadField:
         gens = [int(part) for part in s.split(",")]
     except ValueError as exc:
         raise QFieldError(f"bad field literal {literal!r}") from exc
+    for d in gens:
+        if abs(d) > MAX_GENERATOR:
+            raise QFieldError(f"generator {d} exceeds {MAX_GENERATOR} in absolute value")
     return MultiQuadField(gens)
 
 

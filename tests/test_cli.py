@@ -69,6 +69,22 @@ class TestTorsion:
         _, out2, _ = run(capsys, "torsion", "--model", "X1(14)", "--field=-7")
         assert out1 == out2
 
+    @pytest.mark.parametrize("model,prime", [("X1(13)", "19"), ("X1(18)", "7"), ("X1(11)", "5")])
+    def test_lone_prime_at_torsion_order_exit_2(self, capsys, model, prime):
+        code, out, err = run(capsys, "torsion", "--model", model, "--field=Q", "--primes", prime)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"{prime}-part" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["99999999999999999999999", "3,-1000001"])
+    def test_huge_generator_exit_2(self, capsys, field):
+        code, out, err = run(capsys, "torsion", "--model", "X1(11)", f"--field={field}")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "exceeds 1000000" in err
+
+    def test_generator_at_the_bound_accepted(self, capsys):
+        code, out, _ = run(capsys, "torsion", "--model", "X1(11)", "--field=-999979")
+        assert code == 0 and json.loads(out)["lower"] == [5]
+
     def test_formats_carry_same_data(self, capsys):
         _, outj, _ = run(capsys, "torsion", "--model", "X1(11)", "--field", "Q")
         _, outt, _ = run(capsys, "torsion", "--model", "X1(11)", "--field", "Q", "--format", "tsv")

@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mqtorsion.ellcurve import torsion_over_tower
 from mqtorsion.groups import AbGroupStructure
+from mqtorsion.intutil import is_squarefree
 from mqtorsion.mwtors import (
     CrossCheckError,
+    CurveModel,
     twist_odd_torsion,
     DEFAULT_PRIMES,
     ModelError,
@@ -20,10 +25,16 @@ from mqtorsion.mwtors import (
     model_registry,
     reduction_bound,
     table_lookup,
+    torsion_support_field,
     torsion_table,
     verify_model_integrity,
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
+
+# derandomized, so that every run draws the same examples
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+GENUS1 = sorted(label for label, m in model_registry().items() if m.genus == 1)
 
 
 def G(*summands):
@@ -203,3 +214,66 @@ class TestTorsionTable:
     def test_custom_primes_override(self):
         r = torsion_table("X1(11)", QQ_FIELD, "derive", primes=(3, 7))
         assert r.closed and r.lower == G(5)
+
+
+# generators for the fields of the reduction property: -1 and +-p, p <= 29
+SIGNED_PRIMES = [-1] + [s * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) for s in (1, -1)]
+
+
+class TestTorsionSupportField:
+    def test_tower_fields_collapse_to_level_field(self):
+        model = get_model("X1(15)")
+        K = MultiQuadField([-3, 5, 11, -17, 23])
+        upper = reduction_bound(model, K, DEFAULT_PRIMES["X1(15)"])
+        assert torsion_support_field(model, K, DEFAULT_PRIMES["X1(15)"], upper) == MultiQuadField([-3, 5])
+
+    def test_lone_reduction_prime_stays(self):
+        # reduction at 3 alone does not bound the 3-part, so sqrt(3) is kept
+        model = get_model("X1(11)")
+        K = MultiQuadField([3, 13])
+        upper = reduction_bound(model, K, (3,))
+        assert 3 not in upper.prime_exponents()
+        assert torsion_support_field(model, K, (3,), upper) == MultiQuadField([3])
+        assert torsion_support_field(model, K, (3, 5), reduction_bound(model, K, (3, 5))) == QQ_FIELD
+
+    def test_torsion_ramified_at_a_good_prime(self):
+        # 19a2 has good reduction at 3, and its 3-isogeny has kernel mu_3: a
+        # 3-torsion point over Q(sqrt(-3)).  Only the 3 of `upper` keeps sqrt(-3).
+        model = CurveModel("19a2", (1, 19), 1, None, (0, 1, 1, -769, -8470), None, "test")
+        K = MultiQuadField([-3, 11])
+        r = derive_torsion(model, K, (5, 7))
+        assert r.closed and r.lower == G(3)
+        assert torsion_support_field(model, K, (5, 7), r.upper) == MultiQuadField([-3])
+
+    @PROPERTY
+    @given(st.sampled_from(GENUS1), st.lists(st.sampled_from(SIGNED_PRIMES), max_size=4))
+    def test_reduced_field_has_the_same_torsion(self, label, gens):
+        model = get_model(label)
+        K = MultiQuadField(gens)
+        primes = DEFAULT_PRIMES[label]
+        K_S = torsion_support_field(model, K, primes, reduction_bound(model, K, primes))
+        assert K_S.subfield_of(K)
+        E = model.elliptic()
+        assert torsion_over_tower(E, K) == torsion_over_tower(E, K_S)
+
+
+class TestRandomFieldsDeriveEqualsTable:
+    """Seeded fields with squarefree generators |d| <= 30 up to degree 32:
+    derive closes everywhere and agrees with table mode where tabulated."""
+
+    POOL = [d for d in range(-30, 31) if d not in (0, 1) and is_squarefree(d)]
+
+    @pytest.mark.parametrize("label", GENUS1)
+    def test_derive_closes_and_matches_table(self, label):
+        model = get_model(label)
+        rng = random.Random(f"derive-vs-table {label}")
+        for n in range(1, 6):
+            for _ in range(8):
+                K = MultiQuadField([model.zeta_gen] if model.zeta_gen else [])
+                while len(K.gens) < n:
+                    K = MultiQuadField(K.gens + (rng.choice(self.POOL),))
+                r = torsion_table(label, K, "derive")
+                assert r.closed, (label, K.gens)
+                tab = table_lookup(label, K)
+                if tab is not None:
+                    assert r.lower == torsion_table(label, K, "table").lower, (label, K.gens)
