@@ -262,7 +262,12 @@ def _code(a: FqElem) -> int:
 
 
 class Tables:
-    """Precomputed arithmetic tables for one F_{p^k}, q <= a few hundred."""
+    """Precomputed arithmetic tables for one F_{p^k}, q <= a few hundred.
+
+    Built on the integer codes i = c0 + c1*p, (c0, c1) = (i mod p, i div p),
+    with the formulas of `FqElem` (c1 = 0 and t^2 = r give F_p when k = 1,
+    with r = 0).  Scanning the codes in order keeps each `sqrt` tuple
+    ascending."""
 
     def __init__(self, field: FieldDesc):
         self.field = field
@@ -270,19 +275,23 @@ class Tables:
         self.q = q
         p = field.p
         self.p = p
-        elems = list(field.elements())
-        self.elems = elems
-        self.add = [[_code(a + b) for b in elems] for a in elems]
-        self.mul = [[_code(a * b) for b in elems] for a in elems]
-        self.neg = [_code(-a) for a in elems]
-        self.inv = [0] + [_code(a.inverse()) for a in elems[1:]]
-        self.frob = [_code(a.frobenius()) for a in elems]
-        self.sqrt: list[tuple[int, ...]] = [() for _ in range(q)]
-        for a in elems:
-            s = _code(a * a)
-            cur = self.sqrt[s]
-            if _code(a) not in cur:
-                self.sqrt[s] = tuple(sorted((*cur, _code(a))))
+        self.elems = list(field.elements())
+        r = field.r % p if field.k == 2 else 0
+        pairs = [(i % p, i // p) for i in range(q)]
+        self.add = [[(a0 + b0) % p + (a1 + b1) % p * p for b0, b1 in pairs] for a0, a1 in pairs]
+        self.mul = [
+            [(a0 * b0 + r * a1 * b1) % p + (a0 * b1 + a1 * b0) % p * p for b0, b1 in pairs]
+            for a0, a1 in pairs
+        ]
+        self.neg = [-a0 % p + -a1 % p * p for a0, a1 in pairs]
+        # 1/a = conj(a) / norm(a), norm(a) = a0^2 - r a1^2
+        norm_inv = [pow((a0 * a0 - r * a1 * a1) % p, p - 2, p) for a0, a1 in pairs]
+        self.inv = [a0 * n % p + -a1 * n % p * p for (a0, a1), n in zip(pairs, norm_inv)]
+        self.frob = [a0 + -a1 % p * p for a0, a1 in pairs]
+        roots: list[list[int]] = [[] for _ in range(q)]
+        for a in range(q):
+            roots[self.mul[a][a]].append(a)
+        self.sqrt: list[tuple[int, ...]] = [tuple(rs) for rs in roots]
         self.is_sq = [bool(self.sqrt[i]) or i == 0 for i in range(q)]
 
     def code(self, a: FqElem) -> int:

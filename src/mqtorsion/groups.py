@@ -110,68 +110,115 @@ class AbGroupStructure:
 
 
 def structure_from_elements(
-    elements, add, identity, expected_order: int | None = None, max_rank: int | None = None
+    elements,
+    add,
+    identity,
+    expected_order: int | None = None,
+    max_rank: int | None = None,
+    sylow: dict | None = None,
 ) -> AbGroupStructure:
     """Invariant factors of a finite abelian group G given all its elements.
 
-    For each prime ell with ell^2 | n, the layers ell^i * G are counted as
-    multisets; the multiplicity of the identity in ell^i * G is |G[ell^i]|,
-    and these counts determine the ell-Sylow partition.  (When only ell | n,
-    the ell-Sylow subgroup is Z/ell.)  Exact, no randomness.
+    G is the direct sum of its Sylow subgroups (`sylow_subgroups`, or the
+    `sylow` sets already computed from these elements).  For each ell with
+    ell^2 | n, the layers ell^i * S_ell of the ell-Sylow subgroup are counted
+    as multisets; the multiplicity of the identity in ell^i * S_ell is
+    |S_ell[ell^i]| = |G[ell^i]|, and these counts determine the ell-Sylow
+    partition.  (When only ell | n, S_ell is Z/ell and is not computed.)
+    Exact, no randomness.
 
-    Every layer multiplies by ell through one table dbl = {x: 2x : x in G},
-    built once per call and only when some ell^2 | n: ell * y is summed over
-    the binary expansion of ell, from y, 2y, 4y, ..., so 2-layers cost no
-    further additions and an odd ell costs popcount(ell) - 1 per element.
-    Every lookup hits: the layers satisfy ell^i * G <= G, and G is closed
-    under doubling, so each y and each 2^k * y looked up lies in G.  (As for
-    the identity count, equal elements must compare and hash equal.)
+    Every layer multiplies by ell through one table dbl = {x: 2x : x in
+    S_ell}: ell * y is summed over the binary expansion of ell, from y, 2y,
+    4y, ..., so 2-layers cost no further additions and an odd ell costs
+    popcount(ell) - 1 per element.  Every lookup hits: the layers satisfy
+    ell^i * S_ell <= S_ell, and S_ell is closed under doubling.  (As for the
+    identity count, equal elements must compare and hash equal.)
     """
     n = len(elements)
     if expected_order is not None and n != expected_order:
         raise GroupError(f"element count {n} != expected order {expected_order}")
-    prime_exps: dict[int, list[int]] = {}
     ell_exps = factorize(n)
-    if any(e_max > 1 for e_max in ell_exps.values()):
-        double = {x: add(x, x) for x in elements}.__getitem__
-    for ell, e_max in ell_exps.items():
-        if e_max == 1:
-            prime_exps[ell] = [1]
-            continue
-        counts = [1]  # |G[ell^0]|
-        layer: dict = {}
-        for x in elements:
-            layer[x] = layer.get(x, 0) + 1
-        for _ in range(e_max):
-            nxt: dict = {}
-            for x, c in layer.items():
-                y = scalar_mul(ell, x, add, double, identity)
-                nxt[y] = nxt.get(y, 0) + c
-            layer = nxt
-            counts.append(layer.get(identity, 0))
-            if counts[-1] == counts[-2]:
-                break
-        # counts[i] = ell^{sum_j min(i, lam_j)}; differences give the partition
-        ranks = []
-        for i in range(1, len(counts)):
-            ratio = counts[i] // counts[i - 1]
-            r = 0
-            while ratio > 1:
-                ratio //= ell
-                r += 1
-            ranks.append(r)  # number of lam_j >= i
-        partition: list[int] = []
-        for i, r in enumerate(ranks, start=1):
-            while len(partition) < r:
-                partition.append(0)
-            for j in range(r):
-                partition[j] = i
-        prime_exps[ell] = sorted(partition)
+    if sylow is None:
+        sylow = sylow_subgroups(elements, add, identity, [ell for ell, e in ell_exps.items() if e > 1])
+    prime_exps = {
+        ell: [1] if e == 1 else _sylow_partition(sylow[ell], ell, add, identity)
+        for ell, e in ell_exps.items()
+    }
     out = AbGroupStructure.from_prime_exponents(prime_exps)
     if out.order != n:
         raise GroupError(f"census inconsistent: structure {out} vs order {n}")
     if max_rank is not None and out.rank() > max_rank:
         raise GroupError(f"rank {out.rank()} exceeds bound {max_rank}")
+    return out
+
+
+def _sylow_partition(S, ell, add, identity) -> list[int]:
+    """The exponents lam_j of S = sum_j Z/ell^lam_j, by the ell-layer count."""
+    double = {x: add(x, x) for x in S}.__getitem__
+    counts = [1]  # |S[ell^0]|
+    layer: dict = {}
+    for x in S:
+        layer[x] = layer.get(x, 0) + 1
+    while counts[-1] < len(S):
+        nxt: dict = {}
+        for x, c in layer.items():
+            y = scalar_mul(ell, x, add, double, identity)
+            nxt[y] = nxt.get(y, 0) + c
+        layer = nxt
+        counts.append(layer.get(identity, 0))
+        if counts[-1] == counts[-2]:
+            break
+    # counts[i] = ell^{sum_j min(i, lam_j)}; differences give the partition
+    ranks = []
+    for i in range(1, len(counts)):
+        ratio = counts[i] // counts[i - 1]
+        r = 0
+        while ratio > 1:
+            ratio //= ell
+            r += 1
+        ranks.append(r)  # number of lam_j >= i
+    partition: list[int] = []
+    for i, r in enumerate(ranks, start=1):
+        while len(partition) < r:
+            partition.append(0)
+        for j in range(r):
+            partition[j] = i
+    return sorted(partition)
+
+
+def sylow_subgroups(elements, add, identity, primes=None) -> dict:
+    """{ell: S_ell} for every prime ell | n (or every ell | n in `primes`),
+    where the list `elements` is a finite abelian group G of order
+    n = len(elements) and S_ell is its ell-Sylow subgroup, as a collection
+    of elements.
+
+    With ell^e || n and m = n / ell^e, the map x -> m*x sends G onto S_ell.
+    G = S_ell + H with H the elements of order prime to ell; m kills H, since
+    the order of H divides m, and m is prime to ell, so it is a unit on
+    S_ell.  Hence m*G = m*S_ell = S_ell.  The images m*x, taken in the
+    given order of the elements, are fed to `subgroup_span`, which stops
+    drawing them once the span has ell^e elements: a subgroup of S_ell with
+    ell^e = |S_ell| elements is S_ell.  Since the images cover S_ell, the
+    span does reach ell^e elements; if it does not, or if it grows past
+    ell^e, the input is not a group of order n and GroupError is raised.
+    When n = ell^e, S_ell is the list itself and no addition is made.
+    """
+    n = len(elements)
+    double = lambda x: add(x, x)
+    out = {}
+    for ell, e in factorize(n).items():
+        if primes is not None and ell not in primes:
+            continue
+        q = ell**e
+        if q == n:
+            out[ell] = elements
+            continue
+        m = n // q
+        images = (scalar_mul(m, x, add, double, identity) for x in elements)
+        span = subgroup_span(images, add, identity, cap=q, stop_at_cap=True)
+        if span is None or len(span) != q:
+            raise GroupError(f"the {ell}-Sylow span is not of order {q}: not a group of order {n}")
+        out[ell] = span
     return out
 
 
@@ -193,15 +240,10 @@ def scalar_mul(n, x, add, double, identity):
     return out
 
 
-def torsion_elements(elements, n, add, identity) -> list:
-    """The elements x with n*x = identity, in their given order."""
-    double = lambda x: add(x, x)
-    return [x for x in elements if scalar_mul(n, x, add, double, identity) == identity]
-
-
-def subgroup_span(generators, add, identity, cap: int | None = None):
+def subgroup_span(generators, add, identity, cap: int | None = None, stop_at_cap: bool = False):
     """The subgroup generated by `generators` in a finite abelian group, as a
-    set; None if it has more than `cap` elements.
+    set; None if it has more than `cap` elements.  With `stop_at_cap`, no
+    further generator is drawn once the span has exactly `cap` elements.
 
     Built by coset extension.  With H the span of the generators taken so
     far and g the next one, <H, g> is the union of the cosets H + k*g for
@@ -226,4 +268,6 @@ def subgroup_span(generators, add, identity, cap: int | None = None):
             span.extend(coset)
             seen.update(coset)
             first = add(first, g)
+        if stop_at_cap and len(seen) == cap:
+            break
     return seen

@@ -22,9 +22,10 @@ from . import ellcurve, ff, hyperjac, poly, qfield
 from .groups import (
     AbGroupStructure,
     GroupError,
+    scalar_mul,
     structure_from_elements,
     subgroup_span,
-    torsion_elements,
+    sylow_subgroups,
 )
 from .intutil import crt_pair, factorize, is_prime, kronecker, rational_reconstruct
 from .poly import QQ, Poly, code_domain
@@ -279,10 +280,17 @@ class Census:
         self._ell_pairs: dict = {}
 
     @cached_property
+    def sylow(self) -> dict:
+        """The Sylow subgroups {ell: S_ell} of the classes."""
+        return sylow_subgroups(self.classes, self.add, self.identity)
+
+    @cached_property
     def structure(self) -> AbGroupStructure:
         """Invariant factors by the order census; on the full J(F_q) the
         Weil pairing makes the first of four factors divide q - 1."""
-        st = structure_from_elements(self.classes, self.add, self.identity, max_rank=4)
+        st = structure_from_elements(
+            self.classes, self.add, self.identity, max_rank=4, sylow=self.sylow
+        )
         q = self.weil_q
         if q is not None and len(st.factors) == 4 and (q - 1) % st.factors[0]:
             raise GroupError(f"Weil constraint violated: {st} over F_{q}")
@@ -290,12 +298,17 @@ class Census:
 
     def ell_pairs(self, ell: int) -> tuple:
         """(u, v) of the non-trivial ell-torsion classes with deg u = 2 and
-        n = 0, in class order.  By Cauchy there are none unless ell divides
-        the group order, and then no class is scanned."""
+        n = 0, in class order.  J[ell] lies in the ell-Sylow subgroup, so
+        only that is scanned; it is trivial unless ell divides the group
+        order (Cauchy), and then nothing is scanned.  The classes are
+        sorted (`hyperjac.all_classes`), so sorting restores class order."""
         if ell not in self._ell_pairs:
-            torsion = []
-            if len(self.classes) % ell == 0:
-                torsion = torsion_elements(self.classes, ell, self.add, self.identity)
+            double = lambda x: self.add(x, x)
+            torsion = sorted(
+                x
+                for x in self.sylow.get(ell, ())
+                if scalar_mul(ell, x, self.add, double, self.identity) == self.identity
+            )
             self._ell_pairs[ell] = tuple((u, v) for u, v, n in torsion if len(u) == 3 and n == 0)
         return self._ell_pairs[ell]
 

@@ -807,7 +807,9 @@ def low_degree_factors(f: Poly, max_degree: int = 2) -> list[Poly]:
     trial division.  Complete for max_degree <= 3.
 
     Factors of a monic associate are searched, so denominators dividing the
-    leading coefficient are handled exactly.
+    leading coefficient are handled exactly.  Memoised on the primitive
+    integer coefficients of f and max_degree: f and c*f (c a nonzero
+    rational) have the same monic factors.
     """
     if f.is_zero():
         raise PolyError("zero polynomial")
@@ -815,7 +817,11 @@ def low_degree_factors(f: Poly, max_degree: int = 2) -> list[Poly]:
         raise PolyError("complete extraction implemented only for degree <= 4")
     if f.degree == 0:
         return []
-    F = _int_coeffs(f)
+    return list(_low_degree_factors_primitive(_int_coeffs(f), max_degree))
+
+
+@lru_cache(maxsize=256)
+def _low_degree_factors_primitive(F: tuple[int, ...], max_degree: int) -> tuple[Poly, ...]:
     L = F[-1]
     # monic associate: G(x) = L^(n-1) F(x/L)
     n = len(F) - 1
@@ -833,13 +839,13 @@ def low_degree_factors(f: Poly, max_degree: int = 2) -> list[Poly]:
         g = Poly(QQ, mapped).monic()
         out.extend([g] * mult)
     out.sort(key=lambda g: (g.degree, g.coeffs))
-    # exactness check: the found factors divide f
+    # exactness check: the found factors divide F
     check = Poly(QQ, (Fraction(1),))
     for g in out:
         check = check * g
-    if not check.divides(f):
+    if not check.divides(Poly.from_ints(QQ, F)):
         raise PolyError("internal factor extraction inconsistency")  # pragma: no cover
-    return out
+    return tuple(out)
 
 
 def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int) -> list[Poly]:

@@ -3,6 +3,7 @@ import pytest
 from mqtorsion.ff import (
     FieldError,
     FqElem,
+    Tables,
     is_square,
     make_field,
     quadratic_extension,
@@ -173,6 +174,34 @@ class TestTables:
                 assert T.decode(T.inv[i]) == els[i].inverse()
             assert T.decode(T.frob[i]) == els[i].frobenius()
             assert T.is_sq[i] == is_square(els[i])
+
+
+def fq_reference_tables(F):
+    """Every table of `Tables`, computed with FqElem arithmetic."""
+    els = list(F.elements())
+    code = lambda a: a.c0 + a.c1 * F.p
+    return {
+        "add": [[code(a + b) for b in els] for a in els],
+        "mul": [[code(a * b) for b in els] for a in els],
+        "neg": [code(-a) for a in els],
+        "inv": [0] + [code(a.inverse()) for a in els[1:]],
+        "frob": [code(a.frobenius()) for a in els],
+        "sqrt": [tuple(sorted({code(r) for r in sqrt(a) or ()})) for a in els],
+        "is_sq": [is_square(a) for a in els],
+    }
+
+
+ODD_PRIMES_BELOW_40 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+@pytest.mark.parametrize(
+    "p,k", [(p, 1) for p in ODD_PRIMES_BELOW_40] + [(p, 2) for p in (3, 5, 7, 11, 13)]
+)
+def test_integer_built_tables_match_fq_arithmetic(p, k):
+    F = make_field(p, k)
+    T = Tables(F)
+    for name, expect in fq_reference_tables(F).items():
+        assert getattr(T, name) == expect, name
 
 
 class TestQuadraticExtension:

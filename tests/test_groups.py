@@ -11,7 +11,9 @@ from mqtorsion.groups import (
     scalar_mul,
     structure_from_elements,
     subgroup_span,
+    sylow_subgroups,
 )
+from mqtorsion.intutil import factorize
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -111,6 +113,23 @@ class TestCensus:
         assert structure_from_elements(els, counted, zero) == AbGroupStructure((2, 4, 8))
         assert len(calls) == len(els)
 
+    def test_sylow_subgroups_of_z12_x_z2(self):
+        els, add, zero = cyclic_product_elements((12, 2))
+        sylow = sylow_subgroups(els, add, zero)
+        assert set(sylow[2]) == {(a, b) for a in (0, 3, 6, 9) for b in (0, 1)}
+        assert set(sylow[3]) == {(0, 0), (4, 0), (8, 0)}
+        assert list(sylow_subgroups(els, add, zero, primes=[3])) == [3]
+
+    def test_sylow_of_a_non_group_raises(self):
+        # six elements of Z/12: 3 times them spans {0, 3, 6, 9}, past order 2
+        z12 = lambda a, b: (a + b) % 12
+        with pytest.raises(GroupError):
+            sylow_subgroups(list(range(6)), z12, 0)
+        # Z/3 listed twice: 3 times them is 0, short of order 2
+        z3 = lambda a, b: (a + b) % 3
+        with pytest.raises(GroupError):
+            sylow_subgroups([0, 1, 2] * 2, z3, 0)
+
 
 def brute_span(generators, add, zero):
     """Closure of {zero} under adding generators, one pass at a time."""
@@ -123,9 +142,9 @@ def brute_span(generators, add, zero):
 
 
 @st.composite
-def group_elements(draw, max_elements=4):
-    """(ns, elements, add, zero, some elements) for a product of up to three Z/n, n <= 16."""
-    ns = tuple(draw(st.lists(st.integers(1, 16), min_size=1, max_size=3)))
+def group_elements(draw, max_elements=4, max_n=16):
+    """(ns, elements, add, zero, some elements) for a product of up to three Z/n, n <= max_n."""
+    ns = tuple(draw(st.lists(st.integers(1, max_n), min_size=1, max_size=3)))
     els, add, zero = cyclic_product_elements(ns)
     picks = draw(st.lists(st.sampled_from(els), max_size=max_elements))
     return ns, els, add, zero, picks
@@ -151,6 +170,21 @@ class TestCensusProperties:
     def test_structure_matches_summands(self, group):
         ns, els, add, zero, _ = group
         assert structure_from_elements(els, add, zero) == AbGroupStructure.from_summands(ns)
+
+    @PROPERTY
+    @given(group_elements(max_elements=0, max_n=30))
+    def test_sylow_census_matches_brute_force(self, group):
+        ns, els, add, zero, _ = group
+        double = lambda x: add(x, x)
+        n = len(els)
+        sylow = sylow_subgroups(els, add, zero)
+        assert set(sylow) == set(factorize(n))
+        for ell, S in sylow.items():
+            q = ell ** factorize(n)[ell]
+            assert set(S) == {x for x in els if scalar_mul(q, x, add, double, zero) == zero}
+        expect = AbGroupStructure.from_summands(ns)
+        assert structure_from_elements(els, add, zero) == expect
+        assert structure_from_elements(els, add, zero, sylow=sylow) == expect
 
     @PROPERTY
     @given(group_elements(max_elements=1), st.integers(0, 200))

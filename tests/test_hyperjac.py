@@ -25,7 +25,7 @@ from mqtorsion.hyperjac import (
     weierstrass_orbits,
     zeta_order,
 )
-from mqtorsion.mwtors import census, model_registry
+from mqtorsion.mwtors import Census, census, model_registry
 from mqtorsion.poly import QQ, Poly, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
 
@@ -148,6 +148,18 @@ class TestGroupStructure:
     def test_paper_structures(self, coeffs, p, f, expect):
         st = census(model_of(coeffs), p, f, False).structure
         assert st == AbGroupStructure.from_summands(expect)
+
+
+    def test_x18_f49_census_adds_fewer_than_classes(self):
+        # |J(F_49)| = 1953 = 3^2 * 7 * 31: only the 3-Sylow subgroup is
+        # projected out and layered, so most classes are never added
+        cen = Census(model_of(X18), 7, 2, False)
+        add = cen.add
+        calls = []
+        cen.add = lambda a, b: calls.append(1) or add(a, b)
+        assert len(cen.classes) == 1953
+        assert cen.structure == AbGroupStructure.from_summands([3, 651])
+        assert len(calls) < len(cen.classes)
 
 
 class TestSymmetricSquare:

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from mqtorsion import poly
 from mqtorsion.ff import make_field
 from mqtorsion.poly import (
     InexactDivision,
@@ -221,6 +222,27 @@ class TestFactorExtraction:
     def test_rational_roots(self):
         f = Poly.from_ints(QQ, [6, -5, 1])  # (x-2)(x-3)
         assert rational_roots(f) == [Fr(2), Fr(3)]
+
+
+    def test_memo_shares_scalar_multiples(self):
+        f = Poly.from_ints(QQ, [1, 0, 1]) * Poly.from_ints(QQ, [-2, 3]) * Poly.from_ints(QQ, [5, 1, 0, 1])
+        c = Fr(-7, 3)
+        assert low_degree_factors(Poly(QQ, [c * a for a in f.coeffs]), 3) == low_degree_factors(f, 3)
+        assert Poly(QQ, (Fr(-2, 3), Fr(1))) in low_degree_factors(f, 3)
+
+    def test_memo_returns_a_fresh_list(self):
+        f = Poly.from_ints(QQ, [6, -5, 1])
+        got = low_degree_factors(f, 1)
+        got.clear()
+        assert low_degree_factors(f, 1) == [Poly.from_ints(QQ, [-3, 1]), Poly.from_ints(QQ, [-2, 1])]
+
+    def test_memo_hit_on_repeated_input(self):
+        f = Poly.from_ints(QQ, [3, 0, -4, 0, 1])  # (x^2 - 1)(x^2 - 3)
+        first = low_degree_factors(f, 2)
+        before = poly._low_degree_factors_primitive.cache_info()
+        assert low_degree_factors(f, 2) == first
+        after = poly._low_degree_factors_primitive.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
 class TestSplittingField:
