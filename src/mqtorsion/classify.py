@@ -303,64 +303,16 @@ def _tower_poly_roots(coeffs, K) -> list:
     return roots
 
 
-def _division_poly_tower(E: ellcurve.EllipticCurve, n: int):
-    """x-only kill polynomial over the curve's tower domain."""
-    dom = E.domain
-    b2, b4, b6, b8 = E.b_invariants()
-    T = (b6, dom.add(b4, b4), b2, dom.from_int(4))
-    cache = {0: (), 1: (dom.one,), 2: (dom.one,)}
-    psi3 = (b8, dom.mul(dom.from_int(3), b6), dom.mul(dom.from_int(3), b4), b2, dom.from_int(3))
-    cache[3] = poly.pnormalize(dom, psi3)
-    b2b8 = dom.mul(b2, b8)
-    b4b6 = dom.mul(b4, b6)
-    psi4 = (
-        dom.sub(dom.mul(b4, b8), dom.mul(b6, b6)),
-        dom.sub(b2b8, b4b6),
-        dom.mul(dom.from_int(10), b8),
-        dom.mul(dom.from_int(10), b6),
-        dom.mul(dom.from_int(5), b4),
-        b2,
-        dom.from_int(2),
-    )
-    cache[4] = poly.pnormalize(dom, psi4)
-
-    def f(k):
-        if k in cache:
-            return cache[k]
-        m, rem = divmod(k, 2)
-        mul = lambda a, b: poly.pmul(dom, a, b)
-        if rem:
-            a = mul(f(m + 2), mul(f(m), mul(f(m), f(m))))
-            c = mul(f(m - 1), mul(f(m + 1), mul(f(m + 1), f(m + 1))))
-            T2 = mul(T, T)
-            out = poly.psub(dom, mul(a, T2), c) if m % 2 == 0 else poly.psub(dom, a, mul(c, T2))
-        else:
-            inner = poly.psub(
-                dom,
-                mul(f(m + 2), mul(f(m - 1), f(m - 1))),
-                mul(f(m - 2), mul(f(m + 1), f(m + 1))),
-            )
-            out = mul(f(m), inner)
-        cache[k] = out
-        return out
-
-    kill = f(n)
-    if n % 2 == 0:
-        kill = poly.pmul(dom, T, kill)
-    return kill
-
-
 def _torsion_point_in_tower(E: ellcurve.EllipticCurve, n: int, K):
     """A point of exact order n on a curve over a quadratic field, found from
     the kill polynomial's roots in K, or None."""
-    kill = _division_poly_tower(E, n)
-    dom = E.domain
+    b = E.b_invariants()
+    kill = poly.kill_poly(b, n, E.domain).coeffs
+    T = poly.two_torsion_cubic(b, E.domain)
     a1, a2, a3, a4, a6 = E.a
     for x in _tower_poly_roots(kill, K):
         # y from the completed square: (2y + a1 x + a3)^2 = T(x)
-        b2, b4, b6, _ = E.b_invariants()
-        Tval = poly.peval(dom, (b6, dom.add(b4, b4), b2, dom.from_int(4)), x)
-        s = sqrt_in_tower(Tval)
+        s = sqrt_in_tower(T(x))
         if s is None:
             continue
         half = K.from_rational(Fraction(1, 2))

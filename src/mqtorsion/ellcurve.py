@@ -614,10 +614,7 @@ def _project_to(K, v):
     for mask, c in enumerate(v.coords):
         if not c:
             continue
-        prod = 1
-        for i in range(mask.bit_length()):
-            if mask >> i & 1:
-                prod *= L.gens[i]
+        prod = L.gen_products[mask]
         d = squarefree_part(prod)
         scale = rational_sqrt(Fraction(prod, d))
         assert scale is not None
@@ -628,21 +625,12 @@ def _project_to(K, v):
 def _galois_over(L, K) -> list[tuple[int, ...]]:
     """The nontrivial elements of Gal(L/K) as sign tuples on L.gens."""
     n = len(L.gens)
-    constraints = []
-    for d in K.gens:
-        # express sqrt(d) in L: find the generator subset whose product has
-        # squarefree part d; the conjugation must fix it
-        mask_found = None
-        for mask in range(2**n):
-            prod = 1
-            for i in range(n):
-                if mask >> i & 1:
-                    prod *= L.gens[i]
-            if (prod == 1 and d == 1) or (prod != 1 and squarefree_part(prod) == d):
-                mask_found = mask
-                break
-        assert mask_found is not None
-        constraints.append(mask_found)
+    # express each sqrt(d), d in K.gens, in L: the generator subset whose
+    # product has squarefree part d; the conjugation must fix it
+    constraints = [
+        next(mask for mask, prod in enumerate(L.gen_products) if squarefree_part(prod) == d)
+        for d in K.gens
+    ]
     out = []
     for bits in range(1, 2**n):
         if all(bin(bits & m).count("1") % 2 == 0 for m in constraints):

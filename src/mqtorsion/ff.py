@@ -45,11 +45,6 @@ class FieldDesc:
             raise FieldError("t exists only in quadratic extensions")
         return FqElem(self, 0, 1)
 
-    def elem(self, c0: int, c1: int = 0) -> "FqElem":
-        if self.k == 1 and c1 % self.p != 0:
-            raise FieldError("prime field element with t component")
-        return FqElem(self, c0 % self.p, c1 % self.p)
-
     def from_int(self, n: int) -> "FqElem":
         return FqElem(self, n % self.p, 0)
 

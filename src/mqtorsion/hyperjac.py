@@ -4,6 +4,11 @@ the enumeration of every divisor class over a small field, the symmetric
 square with its P^1 of x-fibers, Galois analysis of 2-torsion through
 Weierstrass points, and Frobenius on classes over F_{p^2}.
 
+The group law (`jac_add`, `jac_neg`, `jac_order`) is written once, over
+the polynomial kernel kit (`poly.kernels`) that each `HyperCurve` binds to
+its domain: table-bound over F_q, generic over Q and over multi-quadratic
+towers.
+
 Divisor classes are triples (u, v, n): u monic of degree <= 2, v of lower
 degree with v^2 = F mod u, and n the number of copies of the +infinity place
 in the balanced representation of a degree-6 split model (n = 0 throughout
@@ -11,8 +16,8 @@ for degree-5 models, whose single infinite place is Weierstrass).  Reduced
 triples are unique in their class, so tuple equality is class equality.
 
 The census of a reduction (`mwtors.Census`) is built from the pieces here:
-`all_classes` lists J(F_q) once per (field, model), `fast_jac_ops` gives the
-table-bound group law, and `frobenius_on_class` selects the inert quadratic
+`all_classes` lists J(F_q) once per (field, model), `jac_add` and `jac_neg`
+give the group law, and `frobenius_on_class` selects the inert quadratic
 twist as the classes D with Frobenius(D) = -D.
 """
 
@@ -28,12 +33,9 @@ from .poly import (
     Poly,
     TowerDomain,
     pdegree,
-    pexact_div,
     pgcdext,
     pmod,
-    pmonic,
     pmul,
-    pneg,
     pnormalize,
     psub,
     padd,
@@ -55,13 +57,14 @@ class HyperCurve:
     Degree-6 models must have square leading coefficient over every field of
     use; all builtin models are monic, hence split everywhere."""
 
-    __slots__ = ("domain", "F", "label", "Vp", "R")
+    __slots__ = ("domain", "F", "label", "Vp", "R", "kit")
 
     def __init__(self, domain, F, label=None):
         F = pnormalize(domain, F)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "kit", poly.kernels(domain))
         if pdegree(F) not in (5, 6):
             raise JacError("degree must be 5 or 6")
         d, _, _ = pgcdext(domain, F, poly.pderiv(domain, F))
@@ -109,105 +112,74 @@ def _sqrt_series(dom, F):
 
 
 # ---------------------------------------------------------------------------
-# The group law
+# The group law: Cantor composition, then reduction (Cantor, Math. Comp.
+# 1987), balanced on split sextics (Galbraith-Harrison-Mireles Morales,
+# ANTS 2008).  It runs on the curve's kernel kit: table-bound over a
+# CodeDomain, poly's generic kernels over Q and over towers.
 # ---------------------------------------------------------------------------
 
 
 def jac_neg(C: HyperCurve, D):
     u, v, n = D
-    dom = C.domain
-    vneg = pmod(dom, pneg(dom, v), u) if pdegree(u) > 0 else ()
+    kit = C.kit
+    vneg = kit.divmod(kit.neg(v), u)[1]
     if C.degree == 6:
         return (u, vneg, 2 - pdegree(u) - n)
     return (u, vneg, 0)
 
 
-def _compose(C: HyperCurve, D1, D2):
-    dom = C.domain
-    u1, v1, n1 = D1
-    u2, v2, n2 = D2
-    e, e1, e2 = pgcdext(dom, u1, u2)
-    vsum = padd(dom, v1, v2)
-    if vsum:
-        d, c1, c2 = pgcdext(dom, e, vsum)
-        s1 = pmul(dom, c1, e1)
-        s2 = pmul(dom, c1, e2)
-        s3 = c2
-    else:
-        d, s1, s2, s3 = e, e1, e2, ()
-    dd = pmul(dom, d, d)
-    u3 = pexact_div(dom, pmul(dom, u1, u2), dd)
-    t = padd(
-        dom,
-        padd(dom, pmul(dom, pmul(dom, s1, u1), v2), pmul(dom, pmul(dom, s2, u2), v1)),
-        pmul(dom, s3, padd(dom, pmul(dom, v1, v2), C.F)),
-    )
-    v3 = pmod(dom, pexact_div(dom, t, d), u3)
-    return u3, v3, n1 + n2 + pdegree(d)
-
-
-def _adjust_step(C: HyperCurve, u, v, Np, direction):
-    """One principal-divisor move y - w with w = v (mod u), steered toward
-    +infinity (direction +1) or -infinity (direction -1).  Returns the new
-    (u, v, Np) of the running representation of total degree 4."""
-    dom = C.domain
-    Vdir = C.Vp if direction > 0 else pneg(dom, C.Vp)
-    a = pmod(dom, psub(dom, Vdir, v), u)
-    w = psub(dom, Vdir, a)
-    num = psub(dom, C.F, pmul(dom, w, w))
-    ut = pmonic(dom, pexact_div(dom, num, u))
-    vt = pmod(dom, pneg(dom, w), ut) if pdegree(ut) > 0 else ()
-    degR = pdegree(C.R)
-    tp = psub(dom, C.Vp, w)
-    tm = padd(dom, C.Vp, w)
-    zp = (3 - degR) if not tp else -pdegree(tp)
-    zm = (3 - degR) if not tm else -pdegree(tm)
-    Np_new = Np - zp - pdegree(ut)
-    return ut, vt, Np_new
-
-
 def jac_add(C: HyperCurve, D1, D2):
-    """Cantor composition + reduction; balanced weights on split sextics."""
-    dom = C.domain
+    """Cantor composition + reduction; balanced weights on split sextics.
+
+    On a sextic, Np counts the copies of +infinity in the running
+    representation of total degree 4.  Each reduction step is the principal
+    divisor of y - w with w = v (mod u), w steered toward +infinity (w close
+    to V) or -infinity (w close to -V); it ends with 1 <= Np and
+    1 <= 4 - deg u - Np, and the weight of the reduced class is Np - 1."""
     ident = C.identity()
     if D1 == ident:
         return D2
     if D2 == ident:
         return D1
-    u3, v3, Np = _compose(C, D1, D2)
+    add, sub, neg, mul, divmod_, gcdext, monic = C.kit
+    F = C.F
+    u1, v1, n1 = D1
+    u2, v2, n2 = D2
+    e, e1, e2 = gcdext(u1, u2)
+    vsum = add(v1, v2)
+    if vsum:
+        d, c1, c2 = gcdext(e, vsum)
+        s1 = mul(c1, e1)
+        s2 = mul(c1, e2)
+        s3 = c2
+    else:
+        d, s1, s2, s3 = e, e1, e2, ()
+    u3 = divmod_(mul(u1, u2), mul(d, d))[0]
+    t = add(
+        add(mul(mul(s1, u1), v2), mul(mul(s2, u2), v1)),
+        mul(s3, add(mul(v1, v2), F)),
+    )
+    v3 = divmod_(divmod_(t, d)[0], u3)[1]
     if C.degree == 5:
         while pdegree(u3) > 2:
-            u3 = pmonic(dom, pexact_div(dom, psub(dom, C.F, pmul(dom, v3, v3)), u3))
-            v3 = pmod(dom, pneg(dom, v3), u3) if pdegree(u3) > 0 else ()
+            u3 = monic(divmod_(sub(F, mul(v3, v3)), u3)[0])
+            v3 = divmod_(neg(v3), u3)[1]
         return (u3, v3, 0)
-    while pdegree(u3) > 2:
-        u3, v3, Np = _adjust_step(C, u3, v3, Np, +1)
-    guard = 0
-    while True:
-        Nm = 4 - pdegree(u3) - Np
-        if Np >= 1 and Nm >= 1:
-            break
-        direction = -1 if Np < 1 else +1
-        u3, v3, Np = _adjust_step(C, u3, v3, Np, direction)
-        guard += 1
-        if guard > 8:  # pragma: no cover
+    Vp = C.Vp
+    degR = pdegree(C.R)
+    Np = n1 + n2 + pdegree(d)
+    steps = 0
+    while pdegree(u3) > 2 or not (Np >= 1 and 4 - pdegree(u3) - Np >= 1):
+        Vdir = Vp if pdegree(u3) > 2 or Np >= 1 else neg(Vp)
+        w = sub(Vdir, divmod_(sub(Vdir, v3), u3)[1])
+        u3 = monic(divmod_(sub(F, mul(w, w)), u3)[0])
+        v3 = divmod_(neg(w), u3)[1]
+        tp = sub(Vp, w)  # y - w has order 3 - deg R at +infinity if w = V, else -deg(V - w)
+        Np -= ((3 - degR) if not tp else -pdegree(tp)) + pdegree(u3)
+        steps += 1
+        if steps > 10:  # pragma: no cover
             raise JacError("balanced reduction failed to converge")
-    n = Np - 1
-    assert 0 <= n <= 2 - pdegree(u3)
-    return (u3, v3, n)
-
-
-def jac_mul(C: HyperCurve, k: int, D):
-    if k < 0:
-        return jac_mul(C, -k, jac_neg(C, D))
-    out = C.identity()
-    base = D
-    while k:
-        if k & 1:
-            out = jac_add(C, out, base)
-        base = jac_add(C, base, base)
-        k >>= 1
-    return out
+    return (u3, v3, Np - 1)
 
 
 def jac_order(C: HyperCurve, D, bound: int = 100000) -> int:
@@ -232,148 +204,6 @@ def is_valid_divisor(C: HyperCurve, D) -> bool:
     if C.degree == 6:
         return 0 <= n <= 2 - pdegree(u)
     return n == 0
-
-
-# ---------------------------------------------------------------------------
-# Specialized group law over int-coded fields (same algorithm, tables bound
-# into locals; cross-validated against the generic path in the test suite)
-# ---------------------------------------------------------------------------
-
-
-def fast_jac_ops(C: HyperCurve):
-    """(add, neg, identity) closures for a curve over a CodeDomain."""
-    t = C.domain.tables
-    ADD, MUL, NEG, INV = t.add, t.mul, t.neg, t.inv
-    F = C.F
-    sextic = C.degree == 6
-    Vp = C.Vp
-    R = C.R
-    degR = pdegree(R) if sextic else 0
-    Vm = tuple(NEG[c] for c in Vp) if sextic else None
-    ident = C.identity()
-
-    def norm(f):
-        f = list(f)
-        while f and f[-1] == 0:
-            f.pop()
-        return tuple(f)
-
-    def sub(f, g):
-        n = max(len(f), len(g))
-        return norm(
-            [ADD[f[i] if i < len(f) else 0][NEG[g[i] if i < len(g) else 0]] for i in range(n)]
-        )
-
-    def addp(f, g):
-        n = max(len(f), len(g))
-        return norm(
-            [ADD[f[i] if i < len(f) else 0][g[i] if i < len(g) else 0] for i in range(n)]
-        )
-
-    def mul(f, g):
-        if not f or not g:
-            return ()
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                rowa = MUL[a]
-                for j, b in enumerate(g):
-                    if b:
-                        out[i + j] = ADD[out[i + j]][rowa[b]]
-        return norm(out)
-
-    def divmod_(f, g):
-        q = [0] * max(0, len(f) - len(g) + 1)
-        r = list(f)
-        ilc = INV[g[-1]]
-        dg = len(g) - 1
-        while len(r) >= len(g):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            c = MUL[r[-1]][ilc]
-            k = len(r) - 1 - dg
-            q[k] = c
-            rowc = MUL[c]
-            for i in range(len(g)):
-                r[k + i] = ADD[r[k + i]][NEG[rowc[g[i]]]]
-            r.pop()
-        return norm(q), norm(r)
-
-    def gcdext(f, g):
-        r0, r1 = f, g
-        s0, s1 = (1,), ()
-        t0, t1 = (), (1,)
-        while r1:
-            q, r = divmod_(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, sub(s0, mul(q, s1))
-            t0, t1 = t1, sub(t0, mul(q, t1))
-        ilc = INV[r0[-1]]
-        sc = lambda h: norm([MUL[c][ilc] for c in h])
-        return sc(r0), sc(s0), sc(t0)
-
-    def monic(f):
-        ilc = INV[f[-1]]
-        return norm([MUL[c][ilc] for c in f])
-
-    def adjust(u, v, Np, direction):
-        Vdir = Vp if direction > 0 else Vm
-        a = divmod_(sub(Vdir, v), u)[1]
-        w = sub(Vdir, a)
-        ut = monic(divmod_(sub(F, mul(w, w)), u)[0])
-        vt = divmod_([NEG[c] for c in w], ut)[1]
-        tp = sub(Vp, w)
-        tm = addp(Vp, w)
-        zp = (3 - degR) if not tp else -(len(tp) - 1)
-        Np_new = Np - zp - (len(ut) - 1)
-        return ut, vt, Np_new
-
-    def add_cls(D1, D2):
-        if D1 == ident:
-            return D2
-        if D2 == ident:
-            return D1
-        u1, v1, n1 = D1
-        u2, v2, n2 = D2
-        e, e1, e2 = gcdext(u1, u2)
-        vsum = addp(v1, v2)
-        if vsum:
-            d, c1, c2 = gcdext(e, vsum)
-            s1 = mul(c1, e1)
-            s2 = mul(c1, e2)
-            s3 = c2
-        else:
-            d, s1, s2, s3 = e, e1, e2, ()
-        u3 = divmod_(mul(u1, u2), mul(d, d))[0]
-        tt = addp(
-            addp(mul(mul(s1, u1), v2), mul(mul(s2, u2), v1)),
-            mul(s3, addp(mul(v1, v2), F)),
-        )
-        v3 = divmod_(divmod_(tt, d)[0], u3)[1]
-        Np = n1 + n2 + len(d) - 1
-        if not sextic:
-            while len(u3) - 1 > 2:
-                u3 = monic(divmod_(sub(F, mul(v3, v3)), u3)[0])
-                v3 = divmod_([NEG[c] for c in v3], u3)[1]
-            return (u3, v3, 0)
-        while len(u3) - 1 > 2:
-            u3, v3, Np = adjust(u3, v3, Np, +1)
-        while True:
-            Nm = 4 - (len(u3) - 1) - Np
-            if Np >= 1 and Nm >= 1:
-                break
-            u3, v3, Np = adjust(u3, v3, Np, -1 if Np < 1 else +1)
-        return (u3, v3, Np - 1)
-
-    def neg_cls(D):
-        u, v, n = D
-        vneg = divmod_([NEG[c] for c in v], u)[1]
-        if sextic:
-            return (u, vneg, 2 - (len(u) - 1) - n)
-        return (u, vneg, 0)
-
-    return add_cls, neg_cls, ident
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +298,8 @@ def rational_points_code(C: HyperCurve) -> list:
 
 def _pair_to_class(C: HyperCurve, P, Q):
     """The class [P + Q - (canonical degree-2)] for rational points P, Q,
-    or None when the pair lies on the line."""
+    or None when the pair lies on the line.  The interpolating v has degree
+    at most deg u - 1 and comes out normalised, so it is already reduced."""
     dom = C.domain
     t = dom.tables
     sextic = C.degree == 6
@@ -483,10 +314,10 @@ def _pair_to_class(C: HyperCurve, P, Q):
             P, Q = Q, P
         x, y = P
         u = (t.neg[x], 1)
-        v = (y,)
+        v = (y,) if y else ()
         if not sextic:
-            return (u, pmod(dom, v, u), 0)
-        return (u, pmod(dom, v, u), 1 if Q[1] == 1 else 0)
+            return (u, v, 0)
+        return (u, v, 1 if Q[1] == 1 else 0)
     (x1, y1), (x2, y2) = P, Q
     if x1 == x2:
         if y1 != y2:
@@ -498,11 +329,11 @@ def _pair_to_class(C: HyperCurve, P, Q):
         fp = peval(dom, poly.pderiv(dom, C.F), x1)
         lam = dom.div(fp, t.add[y1][y1])
         v = padd(dom, (y1,), pmul(dom, (lam,), (t.neg[x1], 1)))
-        return (u, pmod(dom, v, u), 0)
+        return (u, v, 0)
     u = pmul(dom, (t.neg[x1], 1), (t.neg[x2], 1))
     lam = dom.div(t.add[y2][t.neg[y1]], t.add[x2][t.neg[x1]])
     v = padd(dom, (y1,), pmul(dom, (lam,), (t.neg[x1], 1)))
-    return (u, pmod(dom, v, u), 0)
+    return (u, v, 0)
 
 
 def _conjugate_pair_classes(C: HyperCurve):

@@ -68,14 +68,6 @@ def factorize(n: int, hint: tuple[int, ...] = ()) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def divisors(n: int) -> list[int]:
-    fac = factorize(n)
-    out = [1]
-    for p, e in fac.items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 def squarefree_part(n: int) -> int:
     """Squarefree part of a nonzero integer (sign preserved)."""
     if n == 0:

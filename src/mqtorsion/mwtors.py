@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from . import ellcurve, ff, hyperjac, poly, qfield
 from .groups import (
@@ -260,15 +260,18 @@ class Census:
     Mumford triple is unique in its class, so two classes are equal exactly
     when their triples are, and D + phi(D) = 0 holds exactly when
     phi(D) = -D.  Both sides are reduced triples: phi acts coefficientwise
-    and `neg_cls` only reduces -v mod u and reflects the weight.
+    and `hyperjac.jac_neg` only reduces -v mod u and reflects the weight.
     """
 
     def __init__(self, model: CurveModel, p: int, f: int, twisted: bool):
         C = hyper_reduction(model, p, f)
-        self.add, neg, self.identity = hyperjac.fast_jac_ops(C)
+        self.add = partial(hyperjac.jac_add, C)
+        self.identity = C.identity()
         classes = hyperjac.all_classes(C)
         if twisted:
-            classes = [D for D in classes if hyperjac.frobenius_on_class(C, D) == neg(D)]
+            classes = [
+                D for D in classes if hyperjac.frobenius_on_class(C, D) == hyperjac.jac_neg(C, D)
+            ]
             expected = _zeta_orders(model, p)[1]
             if len(classes) != expected:
                 raise CrossCheckError(

@@ -2,8 +2,9 @@
 
 One dense-tuple engine serves prime fields and their quadratic extensions
 (int-coded elements), the rationals (Fraction), and multi-quadratic towers
-(TowerElem).  On top of it: elliptic division polynomials in x-only form,
-exact factor extraction of low-degree rational factors via modular
+(TowerElem); `kernels` binds it to one domain for the genus-2 group law.
+On top of it: elliptic division polynomials in x-only form over any
+domain, exact factor extraction of low-degree rational factors via modular
 factorization + Hensel lifting, and splitting fields of quadratics.
 
 Polynomials are tuples, constant term first, no trailing zeros.
@@ -14,7 +15,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from . import ff
 from .intutil import (
@@ -294,6 +296,103 @@ def peval(dom, f, x):
     return acc
 
 
+class Kernels(NamedTuple):
+    """The dense kernels bound to one domain, as `kernels` returns them."""
+
+    add: object
+    sub: object
+    neg: object
+    mul: object
+    divmod: object
+    gcdext: object
+    monic: object
+
+
+def kernels(dom) -> Kernels:
+    """padd, psub, pneg, pmul, pdivmod, pgcdext and pmonic bound to dom.
+
+    Over a CodeDomain they are the same algorithms with the field tables
+    bound into locals, which is what makes the genus-2 census affordable;
+    the divisor and the polynomial made monic must be nonzero there."""
+    if isinstance(dom, CodeDomain):
+        return _table_kernels(dom.tables)
+    return Kernels(*(partial(fn, dom) for fn in (padd, psub, pneg, pmul, pdivmod, pgcdext, pmonic)))
+
+
+def _table_kernels(t) -> Kernels:
+    ADD, MUL, NEG, INV = t.add, t.mul, t.neg, t.inv
+
+    def norm(f):
+        f = list(f)
+        while f and f[-1] == 0:
+            f.pop()
+        return tuple(f)
+
+    def sub(f, g):
+        n = max(len(f), len(g))
+        return norm(
+            [ADD[f[i] if i < len(f) else 0][NEG[g[i] if i < len(g) else 0]] for i in range(n)]
+        )
+
+    def add(f, g):
+        n = max(len(f), len(g))
+        return norm(
+            [ADD[f[i] if i < len(f) else 0][g[i] if i < len(g) else 0] for i in range(n)]
+        )
+
+    def neg(f):
+        return tuple(NEG[c] for c in f)
+
+    def mul(f, g):
+        if not f or not g:
+            return ()
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                rowa = MUL[a]
+                for j, b in enumerate(g):
+                    if b:
+                        out[i + j] = ADD[out[i + j]][rowa[b]]
+        return norm(out)
+
+    def divmod_(f, g):
+        q = [0] * max(0, len(f) - len(g) + 1)
+        r = list(f)
+        ilc = INV[g[-1]]
+        dg = len(g) - 1
+        while len(r) >= len(g):
+            if r[-1] == 0:
+                r.pop()
+                continue
+            c = MUL[r[-1]][ilc]
+            k = len(r) - 1 - dg
+            q[k] = c
+            rowc = MUL[c]
+            for i in range(len(g)):
+                r[k + i] = ADD[r[k + i]][NEG[rowc[g[i]]]]
+            r.pop()
+        return norm(q), norm(r)
+
+    def gcdext(f, g):
+        r0, r1 = f, g
+        s0, s1 = (1,), ()
+        t0, t1 = (), (1,)
+        while r1:
+            q, r = divmod_(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, sub(s0, mul(q, s1))
+            t0, t1 = t1, sub(t0, mul(q, t1))
+        ilc = INV[r0[-1]]
+        sc = lambda h: norm([MUL[c][ilc] for c in h])
+        return sc(r0), sc(s0), sc(t0)
+
+    def monic(f):
+        ilc = INV[f[-1]]
+        return norm([MUL[c][ilc] for c in f])
+
+    return Kernels(add, sub, neg, mul, divmod_, gcdext, monic)
+
+
 # ---------------------------------------------------------------------------
 # Poly wrapper
 # ---------------------------------------------------------------------------
@@ -327,9 +426,6 @@ class Poly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.domain.one
 
     def __eq__(self, other):
         return (
@@ -388,9 +484,6 @@ class Poly:
 
     def discriminant(self):
         return discriminant(self.domain, self.coeffs)
-
-    def map_coeffs(self, domain, fn):
-        return Poly(domain, [fn(c) for c in self.coeffs])
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
@@ -464,61 +557,65 @@ def discriminant(dom, f):
 # ---------------------------------------------------------------------------
 
 
-def two_torsion_cubic(b) -> Poly:
+def two_torsion_cubic(b, dom=QQ) -> Poly:
+    """T = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 over dom."""
     b2, b4, b6, b8 = b
-    return Poly(QQ, (b6, 2 * b4, b2, Fraction(4)))
+    return Poly(dom, (b6, dom.add(b4, b4), b2, dom.from_int(4)))
 
 
-@lru_cache(maxsize=None)
-def _divpoly_f(b, n: int) -> tuple:
+def divpoly_f(dom, b, n: int) -> tuple:
+    """f_n over dom from b = (b2, b4, b6, b8) in dom, by the doubling
+    recursion, memoised for the length of one call."""
     b2, b4, b6, b8 = b
-    T = two_torsion_cubic(b).coeffs
-    if n == 0:
-        return ()
-    if n in (1, 2):
-        return (Fraction(1),)
-    if n == 3:
-        return tuple(Fraction(c) for c in (b8, 3 * b6, 3 * b4, b2, 3))
-    if n == 4:
-        return tuple(
-            Fraction(c)
-            for c in (
-                b4 * b8 - b6 * b6,
-                b2 * b8 - b4 * b6,
-                10 * b8,
-                10 * b6,
-                5 * b4,
-                b2,
-                2,
+    num = dom.from_int
+    T = two_torsion_cubic(b, dom).coeffs
+    memo = {
+        0: (),
+        1: (dom.one,),
+        2: (dom.one,),
+        3: (b8, dom.mul(num(3), b6), dom.mul(num(3), b4), b2, num(3)),
+        4: (
+            dom.sub(dom.mul(b4, b8), dom.mul(b6, b6)),
+            dom.sub(dom.mul(b2, b8), dom.mul(b4, b6)),
+            dom.mul(num(10), b8),
+            dom.mul(num(10), b6),
+            dom.mul(num(5), b4),
+            b2,
+            num(2),
+        ),
+    }
+    mul = lambda f, g: pmul(dom, f, g)
+
+    def f(k):
+        if k in memo:
+            return memo[k]
+        m, rem = divmod(k, 2)
+        if rem:  # k = 2m + 1
+            a = mul(f(m + 2), mul(f(m), mul(f(m), f(m))))
+            c = mul(f(m - 1), mul(f(m + 1), mul(f(m + 1), f(m + 1))))
+            T2 = mul(T, T)
+            out = psub(dom, mul(a, T2), c) if m % 2 == 0 else psub(dom, a, mul(c, T2))
+        else:  # k = 2m
+            inner = psub(
+                dom,
+                mul(f(m + 2), mul(f(m - 1), f(m - 1))),
+                mul(f(m - 2), mul(f(m + 1), f(m + 1))),
             )
-        )
-    m, rem = divmod(n, 2)
-    fm = lambda k: _divpoly_f(b, k)
-    mul = lambda f, g: pmul(QQ, f, g)
-    if rem:  # n = 2m + 1
-        a = mul(fm(m + 2), mul(fm(m), mul(fm(m), fm(m))))
-        c = mul(fm(m - 1), mul(fm(m + 1), mul(fm(m + 1), fm(m + 1))))
-        T2 = mul(T, T)
-        if m % 2 == 0:
-            return psub(QQ, mul(a, T2), c)
-        return psub(QQ, a, mul(c, T2))
-    # n = 2m
-    inner = psub(
-        QQ,
-        mul(fm(m + 2), mul(fm(m - 1), fm(m - 1))),
-        mul(fm(m - 2), mul(fm(m + 1), fm(m + 1))),
-    )
-    return mul(fm(m), inner)
+            out = mul(f(m), inner)
+        memo[k] = out
+        return out
+
+    return f(n)
 
 
-def kill_poly(b, n: int) -> Poly:
+def kill_poly(b, n: int, dom=QQ) -> Poly:
     """Roots are exactly the x-coordinates of the nonzero points killed by n."""
     if n < 1:
         raise PolyError("n must be positive")
-    f = Poly(QQ, _divpoly_f(b, n))
+    f = divpoly_f(dom, b, n)
     if n % 2 == 0:
-        return two_torsion_cubic(b) * f
-    return f
+        f = pmul(dom, two_torsion_cubic(b, dom).coeffs, f)
+    return Poly(dom, f)
 
 
 @lru_cache(maxsize=None)

@@ -91,6 +91,12 @@ class MultiQuadField:
             sorted((_unvector(r) for r in rows), key=lambda d: (abs(d), d < 0))
         )
         self._rows = _echelon([_vector(d) for d in self.gens])
+        # gen_products[mask] = the product of the generators in mask, so the
+        # basis element of mask is sqrt(gen_products[mask])
+        products = [1]
+        for d in self.gens:
+            products += [x * d for x in products]
+        self.gen_products: tuple[int, ...] = tuple(products)
 
     @property
     def degree(self) -> int:
@@ -122,15 +128,8 @@ class MultiQuadField:
     def span(self) -> list[int]:
         """All squarefree d with sqrt(d) in the field, including 1.
         Sorted by (|d|, sign); cardinality 2^n."""
-        out = []
-        n = len(self.gens)
-        for mask in range(2**n):
-            d = 1
-            for i in range(n):
-                if mask >> i & 1:
-                    d *= self.gens[i]
-            out.append(squarefree_part(d) if d != 1 else 1)
-        return sorted(set(out), key=lambda d: (abs(d), d < 0))
+        out = {squarefree_part(d) for d in self.gen_products}
+        return sorted(out, key=lambda d: (abs(d), d < 0))
 
     def signature(self) -> tuple[int, ...]:
         """Canonical identity of the field: its full sorted span."""
@@ -199,13 +198,8 @@ class MultiQuadField:
             raise QFieldError(f"sqrt({d}) not in {self}")
         # find the subset of generators whose product has squarefree part d,
         # then sqrt(d) = sqrt(prod) / sqrt(prod/d) with rational cofactor
-        n = len(self.gens)
-        for mask in range(2**n):
-            prod = 1
-            for i in range(n):
-                if mask >> i & 1:
-                    prod *= self.gens[i]
-            if prod != 1 and squarefree_part(prod) == d or (prod == 1 and d == 1):
+        for mask, prod in enumerate(self.gen_products):
+            if squarefree_part(prod) == d:
                 cof = rational_sqrt(Fraction(prod, d))
                 assert cof is not None
                 coords = [Fraction(0)] * self.degree
@@ -260,7 +254,7 @@ class TowerElem:
     def __mul__(self, other):
         self._check(other)
         n = self.field.degree
-        gens = self.field.gens
+        products = self.field.gen_products
         out = [Fraction(0)] * n
         nz_self = [(s, c) for s, c in enumerate(self.coords) if c]
         nz_other = [(t, c) for t, c in enumerate(other.coords) if c]
@@ -268,9 +262,8 @@ class TowerElem:
             for t, ct in nz_other:
                 m = s & t
                 scale = cs * ct
-                for i in range(m.bit_length()):
-                    if m >> i & 1:
-                        scale *= gens[i]
+                if m:
+                    scale *= products[m]
                 out[s ^ t] += scale
         return TowerElem(self.field, tuple(out))
 
@@ -322,33 +315,21 @@ class TowerElem:
 
     def support_gens(self) -> "MultiQuadField":
         """Smallest multi-quadratic subfield containing this element."""
-        ds = []
-        gens = self.field.gens
-        for mask, c in enumerate(self.coords):
-            if c and mask:
-                prod = 1
-                for i in range(mask.bit_length()):
-                    if mask >> i & 1:
-                        prod *= gens[i]
-                ds.append(squarefree_part(prod))
+        products = self.field.gen_products
+        ds = [squarefree_part(products[mask]) for mask, c in enumerate(self.coords) if c and mask]
         return MultiQuadField(ds)
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        gens = self.field.gens
         for mask, c in enumerate(self.coords):
             if not c:
                 continue
             if mask == 0:
                 parts.append(str(c))
             else:
-                prod = 1
-                for i in range(mask.bit_length()):
-                    if mask >> i & 1:
-                        prod *= gens[i]
-                mon = f"sqrt({prod})"
+                mon = f"sqrt({self.field.gen_products[mask]})"
                 parts.append(mon if c == 1 else f"{c}*{mon}")
         return " + ".join(parts)
 

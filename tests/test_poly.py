@@ -5,11 +5,15 @@ import pytest
 
 from mqtorsion import poly
 from mqtorsion.ff import make_field
+from mqtorsion.qfield import MultiQuadField
 from mqtorsion.poly import (
     InexactDivision,
     Poly,
     QQ,
+    TowerDomain,
     code_domain,
+    divpoly_f,
+    kernels,
     kill_poly,
     low_degree_factors,
     mp_factor_squarefree,
@@ -65,6 +69,31 @@ class TestArith:
             assert q * g + r == f
             assert r.is_zero() or r.degree < g.degree
 
+    @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (11, 1), (3, 2), (5, 2), (7, 2)])
+    def test_code_kit_agrees_with_generic_kernels(self, p, k):
+        """The table-bound kit of a CodeDomain computes what poly's generic
+        kernels compute, on random tuples over F_p and F_{p^2}."""
+        dom = code_domain(make_field(p, k))
+        kit = kernels(dom)
+        rng = random.Random(p * 10 + k)
+
+        def rand(nonzero=False):
+            while True:
+                f = poly.pnormalize(dom, [rng.randrange(dom.q) for _ in range(rng.randint(0, 7))])
+                if f or not nonzero:
+                    return f
+
+        for _ in range(300):
+            f, g, h = rand(), rand(), rand(nonzero=True)
+            assert kit.add(f, g) == poly.padd(dom, f, g)
+            assert kit.sub(f, g) == poly.psub(dom, f, g)
+            assert kit.neg(f) == poly.pneg(dom, f)
+            assert kit.mul(f, g) == poly.pmul(dom, f, g)
+            assert kit.divmod(f, h) == poly.pdivmod(dom, f, h)
+            assert kit.gcdext(f, h) == poly.pgcdext(dom, f, h)
+            assert kit.gcdext(h, f) == poly.pgcdext(dom, h, f)
+            assert kit.monic(h) == poly.pmonic(dom, h)
+
     def test_finite_field_domain_roots(self):
         dom = code_domain(make_field(13, 2))
         # x^2 + 1 over F_169 has two roots
@@ -110,17 +139,15 @@ class TestDivisionPolynomials:
         checked as an exact polynomial identity (x-only form, even parts
         carrying T = psi_2^2)."""
         T = two_torsion_cubic(b)
+        f = [Poly(QQ, divpoly_f(QQ, b, n)) for n in range(25)]
 
         def psi_sq(n):  # psi_n^2 as x-polynomial
-            f = Poly(QQ, __import__("mqtorsion.poly", fromlist=["_divpoly_f"])._divpoly_f(b, n))
-            sq = f * f
+            sq = f[n] * f[n]
             return sq * T if n % 2 == 0 else sq
 
         def psi_pair(m, n):  # psi_m * psi_n as x-poly; requires m+n even
             assert (m + n) % 2 == 0
-            fm = Poly(QQ, __import__("mqtorsion.poly", fromlist=["_divpoly_f"])._divpoly_f(b, m))
-            fn = Poly(QQ, __import__("mqtorsion.poly", fromlist=["_divpoly_f"])._divpoly_f(b, n))
-            out = fm * fn
+            out = f[m] * f[n]
             return out * T if m % 2 == 0 else out
 
         for m in range(2, 13):
@@ -133,6 +160,20 @@ class TestDivisionPolynomials:
         for n in range(1, 13):
             expect = (n * n - 1) // 2 if n % 2 else (n * n + 2) // 2
             assert kill_poly(X15_B, n).degree == expect
+
+    @pytest.mark.parametrize("d", [-3, 5])
+    def test_tower_recursion_embeds_the_rational_one(self, d):
+        """Over Q(sqrt(d)), the recursion on the embedded b-invariants gives
+        the embedded rational division polynomials."""
+        K = MultiQuadField([d])
+        dom = TowerDomain(K)
+        for b in (X15_B, b_invariants(1, -1, 1, -2, 3)):
+            bK = tuple(K.from_rational(c) for c in b)
+            for n in range(1, 13):
+                embedded = tuple(K.from_rational(c) for c in divpoly_f(QQ, b, n))
+                assert divpoly_f(dom, bK, n) == embedded, (b, n)
+                kill = tuple(K.from_rational(c) for c in kill_poly(b, n).coeffs)
+                assert kill_poly(bK, n, dom).coeffs == kill, (b, n)
 
     def test_primitive_kernel_two(self):
         assert primitive_kernel_poly_b(X15_B, 2) == two_torsion_cubic(X15_B)
