@@ -25,21 +25,13 @@ class VerificationError(RuntimeError):
     """An exceptional-curve check failed; carries the offending step."""
 
 
-TARGETS = {
-    "11": "X1(11)",
-    "13": "X1(13)",
-    "14": "X1(14)",
-    "15": "X1(15)",
-    "16": "X1(16)",
-    "18": "X1(18)",
-    "2x10": "X1(2,10)",
-    "2x12": "X1(2,12)",
-    "3x9": "X1(3,9)",
-    "4x8": "X1(4,8)",
-    "6x6": "X1(6,6)",
-}
-
-ONE_WAY = {"13", "16", "18"}  # existence implies positive rank, not conversely
+def _targets() -> dict[str, mwtors.CurveModel]:
+    """Target spec -> model: "N" for level (1, N), "MxN" for level (M, N)."""
+    out = {}
+    for model in mwtors.model_registry().values():
+        m, n = model.level
+        out[str(n) if m == 1 else f"{m}x{n}"] = model
+    return out
 
 
 def target_group(spec: str) -> AbGroupStructure:
@@ -157,12 +149,10 @@ def exceptional_registry() -> tuple[ExceptionalCurve, ...]:
 
 
 def exceptional_curves(target: str, K) -> list[ExceptionalCurve]:
-    """The shipped curves for Z/14 or Z/15 whose quadratic field lies in K."""
-    n = int(target) if "x" not in target else None
-    if n not in (14, 15):
-        raise ClassifyError("exceptional curves exist only for targets 14 and 15")
+    """The shipped curves with Z/target torsion whose quadratic field lies
+    in K (there are some only for the targets 14 and 15)."""
     return [
-        c for c in exceptional_registry() if c.target == n and K.contains_sqrt(c.base_d)
+        c for c in exceptional_registry() if str(c.target) == target and K.contains_sqrt(c.base_d)
     ]
 
 
@@ -198,18 +188,9 @@ class Verdict:
 
 
 def unconditional_floor(target: str, K) -> int:
-    """Curves that exist regardless of the rank."""
-    if target == "14":
-        return 2 if K.contains_sqrt(-7) else 0
-    if target == "15":
-        in5 = K.contains_sqrt(5)
-        in15 = K.contains_sqrt(-15)
-        if in5 and in15:
-            return 2
-        if in5 or in15:
-            return 1
-        return 0
-    return 0
+    """Curves that exist regardless of the rank: the shipped exceptional
+    curves for the target over quadratic subfields of K."""
+    return len(exceptional_curves(target, K))
 
 
 def classify(target: str, K, table: RankTable | None = None) -> Verdict:
@@ -220,16 +201,21 @@ def classify(target: str, K, table: RankTable | None = None) -> Verdict:
     rank means infinitely many curves, rank zero means exactly the
     unconditional floor.  One-way targets (13, 16, 18): rank zero still
     means none, but positive rank yields no conclusion."""
-    if target not in TARGETS:
-        raise ClassifyError(f"unsupported target {target!r}; known: {sorted(TARGETS)}")
+    targets = _targets()
+    if target not in targets:
+        raise ClassifyError(f"unsupported target {target!r}; known: {sorted(targets)}")
     table = table or default_ranks()
-    label = TARGETS[target]
-    model = mwtors.get_model(label)
+    model = targets[target]
+    label = model.label
     mwtors.check_zeta_precondition(model, K)
     rank = rank_from_table(label, K, table)
     floor = unconditional_floor(target, K)
-    direction = "one_way" if target in ONE_WAY else "iff"
-    exceptional = tuple(exceptional_curves(target, K)) if target in ("14", "15") and floor else ()
+    # a genus-1 X1 is its own Jacobian; on a genus-2 curve, a point of J(K)
+    # need not come from the curve, so existence implies positive rank but
+    # not conversely
+    one_way = model.genus == 2
+    direction = "one_way" if one_way else "iff"
+    exceptional = tuple(exceptional_curves(target, K)) if floor else ()
     annotations: list[str] = []
     if rank == 0:
         if floor:
@@ -258,7 +244,7 @@ def classify(target: str, K, table: RankTable | None = None) -> Verdict:
             f"conditional: resolve {rank_expr}", tuple(annotations),
         )
     # rank >= 1
-    if target in ONE_WAY:
+    if one_way:
         return Verdict(
             target, K.signature(), rank, "no_conclusion", None, direction, (),
             "positive rank is necessary but not known sufficient for existence",

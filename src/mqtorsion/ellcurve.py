@@ -26,7 +26,6 @@ from .intutil import (
     integer_cubic_roots,
     is_prime,
     rational_sqrt,
-    squarefree_part,
 )
 from .poly import QQ, Poly, TowerDomain, code_domain
 
@@ -449,17 +448,19 @@ def division_polynomial(E: EllipticCurve, n: int) -> Poly:
     normalized short model: roots are exactly the x-coordinates of the
     nonzero points killed by n (for even n this is psi_n/psi_2 times the
     universal two-torsion cubic 4x^3 + b2 x^2 + 2 b4 x + b6)."""
-    A, B = short_model(E)
-    b = tuple(Fraction(v) for v in (0, 2 * A, 4 * B, -A * A))
-    return poly.kill_poly(b, n)
+    return poly.kill_poly(_short_b(E), n)
 
 
 def primitive_kernel_poly(E: EllipticCurve, n: int) -> Poly:
     """Roots are the x-coordinates of the points of exact order n >= 2 on
     the normalized short model."""
+    return poly.primitive_kernel_poly_b(_short_b(E), n)
+
+
+def _short_b(E: EllipticCurve) -> tuple:
+    """(b2, b4, b6, b8) of the normalized short model y^2 = x^3 + Ax + B."""
     A, B = short_model(E)
-    b = tuple(Fraction(v) for v in (0, 2 * A, 4 * B, -A * A))
-    return poly.primitive_kernel_poly_b(b, n)
+    return tuple(Fraction(v) for v in (0, 2 * A, 4 * B, -A * A))
 
 
 # ---------------------------------------------------------------------------
@@ -588,56 +589,6 @@ def _two_torsion_field(A: int, B: int, K):
     return L, e_roots
 
 
-def _lift_to(L, v):
-    """Re-express a TowerElem of a subfield inside the larger field L."""
-    K = v.field
-    out = L.zero()
-    for mask, c in enumerate(v.coords):
-        if not c:
-            continue
-        term = L.from_rational(c)
-        for i in range(mask.bit_length()):
-            if mask >> i & 1:
-                term = term * L.sqrt_gen(K.gens[i])
-        out = out + term
-    return out
-
-
-def _lift_pt(L, P):
-    return (_lift_to(L, P[0]), _lift_to(L, P[1]))
-
-
-def _project_to(K, v):
-    """Inverse of _lift_to, for elements of L that genuinely lie in K."""
-    L = v.field
-    out = K.zero()
-    for mask, c in enumerate(v.coords):
-        if not c:
-            continue
-        prod = L.gen_products[mask]
-        d = squarefree_part(prod)
-        scale = rational_sqrt(Fraction(prod, d))
-        assert scale is not None
-        out = out + K.from_rational(c * scale) * K.sqrt_gen(d)
-    return out
-
-
-def _galois_over(L, K) -> list[tuple[int, ...]]:
-    """The nontrivial elements of Gal(L/K) as sign tuples on L.gens."""
-    n = len(L.gens)
-    # express each sqrt(d), d in K.gens, in L: the generator subset whose
-    # product has squarefree part d; the conjugation must fix it
-    constraints = [
-        next(mask for mask, prod in enumerate(L.gen_products) if squarefree_part(prod) == d)
-        for d in K.gens
-    ]
-    out = []
-    for bits in range(1, 2**n):
-        if all(bin(bits & m).count("1") % 2 == 0 for m in constraints):
-            out.append(tuple(-1 if bits >> i & 1 else 1 for i in range(n)))
-    return out
-
-
 def _k_rational(galois, v) -> bool:
     return all(v.conjugate(signs) == v for signs in galois)
 
@@ -669,16 +620,16 @@ def two_primary_over_tower(A: int, B: int, K, probe16: bool = True):
         witnesses.extend(halvable)
         top = 4
         L, e_roots = _two_torsion_field(A, B, K)
-        galois = _galois_over(L, K)
+        galois = L.galois_over(K)
         EK = tower_short_curve(A, B, K)
         for level in (8, 16):
             if level == 16 and not probe16:
                 break
             found = None
             for P in _order_reps(EK, witnesses, level // 2):
-                for Q in _halves_over_tower(A, B, L, e_roots, _lift_pt(L, P)):
+                for Q in _halves_over_tower(A, B, L, e_roots, (L.lift(P[0]), L.lift(P[1]))):
                     if _k_rational(galois, Q[0]) and _k_rational(galois, Q[1]):
-                        found = (_project_to(K, Q[0]), _project_to(K, Q[1]))
+                        found = (K.project(Q[0]), K.project(Q[1]))
                         break
                 if found:
                     break

@@ -4,9 +4,10 @@ Combines residue-field reductions, the quadratic-twist decomposition of odd
 torsion, Weierstrass 2-torsion analysis and explicit halving/division-
 polynomial witnesses into two-sided bounds on J(K)_tors for the eleven
 builtin modular Jacobians, over any multi-quadratic field K.  `derive` mode
-recomputes everything from the models; `table` mode answers from the shipped
-classification tables keyed on the cyclotomic intersection, and the two are
-cross-checked whenever both are available.
+recomputes everything from the models; `table` mode answers from the
+classification tables that data/models.json ships with each model, keyed on
+the cyclotomic intersection, and the two are cross-checked whenever both
+are available.  The default reduction primes live in the same file.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
 from . import ellcurve, ff, hyperjac, poly, qfield
@@ -53,69 +53,6 @@ class DataIntegrityError(RuntimeError):
 
 _ZETA_GEN = {1: None, 2: None, 3: -3, 4: -1, 6: -3}
 
-DEFAULT_PRIMES = {
-    "X1(11)": (3, 5),
-    "X1(13)": (3, 5),
-    "X1(14)": (3, 13),
-    "X1(15)": (7, 13),
-    "X1(16)": (3, 5),
-    "X1(18)": (7, 11),
-    "X1(2,10)": (3, 7),
-    "X1(2,12)": (5, 7),
-    "X1(3,9)": (5, 7),
-    "X1(4,8)": (3, 5),
-    "X1(6,6)": (5, 7),
-}
-
-# the cyclotomic level whose intersection with K drives each classification
-TABLE_LEVEL = {
-    "X1(11)": 11,
-    "X1(13)": 13,
-    "X1(14)": 14,
-    "X1(15)": 15,
-    "X1(16)": 16,
-    "X1(18)": 18,
-    "X1(2,10)": 10,
-    "X1(2,12)": 12,
-    "X1(3,9)": 9,
-    "X1(4,8)": 8,
-    "X1(6,6)": 6,
-}
-
-# J(K)_tors keyed by the signature of K_(N); () means any K
-TORSION_TABLE = {
-    "X1(11)": {None: (5,)},
-    "X1(13)": {None: (19,)},
-    "X1(14)": {(1,): (6,), (1, -7): (2, 6)},
-    "X1(15)": {
-        (1,): (4,),
-        (1, -3): (8,),
-        (1, 5): (8,),
-        (1, -15): (2, 4),
-        (1, -3, 5, -15): (2, 8),
-    },
-    "X1(16)": {
-        (1,): (2, 10),
-        (1, -2): (2, 10),
-        (1, -1): (2, 2, 10),
-        (1, 2): (2, 2, 10),
-        (1, -1, 2, -2): (2, 2, 2, 10),
-    },
-    "X1(18)": {(1,): (21,), (1, -3): (3, 21)},
-    "X1(2,10)": {(1,): (6,), (1, 5): (2, 6)},
-    "X1(2,12)": {
-        (1,): (4,),
-        (1, -1): (8,),
-        (1, 3): (8,),
-        (1, -3): (2, 4),
-        (1, -1, 3, -3): (2, 8),
-    },
-    "X1(3,9)": {None: (3, 3)},
-    "X1(4,8)": {(1, -1): (2, 4), (1, -1, 2, -2): (4, 4)},
-    "X1(6,6)": {None: (2, 6)},
-}
-
-
 @dataclass(frozen=True)
 class CurveModel:
     label: str
@@ -126,6 +63,10 @@ class CurveModel:
     f_coeffs: tuple[int, ...] | None
     source: str
     checks: dict = field(compare=False, hash=False, default_factory=dict)
+    primes: tuple[int, ...] | None = None  # default reduction primes
+    # J(K)_tors keyed by the signature of K n Q(zeta_N), N = level[1];
+    # the key None means any K
+    torsion_table: dict = field(compare=False, hash=False, default_factory=dict)
 
     @property
     def zeta_gen(self) -> int | None:
@@ -154,24 +95,31 @@ def _data_path(name: str) -> str:
     return os.path.join(base, name)
 
 
+def _parse_model(entry: dict, source: str | None = None) -> CurveModel:
+    """A CurveModel from one entry of models.json or from a model file."""
+    base = entry["base_field"]
+    return CurveModel(
+        label=entry["label"],
+        level=tuple(entry["level"]),
+        genus=entry["genus"],
+        base_d=None if base == "Q" else int(base),
+        ainvs=tuple(entry["coeffs"]) if "coeffs" in entry else None,
+        f_coeffs=tuple(entry["f_coeffs"]) if "f_coeffs" in entry else None,
+        source=entry.get("source", source),
+        checks=entry.get("checks", {}),
+        primes=tuple(entry["primes"]) if "primes" in entry else None,
+        torsion_table={
+            None if key is None else tuple(key): tuple(summands)
+            for key, summands in entry.get("torsion_table", ())
+        },
+    )
+
+
 @lru_cache(maxsize=None)
 def model_registry() -> dict[str, CurveModel]:
     with open(_data_path("models.json")) as fh:
         raw = json.load(fh)
-    out = {}
-    for entry in raw["models"]:
-        base = entry["base_field"]
-        out[entry["label"]] = CurveModel(
-            label=entry["label"],
-            level=tuple(entry["level"]),
-            genus=entry["genus"],
-            base_d=None if base == "Q" else int(base),
-            ainvs=tuple(entry["coeffs"]) if "coeffs" in entry else None,
-            f_coeffs=tuple(entry["f_coeffs"]) if "f_coeffs" in entry else None,
-            source=entry["source"],
-            checks=entry.get("checks", {}),
-        )
-    return out
+    return {entry["label"]: _parse_model(entry) for entry in raw["models"]}
 
 
 def get_model(label: str) -> CurveModel:
@@ -183,18 +131,7 @@ def get_model(label: str) -> CurveModel:
 
 def load_model_file(path: str) -> CurveModel:
     with open(path) as fh:
-        entry = json.load(fh)
-    base = entry["base_field"]
-    return CurveModel(
-        label=entry["label"],
-        level=tuple(entry["level"]),
-        genus=entry["genus"],
-        base_d=None if base == "Q" else int(base),
-        ainvs=tuple(entry["coeffs"]) if "coeffs" in entry else None,
-        f_coeffs=tuple(entry["f_coeffs"]) if "f_coeffs" in entry else None,
-        source=entry.get("source", path),
-        checks=entry.get("checks", {}),
-    )
+        return _parse_model(json.load(fh), path)
 
 
 def verify_model_integrity(model: CurveModel) -> None:
@@ -403,9 +340,7 @@ def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
     small rational points against the reduction meet at the given primes."""
     F = model.hyper_poly()
     C = hyperjac.rational_curve(F, model.label)
-    upper = reduction_bound(
-        model, qfield.QQ_FIELD, primes or DEFAULT_PRIMES[model.label]
-    )
+    upper = reduction_bound(model, qfield.QQ_FIELD, primes or model.primes)
     gens = hyperjac.classes_from_rational_points(
         C, hyperjac.search_rational_points(F, 40)
     )
@@ -617,11 +552,9 @@ def check_zeta_precondition(model: CurveModel, K) -> None:
 
 def derive_torsion(model: CurveModel, K, primes=None) -> TorsionResult:
     check_zeta_precondition(model, K)
+    primes = model.primes if primes is None else tuple(primes)
     if primes is None:
-        primes = DEFAULT_PRIMES.get(model.label)
-        if primes is None:
-            raise ModelError(f"no default reduction primes for {model.label}; supply them")
-    primes = tuple(primes)
+        raise ModelError(f"no default reduction primes for {model.label}; supply them")
     trace = []
     upper = reduction_bound(model, K, primes)
     for p in primes:
@@ -771,7 +704,7 @@ def twist_odd_torsion(model: CurveModel, K, ell: int):
         raise PreconditionError(f"{model.label} twists decompose over {model.base_field()}")
     total = AbGroupStructure.trivial()
     closed = True
-    primes = DEFAULT_PRIMES.get(model.label, (3, 5))
+    primes = model.primes or (3, 5)
     for d in K.twist_classes():
         if model.genus == 1:
             total = total.direct_sum(genus1_twist_torsion(model, d).ell_part(ell))
@@ -801,8 +734,7 @@ def eight_torsion_criterion(model: CurveModel, K):
     if model.genus != 1:
         raise ModelError("criterion applies to genus-1 models")
     A, B = ellcurve.short_model(model.elliptic())
-    b = tuple(Fraction(v) for v in (0, 2 * A, 4 * B, -A * A))
-    kernel = poly.primitive_kernel_poly_b(b, 8)
+    kernel = ellcurve.primitive_kernel_poly(model.elliptic(), 8)
     for g in poly.low_degree_factors(kernel, 2):
         d = poly.splitting_quadratic_field(g) if g.degree == 2 else 1
         if d != 1 and not K.contains_sqrt(d):
@@ -852,9 +784,8 @@ def torsion_table(label: str, K, mode: str = "derive", primes=None) -> TorsionRe
 
 
 def table_lookup(label: str, K) -> tuple[int, ...] | None:
-    table = TORSION_TABLE[label]
+    model = get_model(label)
+    table = model.torsion_table
     if None in table:
         return table[None]
-    level = TABLE_LEVEL[label]
-    key = K.cyclotomic_intersection(level).signature()
-    return table.get(key)
+    return table.get(K.cyclotomic_intersection(model.level[1]).signature())

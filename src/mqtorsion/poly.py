@@ -12,6 +12,7 @@ Polynomials are tuples, constant term first, no trailing zeros.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -654,6 +655,10 @@ def mp_mul(f, g, p):
 
 
 def mp_divmod(f, g, p):
+    """Quotient and remainder mod p.  The leading coefficient of g is
+    inverted as g[-1]^(p-2), which needs p prime unless g is monic; the
+    Hensel step divides only by a monic h modulo a prime power, so no
+    inverse modulo a composite is ever taken."""
     if not g:
         raise ZeroDivisionError
     inv = pow(g[-1], p - 2, p)
@@ -774,54 +779,18 @@ def _hensel_step(f, g, h, s, t, m):
     """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to mod m^2.
     All polynomials integer tuples; h monic, f monic."""
     mm = m * m
-    mul = lambda a, b: _zmul(a, b, mm)
-    sub = lambda a, b: _znorm([x - y for x, y in _zippad(a, b)], mm)
-    add = lambda a, b: _znorm([x + y for x, y in _zippad(a, b)], mm)
+    mul = lambda a, b: mp_mul(a, b, mm)
+    sub = lambda a, b: mp_norm([x - y for x, y in _zippad(a, b)], mm)
+    add = lambda a, b: mp_norm([x + y for x, y in _zippad(a, b)], mm)
     e = sub(f, mul(g, h))
-    q, r = _zdivmod_monic(mul(s, e), h, mm)
+    q, r = mp_divmod(mul(s, e), h, mm)
     g1 = add(g, add(mul(t, e), mul(q, g)))
     h1 = add(h, r)
     b = sub(add(mul(s, g1), mul(t, h1)), (1,))
-    c, d = _zdivmod_monic(mul(s, b), h1, mm)
+    c, d = mp_divmod(mul(s, b), h1, mm)
     s1 = sub(s, d)
     t1 = sub(t, add(mul(t, b), mul(c, g1)))
     return g1, h1, s1, t1
-
-
-def _znorm(f, m):
-    f = [c % m for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
-
-
-def _zmul(f, g, m):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-    return _znorm(out, m)
-
-
-def _zdivmod_monic(f, g, m):
-    assert g and g[-1] == 1
-    q = [0] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) >= len(g):
-        if r[-1] % m == 0:
-            r.pop()
-            continue
-        c = r[-1] % m
-        k = len(r) - 1 - dg
-        q[k] = c
-        for i in range(len(g)):
-            r[k + i] = (r[k + i] - c * g[i]) % m
-        r.pop()
-    return _znorm(q, m), _znorm(r, m)
 
 
 def _lift_factors(F, factors, p, k):
@@ -829,7 +798,7 @@ def _lift_factors(F, factors, p, k):
     peeling one factor at a time."""
     M = p ** (1 << _ceil_log2(k))
     if len(factors) == 1:
-        return [_znorm(F, M)]
+        return [mp_norm(F, M)]
     g = factors[0]
     h = factors[1]
     for extra in factors[2:]:
@@ -838,7 +807,7 @@ def _lift_factors(F, factors, p, k):
     m = p
     G, H, S, T = g, h, s, t
     for _ in range(_ceil_log2(k)):
-        G, H, S, T = _hensel_step(_znorm(F, m * m), G, H, S, T, m)
+        G, H, S, T = _hensel_step(mp_norm(F, m * m), G, H, S, T, m)
         m *= m
     return [G] + _lift_factors(H, factors[1:], p, k)
 
@@ -948,9 +917,6 @@ def _low_degree_factors_primitive(F: tuple[int, ...], max_degree: int) -> tuple[
 def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int) -> list[Poly]:
     if len(S) - 1 <= 0:
         return []
-    if len(S) - 1 <= max_degree:
-        # S itself may be irreducible of allowed degree; recurse to split it
-        pass
     p = _find_good_prime(S)
     fp = mp_norm(S, p)
     factors = mp_factor_squarefree(fp, p)
@@ -969,8 +935,6 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int) -> list[
     rem = Poly(QQ, [Fraction(c) for c in S])
     seen = set()
     idxs = range(len(lifted))
-    import itertools
-
     for rsize in (1, 2, 3, 4):
         for combo in itertools.combinations(idxs, rsize):
             dsum = sum(degs[i] for i in combo)
@@ -978,7 +942,7 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int) -> list[
                 continue
             prod = (1,)
             for i in combo:
-                prod = _zmul(prod, lifted[i], M)
+                prod = mp_mul(prod, lifted[i], M)
             cand = tuple(_center(c, M) for c in prod)
             if cand in seen:
                 continue

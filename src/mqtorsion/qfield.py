@@ -12,6 +12,7 @@ Everything is immutable and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,7 +21,6 @@ from .intutil import (
     is_squarefree,
     kronecker,
     rational_sqrt,
-    squarefree_part,
 )
 
 
@@ -49,34 +49,34 @@ def _coord_key(c: int):
     return (1, 0) if c == -1 else (0, c)
 
 
-def _echelon(vectors: list[frozenset]) -> list[frozenset]:
-    """Reduced row echelon form over F_2; rows sorted by pivot."""
-    rows: list[frozenset] = []
+def _echelon(vectors) -> list[frozenset]:
+    """Reduced row echelon form over F_2: the pivot of each row, its least
+    coordinate, occurs in no other row.  Unique for the span."""
+    rows: dict = {}  # pivot -> row
     for v in vectors:
-        for r in rows:
-            piv = min(r, key=_coord_key)
+        for piv, r in rows.items():
             if piv in v:
                 v = v ^ r
         if v:
-            rows.append(v)
-            rows.sort(key=lambda r: _coord_key(min(r, key=_coord_key)))
-            # re-reduce fully for uniqueness
-            changed = True
-            while changed:
-                changed = False
-                for i, ri in enumerate(rows):
-                    piv = min(ri, key=_coord_key)
-                    for j, rj in enumerate(rows):
-                        if i != j and piv in rj:
-                            rows[j] = rj ^ ri
-                            changed = True
-                rows = [r for r in rows if r]
-                rows.sort(key=lambda r: _coord_key(min(r, key=_coord_key)))
-    return rows
+            piv = min(v, key=_coord_key)
+            rows = {p: r ^ v if piv in r else r for p, r in rows.items()}
+            rows[piv] = v
+    return list(rows.values())
+
+
+def _gen_key(d: int):
+    return (abs(d), d < 0)
 
 
 class MultiQuadField:
-    """Q(sqrt(d) : d in gens).  Q itself is the empty field `QQ_FIELD`."""
+    """Q(sqrt(d) : d in gens).  Q itself is the empty field `QQ_FIELD`.
+
+    The basis element of a mask is the product of sqrt(gens[i]) over its
+    bits i.  Its square is gen_products[mask], and classes[mask] is the
+    squarefree class of that square, read off the XOR of the generators'
+    F_2 vectors; every squarefree d with sqrt(d) in the field is the class
+    of exactly one mask.
+    """
 
     def __init__(self, gens=()):
         vecs = []
@@ -86,17 +86,27 @@ class MultiQuadField:
             if not is_squarefree(d):
                 raise QFieldError(f"generator {d} is not squarefree")
             vecs.append(_vector(d))
-        rows = _echelon(vecs)
-        self.gens: tuple[int, ...] = tuple(
-            sorted((_unvector(r) for r in rows), key=lambda d: (abs(d), d < 0))
-        )
-        self._rows = _echelon([_vector(d) for d in self.gens])
-        # gen_products[mask] = the product of the generators in mask, so the
-        # basis element of mask is sqrt(gen_products[mask])
-        products = [1]
-        for d in self.gens:
+        self._build(vecs)
+
+    @classmethod
+    def _from_vectors(cls, vecs) -> "MultiQuadField":
+        """The field spanned by square classes given as F_2 vectors."""
+        field = cls.__new__(cls)
+        field._build(vecs)
+        return field
+
+    def _build(self, vecs) -> None:
+        rows = sorted(_echelon(vecs), key=lambda r: _gen_key(_unvector(r)))
+        self.gens: tuple[int, ...] = tuple(_unvector(r) for r in rows)
+        products, vectors = [1], [frozenset()]
+        for d, r in zip(self.gens, rows):
             products += [x * d for x in products]
+            vectors += [v ^ r for v in vectors]
         self.gen_products: tuple[int, ...] = tuple(products)
+        self._vectors = tuple(vectors)
+        self.classes: tuple[int, ...] = tuple(_unvector(v) for v in vectors)
+        self._mask_of = {d: mask for mask, d in enumerate(self.classes)}
+        self._embeddings: dict = {}
 
     @property
     def degree(self) -> int:
@@ -114,22 +124,18 @@ class MultiQuadField:
         return "Q(" + ", ".join(f"sqrt({d})" for d in self.gens) + ")"
 
     def contains_sqrt(self, d: int) -> bool:
-        """True iff sqrt(d) lies in the field (d squarefree, nonzero)."""
+        """True iff sqrt(d) lies in the field (d squarefree, nonzero); only
+        a d outside the field is checked for squarefreeness."""
+        if d in self._mask_of:
+            return True
         if d == 0 or not is_squarefree(d):
             raise QFieldError(f"{d} is not a nonzero squarefree integer")
-        if d == 1:
-            return True
-        v = _vector(d)
-        for r in self._rows:
-            if min(r, key=_coord_key) in v:
-                v = v ^ r
-        return not v
+        return False
 
     def span(self) -> list[int]:
         """All squarefree d with sqrt(d) in the field, including 1.
         Sorted by (|d|, sign); cardinality 2^n."""
-        out = {squarefree_part(d) for d in self.gen_products}
-        return sorted(out, key=lambda d: (abs(d), d < 0))
+        return sorted(self.classes, key=_gen_key)
 
     def signature(self) -> tuple[int, ...]:
         """Canonical identity of the field: its full sorted span."""
@@ -148,14 +154,9 @@ class MultiQuadField:
         """
         if n < 1:
             raise QFieldError("n must be positive")
-        keep = []
-        for d in self.span():
-            if d == 1:
-                continue
-            disc = d if d % 4 == 1 else 4 * d
-            if n % abs(disc) == 0:
-                keep.append(d)
-        return MultiQuadField(keep)
+        return MultiQuadField._from_vectors(
+            v for d, v in zip(self.classes, self._vectors) if n % abs(d if d % 4 == 1 else 4 * d) == 0
+        )
 
     def residue_degree(self, p: int) -> tuple[int, bool]:
         """(f, ramified) for any prime of the field above the odd prime p.
@@ -165,13 +166,8 @@ class MultiQuadField:
         """
         if p == 2 or not _is_odd_prime(p):
             raise QFieldError(f"{p} is not an odd prime")
-        ramified = any(d % p == 0 for d in self.span() if d != 1)
-        f = 1
-        for d in self.span():
-            if d != 1 and d % p != 0 and kronecker(d, p) == -1:
-                f = 2
-                break
-        return f, ramified
+        f = 2 if any(d % p and kronecker(d, p) == -1 for d in self.classes) else 1
+        return f, any(d % p == 0 for d in self.classes)
 
     def twist_classes(self) -> list[int]:
         """The full span including the trivial twist 1."""
@@ -192,20 +188,76 @@ class MultiQuadField:
 
     def sqrt_gen(self, d: int) -> "TowerElem":
         """The element sqrt(d) for d in the span (d squarefree)."""
-        if d == 1:
-            return self.one()
+        mask, scale = self._basis_scale(d)
+        return TowerElem(self, tuple(scale if m == mask else Fraction(0) for m in range(self.degree)))
+
+    def _basis_scale(self, d: int) -> tuple[int, Fraction]:
+        """(mask, c) with sqrt(d) = c times the basis element of mask: the
+        mask of class d has square prod = d * c^-2, a square times d."""
         if not self.contains_sqrt(d):
             raise QFieldError(f"sqrt({d}) not in {self}")
-        # find the subset of generators whose product has squarefree part d,
-        # then sqrt(d) = sqrt(prod) / sqrt(prod/d) with rational cofactor
-        for mask, prod in enumerate(self.gen_products):
-            if squarefree_part(prod) == d:
-                cof = rational_sqrt(Fraction(prod, d))
-                assert cof is not None
-                coords = [Fraction(0)] * self.degree
-                coords[mask] = 1 / cof
-                return TowerElem(self, tuple(coords))
-        raise QFieldError(f"sqrt({d}) not found")  # pragma: no cover
+        mask = self._mask_of[d]
+        return mask, 1 / rational_sqrt(Fraction(self.gen_products[mask], d))
+
+    # -- embeddings of subfields -------------------------------------------
+
+    def embedding(self, K: "MultiQuadField") -> tuple[tuple[int, Fraction], ...]:
+        """(mask, c) for each basis mask m of the subfield K: the basis
+        element m of K is c times this field's basis element of mask.
+
+        Built one generator of K at a time.  The image of sqrt(g) is
+        sqrt_gen(g), and the image of m | bit i is the product of the images
+        of m and of bit i, computed as a product of two basis elements:
+        sqrt(P_s) * sqrt(P_t) = P_(s & t) * sqrt(P_(s ^ t)) with P the
+        generator products.  So the map is multiplicative by construction,
+        and injective on masks since the classes of K's masks differ."""
+        if K not in self._embeddings:
+            image = [(0, Fraction(1))]
+            for g in K.gens:
+                t, ct = self._basis_scale(g)
+                image += [(s ^ t, cs * ct * self.gen_products[s & t]) for s, cs in image]
+            self._embeddings[K] = tuple(image)
+        return self._embeddings[K]
+
+    def lift(self, v: "TowerElem") -> "TowerElem":
+        """v, an element of a subfield, as an element of this field."""
+        coords = [Fraction(0)] * self.degree
+        for (mask, scale), c in zip(self.embedding(v.field), v.coords):
+            coords[mask] = c * scale
+        return TowerElem(self, tuple(coords))
+
+    def project(self, v: "TowerElem") -> "TowerElem":
+        """The element of this field that lifts to v, an element of a larger
+        field: the exact inverse of `lift`.  QFieldError when v does not lie
+        in this field."""
+        preimage = {mask: (m, scale) for m, (mask, scale) in enumerate(v.field.embedding(self))}
+        coords = [Fraction(0)] * self.degree
+        for mask, c in enumerate(v.coords):
+            if c:
+                if mask not in preimage:
+                    raise QFieldError(f"{v} does not lie in {self}")
+                m, scale = preimage[mask]
+                coords[m] = c / scale
+        return TowerElem(self, tuple(coords))
+
+    def galois_over(self, K: "MultiQuadField") -> list[tuple[int, ...]]:
+        """The nontrivial elements of Gal(self/K) as sign tuples on gens:
+        the sign flips that fix the image of every generator of K."""
+        n = len(self.gens)
+        image = self.embedding(K)
+        fixed = [image[1 << i][0] for i in range(len(K.gens))]
+        return [
+            tuple(-1 if bits >> i & 1 else 1 for i in range(n))
+            for bits in range(1, 2**n)
+            if all(bin(bits & m).count("1") % 2 == 0 for m in fixed)
+        ]
+
+    @cached_property
+    def lower(self) -> "MultiQuadField":
+        """The subfield of all generators but the last, built once.  The
+        rows of a reduced echelon form stay reduced in any subset, so its
+        generators are gens[:-1] and its basis is the first half of ours."""
+        return MultiQuadField._from_vectors(self._vectors[1 << i] for i in range(len(self.gens) - 1))
 
 
 QQ_FIELD = MultiQuadField(())
@@ -285,7 +337,7 @@ class TowerElem:
         if self.is_zero():
             raise QFieldError("division by zero")
         # norm down one generator at a time: a = x + y*sqrt(d_top)
-        return _inverse_rec(self, len(self.field.gens))
+        return _inverse_rec(self)
 
     def __truediv__(self, other):
         self._check(other)
@@ -315,9 +367,8 @@ class TowerElem:
 
     def support_gens(self) -> "MultiQuadField":
         """Smallest multi-quadratic subfield containing this element."""
-        products = self.field.gen_products
-        ds = [squarefree_part(products[mask]) for mask, c in enumerate(self.coords) if c and mask]
-        return MultiQuadField(ds)
+        vectors = self.field._vectors
+        return MultiQuadField._from_vectors(vectors[mask] for mask, c in enumerate(self.coords) if c)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -334,28 +385,25 @@ class TowerElem:
         return " + ".join(parts)
 
 
-def _split_top(a: TowerElem, level: int) -> tuple[TowerElem, TowerElem]:
-    """Write a = x + y*sqrt(g_level) with x, y in the subfield of lower gens."""
-    sub = MultiQuadField(a.field.gens[:level])
-    half = 2**level
-    x = TowerElem(sub, tuple(a.coords[:half]))
-    y = TowerElem(sub, tuple(a.coords[half : 2 * half]))
-    return x, y
+def _split_top(a: TowerElem) -> tuple[TowerElem, TowerElem]:
+    """Write a = x + y*sqrt(g_top) with x, y in the subfield of lower gens."""
+    sub = a.field.lower
+    half = sub.degree
+    return TowerElem(sub, a.coords[:half]), TowerElem(sub, a.coords[half:])
 
 
 def _join_top(x: TowerElem, y: TowerElem, field: MultiQuadField) -> TowerElem:
     return TowerElem(field, tuple(x.coords) + tuple(y.coords))
 
 
-def _inverse_rec(a: TowerElem, level: int) -> TowerElem:
-    if level == 0:
+def _inverse_rec(a: TowerElem) -> TowerElem:
+    if not a.field.gens:
         return TowerElem(a.field, (1 / a.coords[0],))
-    x, y = _split_top(a, level - 1)
-    d = a.field.gens[level - 1]
+    x, y = _split_top(a)
     sub = x.field
-    dd = sub.from_rational(d)
+    dd = sub.from_rational(a.field.gens[-1])
     norm = x * x - dd * (y * y)
-    ninv = _inverse_rec(norm, level - 1)
+    ninv = _inverse_rec(norm)
     num_x = x * ninv
     num_y = -(y * ninv)
     return _join_top(num_x, num_y, a.field)
@@ -369,34 +417,34 @@ def sqrt_in_tower(v: TowerElem) -> TowerElem | None:
     of (x+m)/2, (x-m)/2 is a square u^2 below (then v = (u + y/(2u) sqrt(d))^2).
     Branches are explored in a fixed order; the first witness wins.
     """
-    return _sqrt_rec(v, len(v.field.gens))
+    return _sqrt_rec(v)
 
 
-def _sqrt_rec(v: TowerElem, level: int) -> TowerElem | None:
+def _sqrt_rec(v: TowerElem) -> TowerElem | None:
     field = v.field
-    if level == 0:
+    if not field.gens:
         r = rational_sqrt(v.coords[0])
         return None if r is None else TowerElem(field, (r,))
-    x, y = _split_top(v, level - 1)
+    x, y = _split_top(v)
     sub = x.field
-    d = field.gens[level - 1]
+    d = field.gens[-1]
     dd = sub.from_rational(d)
     if y.is_zero():
-        s = _sqrt_rec(x, level - 1)
+        s = _sqrt_rec(x)
         if s is not None:
             return _join_top(s, sub.zero(), field)
-        s = _sqrt_rec(x / dd, level - 1)
+        s = _sqrt_rec(x / dd)
         if s is not None:
             return _join_top(sub.zero(), s, field)
         return None
     norm = x * x - dd * (y * y)
-    m = _sqrt_rec(norm, level - 1)
+    m = _sqrt_rec(norm)
     if m is None:
         return None
     two = sub.from_rational(2)
     for mm in (m, -m):
         t = (x + mm) / two
-        u = _sqrt_rec(t, level - 1)
+        u = _sqrt_rec(t)
         if u is not None and not u.is_zero():
             w = y / (two * u)
             cand = _join_top(u, w, field)

@@ -1,5 +1,8 @@
 """Byte goldens: CLI calls that reach the Cantor law over Q, over Q(sqrt(-3))
-and over F_49, each compared byte for byte with its committed output.
+and over F_49, the 2-primary descent through a larger tower field, the
+classification tables of models.json, and the classify verdicts built on
+the exceptional curves, each compared byte for byte with its committed
+output.
 
 Each call runs in a fresh interpreter, as a user runs it, so that no memo of
 this test process is shared.  The same calls are diffed against the same
@@ -22,6 +25,12 @@ CALLS = {
     "torsion_derive_X1-18_K-3.json": "torsion --model X1(18) --field=-3 --mode derive --format json",
     "torsion_derive_X1-18_K-1,2,3.json": "torsion --model X1(18) --field=-1,2,3 --mode derive --format json",
     "jac_structure_X1-18_p7_deg2.json": "jac-structure --model X1(18) --prime 7 --deg 2",
+    "torsion_derive_X1-15_K-3,5.json": "torsion --model X1(15) --field=-3,5 --mode derive --format json",
+    "torsion_table_X1-2,12_K-1,3.json": "torsion --model X1(2,12) --field=-1,3 --mode table --format json",
+    "torsion_table_X1-11_K-7.json": "torsion --model X1(11) --field=-7 --mode table --format json",
+    "classify_15_K-15,5.json": "classify --torsion 15 --field=-15,5 --format json",
+    "classify_14_K-7.json": "classify --torsion 14 --field=-7 --format json",
+    "classify_18_K-3.json": "classify --torsion 18 --field=-3 --format json",
 }
 
 

@@ -11,7 +11,6 @@ from mqtorsion.mwtors import (
     CrossCheckError,
     CurveModel,
     twist_odd_torsion,
-    DEFAULT_PRIMES,
     ModelError,
     PreconditionError,
     derive_torsion,
@@ -224,8 +223,8 @@ class TestTorsionSupportField:
     def test_tower_fields_collapse_to_level_field(self):
         model = get_model("X1(15)")
         K = MultiQuadField([-3, 5, 11, -17, 23])
-        upper = reduction_bound(model, K, DEFAULT_PRIMES["X1(15)"])
-        assert torsion_support_field(model, K, DEFAULT_PRIMES["X1(15)"], upper) == MultiQuadField([-3, 5])
+        upper = reduction_bound(model, K, model.primes)
+        assert torsion_support_field(model, K, model.primes, upper) == MultiQuadField([-3, 5])
 
     def test_lone_reduction_prime_stays(self):
         # reduction at 3 alone does not bound the 3-part, so sqrt(3) is kept
@@ -250,7 +249,7 @@ class TestTorsionSupportField:
     def test_reduced_field_has_the_same_torsion(self, label, gens):
         model = get_model(label)
         K = MultiQuadField(gens)
-        primes = DEFAULT_PRIMES[label]
+        primes = model.primes
         K_S = torsion_support_field(model, K, primes, reduction_bound(model, K, primes))
         assert K_S.subfield_of(K)
         E = model.elliptic()

@@ -3,17 +3,23 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqtorsion.intutil import kronecker, squarefree_part
 from mqtorsion.qfield import (
     MultiQuadField,
     QFieldError,
     QQ_FIELD,
+    TowerElem,
     all_subfields,
     hyperplane_avoiding,
     parse_field,
     sqrt_in_tower,
 )
+
+# derandomized, so that every run draws the same examples
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
 def brute_span(gens):
@@ -228,3 +234,93 @@ class TestParseField:
     def test_all_subfields_dedup(self):
         fields = all_subfields((-1, 2, -2))
         assert len(fields) == 5  # Q, Q(i), Q(sqrt2), Q(sqrt-2), Q(i,sqrt2)
+
+
+MATRIX_GENS = (-1, 2, -2, 3, -3, 5, -7)
+SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@st.composite
+def tower_pair(draw):
+    """(K, L, d, v, w): K spanned by matrix generators, L = K(sqrt(d)), and
+    two elements of K."""
+    K = MultiQuadField(draw(st.lists(st.sampled_from(MATRIX_GENS), max_size=4)))
+    d = draw(st.sampled_from(MATRIX_GENS))
+    L = MultiQuadField(K.gens + (d,))
+    v, w = (TowerElem(K, tuple(draw(st.lists(SMALL, min_size=K.degree, max_size=K.degree)))) for _ in "vw")
+    return K, L, d, v, w
+
+
+class TestEmbedding:
+    def test_project_inverts_lift_where_signs_differ(self):
+        # here L's own generators are (-1, 3, 7), so sqrt(21) in K lifts to
+        # -sqrt(3)*sqrt(7) in L
+        K, L = MultiQuadField([-3, -7]), MultiQuadField([-3, -7, -1])
+        v = TowerElem(K, tuple(Fraction(c) for c in (1, 2, 3, 4)))
+        assert K.project(L.lift(v)) == v
+        assert L.lift(K.sqrt_gen(21)) == -(L.sqrt_gen(3) * L.sqrt_gen(7))
+
+    @PROPERTY
+    @given(tower_pair())
+    def test_project_inverts_lift(self, case):
+        K, L, _, v, _ = case
+        assert K.project(L.lift(v)) == v
+        for d in K.span():
+            assert K.project(L.lift(K.sqrt_gen(d))) == K.sqrt_gen(d)
+
+    @PROPERTY
+    @given(tower_pair())
+    def test_lift_is_multiplicative(self, case):
+        K, L, _, v, w = case
+        assert L.lift(v * w) == L.lift(v) * L.lift(w)
+        assert L.lift(v + w) == L.lift(v) + L.lift(w)
+
+    @PROPERTY
+    @given(tower_pair())
+    def test_galois_over_fixes_the_subfield(self, case):
+        K, L, _, v, _ = case
+        galois = L.galois_over(K)
+        assert len(galois) == 2 ** (len(L.gens) - len(K.gens)) - 1
+        assert all(L.lift(v).conjugate(signs) == L.lift(v) for signs in galois)
+
+    @PROPERTY
+    @given(tower_pair())
+    def test_project_refuses_an_element_outside(self, case):
+        K, L, d, _, _ = case
+        if K.contains_sqrt(d):
+            assert K.project(L.sqrt_gen(d)) == K.sqrt_gen(d)
+        else:
+            with pytest.raises(QFieldError):
+                K.project(L.sqrt_gen(d))
+
+
+SIGNED = [-1] + [s * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) for s in (1, -1)]
+
+
+class TestClassTable:
+    """The lookups against their factorisation definitions."""
+
+    @PROPERTY
+    @given(st.lists(st.integers(-2000, 2000).filter(bool).map(squarefree_part).filter(lambda d: d != 1), max_size=6))
+    def test_span_contains_and_sqrt_gen(self, gens):
+        K = MultiQuadField(gens)
+        assert K.degree <= 64
+        classes = {squarefree_part(prod) for prod in K.gen_products}
+        assert K.span() == sorted(classes, key=lambda d: (abs(d), d < 0))
+        for d in SIGNED + sorted(classes):
+            assert K.contains_sqrt(d) == (d in classes)
+        for d in classes:
+            s = K.sqrt_gen(d)
+            assert s * s == K.from_rational(d)
+            (mask,) = [m for m, c in enumerate(s.coords) if c]
+            assert squarefree_part(K.gen_products[mask]) == d
+
+    @PROPERTY
+    @given(st.lists(st.sampled_from(SIGNED), max_size=6), st.sampled_from([8, 12, 15, 24, 120, 840]))
+    def test_subfields_match_their_definitions(self, gens, n):
+        K = MultiQuadField(gens)
+        keep = [d for d in K.span() if n % abs(d if d % 4 == 1 else 4 * d) == 0]
+        assert K.cyclotomic_intersection(n) == MultiQuadField([d for d in keep if d != 1])
+        v = sum((K.sqrt_gen(d) for d in K.span()[::3]), K.zero())
+        ds = [squarefree_part(K.gen_products[m]) for m, c in enumerate(v.coords) if c and m]
+        assert v.support_gens() == MultiQuadField(ds)
