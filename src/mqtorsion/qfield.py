@@ -4,9 +4,11 @@ A field Q(sqrt(d_1), ..., sqrt(d_n)) is stored as the reduced row-echelon
 basis of the d_i viewed as F_2-vectors over the coordinates (2, 3, 5, ...,
 sign), which makes equality testing canonical.  Elements of the field are
 exact: 2^n rational coordinates over the basis of square roots of products
-of generators.
+of generators.  The field is also the one place that maps the basis of a
+subfield into its own (`embedding`, `lift`, `project`, `galois_over`).
 
-Everything is immutable and pure.
+Everything is immutable and pure; a field only caches its subfield of
+lower generators and its embeddings, which depend on nothing else.
 """
 
 from __future__ import annotations
