@@ -146,10 +146,6 @@ class FqElem:
             n >>= 1
         return out
 
-    def frobenius(self) -> "FqElem":
-        """x -> x^p; conjugation c0 - c1*t on F_{p^2}, identity on F_p."""
-        return FqElem(self.field, self.c0, -self.c1 % self.field.p)
-
     def __repr__(self) -> str:
         if self.field.k == 1 or self.c1 == 0:
             return f"{self.c0}"
@@ -282,7 +278,6 @@ class Tables:
         # 1/a = conj(a) / norm(a), norm(a) = a0^2 - r a1^2
         norm_inv = [pow((a0 * a0 - r * a1 * a1) % p, p - 2, p) for a0, a1 in pairs]
         self.inv = [a0 * n % p + -a1 * n % p * p for (a0, a1), n in zip(pairs, norm_inv)]
-        self.frob = [a0 + -a1 % p * p for a0, a1 in pairs]
         roots: list[list[int]] = [[] for _ in range(q)]
         for a in range(q):
             roots[self.mul[a][a]].append(a)

@@ -1,8 +1,8 @@
 """Genus-2 hyperelliptic Jacobians: Mumford/Cantor arithmetic for degree-5
 models and balanced degree-6 split models, a zeta-function counting oracle,
-the enumeration of every divisor class over a small field, the symmetric
-square with its P^1 of x-fibers, Galois analysis of 2-torsion through
-Weierstrass points, and Frobenius on classes over F_{p^2}.
+the enumeration of every divisor class over a small field and of the inert
+quadratic twist over F_p, the symmetric square with its P^1 of x-fibers,
+and Galois analysis of 2-torsion through Weierstrass points.
 
 The group law (`jac_add`, `jac_neg`, `jac_order`) is written once, over
 the polynomial kernel kit (`poly.kernels`) that each `HyperCurve` binds to
@@ -16,9 +16,9 @@ for degree-5 models, whose single infinite place is Weierstrass).  Reduced
 triples are unique in their class, so tuple equality is class equality.
 
 The census of a reduction (`mwtors.Census`) is built from the pieces here:
-`all_classes` lists J(F_q) once per (field, model), `jac_add` and `jac_neg`
-give the group law, and `frobenius_on_class` selects the inert quadratic
-twist as the classes D with Frobenius(D) = -D.
+`all_classes` lists J(F_q), `inert_twist_classes` lists the inert twist
+over F_p inside J(F_{p^2}), both through one enumeration of pair classes,
+and `jac_add` gives the group law.
 """
 
 from __future__ import annotations
@@ -221,18 +221,18 @@ def _affine_count_code(C: HyperCurve) -> int:
     return count
 
 
-def points_at_infinity(C: HyperCurve) -> int:
-    dom = C.domain
-    if C.degree == 5:
+def points_at_infinity(dom, F) -> int:
+    """F_q-points at infinity of y^2 = F(x): one for a quintic; for a sextic,
+    two or none as the leading coefficient is a square or not."""
+    if pdegree(F) == 5:
         return 1
-    lc = C.F[-1]
     if hasattr(dom, "tables"):
-        return 2 if dom.tables.is_sq[lc] else 0
+        return 2 if dom.tables.is_sq[F[-1]] else 0
     raise JacError("infinity counting needs a finite field")
 
 
 def curve_count(C: HyperCurve) -> int:
-    return _affine_count_code(C) + points_at_infinity(C)
+    return _affine_count_code(C) + points_at_infinity(C.domain, C.F)
 
 
 def _count_over_quadratic_ext(C: HyperCurve) -> int:
@@ -276,33 +276,32 @@ def zeta_order(C: HyperCurve):
 # ---------------------------------------------------------------------------
 
 
-def rational_points_code(C: HyperCurve) -> list:
-    """Affine points as (x, y) codes, plus synthetic infinity markers."""
-    dom = C.domain
+def rational_points_code(dom, F) -> list:
+    """Affine points of y^2 = F(x) as (x, y) codes, plus synthetic markers
+    for the F_q-points at infinity."""
     t = dom.tables
     pts = []
     for x in range(t.q):
-        val = peval(dom, C.F, x)
+        val = peval(dom, F, x)
         if val == 0:
             pts.append((x, 0))
         else:
             for y in t.sqrt[val]:
                 pts.append((x, y))
-    if C.degree == 5:
+    at_infinity = points_at_infinity(dom, F)
+    if at_infinity == 1:
         pts.append(("inf", 0))
-    else:
-        for s in (1, -1):
-            pts.append(("inf", s))
+    elif at_infinity == 2:
+        pts += [("inf", 1), ("inf", -1)]
     return pts
 
 
-def _pair_to_class(C: HyperCurve, P, Q):
+def _pair_to_class(dom, F, P, Q):
     """The class [P + Q - (canonical degree-2)] for rational points P, Q,
     or None when the pair lies on the line.  The interpolating v has degree
     at most deg u - 1 and comes out normalised, so it is already reduced."""
-    dom = C.domain
     t = dom.tables
-    sextic = C.degree == 6
+    sextic = pdegree(F) == 6
     if P[0] == "inf" and Q[0] == "inf":
         if not sextic:
             return None  # 2*infinity is the fiber at infinity
@@ -326,7 +325,7 @@ def _pair_to_class(C: HyperCurve, P, Q):
             return None  # doubled Weierstrass point, also a fiber
         # tangent interpolation at a doubled point
         u = pmul(dom, (t.neg[x1], 1), (t.neg[x1], 1))
-        fp = peval(dom, poly.pderiv(dom, C.F), x1)
+        fp = peval(dom, poly.pderiv(dom, F), x1)
         lam = dom.div(fp, t.add[y1][y1])
         v = padd(dom, (y1,), pmul(dom, (lam,), (t.neg[x1], 1)))
         return (u, v, 0)
@@ -336,12 +335,11 @@ def _pair_to_class(C: HyperCurve, P, Q):
     return (u, v, 0)
 
 
-def _conjugate_pair_classes(C: HyperCurve):
+def _conjugate_pair_classes(dom, F):
     """Classes from conjugate pairs of quadratic points (x not rational)."""
-    dom = C.domain
     t = dom.tables
     ext = ff.quadratic_extension(dom.field)
-    coeffs = [ext.embed(c) for c in C.F]
+    coeffs = [ext.embed(c) for c in F]
     out = []
     seen = set()
     for x in ext.elements():
@@ -366,40 +364,69 @@ def _conjugate_pair_classes(C: HyperCurve):
             a = t.mul[yy[1]][t.inv[x[1]]]
             b = t.add[yy[0]][t.neg[t.mul[a][x[0]]]]
             v = pnormalize(dom, (b, a))
-            assert not pmod(dom, psub(dom, pmul(dom, v, v), C.F), u)
+            assert not pmod(dom, psub(dom, pmul(dom, v, v), F), u)
             out.append((u, v, 0))
     return out
 
 
-_CLASS_CACHE: dict = {}
+def _pair_classes(dom, F) -> set:
+    """The classes other than 0 of y^2 = F(x) over F_q, each as
+    [P + Q - (canonical degree-2)] for a pair of F_q-points or a conjugate
+    pair of quadratic points (by Riemann-Roch, D + canonical holds an
+    effective divisor of degree 2 for every class D)."""
+    pts = rational_points_code(dom, F)
+    classes = set()
+    for i, P in enumerate(pts):
+        for Q in pts[i:]:
+            cl = _pair_to_class(dom, F, P, Q)
+            if cl is not None:
+                classes.add(cl)
+    classes.update(_conjugate_pair_classes(dom, F))
+    return classes
 
 
 def all_classes(C: HyperCurve) -> list:
     """Every reduced divisor class over F_q, sorted, cross-checked against
-    zeta.  Cached per (field, model): a reduction's census, its inert twist
-    and the symmetric-square check all start from the same list."""
-    key = (C.domain.field, C.F)
-    hit = _CLASS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _all_classes_uncached(C)
-    _CLASS_CACHE[key] = out
-    return out
-
-
-def _all_classes_uncached(C: HyperCurve) -> list:
-    pts = rational_points_code(C)
-    classes = {C.identity()}
-    for i, P in enumerate(pts):
-        for Q in pts[i:]:
-            cl = _pair_to_class(C, P, Q)
-            if cl is not None:
-                classes.add(cl)
-    for cl in _conjugate_pair_classes(C):
-        classes.add(cl)
+    zeta."""
+    classes = _pair_classes(C.domain, C.F)
+    classes.add(C.identity())
     _, _, _, nJ, _ = zeta_order(C)
     if len(classes) != nJ:
         raise ZetaMismatch(f"{C}: enumerated {len(classes)} classes, zeta says {nJ}")
+    return sorted(classes)
+
+
+def inert_twist_classes(C: HyperCurve) -> list:
+    """The Jacobian over F_p of the inert quadratic twist of C, as the sorted
+    classes of J(F_{p^2}) that it embeds onto; C lies over F_{p^2} = F_p(t),
+    t^2 = n, with coefficients in F_p.
+
+    The twist y^2 = F/n over F_p is enumerated by `_pair_classes`, and
+    (x, y) -> (x, t*y) maps it onto C over F_{p^2}, so a class (u, w, .)
+    maps to (u, t*w, 0); on codes t*c is c*p.  With 0 added, the image is
+    all of ker(1 + Frobenius) in J(F_{p^2}):
+    - the image lies in the kernel.  On a sextic, F/n has a non-square
+      leading coefficient, so the twist has no F_p-point at infinity: every
+      class other than 0 is [P + Q - (the place at infinity)] with P + Q
+      affine and not a fiber, so deg u = 2, and the image has weight 0,
+      [P + Q - infinity_+ - infinity_-].  On a quintic the weight is always
+      0.  Frobenius fixes u in F_p[x] and the weight, and negates t*w, so it
+      maps the reduced image D to the reduced -D;
+    - the map is injective, being an isomorphism of curves over F_{p^2},
+      and both sides have L(-1) elements: the twist over F_p, and the
+      kernel of the separable 1 + Frobenius, whose degree is the
+      characteristic polynomial of Frobenius at -1, that is L(-1).
+      `mwtors.Census` checks the count against L(-1) from the zeta oracle.
+    """
+    dom = C.domain
+    p = dom.tables.p
+    base = poly.code_domain(ff.make_field(p, 1))
+    bt = base.tables
+    ninv = bt.inv[dom.field.r % p]
+    twist = tuple(bt.mul[c][ninv] for c in C.F)
+    classes = [C.identity()]
+    for u, w, _ in _pair_classes(base, twist):
+        classes.append((u, tuple(c * p for c in w), 0))
     return sorted(classes)
 
 
@@ -418,13 +445,13 @@ def symmetric_square_points(C: HyperCurve):
     dom = C.domain
     t = dom.tables
     q = t.q
-    pts = rational_points_code(C)
+    pts = rational_points_code(dom, C.F)
     line = []
     off = []
     class_map = {}
     for i, P in enumerate(pts):
         for Q in pts[i:]:
-            cl = _pair_to_class(C, P, Q)
+            cl = _pair_to_class(dom, C.F, P, Q)
             if cl is None:
                 line.append((P, Q))
             else:
@@ -435,9 +462,9 @@ def symmetric_square_points(C: HyperCurve):
         val = peval(dom, C.F, x)
         if val != 0 and not t.is_sq[val]:
             line.append(((x, "conj"), (x, "conj'")))
-    if C.degree == 6 and points_at_infinity(C) == 0:  # pragma: no cover
+    if C.degree == 6 and points_at_infinity(dom, C.F) == 0:  # pragma: no cover
         line.append((("inf", "conj"), ("inf", "conj'")))
-    conj = _conjugate_pair_classes(C)
+    conj = _conjugate_pair_classes(dom, C.F)
     N1, N2, _, nJ, _ = zeta_order(C)
     total = len(line) + len(off) + len(conj)
     assert len(line) == q + 1
@@ -532,21 +559,6 @@ def two_torsion_galois(F: Poly, K) -> tuple[AbGroupStructure, bool]:
     dim_even = m if all(s % 2 == 0 for s in orbits) else m - 1
     dim = max(dim_even - 1, 0)
     return AbGroupStructure.from_prime_exponents({2: [1] * dim}), exact
-
-
-# ---------------------------------------------------------------------------
-# Frobenius on classes (the quadratic twist over F_p is ker(1 + Frobenius)
-# in J(F_{p^2}); `mwtors.Census` filters it)
-# ---------------------------------------------------------------------------
-
-
-def frobenius_on_class(C: HyperCurve, D):
-    """The p-power Frobenius on a class over F_{p^2} (split monic models fix
-    both infinite places, so the weight is unchanged).  It maps a reduced
-    Mumford triple to a reduced triple, coefficient by coefficient."""
-    t = C.domain.tables
-    u, v, n = D
-    return (tuple(t.frob[c] for c in u), tuple(t.frob[c] for c in v), n)
 
 
 # ---------------------------------------------------------------------------

@@ -187,33 +187,26 @@ class Census:
     """One reduction of a genus-2 model, enumerated once.
 
     Untwisted, `classes` is J(F_{p^f}), checked against the zeta oracle by
-    `hyperjac.all_classes`.  Twisted (f = 2), it is the kernel of
-    1 + Frobenius in J(F_{p^2}): the Jacobian over F_p of the quadratic
-    twist by any non-square, whose order must equal L(-1) from the zeta
-    oracle over F_p.  `structure` and the ell-torsion pairs are computed on
-    first use.
-
-    The kernel is filtered by negation, without a Cantor step.  A reduced
-    Mumford triple is unique in its class, so two classes are equal exactly
-    when their triples are, and D + phi(D) = 0 holds exactly when
-    phi(D) = -D.  Both sides are reduced triples: phi acts coefficientwise
-    and `hyperjac.jac_neg` only reduces -v mod u and reflects the weight.
+    `hyperjac.all_classes`.  Twisted (f = 2), it is the Jacobian over F_p of
+    the inert quadratic twist, enumerated over F_p and embedded in
+    J(F_{p^2}) as the kernel of 1 + Frobenius (`hyperjac.inert_twist_classes`);
+    its order must equal L(-1) from the zeta oracle over F_p.  `structure`
+    and the ell-torsion pairs are computed on first use.
     """
 
     def __init__(self, model: CurveModel, p: int, f: int, twisted: bool):
         C = hyper_reduction(model, p, f)
         self.add = partial(hyperjac.jac_add, C)
         self.identity = C.identity()
-        classes = hyperjac.all_classes(C)
         if twisted:
-            classes = [
-                D for D in classes if hyperjac.frobenius_on_class(C, D) == hyperjac.jac_neg(C, D)
-            ]
+            classes = hyperjac.inert_twist_classes(C)
             expected = _zeta_orders(model, p)[1]
             if len(classes) != expected:
                 raise CrossCheckError(
                     f"{model.label} inert twist at {p}: kernel {len(classes)} != zeta {expected}"
                 )
+        else:
+            classes = hyperjac.all_classes(C)
         self.classes = classes
         self.tables = C.domain.tables
         self.weil_q = None if twisted else p**f
@@ -241,7 +234,7 @@ class Census:
         n = 0, in class order.  J[ell] lies in the ell-Sylow subgroup, so
         only that is scanned; it is trivial unless ell divides the group
         order (Cauchy), and then nothing is scanned.  The classes are
-        sorted (`hyperjac.all_classes`), so sorting restores class order."""
+        sorted, so sorting restores class order."""
         if ell not in self._ell_pairs:
             double = lambda x: self.add(x, x)
             torsion = sorted(
@@ -325,7 +318,7 @@ def genus1_twist_torsion(model: CurveModel, d: int) -> AbGroupStructure:
 
 def genus2_twist_reduction(model: CurveModel, d: int, p: int) -> AbGroupStructure:
     """Structure of the d-twisted Jacobian over F_p: the base reduction when
-    d is a square mod p, else the kernel of 1 + Frobenius inside J(F_{p^2}).
+    d is a square mod p, else the inert twist.
     Twists in the same square class mod p share the computation."""
     if d % p == 0:
         raise ellcurve.BadReduction(p)
@@ -472,17 +465,13 @@ def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGro
 def _twisted_ell_torsion_data(model: CurveModel, d: int, p: int, ell: int):
     """Twisted Mumford pairs (u, v_d) over F_p of the nontrivial ell-torsion
     classes of the d-twisted Jacobian, with deg u = 2 and weight 0: from
-    J(F_p) when d is a square mod p, else from the inert-twist kernel, whose
-    pairs count only when u and sqrt(d) * v are fixed by Frobenius."""
+    J(F_p) when d is a square mod p, else from the inert twist, whose pairs
+    are (u, t*w) with u, w in F_p[x]: v_d = sqrt(d)*t*w lies in F_p[x], as
+    sqrt(d) lies in F_p*t."""
     cen = census(model, p, 1, False) if kronecker(d, p) == 1 else census(model, p, 2, True)
     t = cen.tables
     s = t.sqrt[t.from_int(d)][0]
-    out = []
-    for u, v in cen.ell_pairs(ell):
-        vd = tuple(t.mul[s][c] for c in v)
-        if all(t.frob[c] == c for c in u + vd):  # always so over F_p
-            out.append((u, vd, p))
-    return out
+    return [(u, tuple(t.mul[s][c] for c in v), p) for u, v in cen.ell_pairs(ell)]
 
 
 def _crt_and_reconstruct(cand1, p1, cand2, p2, extra):

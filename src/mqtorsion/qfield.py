@@ -143,9 +143,6 @@ class MultiQuadField:
         """Canonical identity of the field: its full sorted span."""
         return tuple(self.span())
 
-    def subfield_of(self, other: "MultiQuadField") -> bool:
-        return all(other.contains_sqrt(d) for d in self.gens)
-
     # -- number-theoretic structure -------------------------------------
 
     def cyclotomic_intersection(self, n: int) -> "MultiQuadField":

@@ -58,13 +58,6 @@ class TestArith:
         F = make_field(5, 1)
         assert F.from_int(2).inverse() == F.from_int(3)
 
-    def test_frobenius_of_t_in_f9(self):
-        # t^3 = t * t^2 = -t
-        F = make_field(3, 2)
-        t = F.gen()
-        assert t ** 3 == -t
-        assert t.frobenius() == -t
-
     def test_mixed_field_rejected(self):
         a = make_field(3, 1).one()
         b = make_field(5, 1).one()
@@ -144,19 +137,6 @@ class TestProperties:
             if not a.is_zero():
                 assert a ** (q - 1) == F.one()
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-    def test_frobenius_automorphism(self, p):
-        F = make_field(p, 2)
-        els = list(F.elements())
-        for a in els:
-            for b in els[:: max(1, len(els) // 9)]:
-                assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-                assert (a * b).frobenius() == a.frobenius() * b.frobenius()
-        fixed = [a for a in els if a.frobenius() == a]
-        assert len(fixed) == p  # exactly the prime subfield
-        for a in els:
-            assert a.frobenius().frobenius() == a
-
 
 class TestTables:
     @pytest.mark.parametrize("p,k", [(3, 2), (5, 1), (7, 2), (13, 2)])
@@ -172,7 +152,6 @@ class TestTables:
             assert T.decode(T.neg[i]) == -els[i]
             if i:
                 assert T.decode(T.inv[i]) == els[i].inverse()
-            assert T.decode(T.frob[i]) == els[i].frobenius()
             assert T.is_sq[i] == is_square(els[i])
 
 
@@ -185,7 +164,6 @@ def fq_reference_tables(F):
         "mul": [[code(a * b) for b in els] for a in els],
         "neg": [code(-a) for a in els],
         "inv": [0] + [code(a.inverse()) for a in els[1:]],
-        "frob": [code(a.frobenius()) for a in els],
         "sqrt": [tuple(sorted({code(r) for r in sqrt(a) or ()})) for a in els],
         "is_sq": [is_square(a) for a in els],
     }

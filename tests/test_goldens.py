@@ -1,8 +1,8 @@
 """Byte goldens: CLI calls that reach the Cantor law over Q, over Q(sqrt(-3))
-and over F_49, the 2-primary descent through a larger tower field, the
-classification tables of models.json, and the classify verdicts built on
-the exceptional curves, each compared byte for byte with its committed
-output.
+and over F_49, the inert twists of X1(18) at p = 5 to 13, the 2-primary
+descent through a larger tower field, the classification tables of
+models.json, and the classify verdicts built on the exceptional curves, each
+compared byte for byte with its committed output.
 
 Each call runs in a fresh interpreter, as a user runs it, so that no memo of
 this test process is shared.  The same calls are diffed against the same
@@ -24,6 +24,7 @@ CALLS = {
     "torsion_derive_X1-16_K-3.json": "torsion --model X1(16) --field=-3 --mode derive --format json",
     "torsion_derive_X1-18_K-3.json": "torsion --model X1(18) --field=-3 --mode derive --format json",
     "torsion_derive_X1-18_K-1,2,3.json": "torsion --model X1(18) --field=-1,2,3 --mode derive --format json",
+    "torsion_derive_X1-18_K-2,-3,5.json": "torsion --model X1(18) --field=-2,-3,5 --mode derive --format json",
     "jac_structure_X1-18_p7_deg2.json": "jac-structure --model X1(18) --prime 7 --deg 2",
     "torsion_derive_X1-15_K-3,5.json": "torsion --model X1(15) --field=-3,5 --mode derive --format json",
     "torsion_table_X1-2,12_K-1,3.json": "torsion --model X1(2,12) --field=-1,3 --mode table --format json",

@@ -12,7 +12,7 @@ from mqtorsion.hyperjac import (
     JacError,
     all_classes,
     classes_from_rational_points,
-    frobenius_on_class,
+    inert_twist_classes,
     is_valid_divisor,
     jac_add,
     jac_neg,
@@ -106,11 +106,11 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def random_curves(draw):
-    """A squarefree quintic or a monic squarefree sextic over F_{p^f}, p <= 11,
-    f <= 2, with integer coefficients read mod p."""
-    p = draw(st.sampled_from((11, 7, 5, 3)))
-    f = draw(st.integers(1, 2))
+def random_curves(draw, primes=(11, 7, 5, 3), min_f=1):
+    """A squarefree quintic or a monic squarefree sextic over F_{p^f}, p in
+    primes, min_f <= f <= 2, with integer coefficients read mod p."""
+    p = draw(st.sampled_from(primes))
+    f = draw(st.integers(min_f, 2))
     degree = draw(st.sampled_from((5, 6)))
     coeffs = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
     lead = 1 if degree == 6 else draw(st.integers(1, p - 1))
@@ -253,6 +253,19 @@ class TestTwoTorsionGalois:
         assert orbits == [1, 1, 1, 1, 1, 1]
 
 
+def frobenius_kernel(C2):
+    """The slow path for the inert twist: the classes D of J(F_{p^2}) with
+    D + Frobenius(D) = 0.  Frobenius sends the code c0 + c1*p to
+    c0 - c1*p and, on a monic sextic, fixes both infinite places."""
+    p = C2.domain.tables.p
+    frob = lambda cs: tuple(c % p + -(c // p) % p * p for c in cs)
+    return [
+        D
+        for D in all_classes(C2)
+        if jac_add(C2, D, (frob(D[0]), frob(D[1]), D[2])) == C2.identity()
+    ]
+
+
 class TestTwistedStructures:
     def test_kernel_order_equals_twisted_zeta(self):
         """#ker(1 + Frobenius) on J(F_{p^2}) = L(-1) over F_p, for inert twists."""
@@ -266,23 +279,28 @@ class TestTwistedStructures:
         tw = census(model_of(X18), 5, 2, True).structure
         assert AbGroupStructure.cyclic(3).embeds_in(tw)
 
-    def test_negation_kernel_equals_addition_kernel(self):
-        """Frobenius(D) == -D selects exactly the D with D + Frobenius(D) = 0."""
+    def test_inert_twist_equals_frobenius_kernel(self):
+        """Every builtin genus-2 model at every good p <= 13."""
         pairs = 0
-        for label, coeffs in MODELS.items():
-            for p in (3, 5, 7):
+        for coeffs in MODELS.values():
+            for p in (3, 5, 7, 11, 13):
                 try:
                     C2 = curve(coeffs, p, 2)
                 except JacError:
                     continue
-                by_addition = [
-                    D
-                    for D in all_classes(C2)
-                    if jac_add(C2, D, frobenius_on_class(C2, D)) == C2.identity()
-                ]
-                assert census(model_of(coeffs), p, 2, True).classes == by_addition
+                assert inert_twist_classes(C2) == frobenius_kernel(C2)
                 pairs += 1
-        assert pairs == 8
+        assert pairs == 13
+
+    @PROPERTY
+    @given(random_curves((3, 5, 7, 11, 13), min_f=2))
+    def test_inert_twist_on_random_curves(self, C2):
+        p = C2.domain.tables.p
+        twist = inert_twist_classes(C2)
+        if p <= 7:  # the slow path adds over all of J(F_{p^2}): 25,000 classes at p = 13
+            assert twist == frobenius_kernel(C2)
+        C1 = HyperCurve(code_domain(ff.make_field(p, 1)), C2.F)
+        assert len(twist) == zeta_order(C1)[4]
 
     def test_ell_pairs_match_generic_scan(self):
         """Skipping ell prime to the group order loses no ell-torsion."""

@@ -251,7 +251,7 @@ class TestTorsionSupportField:
         K = MultiQuadField(gens)
         primes = model.primes
         K_S = torsion_support_field(model, K, primes, reduction_bound(model, K, primes))
-        assert K_S.subfield_of(K)
+        assert all(K.contains_sqrt(d) for d in K_S.gens)
         E = model.elliptic()
         assert torsion_over_tower(E, K) == torsion_over_tower(E, K_S)
 
