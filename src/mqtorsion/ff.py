@@ -40,11 +40,6 @@ class FieldDesc:
     def one(self) -> "FqElem":
         return FqElem(self, 1, 0)
 
-    def gen(self) -> "FqElem":
-        if self.k != 2:
-            raise FieldError("t exists only in quadratic extensions")
-        return FqElem(self, 0, 1)
-
     def from_int(self, n: int) -> "FqElem":
         return FqElem(self, n % self.p, 0)
 

@@ -4,7 +4,7 @@ that recovers them from explicit element enumerations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .intutil import factorize
 
@@ -75,11 +75,17 @@ class AbGroupStructure:
         return len(self.factors)
 
     def prime_exponents(self) -> dict[int, list[int]]:
+        """p -> the sorted exponents of p in the factors, in fresh containers."""
+        return {p: list(es) for p, es in self._prime_exponents.items()}
+
+    @cached_property
+    def _prime_exponents(self) -> dict[int, tuple[int, ...]]:
+        # factored once per structure; cached_property bypasses the frozen __setattr__
         out: dict[int, list[int]] = {}
         for d in self.factors:
             for p, e in factorize(d).items():
                 out.setdefault(p, []).append(e)
-        return {p: sorted(es) for p, es in out.items()}
+        return {p: tuple(sorted(es)) for p, es in out.items()}
 
     def ell_part(self, ell: int) -> "AbGroupStructure":
         es = self.prime_exponents().get(ell, [])

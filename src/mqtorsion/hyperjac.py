@@ -24,6 +24,7 @@ and `jac_add` gives the group law.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import ff, poly
 from .groups import AbGroupStructure
@@ -33,6 +34,7 @@ from .poly import (
     Poly,
     TowerDomain,
     pdegree,
+    pderiv,
     pgcdext,
     pmod,
     pmul,
@@ -516,8 +518,7 @@ def weierstrass_orbits(F: Poly, K) -> tuple[list[int], bool]:
     deg = F.degree
     if deg not in (3, 4, 5, 6):
         raise JacError("degree must be in 3..6")
-    d0, _, _ = pgcdext(QQ, F.coeffs, F.derivative().coeffs)
-    if pdegree(d0) > 0:
+    if not _is_squarefree(tuple(F.coeffs)):
         raise JacError("F must be squarefree")
     factors = poly.low_degree_factors(F, 3)
     cof = F
@@ -545,6 +546,13 @@ def weierstrass_orbits(F: Poly, K) -> tuple[list[int], bool]:
     assert sum(orbits) == (deg if deg % 2 == 0 else deg + 1)
     has_rational = any(s == 1 for s in orbits)
     return sorted(orbits), exact_factors and has_rational
+
+
+@lru_cache(maxsize=256)
+def _is_squarefree(coeffs: tuple) -> bool:
+    """gcd(F, F') = 1 for the rational F of these coefficients (a Poly is unhashable)."""
+    d0, _, _ = pgcdext(QQ, coeffs, pderiv(QQ, coeffs))
+    return pdegree(d0) <= 0
 
 
 def two_torsion_galois(F: Poly, K) -> tuple[AbGroupStructure, bool]:

@@ -3,20 +3,21 @@
 A field Q(sqrt(d_1), ..., sqrt(d_n)) is stored as the reduced row-echelon
 basis of the d_i viewed as F_2-vectors over the coordinates (2, 3, 5, ...,
 sign), which makes equality testing canonical.  Elements of the field are
-exact: 2^n rational coordinates over the basis of square roots of products
-of generators.  The field is also the one place that maps the basis of a
-subfield into its own (`embedding`, `lift`, `project`, `galois_over`).
+exact: 2^n integer numerators over one shared denominator, in the basis of
+square roots of products of generators.  The field is also the one place
+that maps the basis of a subfield into its own (`embedding`, `lift`,
+`project`, `galois_over`).
 
-Everything is immutable and pure; a field only caches its subfield of
-lower generators and its embeddings, which depend on nothing else.
+Everything is immutable and pure; a field caches only its subfield of lower
+generators and its embeddings, and an element only its hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, isqrt, lcm
 
 from .intutil import (
     factorize,
@@ -175,20 +176,21 @@ class MultiQuadField:
     # -- elements --------------------------------------------------------
 
     def zero(self) -> "TowerElem":
-        return TowerElem(self, (Fraction(0),) * self.degree)
+        return _elem(self, (0,) * self.degree, 1)
 
     def one(self) -> "TowerElem":
-        return self.from_rational(Fraction(1))
+        return self.from_rational(1)
 
     def from_rational(self, x) -> "TowerElem":
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(x)
-        return TowerElem(self, tuple(coords))
+        x = Fraction(x)
+        return _elem(self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator)
 
     def sqrt_gen(self, d: int) -> "TowerElem":
         """The element sqrt(d) for d in the span (d squarefree)."""
         mask, scale = self._basis_scale(d)
-        return TowerElem(self, tuple(scale if m == mask else Fraction(0) for m in range(self.degree)))
+        nums = [0] * self.degree
+        nums[mask] = scale.numerator
+        return _elem(self, tuple(nums), scale.denominator)
 
     def _basis_scale(self, d: int) -> tuple[int, Fraction]:
         """(mask, c) with sqrt(d) = c times the basis element of mask: the
@@ -268,69 +270,90 @@ def _is_odd_prime(p: int) -> bool:
     return p % 2 == 1 and is_prime(p)
 
 
-@dataclass(frozen=True)
 class TowerElem:
-    """Element of a MultiQuadField: coords[S] multiplies prod_{i in S} sqrt(g_i),
-    S running over bitmasks of the generator list."""
+    """Element of a MultiQuadField: nums[S] / den multiplies prod_{i in S}
+    sqrt(g_i), S running over bitmasks of the generator list.
 
-    field: MultiQuadField
-    coords: tuple[Fraction, ...]
+    The form is canonical, den > 0 and gcd(den, *nums) == 1, so equal
+    elements have equal (nums, den); +, - and * normalise with one gcd pass.
+    `TowerElem(field, coords)` takes Fraction or int coordinates, `coords`
+    gives them back as Fractions, and the cached hash is that of (field,
+    coords).  Immutable."""
+
+    __slots__ = ("field", "nums", "den", "_hash")
+
+    def __new__(cls, field: MultiQuadField, coords):
+        den = lcm(*(c.denominator for c in coords))
+        return _elem(field, tuple(c.numerator * (den // c.denominator) for c in coords), den)
+
+    def __setattr__(self, *_):
+        raise AttributeError("TowerElem is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple([Fraction(n, den) if n else _ZERO for n in self.nums])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not TowerElem:
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den and self.field == other.field
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            _set_hash(self, hash((self.field, self.coords)))
+            return self._hash
 
     def _check(self, other: "TowerElem") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise QFieldError("mixed-field arithmetic")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise QFieldError("not a rational element")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __add__(self, other):
         self._check(other)
-        return TowerElem(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        return _canonical(self.field, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __sub__(self, other):
         self._check(other)
-        return TowerElem(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        return _canonical(self.field, [x * b - y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __neg__(self):
-        return TowerElem(self.field, tuple(-a for a in self.coords))
+        return _elem(self.field, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other):
         self._check(other)
-        n = self.field.degree
         products = self.field.gen_products
-        out = [Fraction(0)] * n
-        nz_self = [(s, c) for s, c in enumerate(self.coords) if c]
-        nz_other = [(t, c) for t, c in enumerate(other.coords) if c]
-        for s, cs in nz_self:
-            for t, ct in nz_other:
-                m = s & t
-                scale = cs * ct
-                if m:
-                    scale *= products[m]
-                out[s ^ t] += scale
-        return TowerElem(self.field, tuple(out))
+        out = [0] * len(self.nums)
+        nz_other = [(t, c) for t, c in enumerate(other.nums) if c]
+        for s, cs in enumerate(self.nums):
+            if cs:
+                for t, ct in nz_other:
+                    out[s ^ t] += cs * ct * products[s & t]
+        return _canonical(self.field, out, self.den * other.den)
 
     def conjugate(self, signs: tuple[int, ...]) -> "TowerElem":
         """Galois conjugation; signs[i] = -1 flips sqrt(gens[i])."""
         if len(signs) != len(self.field.gens) or any(s not in (1, -1) for s in signs):
             raise QFieldError("signs must be a tuple of +-1 per generator")
-        out = list(self.coords)
-        for mask in range(self.field.degree):
-            flip = 1
-            for i in range(len(signs)):
-                if mask >> i & 1 and signs[i] == -1:
-                    flip = -flip
-            if flip == -1:
-                out[mask] = -out[mask]
-        return TowerElem(self.field, tuple(out))
+        flips = sum(1 << i for i, s in enumerate(signs) if s == -1)
+        nums = tuple(-n if bin(mask & flips).count("1") % 2 else n for mask, n in enumerate(self.nums))
+        return _elem(self.field, nums, self.den)
 
     def inverse(self) -> "TowerElem":
         if self.is_zero():
@@ -367,7 +390,7 @@ class TowerElem:
     def support_gens(self) -> "MultiQuadField":
         """Smallest multi-quadratic subfield containing this element."""
         vectors = self.field._vectors
-        return MultiQuadField._from_vectors(vectors[mask] for mask, c in enumerate(self.coords) if c)
+        return MultiQuadField._from_vectors(vectors[mask] for mask, c in enumerate(self.nums) if c)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -384,20 +407,46 @@ class TowerElem:
         return " + ".join(parts)
 
 
+_ZERO = Fraction(0)
+_new = object.__new__
+_set_field, _set_nums, _set_den, _set_hash = (getattr(TowerElem, a).__set__ for a in TowerElem.__slots__)
+
+
+def _elem(field: MultiQuadField, nums: tuple, den: int) -> TowerElem:
+    """The element nums/den, which must already be canonical."""
+    v = _new(TowerElem)
+    _set_field(v, field)
+    _set_nums(v, nums)
+    _set_den(v, den)
+    return v
+
+
+def _canonical(field: MultiQuadField, nums, den: int) -> TowerElem:
+    """The element nums/den for any den > 0, in lowest terms."""
+    g = gcd(den, *nums)
+    return _elem(field, tuple(x // g for x in nums) if g != 1 else tuple(nums), den // g)
+
+
 def _split_top(a: TowerElem) -> tuple[TowerElem, TowerElem]:
     """Write a = x + y*sqrt(g_top) with x, y in the subfield of lower gens."""
     sub = a.field.lower
     half = sub.degree
-    return TowerElem(sub, a.coords[:half]), TowerElem(sub, a.coords[half:])
+    return _canonical(sub, a.nums[:half], a.den), _canonical(sub, a.nums[half:], a.den)
 
 
 def _join_top(x: TowerElem, y: TowerElem, field: MultiQuadField) -> TowerElem:
-    return TowerElem(field, tuple(x.coords) + tuple(y.coords))
+    """x + y*sqrt(g_top), canonical over lcm(x.den, y.den): each prime power
+    in the lcm is the full power in the denominator of x or of y, whose
+    numerators it does not all divide."""
+    den = lcm(x.den, y.den)
+    sx, sy = den // x.den, den // y.den
+    return _elem(field, tuple(n * sx for n in x.nums) + tuple(n * sy for n in y.nums), den)
 
 
 def _inverse_rec(a: TowerElem) -> TowerElem:
     if not a.field.gens:
-        return TowerElem(a.field, (1 / a.coords[0],))
+        (n,) = a.nums
+        return _elem(a.field, (a.den if n > 0 else -a.den,), abs(n))
     x, y = _split_top(a)
     sub = x.field
     dd = sub.from_rational(a.field.gens[-1])
@@ -422,8 +471,9 @@ def sqrt_in_tower(v: TowerElem) -> TowerElem | None:
 def _sqrt_rec(v: TowerElem) -> TowerElem | None:
     field = v.field
     if not field.gens:
-        r = rational_sqrt(v.coords[0])
-        return None if r is None else TowerElem(field, (r,))
+        (n,), d = v.nums, v.den
+        r, s = isqrt(abs(n)), isqrt(d)
+        return _elem(field, (r,), s) if r * r == n and s * s == d else None
     x, y = _split_top(v)
     sub = x.field
     d = field.gens[-1]

@@ -1,6 +1,7 @@
 """Byte goldens: CLI calls that reach the Cantor law over Q, over Q(sqrt(-3))
 and over F_49, the inert twists of X1(18) at p = 5 to 13, the 2-primary
-descent through a larger tower field, the classification tables of
+descent through tower fields up to Q(sqrt(-1), sqrt(2), sqrt(-3), sqrt(5))
+of degree 16, the classification tables of
 models.json, and the classify verdicts built on the exceptional curves, each
 compared byte for byte with its committed output.
 
@@ -27,6 +28,7 @@ CALLS = {
     "torsion_derive_X1-18_K-2,-3,5.json": "torsion --model X1(18) --field=-2,-3,5 --mode derive --format json",
     "jac_structure_X1-18_p7_deg2.json": "jac-structure --model X1(18) --prime 7 --deg 2",
     "torsion_derive_X1-15_K-3,5.json": "torsion --model X1(15) --field=-3,5 --mode derive --format json",
+    "torsion_derive_X1-15_K-1,2,-3,5.json": "torsion --model X1(15) --field=-1,2,-3,5 --mode derive --format json",
     "torsion_table_X1-2,12_K-1,3.json": "torsion --model X1(2,12) --field=-1,3 --mode table --format json",
     "torsion_table_X1-11_K-7.json": "torsion --model X1(11) --field=-7 --mode table --format json",
     "classify_15_K-15,5.json": "classify --torsion 15 --field=-15,5 --format json",

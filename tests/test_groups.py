@@ -53,6 +53,16 @@ class TestAbGroupStructure:
         b = AbGroupStructure((5,))
         assert a.direct_sum(b) == AbGroupStructure((2, 10))
 
+    def test_prime_exponents_returns_fresh_containers(self):
+        g = AbGroupStructure((2, 12))
+        first = g.prime_exponents()
+        assert first == {2: [1, 2], 3: [1]}
+        first[2].append(5)
+        first[3].clear()
+        first[7] = [1]
+        assert g.prime_exponents() == {2: [1, 2], 3: [1]}
+        assert g.ell_part(2) == AbGroupStructure((2, 4))
+
 
 def cyclic_product_elements(ns):
     """Model group: tuples mod ns."""

@@ -252,6 +252,12 @@ class TestTwoTorsionGalois:
         orbits, _ = weierstrass_orbits(F, MultiQuadField([-1, 2]))
         assert orbits == [1, 1, 1, 1, 1, 1]
 
+    def test_non_squarefree_rejected_on_every_call(self):
+        F = Poly.from_ints(QQ, [0, 0, 1, 1, 1])  # x^2 (x^2 + x + 1)
+        for _ in range(2):  # the second call reads the cached verdict
+            with pytest.raises(JacError):
+                weierstrass_orbits(F, QQ_FIELD)
+
 
 def frobenius_kernel(C2):
     """The slow path for the inert twist: the classes D of J(F_{p^2}) with

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -324,3 +325,100 @@ class TestClassTable:
         v = sum((K.sqrt_gen(d) for d in K.span()[::3]), K.zero())
         ds = [squarefree_part(K.gen_products[m]) for m, c in enumerate(v.coords) if c and m]
         assert v.support_gens() == MultiQuadField(ds)
+
+
+# coordinates for the Fraction reference: zero often, ints as well as
+# Fractions, and denominators that share factors, so that the gcd matters
+COORD = st.one_of(st.just(0), st.integers(-9, 9), st.fractions(min_value=-40, max_value=40, max_denominator=36))
+
+
+@st.composite
+def field_and_coords(draw):
+    """A field of degree 1 to 16 and two coordinate tuples for it."""
+    K = MultiQuadField(draw(st.lists(st.sampled_from(SIGNED), max_size=4)))
+    a, b = (tuple(draw(st.lists(COORD, min_size=K.degree, max_size=K.degree))) for _ in "ab")
+    return K, a, b
+
+
+def schoolbook_mul(K, a, b):
+    """The product on one Fraction per coordinate."""
+    out = [Fraction(0)] * K.degree
+    nz_a = [(s, Fraction(c)) for s, c in enumerate(a) if c]
+    nz_b = [(t, Fraction(c)) for t, c in enumerate(b) if c]
+    for s, cs in nz_a:
+        for t, ct in nz_b:
+            m = s & t
+            scale = cs * ct
+            if m:
+                scale *= K.gen_products[m]
+            out[s ^ t] += scale
+    return tuple(out)
+
+
+def is_canonical(v):
+    return v.den > 0 and gcd(v.den, *v.nums) == 1 and v.coords == tuple(Fraction(n, v.den) for n in v.nums)
+
+
+class TestIntegerForm:
+    """TowerElem on integers over one denominator, against arithmetic on
+    Fraction coordinates."""
+
+    @PROPERTY
+    @given(field_and_coords(), st.data())
+    def test_arithmetic_matches_fraction_reference(self, case, data):
+        K, a, b = case
+        v, w = TowerElem(K, a), TowerElem(K, b)
+        assert v.coords == tuple(map(Fraction, a))
+        assert (v + w).coords == tuple(x + y for x, y in zip(v.coords, w.coords))
+        assert (v - w).coords == tuple(x - y for x, y in zip(v.coords, w.coords))
+        assert (-v).coords == tuple(-x for x in v.coords)
+        assert (v * w).coords == schoolbook_mul(K, a, b)
+        signs = tuple(data.draw(st.sampled_from((1, -1))) for _ in K.gens)
+        flips = [prod(s for i, s in enumerate(signs) if m >> i & 1) for m in range(K.degree)]
+        assert v.conjugate(signs).coords == tuple(f * x for f, x in zip(flips, v.coords))
+        if not w.is_zero():
+            one = (Fraction(1),) + (Fraction(0),) * (K.degree - 1)
+            assert schoolbook_mul(K, w.inverse().coords, b) == one
+            assert schoolbook_mul(K, (v / w).coords, b) == v.coords
+
+    @PROPERTY
+    @given(field_and_coords())
+    def test_results_are_canonical(self, case):
+        K, a, b = case
+        v, w = TowerElem(K, a), TowerElem(K, b)
+        results = [v, w, v + w, v - w, v - v, -v, v * w, v * v, v.conjugate((-1,) * len(K.gens))]
+        results += [K.zero(), K.one(), K.from_rational(Fraction(-6, 4))] + [K.sqrt_gen(d) for d in K.span()]
+        if not w.is_zero():
+            results += [w.inverse(), v / w]
+        assert all(is_canonical(r) for r in results)
+
+    @PROPERTY
+    @given(field_and_coords())
+    def test_equality_is_equality_of_coords(self, case):
+        K, a, b = case
+        v, w = TowerElem(K, a), TowerElem(K, b)
+        assert (v == w) == (v.coords == w.coords)
+        # the same element by a route whose intermediate sums share factors
+        third = K.from_rational(Fraction(1, 3))
+        u = (v + v + v) * third
+        assert u == v and u.nums == v.nums and u.den == v.den
+        for x in (v, w, u, v * w):
+            assert hash(x) == hash((x.field, x.coords)) == hash(x)
+        assert hash(u) == hash(v)
+
+    @PROPERTY
+    @given(field_and_coords())
+    def test_sqrt_squares_back(self, case):
+        K, a, _ = case
+        sq = TowerElem(K, a) * TowerElem(K, a)
+        s = sqrt_in_tower(sq)
+        assert s is not None and s * s == sq and is_canonical(s)
+
+    def test_immutable(self):
+        v = MultiQuadField([2, 3]).sqrt_gen(6)
+        for name, value in (("nums", (0, 0, 0, 1)), ("den", 2), ("field", QQ_FIELD), ("coords", ()), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(v, name, value)
+        with pytest.raises(AttributeError):
+            del v.den
+        assert v.nums == (0, 0, 0, 1) and v.den == 1
