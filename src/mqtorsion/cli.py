@@ -46,6 +46,8 @@ def _resolve_model(spec: str) -> mwtors.CurveModel:
         return mwtors.load_model_file(spec)
     except FileNotFoundError:
         raise ModelError(f"{spec!r} is neither a builtin label nor a model file")
+    except OSError as exc:
+        raise ModelError(f"cannot read model file {spec!r}: {exc.strerror}") from None
 
 
 def cmd_jac_structure(args) -> int:
@@ -74,7 +76,7 @@ def cmd_torsion(args) -> int:
     model = _resolve_model(args.model)
     K = qfield.parse_field(args.field)
     primes = tuple(int(p) for p in args.primes.split(",")) if args.primes else None
-    if model.label in mwtors.model_registry():
+    if args.model in mwtors.model_registry():
         result = mwtors.torsion_table(model.label, K, args.mode, primes)
     elif args.mode == "table":
         raise ModelError("table mode applies only to builtin models")

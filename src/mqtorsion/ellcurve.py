@@ -4,7 +4,8 @@ Long Weierstrass models y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with a
 complete chord-tangent group law, finite-field group structure by full
 enumeration + census, global minimal models over Q (Laska-Kraus-Connell),
 quadratic twists, reduction at good odd primes (including curves with
-coefficients in a quadratic field), exact rational torsion via Nagell-Lutz,
+coefficients in a quadratic field), exact rational torsion via Nagell-Lutz
+(for the odd part of a twist, behind a screen by point counts mod p),
 exact 2-primary torsion over multi-quadratic towers, and exhaustive scans of
 all curves over a small field.
 
@@ -25,6 +26,7 @@ from .intutil import (
     factorize,
     integer_cubic_roots,
     is_prime,
+    kronecker,
     rational_sqrt,
 )
 from .poly import QQ, Poly, TowerDomain, code_domain
@@ -443,6 +445,59 @@ def torsion_structure_q(E: EllipticCurve, hint=()) -> AbGroupStructure:
     return structure_from_elements(pts, short_curve(A, B).add, INF, max_rank=2)
 
 
+# Odd primes below this carry the reduction screen of twist_odd_torsion_q.
+SCREEN_PRIME_CAP = 50
+
+
+@lru_cache(maxsize=64)
+def _screen_traces(A: int, B: int) -> tuple[tuple[int, int], ...]:
+    """(p, a_p) for y^2 = x^3 + Ax + B at each odd prime p < SCREEN_PRIME_CAP
+    not dividing 4A^3 + 27B^2, with a_p = p + 1 - #E(F_p)."""
+    D = 4 * A**3 + 27 * B**2
+    out = []
+    for p in range(3, SCREEN_PRIME_CAP, 2):
+        if is_prime(p) and D % p:
+            roots = [0] * p  # roots[v] = #{y in F_p : y^2 = v}
+            for y in range(p):
+                roots[y * y % p] += 1
+            affine = sum(roots[(x * x * x + A * x + B) % p] for x in range(p))
+            out.append((p, p - affine))
+    return tuple(out)
+
+
+def twist_odd_torsion_q(E: EllipticCurve, d: int) -> AbGroupStructure:
+    """Odd part of E^d(Q)_tors, E a rational curve and d squarefree (d = 1
+    gives E itself): a reduction screen first, Nagell-Lutz when it fails.
+
+    Screen.  Let y^2 = x^3 + Ax + B be the short model of E and p an odd
+    prime dividing neither d nor 4A^3 + 27B^2.  The model
+    y^2 = x^3 + A d^2 x + B d^3 of E^d then has good reduction at p, and
+    reduction embeds E^d(Q)_tors in E^d(F_p): the prime-to-p part as at
+    every good prime, the p-part because the formal group over Z_p has no
+    torsion when the ramification index e = 1 < p - 1 (Silverman, AEC
+    VII.3.1 and IV.6.1).  E^d mod p is the twist by d of E mod p, so
+    #E^d(F_p) = p + 1 - (d/p) a_p(E).  The odd part of #E^d(Q)_tors thus
+    divides the odd part of each such count; when their gcd is 1 the odd
+    torsion is trivial."""
+    if _screen_kills_odd(*short_model(E), d):
+        return AbGroupStructure.trivial()
+    hint = tuple(factorize(minimal_disc(E))) + tuple(factorize(d))
+    return torsion_structure_q(quadratic_twist(E, d), hint=hint).odd_part()
+
+
+def _screen_kills_odd(A: int, B: int, d: int) -> bool:
+    """True when the odd parts of the counts #E^d(F_p), over the screen
+    primes p not dividing d, have gcd 1 (see twist_odd_torsion_q)."""
+    g = 0
+    for p, ap in _screen_traces(A, B):
+        if d % p:
+            n = p + 1 - kronecker(d, p) * ap
+            g = math.gcd(g, n // (n & -n))
+            if g == 1:
+                return True
+    return False
+
+
 def division_polynomial(E: EllipticCurve, n: int) -> Poly:
     """The x-coordinate kill polynomial of multiplication by n on the
     normalized short model: roots are exactly the x-coordinates of the
@@ -679,15 +734,14 @@ def _order_reps(E: EllipticCurve, witnesses, order: int) -> list:
 
 def torsion_over_tower(E: EllipticCurve, K) -> AbGroupStructure:
     """Exact torsion of a rational curve over the multi-quadratic field K:
-    odd part through the twist decomposition (Nagell-Lutz on each twist),
-    2-part through the tower machinery."""
+    odd part through the twist decomposition, E(K)[odd] = sum over the twist
+    classes d of K of E^d(Q)[odd] (each settled by `twist_odd_torsion_q`:
+    the reduction screen, else Nagell-Lutz), 2-part through the tower
+    machinery."""
     A, B = short_model(E)
-    hint = tuple(factorize(minimal_disc(E)))
     odd = AbGroupStructure.trivial()
     for d in K.twist_classes():
-        Et = quadratic_twist(E, d)
-        tw_hint = hint + tuple(factorize(d)) if d != 1 else hint
-        odd = odd.direct_sum(torsion_structure_q(Et, hint=tw_hint).odd_part())
+        odd = odd.direct_sum(twist_odd_torsion_q(E, d))
     two, _, exact = two_primary_over_tower(A, B, K)
     if not exact:
         raise CurveError("2-primary probe incomplete over this field")

@@ -95,23 +95,57 @@ def _data_path(name: str) -> str:
     return os.path.join(base, name)
 
 
+def _int_tuple(entry: dict, key: str, length: int | None = None) -> tuple[int, ...] | None:
+    """entry[key] as a tuple of integers, None when absent; ModelError when
+    it is not a list of integers (of the given length)."""
+    if key not in entry:
+        return None
+    value = entry[key]
+    if (not isinstance(value, list) or not all(type(c) is int for c in value)
+            or (length is not None and len(value) != length)):
+        size = "" if length is None else f"{length} "
+        raise ModelError(f"model {key!r} must be a list of {size}integers")
+    return tuple(value)
+
+
 def _parse_model(entry: dict, source: str | None = None) -> CurveModel:
-    """A CurveModel from one entry of models.json or from a model file."""
+    """A CurveModel from one entry of models.json or from a model file.
+    A malformed entry raises ModelError."""
+    if not isinstance(entry, dict):
+        raise ModelError("a model must be a JSON object")
+    missing = [k for k in ("label", "level", "genus", "base_field") if k not in entry]
+    if missing:
+        raise ModelError(f"model lacks {', '.join(missing)}")
+    genus = entry["genus"]
+    if type(genus) is not int or genus not in (1, 2):
+        raise ModelError("model 'genus' must be 1 or 2")
+    level = _int_tuple(entry, "level", 2)
+    if level[0] not in _ZETA_GEN:
+        raise ModelError(f"model level {list(level)}: first entry must be in {sorted(_ZETA_GEN)}")
+    coeff_key = "coeffs" if genus == 1 else "f_coeffs"
+    if coeff_key not in entry:
+        raise ModelError(f"genus-{genus} model lacks {coeff_key!r}")
     base = entry["base_field"]
-    return CurveModel(
-        label=entry["label"],
-        level=tuple(entry["level"]),
-        genus=entry["genus"],
-        base_d=None if base == "Q" else int(base),
-        ainvs=tuple(entry["coeffs"]) if "coeffs" in entry else None,
-        f_coeffs=tuple(entry["f_coeffs"]) if "f_coeffs" in entry else None,
-        source=entry.get("source", source),
-        checks=entry.get("checks", {}),
-        primes=tuple(entry["primes"]) if "primes" in entry else None,
-        torsion_table={
+    if base != "Q" and not (type(base) is int or (isinstance(base, str) and base.lstrip("-").isdigit())):
+        raise ModelError("model 'base_field' must be \"Q\" or an integer")
+    try:
+        table = {
             None if key is None else tuple(key): tuple(summands)
             for key, summands in entry.get("torsion_table", ())
-        },
+        }
+    except (TypeError, ValueError):
+        raise ModelError("model 'torsion_table' must be a list of [signature, factors] pairs") from None
+    return CurveModel(
+        label=str(entry["label"]),
+        level=level,
+        genus=genus,
+        base_d=None if base == "Q" else int(base),
+        ainvs=_int_tuple(entry, "coeffs", 5),
+        f_coeffs=_int_tuple(entry, "f_coeffs"),
+        source=entry.get("source", source),
+        checks=entry.get("checks", {}),
+        primes=_int_tuple(entry, "primes"),
+        torsion_table=table,
     )
 
 
@@ -311,9 +345,8 @@ def reduction_bound(model: CurveModel, K, primes) -> AbGroupStructure:
 
 @lru_cache(maxsize=None)
 def genus1_twist_torsion(model: CurveModel, d: int) -> AbGroupStructure:
-    E = model.elliptic()
-    hint = tuple(factorize(ellcurve.minimal_disc(E))) + tuple(factorize(d))
-    return ellcurve.torsion_structure_q(ellcurve.quadratic_twist(E, d), hint=hint)
+    """Odd part of the rational torsion of the d-twist of a genus-1 model."""
+    return ellcurve.twist_odd_torsion_q(model.elliptic(), d)
 
 
 def genus2_twist_reduction(model: CurveModel, d: int, p: int) -> AbGroupStructure:
@@ -684,9 +717,10 @@ def twist_odd_torsion(model: CurveModel, K, ell: int):
     decomposition: the direct sum over the twist classes of K of the
     ell-primary torsion of each twist over Q.
 
-    Genus-1 summands are exact (Nagell-Lutz).  Genus-2 summands pair a
-    reduction upper bound with an explicit divisor-witness lower bound and
-    the result is flagged open when any summand fails to close."""
+    Genus-1 summands are exact (reduction screen, else Nagell-Lutz).
+    Genus-2 summands pair a reduction upper bound with an explicit
+    divisor-witness lower bound and the result is flagged open when any
+    summand fails to close."""
     if ell == 2 or not is_prime(ell):
         raise ModelError("ell must be an odd prime")
     if model.base_d is not None and not K.contains_sqrt(model.base_d):

@@ -841,7 +841,8 @@ def _int_coeffs(f: Poly) -> tuple[int, ...]:
 
 def _squarefree_parts(F: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     """Yield (S_i, i) with F = prod S_i^i up to constant, S_i squarefree monic
-    over Q (returned as primitive integer tuples)."""
+    over Q (returned as primitive integer tuples).  Euclid over Q: the slow
+    path behind the certificate of `_low_degree_factors_primitive`."""
     fq = Poly(QQ, [Fraction(c) for c in F]).monic()
     out = []
     i = 1
@@ -857,14 +858,22 @@ def _squarefree_parts(F: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _find_good_prime(S: tuple[int, ...]) -> int:
-    p = 3
-    while True:
+# Odd primes below this are tried for the squarefree certificate.
+GOOD_PRIME_CAP = 128
+
+
+def _find_good_prime(S: tuple[int, ...], cap: int | None = None) -> int | None:
+    """The least odd prime p < cap at which S keeps its degree and stays
+    squarefree, or None if there is none.  With cap None the search is
+    unbounded; it ends for squarefree S, since every odd prime dividing
+    neither the leading coefficient nor disc(S) != 0 qualifies."""
+    ps = itertools.count(3, 2) if cap is None else range(3, cap, 2)
+    for p in ps:
         if is_prime(p) and S[-1] % p != 0:
             fp = mp_norm(S, p)
-            if len(fp) == len(S) and len(mp_gcd(fp, mp_norm([i * c for i, c in enumerate(S)][1:], p), p)) == 1:
+            if len(mp_gcd(fp, mp_norm([i * c for i, c in enumerate(S)][1:], p), p)) == 1:
                 return p
-        p += 2
+    return None
 
 
 def low_degree_factors(f: Poly, max_degree: int = 2) -> list[Poly]:
@@ -872,10 +881,13 @@ def low_degree_factors(f: Poly, max_degree: int = 2) -> list[Poly]:
     (with multiplicity), found by modular factorization + Hensel lifting +
     trial division.  Complete for max_degree <= 3.
 
-    Factors of a monic associate are searched, so denominators dividing the
-    leading coefficient are handled exactly.  Memoised on the primitive
-    integer coefficients of f and max_degree: f and c*f (c a nonzero
-    rational) have the same monic factors.
+    Factors of the monic integral associate G are searched, so denominators
+    dividing the leading coefficient are handled exactly.  G is first tested
+    for a squarefree certificate mod the odd primes below GOOD_PRIME_CAP;
+    the prime that certifies it is also the Hensel prime, and only an
+    uncertified G is split into squarefree parts by Euclid over Q.  Memoised
+    on the primitive integer coefficients of f and max_degree: f and c*f
+    (c a nonzero rational) have the same monic factors.
     """
     if f.is_zero():
         raise PolyError("zero polynomial")
@@ -888,14 +900,23 @@ def low_degree_factors(f: Poly, max_degree: int = 2) -> list[Poly]:
 
 @lru_cache(maxsize=256)
 def _low_degree_factors_primitive(F: tuple[int, ...], max_degree: int) -> tuple[Poly, ...]:
+    """Squarefree certificate: if the monic integral G is squarefree mod an
+    odd prime p, it is squarefree over Q.  Proof: by Gauss's lemma a
+    repeated factor of G over Q can be taken monic and integral, G = H^2 R
+    with H, R monic in Z[x] and deg H > 0; mod p, H keeps its degree, so
+    G mod p would have the repeated factor H mod p."""
     L = F[-1]
     # monic associate: G(x) = L^(n-1) F(x/L)
     n = len(F) - 1
-    G = tuple(F[i] * L ** (n - 1 - i) for i in range(len(F)))
-    assert G[-1] == 1
+    G = tuple(F[i] * L ** (n - 1 - i) for i in range(n)) + (1,)
+    p = _find_good_prime(G, GOOD_PRIME_CAP)
+    if p is not None:
+        parts = [(G, 1, p)]
+    else:
+        parts = [(S, mult, _find_good_prime(S)) for S, mult in _squarefree_parts(G)]
     found: list[tuple[Poly, int]] = []
-    for S, mult in _squarefree_parts(G):
-        for h in _low_degree_factors_squarefree(S, max_degree):
+    for S, mult, q in parts:
+        for h in _low_degree_factors_squarefree(S, max_degree, q):
             found.append((h, mult))
     # map back through x -> L x and re-monic
     out = []
@@ -914,10 +935,9 @@ def _low_degree_factors_primitive(F: tuple[int, ...], max_degree: int) -> tuple[
     return tuple(out)
 
 
-def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int) -> list[Poly]:
-    if len(S) - 1 <= 0:
-        return []
-    p = _find_good_prime(S)
+def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> list[Poly]:
+    """Factors of degree <= max_degree of a squarefree monic S, lifted from
+    the factorization mod the good prime p."""
     fp = mp_norm(S, p)
     factors = mp_factor_squarefree(fp, p)
     if all(len(fac) - 1 > max_degree for fac in factors):

@@ -64,6 +64,48 @@ class TestTorsion:
         code, _, err = run(capsys, "torsion", "--model", str(path), "--field", "Q", "--mode", "table")
         assert code == 2
 
+    def test_model_file_with_a_builtin_label(self, capsys, tmp_path):
+        # the X1(13) curve under the label of X1(16): answered from the file
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "label": "X1(16)", "level": [1, 13], "genus": 2, "base_field": "Q",
+            "f_coeffs": [1, -4, 6, -2, 1, -2, 1], "primes": [3, 5],
+        }))
+        code, out, _ = run(capsys, "torsion", "--model", str(path), "--field", "Q")
+        assert code == 0 and json.loads(out)["lower"] == [19]
+
+    def test_non_monic_model_file(self, capsys, tmp_path):
+        # leading coefficient 49: the monic associate must stay integral
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "label": "m", "level": [1, 16], "genus": 2, "base_field": "Q",
+            "f_coeffs": [0, -1, 2, 0, 2, 49], "primes": [3, 5],
+        }))
+        code, out, err = run(capsys, "torsion", "--model", str(path), "--field=-1")
+        assert code == 3 and err == ""
+        assert json.loads(out)["lower"] == [2]
+
+    @pytest.mark.parametrize("content", [
+        {"label": "m", "level": [1, 16], "genus": 2, "base_field": "Q", "primes": [3, 5]},
+        {"label": "m", "level": [1, 11], "genus": 1, "base_field": "Q",
+         "coeffs": [0, -1, -1, 1.5, 0], "primes": [3, 5]},
+        [{"label": "m", "level": [1, 11], "genus": 1, "base_field": "Q", "coeffs": [0, -1, -1, 0, 0]}],
+        {"level": [1, 11], "genus": 1, "base_field": "Q", "coeffs": [0, -1, -1, 0, 0]},
+        {"label": "m", "level": [1, 11], "genus": 1, "base_field": "Q",
+         "coeffs": [0, -1, -1, 0, 0], "torsion_table": 5},
+    ], ids=["no-f_coeffs", "float-coefficient", "json-array", "no-label", "bad-torsion_table"])
+    def test_malformed_model_file_exit_2(self, capsys, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, "torsion", "--model", str(path), "--field", "Q")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+    def test_model_path_is_a_directory_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "torsion", "--model", str(tmp_path), "--field", "Q")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "Is a directory" in err
+
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run(capsys, "torsion", "--model", "X1(14)", "--field=-7")
         _, out2, _ = run(capsys, "torsion", "--model", "X1(14)", "--field=-7")

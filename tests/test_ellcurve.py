@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from mqtorsion import ff
+from mqtorsion import ellcurve, ff
 from mqtorsion.ellcurve import (
     INF,
     division_polynomial,
@@ -21,12 +21,16 @@ from mqtorsion.ellcurve import (
     quadratic_twist,
     reduce_mod_p,
     reduce_quadratic_curve,
+    short_curve,
     short_model,
     torsion_over_tower,
     torsion_structure_q,
+    twist_odd_torsion_q,
     two_primary_over_tower,
 )
 from mqtorsion.groups import AbGroupStructure
+from mqtorsion.intutil import factorize, is_squarefree
+from mqtorsion.mwtors import model_registry
 from mqtorsion.poly import QQ, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
 
@@ -233,6 +237,42 @@ class TestTorsionQ:
     def test_two_independent_paths_agree(self):
         for ainvs in (X11, X14, X15, M210, M212, M39, M48, M66):
             assert torsion_structure_q(E(ainvs)) == torsion_over_tower(E(ainvs), QQ_FIELD)
+
+
+GENUS1_LABELS = sorted(label for label, m in model_registry().items() if m.genus == 1)
+
+
+class TestReductionScreen:
+    """The reduction screen of twist_odd_torsion_q against Nagell-Lutz, the
+    slow path it replaces."""
+
+    TWISTS = [d for d in range(-100, 101) if d and is_squarefree(d)]
+
+    @pytest.mark.parametrize("label", GENUS1_LABELS)
+    def test_screen_agrees_with_nagell_lutz(self, label):
+        E = model_registry()[label].elliptic()
+        A, B = short_model(E)
+        hint = tuple(factorize(minimal_disc(E)))
+        screened = 0
+        for d in self.TWISTS:
+            slow = torsion_structure_q(quadratic_twist(E, d), hint + tuple(factorize(d))).odd_part()
+            assert twist_odd_torsion_q(E, d) == slow, d
+            if ellcurve._screen_kills_odd(A, B, d):
+                screened += 1
+                assert slow.order == 1, d
+        # the screen decides nearly every twist, so Nagell-Lutz seldom runs
+        assert screened >= len(self.TWISTS) - 5
+
+    def test_twist_with_odd_torsion_is_not_screened(self):
+        A, B = short_model(E(X11))
+        assert not ellcurve._screen_kills_odd(A, B, 1)
+        assert twist_odd_torsion_q(E(X11), 1) == AbGroupStructure.cyclic(5)
+
+    def test_traces_match_point_counts(self):
+        A, B = short_model(E(X15))
+        for p, ap in ellcurve._screen_traces(A, B):
+            Ep = reduce_mod_p(short_curve(A, B), p)
+            assert len(points_over_code_domain(Ep)) == p + 1 - ap
 
 
 class TestTowerTorsion:

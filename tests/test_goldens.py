@@ -2,8 +2,9 @@
 and over F_49, the inert twists of X1(18) at p = 5 to 13, the 2-primary
 descent through tower fields up to Q(sqrt(-1), sqrt(2), sqrt(-3), sqrt(5))
 of degree 16, the classification tables of
-models.json, and the classify verdicts built on the exceptional curves, each
-compared byte for byte with its committed output.
+models.json, the classify verdicts built on the exceptional curves, and the
+full `verify --all` report (the torsion matrix and the exceptional-curve
+checks), each compared byte for byte with its committed output.
 
 Each call runs in a fresh interpreter, as a user runs it, so that no memo of
 this test process is shared.  The same calls are diffed against the same
@@ -34,6 +35,7 @@ CALLS = {
     "classify_15_K-15,5.json": "classify --torsion 15 --field=-15,5 --format json",
     "classify_14_K-7.json": "classify --torsion 14 --field=-7 --format json",
     "classify_18_K-3.json": "classify --torsion 18 --field=-3 --format json",
+    "verify_all.json": "verify --all --format json",
 }
 
 

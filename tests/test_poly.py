@@ -1,10 +1,14 @@
+import math
 import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqtorsion import poly
 from mqtorsion.ff import make_field
+from mqtorsion.intutil import is_prime
 from mqtorsion.qfield import MultiQuadField
 from mqtorsion.poly import (
     InexactDivision,
@@ -34,6 +38,9 @@ def b_invariants(a1, a2, a3, a4, a6):
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
     return tuple(Fr(x) for x in (b2, b4, b6, b8))
 
+
+# derandomized, so that every run draws the same examples
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 X15_B = b_invariants(0, 0, 0, -27, 8694)  # y^2 = (x+21)(x^2-21x+414)
 X14_CUBIC = Poly.from_ints(QQ, [13662, -675, 0, 1])  # (x+33)(x^2-33x+414)
@@ -284,6 +291,85 @@ class TestFactorExtraction:
         assert low_degree_factors(f, 2) == first
         after = poly._low_degree_factors_primitive.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
+class TestLeadingCoefficients:
+    """The monic associate stays integral, however large the leading
+    coefficient."""
+
+    @pytest.mark.parametrize("lead", [49, 3**40, 10**400])
+    def test_square_leading_coefficient(self, lead):
+        # lead = r^2 with r an integer: lead x^2 - 1 = lead (x - 1/r)(x + 1/r)
+        r = 7 if lead == 49 else (3**20 if lead == 3**40 else 10**200)
+        f = Poly.from_ints(QQ, [-1, 0, lead])
+        assert low_degree_factors(f, 2) == [
+            Poly(QQ, (Fr(-1, r), Fr(1))),
+            Poly(QQ, (Fr(1, r), Fr(1))),
+        ]
+
+    def test_irreducible_with_huge_leading_coefficient(self):
+        f = Poly.from_ints(QQ, [1, 0, 10**400])
+        assert low_degree_factors(f, 2) == [f.monic()]
+        assert low_degree_factors(f, 1) == []
+
+
+def _int_poly(cs):
+    return Poly.from_ints(QQ, cs)
+
+
+# integer polynomials of degree 1 to 3 whose leading coefficient need not be
+# a unit
+_INT_POLYS = st.tuples(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+    st.integers(-12, 12).filter(bool),
+).map(lambda t: _int_poly(t[0] + [t[1]]))
+
+
+class TestSquarefreeCertificate:
+    """The certificate mod a good prime against Euclid over Q, the slow path
+    it replaces."""
+
+    @staticmethod
+    def _monic_associate(f):
+        F = poly._int_coeffs(f)
+        L, n = F[-1], len(F) - 1
+        return tuple(F[i] * L ** (n - 1 - i) for i in range(n)) + (1,)
+
+    @PROPERTY
+    @given(A=_INT_POLYS, B=_INT_POLYS)
+    def test_certified_means_euclid_finds_one_part(self, A, B):
+        G = self._monic_associate(A * B)
+        if poly._find_good_prime(G, poly.GOOD_PRIME_CAP) is not None:
+            assert poly._squarefree_parts(G) == [(G, 1)]
+
+    @PROPERTY
+    @given(A=_INT_POLYS, B=_INT_POLYS)
+    def test_repeated_factor_never_certified(self, A, B):
+        G = self._monic_associate(A * A * B)
+        assert poly._find_good_prime(G, poly.GOOD_PRIME_CAP) is None
+
+    @PROPERTY
+    @given(A=_INT_POLYS, B=_INT_POLYS, square=st.booleans(), max_degree=st.integers(1, 3))
+    def test_factors_match_the_euclid_path(self, A, B, square, max_degree):
+        F = poly._int_coeffs(A * A * B if square else A * B)
+        fast = poly._low_degree_factors_primitive.__wrapped__(F, max_degree)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly, "GOOD_PRIME_CAP", 3)  # no prime tried: Euclid
+            slow = poly._low_degree_factors_primitive.__wrapped__(F, max_degree)
+        assert fast == slow
+
+    def test_kill_polynomial_norms_are_certified(self):
+        G = poly._int_coeffs(primitive_kernel_poly_b(X15_B, 8))
+        assert poly._find_good_prime(G, poly.GOOD_PRIME_CAP) is not None
+
+    def test_uncapped_search_for_a_squarefree_part(self):
+        # x^2 - 3 * 5 * 7 * ... * 127 is squarefree mod no odd prime below
+        # the cap, but is squarefree over Q
+        N = math.prod(p for p in range(3, poly.GOOD_PRIME_CAP, 2) if is_prime(p))
+        S = (-N, 0, 1)
+        assert poly._find_good_prime(S, poly.GOOD_PRIME_CAP) is None
+        assert poly._find_good_prime(S) == 131
+        assert low_degree_factors(Poly.from_ints(QQ, S), 2) == [Poly.from_ints(QQ, S)]
 
 
 class TestSplittingField:
