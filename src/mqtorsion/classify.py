@@ -11,7 +11,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ellcurve, mwtors, poly
-from .groups import AbGroupStructure
 from .intutil import factorize, is_prime, kronecker
 from .poly import QQ, Poly, TowerDomain
 from .qfield import MultiQuadField, sqrt_in_tower
@@ -32,13 +31,6 @@ def _targets() -> dict[str, mwtors.CurveModel]:
         m, n = model.level
         out[str(n) if m == 1 else f"{m}x{n}"] = model
     return out
-
-
-def target_group(spec: str) -> AbGroupStructure:
-    if "x" in spec:
-        a, b = spec.split("x")
-        return AbGroupStructure.from_summands([int(a), int(b)])
-    return AbGroupStructure.cyclic(int(spec))
 
 
 # ---------------------------------------------------------------------------

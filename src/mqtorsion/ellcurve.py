@@ -16,6 +16,7 @@ space if a caller wants to partition them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -80,16 +81,6 @@ class EllipticCurve:
         )
         return b2, b4, b6, b8
 
-    def c_invariants(self):
-        d = self.domain
-        b2, b4, b6, _ = self.b_invariants()
-        c4 = d.sub(d.mul(b2, b2), d.mul(d.from_int(24), b4))
-        c6 = d.sub(
-            d.mul(d.from_int(36), d.mul(b2, b4)),
-            d.add(d.mul(d.mul(b2, b2), b2), d.mul(d.from_int(216), b6)),
-        )
-        return c4, c6
-
     def discriminant(self):
         d = self.domain
         b2, b4, b6, b8 = self.b_invariants()
@@ -99,11 +90,6 @@ class EllipticCurve:
         t3 = d.neg(m(d.from_int(27), m(b6, b6)))
         t4 = m(d.from_int(9), m(b2, m(b4, b6)))
         return d.add(d.add(t1, t2), d.add(t3, t4))
-
-    def j_invariant(self):
-        d = self.domain
-        c4, _ = self.c_invariants()
-        return d.div(d.mul(d.mul(c4, c4), c4), self.discriminant())
 
     # -- group law --------------------------------------------------------
 
@@ -318,11 +304,6 @@ def minimal_disc(E: EllipticCurve) -> int:
     return c4c6_disc(_minimal_cached(_int_ainvs(E)))[2]
 
 
-def good_odd_primes(E: EllipticCurve, limit: int) -> list[int]:
-    disc = minimal_disc(E)
-    return [p for p in range(3, limit) if is_prime(p) and disc % p != 0]
-
-
 def reduce_mod_p(E: EllipticCurve, p: int, f: int = 1) -> EllipticCurve:
     """Reduction of a rational curve at an odd prime of good reduction,
     over the residue field F_{p^f}."""
@@ -498,14 +479,6 @@ def _screen_kills_odd(A: int, B: int, d: int) -> bool:
     return False
 
 
-def division_polynomial(E: EllipticCurve, n: int) -> Poly:
-    """The x-coordinate kill polynomial of multiplication by n on the
-    normalized short model: roots are exactly the x-coordinates of the
-    nonzero points killed by n (for even n this is psi_n/psi_2 times the
-    universal two-torsion cubic 4x^3 + b2 x^2 + 2 b4 x + b6)."""
-    return poly.kill_poly(_short_b(E), n)
-
-
 def primitive_kernel_poly(E: EllipticCurve, n: int) -> Poly:
     """Roots are the x-coordinates of the points of exact order n >= 2 on
     the normalized short model."""
@@ -648,38 +621,42 @@ def _k_rational(galois, v) -> bool:
     return all(v.conjugate(signs) == v for signs in galois)
 
 
-def two_primary_over_tower(A: int, B: int, K, probe16: bool = True):
-    """(structure, witnesses, exact) for the 2-primary torsion of
-    y^2 = x^3 + Ax + B over the multi-quadratic field K.
+def two_primary_over_tower(A: int, B: int, K, cap: int):
+    """(structure, witnesses) for the 2-primary torsion of
+    y^2 = x^3 + Ax + B over the multi-quadratic field K, given a proven
+    bound `cap` on the exponent of E(K)[2^oo].
 
     2-torsion from the cubic roots in K (complete); order 4 by the halving
-    iff-criterion; orders 8 and 16 by halving every lower-level class over
-    the 2-torsion field and descending to K by Galois fixedness.  Exact up
-    to order 16; a 16-torsion point sets exact=False (no probe beyond)."""
-    roots = two_torsion_roots_in_tower(A, B, K)
+    iff-criterion; orders 8, 16, ... by halving every lower-level class over
+    the 2-torsion field and descending to K by Galois fixedness.  Each level
+    is tried only while it is at most `cap`, and the search stops at the
+    first level with no half, so the result is exact.
+
+    The cap.  At a prime v of K above an odd prime p of good reduction,
+    reduction is injective on the torsion of order prime to p: its kernel,
+    the points of the formal group over the maximal ideal of K_v, is pro-p
+    (Silverman, AEC VII.3.1).  So E(K)[2^oo] embeds in E~(F_{p^f}), f the
+    residue degree, and its exponent is at most the 2-exponent of every such
+    reduction and of their meet, the reduction bound of `mwtors`.  A bound
+    over K also holds over each subfield of K."""
+    roots = two_torsion_roots_in_tower(A, B, K) if cap >= 2 else []
     if not roots:
-        return AbGroupStructure.trivial(), [], True
+        return AbGroupStructure.trivial(), []
     if len(roots) not in (1, 3):
         raise CurveError("impossible 2-torsion root count")  # pragma: no cover
     witnesses = [(r, K.zero()) for r in roots]
-    halvable = []
-    for t1 in roots:
-        P4 = halving_witness(A, B, K, t1)
-        if P4 is not None:
-            halvable.append(P4)
+    halves = [halving_witness(A, B, K, t1) for t1 in roots] if cap >= 4 else []
+    halvable = [P4 for P4 in halves if P4 is not None]
     if len(roots) == 3 and len(halvable) not in (0, 1, 3):
         raise CurveError("halvable 2-torsion is not a subgroup")  # pragma: no cover
-    exact = True
-    top = 2
-    if halvable:
-        witnesses.extend(halvable)
-        top = 4
+    witnesses.extend(halvable)
+    top = 4 if halvable else 2
+    if halvable and cap >= 8:
         L, e_roots = _two_torsion_field(A, B, K)
         galois = L.galois_over(K)
         EK = tower_short_curve(A, B, K)
-        for level in (8, 16):
-            if level == 16 and not probe16:
-                break
+        level = 8
+        while level <= cap:
             found = None
             for P in _order_reps(EK, witnesses, level // 2):
                 for Q in _halves_over_tower(A, B, L, e_roots, (L.lift(P[0]), L.lift(P[1]))):
@@ -694,15 +671,14 @@ def two_primary_over_tower(A: int, B: int, K, probe16: bool = True):
             assert EK.mul(level // 2, found) is not INF and EK.mul(level, found) is INF
             witnesses.append(found)
             top = level
-            if level == 16:
-                exact = False
+            level *= 2
     if len(roots) == 1:
         st = AbGroupStructure.cyclic(top)
     else:
         second = 4 if len(halvable) == 3 else 2
         exps = sorted([second.bit_length() - 1, top.bit_length() - 1])
         st = AbGroupStructure.from_prime_exponents({2: exps})
-    return st, witnesses, exact
+    return st, witnesses
 
 
 def _order_reps(E: EllipticCurve, witnesses, order: int) -> list:
@@ -732,19 +708,18 @@ def _order_reps(E: EllipticCurve, witnesses, order: int) -> list:
     return reps
 
 
-def torsion_over_tower(E: EllipticCurve, K) -> AbGroupStructure:
-    """Exact torsion of a rational curve over the multi-quadratic field K:
-    odd part through the twist decomposition, E(K)[odd] = sum over the twist
-    classes d of K of E^d(Q)[odd] (each settled by `twist_odd_torsion_q`:
-    the reduction screen, else Nagell-Lutz), 2-part through the tower
-    machinery."""
+def torsion_over_tower(E: EllipticCurve, K, cap: int) -> AbGroupStructure:
+    """Exact torsion of a rational curve over the multi-quadratic field K,
+    given a proven bound `cap` on the exponent of E(K)[2^oo] (see
+    `two_primary_over_tower`): odd part through the twist decomposition,
+    E(K)[odd] = sum over the twist classes d of K of E^d(Q)[odd] (each
+    settled by `twist_odd_torsion_q`: the reduction screen, else
+    Nagell-Lutz), 2-part through the tower machinery up to the cap."""
     A, B = short_model(E)
     odd = AbGroupStructure.trivial()
     for d in K.twist_classes():
         odd = odd.direct_sum(twist_odd_torsion_q(E, d))
-    two, _, exact = two_primary_over_tower(A, B, K)
-    if not exact:
-        raise CurveError("2-primary probe incomplete over this field")
+    two, _ = two_primary_over_tower(A, B, K, cap)
     return odd.direct_sum(two)
 
 
@@ -755,50 +730,31 @@ def torsion_over_tower(E: EllipticCurve, K) -> AbGroupStructure:
 
 def exhaustive_small_field_scan(field: ff.FieldDesc, n: int):
     """Scan all nonsingular long Weierstrass curves over F_q for one with a
-    point of order n.  Returns (witness curve or None, curves scanned)."""
+    point of order n.  Returns (witness curve or None, curves scanned); a
+    witness is a reduced model y^2 = x^3 + a2 x^2 + a4 x + a6.
+
+    Only the reduced models are visited.  F_q has odd characteristic
+    (`ff.make_field`), so y -> y + (a1 x + a3)/2 maps the long model
+    (a1, a2, a3, a4, a6) isomorphically onto the reduced model with
+    a2' = a2 + a1^2/4, a4' = a4 + a1 a3/2 and a6' = a6 + a3^2/4, keeping the
+    b-invariants and so the discriminant.  For fixed (a1, a3) the map
+    (a2, a4, a6) -> (a2', a4', a6') is a translation of F_q^3, so each
+    reduced model has exactly q^2 long preimages, one per (a1, a3), each
+    isomorphic to it.  A long model with a point of order n thus exists iff
+    a reduced one does, and each nonsingular reduced model visited counts
+    q^2 curves scanned."""
     dom = code_domain(field)
-    t = dom.tables
-    q = t.q
-    add, mul, neg = t.add, t.mul, t.neg
-    four, eight, nine, twenty7 = (t.from_int(k) for k in (4, 8, 9, 27))
-    inv2 = t.inv[t.from_int(2)]
-    sqrt_t = t.sqrt
+    q = dom.tables.q
     scanned = 0
-    witness = None
-    for a1 in range(q):
-        a1a1 = mul[a1][a1]
-        for a2 in range(q):
-            b2 = add[a1a1][mul[four][a2]]
-            for a3 in range(q):
-                a3a3 = mul[a3][a3]
-                a1a3 = mul[a1][a3]
-                for a4 in range(q):
-                    b4 = add[add[a4][a4]][a1a3]
-                    for a6 in range(q):
-                        b6 = add[a3a3][mul[four][a6]]
-                        b8 = add[add[mul[a1a1][a6]][mul[mul[four][a2]][a6]]][
-                            add[neg[mul[a1a3][a4]]][mul[a2][a3a3]]
-                        ]
-                        b8 = add[b8][neg[mul[a4][a4]]]
-                        t1 = add[neg[mul[mul[b2][b2]][b8]]][neg[mul[eight][mul[b4][mul[b4][b4]]]]]
-                        t2 = add[neg[mul[twenty7][mul[b6][b6]]]][mul[nine][mul[b2][mul[b4][b6]]]]
-                        if add[t1][t2] == 0:
-                            continue
-                        scanned += 1
-                        # count points via the completed square
-                        count = 1
-                        for x in range(q):
-                            x2 = mul[x][x]
-                            g = add[add[mul[x2][x]][mul[a2][x2]]][add[mul[a4][x]][a6]]
-                            hh = mul[add[mul[a1][x]][a3]][inv2]
-                            val = add[g][mul[hh][hh]]
-                            count += 1 if val == 0 else len(sqrt_t[val])
-                        if count % n:
-                            continue
-                        E = EllipticCurve(dom, (a1, a2, a3, a4, a6))
-                        st = structure_from_elements(
-                            points_over_code_domain(E), E.add, INF, max_rank=2
-                        )
-                        if st.exponent % n == 0:
-                            return E, scanned
-    return witness, scanned
+    for a2, a4, a6 in itertools.product(range(q), repeat=3):
+        try:
+            E = EllipticCurve(dom, (0, a2, 0, a4, a6))
+        except CurveError:
+            continue
+        scanned += q * q
+        pts = points_over_code_domain(E)
+        if len(pts) % n:
+            continue
+        if structure_from_elements(pts, E.add, INF, max_rank=2).exponent % n == 0:
+            return E, scanned
+    return None, scanned

@@ -247,17 +247,24 @@ def _code(a: FqElem) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The largest q with tables: they hold q x q entries each for add and mul,
+# so memory and build time grow as q^2 (q = 1021 takes about 65 MB).
+MAX_TABLE_ORDER = 1024
+
+
 class Tables:
-    """Precomputed arithmetic tables for one F_{p^k}, q <= a few hundred.
+    """Precomputed arithmetic tables for one F_{p^k}, q <= MAX_TABLE_ORDER.
 
     Built on the integer codes i = c0 + c1*p, (c0, c1) = (i mod p, i div p),
     with the formulas of `FqElem` (c1 = 0 and t^2 = r give F_p when k = 1,
     with r = 0).  Scanning the codes in order keeps each `sqrt` tuple
-    ascending."""
+    ascending.  A larger q raises FieldError before anything is built."""
 
     def __init__(self, field: FieldDesc):
-        self.field = field
         q = field.order
+        if q > MAX_TABLE_ORDER:
+            raise FieldError(f"F_{q} is too large for arithmetic tables (q <= {MAX_TABLE_ORDER})")
+        self.field = field
         self.q = q
         p = field.p
         self.p = p
@@ -281,9 +288,6 @@ class Tables:
 
     def code(self, a: FqElem) -> int:
         return _code(a)
-
-    def decode(self, i: int) -> FqElem:
-        return self.elems[i]
 
     def from_int(self, n: int) -> int:
         return n % self.p

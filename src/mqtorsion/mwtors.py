@@ -586,7 +586,8 @@ def derive_torsion(model: CurveModel, K, primes=None) -> TorsionResult:
              "structure": list(jac_structure(model, p, f).factors)}
         )
     if model.genus == 1:
-        exact = _genus1_torsion(model, torsion_support_field(model, K, primes, upper))
+        K_S = torsion_support_field(model, K, primes, upper)
+        exact = _genus1_torsion(model, K_S, upper.ell_part(2).exponent)
         trace.append({"step": "tower-torsion-exact", "structure": list(exact.factors)})
         if not exact.embeds_in(upper):
             raise CrossCheckError(
@@ -600,6 +601,9 @@ def torsion_support_field(model: CurveModel, K, primes, upper: AbGroupStructure)
     """K_S: the subfield of K generated by the sqrt(d) with every prime of d
     in S = {2} u primes(minimal disc) u primes(upper.order), together with
     a lone reduction prime.  For a genus-1 model J(K)_tors = J(K_S)_tors.
+    A genus-2 model y^2 = F(x) takes the primes of disc(F) * lc(F) for
+    those of the minimal disc, and then every twist class d of K outside
+    K_S has J^d(Q)[ell] = 0 for each odd ell dividing upper.order.
 
     Proof.  Let P in J(K) have order n.  Every prime ell of n divides
     upper.order: reduction at a good p != ell is injective on the ell-part,
@@ -613,18 +617,36 @@ def torsion_support_field(model: CurveModel, K, primes, upper: AbGroupStructure)
     all its primes in S.  So Q(P) lies in K_S, and J(K)_tors = J(K_S)_tors.
     Q(sqrt d) lies in Q(zeta_m) iff |disc| divides m, so for
     m = 8 * prod(odd p in S), K n Q(zeta_m) is exactly K_S.
+
+    Proof for genus 2.  Let ell be odd, d != 1 and 0 != P in J^d(Q)[ell].
+    As a point of J(Q(sqrt d)), P satisfies sigma P = -P != P, so Q(P) is
+    Q(sqrt d), which is ramified at every odd prime of d.  Q(P) lies in
+    Q(J[ell]), unramified outside ell*N, and N is supported on 2 and the
+    primes of disc(F) * lc(F): y^2 = F(x) stays a smooth genus-2 curve mod
+    every other prime.  So every odd prime of d divides
+    ell * disc(F) * lc(F) and lies in S, and d is a class of K_S.
     """
-    support = {2} | set(factorize(ellcurve.minimal_disc(model.elliptic())))
-    support |= set(upper.prime_exponents())
+    support = {2} | _bad_primes(model) | set(upper.prime_exponents())
     if len(set(primes)) == 1:
         support |= set(primes)
     return K.cyclotomic_intersection(8 * math.prod(support - {2}))
 
 
 @lru_cache(maxsize=None)
-def _genus1_torsion(model: CurveModel, K) -> AbGroupStructure:
-    """Exact J(K)_tors of a genus-1 model, once per (model, K)."""
-    return ellcurve.torsion_over_tower(model.elliptic(), K)
+def _bad_primes(model: CurveModel) -> frozenset:
+    """The primes of the minimal discriminant (genus 1) or of
+    disc(F) * lc(F) (genus 2): outside them and 2 the reduction is good."""
+    if model.genus == 1:
+        return frozenset(factorize(ellcurve.minimal_disc(model.elliptic())))
+    F = model.hyper_poly()
+    return frozenset(factorize(int(F.discriminant() * F.coeffs[-1])))
+
+
+@lru_cache(maxsize=256)
+def _genus1_torsion(model: CurveModel, K, cap: int) -> AbGroupStructure:
+    """Exact J(K)_tors of a genus-1 model, once per (model, K, cap), where
+    cap bounds the exponent of J(K)[2^oo] (`ellcurve.two_primary_over_tower`)."""
+    return ellcurve.torsion_over_tower(model.elliptic(), K, cap)
 
 
 def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
@@ -646,6 +668,9 @@ def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
     odd_lower = q_lower.odd_part()
     odd_upper = upper.odd_part()
     if odd_lower != odd_upper:
+        # twists outside K_S carry no odd torsion (torsion_support_field)
+        K_S = torsion_support_field(model, K, primes, upper)
+        twists = [d for d in K.twist_classes() if K_S.contains_sqrt(d)]
         # tighten the upper prime by prime with the twist-sum bound
         refined = {}
         for ell, es in odd_upper.prime_exponents().items():
@@ -654,7 +679,7 @@ def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
                 continue
             total = AbGroupStructure.trivial()
             ok = True
-            for d in K.twist_classes():
+            for d in twists:
                 part = (
                     q_upper.ell_part(ell)
                     if d == 1
@@ -678,7 +703,7 @@ def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
         trace.append({"step": "twist-sum-upper", "upper": list(odd_upper.factors)})
     if odd_lower != odd_upper:
         # hunt for twisted torsion witnesses to close the remaining gap
-        for d in K.twist_classes():
+        for d in twists:
             if d == 1 or odd_lower == odd_upper:
                 continue
             for ell, es in odd_upper.prime_exponents().items():

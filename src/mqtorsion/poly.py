@@ -991,11 +991,6 @@ def _is_irreducible_low(g: Poly) -> bool:
     return False
 
 
-def rational_roots(f: Poly) -> list[Fraction]:
-    """All rational roots of f, via the linear factors."""
-    return sorted(-g.coeffs[0] for g in low_degree_factors(f, 1) if g.degree == 1)
-
-
 def splitting_quadratic_field(f: Poly) -> int:
     """Squarefree d with splitting field Q(sqrt(d)) of a rational quadratic;
     1 when the quadratic splits over Q (or is a perfect square)."""

@@ -9,11 +9,9 @@ from mqtorsion.classify import (
     exceptional_curves,
     exceptional_registry,
     rank_from_table,
-    target_group,
     unconditional_floor,
     verify_exceptional,
 )
-from mqtorsion.groups import AbGroupStructure
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 
 
@@ -42,10 +40,6 @@ class TestRankTable:
 
 
 class TestTargets:
-    def test_target_groups(self):
-        assert target_group("14") == AbGroupStructure.cyclic(14)
-        assert target_group("2x12") == AbGroupStructure((2, 12))
-
     def test_unsupported(self):
         with pytest.raises(ClassifyError):
             classify("17", QQ_FIELD)

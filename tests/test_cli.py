@@ -32,6 +32,18 @@ class TestJacStructure:
         code, _, _ = run(capsys, "jac-structure", "--model", "X1(99)", "--prime", "3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("jac-structure", "--model", "X1(13)", "--prime", "10000019", "--deg", "2"),
+            ("torsion", "--model", "X1(11)", "--field=Q", "--primes", "1031"),
+        ],
+    )
+    def test_field_too_large_for_tables_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "too large" in err and "Traceback" not in err
+
 
 class TestTorsion:
     def test_x15_closed(self, capsys):

@@ -2,17 +2,17 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqtorsion import ellcurve, ff
 from mqtorsion.ellcurve import (
     INF,
-    division_polynomial,
     primitive_kernel_poly,
     BadReduction,
     CurveError,
     EllipticCurve,
     exhaustive_small_field_scan,
-    good_odd_primes,
     group_structure,
     halving_witness,
     minimal_disc,
@@ -28,8 +28,8 @@ from mqtorsion.ellcurve import (
     twist_odd_torsion_q,
     two_primary_over_tower,
 )
-from mqtorsion.groups import AbGroupStructure
-from mqtorsion.intutil import factorize, is_squarefree
+from mqtorsion.groups import AbGroupStructure, structure_from_elements
+from mqtorsion.intutil import factorize, is_prime, is_squarefree
 from mqtorsion.mwtors import model_registry
 from mqtorsion.poly import QQ, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
@@ -44,8 +44,33 @@ M48 = (0, 0, 0, 4, 0)
 M66 = (0, 0, 0, 0, 1)
 
 
+# derandomized, so that every run draws the same examples
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
 def E(ainvs, label=None):
     return EllipticCurve.from_ints(QQ, ainvs, label)
+
+
+def good_odd_primes(E: EllipticCurve, limit: int) -> list[int]:
+    """The odd primes below limit at which E has good reduction."""
+    disc = minimal_disc(E)
+    return [p for p in range(3, limit) if is_prime(p) and disc % p != 0]
+
+
+def j_invariant(c: EllipticCurve) -> Fr:
+    c4, _, disc = ellcurve.c4c6_disc(ellcurve._int_ainvs(c))
+    return Fr(c4**3, disc)
+
+
+def two_adic_cap(c: EllipticCurve, K) -> int:
+    """A proven bound on the exponent of c(K)[2^oo]: the least 2-exponent of
+    the reductions at the first two good odd primes, each over its residue
+    field in K (the argument of two_primary_over_tower)."""
+    return min(
+        group_structure(reduce_mod_p(c, p, K.residue_degree(p)[0])).ell_part(2).exponent
+        for p in good_odd_primes(c, 100)[:2]
+    )
 
 
 class TestGroupLaw:
@@ -146,7 +171,7 @@ class TestMinimalModels:
         for ainvs in (X11, X14, X15, M210, M212, M39, M48, M66):
             c = E(ainvs)
             m = minimal_model(c)
-            assert m.j_invariant() == c.j_invariant()
+            assert j_invariant(m) == j_invariant(c)
 
     def test_minimal_disc_divides(self):
         from mqtorsion.ellcurve import c4c6_disc, _int_ainvs
@@ -193,7 +218,7 @@ class TestTwists:
     def test_j_invariant_preserved(self):
         c = E(X15)
         for d in (-1, 2, -3, 5, -15):
-            assert quadratic_twist(c, d).j_invariant() == c.j_invariant()
+            assert j_invariant(quadratic_twist(c, d)) == j_invariant(c)
 
     def test_twist_involution(self):
         c = E(M210)
@@ -236,7 +261,8 @@ class TestTorsionQ:
 
     def test_two_independent_paths_agree(self):
         for ainvs in (X11, X14, X15, M210, M212, M39, M48, M66):
-            assert torsion_structure_q(E(ainvs)) == torsion_over_tower(E(ainvs), QQ_FIELD)
+            c = E(ainvs)
+            assert torsion_structure_q(c) == torsion_over_tower(c, QQ_FIELD, two_adic_cap(c, QQ_FIELD))
 
 
 GENUS1_LABELS = sorted(label for label, m in model_registry().items() if m.genus == 1)
@@ -302,7 +328,8 @@ class TestTowerTorsion:
     )
     def test_matches_known_tables(self, ainvs, gens, expect):
         K = MultiQuadField(gens) if gens else QQ_FIELD
-        assert torsion_over_tower(E(ainvs), K) == AbGroupStructure.from_summands(expect)
+        c = E(ainvs)
+        assert torsion_over_tower(c, K, two_adic_cap(c, K)) == AbGroupStructure.from_summands(expect)
 
     def test_halving_witness_order(self):
         K = MultiQuadField([-1])
@@ -314,8 +341,8 @@ class TestTowerTorsion:
         assert c.point_order(P, 16) == 4
 
     def test_witnesses_verified(self):
-        st, witnesses, exact = two_primary_over_tower(-27, 8694, MultiQuadField([-3, 5]))
-        assert exact and st == AbGroupStructure((2, 8))
+        st, witnesses = two_primary_over_tower(-27, 8694, MultiQuadField([-3, 5]), 16)
+        assert st == AbGroupStructure((2, 8))
         from mqtorsion.ellcurve import tower_short_curve
 
         c = tower_short_curve(-27, 8694, MultiQuadField([-3, 5]))
@@ -329,7 +356,7 @@ class TestTowerTorsion:
         from mqtorsion.groups import subgroup_span
 
         K = MultiQuadField([-3, 5])
-        _, witnesses, _ = two_primary_over_tower(-27, 8694, K)
+        _, witnesses = two_primary_over_tower(-27, 8694, K, 16)
         c = tower_short_curve(-27, 8694, K)
         span = subgroup_span(witnesses, c.add, INF)
         assert len(span) == 16
@@ -340,12 +367,57 @@ class TestTowerTorsion:
             assert len(pairs) == len(reps) and pairs == expect
 
 
+# generators of the fields of degree <= 16 below
+FIELD_GENS = [-1, 2, -2, 3, -3, 5, -5, 6, 7, -7, 13, -15, 17]
+
+
+def small_curves():
+    """Nonsingular rational curves with small integral coefficients: any
+    short model y^2 = x^3 + Ax + B; one with a rational 2-torsion point
+    (e, 0), x^3 + Ax + B = (x - e)(x^2 + ex + c); or the Tate normal form
+    y^2 + xy - by = x^3 - bx^2, whose point (0, 0) has order 4."""
+    general = st.tuples(st.integers(-60, 60), st.integers(-60, 60))
+    two_torsion = st.tuples(st.integers(-9, 9), st.integers(-40, 40)).map(
+        lambda ec: (ec[1] - ec[0] ** 2, -ec[0] * ec[1])
+    )
+    short = st.one_of(general, two_torsion).filter(lambda ab: 4 * ab[0] ** 3 + 27 * ab[1] ** 2 != 0)
+    four_torsion = st.integers(-40, 40).filter(bool).map(lambda b: E((1, -b, -b, 0, 0)))
+    return st.one_of(short.map(lambda ab: short_curve(*ab)), four_torsion)
+
+
+class TestCappedTwoPrimary:
+    """torsion_over_tower with the cap from two reductions against the same
+    call with cap 16, the largest 2-power exponent of any elliptic curve
+    over Q over the compositum of all quadratic fields (Fujita, 2005)."""
+
+    @pytest.mark.parametrize("label", GENUS1_LABELS)
+    @PROPERTY
+    @given(gens=st.lists(st.sampled_from(FIELD_GENS), max_size=4))
+    def test_builtin_curves(self, label, gens):
+        c = model_registry()[label].elliptic()
+        K = MultiQuadField(gens)
+        assert torsion_over_tower(c, K, two_adic_cap(c, K)) == torsion_over_tower(c, K, 16)
+
+    @PROPERTY
+    @given(small_curves(), st.lists(st.sampled_from(FIELD_GENS), max_size=4))
+    def test_random_curves(self, c, gens):
+        K = MultiQuadField(gens)
+        assert torsion_over_tower(c, K, two_adic_cap(c, K)) == torsion_over_tower(c, K, 16)
+
+    def test_cap_equal_to_the_true_exponent(self):
+        c, K = E(X15), MultiQuadField([-3, 5])
+        assert two_adic_cap(c, K) == 8
+        assert torsion_over_tower(c, K, 8) == torsion_over_tower(c, K, 16) == AbGroupStructure((2, 8))
+        # the search stops at the cap: a cap below the truth cuts the 2-part
+        assert two_primary_over_tower(-27, 8694, K, 4)[0] == AbGroupStructure((2, 4))
+        assert two_primary_over_tower(-27, 8694, K, 2)[0] == AbGroupStructure((2, 2))
+        assert two_primary_over_tower(-27, 8694, K, 1)[0] == AbGroupStructure.trivial()
+
+
 class TestDivisionPolynomialSurface:
     def test_kill_and_primitive_wrappers(self):
         c = E(X15)
-        assert division_polynomial(c, 1).degree == 0
-        two = division_polynomial(c, 2)
-        assert two.degree == 3 and primitive_kernel_poly(c, 2) == two
+        assert primitive_kernel_poly(c, 2).degree == 3
         assert primitive_kernel_poly(c, 8).degree == 24
 
     def test_found_torsion_x_kills_kernel_poly(self):
@@ -364,7 +436,73 @@ class TestDivisionPolynomialSurface:
                 assert primitive_kernel_poly(c, n)(P[0]) == 0
 
 
+def long_model_scan(field: ff.FieldDesc, n: int):
+    """The slow path of exhaustive_small_field_scan: every long model
+    (a1, a2, a3, a4, a6) over F_q, its discriminant from the b-invariants and
+    its points counted through the completed square.  Returns (first witness
+    with a point of order n or None, nonsingular models scanned)."""
+    dom = code_domain(field)
+    t = dom.tables
+    q = t.q
+    add, mul, neg = t.add, t.mul, t.neg
+    four, eight, nine, twenty7 = (t.from_int(k) for k in (4, 8, 9, 27))
+    inv2 = t.inv[t.from_int(2)]
+    sqrt_t = t.sqrt
+    scanned = 0
+    for a1 in range(q):
+        a1a1 = mul[a1][a1]
+        for a2 in range(q):
+            b2 = add[a1a1][mul[four][a2]]
+            for a3 in range(q):
+                a3a3 = mul[a3][a3]
+                a1a3 = mul[a1][a3]
+                for a4 in range(q):
+                    b4 = add[add[a4][a4]][a1a3]
+                    for a6 in range(q):
+                        b6 = add[a3a3][mul[four][a6]]
+                        b8 = add[add[mul[a1a1][a6]][mul[mul[four][a2]][a6]]][
+                            add[neg[mul[a1a3][a4]]][mul[a2][a3a3]]
+                        ]
+                        b8 = add[b8][neg[mul[a4][a4]]]
+                        t1 = add[neg[mul[mul[b2][b2]][b8]]][neg[mul[eight][mul[b4][mul[b4][b4]]]]]
+                        t2 = add[neg[mul[twenty7][mul[b6][b6]]]][mul[nine][mul[b2][mul[b4][b6]]]]
+                        if add[t1][t2] == 0:
+                            continue
+                        scanned += 1
+                        count = 1
+                        for x in range(q):
+                            x2 = mul[x][x]
+                            g = add[add[mul[x2][x]][mul[a2][x2]]][add[mul[a4][x]][a6]]
+                            hh = mul[add[mul[a1][x]][a3]][inv2]
+                            val = add[g][mul[hh][hh]]
+                            count += 1 if val == 0 else len(sqrt_t[val])
+                        if count % n:
+                            continue
+                        c = EllipticCurve(dom, (a1, a2, a3, a4, a6))
+                        st_c = structure_from_elements(points_over_code_domain(c), c.add, INF, max_rank=2)
+                        if st_c.exponent % n == 0:
+                            return c, scanned
+    return None, scanned
+
+
 class TestScan:
+    @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+    def test_reduced_models_match_long_models(self, p, k):
+        """The same witness existence for every n in 2..20; the same count
+        when no witness ends the scan early (with a witness the long scan
+        counts only the long models before it in its own order)."""
+        field = ff.make_field(p, k)
+        q = p**k
+        for n in range(2, 21):
+            slow_witness, slow_scanned = long_model_scan(field, n)
+            witness, scanned = exhaustive_small_field_scan(field, n)
+            assert (witness is None) == (slow_witness is None), n
+            if witness is None:
+                assert scanned == slow_scanned, n
+            else:
+                assert witness.a[0] == witness.a[2] == 0 and scanned % (q * q) == 0
+                assert group_structure(witness).exponent % n == 0
+
     def test_no_order_16_over_f9(self):
         witness, scanned = exhaustive_small_field_scan(ff.make_field(3, 2), 16)
         assert witness is None
@@ -376,7 +514,7 @@ class TestScan:
 
     def test_order_15_witness_over_f9(self):
         witness, _ = exhaustive_small_field_scan(ff.make_field(3, 2), 15)
-        assert witness is not None
+        assert witness is not None and witness.a[0] == witness.a[2] == 0
         st = group_structure(witness)
         assert st.exponent % 15 == 0
 

@@ -1,6 +1,7 @@
 import pytest
 
 from mqtorsion.ff import (
+    MAX_TABLE_ORDER,
     FieldError,
     FqElem,
     Tables,
@@ -148,12 +149,19 @@ class TestTables:
         step = max(1, len(els) // 11)
         for i in range(0, len(els), step):
             for j in range(0, len(els), step):
-                assert T.decode(T.add[i][j]) == els[i] + els[j]
-                assert T.decode(T.mul[i][j]) == els[i] * els[j]
-            assert T.decode(T.neg[i]) == -els[i]
+                assert els[T.add[i][j]] == els[i] + els[j]
+                assert els[T.mul[i][j]] == els[i] * els[j]
+            assert els[T.neg[i]] == -els[i]
             if i:
-                assert T.decode(T.inv[i]) == els[i].inverse()
+                assert els[T.inv[i]] == els[i].inverse()
             assert T.is_sq[i] == is_square(els[i])
+
+    @pytest.mark.parametrize("p,k", [(1031, 1), (37, 2), (10000019, 2)])
+    def test_order_above_the_bound_refused(self, p, k):
+        F = make_field(p, k)
+        assert F.order > MAX_TABLE_ORDER
+        with pytest.raises(FieldError, match="too large"):
+            tables(F)
 
 
 def fq_reference_tables(F):

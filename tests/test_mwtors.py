@@ -171,7 +171,8 @@ class TestEightTorsion:
             for gens in ((), (-1,), (3,), (-3,), (5,), (-15,), (2,), (-1, 3), (-3, 5)):
                 K = MultiQuadField(gens) if gens else QQ_FIELD
                 ok, _ = eight_torsion_criterion(model, K)
-                exact = torsion_over_tower(model.elliptic(), K)
+                cap = reduction_bound(model, K, model.primes).ell_part(2).exponent
+                exact = torsion_over_tower(model.elliptic(), K, cap)
                 assert ok == (exact.exponent % 8 == 0), (label, gens)
 
 
@@ -250,10 +251,27 @@ class TestTorsionSupportField:
         model = get_model(label)
         K = MultiQuadField(gens)
         primes = model.primes
-        K_S = torsion_support_field(model, K, primes, reduction_bound(model, K, primes))
+        upper = reduction_bound(model, K, primes)
+        K_S = torsion_support_field(model, K, primes, upper)
         assert all(K.contains_sqrt(d) for d in K_S.gens)
-        E = model.elliptic()
-        assert torsion_over_tower(E, K) == torsion_over_tower(E, K_S)
+        E, cap = model.elliptic(), upper.ell_part(2).exponent
+        assert torsion_over_tower(E, K, cap) == torsion_over_tower(E, K_S, cap)
+
+    def test_genus2_support_from_the_discriminant(self):
+        # X1(18): disc(F) * lc(F) = -2^15 * 3^4, and upper = [3, 21] over
+        # Q(sqrt(2), sqrt(13), sqrt(-15), sqrt(23)), so S = {2, 3, 7}
+        model = get_model("X1(18)")
+        K = MultiQuadField([2, 13, -15, 23])
+        upper = reduction_bound(model, K, model.primes)
+        assert upper == G(3, 21)
+        assert torsion_support_field(model, K, model.primes, upper) == MultiQuadField([2])
+
+    def test_genus2_twists_outside_support_closed(self):
+        # every twist outside K_S carries no odd torsion; derive mode used
+        # to leave this field open at lower [21], upper [3, 21]
+        K = MultiQuadField([2, 13, -15, 23])
+        r = torsion_table("X1(18)", K, "derive")
+        assert r.closed and r.lower == r.upper == torsion_table("X1(18)", K, "table").lower == G(21)
 
 
 class TestRandomFieldsDeriveEqualsTable:
@@ -262,7 +280,7 @@ class TestRandomFieldsDeriveEqualsTable:
 
     POOL = [d for d in range(-30, 31) if d not in (0, 1) and is_squarefree(d)]
 
-    @pytest.mark.parametrize("label", GENUS1)
+    @pytest.mark.parametrize("label", GENUS1 + ["X1(13)", "X1(16)", "X1(18)"])
     def test_derive_closes_and_matches_table(self, label):
         model = get_model(label)
         rng = random.Random(f"derive-vs-table {label}")

@@ -25,7 +25,6 @@ from mqtorsion.poly import (
     mp_norm,
     peval,
     primitive_kernel_poly_b,
-    rational_roots,
     splitting_quadratic_field,
     two_torsion_cubic,
 )
@@ -266,10 +265,6 @@ class TestFactorExtraction:
         g = Poly.from_ints(QQ, [1, 1]) * f
         got = low_degree_factors(g, 3)
         assert f in got and Poly.from_ints(QQ, [1, 1]) in got
-
-    def test_rational_roots(self):
-        f = Poly.from_ints(QQ, [6, -5, 1])  # (x-2)(x-3)
-        assert rational_roots(f) == [Fr(2), Fr(3)]
 
 
     def test_memo_shares_scalar_multiples(self):
