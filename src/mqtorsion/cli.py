@@ -66,7 +66,7 @@ def cmd_jac_structure(args) -> int:
         C = mwtors.hyper_reduction(model, args.prime, args.deg)
         n1, n2, L, nj, _ = hyperjac.zeta_order(C)
         if nj != st.order:
-            raise CrossCheckError("zeta oracle disagrees with enumeration")
+            raise CrossCheckError("zeta oracle disagrees with the census")
         payload["zeta_check"] = {"N1": n1, "N2": n2, "L": list(L), "order": nj}
     _emit(payload, args.format)
     return EXIT_OK

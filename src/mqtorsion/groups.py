@@ -1,5 +1,7 @@
 """Invariant-factor decompositions of finite abelian groups, and the census
-that recovers them from explicit element enumerations."""
+that recovers them one Sylow subgroup at a time, from a list of the
+elements or from a lazy collection that draws only the elements a Sylow
+span needs."""
 
 from __future__ import annotations
 
@@ -123,7 +125,9 @@ def structure_from_elements(
     max_rank: int | None = None,
     sylow: dict | None = None,
 ) -> AbGroupStructure:
-    """Invariant factors of a finite abelian group G given all its elements.
+    """Invariant factors of a finite abelian group G of order
+    n = len(elements), where `elements` is G as a list or as a lazy sized
+    collection (see `sylow_subgroups`).
 
     G is the direct sum of its Sylow subgroups (`sylow_subgroups`, or the
     `sylow` sets already computed from these elements).  For each ell with
@@ -194,9 +198,12 @@ def _sylow_partition(S, ell, add, identity) -> list[int]:
 
 def sylow_subgroups(elements, add, identity, primes=None) -> dict:
     """{ell: S_ell} for every prime ell | n (or every ell | n in `primes`),
-    where the list `elements` is a finite abelian group G of order
-    n = len(elements) and S_ell is its ell-Sylow subgroup, as a collection
-    of elements.
+    where `elements` is a finite abelian group G of order n = len(elements)
+    and S_ell is its ell-Sylow subgroup, as a collection of elements.
+    `elements` is only iterated, once per ell, never indexed: it may be a
+    lazy collection whose `len` is the order n and whose passes cover G,
+    such as `hyperjac.ClassStream`, and then only the elements that a span
+    draws are ever built.
 
     With ell^e || n and m = n / ell^e, the map x -> m*x sends G onto S_ell.
     G = S_ell + H with H the elements of order prime to ell; m kills H, since
@@ -207,7 +214,9 @@ def sylow_subgroups(elements, add, identity, primes=None) -> dict:
     ell^e = |S_ell| elements is S_ell.  Since the images cover S_ell, the
     span does reach ell^e elements; if it does not, or if it grows past
     ell^e, the input is not a group of order n and GroupError is raised.
-    When n = ell^e, S_ell is the list itself and no addition is made.
+    When n = ell^e and `elements` is a list, S_ell is that list and no
+    addition is made; a lazy collection is spanned with m = 1 instead, so
+    that it is not listed.
     """
     n = len(elements)
     double = lambda x: add(x, x)
@@ -216,7 +225,7 @@ def sylow_subgroups(elements, add, identity, primes=None) -> dict:
         if primes is not None and ell not in primes:
             continue
         q = ell**e
-        if q == n:
+        if q == n and isinstance(elements, list):
             out[ell] = elements
             continue
         m = n // q

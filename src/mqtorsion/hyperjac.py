@@ -16,9 +16,11 @@ for degree-5 models, whose single infinite place is Weierstrass).  Reduced
 triples are unique in their class, so tuple equality is class equality.
 
 The census of a reduction (`mwtors.Census`) is built from the pieces here:
-`all_classes` lists J(F_q), `inert_twist_classes` lists the inert twist
-over F_p inside J(F_{p^2}), both through one enumeration of pair classes,
-and `jac_add` gives the group law.
+`ClassStream` is J(F_q) as a lazy collection, whose order the caller takes
+from the zeta function and whose classes are drawn only as a Sylow span
+needs them; `inert_twist_classes` lists the inert twist over F_p inside
+J(F_{p^2}).  Both read one stream of pair classes, and `jac_add` gives the
+group law.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ from .poly import (
 
 class JacError(ValueError):
     pass
-
-
-class ZetaMismatch(JacError):
-    """Enumerated class count disagrees with the zeta oracle."""
 
 
 class HyperCurve:
@@ -338,11 +336,11 @@ def _pair_to_class(dom, F, P, Q):
 
 
 def _conjugate_pair_classes(dom, F):
-    """Classes from conjugate pairs of quadratic points (x not rational)."""
+    """Classes from conjugate pairs of quadratic points (x not rational),
+    yielded in the order of `ext.elements()`."""
     t = dom.tables
     ext = ff.quadratic_extension(dom.field)
     coeffs = [ext.embed(c) for c in F]
-    out = []
     seen = set()
     for x in ext.elements():
         if x[1] == 0 or x in seen:
@@ -357,7 +355,7 @@ def _conjugate_pair_classes(dom, F):
         nm = t.add[t.mul[x[0]][x[0]]][t.neg[t.mul[t.mul[ext.r][x[1]]][x[1]]]]
         u = (nm, t.neg[tr], 1)
         if acc == ext.zero:
-            out.append((u, (), 0))
+            yield (u, (), 0)
             continue
         y = ext.sqrt(acc)
         if y is None:
@@ -367,35 +365,53 @@ def _conjugate_pair_classes(dom, F):
             b = t.add[yy[0]][t.neg[t.mul[a][x[0]]]]
             v = pnormalize(dom, (b, a))
             assert not pmod(dom, psub(dom, pmul(dom, v, v), F), u)
-            out.append((u, v, 0))
-    return out
+            yield (u, v, 0)
 
 
-def _pair_classes(dom, F) -> set:
-    """The classes other than 0 of y^2 = F(x) over F_q, each as
-    [P + Q - (canonical degree-2)] for a pair of F_q-points or a conjugate
-    pair of quadratic points (by Riemann-Roch, D + canonical holds an
-    effective divisor of degree 2 for every class D)."""
+def _pair_classes(dom, F):
+    """The classes other than 0 of y^2 = F(x) over F_q, each once and in a
+    fixed order: [P + Q - (canonical degree-2)] for the pairs of F_q-points
+    (in the order of `rational_points_code`), then for the conjugate pairs
+    of quadratic points.  Lazy: nothing past the last class drawn is built.
+
+    Every class is there, and only once.  For a class D != 0 of a genus-2
+    curve, deg(D + canonical) = 2 and h^0(D + canonical) = 1 by
+    Riemann-Roch, so D + canonical holds exactly one effective divisor of
+    degree 2; it is F_q-rational, so it is a pair of F_q-points or a
+    conjugate pair.  The pairs that are fibers of x (the canonical system
+    itself, which gives D = 0) are skipped, so distinct pairs give distinct
+    classes; `symmetric_square_points` checks that injectivity."""
     pts = rational_points_code(dom, F)
-    classes = set()
     for i, P in enumerate(pts):
         for Q in pts[i:]:
             cl = _pair_to_class(dom, F, P, Q)
             if cl is not None:
-                classes.add(cl)
-    classes.update(_conjugate_pair_classes(dom, F))
-    return classes
+                yield cl
+    yield from _conjugate_pair_classes(dom, F)
 
 
-def all_classes(C: HyperCurve) -> list:
-    """Every reduced divisor class over F_q, sorted, cross-checked against
-    zeta."""
-    classes = _pair_classes(C.domain, C.F)
-    classes.add(C.identity())
-    _, _, _, nJ, _ = zeta_order(C)
-    if len(classes) != nJ:
-        raise ZetaMismatch(f"{C}: enumerated {len(classes)} classes, zeta says {nJ}")
-    return sorted(classes)
+class ClassStream:
+    """J(F_q) as a lazy collection: `len` is the group order N, which the
+    caller takes from the zeta function, and each pass over it yields 0 and
+    then the classes of `_pair_classes`, each class of J(F_q) once, in the
+    same fixed order on every pass and in every process (list order, never
+    set order).  A Sylow span (`groups.sylow_subgroups`) draws from the
+    front of the stream and stops as soon as it is complete, so J(F_q) is
+    never listed."""
+
+    __slots__ = ("curve", "order")
+
+    def __init__(self, C: HyperCurve, order: int):
+        self.curve = C
+        self.order = order
+
+    def __len__(self) -> int:
+        return self.order
+
+    def __iter__(self):
+        C = self.curve
+        yield C.identity()
+        yield from _pair_classes(C.domain, C.F)
 
 
 def inert_twist_classes(C: HyperCurve) -> list:
@@ -466,7 +482,7 @@ def symmetric_square_points(C: HyperCurve):
             line.append(((x, "conj"), (x, "conj'")))
     if C.degree == 6 and points_at_infinity(dom, C.F) == 0:  # pragma: no cover
         line.append((("inf", "conj"), ("inf", "conj'")))
-    conj = _conjugate_pair_classes(dom, C.F)
+    conj = list(_conjugate_pair_classes(dom, C.F))
     N1, N2, _, nJ, _ = zeta_order(C)
     total = len(line) + len(off) + len(conj)
     assert len(line) == q + 1

@@ -196,7 +196,7 @@ def verify_model_integrity(model: CurveModel) -> None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def jac_structure(model: CurveModel, p: int, f: int) -> AbGroupStructure:
     """J(F_{p^f}) for a builtin model; raises on bad reduction."""
     if p == 2 or not is_prime(p):
@@ -218,45 +218,69 @@ def hyper_reduction(model: CurveModel, p: int, f: int) -> hyperjac.HyperCurve:
 
 
 class Census:
-    """One reduction of a genus-2 model, enumerated once.
+    """One reduction of a genus-2 model, with f = 1 or 2 (the residue
+    degrees of a multi-quadratic field), as a collection `classes` of the
+    group's elements whose Sylow subgroups are spanned on demand.
 
-    Untwisted, `classes` is J(F_{p^f}), checked against the zeta oracle by
-    `hyperjac.all_classes`.  Twisted (f = 2), it is the Jacobian over F_p of
-    the inert quadratic twist, enumerated over F_p and embedded in
-    J(F_{p^2}) as the kernel of 1 + Frobenius (`hyperjac.inert_twist_classes`);
-    its order must equal L(-1) from the zeta oracle over F_p.  `structure`
-    and the ell-torsion pairs are computed on first use.
+    Untwisted, `classes` is J(F_{p^f}) as a lazy `hyperjac.ClassStream`, and
+    its order N comes from the zeta function of the curve over F_p
+    (`_zeta_orders`, from point counts over F_p and F_{p^2}), so no count
+    over F_{p^4} is made.  If
+    alpha_1..alpha_4 are the Frobenius eigenvalues over F_p, then
+    L_p(T) = prod(1 - alpha_i T) and #J(F_p) = L_p(1).  Over F_{p^2} the
+    eigenvalues are the alpha_i^2, so
+    L_{p^2}(T^2) = prod(1 - alpha_i^2 T^2) = L_p(T) * L_p(-T), and
+    #J(F_{p^2}) = L_{p^2}(1) = L_p(1) * L_p(-1).  The census of each ell
+    then follows `groups.sylow_subgroups`: with ell^e || N and m = N/ell^e,
+    m * J = S_ell, and a span of images m*x with ell^e elements is S_ell, so
+    the span stops drawing classes as soon as it has ell^e elements.
+
+    Twisted (f = 2), `classes` is the Jacobian over F_p of the inert
+    quadratic twist, enumerated over F_p and embedded in J(F_{p^2}) as the
+    kernel of 1 + Frobenius (`hyperjac.inert_twist_classes`); its count
+    must equal L(-1) from the zeta oracle over F_p.
+
+    `sylow(ell)` spans S_ell once, on first use.  `structure` spans only the
+    ell with ell^2 | N (S_ell is Z/ell when ell || N), and `ell_pairs(ell)`
+    reads J[ell] from S_ell.
     """
 
     def __init__(self, model: CurveModel, p: int, f: int, twisted: bool):
         C = hyper_reduction(model, p, f)
         self.add = partial(hyperjac.jac_add, C)
         self.identity = C.identity()
+        order, twisted_order = _zeta_orders(model, p)
         if twisted:
             classes = hyperjac.inert_twist_classes(C)
-            expected = _zeta_orders(model, p)[1]
-            if len(classes) != expected:
+            if len(classes) != twisted_order:
                 raise CrossCheckError(
-                    f"{model.label} inert twist at {p}: kernel {len(classes)} != zeta {expected}"
+                    f"{model.label} inert twist at {p}: kernel {len(classes)} != zeta {twisted_order}"
                 )
         else:
-            classes = hyperjac.all_classes(C)
+            classes = hyperjac.ClassStream(C, order if f == 1 else order * twisted_order)
         self.classes = classes
         self.tables = C.domain.tables
         self.weil_q = None if twisted else p**f
+        self._sylow: dict = {}
         self._ell_pairs: dict = {}
 
-    @cached_property
-    def sylow(self) -> dict:
-        """The Sylow subgroups {ell: S_ell} of the classes."""
-        return sylow_subgroups(self.classes, self.add, self.identity)
+    def sylow(self, ell: int):
+        """The ell-Sylow subgroup of the classes, empty unless ell divides
+        the order."""
+        if ell not in self._sylow:
+            spans = sylow_subgroups(self.classes, self.add, self.identity, [ell])
+            self._sylow[ell] = spans.get(ell, ())
+        return self._sylow[ell]
 
     @cached_property
     def structure(self) -> AbGroupStructure:
-        """Invariant factors by the order census; on the full J(F_q) the
-        Weil pairing makes the first of four factors divide q - 1."""
+        """Invariant factors by the order census, spanning S_ell only for
+        the ell with ell^2 | N; on the full J(F_q) the Weil pairing makes
+        the first of four factors divide q - 1."""
+        square_ells = [ell for ell, e in factorize(len(self.classes)).items() if e > 1]
         st = structure_from_elements(
-            self.classes, self.add, self.identity, max_rank=4, sylow=self.sylow
+            self.classes, self.add, self.identity, max_rank=4,
+            sylow={ell: self.sylow(ell) for ell in square_ells},
         )
         q = self.weil_q
         if q is not None and len(st.factors) == 4 and (q - 1) % st.factors[0]:
@@ -265,25 +289,26 @@ class Census:
 
     def ell_pairs(self, ell: int) -> tuple:
         """(u, v) of the non-trivial ell-torsion classes with deg u = 2 and
-        n = 0, in class order.  J[ell] lies in the ell-Sylow subgroup, so
-        only that is scanned; it is trivial unless ell divides the group
-        order (Cauchy), and then nothing is scanned.  The classes are
-        sorted, so sorting restores class order."""
+        n = 0, sorted.  J[ell] lies in the ell-Sylow subgroup, so only that
+        is scanned; it is trivial unless ell divides the group order
+        (Cauchy), and then nothing is spanned or scanned.  S_ell is unique,
+        so the pairs do not depend on the order in which classes are drawn."""
         if ell not in self._ell_pairs:
             double = lambda x: self.add(x, x)
             torsion = sorted(
                 x
-                for x in self.sylow.get(ell, ())
+                for x in self.sylow(ell)
                 if scalar_mul(ell, x, self.add, double, self.identity) == self.identity
             )
             self._ell_pairs[ell] = tuple((u, v) for u, v, n in torsion if len(u) == 3 and n == 0)
         return self._ell_pairs[ell]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def census(model: CurveModel, p: int, f: int, twisted: bool) -> Census:
     """The census of J(F_{p^f}), or for f = 2 with `twisted` of the inert
-    twist over F_p; built once per process."""
+    twist over F_p; built once per process, and kept for the 256 most
+    recent reductions."""
     return Census(model, p, f, twisted)
 
 

@@ -24,7 +24,6 @@ from mqtorsion.groups import AbGroupStructure, structure_from_elements
 from mqtorsion.hyperjac import (
     HyperCurve,
     JacError,
-    all_classes,
     symmetric_square_points,
     two_torsion_galois,
     zeta_order,
@@ -48,6 +47,7 @@ from mqtorsion.poly import (
     splitting_quadratic_field,
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields, hyperplane_avoiding, sqrt_in_tower
+from reference import all_classes
 
 
 def G(*summands):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mqtorsion import ff, poly
-from mqtorsion.groups import AbGroupStructure, scalar_mul
+from mqtorsion import ff, hyperjac, mwtors, poly
+from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elements
 from mqtorsion.hyperjac import (
     HyperCurve,
     JacError,
-    all_classes,
     classes_from_rational_points,
     inert_twist_classes,
     is_valid_divisor,
@@ -25,9 +24,10 @@ from mqtorsion.hyperjac import (
     weierstrass_orbits,
     zeta_order,
 )
-from mqtorsion.mwtors import Census, census, model_registry
+from mqtorsion.mwtors import Census, CurveModel, census, model_registry
 from mqtorsion.poly import QQ, Poly, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
+from reference import all_classes
 
 X13 = [1, -4, 6, -2, 1, -2, 1]  # x^6 - 2x^5 + x^4 - 2x^3 + 6x^2 - 4x + 1
 X16 = [0, -1, 2, 0, 2, 1]  # x(x^2+1)(x^2+2x-1)
@@ -203,9 +203,76 @@ class TestGroupStructure:
         add = cen.add
         calls = []
         cen.add = lambda a, b: calls.append(1) or add(a, b)
-        assert len(cen.classes) == 1953
+        classes = all_classes(curve(X18, 7, 2))
+        assert len(cen.classes) == len(classes) == 1953
         assert cen.structure == AbGroupStructure.from_summands([3, 651])
-        assert len(calls) < len(cen.classes)
+        assert len(calls) < len(classes)
+
+
+def model_from_curve(C):
+    """A genus-2 CurveModel whose integer coefficients reduce to C's F (the
+    codes of F_p elements are their residues)."""
+    return CurveModel(
+        label="random", level=(1, 1), genus=2, base_d=None, ainvs=None,
+        f_coeffs=tuple(C.F), source="test",
+    )
+
+
+def full_structure(C):
+    """The slow path: the census over the full list of J(F_q)."""
+    return structure_from_elements(all_classes(C), lambda a, b: jac_add(C, a, b), C.identity())
+
+
+class TestLazyCensus:
+    """The census spans each Sylow subgroup from the front of the class
+    stream, with the order N from the zeta function over F_p; the slow path
+    lists J(F_q) and checks its count against zeta over F_q."""
+
+    def test_lazy_census_matches_full_enumeration(self):
+        """Every builtin genus-2 model, every good odd p <= 13, f in {1, 2}."""
+        pairs = 0
+        for coeffs in MODELS.values():
+            model = model_of(coeffs)
+            for p in (3, 5, 7, 11, 13):
+                for f in (1, 2):
+                    try:
+                        C = curve(coeffs, p, f)
+                    except JacError:
+                        continue
+                    cen = Census(model, p, f, False)
+                    assert len(cen.classes) == len(all_classes(C))
+                    assert cen.structure == full_structure(C), (model.label, p, f)
+                    pairs += 1
+        assert pairs == 26
+
+    @PROPERTY
+    @given(random_curves())
+    def test_lazy_census_on_random_curves(self, C):
+        p = C.domain.tables.p
+        f = 1 if C.domain.q == p else 2
+        cen = Census(model_from_curve(C), p, f, False)
+        assert len(cen.classes) == len(all_classes(C))
+        assert cen.structure == full_structure(C)
+
+    def test_x13_p31_census_draws_few_classes(self, monkeypatch):
+        # J(F_961) has 831,744 classes; the census draws under a hundred
+        drawn = []
+        pair_classes = hyperjac._pair_classes
+
+        def counted(dom, F):
+            for cl in pair_classes(dom, F):
+                drawn.append(cl)
+                yield cl
+
+        monkeypatch.setattr(hyperjac, "_pair_classes", counted)
+        mwtors.jac_structure.cache_clear()
+        mwtors.census.cache_clear()
+        model = mwtors.get_model("X1(13)")
+        st = mwtors.jac_structure(model, 31, 2)
+        _, _, _, order, twisted_order = zeta_order(curve(X13, 31, 1))
+        assert st.order == order * twisted_order == 831_744
+        assert st == AbGroupStructure.from_summands([2, 2, 456, 456])
+        assert 0 < len(drawn) < 5000
 
 
 class TestSymmetricSquare:
@@ -314,10 +381,11 @@ class TestTwistedStructures:
         for coeffs, p, f, twisted in [(X13, 3, 1, False), (X18, 5, 1, False), (X18, 5, 2, True)]:
             cen = census(model_of(coeffs), p, f, twisted)
             C = curve(coeffs, p, f)
+            classes = frobenius_kernel(C) if twisted else all_classes(C)
             for ell in (2, 3, 5, 7, 19):
                 slow = tuple(
                     (u, v)
-                    for u, v, n in cen.classes
+                    for u, v, n in classes
                     if len(u) == 3 and n == 0 and multiple(C, ell, (u, v, n)) == C.identity()
                 )
                 assert cen.ell_pairs(ell) == slow
