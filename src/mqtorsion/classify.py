@@ -307,9 +307,11 @@ def _torsion_point_in_tower(E: ellcurve.EllipticCurve, n: int, K):
 
 def verify_exceptional(curve: ExceptionalCurve, n: int | None = None) -> dict:
     """Certify a shipped curve: every good split prime p < 200 has
-    n | #E(F_p); for n = 15 an explicit order-15 point is constructed from
-    the division polynomials and the tower square roots; for n = 14 the
-    rational 2-torsion point is exhibited.  Raises on any failure."""
+    n | #E(F_p) at both primes above it, each count one character sum over
+    F_p (`ellcurve.quadratic_reduction_counts`); for n = 15 an explicit
+    order-15 point is constructed from the division polynomials and the
+    tower square roots; for n = 14 the rational 2-torsion point is
+    exhibited.  Raises on any failure."""
     n = n or curve.target
     report = {"name": curve.name, "n": n, "primes_checked": [], "steps": []}
     if n == 1:
@@ -328,8 +330,7 @@ def verify_exceptional(curve: ExceptionalCurve, n: int | None = None) -> dict:
     for p in range(3, 200):
         if not is_prime(p) or p in bad or d % p == 0 or kronecker(d, p) != 1:
             continue
-        for red in ellcurve.reduce_quadratic_curve(E, d, p, 1):
-            count = len(ellcurve.points_over_code_domain(red))
+        for count in ellcurve.quadratic_reduction_counts(curve.ainvs, d, p):
             if count % n:
                 raise VerificationError(
                     f"{curve.name}: #E(F_{p}) = {count} not divisible by {n}"

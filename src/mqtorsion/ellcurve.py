@@ -3,8 +3,9 @@
 Long Weierstrass models y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with a
 complete chord-tangent group law, finite-field group structure by full
 enumeration + census, global minimal models over Q (Laska-Kraus-Connell),
-quadratic twists, reduction at good odd primes (including curves with
-coefficients in a quadratic field), exact rational torsion via Nagell-Lutz
+quadratic twists, reduction at good odd primes, point counts by one
+character sum over F_p (also for curves with coefficients in a quadratic
+field, at its split primes), exact rational torsion via Nagell-Lutz
 (for the odd part of a twist, behind a screen by point counts mod p),
 exact 2-primary torsion over multi-quadratic towers, and exhaustive scans of
 all curves over a small field.
@@ -316,38 +317,47 @@ def reduce_mod_p(E: EllipticCurve, p: int, f: int = 1) -> EllipticCurve:
     return EllipticCurve.from_ints(dom, amin, label=E.label)
 
 
-def reduce_quadratic_curve(E: EllipticCurve, d: int, p: int, f: int) -> list[EllipticCurve]:
-    """Reductions at the primes above odd p of a curve with coefficients in
-    Q(sqrt(d)) (TowerElem entries); one curve per embedding of sqrt(d)."""
+def affine_count(b2: int, b4: int, b6: int, p: int) -> int:
+    """#{(x, Y) in F_p^2 : Y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6} for an odd
+    prime p, one character sum over x.
+
+    For a long model with b-invariants b2 = a1^2 + 4a2, b4 = 2a4 + a1a3 and
+    b6 = a3^2 + 4a6, this is the number of affine points of E(F_p): four
+    times y^2 + a1xy + a3y - (x^3 + a2x^2 + a4x + a6) is
+    (2y + a1x + a3)^2 - (4x^3 + b2x^2 + 2b4x + b6), and for odd p the map
+    (x, y) -> (x, 2y + a1x + a3) is a bijection.  So #E(F_p) is one more
+    than this count.  For a short model y^2 = f(x), (b2, b4, b6) =
+    (0, 2A, 4B) gives Y^2 = 4f(x), and Y -> 2Y shows that it has as many
+    solutions as y^2 = f(x)."""
+    squares = [0] * p  # squares[v] = #{Y in F_p : Y^2 = v}
+    for y in range(p):
+        squares[y * y % p] += 1
+    return sum(squares[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
+
+
+def quadratic_reduction_counts(ainvs, d: int, p: int) -> list[int]:
+    """#E(F_p) at the two primes above a split odd p, for the curve whose
+    a-invariants are x_i + y_i sqrt(d) (ainvs: pairs of rationals), one
+    count per root s of d mod p in ascending order.
+
+    The prime above p at which sqrt(d) = s maps a_i to x_i + y_i s mod p,
+    and the count is 1 + affine_count of the reduced b-invariants.  Raises
+    BadReduction when p = 2, p | d, d is not a square mod p, p divides a
+    denominator, or the reduced discriminant vanishes."""
     if p == 2 or d % p == 0:
         raise BadReduction(p)
-    dom = code_domain(ff.make_field(p, f))
-    t = dom.tables
-    roots = t.sqrt[t.from_int(d)]
-    if not roots:
+    roots = [s for s in range(1, p) if (s * s - d) % p == 0]
+    if not roots or any(c.denominator % p == 0 for pair in ainvs for c in pair):
         raise BadReduction(p)
-    out = []
-    for s in sorted(set(roots)):
-        ainvs = []
-        try:
-            for c in E.a:
-                x = c.coords[0]
-                y = c.coords[1] if len(c.coords) > 1 else Fraction(0)
-                ainvs.append(t.add[_frac_mod(x, t)][t.mul[_frac_mod(y, t)][s]])
-        except ZeroDivisionError as exc:
-            raise BadReduction(p) from exc
-        try:
-            out.append(EllipticCurve(dom, ainvs, label=E.label))
-        except CurveError as exc:
-            raise BadReduction(p) from exc
-    return out
-
-
-def _frac_mod(x: Fraction, t) -> int:
-    den = t.from_int(x.denominator)
-    if den == 0:
-        raise ZeroDivisionError
-    return t.mul[t.from_int(x.numerator)][t.inv[den]]
+    red = lambda c: c.numerator * pow(c.denominator, -1, p)
+    xy = [(red(x), red(y)) for x, y in ainvs]
+    counts = []
+    for s in roots:
+        a1, a2, a3, a4, a6 = ((x + y * s) % p for x, y in xy)
+        if c4c6_disc((a1, a2, a3, a4, a6))[2] % p == 0:
+            raise BadReduction(p)
+        counts.append(1 + affine_count(a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6, p))
+    return counts
 
 
 def short_model(E: EllipticCurve) -> tuple[int, int]:
@@ -433,16 +443,13 @@ SCREEN_PRIME_CAP = 50
 @lru_cache(maxsize=64)
 def _screen_traces(A: int, B: int) -> tuple[tuple[int, int], ...]:
     """(p, a_p) for y^2 = x^3 + Ax + B at each odd prime p < SCREEN_PRIME_CAP
-    not dividing 4A^3 + 27B^2, with a_p = p + 1 - #E(F_p)."""
+    not dividing 4A^3 + 27B^2, with a_p = p + 1 - #E(F_p) = p - the affine
+    count of `affine_count` at (b2, b4, b6) = (0, 2A, 4B)."""
     D = 4 * A**3 + 27 * B**2
     out = []
     for p in range(3, SCREEN_PRIME_CAP, 2):
         if is_prime(p) and D % p:
-            roots = [0] * p  # roots[v] = #{y in F_p : y^2 = v}
-            for y in range(p):
-                roots[y * y % p] += 1
-            affine = sum(roots[(x * x * x + A * x + B) % p] for x in range(p))
-            out.append((p, p - affine))
+            out.append((p, p - affine_count(0, 2 * A, 4 * B, p)))
     return tuple(out)
 
 

@@ -268,7 +268,6 @@ class Tables:
         self.q = q
         p = field.p
         self.p = p
-        self.elems = list(field.elements())
         r = field.r % p if field.k == 2 else 0
         pairs = [(i % p, i // p) for i in range(q)]
         self.add = [[(a0 + b0) % p + (a1 + b1) % p * p for b0, b1 in pairs] for a0, a1 in pairs]
@@ -313,7 +312,9 @@ class QuadExt:
     meaning a + b*u with u^2 = r, r a fixed non-residue of the base.
 
     Only what point counting needs: ring ops, squares, square roots, and the
-    base-Frobenius conjugation.  Orders up to 169^2 stay comfortably exact.
+    base-Frobenius conjugation.  Squares are decided through the norm; the
+    table of square roots, one entry per square of F_{q^2}, is built on the
+    first `sqrt` call.
     """
 
     def __init__(self, base: Tables):
@@ -329,12 +330,7 @@ class QuadExt:
         self.r = r
         self.zero = (0, 0)
         self.one = (1, 0)
-        sqrts: dict[tuple[int, int], tuple[int, int]] = {}
-        for x in self.elements():
-            s = self.mul(x, x)
-            if s not in sqrts:
-                sqrts[s] = x
-        self._sqrts = sqrts
+        self._sqrts: dict[tuple[int, int], tuple[int, int]] | None = None
 
     def elements(self):
         for b in range(self.base.q):
@@ -359,11 +355,25 @@ class QuadExt:
         return (ba[bm[a][c]][bm[self.r][bm[b][d]]], ba[bm[a][d]][bm[b][c]])
 
     def is_square(self, x) -> bool:
-        return x in self._sqrts or x == (0, 0)
+        """x = a + b*u != 0 is a square iff its norm a^2 - r b^2 is a square
+        in the base F_q.  Proof: for g a generator of the cyclic group
+        F_{q^2}^*, N(g) = g^(q+1) generates F_q^*, and both orders are even;
+        so x = g^k and N(x) = N(g)^k are squares exactly when k is even."""
+        if x == (0, 0):
+            return True
+        ba, bm, bn = self.base.add, self.base.mul, self.base.neg
+        a, b = x
+        return self.base.is_sq[ba[bm[a][a]][bn[bm[self.r][bm[b][b]]]]]
 
     def sqrt(self, x):
+        """The first root of x in the order of `elements`, or None."""
         if x == (0, 0):
             return (0, 0)
+        if self._sqrts is None:
+            sqrts: dict[tuple[int, int], tuple[int, int]] = {}
+            for y in self.elements():
+                sqrts.setdefault(self.mul(y, y), y)
+            self._sqrts = sqrts
         return self._sqrts.get(x)
 
     def conj(self, x):

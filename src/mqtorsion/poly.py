@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 from . import ff
@@ -881,13 +881,13 @@ def low_degree_factors(f: Poly, max_degree: int = 2) -> list[Poly]:
     (with multiplicity), found by modular factorization + Hensel lifting +
     trial division.  Complete for max_degree <= 3.
 
-    Factors of the monic integral associate G are searched, so denominators
-    dividing the leading coefficient are handled exactly.  G is first tested
-    for a squarefree certificate mod the odd primes below GOOD_PRIME_CAP;
-    the prime that certifies it is also the Hensel prime, and only an
-    uncertified G is split into squarefree parts by Euclid over Q.  Memoised
-    on the primitive integer coefficients of f and max_degree: f and c*f
-    (c a nonzero rational) have the same monic factors.
+    Works on the primitive integer polynomial F of f, never on its monic
+    associate, whose coefficients grow as lc(F)^(deg F - 1).  F is first
+    tested for a squarefree certificate mod the odd primes below
+    GOOD_PRIME_CAP that do not divide lc(F); the prime that certifies it is
+    also the Hensel prime, and only an uncertified F is split into
+    squarefree parts by Euclid over Q.  Memoised on F and max_degree: f and
+    c*f (c a nonzero rational) have the same monic factors.
     """
     if f.is_zero():
         raise PolyError("zero polynomial")
@@ -900,31 +900,21 @@ def low_degree_factors(f: Poly, max_degree: int = 2) -> list[Poly]:
 
 @lru_cache(maxsize=256)
 def _low_degree_factors_primitive(F: tuple[int, ...], max_degree: int) -> tuple[Poly, ...]:
-    """Squarefree certificate: if the monic integral G is squarefree mod an
-    odd prime p, it is squarefree over Q.  Proof: by Gauss's lemma a
-    repeated factor of G over Q can be taken monic and integral, G = H^2 R
-    with H, R monic in Z[x] and deg H > 0; mod p, H keeps its degree, so
-    G mod p would have the repeated factor H mod p."""
-    L = F[-1]
-    # monic associate: G(x) = L^(n-1) F(x/L)
-    n = len(F) - 1
-    G = tuple(F[i] * L ** (n - 1 - i) for i in range(n)) + (1,)
-    p = _find_good_prime(G, GOOD_PRIME_CAP)
+    """Squarefree certificate: if the primitive F is squarefree mod an odd
+    prime p that does not divide lc(F), it is squarefree over Q.  Proof: by
+    Gauss's lemma a repeated factor of F over Q can be taken in Z[x],
+    F = H^2 R with H, R in Z[x] and deg H > 0; lc(H)^2 lc(R) = lc(F) is
+    prime to p, so H mod p keeps its degree, and F mod p would have the
+    repeated factor H mod p."""
+    p = _find_good_prime(F, GOOD_PRIME_CAP)
     if p is not None:
-        parts = [(G, 1, p)]
+        parts = [(F, 1, p)]
     else:
-        parts = [(S, mult, _find_good_prime(S)) for S, mult in _squarefree_parts(G)]
-    found: list[tuple[Poly, int]] = []
-    for S, mult, q in parts:
-        for h in _low_degree_factors_squarefree(S, max_degree, q):
-            found.append((h, mult))
-    # map back through x -> L x and re-monic
+        parts = [(S, mult, _find_good_prime(S)) for S, mult in _squarefree_parts(F)]
     out = []
-    for h, mult in found:
-        coeffs = [Fraction(c) for c in h.coeffs]
-        mapped = [coeffs[i] * Fraction(L) ** i for i in range(len(coeffs))]
-        g = Poly(QQ, mapped).monic()
-        out.extend([g] * mult)
+    for S, mult, q in parts:
+        for g in _low_degree_factors_squarefree(S, max_degree, q):
+            out.extend([g] * mult)
     out.sort(key=lambda g: (g.degree, g.coeffs))
     # exactness check: the found factors divide F
     check = Poly(QQ, (Fraction(1),))
@@ -936,38 +926,49 @@ def _low_degree_factors_primitive(F: tuple[int, ...], max_degree: int) -> tuple[
 
 
 def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> list[Poly]:
-    """Factors of degree <= max_degree of a squarefree monic S, lifted from
-    the factorization mod the good prime p."""
-    fp = mp_norm(S, p)
-    factors = mp_factor_squarefree(fp, p)
-    if all(len(fac) - 1 > max_degree for fac in factors):
+    """Monic factors of degree <= max_degree of a squarefree primitive S,
+    lifted from the factorization of L^-1 S mod the good prime p, L = lc(S).
+
+    Only the factors of degree <= max_degree are lifted; the others travel
+    as one block, their product.  Hensel lifts are unique, so each low
+    factor lifts as it would alone.  An irreducible factor g of S over Z,
+    whose monic image mod M is the product of the lifted f_i, i in I, has
+    (L / lc g) * g = L * prod_{i in I} f_i mod M, and the left side is an
+    integer polynomial with |coefficient j| <= C(d, j) * ||S||_2 for
+    d = deg g <= 4 (Mahler-Mignotte: M(g) <= M(S) * |lc g| / |L| since the
+    cofactor has measure at least |L / lc g|, and M(S) <= ||S||_2).  So for
+    M > 2B, B = 16 (||S||_2 + 1), the centred residue of
+    L * prod f_i is (L / lc g) * g itself, and its monic associate is g."""
+    L = S[-1]
+    factors = mp_factor_squarefree(mp_norm([c * pow(L, -1, p) for c in S], p), p)
+    low = [fac for fac in factors if len(fac) - 1 <= max_degree]
+    if not low:
         return []
-    # Landau-Mignotte-style bound for monic factors of degree <= 4
+    high = [fac for fac in factors if len(fac) - 1 > max_degree]
     l2 = math.isqrt(sum(c * c for c in S)) + 1
     B = 16 * (l2 + 1)
     k = 1
     while p**k <= 2 * B:
         k += 1
-    lifted = _lift_factors(S, factors, p, k)
     M = p ** (1 << _ceil_log2(k))
-    degs = [len(x) - 1 for x in lifted]
+    block = [reduce(lambda a, b: mp_mul(a, b, p), high)] if high else []
+    lifted = _lift_factors(mp_norm([c * pow(L, -1, M) for c in S], M), low + block, p, k)
+    degs = [len(x) - 1 for x in low]
     out = []
-    rem = Poly(QQ, [Fraction(c) for c in S])
+    rem = Poly.from_ints(QQ, S)
     seen = set()
-    idxs = range(len(lifted))
     for rsize in (1, 2, 3, 4):
-        for combo in itertools.combinations(idxs, rsize):
-            dsum = sum(degs[i] for i in combo)
-            if dsum > max_degree:
+        for combo in itertools.combinations(range(len(low)), rsize):
+            if sum(degs[i] for i in combo) > max_degree:
                 continue
-            prod = (1,)
+            prod = (L % M,)
             for i in combo:
                 prod = mp_mul(prod, lifted[i], M)
             cand = tuple(_center(c, M) for c in prod)
             if cand in seen:
                 continue
             seen.add(cand)
-            g = Poly(QQ, [Fraction(c) for c in cand])
+            g = Poly.from_ints(QQ, cand).monic()
             if not _is_irreducible_low(g):
                 continue
             if g.divides(rem):
@@ -976,7 +977,7 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) 
 
 
 def _is_irreducible_low(g: Poly) -> bool:
-    """Irreducibility over Q for degree <= 4 monic integer polynomials."""
+    """Irreducibility over Q for monic rational polynomials of degree <= 4."""
     d = g.degree
     if d == 1:
         return True
@@ -984,8 +985,10 @@ def _is_irreducible_low(g: Poly) -> bool:
         disc = g.coeffs[1] ** 2 - 4 * g.coeffs[0]
         return not rational_is_square(disc)
     if d == 3:
-        c = [int(x) for x in g.coeffs]
-        return not integer_cubic_roots(c[2], c[1], c[0])
+        # a root x of c3 x^3 + c2 x^2 + c1 x + c0 gives the integer root
+        # c3 x of y^3 + c2 y^2 + c3 c1 y + c3^2 c0
+        c0, c1, c2, c3 = _int_coeffs(g)
+        return not integer_cubic_roots(c2, c3 * c1, c3 * c3 * c0)
     if d == 4:
         return not low_degree_factors(g, 2)
     return False

@@ -18,9 +18,9 @@ from mqtorsion.ellcurve import (
     minimal_disc,
     minimal_model,
     points_over_code_domain,
+    quadratic_reduction_counts,
     quadratic_twist,
     reduce_mod_p,
-    reduce_quadratic_curve,
     short_curve,
     short_model,
     torsion_over_tower,
@@ -31,8 +31,9 @@ from mqtorsion.ellcurve import (
 from mqtorsion.groups import AbGroupStructure, structure_from_elements
 from mqtorsion.intutil import factorize, is_prime, is_squarefree
 from mqtorsion.mwtors import model_registry
-from mqtorsion.poly import QQ, code_domain
+from mqtorsion.poly import QQ, TowerDomain, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
+from reference import reduce_quadratic_curve
 
 X11 = (0, -1, -1, 0, 0)  # y^2 - y = x^3 - x^2
 X14 = (0, 0, 0, -675, 13662)
@@ -208,6 +209,59 @@ class TestReduction:
         assert len(inert) >= 1
         with pytest.raises(BadReduction):
             reduce_quadratic_curve(c, 5, 5, 1)  # ramified
+
+
+def _reference_counts(E, d, p):
+    """#E(F_p) over the table-built reductions, or None at bad reduction."""
+    try:
+        return [len(points_over_code_domain(r)) for r in reduce_quadratic_curve(E, d, p, 1)]
+    except BadReduction:
+        return None
+
+
+def _counts(ainvs, d, p):
+    try:
+        return quadratic_reduction_counts(ainvs, d, p)
+    except BadReduction:
+        return None
+
+
+_QUADRATIC_FIELDS = (-15, -7, -3, -1, 2, 3, 5, 13)
+_SMALL_FRACTIONS = st.builds(Fr, st.integers(-12, 12), st.sampled_from([1, 1, 1, 2, 3, 5, 7]))
+
+
+class TestQuadraticReductionCounts:
+    """The character-sum counts against the F_p-table reductions they
+    replace."""
+
+    def test_exceptional_curves_at_every_odd_prime_below_200(self):
+        from mqtorsion.classify import exceptional_registry
+
+        pairs = bad = 0
+        for c in exceptional_registry():
+            curve = c.curve()
+            for p in range(3, 200, 2):
+                if is_prime(p):
+                    expect = _reference_counts(curve, c.base_d, p)
+                    assert _counts(c.ainvs, c.base_d, p) == expect, (c.name, p)
+                    pairs += 1
+                    bad += expect is None
+        assert pairs == 180 and 0 < bad < pairs
+
+    @PROPERTY
+    @given(
+        d=st.sampled_from(_QUADRATIC_FIELDS),
+        ainvs=st.lists(st.tuples(_SMALL_FRACTIONS, _SMALL_FRACTIONS), min_size=5, max_size=5),
+        p=st.sampled_from([p for p in range(3, 60, 2) if is_prime(p)]),
+    )
+    def test_random_curves_over_quadratic_fields(self, d, ainvs, p):
+        K = MultiQuadField([d])
+        s = K.sqrt_gen(d)
+        try:
+            curve = EllipticCurve(TowerDomain(K), [K.from_rational(x) + K.from_rational(y) * s for x, y in ainvs])
+        except CurveError:
+            return  # singular over Q(sqrt d)
+        assert _counts(ainvs, d, p) == _reference_counts(curve, d, p)
 
 
 class TestTwists:

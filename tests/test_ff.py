@@ -145,7 +145,7 @@ class TestTables:
     def test_tables_agree_with_elements(self, p, k):
         F = make_field(p, k)
         T = tables(F)
-        els = T.elems
+        els = list(F.elements())
         step = max(1, len(els) // 11)
         for i in range(0, len(els), step):
             for j in range(0, len(els), step):
@@ -208,3 +208,11 @@ class TestQuadraticExtension:
         for s in list(sq)[:: max(1, len(sq) // 23)]:
             r = E.sqrt(s)
             assert r is not None and E.mul(r, r) == s
+
+    @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+    def test_norm_square_test_matches_the_root_table(self, p, k):
+        E = quadratic_extension(make_field(p, k))
+        els = list(E.elements())
+        squares = {E.mul(y, y) for y in els}
+        for x in els:
+            assert E.is_square(x) == (x in squares) == (E.sqrt(x) is not None), x

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqtorsion import poly
+from reference import low_degree_factors_monic_associate
 from mqtorsion.ff import make_field
 from mqtorsion.intutil import is_prime
 from mqtorsion.qfield import MultiQuadField
@@ -289,8 +290,8 @@ class TestFactorExtraction:
 
 
 class TestLeadingCoefficients:
-    """The monic associate stays integral, however large the leading
-    coefficient."""
+    """Factors come out exact however large the leading coefficient: the
+    primitive polynomial is factored and lifted, with no monic associate."""
 
     @pytest.mark.parametrize("lead", [49, 3**40, 10**400])
     def test_square_leading_coefficient(self, lead):
@@ -324,24 +325,18 @@ class TestSquarefreeCertificate:
     """The certificate mod a good prime against Euclid over Q, the slow path
     it replaces."""
 
-    @staticmethod
-    def _monic_associate(f):
-        F = poly._int_coeffs(f)
-        L, n = F[-1], len(F) - 1
-        return tuple(F[i] * L ** (n - 1 - i) for i in range(n)) + (1,)
-
     @PROPERTY
     @given(A=_INT_POLYS, B=_INT_POLYS)
     def test_certified_means_euclid_finds_one_part(self, A, B):
-        G = self._monic_associate(A * B)
-        if poly._find_good_prime(G, poly.GOOD_PRIME_CAP) is not None:
-            assert poly._squarefree_parts(G) == [(G, 1)]
+        F = poly._int_coeffs(A * B)
+        if poly._find_good_prime(F, poly.GOOD_PRIME_CAP) is not None:
+            assert poly._squarefree_parts(F) == [(F, 1)]
 
     @PROPERTY
     @given(A=_INT_POLYS, B=_INT_POLYS)
     def test_repeated_factor_never_certified(self, A, B):
-        G = self._monic_associate(A * A * B)
-        assert poly._find_good_prime(G, poly.GOOD_PRIME_CAP) is None
+        F = poly._int_coeffs(A * A * B)
+        assert poly._find_good_prime(F, poly.GOOD_PRIME_CAP) is None
 
     @PROPERTY
     @given(A=_INT_POLYS, B=_INT_POLYS, square=st.booleans(), max_degree=st.integers(1, 3))
@@ -365,6 +360,42 @@ class TestSquarefreeCertificate:
         assert poly._find_good_prime(S, poly.GOOD_PRIME_CAP) is None
         assert poly._find_good_prime(S) == 131
         assert low_degree_factors(Poly.from_ints(QQ, S), 2) == [Poly.from_ints(QQ, S)]
+
+
+# integer polynomials of degree 1 to 3 with leading coefficients up to 10^30
+_WIDE_POLYS = st.tuples(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=3),
+    st.integers(1, 10**30),
+).map(lambda t: _int_poly(t[0] + [t[1]]))
+
+
+class TestPrimitiveLift:
+    """Extraction on the primitive F against the monic-associate path it
+    replaces."""
+
+    def test_exceptional_curve_norms(self):
+        from mqtorsion import classify
+
+        norms = 0
+        for c in classify.exceptional_registry():
+            E, K = c.curve(), c.field()
+            for n in (2,) if c.target == 14 else (3, 5):
+                kill = poly.kill_poly(E.b_invariants(), n, E.domain).coeffs
+                F = poly._int_coeffs(classify._tower_poly_norm(kill, K))
+                fast = poly._low_degree_factors_primitive.__wrapped__(F, 2)
+                assert fast == low_degree_factors_monic_associate(F, 2), (c.name, n)
+                norms += 1
+        assert norms == 6
+
+    @PROPERTY
+    @given(
+        factors=st.lists(_WIDE_POLYS, min_size=1, max_size=4),
+        max_degree=st.integers(1, 3),
+    )
+    def test_random_products_with_large_leading_coefficients(self, factors, max_degree):
+        F = poly._int_coeffs(math.prod(factors[1:], start=factors[0]))
+        fast = poly._low_degree_factors_primitive.__wrapped__(F, max_degree)
+        assert fast == low_degree_factors_monic_associate(F, max_degree)
 
 
 class TestSplittingField:
