@@ -48,11 +48,15 @@ class RankTable:
     def from_records(cls, records) -> "RankTable":
         seen = {}
         for rec in records:
+            if not isinstance(rec, dict) or not {"jacobian", "twist", "rank"} <= rec.keys():
+                raise ClassifyError("rank entries must be objects with jacobian, twist and rank")
             if "source" not in rec or not str(rec["source"]).strip():
                 raise ClassifyError("rank entries must carry a source")
+            if not isinstance(rec["jacobian"], str) or any(type(rec[k]) is not int for k in ("twist", "rank")):
+                raise ClassifyError("a rank entry needs a string jacobian and integer twist and rank")
             if rec["rank"] < 0:
                 raise ClassifyError("ranks are nonnegative")
-            seen[(rec["jacobian"], rec["twist"])] = (int(rec["rank"]), rec["source"])
+            seen[(rec["jacobian"], rec["twist"])] = (rec["rank"], rec["source"])
         return cls(tuple(sorted(seen.items())))
 
     def lookup(self, label: str, d: int):
@@ -76,8 +80,16 @@ def default_ranks() -> RankTable:
 
 
 def load_rank_file(path: str) -> RankTable:
-    with open(path) as fh:
-        return default_ranks().merged_with(json.load(fh)["ranks"])
+    """The default ranks merged with the records of a rank file
+    {"ranks": [...]}; ClassifyError when it cannot be read or is malformed."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ClassifyError(f"cannot read rank file {path!r}: {exc.strerror}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("ranks"), list):
+        raise ClassifyError('a rank file must be an object {"ranks": [...]}')
+    return default_ranks().merged_with(data["ranks"])
 
 
 def rank_from_table(label: str, K, table: RankTable):

@@ -2,14 +2,17 @@
 
 Exit codes: 0 success (including conditional verdicts), 1 verification
 mismatch, 2 invalid input, 3 derive mode left an open interval, 4 internal
-cross-check failure.  Identical invocations produce byte-identical output:
-keys are sorted and no timestamps are emitted.
+cross-check failure, 141 (128 + SIGPIPE) the reader of stdout went away.
+Identical invocations produce byte-identical output: keys are sorted and no
+timestamps are emitted.  Invalid input, the arguments included, gives one
+line on stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classify as classify_mod
@@ -23,6 +26,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_OPEN = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -188,8 +192,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a one-line error message, exit 2; the subcommand
+    parsers inherit it."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mqtorsion",
         description="Torsion of modular Jacobians over multi-quadratic fields",
     )
@@ -230,7 +242,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # nothing is left to say to a reader that went away; stdout goes to
+        # devnull so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ModelError, PreconditionError, QFieldError, classify_mod.ClassifyError,
             ellcurve.CurveError, hyperjac.JacError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

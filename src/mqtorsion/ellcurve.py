@@ -295,7 +295,7 @@ def _kraus2_fails(c4: int, c6: int) -> bool:
     return not ((c4 == 0 or _valuation(c4, 2) >= 4) and c6 % 32 in (0, 8))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _minimal_cached(ainvs: tuple[int, ...]) -> tuple[int, int, int, int, int]:
     E = EllipticCurve.from_ints(QQ, ainvs)
     return _int_ainvs(minimal_model(E))
@@ -397,7 +397,7 @@ def quadratic_twist(E: EllipticCurve, d: int) -> EllipticCurve:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def torsion_points_short(A: int, B: int, hint: tuple[int, ...] = ()) -> tuple:
     """All rational torsion points of y^2 = x^3 + Ax + B (integral).
 

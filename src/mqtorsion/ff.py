@@ -1,13 +1,11 @@
 """Exact arithmetic in F_p and F_{p^2} for odd primes p.
 
 F_{p^2} is realized as F_p[t]/(t^2 - r) where r is the first quadratic
-non-residue in the scan order -1, 2, 3, ..., so element printing and
-enumeration are reproducible.  A generic degree-2 extension of an arbitrary
-finite field (needed to count points over F_{q^2} when q is already p^2)
-is provided by `quadratic_extension`.
-
-All values are immutable; everything here is safe to share between threads,
-and element enumeration may be partitioned freely for parallel scans.
+non-residue in the scan order -1, 2, 3, ..., so the integer codes of the
+elements, and every table built on them, are reproducible.  Arithmetic runs
+on those codes through `tables`.  A generic degree-2 extension of an
+arbitrary table field (needed to count points over F_{q^2} when q is
+already p^2) is provided by `quadratic_extension`.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from .intutil import is_prime
 
 
 class FieldError(ValueError):
-    """Bad field construction, mixed-field arithmetic, or division by zero."""
+    """Bad field construction, or a field too large for its tables."""
 
 
 @dataclass(frozen=True)
@@ -33,25 +31,6 @@ class FieldDesc:
     @property
     def order(self) -> int:
         return self.p**self.k
-
-    def zero(self) -> "FqElem":
-        return FqElem(self, 0, 0)
-
-    def one(self) -> "FqElem":
-        return FqElem(self, 1, 0)
-
-    def from_int(self, n: int) -> "FqElem":
-        return FqElem(self, n % self.p, 0)
-
-    def elements(self):
-        """All p^k elements, c1-major then c0."""
-        if self.k == 1:
-            for c0 in range(self.p):
-                yield FqElem(self, c0, 0)
-        else:
-            for c1 in range(self.p):
-                for c0 in range(self.p):
-                    yield FqElem(self, c0, c1)
 
     def __repr__(self) -> str:
         if self.k == 1:
@@ -75,175 +54,9 @@ def make_field(p: int, k: int) -> FieldDesc:
     raise FieldError(f"no quadratic non-residue mod {p}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class FqElem:
-    """Element c0 + c1*t of F_{p^k} (c1 = 0 when k = 1)."""
-
-    field: FieldDesc
-    c0: int
-    c1: int
-
-    def _check(self, other: "FqElem") -> None:
-        if not isinstance(other, FqElem) or other.field != self.field:
-            raise FieldError("mixed-field arithmetic")
-
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0
-
-    def __add__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        p = self.field.p
-        return FqElem(self.field, (self.c0 + other.c0) % p, (self.c1 + other.c1) % p)
-
-    def __sub__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        p = self.field.p
-        return FqElem(self.field, (self.c0 - other.c0) % p, (self.c1 - other.c1) % p)
-
-    def __neg__(self) -> "FqElem":
-        p = self.field.p
-        return FqElem(self.field, -self.c0 % p, -self.c1 % p)
-
-    def __mul__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        p = self.field.p
-        if self.field.k == 1:
-            return FqElem(self.field, self.c0 * other.c0 % p, 0)
-        r = self.field.r % p
-        c0 = (self.c0 * other.c0 + r * self.c1 * other.c1) % p
-        c1 = (self.c0 * other.c1 + self.c1 * other.c0) % p
-        return FqElem(self.field, c0, c1)
-
-    def inverse(self) -> "FqElem":
-        if self.is_zero():
-            raise FieldError("division by zero")
-        p = self.field.p
-        if self.field.k == 1:
-            return FqElem(self.field, pow(self.c0, p - 2, p), 0)
-        r = self.field.r % p
-        norm = (self.c0 * self.c0 - r * self.c1 * self.c1) % p
-        ninv = pow(norm, p - 2, p)
-        return FqElem(self.field, self.c0 * ninv % p, -self.c1 * ninv % p)
-
-    def __truediv__(self, other: "FqElem") -> "FqElem":
-        self._check(other)
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "FqElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __repr__(self) -> str:
-        if self.field.k == 1 or self.c1 == 0:
-            return f"{self.c0}"
-        if self.c0 == 0:
-            return f"{self.c1}t"
-        return f"{self.c0}+{self.c1}t"
-
-
-def is_square(a: FqElem) -> bool:
-    """Euler criterion in F_p; norm-then-base test in F_{p^2}."""
-    if a.is_zero():
-        return True
-    p = a.field.p
-    if a.field.k == 1:
-        return pow(a.c0, (p - 1) // 2, p) == 1
-    r = a.field.r % p
-    norm = (a.c0 * a.c0 - r * a.c1 * a.c1) % p
-    return pow(norm, (p - 1) // 2, p) == 1
-
-
-def _sqrt_mod_p(a: int, p: int) -> int | None:
-    """Tonelli-Shanks; returns one root or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, rt = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, rt = t * c % p, rt * b % p
-    return rt
-
-
-def sqrt(a: FqElem) -> tuple[FqElem, FqElem] | None:
-    """Both square roots (s, -s) of a, or None.  s is the root whose
-    enumeration code is smallest, so the result is deterministic."""
-    field = a.field
-    p = field.p
-    if a.is_zero():
-        return (field.zero(), field.zero())
-    if field.k == 1:
-        s = _sqrt_mod_p(a.c0, p)
-        if s is None:
-            return None
-        root = FqElem(field, s, 0)
-    else:
-        r = field.r % p
-        if a.c1 == 0:
-            s = _sqrt_mod_p(a.c0, p)
-            if s is not None:
-                root = FqElem(field, s, 0)
-            else:
-                # a = (w t)^2 with w^2 = a / r; a, r both non-residues
-                w = _sqrt_mod_p(a.c0 * pow(r, p - 2, p) % p, p)
-                if w is None:
-                    return None
-                root = FqElem(field, 0, w)
-        else:
-            norm = (a.c0 * a.c0 - r * a.c1 * a.c1) % p
-            n = _sqrt_mod_p(norm, p)
-            if n is None:
-                return None
-            inv2 = pow(2, p - 2, p)
-            root = None
-            for nn in (n, (-n) % p):
-                x2 = (a.c0 + nn) * inv2 % p
-                x = _sqrt_mod_p(x2, p)
-                if x is not None and x != 0:
-                    y = a.c1 * inv2 % p * pow(x, p - 2, p) % p
-                    root = FqElem(field, x, y)
-                    break
-            if root is None:
-                return None
-    neg = -root
-    if _code(neg) < _code(root):
-        root, neg = neg, root
-    assert (root * root) == a
-    return (root, neg)
-
-
-def _code(a: FqElem) -> int:
-    return a.c0 + a.c1 * a.field.p
-
-
 # ---------------------------------------------------------------------------
 # Int-coded tables: the fast computation layer used by the curve modules.
-# Elements of F_{p^k} are coded as c0 + c1*p, matching enumeration order.
+# The element c0 + c1*t of F_{p^k} is coded as the integer c0 + c1*p.
 # ---------------------------------------------------------------------------
 
 
@@ -255,10 +68,12 @@ MAX_TABLE_ORDER = 1024
 class Tables:
     """Precomputed arithmetic tables for one F_{p^k}, q <= MAX_TABLE_ORDER.
 
-    Built on the integer codes i = c0 + c1*p, (c0, c1) = (i mod p, i div p),
-    with the formulas of `FqElem` (c1 = 0 and t^2 = r give F_p when k = 1,
-    with r = 0).  Scanning the codes in order keeps each `sqrt` tuple
-    ascending.  A larger q raises FieldError before anything is built."""
+    The code i = c0 + c1*p, (c0, c1) = (i mod p, i div p), stands for
+    c0 + c1*t with t^2 = r, so (a0 + a1 t)(b0 + b1 t) =
+    (a0 b0 + r a1 b1) + (a0 b1 + a1 b0) t and 1/a = conj(a)/norm(a); F_p is
+    the case k = 1, with c1 = 0 and r = 0.  Scanning the codes in order
+    keeps each `sqrt` tuple ascending.  A larger q raises FieldError before
+    anything is built."""
 
     def __init__(self, field: FieldDesc):
         q = field.order
@@ -285,9 +100,6 @@ class Tables:
         self.sqrt: list[tuple[int, ...]] = [tuple(rs) for rs in roots]
         self.is_sq = [bool(self.sqrt[i]) or i == 0 for i in range(q)]
 
-    def code(self, a: FqElem) -> int:
-        return _code(a)
-
     def from_int(self, n: int) -> int:
         return n % self.p
 
@@ -302,7 +114,7 @@ class Tables:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def tables(field: FieldDesc) -> Tables:
     return Tables(field)
 
@@ -381,6 +193,6 @@ class QuadExt:
         return (x[0], self.base.neg[x[1]])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def quadratic_extension(field: FieldDesc) -> QuadExt:
     return QuadExt(tables(field))

@@ -4,10 +4,11 @@ the enumeration of every divisor class over a small field and of the inert
 quadratic twist over F_p, the symmetric square with its P^1 of x-fibers,
 and Galois analysis of 2-torsion through Weierstrass points.
 
-The group law (`jac_add`, `jac_neg`, `jac_order`) is written once, over
-the polynomial kernel kit (`poly.kernels`) that each `HyperCurve` binds to
-its domain: table-bound over F_q, generic over Q and over multi-quadratic
-towers.
+The group law (`jac_add`, `jac_neg`) is written once, over the polynomial
+kernel kit (`poly.kernels`) that each `HyperCurve` binds to its domain:
+table-bound over F_q, generic over Q and over multi-quadratic towers.
+Multiples and orders are taken with `groups.scalar_mul` and
+`groups.subgroup_span` on top of it.
 
 Divisor classes are triples (u, v, n): u monic of degree <= 2, v of lower
 degree with v^2 = F mod u, and n the number of copies of the +infinity place
@@ -180,16 +181,6 @@ def jac_add(C: HyperCurve, D1, D2):
         if steps > 10:  # pragma: no cover
             raise JacError("balanced reduction failed to converge")
     return (u3, v3, Np - 1)
-
-
-def jac_order(C: HyperCurve, D, bound: int = 100000) -> int:
-    acc = D
-    ident = C.identity()
-    for k in range(1, bound + 1):
-        if acc == ident:
-            return k
-        acc = jac_add(C, acc, D)
-    raise JacError("order exceeds bound")
 
 
 def is_valid_divisor(C: HyperCurve, D) -> bool:

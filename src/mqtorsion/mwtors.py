@@ -206,7 +206,7 @@ def jac_structure(model: CurveModel, p: int, f: int) -> AbGroupStructure:
     return census(model, p, f, False).structure
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def hyper_reduction(model: CurveModel, p: int, f: int) -> hyperjac.HyperCurve:
     """A genus-2 model over F_{p^f}; BadReduction where the reduction is not
     a curve the group law accepts."""
@@ -368,7 +368,7 @@ def reduction_bound(model: CurveModel, K, primes) -> AbGroupStructure:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def genus1_twist_torsion(model: CurveModel, d: int) -> AbGroupStructure:
     """Odd part of the rational torsion of the d-twist of a genus-1 model."""
     return ellcurve.twist_odd_torsion_q(model.elliptic(), d)
@@ -385,39 +385,101 @@ def genus2_twist_reduction(model: CurveModel, d: int, p: int) -> AbGroupStructur
     return census(model, p, 2, True).structure
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
-    """(lower, upper) for J(Q)_tors of a genus-2 model: classes generated by
-    small rational points against the reduction meet at the given primes."""
+    """(lower, upper) for J(Q)_tors of a genus-2 model: the subgroup that the
+    torsion classes among the small rational-point classes generate, against
+    the reduction meet at the given primes.
+
+    The lower bound is computed in J(F_p) at one prime p, the least odd prime
+    of good reduction (p not dividing disc(F)*lc(F)) at which every generator
+    has p-integral coefficients; denominators come from x2 - x1 with
+    |x1|, |x2| <= 40, so every good p > 80 qualifies.  Over Q only one scalar
+    multiple per kept generator is computed, as a certificate.
+
+    - Injectivity.  y^2 = F(x) is smooth over Z_(p), so J has good reduction
+      at p.  The kernel of reduction J(Q_p) -> J(F_p) is the group of the
+      formal group of J on pZ_p, which the formal logarithm maps
+      isomorphically onto the torsion-free (pZ_p)^2, as the ramification
+      index e = 1 is below p - 1 (Katz, "Galois properties of torsion points
+      on abelian varieties", Invent. Math. 1981, appendix).  So reduction is
+      injective on J(Q)_tors.
+    - Coefficientwise reduction.  Let (u, v, n) have p-integral
+      coefficients.  As u is monic, F - v^2 = u*w with w p-integral, and
+      the divisor {u = 0, y = v} extends to Spec Z_(p)[x]/(u), finite and
+      flat over Z_(p), whose special fibre is {u mod p = 0, y = v mod p}.
+      The places at infinity are rational and reduce to those over F_p, so
+      the class of (u, v, n) specializes to that of the triple reduced
+      coefficientwise, and specialization on the smooth model is the
+      reduction map of J.  That triple keeps a monic u of the same degree,
+      deg v < deg u, v^2 = F mod u and the weight n, so it is the reduced
+      representative over F_p; `is_valid_divisor` checks it, and
+      CrossCheckError is raised if it fails.
+    - The greedy span.  Walk the generators in order, with H the span of the
+      torsion generators kept so far.  If red(D) lies in red(H) and D is
+      torsion, then D - h reduces to 0 for some h in H and is torsion, so
+      D = h: skipping D loses nothing, and a D of infinite order was never
+      kept.  Otherwise let k be the order of red(D).  A torsion D has order
+      exactly k, reduction being injective on the cyclic group it
+      generates; so k*D = 0 over Q holds exactly when D is torsion, and a D
+      that fails it has infinite order and is skipped.  A k above the
+      exponent of the reduction bound is not the order of any torsion class,
+      so that D is skipped without the certificate.  At the end H is the
+      span of all the torsion generators, and reduction maps it
+      isomorphically onto the span of the kept reductions, whose invariant
+      factors are read in J(F_p).
+    """
     F = model.hyper_poly()
-    C = hyperjac.rational_curve(F, model.label)
+    CQ = hyperjac.rational_curve(F, model.label)
     upper = reduction_bound(model, qfield.QQ_FIELD, primes or model.primes)
     gens = hyperjac.classes_from_rational_points(
-        C, hyperjac.search_rational_points(F, 40)
+        CQ, hyperjac.search_rational_points(F, 40)
     )
-    good = []
+    C = hyper_reduction(model, _class_reduction_prime(model, gens), 1)
+    add, zero = partial(hyperjac.jac_add, C), C.identity()
+    add_q, zero_q = partial(hyperjac.jac_add, CQ), CQ.identity()
+    kept = []
+    span = {zero}
     for D in gens:
-        try:
-            k = hyperjac.jac_order(C, D, upper.exponent)
-        except hyperjac.JacError:
+        r = _reduce_class(C, D)
+        if r in span:
             continue
-        if k > 1:
-            good.append(D)
-    span = subgroup_span(
-        good,
-        lambda a, b: hyperjac.jac_add(C, a, b),
-        C.identity(),
-        cap=upper.order,
-    )
-    if span is None:  # pragma: no cover
-        raise CrossCheckError(f"{model.label}: rational span exceeds reduction bound")
-    lower = structure_from_elements(
-        sorted(span), lambda a, b: hyperjac.jac_add(C, a, b), C.identity()
-    )
-    return lower, upper
+        multiples = subgroup_span([r], add, zero, cap=upper.exponent)
+        if multiples is None or scalar_mul(len(multiples), D, add_q, lambda x: add_q(x, x), zero_q) != zero_q:
+            continue
+        kept.append(r)
+        span = subgroup_span(kept, add, zero, cap=upper.order)
+        if span is None:  # pragma: no cover
+            raise CrossCheckError(f"{model.label}: rational span exceeds reduction bound")
+    return structure_from_elements(sorted(span), add, zero), upper
 
 
-@lru_cache(maxsize=None)
+def _class_reduction_prime(model: CurveModel, classes) -> int:
+    """The least odd prime of good reduction, up to `ff.MAX_TABLE_ORDER`, at
+    which every coefficient of the rational classes is p-integral."""
+    den = math.lcm(*(c.denominator for u, v, _ in classes for c in (*u, *v)))
+    bad = _bad_primes(model)
+    for p in range(3, ff.MAX_TABLE_ORDER + 1, 2):
+        if is_prime(p) and p not in bad and den % p:
+            return p
+    raise ModelError(f"{model.label}: no good odd prime up to {ff.MAX_TABLE_ORDER} reduces its rational classes")
+
+
+def _reduce_class(C: hyperjac.HyperCurve, D):
+    """The p-integral Mumford triple D over Q, reduced coefficientwise onto
+    C over F_p."""
+    dom = C.domain
+    u, v = (
+        poly.pnormalize(dom, [dom.div(dom.from_int(c.numerator), dom.from_int(c.denominator)) for c in part])
+        for part in D[:2]
+    )
+    out = (u, v, D[2])
+    if not hyperjac.is_valid_divisor(C, out):
+        raise CrossCheckError(f"{C.label}: {D} does not reduce to a divisor class mod {dom.tables.p}")
+    return out
+
+
+@lru_cache(maxsize=256)
 def genus2_twist_witness(model: CurveModel, d: int, ell: int):
     """A verified ell-torsion divisor of the d-twist over Q, reconstructed by
     CRT from twisted ell-torsion at several primes and certified over the
@@ -428,6 +490,7 @@ def genus2_twist_witness(model: CurveModel, d: int, ell: int):
     K = qfield.MultiQuadField([d])
     F = model.hyper_poly()
     CK = hyperjac.tower_curve(F, K, model.label)
+    add, zero = partial(hyperjac.jac_add, CK), CK.identity()
     s = K.sqrt_gen(d)
     sinv = K.one() / s
     primes = [p for p in (3, 5, 7, 11, 13, 17, 19) if _good_twist_prime(model, d, p)]
@@ -455,10 +518,8 @@ def genus2_twist_witness(model: CurveModel, d: int, ell: int):
             D = (u, v, 0)
             if not hyperjac.is_valid_divisor(CK, D):
                 continue
-            try:
-                if hyperjac.jac_order(CK, D, ell) != ell:
-                    continue
-            except hyperjac.JacError:
+            # ell is prime, so D != 0 with ell*D = 0 has order exactly ell
+            if D == zero or scalar_mul(ell, D, add, lambda x: add(x, x), zero) != zero:
                 continue
             signs = (-1,)  # the conjugation negating sqrt(d)
             Dsig = (
@@ -482,14 +543,14 @@ def _good_twist_prime(model: CurveModel, d: int, p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _zeta_orders(model: CurveModel, p: int) -> tuple[int, int]:
     """(#J(F_p), twisted order L(-1)) from the zeta oracle; cheap."""
     z = hyperjac.zeta_order(hyper_reduction(model, p, 1))
     return z[3], z[4]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGroupStructure:
     """Upper bound on the ell-part of the d-twist's rational torsion.
 

@@ -128,7 +128,7 @@ class CodeDomain:
         return f"Code({self.field!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def code_domain(field: ff.FieldDesc) -> CodeDomain:
     return CodeDomain(field)
 
@@ -619,7 +619,7 @@ def kill_poly(b, n: int, dom=QQ) -> Poly:
     return Poly(dom, f)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def primitive_kernel_poly_b(b, n: int) -> Poly:
     """Roots are the x-coordinates of points of exact order n (n >= 2)."""
     if n < 2:

@@ -14,6 +14,7 @@ generators and its embeddings, and an element only its hash.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -528,16 +529,22 @@ def hyperplane_avoiding(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple
 
 # generators are factored by trial division; this keeps that prompt
 MAX_GENERATOR = 10**6
+# one generator; int() alone would also take "3_0" and non-ASCII digits
+_GENERATOR = r"\s*[+-]?[0-9]+\s*"
 
 
 def parse_field(literal: str) -> MultiQuadField:
     """Parse a CLI/config field literal: "Q" or comma-separated generators,
-    each at most MAX_GENERATOR in absolute value."""
+    each an ASCII decimal integer, optionally signed and padded with
+    whitespace, at most MAX_GENERATOR in absolute value."""
     s = literal.strip()
     if s in ("Q", "q", ""):
         return QQ_FIELD
+    parts = s.split(",")
     try:
-        gens = [int(part) for part in s.split(",")]
+        if not all(re.fullmatch(_GENERATOR, part, re.ASCII) for part in parts):
+            raise ValueError
+        gens = [int(part) for part in parts]  # ValueError past int's digit limit
     except ValueError as exc:
         raise QFieldError(f"bad field literal {literal!r}") from exc
     for d in gens:

@@ -10,15 +10,27 @@
 - Low-degree factor extraction on the monic associate
   G(x) = L^(n-1) F(x/L) of the primitive F.  Production factors and lifts F
   itself, whose coefficients do not grow with the leading coefficient L.
+- The rational-classes lower bound of a genus-2 model, over Q: each class's
+  order by repeated addition (`jac_order`), then the span and its census
+  over Q.  Production reduces the classes at one good odd prime, spans and
+  censuses them in J(F_p), and certifies each kept order over Q by one
+  scalar multiple.
+- Finite-field elements as objects (`FqElem`), with Euler's criterion and
+  Tonelli-Shanks square roots: the arithmetic that the integer-coded
+  `ff.Tables` are checked against.
 """
 
 from fractions import Fraction
 from itertools import combinations
 import math
 
-from mqtorsion import ff
+from dataclasses import dataclass
+
+from mqtorsion import ff, hyperjac, mwtors, qfield
 from mqtorsion.ellcurve import BadReduction, CurveError, EllipticCurve
-from mqtorsion.hyperjac import JacError, _pair_classes, zeta_order
+from mqtorsion.ff import FieldDesc, FieldError
+from mqtorsion.groups import structure_from_elements, subgroup_span
+from mqtorsion.hyperjac import JacError, _pair_classes, jac_add, zeta_order
 from mqtorsion.poly import (
     GOOD_PRIME_CAP,
     QQ,
@@ -154,3 +166,220 @@ def _monic_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> li
             if g.divides(rem):
                 out.append(g)
     return out
+
+
+def jac_order(C, D, bound: int = 100000) -> int:
+    """The order of D by repeated addition; JacError above `bound`."""
+    acc = D
+    ident = C.identity()
+    for k in range(1, bound + 1):
+        if acc == ident:
+            return k
+        acc = jac_add(C, acc, D)
+    raise JacError("order exceeds bound")
+
+
+def genus2_rational_torsion_bounds_over_q(model, primes: tuple = ()):
+    """`mwtors.genus2_rational_torsion_bounds` computed over Q: the classes
+    of finite order up to the exponent of the reduction bound, their span
+    and its census, all with rational Cantor steps."""
+    F = model.hyper_poly()
+    C = hyperjac.rational_curve(F, model.label)
+    upper = mwtors.reduction_bound(model, qfield.QQ_FIELD, primes or model.primes)
+    gens = hyperjac.classes_from_rational_points(C, hyperjac.search_rational_points(F, 40))
+    good = []
+    for D in gens:
+        try:
+            k = jac_order(C, D, upper.exponent)
+        except JacError:
+            continue
+        if k > 1:
+            good.append(D)
+    add = lambda a, b: jac_add(C, a, b)
+    span = subgroup_span(good, add, C.identity(), cap=upper.order)
+    if span is None:
+        raise mwtors.CrossCheckError(f"{model.label}: rational span exceeds reduction bound")
+    return structure_from_elements(sorted(span), add, C.identity()), upper
+
+
+# ---------------------------------------------------------------------------
+# Finite-field elements as objects
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FqElem:
+    """Element c0 + c1*t of F_{p^k} (c1 = 0 when k = 1), t^2 = field.r."""
+
+    field: FieldDesc
+    c0: int
+    c1: int
+
+    def _check(self, other: "FqElem") -> None:
+        if not isinstance(other, FqElem) or other.field != self.field:
+            raise FieldError("mixed-field arithmetic")
+
+    def is_zero(self) -> bool:
+        return self.c0 == 0 and self.c1 == 0
+
+    def __add__(self, other: "FqElem") -> "FqElem":
+        self._check(other)
+        p = self.field.p
+        return FqElem(self.field, (self.c0 + other.c0) % p, (self.c1 + other.c1) % p)
+
+    def __sub__(self, other: "FqElem") -> "FqElem":
+        self._check(other)
+        p = self.field.p
+        return FqElem(self.field, (self.c0 - other.c0) % p, (self.c1 - other.c1) % p)
+
+    def __neg__(self) -> "FqElem":
+        p = self.field.p
+        return FqElem(self.field, -self.c0 % p, -self.c1 % p)
+
+    def __mul__(self, other: "FqElem") -> "FqElem":
+        self._check(other)
+        p = self.field.p
+        if self.field.k == 1:
+            return FqElem(self.field, self.c0 * other.c0 % p, 0)
+        r = self.field.r % p
+        c0 = (self.c0 * other.c0 + r * self.c1 * other.c1) % p
+        c1 = (self.c0 * other.c1 + self.c1 * other.c0) % p
+        return FqElem(self.field, c0, c1)
+
+    def inverse(self) -> "FqElem":
+        if self.is_zero():
+            raise FieldError("division by zero")
+        p = self.field.p
+        if self.field.k == 1:
+            return FqElem(self.field, pow(self.c0, p - 2, p), 0)
+        r = self.field.r % p
+        norm = (self.c0 * self.c0 - r * self.c1 * self.c1) % p
+        ninv = pow(norm, p - 2, p)
+        return FqElem(self.field, self.c0 * ninv % p, -self.c1 * ninv % p)
+
+    def __truediv__(self, other: "FqElem") -> "FqElem":
+        self._check(other)
+        return self * other.inverse()
+
+    def __pow__(self, n: int) -> "FqElem":
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = one(self.field)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    @property
+    def code(self) -> int:
+        """The integer code c0 + c1*p of the element in `ff.Tables`."""
+        return self.c0 + self.c1 * self.field.p
+
+
+def zero(field: FieldDesc) -> FqElem:
+    return FqElem(field, 0, 0)
+
+
+def one(field: FieldDesc) -> FqElem:
+    return FqElem(field, 1, 0)
+
+
+def from_int(field: FieldDesc, n: int) -> FqElem:
+    return FqElem(field, n % field.p, 0)
+
+
+def elements(field: FieldDesc):
+    """All p^k elements, c1-major then c0: the order of the table codes."""
+    for c1 in range(field.p if field.k == 2 else 1):
+        for c0 in range(field.p):
+            yield FqElem(field, c0, c1)
+
+
+def is_square(a: FqElem) -> bool:
+    """Euler criterion in F_p; norm-then-base test in F_{p^2}."""
+    if a.is_zero():
+        return True
+    p = a.field.p
+    if a.field.k == 1:
+        return pow(a.c0, (p - 1) // 2, p) == 1
+    r = a.field.r % p
+    norm = (a.c0 * a.c0 - r * a.c1 * a.c1) % p
+    return pow(norm, (p - 1) // 2, p) == 1
+
+
+def _sqrt_mod_p(a: int, p: int) -> int | None:
+    """Tonelli-Shanks; returns one root or None."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    # write p-1 = q * 2^s
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, rt = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, tt = 0, t
+        while tt != 1:
+            tt = tt * tt % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, rt = t * c % p, rt * b % p
+    return rt
+
+
+def sqrt(a: FqElem) -> tuple[FqElem, FqElem] | None:
+    """Both square roots (s, -s) of a, or None; s has the smaller code."""
+    field = a.field
+    p = field.p
+    if a.is_zero():
+        return (zero(field), zero(field))
+    if field.k == 1:
+        s = _sqrt_mod_p(a.c0, p)
+        if s is None:
+            return None
+        root = FqElem(field, s, 0)
+    else:
+        r = field.r % p
+        if a.c1 == 0:
+            s = _sqrt_mod_p(a.c0, p)
+            if s is not None:
+                root = FqElem(field, s, 0)
+            else:
+                # a = (w t)^2 with w^2 = a / r; a, r both non-residues
+                w = _sqrt_mod_p(a.c0 * pow(r, p - 2, p) % p, p)
+                if w is None:
+                    return None
+                root = FqElem(field, 0, w)
+        else:
+            norm = (a.c0 * a.c0 - r * a.c1 * a.c1) % p
+            n = _sqrt_mod_p(norm, p)
+            if n is None:
+                return None
+            inv2 = pow(2, p - 2, p)
+            root = None
+            for nn in (n, (-n) % p):
+                x2 = (a.c0 + nn) * inv2 % p
+                x = _sqrt_mod_p(x2, p)
+                if x is not None and x != 0:
+                    y = a.c1 * inv2 % p * pow(x, p - 2, p) % p
+                    root = FqElem(field, x, y)
+                    break
+            if root is None:
+                return None
+    neg = -root
+    if neg.code < root.code:
+        root, neg = neg, root
+    assert (root * root) == a
+    return (root, neg)

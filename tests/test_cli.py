@@ -1,14 +1,43 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mqtorsion.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# derandomized, so that every run draws the same examples
+PROPERTY = settings(
+    derandomize=True, database=None, deadline=None, max_examples=40,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_bad_input(capsys, *argv):
+    """(exit code, stdout, stderr) of a call that argparse may end by exit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 2 and out == "", (code, out, err)
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err, err
 
 
 class TestJacStructure:
@@ -202,3 +231,84 @@ class TestVerify:
     def test_unknown_group_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--only", "bogus")
         assert code == 2
+
+
+class TestBadInput:
+    """Malformed arguments and files exit 2 with one line on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("bogus",),
+        ("torsion",),
+        ("torsion", "--model", "X1(11)"),
+        ("torsion", "--model", "X1(11)", "--field=Q", "--mode", "bogus"),
+        ("torsion", "--model", "X1(11)", "--field=Q", "--format", "xml"),
+        ("torsion", "--model", "X1(11)", "--field=Q", "--bogus"),
+        ("torsion", "--model", "X1(11)", "--field=3_0"),
+        ("torsion", "--model", "X1(11)", "--field=\u0663"),
+        ("torsion", "--model", "X1(11)", "--field=Q", "--primes", ","),
+        ("jac-structure", "--model", "X1(13)", "--prime", "abc"),
+        ("jac-structure", "--model", "X1(13)", "--prime", "3", "--deg", "x"),
+        ("jac-structure", "--model", "X1(13)"),
+        ("classify", "--torsion", "14"),
+        ("classify", "--torsion", "14", "--field=Q", "--ranks", "/nonexistent/ranks.json"),
+        ("verify", "--only"),
+    ])
+    def test_malformed_arguments(self, capsys, argv):
+        assert_one_line_error(*run_bad_input(capsys, *argv))
+
+    @pytest.mark.parametrize("content", [
+        "", "[]", '{"ranks": 5}', '{"ranks": [5]}',
+        '{"ranks": [{"jacobian": "X1(11)", "twist": 1, "source": "s"}]}',
+        '{"ranks": [{"jacobian": "X1(11)", "twist": 1, "rank": "0", "source": "s"}]}',
+        '{"ranks": [{"jacobian": ["X1(11)"], "twist": 1, "rank": 0, "source": "s"}]}',
+        '{"ranks": [{"jacobian": "X1(11)", "twist": "1", "rank": 0, "source": "s"}]}',
+    ])
+    def test_malformed_rank_file(self, capsys, tmp_path, content):
+        path = tmp_path / "ranks.json"
+        path.write_text(content)
+        assert_one_line_error(*run_bad_input(capsys, "classify", "--torsion", "11", "--field=Q", "--ranks", str(path)))
+
+    def test_rank_file_is_a_directory(self, capsys, tmp_path):
+        assert_one_line_error(*run_bad_input(capsys, "classify", "--torsion", "11", "--field=Q", "--ranks", str(tmp_path)))
+
+    @PROPERTY
+    @given(st.text(alphabet="0123456789,+- Qq_x.\u0663", min_size=1, max_size=12))
+    def test_fuzzed_field(self, capsys, literal):
+        code, out, err = run_bad_input(capsys, "torsion", "--model", "X1(11)", f"--field={literal}", "--mode", "table")
+        if code != 0:
+            assert_one_line_error(code, out, err)
+
+    @PROPERTY
+    @given(
+        st.sampled_from(["--primes", "--mode", "--format", "--model"]),
+        st.text(alphabet="0123456789,-xX1() ", max_size=2),
+    )
+    def test_fuzzed_torsion_option(self, capsys, option, value):
+        argv = {"--model": "X1(11)", "--field": "-1", "--primes": "3,5", "--mode": "derive", "--format": "json"}
+        argv[option] = value
+        code, out, err = run_bad_input(capsys, "torsion", *(f"{k}={v}" for k, v in argv.items()))
+        if code not in (0, 3):
+            assert_one_line_error(code, out, err)
+
+    @PROPERTY
+    @given(st.sampled_from(["--torsion", "--field", "--ranks"]), st.text(alphabet="0123456789x,-Q ", max_size=4))
+    def test_fuzzed_classify_option(self, capsys, option, value):
+        argv = {"--torsion": "11", "--field": "-1", "--ranks": "defaults"}
+        argv[option] = value
+        code, out, err = run_bad_input(capsys, "classify", *(f"{k}={v}" for k, v in argv.items()))
+        if code != 0:
+            assert_one_line_error(code, out, err)
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that goes away before the output is written: no traceback,
+    and the exit code 141 (128 + SIGPIPE), outside the codes 0-4."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = [sys.executable, "-m", "mqtorsion.cli", "torsion", "--model", "X1(16)", "--field=Q",
+            "--primes", "7", "--mode", "derive", "--format", "json"]
+    run = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    assert (run.returncode, run.stderr) == (141, b"")

@@ -2,7 +2,8 @@
 and over F_49, F_121 and F_25 (the lazy Sylow census of J(F_{p^2}); over
 F_25 its 2-Sylow subgroup has 128 elements), the inert twists of X1(18) at
 p = 5 to 13, the genus-2 twist loops restricted to K_S (X1(18) over a
-degree-16 field), the 2-primary descent through tower fields up to
+degree-16 field), the rational classes of X1(16) and X1(18) reduced under
+non-default primes, the 2-primary descent through tower fields up to
 Q(sqrt(-1), sqrt(2), sqrt(-3), sqrt(5)) of degree 16, the classification
 tables of models.json, the classify verdicts built on the exceptional
 curves, and the full `verify --all` report (the torsion matrix and the
@@ -31,6 +32,8 @@ CALLS = {
     "torsion_derive_X1-18_K-1,2,3.json": "torsion --model X1(18) --field=-1,2,3 --mode derive --format json",
     "torsion_derive_X1-18_K-2,-3,5.json": "torsion --model X1(18) --field=-2,-3,5 --mode derive --format json",
     "torsion_derive_X1-18_K2,13,-15,23.json": "torsion --model X1(18) --field=2,13,-15,23 --mode derive --format json",
+    "torsion_derive_X1-16_Q_p7.json": "torsion --model X1(16) --field=Q --primes 7 --mode derive --format json",
+    "torsion_derive_X1-18_Q_p5,13.json": "torsion --model X1(18) --field=Q --primes 5,13 --mode derive --format json",
     "jac_structure_X1-18_p7_deg2.json": "jac-structure --model X1(18) --prime 7 --deg 2",
     "jac_structure_X1-18_p11_deg2.json": "jac-structure --model X1(18) --prime 11 --deg 2",
     "jac_structure_X1-16_p5_deg2.json": "jac-structure --model X1(16) --prime 5 --deg 2",

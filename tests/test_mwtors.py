@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqtorsion.ellcurve import torsion_over_tower
-from mqtorsion.groups import AbGroupStructure
-from mqtorsion.intutil import is_squarefree
+from mqtorsion import hyperjac, mwtors
+from mqtorsion.ellcurve import BadReduction, torsion_over_tower
+from mqtorsion.groups import AbGroupStructure, subgroup_span
+from mqtorsion.intutil import is_prime, is_squarefree
 from mqtorsion.mwtors import (
     CrossCheckError,
     CurveModel,
+    genus2_rational_torsion_bounds,
     twist_odd_torsion,
     ModelError,
     PreconditionError,
@@ -29,6 +31,7 @@ from mqtorsion.mwtors import (
     verify_model_integrity,
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
+from reference import genus2_rational_torsion_bounds_over_q, jac_order
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -294,3 +297,95 @@ class TestRandomFieldsDeriveEqualsTable:
                 tab = table_lookup(label, K)
                 if tab is not None:
                     assert r.lower == torsion_table(label, K, "table").lower, (label, K.gens)
+
+
+def genus2_model(coeffs):
+    """The genus-2 model y^2 = F(x), with its first two good odd primes as
+    the reduction primes; JacError when F is singular."""
+    bare = CurveModel("test", (1, 1), 2, None, None, tuple(coeffs), "test")
+    hyperjac.rational_curve(bare.hyper_poly())
+    bad = mwtors._bad_primes(bare)
+    primes = tuple(p for p in range(3, 200, 2) if is_prime(p) and p not in bad)[:2]
+    return CurveModel("test", (1, 1), 2, None, None, tuple(coeffs), "test", primes=primes)
+
+
+class TestRationalClassesOverFp:
+    """The rational-classes bounds, computed in J(F_p) and certified over Q,
+    against the span and census over Q of `tests/reference.py`."""
+
+    @pytest.mark.parametrize("label", ["X1(13)", "X1(16)", "X1(18)"])
+    @pytest.mark.parametrize("primes", [(), (7,), (5, 13), (7, 11)])
+    def test_builtin_models_match_the_reference(self, label, primes):
+        model = get_model(label)
+        try:
+            expect = genus2_rational_torsion_bounds_over_q(model, primes)
+        except (BadReduction, ModelError) as exc:  # the primes are not good here
+            with pytest.raises(type(exc)):
+                genus2_rational_torsion_bounds(model, primes)
+            return
+        assert genus2_rational_torsion_bounds(model, primes) == expect
+
+    @settings(PROPERTY, max_examples=25)
+    @given(
+        st.sampled_from((5, 6)).flatmap(
+            lambda deg: st.lists(st.integers(-4, 4), min_size=deg, max_size=deg)
+        ),
+        st.integers(0, 3),
+    )
+    def test_random_integral_curves_match_the_reference(self, coeffs, y0):
+        # y^2 = F(x) with F(0) = y0^2: the point (0, y0) is rational
+        coeffs = [y0 * y0, *coeffs[1:], 1]
+        try:
+            model = genus2_model(coeffs)
+            expect = genus2_rational_torsion_bounds_over_q(model)
+        except (hyperjac.JacError, ModelError):
+            return  # singular, or a prime-free part of the bound
+        assert genus2_rational_torsion_bounds(model) == expect
+
+    def test_a_class_of_infinite_order_is_refused_by_its_certificate(self):
+        """On y^2 = x^5 + 3x^4 + 2x^3 - x^2 + 4, J(Q)_tors >= Z/2 and the bound
+        is Z/14; classes of infinite order reduce mod 5 to classes of order at
+        most 14, outside the span of the torsion classes: only the
+        certificate over Q rejects them."""
+        model = genus2_model([4, 0, -1, 2, 3, 1])
+        lower, upper = genus2_rational_torsion_bounds_over_q(model)
+        CQ = hyperjac.rational_curve(model.hyper_poly())
+        gens = hyperjac.classes_from_rational_points(CQ, hyperjac.search_rational_points(model.hyper_poly(), 40))
+        C = mwtors.hyper_reduction(model, mwtors._class_reduction_prime(model, gens), 1)
+        add = lambda a, b: hyperjac.jac_add(C, a, b)
+        torsion = [mwtors._reduce_class(C, D) for D in gens if self._finite(CQ, D, upper.exponent)]
+        span = subgroup_span(torsion, add, C.identity())
+        refused = [
+            D for D in gens
+            if not self._finite(CQ, D, upper.exponent)
+            and mwtors._reduce_class(C, D) not in span
+            and subgroup_span([mwtors._reduce_class(C, D)], add, C.identity(), cap=upper.exponent)
+        ]
+        assert refused
+        assert genus2_rational_torsion_bounds(model) == (lower, upper)
+
+    @staticmethod
+    def _finite(C, D, bound):
+        try:
+            jac_order(C, D, bound)
+            return True
+        except hyperjac.JacError:
+            return False
+
+    def test_few_cantor_steps_over_q(self, monkeypatch):
+        """The three builtin models make at most 40 Cantor steps over Q in
+        all: one scalar multiple per kept generator."""
+        over_q = []
+        add = hyperjac.jac_add
+
+        def counted(C, D1, D2):
+            if not hasattr(C.domain, "tables"):
+                over_q.append(C.label)
+            return add(C, D1, D2)
+
+        monkeypatch.setattr(hyperjac, "jac_add", counted)
+        genus2_rational_torsion_bounds.cache_clear()
+        for label in ("X1(13)", "X1(16)", "X1(18)"):
+            genus2_rational_torsion_bounds(get_model(label))
+        genus2_rational_torsion_bounds.cache_clear()
+        assert 0 < len(over_q) <= 40

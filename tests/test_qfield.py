@@ -225,12 +225,43 @@ class TestHyperplane:
             hyperplane_avoiding(2, (0, 0), (1, 0))
 
 
+def _field_of_literal(literal: str) -> MultiQuadField:
+    """The documented grammar of a field literal, written out by hand."""
+    s = literal.strip()
+    if s in ("Q", "q", ""):
+        return QQ_FIELD
+    gens = []
+    for part in s.split(","):
+        body = part.strip(" \t\n\r\x0b\x0c")
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if not digits or not all(c in "0123456789" for c in digits):
+            raise QFieldError(literal)
+        d = int(body)
+        if abs(d) > 10**6:
+            raise QFieldError(literal)
+        gens.append(d)
+    return MultiQuadField(gens)  # QFieldError on 0, 1 or a square factor
+
+
 class TestParseField:
     def test_literals(self):
         assert parse_field("Q") == QQ_FIELD
         assert parse_field("-1,2") == MultiQuadField([-1, 2])
         with pytest.raises(QFieldError):
             parse_field("1,x")
+
+    @PROPERTY
+    @given(st.text(alphabet="0123456789,+- \tQq_x\u0663\u00a0", max_size=16))
+    def test_fuzzed_literals(self, literal):
+        """Any text parses to the field its ASCII decimal generators name, or
+        raises QFieldError; nothing else escapes."""
+        try:
+            expect = _field_of_literal(literal)
+        except QFieldError:
+            with pytest.raises(QFieldError):
+                parse_field(literal)
+            return
+        assert parse_field(literal) == expect
 
     def test_all_subfields_dedup(self):
         fields = all_subfields((-1, 2, -2))
