@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ff, poly, qfield
-from .groups import AbGroupStructure, GroupError, structure_from_elements, subgroup_span
+from .groups import AbGroupStructure, GroupError, scalar_mul, structure_from_elements, subgroup_span
 from .intutil import (
     factorize,
     integer_cubic_roots,
@@ -143,16 +143,8 @@ class EllipticCurve:
         return (x3, y3)
 
     def mul(self, n: int, P):
-        if n < 0:
-            return self.mul(-n, self.neg(P))
-        out = INF
-        base = P
-        while n:
-            if n & 1:
-                out = self.add(out, base)
-            base = self.add(base, base)
-            n >>= 1
-        return out
+        """n * P for n >= 0."""
+        return scalar_mul(n, P, self.add, lambda Q: self.add(Q, Q), INF)
 
     def point_order(self, P, bound: int = 100000) -> int:
         if P is INF:
@@ -269,11 +261,11 @@ def model_from_c4c6(c4: int, c6: int, label=None) -> EllipticCurve:
     return E
 
 
-def minimal_model(E: EllipticCurve, prime_hint: tuple[int, ...] = ()) -> EllipticCurve:
+def minimal_model(E: EllipticCurve) -> EllipticCurve:
     """Global minimal model over Q (Laska-Kraus-Connell)."""
     c4, c6, disc = c4c6_disc(_int_ainvs(E))
     u = 1
-    for p in factorize(disc, hint=prime_hint):
+    for p in factorize(disc):
         m = min(_valuation(c4, p) // 4, _valuation(c6, p) // 6, _valuation(disc, p) // 12)
         u *= p**m
     while u > 1 and not _kraus_ok(c4 // u**4, c6 // u**6):
@@ -713,21 +705,6 @@ def _order_reps(E: EllipticCurve, witnesses, order: int) -> list:
             seen.add(P)
             seen.add(E.neg(P))
     return reps
-
-
-def torsion_over_tower(E: EllipticCurve, K, cap: int) -> AbGroupStructure:
-    """Exact torsion of a rational curve over the multi-quadratic field K,
-    given a proven bound `cap` on the exponent of E(K)[2^oo] (see
-    `two_primary_over_tower`): odd part through the twist decomposition,
-    E(K)[odd] = sum over the twist classes d of K of E^d(Q)[odd] (each
-    settled by `twist_odd_torsion_q`: the reduction screen, else
-    Nagell-Lutz), 2-part through the tower machinery up to the cap."""
-    A, B = short_model(E)
-    odd = AbGroupStructure.trivial()
-    for d in K.twist_classes():
-        odd = odd.direct_sum(twist_odd_torsion_q(E, d))
-    two, _ = two_primary_over_tower(A, B, K, cap)
-    return odd.direct_sum(two)
 
 
 # ---------------------------------------------------------------------------

@@ -103,16 +103,6 @@ class Tables:
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    def pow(self, a: int, n: int) -> int:
-        out = 1
-        mul = self.mul
-        while n:
-            if n & 1:
-                out = mul[out][a]
-            a = mul[a][a]
-            n >>= 1
-        return out
-
 
 @lru_cache(maxsize=256)
 def tables(field: FieldDesc) -> Tables:

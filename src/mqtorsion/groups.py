@@ -121,7 +121,6 @@ def structure_from_elements(
     elements,
     add,
     identity,
-    expected_order: int | None = None,
     max_rank: int | None = None,
     sylow: dict | None = None,
 ) -> AbGroupStructure:
@@ -145,8 +144,6 @@ def structure_from_elements(
     identity count, equal elements must compare and hash equal.)
     """
     n = len(elements)
-    if expected_order is not None and n != expected_order:
-        raise GroupError(f"element count {n} != expected order {expected_order}")
     ell_exps = factorize(n)
     if sylow is None:
         sylow = sylow_subgroups(elements, add, identity, [ell for ell, e in ell_exps.items() if e > 1])

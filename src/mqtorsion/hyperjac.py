@@ -91,10 +91,6 @@ class HyperCurve:
     def degree(self):
         return pdegree(self.F)
 
-    @property
-    def genus(self):
-        return 2
-
     def identity(self):
         return ((self.domain.one,), (), 1 if self.degree == 6 else 0)
 

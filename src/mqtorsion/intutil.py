@@ -37,15 +37,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes(start: int = 2):
-    """Yield primes >= start in increasing order."""
-    n = max(2, start)
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1
-
-
 def factorize(n: int, hint: tuple[int, ...] = ()) -> dict[int, int]:
     """Factor |n| by trial division.  `hint` primes are tried first, which keeps
     twist discriminants (known prime support) cheap."""

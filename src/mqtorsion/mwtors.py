@@ -206,15 +206,25 @@ def jac_structure(model: CurveModel, p: int, f: int) -> AbGroupStructure:
     return census(model, p, f, False).structure
 
 
-@lru_cache(maxsize=256)
 def hyper_reduction(model: CurveModel, p: int, f: int) -> hyperjac.HyperCurve:
     """A genus-2 model over F_{p^f}; BadReduction where the reduction is not
     a curve the group law accepts."""
+    C = _hyper_reduction_or_none(model, p, f)
+    if C is None:
+        raise ellcurve.BadReduction(p)
+    return C
+
+
+@lru_cache(maxsize=256)
+def _hyper_reduction_or_none(model: CurveModel, p: int, f: int):
+    """The reduction of `hyper_reduction`, or None where it is bad: a cache
+    keeps no raised exception, so a bad (model, p, f) is built and rejected
+    once, like a good one."""
     dom = code_domain(ff.make_field(p, f))
     try:
         return hyperjac.HyperCurve.from_ints(dom, model.f_coeffs, model.label)
-    except hyperjac.JacError as exc:
-        raise ellcurve.BadReduction(p) from exc
+    except hyperjac.JacError:
+        return None
 
 
 class Census:
@@ -728,11 +738,22 @@ def _bad_primes(model: CurveModel) -> frozenset:
     return frozenset(factorize(int(F.discriminant() * F.coeffs[-1])))
 
 
-@lru_cache(maxsize=256)
 def _genus1_torsion(model: CurveModel, K, cap: int) -> AbGroupStructure:
-    """Exact J(K)_tors of a genus-1 model, once per (model, K, cap), where
-    cap bounds the exponent of J(K)[2^oo] (`ellcurve.two_primary_over_tower`)."""
-    return ellcurve.torsion_over_tower(model.elliptic(), K, cap)
+    """Exact J(K)_tors of a genus-1 model, where cap bounds the exponent of
+    J(K)[2^oo] (`ellcurve.two_primary_over_tower`).  The odd part comes
+    through the twist decomposition, J(K)[odd] = sum over the twist classes
+    d of K of J^d(Q)[odd], each summand from `genus1_twist_torsion`, cached
+    per (model, d); the 2-part from the tower, cached per (model, K, cap)."""
+    odd = AbGroupStructure.trivial()
+    for d in K.twist_classes():
+        odd = odd.direct_sum(genus1_twist_torsion(model, d))
+    return odd.direct_sum(_genus1_two_primary(model, K, cap))
+
+
+@lru_cache(maxsize=256)
+def _genus1_two_primary(model: CurveModel, K, cap: int) -> AbGroupStructure:
+    A, B = ellcurve.short_model(model.elliptic())
+    return ellcurve.two_primary_over_tower(A, B, K, cap)[0]
 
 
 def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
@@ -794,6 +815,12 @@ def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
                 continue
             for ell, es in odd_upper.prime_exponents().items():
                 if es == odd_lower.prime_exponents().get(ell, []):
+                    continue
+                # no witness where the twist's ell-bound is trivial: a witness
+                # is a nonzero ell-torsion class of J^d(Q), and reduction
+                # embeds that class into a group whose ell-part is trivial
+                up = twist_ell_upper(model, d, ell, primes)
+                if up is not None and up.order == 1:
                     continue
                 witness = genus2_twist_witness(model, d, ell)
                 if witness is not None:

@@ -1,11 +1,13 @@
 """Univariate polynomials over every coefficient domain in the package.
 
 One dense-tuple engine serves prime fields and their quadratic extensions
-(int-coded elements), the rationals (Fraction), and multi-quadratic towers
-(TowerElem); `kernels` binds it to one domain for the genus-2 group law.
-On top of it: elliptic division polynomials in x-only form over any
-domain, exact factor extraction of low-degree rational factors via modular
-factorization + Hensel lifting, and splitting fields of quadratics.
+(int-coded elements), the rationals (Fraction), multi-quadratic towers
+(TowerElem) and the residues Z/m (ints, `ResidueDomain`); `kernels` binds
+it to one domain for the genus-2 group law.  On top of it: elliptic
+division polynomials in x-only form over any domain, exact factor
+extraction of low-degree rational factors via modular factorization and
+Hensel lifting on the same kernels over Z/p and Z/p^k, and splitting
+fields of quadratics.
 
 Polynomials are tuples, constant term first, no trailing zeros.
 """
@@ -20,6 +22,7 @@ from functools import lru_cache, partial, reduce
 from typing import NamedTuple
 
 from . import ff
+from .groups import scalar_mul
 from .intutil import (
     integer_cubic_roots,
     is_prime,
@@ -121,11 +124,52 @@ class CodeDomain:
     def is_zero(self, a):
         return a == 0
 
-    def elements(self):
-        return range(self.q)
-
     def __repr__(self):
         return f"Code({self.field!r})"
+
+
+class ResidueDomain:
+    """Z/m for an integer m >= 2, with ints in [0, m).
+
+    `div` inverts with pow(b, -1, m), which exists exactly when b is prime
+    to m.  So the dense kernels are exact over Z/m whenever every divisor
+    they meet has an invertible leading coefficient: pdivmod, pgcd and
+    pgcdext divide by leading coefficients, and pmonic scales by the inverse
+    of its own.  Factor extraction keeps to that: modulo a prime power p^k
+    the Hensel steps divide only by monic polynomials, and the polynomial
+    made monic there has a leading coefficient prime to p; every other
+    division is modulo a prime, where each nonzero residue is a unit."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def from_int(self, n):
+        return n % self.m
+
+    def add(self, a, b):
+        return (a + b) % self.m
+
+    def sub(self, a, b):
+        return (a - b) % self.m
+
+    def neg(self, a):
+        return -a % self.m
+
+    def mul(self, a, b):
+        return a * b % self.m
+
+    def div(self, a, b):
+        return a * pow(b, -1, self.m) % self.m
+
+    @staticmethod
+    def is_zero(a):
+        return a == 0
+
+    def __repr__(self):
+        return f"Z/{self.m}"
 
 
 @lru_cache(maxsize=256)
@@ -232,15 +276,16 @@ def pdivmod(dom, f, g):
     r = list(f)
     inv_lc = dom.div(dom.one, g[-1])
     dg = len(g) - 1
+    sub, mul = dom.sub, dom.mul
     while len(r) >= len(g):
         if dom.is_zero(r[-1]):
             r.pop()
             continue
-        c = dom.mul(r[-1], inv_lc)
+        c = mul(r[-1], inv_lc)
         k = len(r) - 1 - dg
         q[k] = c
-        for i in range(len(g)):
-            r[k + i] = dom.sub(r[k + i], dom.mul(c, g[i]))
+        for i, b in enumerate(g):
+            r[k + i] = sub(r[k + i], mul(c, b))
         r.pop()
     return pnormalize(dom, q), pnormalize(dom, r)
 
@@ -419,12 +464,6 @@ class Poly:
     def degree(self):
         return pdegree(self.coeffs)
 
-    @property
-    def lc(self):
-        if not self.coeffs:
-            raise PolyError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_zero(self):
         return not self.coeffs
 
@@ -479,9 +518,6 @@ class Poly:
 
     def __call__(self, x):
         return peval(self.domain, self.coeffs, x)
-
-    def resultant(self, other):
-        return resultant(self.domain, self.coeffs, other.coeffs)
 
     def discriminant(self):
         return discriminant(self.domain, self.coeffs)
@@ -632,93 +668,20 @@ def primitive_kernel_poly_b(b, n: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic mod p on int-tuple polynomials (used by factor extraction).
+# Factor extraction mod p and mod p^k, on the dense kernels over Z/m
 # ---------------------------------------------------------------------------
 
 
-def mp_norm(f, p):
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
-
-
-def mp_mul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return mp_norm(out, p)
-
-
-def mp_divmod(f, g, p):
-    """Quotient and remainder mod p.  The leading coefficient of g is
-    inverted as g[-1]^(p-2), which needs p prime unless g is monic; the
-    Hensel step divides only by a monic h modulo a prime power, so no
-    inverse modulo a composite is ever taken."""
-    if not g:
-        raise ZeroDivisionError
-    inv = pow(g[-1], p - 2, p)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    dg = len(g) - 1
-    while len(r) >= len(g):
-        if r[-1] % p == 0:
-            r.pop()
-            continue
-        c = r[-1] * inv % p
-        k = len(r) - 1 - dg
-        q[k] = c
-        for i in range(len(g)):
-            r[k + i] = (r[k + i] - c * g[i]) % p
-        r.pop()
-    return mp_norm(q, p), mp_norm(r, p)
-
-
-def mp_gcd(f, g, p):
-    while g:
-        f, g = g, mp_divmod(f, g, p)[1]
-    if not f:
-        return ()
-    inv = pow(f[-1], p - 2, p)
-    return mp_norm([c * inv for c in f], p)
-
-
-def mp_gcdext(f, g, p):
-    r0, r1 = mp_norm(f, p), mp_norm(g, p)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    sub = lambda a, b: mp_norm(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(max(len(a), len(b)))],
-        p,
-    )
-    while r1:
-        q, r = mp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mp_mul(q, s1, p))
-        t0, t1 = t1, sub(t0, mp_mul(q, t1, p))
-    inv = pow(r0[-1], p - 2, p)
-    sc = lambda f: mp_norm([c * inv for c in f], p)
-    return sc(r0), sc(s0), sc(t0)
-
-
-def mp_pow_mod(f, e, m, p):
-    out = (1,)
-    f = mp_divmod(f, m, p)[1]
-    while e:
-        if e & 1:
-            out = mp_divmod(mp_mul(out, f, p), m, p)[1]
-        f = mp_divmod(mp_mul(f, f, p), m, p)[1]
-        e >>= 1
-    return out
+def _powmod(dom, a, e, f):
+    """a^e mod f over dom, e >= 1, by `groups.scalar_mul`."""
+    mulmod = lambda u, v: pmod(dom, pmul(dom, u, v), f)
+    return scalar_mul(e, pmod(dom, a, f), mulmod, lambda u: mulmod(u, u), (dom.one,))
 
 
 def mp_factor_squarefree(f, p):
-    """Irreducible monic factors of a squarefree monic f mod p (odd p)."""
-    f = mp_norm(f, p)
+    """Irreducible monic factors of a squarefree monic f over F_p (odd p),
+    f a tuple over `ResidueDomain(p)`."""
+    dom = ResidueDomain(p)
     assert f and f[-1] == 1
     out = []
     x = (0, 1)
@@ -730,20 +693,15 @@ def mp_factor_squarefree(f, p):
         if 2 * d > len(rest) - 1:
             out.append(rest)
             break
-        w = mp_pow_mod(w, p, rest, p)
-        diff = mp_norm([(a - b) % p for a, b in _zippad(w, x)], p)
-        g = mp_gcd(diff, rest, p) if diff else rest
+        w = _powmod(dom, w, p, rest)
+        diff = psub(dom, w, x)
+        g = pgcd(dom, diff, rest) if diff else rest
         if len(g) > 1:
             out.extend(_equal_degree_split(g, d, p))
-            rest = mp_divmod(rest, g, p)[0]
-            w = mp_divmod(w, rest, p)[1]
+            rest = pdivmod(dom, rest, g)[0]
+            w = pmod(dom, w, rest)
     out.sort()
     return out
-
-
-def _zippad(a, b):
-    n = max(len(a), len(b))
-    return [((a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)) for i in range(n)]
 
 
 def _equal_degree_split(f, d, p):
@@ -752,21 +710,21 @@ def _equal_degree_split(f, d, p):
     n = len(f) - 1
     if n == d:
         return [f]
+    dom = ResidueDomain(p)
     rng = random.Random(f"edf:{p}:{d}:{f}")
     while True:
-        a = mp_norm([rng.randrange(p) for _ in range(n)], p)
+        a = pnormalize(dom, [rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
-        g = mp_gcd(a, f, p)
+        g = pgcd(dom, a, f)
         if not (1 <= len(g) - 1 < n):
-            b = mp_pow_mod(a, (p**d - 1) // 2, f, p)
-            b = mp_norm([(c - (1 if i == 0 else 0)) % p for i, c in enumerate(b or (0,))], p)
+            b = psub(dom, _powmod(dom, a, (p**d - 1) // 2, f), (1,))
             if not b:
                 continue
-            g = mp_gcd(b, f, p)
+            g = pgcd(dom, b, f)
             if not (1 <= len(g) - 1 < n):
                 continue
-        rest = mp_divmod(f, g, p)[0]
+        rest = pdivmod(dom, f, g)[0]
         return _equal_degree_split(g, d, p) + _equal_degree_split(rest, d, p)
 
 
@@ -777,17 +735,15 @@ def _equal_degree_split(f, d, p):
 
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to mod m^2.
-    All polynomials integer tuples; h monic, f monic."""
-    mm = m * m
-    mul = lambda a, b: mp_mul(a, b, mm)
-    sub = lambda a, b: mp_norm([x - y for x, y in _zippad(a, b)], mm)
-    add = lambda a, b: mp_norm([x + y for x, y in _zippad(a, b)], mm)
+    All polynomials tuples of residues in [0, m^2); h monic, f monic."""
+    dom = ResidueDomain(m * m)
+    add, sub, mul = (partial(fn, dom) for fn in (padd, psub, pmul))
     e = sub(f, mul(g, h))
-    q, r = mp_divmod(mul(s, e), h, mm)
+    q, r = pdivmod(dom, mul(s, e), h)
     g1 = add(g, add(mul(t, e), mul(q, g)))
     h1 = add(h, r)
     b = sub(add(mul(s, g1), mul(t, h1)), (1,))
-    c, d = mp_divmod(mul(s, b), h1, mm)
+    c, d = pdivmod(dom, mul(s, b), h1)
     s1 = sub(s, d)
     t1 = sub(t, add(mul(t, b), mul(c, g1)))
     return g1, h1, s1, t1
@@ -798,16 +754,15 @@ def _lift_factors(F, factors, p, k):
     peeling one factor at a time."""
     M = p ** (1 << _ceil_log2(k))
     if len(factors) == 1:
-        return [mp_norm(F, M)]
+        return [Poly.from_ints(ResidueDomain(M), F).coeffs]
+    Fp = ResidueDomain(p)
     g = factors[0]
-    h = factors[1]
-    for extra in factors[2:]:
-        h = mp_mul(h, extra, p)
-    _, s, t = mp_gcdext(g, h, p)
+    h = reduce(partial(pmul, Fp), factors[1:])
+    _, s, t = pgcdext(Fp, g, h)
     m = p
     G, H, S, T = g, h, s, t
     for _ in range(_ceil_log2(k)):
-        G, H, S, T = _hensel_step(mp_norm(F, m * m), G, H, S, T, m)
+        G, H, S, T = _hensel_step(Poly.from_ints(ResidueDomain(m * m), F).coeffs, G, H, S, T, m)
         m *= m
     return [G] + _lift_factors(H, factors[1:], p, k)
 
@@ -870,8 +825,9 @@ def _find_good_prime(S: tuple[int, ...], cap: int | None = None) -> int | None:
     ps = itertools.count(3, 2) if cap is None else range(3, cap, 2)
     for p in ps:
         if is_prime(p) and S[-1] % p != 0:
-            fp = mp_norm(S, p)
-            if len(mp_gcd(fp, mp_norm([i * c for i, c in enumerate(S)][1:], p), p)) == 1:
+            Fp = ResidueDomain(p)
+            fp = Poly.from_ints(Fp, S).coeffs
+            if len(pgcd(Fp, fp, pderiv(Fp, fp))) == 1:
                 return p
     return None
 
@@ -940,7 +896,8 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) 
     M > 2B, B = 16 (||S||_2 + 1), the centred residue of
     L * prod f_i is (L / lc g) * g itself, and its monic associate is g."""
     L = S[-1]
-    factors = mp_factor_squarefree(mp_norm([c * pow(L, -1, p) for c in S], p), p)
+    Fp = ResidueDomain(p)
+    factors = mp_factor_squarefree(pmonic(Fp, Poly.from_ints(Fp, S).coeffs), p)
     low = [fac for fac in factors if len(fac) - 1 <= max_degree]
     if not low:
         return []
@@ -951,8 +908,9 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) 
     while p**k <= 2 * B:
         k += 1
     M = p ** (1 << _ceil_log2(k))
-    block = [reduce(lambda a, b: mp_mul(a, b, p), high)] if high else []
-    lifted = _lift_factors(mp_norm([c * pow(L, -1, M) for c in S], M), low + block, p, k)
+    ZM = ResidueDomain(M)
+    block = [reduce(partial(pmul, Fp), high)] if high else []
+    lifted = _lift_factors(pmonic(ZM, Poly.from_ints(ZM, S).coeffs), low + block, p, k)
     degs = [len(x) - 1 for x in low]
     out = []
     rem = Poly.from_ints(QQ, S)
@@ -961,9 +919,9 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) 
         for combo in itertools.combinations(range(len(low)), rsize):
             if sum(degs[i] for i in combo) > max_degree:
                 continue
-            prod = (L % M,)
+            prod = (ZM.from_int(L),)
             for i in combo:
-                prod = mp_mul(prod, lifted[i], M)
+                prod = pmul(ZM, prod, lifted[i])
             cand = tuple(_center(c, M) for c in prod)
             if cand in seen:
                 continue

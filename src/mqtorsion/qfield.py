@@ -366,18 +366,6 @@ class TowerElem:
         self._check(other)
         return self * other.inverse()
 
-    def __pow__(self, n: int) -> "TowerElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def norm_to_q(self) -> Fraction:
         """Product of all Galois conjugates."""
         out = self.field.one()

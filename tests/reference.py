@@ -18,6 +18,10 @@
 - Finite-field elements as objects (`FqElem`), with Euler's criterion and
   Tonelli-Shanks square roots: the arithmetic that the integer-coded
   `ff.Tables` are checked against.
+- The torsion of a rational elliptic curve over a multi-quadratic field K
+  from the curve alone (`torsion_over_tower`).  Production derive reads the
+  odd part from the cached twist torsion of the model, one entry per
+  (model, d), and caches the 2-part per (model, K, cap).
 """
 
 from fractions import Fraction
@@ -27,15 +31,23 @@ import math
 from dataclasses import dataclass
 
 from mqtorsion import ff, hyperjac, mwtors, qfield
-from mqtorsion.ellcurve import BadReduction, CurveError, EllipticCurve
+from mqtorsion.ellcurve import (
+    BadReduction,
+    CurveError,
+    EllipticCurve,
+    short_model,
+    twist_odd_torsion_q,
+    two_primary_over_tower,
+)
 from mqtorsion.ff import FieldDesc, FieldError
-from mqtorsion.groups import structure_from_elements, subgroup_span
+from mqtorsion.groups import AbGroupStructure, structure_from_elements, subgroup_span
 from mqtorsion.hyperjac import JacError, _pair_classes, jac_add, zeta_order
 from mqtorsion.poly import (
     GOOD_PRIME_CAP,
     QQ,
     Poly,
     PolyError,
+    ResidueDomain,
     _ceil_log2,
     _center,
     _find_good_prime,
@@ -44,8 +56,7 @@ from mqtorsion.poly import (
     _squarefree_parts,
     code_domain,
     mp_factor_squarefree,
-    mp_mul,
-    mp_norm,
+    pmul,
 )
 
 
@@ -134,8 +145,7 @@ def low_degree_factors_monic_associate(F: tuple[int, ...], max_degree: int) -> t
 def _monic_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> list[Poly]:
     """Factors of degree <= max_degree of a squarefree monic S, lifted from
     the factorization mod the good prime p."""
-    fp = mp_norm(S, p)
-    factors = mp_factor_squarefree(fp, p)
+    factors = mp_factor_squarefree(Poly.from_ints(ResidueDomain(p), S).coeffs, p)
     if all(len(fac) - 1 > max_degree for fac in factors):
         return []
     l2 = math.isqrt(sum(c * c for c in S)) + 1
@@ -145,6 +155,7 @@ def _monic_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> li
         k += 1
     lifted = _lift_factors(S, factors, p, k)
     M = p ** (1 << _ceil_log2(k))
+    ZM = ResidueDomain(M)
     degs = [len(x) - 1 for x in lifted]
     out = []
     rem = Poly(QQ, [Fraction(c) for c in S])
@@ -155,7 +166,7 @@ def _monic_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> li
                 continue
             prod = (1,)
             for i in combo:
-                prod = mp_mul(prod, lifted[i], M)
+                prod = pmul(ZM, prod, lifted[i])
             cand = tuple(_center(c, M) for c in prod)
             if cand in seen:
                 continue
@@ -200,6 +211,21 @@ def genus2_rational_torsion_bounds_over_q(model, primes: tuple = ()):
     if span is None:
         raise mwtors.CrossCheckError(f"{model.label}: rational span exceeds reduction bound")
     return structure_from_elements(sorted(span), add, C.identity()), upper
+
+
+def torsion_over_tower(E: EllipticCurve, K, cap: int) -> AbGroupStructure:
+    """Exact torsion of a rational curve over the multi-quadratic field K,
+    given a proven bound `cap` on the exponent of E(K)[2^oo] (see
+    `two_primary_over_tower`): odd part through the twist decomposition,
+    E(K)[odd] = sum over the twist classes d of K of E^d(Q)[odd] (each
+    settled by `twist_odd_torsion_q`: the reduction screen, else
+    Nagell-Lutz), 2-part through the tower machinery up to the cap."""
+    A, B = short_model(E)
+    odd = AbGroupStructure.trivial()
+    for d in K.twist_classes():
+        odd = odd.direct_sum(twist_odd_torsion_q(E, d))
+    two, _ = two_primary_over_tower(A, B, K, cap)
+    return odd.direct_sum(two)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from mqtorsion.ellcurve import (
     reduce_mod_p,
     short_curve,
     short_model,
-    torsion_over_tower,
     torsion_structure_q,
     twist_odd_torsion_q,
     two_primary_over_tower,
@@ -33,7 +32,7 @@ from mqtorsion.intutil import factorize, is_prime, is_squarefree
 from mqtorsion.mwtors import model_registry
 from mqtorsion.poly import QQ, TowerDomain, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
-from reference import reduce_quadratic_curve
+from reference import reduce_quadratic_curve, torsion_over_tower
 
 X11 = (0, -1, -1, 0, 0)  # y^2 - y = x^3 - x^2
 X14 = (0, 0, 0, -675, 13662)

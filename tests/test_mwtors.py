@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqtorsion import hyperjac, mwtors
-from mqtorsion.ellcurve import BadReduction, torsion_over_tower
+from mqtorsion.ellcurve import BadReduction
 from mqtorsion.groups import AbGroupStructure, subgroup_span
 from mqtorsion.intutil import is_prime, is_squarefree
 from mqtorsion.mwtors import (
@@ -31,7 +31,7 @@ from mqtorsion.mwtors import (
     verify_model_integrity,
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
-from reference import genus2_rational_torsion_bounds_over_q, jac_order
+from reference import genus2_rational_torsion_bounds_over_q, jac_order, torsion_over_tower
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -111,6 +111,25 @@ class TestReductionBound:
         with pytest.raises(ModelError):
             reduction_bound(get_model("X1(11)"), QQ_FIELD, ())
 
+    def test_bad_reduction_is_built_once(self, monkeypatch):
+        """X1(18) is bad at 3: repeated calls reject the curve built once."""
+        model = get_model("X1(18)")
+        built = []
+        from_ints = hyperjac.HyperCurve.from_ints
+        counting = lambda dom, coeffs, label: built.append(dom) or from_ints(dom, coeffs, label)
+        monkeypatch.setattr(hyperjac.HyperCurve, "from_ints", staticmethod(counting))
+        mwtors._hyper_reduction_or_none.cache_clear()
+        mwtors._zeta_orders.cache_clear()
+        for _ in range(3):
+            with pytest.raises(BadReduction):
+                mwtors.hyper_reduction(model, 3, 1)
+            with pytest.raises(BadReduction):
+                mwtors._zeta_orders(model, 3)
+        assert len(built) == 1
+        assert mwtors.hyper_reduction(model, 7, 1) is mwtors.hyper_reduction(model, 7, 1)
+        assert len(built) == 2
+        mwtors._hyper_reduction_or_none.cache_clear()
+
 
 class TestTwists:
     def test_x14_twist_odd_part_trivial(self):
@@ -167,8 +186,6 @@ class TestEightTorsion:
 
     def test_criterion_matches_exact_torsion(self):
         """The paper-style criterion and the halving tower must agree."""
-        from mqtorsion.ellcurve import torsion_over_tower
-
         for label in ("X1(15)", "X1(2,12)"):
             model = get_model(label)
             for gens in ((), (-1,), (3,), (-3,), (5,), (-15,), (2,), (-1, 3), (-3, 5)):
@@ -250,6 +267,7 @@ class TestTorsionSupportField:
 
     @PROPERTY
     @given(st.sampled_from(GENUS1), st.lists(st.sampled_from(SIGNED_PRIMES), max_size=4))
+    @example("X1(3,9)", [2, -3])  # the -3 twist carries 3-torsion
     def test_reduced_field_has_the_same_torsion(self, label, gens):
         model = get_model(label)
         K = MultiQuadField(gens)
@@ -258,7 +276,10 @@ class TestTorsionSupportField:
         K_S = torsion_support_field(model, K, primes, upper)
         assert all(K.contains_sqrt(d) for d in K_S.gens)
         E, cap = model.elliptic(), upper.ell_part(2).exponent
-        assert torsion_over_tower(E, K, cap) == torsion_over_tower(E, K_S, cap)
+        exact = torsion_over_tower(E, K, cap)
+        assert exact == torsion_over_tower(E, K_S, cap)
+        # derive's path: the odd part from the per-(model, d) twist torsion
+        assert mwtors._genus1_torsion(model, K_S, cap) == exact
 
     def test_genus2_support_from_the_discriminant(self):
         # X1(18): disc(F) * lc(F) = -2^15 * 3^4, and upper = [3, 21] over

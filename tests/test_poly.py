@@ -3,10 +3,11 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mqtorsion import poly
+from mqtorsion.ellcurve import INF, CurveError, EllipticCurve, points_over_code_domain
 from reference import low_degree_factors_monic_associate
 from mqtorsion.ff import make_field
 from mqtorsion.intutil import is_prime
@@ -15,6 +16,7 @@ from mqtorsion.poly import (
     InexactDivision,
     Poly,
     QQ,
+    ResidueDomain,
     TowerDomain,
     code_domain,
     divpoly_f,
@@ -22,8 +24,6 @@ from mqtorsion.poly import (
     kill_poly,
     low_degree_factors,
     mp_factor_squarefree,
-    mp_mul,
-    mp_norm,
     peval,
     primitive_kernel_poly_b,
     splitting_quadratic_field,
@@ -105,7 +105,7 @@ class TestArith:
         dom = code_domain(make_field(13, 2))
         # x^2 + 1 over F_169 has two roots
         f = (dom.one, dom.zero, dom.one)
-        roots = [x for x in dom.elements() if dom.is_zero(peval(dom, f, x))]
+        roots = [x for x in range(dom.q) if dom.is_zero(peval(dom, f, x))]
         assert len(roots) == 2
 
     def test_resultant_sylvester_small_oracle(self):
@@ -113,7 +113,7 @@ class TestArith:
         f = Poly.from_ints(QQ, [-2, 1])  # x - 2
         g = Poly.from_ints(QQ, [-12, 7, -1])  # -(x-3)(x-4)
         # res(f, g) = lc(f)^2 * f-eval... use res(f,g) = lc(g)^deg f * prod f(beta)
-        val = f.resultant(g)
+        val = poly.resultant(QQ, f.coeffs, g.coeffs)
         assert val == (-1) ** 1 * (3 - 2) * (4 - 2) * (-1) ** 0 or val == -2 or val == 2
         # definitive: swap formula res(f,g) = (-1)^(mn) res(g,f), res(g,f)=lc(f)^2*g(2)
         assert abs(val) == abs(g(Fr(2)))
@@ -201,6 +201,60 @@ class TestDivisionPolynomials:
         p8 = primitive_kernel_poly_b(X15_B, 8)
         assert Poly.from_ints(QQ, [-531, -66, 1]).divides(p8)
         assert Poly.from_ints(QQ, [981, 6, 1]).divides(p8)
+
+
+@st.composite
+def curves_over_small_fields(draw):
+    """A curve with coefficients in F_p, p <= 13, over F_{p^2}, where every
+    x in F_p is the x-coordinate of a point, and its points."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    dom = code_domain(make_field(p, 2))  # F_p is the codes 0 .. p - 1
+    ainvs = draw(st.lists(st.integers(0, p - 1), min_size=5, max_size=5))
+    try:
+        E = EllipticCurve(dom, ainvs)
+    except CurveError:
+        assume(False)
+    return E, points_over_code_domain(E)
+
+
+class TestDivisionPolynomialProperties:
+    """The x-only division polynomials over F_q against the group law."""
+
+    @PROPERTY
+    @given(curves_over_small_fields(), st.integers(1, 9))
+    def test_kill_poly_roots_are_the_n_torsion(self, curve, n):
+        """The roots in F_p of kill_poly are the x-coordinates in F_p of the
+        nonzero points killed by n, whose y lies in F_{p^2}."""
+        E, points = curve
+        dom, p = E.domain, E.domain.tables.p
+        kill = kill_poly(E.b_invariants(), n, dom).coeffs
+        roots = {x for x in range(p) if dom.is_zero(peval(dom, kill, x))}
+        assert roots == {P[0] for P in points if P is not INF and P[0] < p and E.mul(n, P) is INF}
+
+    @PROPERTY
+    @given(curves_over_small_fields(), st.integers(2, 9))
+    def test_multiplication_formula(self, curve, n):
+        """x(nP) psi_n^2 = x psi_n^2 - psi_{n-1} psi_{n+1} at every P with
+        nP != O, the recursion's f_m carrying T = psi_2^2 for even m."""
+        E, points = curve
+        dom = E.domain
+        b = E.b_invariants()
+        T = two_torsion_cubic(b, dom).coeffs
+        f = {m: divpoly_f(dom, b, m) for m in (n - 1, n, n + 1)}
+        psi_sq = poly.pmul(dom, f[n], f[n])
+        pair = poly.pmul(dom, f[n - 1], f[n + 1])
+        if n % 2:
+            pair = poly.pmul(dom, pair, T)
+        else:
+            psi_sq = poly.pmul(dom, psi_sq, T)
+        for P in points:
+            nP = INF if P is INF else E.mul(n, P)
+            if nP is INF:
+                continue
+            x = P[0]
+            lhs = dom.mul(nP[0], peval(dom, psi_sq, x))
+            rhs = dom.sub(dom.mul(x, peval(dom, psi_sq, x)), peval(dom, pair, x))
+            assert lhs == rhs
 
 
 class TestFactorExtraction:
@@ -362,11 +416,16 @@ class TestSquarefreeCertificate:
         assert low_degree_factors(Poly.from_ints(QQ, S), 2) == [Poly.from_ints(QQ, S)]
 
 
-# integer polynomials of degree 1 to 3 with leading coefficients up to 10^30
+# integer polynomials of degree 1 to 3 with leading coefficients of either
+# sign up to 10^30
 _WIDE_POLYS = st.tuples(
     st.lists(st.integers(-50, 50), min_size=1, max_size=3),
-    st.integers(1, 10**30),
+    st.integers(-(10**30), 10**30).filter(bool),
 ).map(lambda t: _int_poly(t[0] + [t[1]]))
+
+# x^2 - N, N the product of the odd primes below the cap, is x^2 mod each
+# of them: no prime below the cap certifies a multiple of it
+_UNCERTIFIABLE = _int_poly([-math.prod(p for p in range(3, poly.GOOD_PRIME_CAP, 2) if is_prime(p)), 0, 1])
 
 
 class TestPrimitiveLift:
@@ -391,9 +450,16 @@ class TestPrimitiveLift:
     @given(
         factors=st.lists(_WIDE_POLYS, min_size=1, max_size=4),
         max_degree=st.integers(1, 3),
+        square=st.booleans(),
+        uncertifiable=st.booleans(),
     )
-    def test_random_products_with_large_leading_coefficients(self, factors, max_degree):
-        F = poly._int_coeffs(math.prod(factors[1:], start=factors[0]))
+    def test_random_products_with_large_leading_coefficients(self, factors, max_degree, square, uncertifiable):
+        """Non-monic products, with a repeated factor or a factor that no
+        prime below the cap certifies, so that Euclid over Q splits them."""
+        extra = factors[:1] * square + [_UNCERTIFIABLE] * uncertifiable
+        F = poly._int_coeffs(math.prod(factors[1:] + extra, start=factors[0]))
+        if uncertifiable:
+            assert poly._find_good_prime(F, poly.GOOD_PRIME_CAP) is None
         fast = poly._low_degree_factors_primitive.__wrapped__(F, max_degree)
         assert fast == low_degree_factors_monic_associate(F, max_degree)
 
@@ -409,10 +475,47 @@ class TestSplittingField:
 class TestModP:
     def test_factor_squarefree(self):
         p = 7
-        f = mp_norm([1, 0, 0, 0, 0, 0, 1], p)  # x^6 + 1 mod 7
+        dom = ResidueDomain(p)
+        f = Poly.from_ints(dom, [1, 0, 0, 0, 0, 0, 1]).coeffs  # x^6 + 1 mod 7
         facs = mp_factor_squarefree(f, p)
         prod = (1,)
         for g in facs:
-            prod = mp_mul(prod, g, p)
+            prod = poly.pmul(dom, prod, g)
         assert prod == f
         assert all(len(g) - 1 in (1, 2) for g in facs)
+
+    @pytest.mark.parametrize("m", [7, 9, 11**2, 3**8, 1000])
+    def test_kernels_agree_with_integer_arithmetic(self, m):
+        """Over Z/m the kernels compute the integer results reduced mod m,
+        dividing by monic polynomials whatever m is."""
+        dom = ResidueDomain(m)
+        rng = random.Random(m)
+        red = lambda f: Poly.from_ints(dom, f).coeffs
+        for _ in range(100):
+            f = [rng.randint(-m, m) for _ in range(rng.randint(0, 7))]
+            g = [rng.randint(-m, m) for _ in range(rng.randint(0, 4))] + [1]
+            fg = poly.pmul(QQ, [Fr(c) for c in f], [Fr(c) for c in g])
+            assert poly.pmul(dom, red(f), red(g)) == red([int(c) for c in fg])
+            assert poly.psub(dom, red(f), red(g)) == red(poly.psub(QQ, f, g))
+            q, r = poly.pdivmod(dom, red(f), red(g))
+            assert poly.padd(dom, poly.pmul(dom, q, red(g)), r) == red(f)
+            assert len(r) < len(g)
+
+    def test_gcdext_over_a_prime(self):
+        dom = ResidueDomain(13)
+        rng = random.Random(13)
+        for _ in range(100):
+            f, g = ([rng.randrange(13) for _ in range(rng.randint(1, 6))] + [1] for _ in range(2))
+            d, s, t = poly.pgcdext(dom, tuple(f), tuple(g))
+            assert poly.padd(dom, poly.pmul(dom, s, tuple(f)), poly.pmul(dom, t, tuple(g))) == d
+            assert d == poly.pgcd(dom, tuple(f), tuple(g)) and d[-1] == 1
+
+    def test_hensel_lift_to_a_prime_power(self):
+        # x^4 + 1 = (x^2 + 4)(x^2 + 13) mod 17, lifted to 17^8
+        p, k = 17, 5
+        F = (1, 0, 0, 0, 1)
+        G, H = poly._lift_factors(F, [(4, 0, 1), (13, 0, 1)], p, k)
+        M = p**8
+        ZM = ResidueDomain(M)
+        assert poly.pmul(ZM, G, H) == F
+        assert G[-1] == H[-1] == 1 and all(0 <= c < M for c in G + H)
