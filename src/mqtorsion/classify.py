@@ -6,7 +6,6 @@ fields and their independent verification."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,6 +13,7 @@ from . import ellcurve, mwtors, poly
 from .intutil import factorize, is_prime, kronecker
 from .poly import QQ, Poly, TowerDomain
 from .qfield import MultiQuadField, sqrt_in_tower
+from .record import Record
 
 
 class ClassifyError(ValueError):
@@ -38,8 +38,7 @@ def _targets() -> dict[str, mwtors.CurveModel]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(Record):
     """(jacobian label, squarefree twist) -> rank, with mandatory sources."""
 
     entries: tuple
@@ -109,8 +108,7 @@ def rank_from_table(label: str, K, table: RankTable):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExceptionalCurve:
+class ExceptionalCurve(Record):
     target: int
     base_d: int
     name: str
@@ -165,8 +163,7 @@ def exceptional_curves(target: str, K) -> list[ExceptionalCurve]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     target: str
     field_signature: tuple[int, ...]
     rank_value: int | None

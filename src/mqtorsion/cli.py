@@ -250,8 +250,8 @@ def main(argv=None) -> int:
         # devnull so that the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ModelError, PreconditionError, QFieldError, classify_mod.ClassifyError,
-            ellcurve.CurveError, hyperjac.JacError, ValueError) as exc:
+    except (ModelError, PreconditionError, QFieldError, ellcurve.CurveError, hyperjac.JacError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (CrossCheckError, DataIntegrityError) as exc:

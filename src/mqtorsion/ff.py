@@ -10,18 +10,17 @@ already p^2) is provided by `quadratic_extension`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .intutil import is_prime
+from .record import Record
 
 
 class FieldError(ValueError):
     """Bad field construction, or a field too large for its tables."""
 
 
-@dataclass(frozen=True)
-class FieldDesc:
+class FieldDesc(Record):
     """A prime field (k=1) or its quadratic extension (k=2, t^2 = r)."""
 
     p: int

@@ -5,18 +5,17 @@ span needs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .intutil import factorize
+from .record import Record
 
 
 class GroupError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AbGroupStructure:
+class AbGroupStructure(Record):
     """[d1, d2, ...] with d1 | d2 | ... ; the trivial group is []."""
 
     factors: tuple[int, ...]
@@ -82,7 +81,7 @@ class AbGroupStructure:
 
     @cached_property
     def _prime_exponents(self) -> dict[int, tuple[int, ...]]:
-        # factored once per structure; cached_property bypasses the frozen __setattr__
+        # factored once per structure; cached_property bypasses the record's __setattr__
         out: dict[int, list[int]] = {}
         for d in self.factors:
             for p, e in factorize(d).items():

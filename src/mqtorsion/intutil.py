@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -39,10 +40,17 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int, hint: tuple[int, ...] = ()) -> dict[int, int]:
     """Factor |n| by trial division.  `hint` primes are tried first, which keeps
-    twist discriminants (known prime support) cheap."""
+    twist discriminants (known prime support) cheap.  Each call returns a
+    fresh dict, so a caller may change it."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    n = abs(n)
+    return dict(_factor(abs(n), tuple(hint)))
+
+
+@lru_cache(maxsize=256)
+def _factor(n: int, hint: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The sorted (prime, exponent) pairs of n > 0, memoised: one run factors
+    the same group orders and discriminants many times."""
     out: dict[int, int] = {}
     for p in hint:
         while n % p == 0:
@@ -56,7 +64,7 @@ def factorize(n: int, hint: tuple[int, ...] = ()) -> dict[int, int]:
         p += 1 if p == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return dict(sorted(out.items()))
+    return tuple(sorted(out.items()))
 
 
 def squarefree_part(n: int) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
 from . import ellcurve, ff, hyperjac, poly, qfield
@@ -29,6 +28,7 @@ from .groups import (
 )
 from .intutil import crt_pair, factorize, is_prime, kronecker, rational_reconstruct
 from .poly import QQ, Poly, code_domain
+from .record import Record
 
 
 class ModelError(ValueError):
@@ -53,8 +53,9 @@ class DataIntegrityError(RuntimeError):
 
 _ZETA_GEN = {1: None, 2: None, 3: -3, 4: -1, 6: -3}
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(Record):
+    _uncompared = ("checks", "torsion_table")
+
     label: str
     level: tuple[int, int]
     genus: int
@@ -62,11 +63,11 @@ class CurveModel:
     ainvs: tuple[int, ...] | None
     f_coeffs: tuple[int, ...] | None
     source: str
-    checks: dict = field(compare=False, hash=False, default_factory=dict)
+    checks: dict = {}
     primes: tuple[int, ...] | None = None  # default reduction primes
     # J(K)_tors keyed by the signature of K n Q(zeta_N), N = level[1];
     # the key None means any K
-    torsion_table: dict = field(compare=False, hash=False, default_factory=dict)
+    torsion_table: dict = {}
 
     @property
     def zeta_gen(self) -> int | None:
@@ -320,17 +321,6 @@ def census(model: CurveModel, p: int, f: int, twisted: bool) -> Census:
     twist over F_p; built once per process, and kept for the 256 most
     recent reductions."""
     return Census(model, p, f, twisted)
-
-
-def group_meet(
-    A: AbGroupStructure,
-    B: AbGroupStructure,
-    exclude_a: frozenset | set = frozenset(),
-    exclude_b: frozenset | set = frozenset(),
-) -> AbGroupStructure:
-    """Prime-by-prime componentwise minimum of sorted exponent vectors,
-    skipping a side at its own residue characteristic."""
-    return meet_many([(A, exclude_a), (B, exclude_b)])
 
 
 def meet_many(sides) -> AbGroupStructure:
@@ -636,8 +626,7 @@ def _crt_and_reconstruct(cand1, p1, cand2, p2, extra):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsionResult:
+class TorsionResult(Record):
     label: str
     field_signature: tuple[int, ...]
     lower: AbGroupStructure
@@ -848,43 +837,6 @@ def _capped_two_part(upper: AbGroupStructure, two_exact_group: AbGroupStructure)
 # ---------------------------------------------------------------------------
 # Division-polynomial criteria and the classification table surface
 # ---------------------------------------------------------------------------
-
-
-def twist_odd_torsion(model: CurveModel, K, ell: int):
-    """(structure, closed) for J(K)[ell^infinity], ell odd, through the twist
-    decomposition: the direct sum over the twist classes of K of the
-    ell-primary torsion of each twist over Q.
-
-    Genus-1 summands are exact (reduction screen, else Nagell-Lutz).
-    Genus-2 summands pair a reduction upper bound with an explicit
-    divisor-witness lower bound and the result is flagged open when any
-    summand fails to close."""
-    if ell == 2 or not is_prime(ell):
-        raise ModelError("ell must be an odd prime")
-    if model.base_d is not None and not K.contains_sqrt(model.base_d):
-        raise PreconditionError(f"{model.label} twists decompose over {model.base_field()}")
-    total = AbGroupStructure.trivial()
-    closed = True
-    primes = model.primes or (3, 5)
-    for d in K.twist_classes():
-        if model.genus == 1:
-            total = total.direct_sum(genus1_twist_torsion(model, d).ell_part(ell))
-            continue
-        if d == 1:
-            low, up = genus2_rational_torsion_bounds(model, primes)
-            low, up = low.ell_part(ell), up.ell_part(ell)
-        else:
-            up = twist_ell_upper(model, d, ell, primes)
-            low = AbGroupStructure.trivial()
-            if up is None:
-                closed = False
-                continue
-            if up.order > 1 and genus2_twist_witness(model, d, ell) is not None:
-                low = AbGroupStructure.cyclic(ell)
-        total = total.direct_sum(low)
-        if low != up:
-            closed = False
-    return total, closed
 
 
 def eight_torsion_criterion(model: CurveModel, K):

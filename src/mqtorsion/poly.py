@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from typing import NamedTuple
 
 from . import ff
 from .groups import scalar_mul
@@ -342,16 +341,10 @@ def peval(dom, f, x):
     return acc
 
 
-class Kernels(NamedTuple):
+class Kernels(namedtuple("Kernels", "add sub neg mul divmod gcdext monic")):
     """The dense kernels bound to one domain, as `kernels` returns them."""
 
-    add: object
-    sub: object
-    neg: object
-    mul: object
-    divmod: object
-    gcdext: object
-    monic: object
+    __slots__ = ()
 
 
 def kernels(dom) -> Kernels:
@@ -707,6 +700,8 @@ def mp_factor_squarefree(f, p):
 def _equal_degree_split(f, d, p):
     """Cantor-Zassenhaus: split f (product of irreducibles of degree d) mod p.
     Seeded deterministically from the input, so output order is reproducible."""
+    import random  # only here, so that importing the package does not load it
+
     n = len(f) - 1
     if n == d:
         return [f]

@@ -22,6 +22,7 @@ from math import gcd, isqrt, lcm
 
 from .intutil import (
     factorize,
+    is_prime,
     is_squarefree,
     kronecker,
     rational_sqrt,
@@ -266,8 +267,6 @@ QQ_FIELD = MultiQuadField(())
 
 
 def _is_odd_prime(p: int) -> bool:
-    from .intutil import is_prime
-
     return p % 2 == 1 and is_prime(p)
 
 
@@ -489,30 +488,6 @@ def _sqrt_rec(v: TowerElem) -> TowerElem | None:
             if cand * cand == v:
                 return cand
     return None
-
-
-def hyperplane_avoiding(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """A linear functional phi over F_2 with phi(x) = phi(y) = 1.
-
-    Its kernel is a hyperplane through 0 missing both x and y; exists for any
-    distinct nonzero x, y in F_2^n, n >= 2.
-    """
-    if n < 2 or len(x) != n or len(y) != n:
-        raise QFieldError("need n >= 2 and vectors of length n")
-    x = tuple(c & 1 for c in x)
-    y = tuple(c & 1 for c in y)
-    if not any(x) or not any(y):
-        raise QFieldError("vectors must be nonzero")
-    if x == y:
-        raise QFieldError("vectors must be distinct")
-    phi = [0] * n
-    shared = [j for j in range(n) if x[j] and y[j]]
-    if shared:
-        phi[shared[0]] = 1
-    else:
-        phi[next(j for j in range(n) if x[j])] = 1
-        phi[next(j for j in range(n) if y[j])] = 1
-    return tuple(phi)
 
 
 # generators are factored by trial division; this keeps that prompt

@@ -22,6 +22,10 @@
   from the curve alone (`torsion_over_tower`).  Production derive reads the
   odd part from the cached twist torsion of the model, one entry per
   (model, d), and caches the 2-part per (model, K, cap).
+- Helpers that no production path calls: the meet of two structures, the
+  odd torsion of a model through the twist decomposition (production
+  derive reads it per twist), and a functional that avoids two vectors of
+  F_2^n.
 """
 
 from fractions import Fraction
@@ -31,6 +35,18 @@ import math
 from dataclasses import dataclass
 
 from mqtorsion import ff, hyperjac, mwtors, qfield
+from mqtorsion.intutil import is_prime
+from mqtorsion.mwtors import (
+    CurveModel,
+    ModelError,
+    PreconditionError,
+    genus1_twist_torsion,
+    genus2_rational_torsion_bounds,
+    genus2_twist_witness,
+    meet_many,
+    twist_ell_upper,
+)
+from mqtorsion.qfield import QFieldError
 from mqtorsion.ellcurve import (
     BadReduction,
     CurveError,
@@ -226,6 +242,78 @@ def torsion_over_tower(E: EllipticCurve, K, cap: int) -> AbGroupStructure:
         odd = odd.direct_sum(twist_odd_torsion_q(E, d))
     two, _ = two_primary_over_tower(A, B, K, cap)
     return odd.direct_sum(two)
+
+
+def group_meet(
+    A: AbGroupStructure,
+    B: AbGroupStructure,
+    exclude_a: frozenset | set = frozenset(),
+    exclude_b: frozenset | set = frozenset(),
+) -> AbGroupStructure:
+    """Prime-by-prime componentwise minimum of sorted exponent vectors,
+    skipping a side at its own residue characteristic."""
+    return meet_many([(A, exclude_a), (B, exclude_b)])
+
+
+def twist_odd_torsion(model: CurveModel, K, ell: int):
+    """(structure, closed) for J(K)[ell^infinity], ell odd, through the twist
+    decomposition: the direct sum over the twist classes of K of the
+    ell-primary torsion of each twist over Q.
+
+    Genus-1 summands are exact (reduction screen, else Nagell-Lutz).
+    Genus-2 summands pair a reduction upper bound with an explicit
+    divisor-witness lower bound and the result is flagged open when any
+    summand fails to close."""
+    if ell == 2 or not is_prime(ell):
+        raise ModelError("ell must be an odd prime")
+    if model.base_d is not None and not K.contains_sqrt(model.base_d):
+        raise PreconditionError(f"{model.label} twists decompose over {model.base_field()}")
+    total = AbGroupStructure.trivial()
+    closed = True
+    primes = model.primes or (3, 5)
+    for d in K.twist_classes():
+        if model.genus == 1:
+            total = total.direct_sum(genus1_twist_torsion(model, d).ell_part(ell))
+            continue
+        if d == 1:
+            low, up = genus2_rational_torsion_bounds(model, primes)
+            low, up = low.ell_part(ell), up.ell_part(ell)
+        else:
+            up = twist_ell_upper(model, d, ell, primes)
+            low = AbGroupStructure.trivial()
+            if up is None:
+                closed = False
+                continue
+            if up.order > 1 and genus2_twist_witness(model, d, ell) is not None:
+                low = AbGroupStructure.cyclic(ell)
+        total = total.direct_sum(low)
+        if low != up:
+            closed = False
+    return total, closed
+
+
+def hyperplane_avoiding(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """A linear functional phi over F_2 with phi(x) = phi(y) = 1.
+
+    Its kernel is a hyperplane through 0 missing both x and y; exists for any
+    distinct nonzero x, y in F_2^n, n >= 2.
+    """
+    if n < 2 or len(x) != n or len(y) != n:
+        raise QFieldError("need n >= 2 and vectors of length n")
+    x = tuple(c & 1 for c in x)
+    y = tuple(c & 1 for c in y)
+    if not any(x) or not any(y):
+        raise QFieldError("vectors must be nonzero")
+    if x == y:
+        raise QFieldError("vectors must be distinct")
+    phi = [0] * n
+    shared = [j for j in range(n) if x[j] and y[j]]
+    if shared:
+        phi[shared[0]] = 1
+    else:
+        phi[next(j for j in range(n) if x[j])] = 1
+        phi[next(j for j in range(n) if y[j])] = 1
+    return tuple(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from mqtorsion.mwtors import (
     PreconditionError,
     eight_torsion_criterion,
     get_model,
-    group_meet,
     jac_structure,
     model_registry,
     table_lookup,
@@ -46,8 +45,8 @@ from mqtorsion.poly import (
     primitive_kernel_poly_b,
     splitting_quadratic_field,
 )
-from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields, hyperplane_avoiding, sqrt_in_tower
-from reference import all_classes
+from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields, sqrt_in_tower
+from reference import all_classes, group_meet, hyperplane_avoiding
 
 
 def G(*summands):

@@ -301,6 +301,18 @@ class TestBadInput:
             assert_one_line_error(code, out, err)
 
 
+def test_cli_import_loads_no_dataclasses_typing_or_random():
+    """A CLI call imports only what it runs.  Run under -S, since site
+    packages may load these modules themselves.  `classify` stays: the
+    benchmark tracer reads every package module once the CLI is imported."""
+    code = "import sys, mqtorsion.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert "mqtorsion.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "random"}
+
+
 def test_closed_stdout_exits_quietly():
     """A reader that goes away before the output is written: no traceback,
     and the exit code 141 (128 + SIGPIPE), outside the codes 0-4."""

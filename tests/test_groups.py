@@ -279,3 +279,11 @@ class TestLatticeLaws:
             total = total.direct_sum(part)
         assert total == A
         assert A.odd_part().order % 2 == 1
+
+
+def test_factorize_returns_a_fresh_dict():
+    first = factorize(360)
+    first[2] = 99
+    first[7] = 1
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(-360, hint=(5,)) == {2: 3, 3: 2, 5: 1}

@@ -12,7 +12,6 @@ from mqtorsion.mwtors import (
     CrossCheckError,
     CurveModel,
     genus2_rational_torsion_bounds,
-    twist_odd_torsion,
     ModelError,
     PreconditionError,
     derive_torsion,
@@ -20,7 +19,6 @@ from mqtorsion.mwtors import (
     genus1_twist_torsion,
     genus2_twist_witness,
     get_model,
-    group_meet,
     jac_structure,
     meet_many,
     model_registry,
@@ -31,7 +29,13 @@ from mqtorsion.mwtors import (
     verify_model_integrity,
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
-from reference import genus2_rational_torsion_bounds_over_q, jac_order, torsion_over_tower
+from reference import (
+    genus2_rational_torsion_bounds_over_q,
+    group_meet,
+    jac_order,
+    torsion_over_tower,
+    twist_odd_torsion,
+)
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)

