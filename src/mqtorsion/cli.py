@@ -67,8 +67,7 @@ def cmd_jac_structure(args) -> int:
         "order": st.order,
     }
     if model.genus == 2:
-        C = mwtors.hyper_reduction(model, args.prime, args.deg)
-        n1, n2, L, nj, _ = hyperjac.zeta_order(C)
+        n1, n2, L, nj, _ = mwtors.zeta(model, args.prime, args.deg)
         if nj != st.order:
             raise CrossCheckError("zeta oracle disagrees with the census")
         payload["zeta_check"] = {"N1": n1, "N2": n2, "L": list(L), "order": nj}

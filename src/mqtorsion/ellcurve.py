@@ -58,7 +58,7 @@ class EllipticCurve:
         object.__setattr__(self, "label", label)
         if len(self.a) != 5:
             raise CurveError("need (a1, a2, a3, a4, a6)")
-        if domain.is_zero(self.discriminant()):
+        if not self.discriminant():
             raise CurveError("singular model")
 
     def __setattr__(self, *args):  # pragma: no cover
@@ -103,7 +103,7 @@ class EllipticCurve:
         lhs = d.add(d.mul(y, y), d.add(d.mul(d.mul(a1, x), y), d.mul(a3, y)))
         x2 = d.mul(x, x)
         rhs = d.add(d.add(d.mul(x2, x), d.mul(a2, x2)), d.add(d.mul(a4, x), a6))
-        return d.is_zero(d.sub(lhs, rhs))
+        return not d.sub(lhs, rhs)
 
     def neg(self, P):
         if P is INF:
@@ -122,8 +122,8 @@ class EllipticCurve:
         a1, a2, a3, a4, _ = self.a
         x1, y1 = P
         x2, y2 = Q
-        if d.is_zero(d.sub(x1, x2)):
-            if d.is_zero(d.sub(y2, self.neg(P)[1])):
+        if not d.sub(x1, x2):
+            if not d.sub(y2, self.neg(P)[1]):
                 return INF
             denom = d.add(d.add(y1, y1), d.add(d.mul(a1, x1), a3))
             num = d.add(

@@ -6,7 +6,8 @@ and Galois analysis of 2-torsion through Weierstrass points.
 
 The group law (`jac_add`, `jac_neg`) is written once, over the polynomial
 kernel kit (`poly.kernels`) that each `HyperCurve` binds to its domain:
-table-bound over F_q, generic over Q and over multi-quadratic towers.
+the same kernels over F_q, over Q and over multi-quadratic towers, each
+running on its domain's row operation `axpy`.
 Multiples and orders are taken with `groups.scalar_mul` and
 `groups.subgroup_span` on top of it.
 
@@ -61,7 +62,7 @@ class HyperCurve:
     __slots__ = ("domain", "F", "label", "Vp", "R", "kit")
 
     def __init__(self, domain, F, label=None):
-        F = pnormalize(domain, F)
+        F = pnormalize(F)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "label", label)
@@ -111,8 +112,9 @@ def _sqrt_series(dom, F):
 # ---------------------------------------------------------------------------
 # The group law: Cantor composition, then reduction (Cantor, Math. Comp.
 # 1987), balanced on split sextics (Galbraith-Harrison-Mireles Morales,
-# ANTS 2008).  It runs on the curve's kernel kit: table-bound over a
-# CodeDomain, poly's generic kernels over Q and over towers.
+# ANTS 2008).  It runs on the curve's kernel kit, poly's dense kernels
+# bound to its domain: over a CodeDomain each kernel row reads one row of
+# the field's multiplication table.
 # ---------------------------------------------------------------------------
 
 
@@ -350,7 +352,7 @@ def _conjugate_pair_classes(dom, F):
         for yy in (y, ext.neg(y)):
             a = t.mul[yy[1]][t.inv[x[1]]]
             b = t.add[yy[0]][t.neg[t.mul[a][x[0]]]]
-            v = pnormalize(dom, (b, a))
+            v = pnormalize((b, a))
             assert not pmod(dom, psub(dom, pmul(dom, v, v), F), u)
             yield (u, v, 0)
 
@@ -599,7 +601,7 @@ def classes_from_rational_points(C: HyperCurve, pts) -> list:
     out = []
     sextic = C.degree == 6
     for i, (x1, y1) in enumerate(pts):
-        u1 = pnormalize(dom, (-x1, dom.one))
+        u1 = pnormalize((-x1, dom.one))
         v1 = pmod(dom, (y1,), u1)
         if sextic:
             out.append((u1, v1, 0))

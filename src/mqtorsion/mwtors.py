@@ -470,7 +470,7 @@ def _reduce_class(C: hyperjac.HyperCurve, D):
     C over F_p."""
     dom = C.domain
     u, v = (
-        poly.pnormalize(dom, [dom.div(dom.from_int(c.numerator), dom.from_int(c.denominator)) for c in part])
+        poly.pnormalize([dom.div(dom.from_int(c.numerator), dom.from_int(c.denominator)) for c in part])
         for part in D[:2]
     )
     out = (u, v, D[2])
@@ -544,9 +544,15 @@ def _good_twist_prime(model: CurveModel, d: int, p: int) -> bool:
 
 
 @lru_cache(maxsize=256)
+def zeta(model: CurveModel, p: int, f: int) -> tuple:
+    """`hyperjac.zeta_order` of the reduction over F_{p^f}, counted once per
+    (model, p, f): the census and the CLI's cross-check read the same one."""
+    return hyperjac.zeta_order(hyper_reduction(model, p, f))
+
+
 def _zeta_orders(model: CurveModel, p: int) -> tuple[int, int]:
-    """(#J(F_p), twisted order L(-1)) from the zeta oracle; cheap."""
-    z = hyperjac.zeta_order(hyper_reduction(model, p, 1))
+    """(#J(F_p), twisted order L(-1)) from the zeta oracle over F_p."""
+    z = zeta(model, p, 1)
     return z[3], z[4]
 
 

@@ -2,12 +2,14 @@
 
 One dense-tuple engine serves prime fields and their quadratic extensions
 (int-coded elements), the rationals (Fraction), multi-quadratic towers
-(TowerElem) and the residues Z/m (ints, `ResidueDomain`); `kernels` binds
-it to one domain for the genus-2 group law.  On top of it: elliptic
-division polynomials in x-only form over any domain, exact factor
-extraction of low-degree rational factors via modular factorization and
-Hensel lifting on the same kernels over Z/p and Z/p^k, and splitting
-fields of quadratics.
+(TowerElem) and the residues Z/m (ints, `ResidueDomain`).  Each domain
+supplies its ring operations and one row operation, `axpy`, that every
+sum, product, scaling and division runs on; zero is the one falsy value of
+each domain.  `kernels` binds the engine to one domain for the genus-2
+group law.  On top of it: elliptic division polynomials in x-only form
+over any domain, exact factor extraction of low-degree rational factors
+via modular factorization and Hensel lifting on the same kernels over Z/p
+and Z/p^k, and splitting fields of quadratics.
 
 Polynomials are tuples, constant term first, no trailing zeros.
 """
@@ -43,15 +45,8 @@ class InexactDivision(PolyError):
 # ---------------------------------------------------------------------------
 
 
-class RationalDomain:
-    """Fractions."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def from_int(n):
-        return Fraction(n)
+class _OperatorDomain:
+    """Arithmetic by Python operators, for values whose zero is falsy."""
 
     @staticmethod
     def add(a, b):
@@ -74,8 +69,22 @@ class RationalDomain:
         return a / b
 
     @staticmethod
-    def is_zero(a):
-        return a == 0
+    def axpy(out, k, c, g):
+        """out[k + j] += c * g[j] for each j."""
+        for j, b in enumerate(g, k):
+            if b:
+                out[j] = out[j] + c * b
+
+
+class RationalDomain(_OperatorDomain):
+    """Fractions."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    @staticmethod
+    def from_int(n):
+        return Fraction(n)
 
     def __repr__(self):
         return "QQ"
@@ -85,8 +94,9 @@ QQ = RationalDomain()
 
 
 class CodeDomain:
-    """A finite field F_{p^k} with int-coded elements and table arithmetic.
-    This is the fast path used by all curve enumeration."""
+    """A finite field F_{p^k} with int-coded elements and table arithmetic;
+    the dense kernels over it, and so the genus-2 census, run on `axpy`,
+    one row of the multiplication table per call."""
 
     def __init__(self, field: ff.FieldDesc):
         t = ff.tables(field)
@@ -120,8 +130,12 @@ class CodeDomain:
             raise ZeroDivisionError("division by zero")
         return self._mul[a][self._inv[b]]
 
-    def is_zero(self, a):
-        return a == 0
+    def axpy(self, out, k, c, g):
+        """out[k + j] += c * g[j] for each j, read from the table row of c."""
+        add, row = self._add, self._mul[c]
+        for j, b in enumerate(g, k):
+            if b:
+                out[j] = add[out[j]][row[b]]
 
     def __repr__(self):
         return f"Code({self.field!r})"
@@ -130,14 +144,16 @@ class CodeDomain:
 class ResidueDomain:
     """Z/m for an integer m >= 2, with ints in [0, m).
 
-    `div` inverts with pow(b, -1, m), which exists exactly when b is prime
-    to m.  So the dense kernels are exact over Z/m whenever every divisor
-    they meet has an invertible leading coefficient: pdivmod, pgcd and
-    pgcdext divide by leading coefficients, and pmonic scales by the inverse
-    of its own.  Factor extraction keeps to that: modulo a prime power p^k
-    the Hensel steps divide only by monic polynomials, and the polynomial
-    made monic there has a leading coefficient prime to p; every other
-    division is modulo a prime, where each nonzero residue is a unit."""
+    `axpy` adds the integer product c * g[j] to out[k + j] and reduces the
+    sum once, so a kernel row costs one `%` per coefficient.  `div` inverts
+    with pow(b, -1, m), which exists exactly when b is prime to m.  So the
+    dense kernels are exact over Z/m whenever every divisor they meet has an
+    invertible leading coefficient: pdivmod, pgcd and pgcdext divide by
+    leading coefficients, and pmonic scales by the inverse of its own.
+    Factor extraction keeps to that: modulo a prime power p^k the Hensel
+    steps divide only by monic polynomials, and the polynomial made monic
+    there has a leading coefficient prime to p; every other division is
+    modulo a prime, where each nonzero residue is a unit."""
 
     zero = 0
     one = 1
@@ -163,9 +179,11 @@ class ResidueDomain:
     def div(self, a, b):
         return a * pow(b, -1, self.m) % self.m
 
-    @staticmethod
-    def is_zero(a):
-        return a == 0
+    def axpy(self, out, k, c, g):
+        """out[k + j] += c * g[j] for each j, reduced once per coefficient."""
+        m = self.m
+        for j, b in enumerate(g, k):
+            out[j] = (out[j] + c * b) % m
 
     def __repr__(self):
         return f"Z/{self.m}"
@@ -176,7 +194,7 @@ def code_domain(field: ff.FieldDesc) -> CodeDomain:
     return CodeDomain(field)
 
 
-class TowerDomain:
+class TowerDomain(_OperatorDomain):
     """A MultiQuadField acting as a coefficient domain (TowerElem values)."""
 
     def __init__(self, K):
@@ -187,30 +205,6 @@ class TowerDomain:
     def from_int(self, n):
         return self.K.from_rational(Fraction(n))
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
     def __repr__(self):
         return f"Tower({self.K!r})"
 
@@ -220,29 +214,35 @@ class TowerDomain:
 # ---------------------------------------------------------------------------
 
 
-def pnormalize(dom, cs):
-    cs = list(cs)
-    while cs and dom.is_zero(cs[-1]):
-        cs.pop()
-    return tuple(cs)
+def pnormalize(cs):
+    return _trim(list(cs))
+
+
+def _trim(out):
+    """The list out, with its trailing zeros popped, as a tuple."""
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def pdegree(f):
     return len(f) - 1  # -1 for the zero polynomial
 
 
+def _plus_multiple(dom, f, c, g):
+    """f + c*g, by one `axpy` row."""
+    out = list(f)
+    out += [dom.zero] * (len(g) - len(f))
+    dom.axpy(out, 0, c, g)
+    return _trim(out)
+
+
 def padd(dom, f, g):
-    n = max(len(f), len(g))
-    z = dom.zero
-    out = [dom.add(f[i] if i < len(f) else z, g[i] if i < len(g) else z) for i in range(n)]
-    return pnormalize(dom, out)
+    return _plus_multiple(dom, f, dom.one, g)
 
 
 def psub(dom, f, g):
-    n = max(len(f), len(g))
-    z = dom.zero
-    out = [dom.sub(f[i] if i < len(f) else z, g[i] if i < len(g) else z) for i in range(n)]
-    return pnormalize(dom, out)
+    return _plus_multiple(dom, f, dom.neg(dom.one), g)
 
 
 def pneg(dom, f):
@@ -250,43 +250,38 @@ def pneg(dom, f):
 
 
 def pscale(dom, c, f):
-    if dom.is_zero(c):
+    if not c:
         return ()
-    return pnormalize(dom, [dom.mul(c, a) for a in f])
+    return _plus_multiple(dom, (), c, f)
 
 
 def pmul(dom, f, g):
     if not f or not g:
         return ()
+    if len(f) > len(g):
+        f, g = g, f  # fewer, longer rows
     out = [dom.zero] * (len(f) + len(g) - 1)
-    add, mul = dom.add, dom.mul
+    axpy = dom.axpy
     for i, a in enumerate(f):
-        if dom.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = add(out[i + j], mul(a, b))
-    return pnormalize(dom, out)
+        if a:
+            axpy(out, i, a, g)
+    return _trim(out)
 
 
 def pdivmod(dom, f, g):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [dom.zero] * max(0, len(f) - len(g) + 1)
+    dg = len(g) - 1
+    q = [dom.zero] * max(0, len(f) - dg)
     r = list(f)
     inv_lc = dom.div(dom.one, g[-1])
-    dg = len(g) - 1
-    sub, mul = dom.sub, dom.mul
-    while len(r) >= len(g):
-        if dom.is_zero(r[-1]):
-            r.pop()
-            continue
-        c = mul(r[-1], inv_lc)
-        k = len(r) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            r[k + i] = sub(r[k + i], mul(c, b))
-        r.pop()
-    return pnormalize(dom, q), pnormalize(dom, r)
+    axpy, mul, neg = dom.axpy, dom.mul, dom.neg
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c = r[k + dg]
+        if c:
+            c = q[k] = mul(c, inv_lc)
+            axpy(r, k, neg(c), g)  # cancels r[k + dg]
+    return _trim(q), _trim(r[:dg])
 
 
 def pmod(dom, f, g):
@@ -330,8 +325,7 @@ def pgcdext(dom, f, g):
 
 
 def pderiv(dom, f):
-    out = [dom.mul(dom.from_int(i), f[i]) for i in range(1, len(f))]
-    return pnormalize(dom, out)
+    return _trim([dom.mul(dom.from_int(i), f[i]) for i in range(1, len(f))])
 
 
 def peval(dom, f, x):
@@ -350,86 +344,9 @@ class Kernels(namedtuple("Kernels", "add sub neg mul divmod gcdext monic")):
 def kernels(dom) -> Kernels:
     """padd, psub, pneg, pmul, pdivmod, pgcdext and pmonic bound to dom.
 
-    Over a CodeDomain they are the same algorithms with the field tables
-    bound into locals, which is what makes the genus-2 census affordable;
-    the divisor and the polynomial made monic must be nonzero there."""
-    if isinstance(dom, CodeDomain):
-        return _table_kernels(dom.tables)
+    They are the same kernels over every domain: each row of a product, a
+    division, a sum or a scaling is one call of the domain's `axpy`."""
     return Kernels(*(partial(fn, dom) for fn in (padd, psub, pneg, pmul, pdivmod, pgcdext, pmonic)))
-
-
-def _table_kernels(t) -> Kernels:
-    ADD, MUL, NEG, INV = t.add, t.mul, t.neg, t.inv
-
-    def norm(f):
-        f = list(f)
-        while f and f[-1] == 0:
-            f.pop()
-        return tuple(f)
-
-    def sub(f, g):
-        n = max(len(f), len(g))
-        return norm(
-            [ADD[f[i] if i < len(f) else 0][NEG[g[i] if i < len(g) else 0]] for i in range(n)]
-        )
-
-    def add(f, g):
-        n = max(len(f), len(g))
-        return norm(
-            [ADD[f[i] if i < len(f) else 0][g[i] if i < len(g) else 0] for i in range(n)]
-        )
-
-    def neg(f):
-        return tuple(NEG[c] for c in f)
-
-    def mul(f, g):
-        if not f or not g:
-            return ()
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a:
-                rowa = MUL[a]
-                for j, b in enumerate(g):
-                    if b:
-                        out[i + j] = ADD[out[i + j]][rowa[b]]
-        return norm(out)
-
-    def divmod_(f, g):
-        q = [0] * max(0, len(f) - len(g) + 1)
-        r = list(f)
-        ilc = INV[g[-1]]
-        dg = len(g) - 1
-        while len(r) >= len(g):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            c = MUL[r[-1]][ilc]
-            k = len(r) - 1 - dg
-            q[k] = c
-            rowc = MUL[c]
-            for i in range(len(g)):
-                r[k + i] = ADD[r[k + i]][NEG[rowc[g[i]]]]
-            r.pop()
-        return norm(q), norm(r)
-
-    def gcdext(f, g):
-        r0, r1 = f, g
-        s0, s1 = (1,), ()
-        t0, t1 = (), (1,)
-        while r1:
-            q, r = divmod_(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, sub(s0, mul(q, s1))
-            t0, t1 = t1, sub(t0, mul(q, t1))
-        ilc = INV[r0[-1]]
-        sc = lambda h: norm([MUL[c][ilc] for c in h])
-        return sc(r0), sc(s0), sc(t0)
-
-    def monic(f):
-        ilc = INV[f[-1]]
-        return norm([MUL[c][ilc] for c in f])
-
-    return Kernels(add, sub, neg, mul, divmod_, gcdext, monic)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +361,7 @@ class Poly:
 
     def __init__(self, domain, coeffs):
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coeffs", pnormalize(domain, coeffs))
+        object.__setattr__(self, "coeffs", pnormalize(coeffs))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Poly is immutable")
@@ -546,7 +463,7 @@ def resultant(dom, f, g):
         rows.append(row)
     det = dom.one
     for col in range(size):
-        piv = next((r for r in range(col, size) if not dom.is_zero(rows[r][col])), None)
+        piv = next((r for r in range(col, size) if rows[r][col]), None)
         if piv is None:
             return dom.zero
         if piv != col:
@@ -555,7 +472,7 @@ def resultant(dom, f, g):
         det = dom.mul(det, rows[col][col])
         inv = dom.div(dom.one, rows[col][col])
         for r in range(col + 1, size):
-            if dom.is_zero(rows[r][col]):
+            if not rows[r][col]:
                 continue
             factor = dom.mul(rows[r][col], inv)
             for c in range(col, size):
@@ -708,7 +625,7 @@ def _equal_degree_split(f, d, p):
     dom = ResidueDomain(p)
     rng = random.Random(f"edf:{p}:{d}:{f}")
     while True:
-        a = pnormalize(dom, [rng.randrange(p) for _ in range(n)])
+        a = pnormalize([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
         g = pgcd(dom, a, f)

@@ -315,6 +315,9 @@ class TowerElem:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
+    def __bool__(self) -> bool:
+        return any(self.nums)
+
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 

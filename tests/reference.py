@@ -22,6 +22,9 @@
   from the curve alone (`torsion_over_tower`).  Production derive reads the
   odd part from the cached twist torsion of the model, one entry per
   (model, d), and caches the 2-part per (model, K, cap).
+- The dense polynomial kernels coefficient by coefficient, one `dom.add`,
+  `dom.sub` or `dom.mul` call each (`generic_*`).  Production runs every
+  kernel row through the domain's `axpy`.
 - Helpers that no production path calls: the meet of two structures, the
   odd torsion of a model through the twist decomposition (production
   derive reads it per twist), and a functional that avoids two vectors of
@@ -193,6 +196,65 @@ def _monic_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> li
             if g.divides(rem):
                 out.append(g)
     return out
+
+
+def _trim(dom, cs):
+    while cs and cs[-1] == dom.zero:
+        cs.pop()
+    return tuple(cs)
+
+
+def generic_padd(dom, op, f, g):
+    """f op g for op = dom.add or dom.sub, one call per coefficient."""
+    n = max(len(f), len(g))
+    pad = lambda h: list(h) + [dom.zero] * (n - len(h))
+    return _trim(dom, [op(a, b) for a, b in zip(pad(f), pad(g))])
+
+
+def generic_pmul(dom, f, g):
+    if not f or not g:
+        return ()
+    out = [dom.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = dom.add(out[i + j], dom.mul(a, b))
+    return _trim(dom, out)
+
+
+def generic_pdivmod(dom, f, g):
+    q = [dom.zero] * max(0, len(f) - len(g) + 1)
+    r = list(f)
+    inv_lc = dom.div(dom.one, g[-1])
+    while len(r) >= len(g):
+        if r[-1] == dom.zero:
+            r.pop()
+            continue
+        c = dom.mul(r[-1], inv_lc)
+        k = len(r) - len(g)
+        q[k] = c
+        for i, b in enumerate(g):
+            r[k + i] = dom.sub(r[k + i], dom.mul(c, b))
+        r.pop()
+    return _trim(dom, q), _trim(dom, r)
+
+
+def generic_pmonic(dom, f):
+    inv = dom.div(dom.one, f[-1])
+    return _trim(dom, [dom.mul(inv, c) for c in f])
+
+
+def generic_pgcdext(dom, f, g):
+    """(d, s, t) with s*f + t*g = d monic, by Euclid on the kernels above."""
+    r0, r1 = f, g
+    s0, s1 = (dom.one,), ()
+    t0, t1 = (), (dom.one,)
+    while r1:
+        q, r = generic_pdivmod(dom, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, generic_padd(dom, dom.sub, s0, generic_pmul(dom, q, s1))
+        t0, t1 = t1, generic_padd(dom, dom.sub, t0, generic_pmul(dom, q, t1))
+    inv = (dom.div(dom.one, r0[-1]),)
+    return generic_pmonic(dom, r0), generic_pmul(dom, inv, s0), generic_pmul(dom, inv, t0)
 
 
 def jac_order(C, D, bound: int = 100000) -> int:

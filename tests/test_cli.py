@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mqtorsion import hyperjac, mwtors
 from mqtorsion.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -52,6 +53,18 @@ class TestJacStructure:
         code, out, _ = run(capsys, "jac-structure", "--model", "X1(13)", "--prime", "5", "--deg", "2")
         assert code == 0
         assert json.loads(out)["order"] == 361
+
+    def test_deg1_counts_the_zeta_function_once(self, capsys, monkeypatch):
+        """The census and the zeta cross-check of a deg-1 call read one
+        count of the same curve."""
+        counted = []
+        zeta_order = hyperjac.zeta_order
+        monkeypatch.setattr(hyperjac, "zeta_order", lambda C: counted.append(C) or zeta_order(C))
+        for memo in (mwtors.zeta, mwtors.census, mwtors.jac_structure):
+            memo.cache_clear()
+        code, out, _ = run(capsys, "jac-structure", "--model", "X1(13)", "--prime", "31", "--deg", "1")
+        assert code == 0 and json.loads(out)["zeta_check"]["order"] == 912
+        assert len(counted) == 1
 
     def test_even_prime_exit_2(self, capsys):
         code, _, err = run(capsys, "jac-structure", "--model", "X1(13)", "--prime", "2")

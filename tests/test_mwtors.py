@@ -123,7 +123,7 @@ class TestReductionBound:
         counting = lambda dom, coeffs, label: built.append(dom) or from_ints(dom, coeffs, label)
         monkeypatch.setattr(hyperjac.HyperCurve, "from_ints", staticmethod(counting))
         mwtors._hyper_reduction_or_none.cache_clear()
-        mwtors._zeta_orders.cache_clear()
+        mwtors.zeta.cache_clear()
         for _ in range(3):
             with pytest.raises(BadReduction):
                 mwtors.hyper_reduction(model, 3, 1)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from mqtorsion import poly
 from mqtorsion.ellcurve import INF, CurveError, EllipticCurve, points_over_code_domain
+import reference
 from reference import low_degree_factors_monic_associate
 from mqtorsion.ff import make_field
 from mqtorsion.intutil import is_prime
-from mqtorsion.qfield import MultiQuadField
+from mqtorsion.qfield import MultiQuadField, TowerElem
 from mqtorsion.poly import (
     InexactDivision,
     Poly,
@@ -41,6 +42,44 @@ def b_invariants(a1, a2, a3, a4, a6):
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+def _codes(pk):
+    dom = code_domain(make_field(*pk))
+    return dom, lambda rng: rng.randrange(dom.q)
+
+
+def _residues(m):
+    return ResidueDomain(m), lambda rng: rng.randrange(m)
+
+
+def _rationals(_):
+    return QQ, lambda rng: Fr(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _tower(gens):
+    dom = TowerDomain(MultiQuadField(gens))
+    draw = lambda rng: TowerElem(dom.K, [Fr(rng.randint(-2, 2)) for _ in range(dom.K.degree)])
+    return dom, lambda rng: dom.zero if rng.random() < 0.2 else draw(rng)
+
+
+# (domain factory, its argument, rounds) for the kernel kit checks
+KIT_CASES = [
+    *(pytest.param(_codes, (p, k), 300, id=f"{p}-{k}") for p, k in [(3, 1), (7, 1), (11, 1), (3, 2), (5, 2), (7, 2)]),
+    *(pytest.param(_residues, m, 300, id=f"Z{m}") for m in (13, 3**4, 1000)),
+    pytest.param(_rationals, None, 100, id="QQ"),
+    pytest.param(_tower, (-1, 3), 30, id="tower"),
+]
+
+
+def _random_poly(rng, coeff, lead=None):
+    """A normalised tuple of up to 7 coefficients drawn by coeff; nonzero
+    with a leading coefficient that passes lead, when lead is given."""
+    while True:
+        f = poly.pnormalize([coeff(rng) for _ in range(rng.randint(0, 7))])
+        if lead is None or (f and lead(f[-1])):
+            return f
+
 
 X15_B = b_invariants(0, 0, 0, -27, 8694)  # y^2 = (x+21)(x^2-21x+414)
 X14_CUBIC = Poly.from_ints(QQ, [13662, -675, 0, 1])  # (x+33)(x^2-33x+414)
@@ -76,36 +115,56 @@ class TestArith:
             assert q * g + r == f
             assert r.is_zero() or r.degree < g.degree
 
-    @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (11, 1), (3, 2), (5, 2), (7, 2)])
-    def test_code_kit_agrees_with_generic_kernels(self, p, k):
-        """The table-bound kit of a CodeDomain computes what poly's generic
-        kernels compute, on random tuples over F_p and F_{p^2}."""
-        dom = code_domain(make_field(p, k))
+    @pytest.mark.parametrize("make,arg,rounds", KIT_CASES)
+    def test_code_kit_agrees_with_generic_kernels(self, make, arg, rounds):
+        """The kernel kit over each domain computes what the generic kernels
+        of `reference` compute with one domain call per coefficient, on
+        random tuples over F_p and F_{p^2} codes, Z/m for m prime, a prime
+        power and composite, Q and a tower.  Divisors have a unit leading
+        coefficient, and gcdext runs only over fields."""
+        dom, coeff = make(arg)
         kit = kernels(dom)
-        rng = random.Random(p * 10 + k)
+        rng = random.Random(repr(dom))
+        field = not isinstance(dom, ResidueDomain) or is_prime(dom.m)
+        unit = lambda c: c and (field or math.gcd(c, dom.m) == 1)
+        for _ in range(rounds):
+            f, g = _random_poly(rng, coeff), _random_poly(rng, coeff)
+            h = _random_poly(rng, coeff, unit)
+            assert kit.add(f, g) == reference.generic_padd(dom, dom.add, f, g)
+            assert kit.sub(f, g) == reference.generic_padd(dom, dom.sub, f, g)
+            assert kit.neg(f) == tuple(dom.neg(c) for c in f)
+            assert kit.mul(f, g) == reference.generic_pmul(dom, f, g)
+            assert kit.divmod(f, h) == reference.generic_pdivmod(dom, f, h)
+            assert kit.monic(h) == reference.generic_pmonic(dom, h)
+            if field:
+                assert kit.gcdext(f, h) == reference.generic_pgcdext(dom, f, h)
+                assert kit.gcdext(h, f) == reference.generic_pgcdext(dom, h, f)
 
-        def rand(nonzero=False):
-            while True:
-                f = poly.pnormalize(dom, [rng.randrange(dom.q) for _ in range(rng.randint(0, 7))])
-                if f or not nonzero:
-                    return f
-
-        for _ in range(300):
-            f, g, h = rand(), rand(), rand(nonzero=True)
-            assert kit.add(f, g) == poly.padd(dom, f, g)
-            assert kit.sub(f, g) == poly.psub(dom, f, g)
-            assert kit.neg(f) == poly.pneg(dom, f)
-            assert kit.mul(f, g) == poly.pmul(dom, f, g)
-            assert kit.divmod(f, h) == poly.pdivmod(dom, f, h)
-            assert kit.gcdext(f, h) == poly.pgcdext(dom, f, h)
-            assert kit.gcdext(h, f) == poly.pgcdext(dom, h, f)
-            assert kit.monic(h) == poly.pmonic(dom, h)
+    @pytest.mark.parametrize("p", [3, 7, 11])
+    def test_fp_codes_are_residues(self, p):
+        """F_p codes are the residues 0..p-1 (`ff.Tables`), so the kernels
+        over CodeDomain(F_p) and over ResidueDomain(p) agree on the same
+        int tuples."""
+        code, residue = kernels(code_domain(make_field(p, 1))), kernels(ResidueDomain(p))
+        rng = random.Random(p)
+        coeff = lambda rng: rng.randrange(p)
+        for _ in range(200):
+            f, g = _random_poly(rng, coeff), _random_poly(rng, coeff)
+            h = _random_poly(rng, coeff, bool)
+            assert code.add(f, g) == residue.add(f, g)
+            assert code.sub(f, g) == residue.sub(f, g)
+            assert code.neg(f) == residue.neg(f)
+            assert code.mul(f, g) == residue.mul(f, g)
+            assert code.divmod(f, h) == residue.divmod(f, h)
+            assert code.gcdext(f, h) == residue.gcdext(f, h)
+            assert code.gcdext(h, f) == residue.gcdext(h, f)
+            assert code.monic(h) == residue.monic(h)
 
     def test_finite_field_domain_roots(self):
         dom = code_domain(make_field(13, 2))
         # x^2 + 1 over F_169 has two roots
         f = (dom.one, dom.zero, dom.one)
-        roots = [x for x in range(dom.q) if dom.is_zero(peval(dom, f, x))]
+        roots = [x for x in range(dom.q) if not peval(dom, f, x)]
         assert len(roots) == 2
 
     def test_resultant_sylvester_small_oracle(self):
@@ -228,7 +287,7 @@ class TestDivisionPolynomialProperties:
         E, points = curve
         dom, p = E.domain, E.domain.tables.p
         kill = kill_poly(E.b_invariants(), n, dom).coeffs
-        roots = {x for x in range(p) if dom.is_zero(peval(dom, kill, x))}
+        roots = {x for x in range(p) if not peval(dom, kill, x)}
         assert roots == {P[0] for P in points if P is not INF and P[0] < p and E.mul(n, P) is INF}
 
     @PROPERTY

@@ -400,6 +400,7 @@ class TestIntegerForm:
         K, a, b = case
         v, w = TowerElem(K, a), TowerElem(K, b)
         assert v.coords == tuple(map(Fraction, a))
+        assert bool(v) == any(v.nums) == (not v.is_zero())
         assert (v + w).coords == tuple(x + y for x, y in zip(v.coords, w.coords))
         assert (v - w).coords == tuple(x - y for x, y in zip(v.coords, w.coords))
         assert (-v).coords == tuple(-x for x in v.coords)
