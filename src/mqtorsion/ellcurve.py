@@ -532,39 +532,40 @@ def two_torsion_roots_in_tower(A: int, B: int, K) -> list:
     return roots
 
 
-def halving_witness(A: int, B: int, K, t1):
-    """A point P over K with 2P = (t1, 0) on y^2 = x^3 + Ax + B, or None.
+def halving_witness(E: EllipticCurve, t1):
+    """A point P over K with 2P = (t1, 0) on E: y^2 = x^3 + Ax + B over the
+    tower K (`tower_short_curve`), or None.
 
     With the cofactor q(x) = x^2 + t1 x + (t1^2 + A), the halves of (t1, 0)
     have x = t1 +- m where m^2 = q(t1); P exists in E(K) iff m lies in K and
     the cubic value at one such x is a square in K.  Both directions exact.
     """
-    E = tower_short_curve(A, B, K)
-    q_t1 = t1 * t1 + t1 * t1 + t1 * t1 + K.from_rational(A)  # 3 t1^2 + A
+    A, B = E.a[3], E.a[4]
+    q_t1 = t1 * t1 + t1 * t1 + t1 * t1 + A  # 3 t1^2 + A
     m = qfield.sqrt_in_tower(q_t1)
     if m is None:
         return None
     for mm in (m, -m):
         x = t1 + mm
-        val = x * x * x + K.from_rational(A) * x + K.from_rational(B)
+        val = x * x * x + A * x + B
         y = qfield.sqrt_in_tower(val)
         if y is not None:
             P = (x, y)
-            assert E.on_curve(P) and E.mul(2, P) == (t1, K.zero())
+            assert E.on_curve(P) and E.mul(2, P) == (t1, E.domain.K.zero())
             return P
     return None
 
 
-def _halves_over_tower(A: int, B: int, L, e_roots: list, P):
-    """All points Q over L with 2Q = P on y^2 = x^3 + Ax + B, given the full
-    set of 2-torsion roots e_roots in L.
+def _halves_over_tower(E: EllipticCurve, e_roots: list, P):
+    """All points Q over L with 2Q = P on E: y^2 = x^3 + Ax + B over the
+    tower L, given the full set of 2-torsion roots e_roots in L.
 
     Classical: Q exists iff every x(P) - e_i is a square in L, and then
     x(Q) = x(P) + (+-s1)(+-s2) + (+-s2)(+-s3) + (+-s3)(+-s1) over sign
     choices, s_i^2 = x(P) - e_i.  Every candidate is verified by the group
     law, and every root of the halving quartic arises this way, so the
     returned list is complete."""
-    E = tower_short_curve(A, B, L)
+    A, B = E.a[3], E.a[4]
     x0, y0 = P
     ss = []
     for e in e_roots:
@@ -583,7 +584,7 @@ def _halves_over_tower(A: int, B: int, L, e_roots: list, P):
             if x in seen_x:
                 continue
             seen_x.append(x)
-            val = x * x * x + L.from_rational(A) * x + L.from_rational(B)
+            val = x * x * x + A * x + B
             y = qfield.sqrt_in_tower(val)
             if y is None:
                 continue
@@ -644,7 +645,10 @@ def two_primary_over_tower(A: int, B: int, K, cap: int):
     if len(roots) not in (1, 3):
         raise CurveError("impossible 2-torsion root count")  # pragma: no cover
     witnesses = [(r, K.zero()) for r in roots]
-    halves = [halving_witness(A, B, K, t1) for t1 in roots] if cap >= 4 else []
+    halves = []
+    if cap >= 4:
+        EK = tower_short_curve(A, B, K)
+        halves = [halving_witness(EK, t1) for t1 in roots]
     halvable = [P4 for P4 in halves if P4 is not None]
     if len(roots) == 3 and len(halvable) not in (0, 1, 3):
         raise CurveError("halvable 2-torsion is not a subgroup")  # pragma: no cover
@@ -653,12 +657,12 @@ def two_primary_over_tower(A: int, B: int, K, cap: int):
     if halvable and cap >= 8:
         L, e_roots = _two_torsion_field(A, B, K)
         galois = L.galois_over(K)
-        EK = tower_short_curve(A, B, K)
+        EL = tower_short_curve(A, B, L)
         level = 8
         while level <= cap:
             found = None
             for P in _order_reps(EK, witnesses, level // 2):
-                for Q in _halves_over_tower(A, B, L, e_roots, (L.lift(P[0]), L.lift(P[1]))):
+                for Q in _halves_over_tower(EL, e_roots, (L.lift(P[0]), L.lift(P[1]))):
                     if _k_rational(galois, Q[0]) and _k_rational(galois, Q[1]):
                         found = (K.project(Q[0]), K.project(Q[1]))
                         break

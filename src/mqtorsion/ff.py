@@ -4,8 +4,9 @@ F_{p^2} is realized as F_p[t]/(t^2 - r) where r is the first quadratic
 non-residue in the scan order -1, 2, 3, ..., so the integer codes of the
 elements, and every table built on them, are reproducible.  Arithmetic runs
 on those codes through `tables`.  A generic degree-2 extension of an
-arbitrary table field (needed to count points over F_{q^2} when q is
-already p^2) is provided by `quadratic_extension`.
+arbitrary table field (where the genus-2 class stream lists the conjugate
+pairs of quadratic points, and q may already be p^2) is provided by
+`quadratic_extension`.
 """
 
 from __future__ import annotations
@@ -112,10 +113,9 @@ class QuadExt:
     """Degree-2 extension of a table field, elements coded as (a, b) pairs
     meaning a + b*u with u^2 = r, r a fixed non-residue of the base.
 
-    Only what point counting needs: ring ops, squares, square roots, and the
-    base-Frobenius conjugation.  Squares are decided through the norm; the
-    table of square roots, one entry per square of F_{q^2}, is built on the
-    first `sqrt` call.
+    Only what the conjugate pairs of quadratic points need: ring ops, square
+    roots, and the base-Frobenius conjugation.  The table of square roots,
+    one entry per square of F_{q^2}, is built on the first `sqrt` call.
     """
 
     def __init__(self, base: Tables):
@@ -154,17 +154,6 @@ class QuadExt:
         a, b = x
         c, d = y
         return (ba[bm[a][c]][bm[self.r][bm[b][d]]], ba[bm[a][d]][bm[b][c]])
-
-    def is_square(self, x) -> bool:
-        """x = a + b*u != 0 is a square iff its norm a^2 - r b^2 is a square
-        in the base F_q.  Proof: for g a generator of the cyclic group
-        F_{q^2}^*, N(g) = g^(q+1) generates F_q^*, and both orders are even;
-        so x = g^k and N(x) = N(g)^k are squares exactly when k is even."""
-        if x == (0, 0):
-            return True
-        ba, bm, bn = self.base.add, self.base.mul, self.base.neg
-        a, b = x
-        return self.base.is_sq[ba[bm[a][a]][bn[bm[self.r][bm[b][b]]]]]
 
     def sqrt(self, x):
         """The first root of x in the order of `elements`, or None."""

@@ -1,7 +1,9 @@
 """Invariant-factor decompositions of finite abelian groups, and the census
 that recovers them one Sylow subgroup at a time, from a list of the
 elements or from a lazy collection that draws only the elements a Sylow
-span needs."""
+span needs.  Each span records one relation per generator as it is built,
+and the structure of a Sylow subgroup is read from the Smith form of those
+relations, with no addition beyond the span's own."""
 
 from __future__ import annotations
 
@@ -128,26 +130,19 @@ def structure_from_elements(
     collection (see `sylow_subgroups`).
 
     G is the direct sum of its Sylow subgroups (`sylow_subgroups`, or the
-    `sylow` sets already computed from these elements).  For each ell with
-    ell^2 | n, the layers ell^i * S_ell of the ell-Sylow subgroup are counted
-    as multisets; the multiplicity of the identity in ell^i * S_ell is
-    |S_ell[ell^i]| = |G[ell^i]|, and these counts determine the ell-Sylow
-    partition.  (When only ell | n, S_ell is Z/ell and is not computed.)
-    Exact, no randomness.
-
-    Every layer multiplies by ell through one table dbl = {x: 2x : x in
-    S_ell}: ell * y is summed over the binary expansion of ell, from y, 2y,
-    4y, ..., so 2-layers cost no further additions and an odd ell costs
-    popcount(ell) - 1 per element.  Every lookup hits: the layers satisfy
-    ell^i * S_ell <= S_ell, and S_ell is closed under doubling.  (As for the
-    identity count, equal elements must compare and hash equal.)
+    `sylow` spans already computed from these elements).  For each ell with
+    ell^2 | n, the ell-exponents of S_ell are read from the Smith form of
+    the relation rows that `subgroup_span` recorded while it built S_ell
+    (`_smith_diagonal`), so the census makes no addition beyond the spans.
+    When only ell | n, S_ell is Z/ell and is not computed.  Exact, no
+    randomness.
     """
     n = len(elements)
     ell_exps = factorize(n)
     if sylow is None:
         sylow = sylow_subgroups(elements, add, identity, [ell for ell, e in ell_exps.items() if e > 1])
     prime_exps = {
-        ell: [1] if e == 1 else _sylow_partition(sylow[ell], ell, add, identity)
+        ell: [1] if e == 1 else [factorize(d).get(ell, 0) for d in _smith_diagonal(sylow[ell].rows)]
         for ell, e in ell_exps.items()
     }
     out = AbGroupStructure.from_prime_exponents(prime_exps)
@@ -158,44 +153,33 @@ def structure_from_elements(
     return out
 
 
-def _sylow_partition(S, ell, add, identity) -> list[int]:
-    """The exponents lam_j of S = sum_j Z/ell^lam_j, by the ell-layer count."""
-    double = {x: add(x, x) for x in S}.__getitem__
-    counts = [1]  # |S[ell^0]|
-    layer: dict = {}
-    for x in S:
-        layer[x] = layer.get(x, 0) + 1
-    while counts[-1] < len(S):
-        nxt: dict = {}
-        for x, c in layer.items():
-            y = scalar_mul(ell, x, add, double, identity)
-            nxt[y] = nxt.get(y, 0) + c
-        layer = nxt
-        counts.append(layer.get(identity, 0))
-        if counts[-1] == counts[-2]:
-            break
-    # counts[i] = ell^{sum_j min(i, lam_j)}; differences give the partition
-    ranks = []
-    for i in range(1, len(counts)):
-        ratio = counts[i] // counts[i - 1]
-        r = 0
-        while ratio > 1:
-            ratio //= ell
-            r += 1
-        ranks.append(r)  # number of lam_j >= i
-    partition: list[int] = []
-    for i, r in enumerate(ranks, start=1):
-        while len(partition) < r:
-            partition.append(0)
-        for j in range(r):
-            partition[j] = i
-    return sorted(partition)
+def _smith_diagonal(rows) -> list[int]:
+    """|d_1|, ..., |d_r| of a diagonal form of the full-rank r x r integer
+    matrix of the `rows`, padded with zeros: Z^r / rows = sum_k Z/d_k
+    (Cohen, GTM 138, section 2.4.3).  Row and column operations over Z keep
+    the quotient.  An entry of least absolute value reduces the rest of its
+    column, then of its row (a column of the transpose); a remainder left
+    is a smaller pivot, so the pivot ends alone in its row and column, which
+    then leave the matrix.  No divisibility chain is needed: the caller
+    takes ell-exponents, which `AbGroupStructure` sorts."""
+    A = [[*row, *[0] * (len(rows) - len(row))] for row in rows]
+    out = []
+    while A:
+        p, i, j = min((abs(a), i, j) for i, row in enumerate(A) for j, a in enumerate(row) if a)
+        for _ in range(2):
+            piv = A[i]
+            A = [row if row is piv else [x - row[j] // piv[j] * y for x, y in zip(row, piv)] for row in A]
+            A, i, j = [list(col) for col in zip(*A)], j, i
+        if sum(map(bool, A[i])) == 1 and sum(bool(row[j]) for row in A) == 1:
+            out.append(p)
+            A = [row[:j] + row[j + 1:] for k, row in enumerate(A) if k != i]
+    return out
 
 
 def sylow_subgroups(elements, add, identity, primes=None) -> dict:
     """{ell: S_ell} for every prime ell | n (or every ell | n in `primes`),
     where `elements` is a finite abelian group G of order n = len(elements)
-    and S_ell is its ell-Sylow subgroup, as a collection of elements.
+    and S_ell is its ell-Sylow subgroup, as the `Span` that built it.
     `elements` is only iterated, once per ell, never indexed: it may be a
     lazy collection whose `len` is the order n and whose passes cover G,
     such as `hyperjac.ClassStream`, and then only the elements that a span
@@ -210,9 +194,8 @@ def sylow_subgroups(elements, add, identity, primes=None) -> dict:
     ell^e = |S_ell| elements is S_ell.  Since the images cover S_ell, the
     span does reach ell^e elements; if it does not, or if it grows past
     ell^e, the input is not a group of order n and GroupError is raised.
-    When n = ell^e and `elements` is a list, S_ell is that list and no
-    addition is made; a lazy collection is spanned with m = 1 instead, so
-    that it is not listed.
+    When n = ell^e, m = 1 and the elements are spanned as they are, so that
+    the span records its relations.
     """
     n = len(elements)
     double = lambda x: add(x, x)
@@ -221,9 +204,6 @@ def sylow_subgroups(elements, add, identity, primes=None) -> dict:
         if primes is not None and ell not in primes:
             continue
         q = ell**e
-        if q == n and isinstance(elements, list):
-            out[ell] = elements
-            continue
         m = n // q
         images = (scalar_mul(m, x, add, double, identity) for x in elements)
         span = subgroup_span(images, add, identity, cap=q, stop_at_cap=True)
@@ -251,9 +231,17 @@ def scalar_mul(n, x, add, double, identity):
     return out
 
 
+class Span(set):
+    """A subgroup as a set, with the generators that opened cosets in
+    `subgroup_span` and one relation row per generator,
+    sum_j rows[k][j] * gens[j] = 0, row k having k + 1 entries."""
+
+    __slots__ = ("gens", "rows")
+
+
 def subgroup_span(generators, add, identity, cap: int | None = None, stop_at_cap: bool = False):
     """The subgroup generated by `generators` in a finite abelian group, as a
-    set; None if it has more than `cap` elements.  With `stop_at_cap`, no
+    `Span`; None if it has more than `cap` elements.  With `stop_at_cap`, no
     further generator is drawn once the span has exactly `cap` elements.
 
     Built by coset extension.  With H the span of the generators taken so
@@ -267,18 +255,39 @@ def subgroup_span(generators, add, identity, cap: int | None = None, stop_at_cap
     one addition, and the cap is checked before each new coset is built.
     No negation is needed: -g = (ord(g) - 1)*g, so in a finite group the
     additive closure of a set is already a subgroup.
+
+    The relations.  Let g_1, ..., g_r be the generators with m_k > 1.  The
+    cosets are appended in mixed-radix order: the element at index i is
+    sum_j d_j * g_j, d_1, d_2, ... the digits of i in the radices
+    m_1, m_2, ..., least significant first.  The loop for g_k ends at
+    m_k * g_k, which lies in H (were it in H + j*g_k, 0 < j < m_k, then
+    (m_k - j)*g_k would be in H), at an index i < |H| whose digits give the
+    row (-d_1, ..., -d_{k-1}, m_k).  Then Z^r / rows is the span:
+    e_k -> g_k maps Z^r onto it; the rows lie in the kernel; and they form
+    a lower-triangular matrix with det m_1 * ... * m_r = |span|, so the
+    lattice they generate has the index of the kernel, and is the kernel.
     """
     span = [identity]
-    seen = {identity}
+    index = {identity: 0}
+    gens, rows = [], []
     for g in generators:
-        coset, first = span, g
-        while first not in seen:
-            if cap is not None and len(seen) + len(coset) > cap:
+        h, coset, first = len(span), span, g
+        while first not in index:
+            if cap is not None and len(span) + h > cap:
                 return None
             coset = [first, *(add(x, g) for x in coset[1:])]
+            index.update(zip(coset, range(len(span), len(span) + h)))
             span.extend(coset)
-            seen.update(coset)
             first = add(first, g)
-        if stop_at_cap and len(seen) == cap:
+        if len(span) > h:
+            i, row = index[first], []
+            for prev in rows:  # the digits of i, in the radices m_j = prev[-1]
+                i, d = divmod(i, prev[-1])
+                row.append(-d)
+            rows.append((*row, len(span) // h))
+            gens.append(g)
+        if stop_at_cap and len(span) == cap:
             break
-    return seen
+    out = Span(index)
+    out.gens, out.rows = tuple(gens), tuple(rows)
+    return out

@@ -251,9 +251,11 @@ class Census:
     kernel of 1 + Frobenius (`hyperjac.inert_twist_classes`); its count
     must equal L(-1) from the zeta oracle over F_p.
 
-    `sylow(ell)` spans S_ell once, on first use.  `structure` spans only the
-    ell with ell^2 | N (S_ell is Z/ell when ell || N), and `ell_pairs(ell)`
-    reads J[ell] from S_ell.
+    `sylow(ell)` spans S_ell once, on first use, as a `groups.Span` that
+    carries one relation row per generator.  `structure` spans only the ell
+    with ell^2 | N (S_ell is Z/ell when ell || N) and reads each S_ell from
+    the Smith form of its rows, so it adds no class beyond the spans, and
+    `ell_pairs(ell)` reads J[ell] from S_ell.
     """
 
     def __init__(self, model: CurveModel, p: int, f: int, twisted: bool):

@@ -25,6 +25,13 @@
 - The dense polynomial kernels coefficient by coefficient, one `dom.add`,
   `dom.sub` or `dom.mul` call each (`generic_*`).  Production runs every
   kernel row through the domain's `axpy`.
+- The census of a listed group by layers (`layer_census`): the
+  multiplicity of 0 in each ell^i * S_ell gives the ell-Sylow partition.
+  Production reads each Sylow structure from the Smith form of the
+  relations its span recorded.
+- N2 = #C(F_{q^2}) of a genus-2 curve by the walk over all q^2 elements of
+  F_{q^2} (`count_over_quadratic_ext_walk`).  Production counts it over F_q,
+  one monic irreducible quadratic per conjugate pair.
 - Helpers that no production path calls: the meet of two structures, the
   odd torsion of a model through the twist decomposition (production
   derive reads it per twist), and a functional that avoids two vectors of
@@ -59,8 +66,9 @@ from mqtorsion.ellcurve import (
     two_primary_over_tower,
 )
 from mqtorsion.ff import FieldDesc, FieldError
-from mqtorsion.groups import AbGroupStructure, structure_from_elements, subgroup_span
+from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elements, subgroup_span
 from mqtorsion.hyperjac import JacError, _pair_classes, jac_add, zeta_order
+from mqtorsion.intutil import factorize
 from mqtorsion.poly import (
     GOOD_PRIME_CAP,
     QQ,
@@ -255,6 +263,70 @@ def generic_pgcdext(dom, f, g):
         t0, t1 = t1, generic_padd(dom, dom.sub, t0, generic_pmul(dom, q, t1))
     inv = (dom.div(dom.one, r0[-1]),)
     return generic_pmonic(dom, r0), generic_pmul(dom, inv, s0), generic_pmul(dom, inv, t0)
+
+
+def layer_census(elements, add, identity) -> AbGroupStructure:
+    """The structure of a finite abelian group listed in full: each Sylow
+    subgroup S_ell = {x : ell^e * x = 0} is found by brute force and its
+    partition read by `sylow_partition`."""
+    n = len(elements)
+    double = lambda x: add(x, x)
+    prime_exps = {}
+    for ell, e in factorize(n).items():
+        S = [x for x in elements if scalar_mul(ell**e, x, add, double, identity) == identity]
+        prime_exps[ell] = sylow_partition(S, ell, add, identity)
+    return AbGroupStructure.from_prime_exponents(prime_exps)
+
+
+def sylow_partition(S, ell, add, identity) -> list[int]:
+    """The exponents lam_j of S = sum_j Z/ell^lam_j, by the ell-layer count."""
+    double = {x: add(x, x) for x in S}.__getitem__
+    counts = [1]  # |S[ell^0]|
+    layer: dict = {}
+    for x in S:
+        layer[x] = layer.get(x, 0) + 1
+    while counts[-1] < len(S):
+        nxt: dict = {}
+        for x, c in layer.items():
+            y = scalar_mul(ell, x, add, double, identity)
+            nxt[y] = nxt.get(y, 0) + c
+        layer = nxt
+        counts.append(layer.get(identity, 0))
+        if counts[-1] == counts[-2]:
+            break
+    # counts[i] = ell^{sum_j min(i, lam_j)}; differences give the partition
+    ranks = []
+    for i in range(1, len(counts)):
+        ratio = counts[i] // counts[i - 1]
+        r = 0
+        while ratio > 1:
+            ratio //= ell
+            r += 1
+        ranks.append(r)  # number of lam_j >= i
+    partition: list[int] = []
+    for i, r in enumerate(ranks, start=1):
+        while len(partition) < r:
+            partition.append(0)
+        for j in range(r):
+            partition[j] = i
+    return sorted(partition)
+
+
+def count_over_quadratic_ext_walk(C) -> int:
+    """N2 = #C(F_{q^2}) by evaluating F at every element of F_{q^2}, with
+    squares decided by the root table of `ff.QuadExt`."""
+    ext = ff.quadratic_extension(C.domain.field)
+    coeffs = [ext.embed(c) for c in C.F]
+    count = 2 if C.degree == 6 else 1  # lc is always a square in F_{q^2}
+    for x in ext.elements():
+        acc = ext.zero
+        for c in reversed(coeffs):
+            acc = ext.add(ext.mul(acc, x), c)
+        if acc == ext.zero:
+            count += 1
+        elif ext.sqrt(acc) is not None:
+            count += 2
+    return count
 
 
 def jac_order(C, D, bound: int = 100000) -> int:

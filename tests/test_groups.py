@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -15,6 +16,7 @@ from mqtorsion.groups import (
 )
 from mqtorsion.intutil import factorize
 from mqtorsion.mwtors import meet_many
+from reference import layer_census
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -112,12 +114,13 @@ class TestCensus:
         assert len(subgroup_span([(1,), (2,)], add, zero, cap=5)) == 5
 
     def test_two_group_census_adds_once_per_element(self):
-        # the doubling table is the only addition a 2-group census makes
+        # the span of the whole 2-group makes the only additions: one per
+        # element but 0, and its relation rows give the structure
         els, add, zero = cyclic_product_elements((2, 4, 8))
         calls = []
         counted = lambda a, b: calls.append(1) or add(a, b)
         assert structure_from_elements(els, counted, zero) == AbGroupStructure((2, 4, 8))
-        assert len(calls) == len(els)
+        assert len(calls) == len(els) - 1
 
     def test_sylow_subgroups_of_z12_x_z2(self):
         els, add, zero = cyclic_product_elements((12, 2))
@@ -170,12 +173,21 @@ class TestCensusProperties:
         else:
             assert span == expect
             assert len(calls) == len(span) - 1  # one addition per new element
+            assert len(span.rows) == len(span.gens)
+            assert math.prod(row[-1] for row in span.rows) == len(span)
+            for row in span.rows:  # each relation sums to 0 on its generators
+                total = tuple(sum(c * g[i] for c, g in zip(row, span.gens)) % n for i, n in enumerate(ns))
+                assert total == zero, (row, span.gens)
 
     @PROPERTY
-    @given(group_elements(max_elements=0))
-    def test_structure_matches_summands(self, group):
+    @given(group_elements(max_elements=0), st.randoms(use_true_random=False))
+    def test_structure_matches_summands(self, group, rng):
+        # shuffled, so that the spans draw their generators, and record
+        # their relation rows, in arbitrary orders
         ns, els, add, zero, _ = group
-        assert structure_from_elements(els, add, zero) == AbGroupStructure.from_summands(ns)
+        rng.shuffle(els)
+        expect = AbGroupStructure.from_summands(ns)
+        assert structure_from_elements(els, add, zero) == layer_census(els, add, zero) == expect
 
     @PROPERTY
     @given(group_elements(max_elements=0, max_n=30))

@@ -26,7 +26,7 @@ from mqtorsion.hyperjac import (
 from mqtorsion.mwtors import Census, CurveModel, census, model_registry
 from mqtorsion.poly import QQ, Poly, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
-from reference import all_classes, jac_order
+from reference import all_classes, count_over_quadratic_ext_walk, jac_order
 
 X13 = [1, -4, 6, -2, 1, -2, 1]  # x^6 - 2x^5 + x^4 - 2x^3 + 6x^2 - 4x + 1
 X16 = [0, -1, 2, 0, 2, 1]  # x(x^2+1)(x^2+2x-1)
@@ -197,6 +197,22 @@ class TestZeta:
     def test_paper_orders(self, coeffs, p, f, nj):
         assert zeta_order(curve(coeffs, p, f))[3] == nj
 
+    def test_count_over_f_q_matches_the_walk_over_f_q2(self):
+        """N2 counted over F_q against the walk over all of F_{q^2}, at every
+        good reduction of the builtin genus-2 models: f = 1 for p <= 47 and
+        f = 2 for p <= 13."""
+        pairs = 0
+        for coeffs in MODELS.values():
+            for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+                for f in (1, 2) if p <= 13 else (1,):
+                    try:
+                        C = curve(coeffs, p, f)
+                    except JacError:
+                        continue
+                    assert hyperjac._count_over_quadratic_ext(C) == count_over_quadratic_ext_walk(C), (coeffs, p, f)
+                    pairs += 1
+        assert pairs == 53
+
     def test_enumeration_matches_zeta_everywhere(self):
         """Every builtin genus-2 model, every good odd p <= 13, f in {1,2}."""
         for label, coeffs in MODELS.items():
@@ -225,6 +241,16 @@ class TestGroupStructure:
         st = census(model_of(coeffs), p, f, False).structure
         assert st == AbGroupStructure.from_summands(expect)
 
+
+    def test_x13_f25_census_adds_once_per_class_but_zero(self):
+        # J(F_25) = Z/19 x Z/19 is its own 19-Sylow subgroup: the span adds
+        # once per class but 0, and its relation rows give the structure
+        cen = Census(model_of(X13), 5, 2, False)
+        add = cen.add
+        calls = []
+        cen.add = lambda a, b: calls.append(1) or add(a, b)
+        assert cen.structure == AbGroupStructure((19, 19))
+        assert len(calls) == 360
 
     def test_x18_f49_census_adds_fewer_than_classes(self):
         # |J(F_49)| = 1953 = 3^2 * 7 * 31: only the 3-Sylow subgroup is
