@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ff, poly, qfield
-from .groups import AbGroupStructure, GroupError, scalar_mul, structure_from_elements, subgroup_span
+from .groups import AbGroupStructure, GroupError, scalar_mul, structure_from_elements
 from .intutil import (
     factorize,
     integer_cubic_roots,
@@ -53,13 +53,15 @@ class EllipticCurve:
     __slots__ = ("domain", "a", "label")
 
     def __init__(self, domain, ainvs, label: str | None = None):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "a", tuple(ainvs))
-        object.__setattr__(self, "label", label)
+        self._set(domain, ainvs, label)
         if len(self.a) != 5:
             raise CurveError("need (a1, a2, a3, a4, a6)")
         if not self.discriminant():
             raise CurveError("singular model")
+
+    def _set(self, domain, ainvs, label) -> None:
+        for name, value in zip(self.__slots__, (domain, tuple(ainvs), label)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *args):  # pragma: no cover
         raise AttributeError("immutable")
@@ -496,8 +498,15 @@ def _short_b(E: EllipticCurve) -> tuple:
 
 
 def tower_short_curve(A: int, B: int, K) -> EllipticCurve:
+    """y^2 = x^3 + Ax + B over the tower K, for integers A and B.  Its
+    discriminant is -16(4A^3 + 27B^2), an integer, so the model is checked
+    over Z and not again in the tower."""
+    if 4 * A**3 + 27 * B**2 == 0:
+        raise CurveError("singular model")
     dom = TowerDomain(K)
-    return EllipticCurve(dom, [dom.from_int(n) for n in (0, 0, 0, A, B)])
+    E = object.__new__(EllipticCurve)
+    E._set(dom, [dom.from_int(n) for n in (0, 0, 0, A, B)], None)
+    return E
 
 
 def _roots_in_tower(g: Poly, K) -> list:
@@ -516,9 +525,8 @@ def _roots_in_tower(g: Poly, K) -> list:
         assert s is not None
     else:
         return []
-    half = K.from_rational(Fraction(1, 2))
     mb = K.from_rational(-g.coeffs[1])
-    roots = [(mb + s) * half, (mb - s) * half]
+    roots = [(mb + s).scale(1, 2), (mb - s).scale(1, 2)]
     return roots if roots[0] != roots[1] else roots[:1]
 
 
@@ -532,6 +540,53 @@ def two_torsion_roots_in_tower(A: int, B: int, K) -> list:
     return roots
 
 
+def _doubles_to(E: EllipticCurve, Q, P) -> bool:
+    """True iff Q = (x, y) lies on E: y^2 = x^3 + Ax + B over a tower and
+    2Q = P = (x0, y0), both affine, checked without an inverse.
+
+    For y != 0 the tangent at Q has slope l = (3x^2 + A)/(2y), and
+    2Q = (l^2 - 2x, l(x - x(2Q)) - y), where l^2 - 2x equals
+    (x^4 - 2Ax^2 - 8Bx + A^2)/(4y^2) on E.  So 2Q = P iff
+    4y^2 x0 = x^4 - 2Ax^2 - 8Bx + A^2 and 2y y0 = (3x^2 + A)(x - x0) - 2y^2.
+    For y = 0, 2Q = O."""
+    A, B = E.a[3], E.a[4]
+    (x, y), (x0, y0) = Q, P
+    x2, y2 = x * x, y * y
+    return (
+        bool(y)
+        and y2 == x2 * x + A * x + B
+        and y2.scale(4) * x0 == x2 * x2 - (A * x2).scale(2) - (B * x).scale(8) + A * A
+        and (y * y0).scale(2) == (x2.scale(3) + A) * (x - x0) - y2.scale(2)
+    )
+
+
+def _two_power_order(E: EllipticCurve, P) -> int:
+    """The order of P, an affine point of 2-power order on
+    E: y^2 = x^3 + Ax + B over a tower, by doubling in Jacobian coordinates
+    (X : Y : Z) = (X/Z^2, Y/Z^3), without an inverse (Cohen, Frey et al.,
+    Handbook of Elliptic and Hyperelliptic Curve Cryptography, 13.2.1).
+
+    The double of (X : Y : Z) is (X' : M(S - X') - 8Y^4 : 2YZ) with
+    M = 3X^2 + AZ^4, S = 4XY^2 and X' = M^2 - 2S.  An affine point (Z != 0)
+    with Y = 0 has order 2, and one with Y != 0 doubles to an affine point
+    (2YZ != 0).  So 2^j P = O exactly when the (j-1)-th double has Y = 0.
+    CurveError when the order exceeds 64."""
+    A = E.a[3]
+    X, Y = P
+    Z = E.domain.one
+    n = 2
+    while Y:
+        if n == 64:
+            raise CurveError("point order exceeds bound 64")
+        XX, YY, ZZ = X * X, Y * Y, Z * Z
+        S = (X * YY).scale(4)
+        M = XX.scale(3) + A * (ZZ * ZZ)
+        X = M * M - S.scale(2)
+        Y, Z = M * (S - X) - (YY * YY).scale(8), (Y * Z).scale(2)
+        n *= 2
+    return n
+
+
 def halving_witness(E: EllipticCurve, t1):
     """A point P over K with 2P = (t1, 0) on E: y^2 = x^3 + Ax + B over the
     tower K (`tower_short_curve`), or None.
@@ -541,7 +596,7 @@ def halving_witness(E: EllipticCurve, t1):
     the cubic value at one such x is a square in K.  Both directions exact.
     """
     A, B = E.a[3], E.a[4]
-    q_t1 = t1 * t1 + t1 * t1 + t1 * t1 + A  # 3 t1^2 + A
+    q_t1 = (t1 * t1).scale(3) + A  # 3 t1^2 + A
     m = qfield.sqrt_in_tower(q_t1)
     if m is None:
         return None
@@ -551,21 +606,31 @@ def halving_witness(E: EllipticCurve, t1):
         y = qfield.sqrt_in_tower(val)
         if y is not None:
             P = (x, y)
-            assert E.on_curve(P) and E.mul(2, P) == (t1, E.domain.K.zero())
+            assert _doubles_to(E, P, (t1, E.domain.zero))
             return P
     return None
 
 
-def _halves_over_tower(E: EllipticCurve, e_roots: list, P):
-    """All points Q over L with 2Q = P on E: y^2 = x^3 + Ax + B over the
-    tower L, given the full set of 2-torsion roots e_roots in L.
+def _halves_over_tower(E: EllipticCurve, e_roots: list, P) -> list:
+    """The four points Q over L with 2Q = P on E: y^2 = x^3 + Ax + B over
+    the tower L, given the three roots e_i of the cubic in L; [] when P has
+    no half over L.
 
-    Classical: Q exists iff every x(P) - e_i is a square in L, and then
-    x(Q) = x(P) + (+-s1)(+-s2) + (+-s2)(+-s3) + (+-s3)(+-s1) over sign
-    choices, s_i^2 = x(P) - e_i.  Every candidate is verified by the group
-    law, and every root of the halving quartic arises this way, so the
-    returned list is complete."""
-    A, B = E.a[3], E.a[4]
+    Halving (Bekker and Zarhin, The divisibility by 2 of rational points on
+    elliptic curves, 2017).  P = (x0, y0) has a half over L iff each
+    x0 - e_i is a square in L: if 2Q = P with Q = (x, y), then x0 - e_i is
+    the square of ((x - e_i)^2 - (e_i - e_j)(e_i - e_k))/(2y).  Take s_i
+    with s_i^2 = x0 - e_i.  Since (s1 s2 s3)^2 = (x0 - e1)(x0 - e2)(x0 - e3)
+    = y0^2, flipping s1 if need be gives s1 s2 s3 = -y0.  Then for each of
+    the four sign triples t = (+-s1, +-s2, +-s3) with t1 t2 t3 = -y0,
+        Q = (x0 + t1 t2 + t2 t3 + t3 t1, -(t1 + t2)(t2 + t3)(t3 + t1))
+    is a half of P.  With s = t1 + t2 + t3 and q = t1 t2 + t2 t3 + t3 t1,
+    (t1 + t2)(t2 + t3)(t3 + t1) = s q - t1 t2 t3, so Q = (x0 + q, -y0 - s q).
+    When y0 = 0, P = (e_j, 0) and s_j = 0: every sign triple meets the
+    condition, and the four triples are the four sign choices of the other
+    two roots.  Each Q is checked by `_doubles_to`, and the four are
+    checked to be distinct.  The halves of P form one coset of E[2], which
+    lies in E(L), so there are four of them and these are all."""
     x0, y0 = P
     ss = []
     for e in e_roots:
@@ -574,25 +639,22 @@ def _halves_over_tower(E: EllipticCurve, e_roots: list, P):
             return []
         ss.append(s)
     s1, s2, s3 = ss
-    out = []
-    seen_x = []
-    for sign2 in (1, -1):
-        for sign3 in (1, -1):
-            b = s2 if sign2 == 1 else -s2
-            c = s3 if sign3 == 1 else -s3
-            x = x0 + s1 * b + b * c + c * s1
-            if x in seen_x:
-                continue
-            seen_x.append(x)
-            val = x * x * x + A * x + B
-            y = qfield.sqrt_in_tower(val)
-            if y is None:
-                continue
-            for Q in ((x, y), (x, -y)):
-                if E.mul(2, Q) == P:
-                    out.append(Q)
-                    break
-    return out
+    s12, s23, s31 = s1 * s2, s2 * s3, s3 * s1
+    if s12 * s3 != -y0:
+        s1, s12, s31 = -s1, -s12, -s31
+    halves = []
+    # (s, q) of the triples (s1, s2, s3), (s1, -s2, -s3), (-s1, s2, -s3), (-s1, -s2, s3)
+    for s, q in (
+        (s1 + s2 + s3, s12 + s23 + s31),
+        (s1 - s2 - s3, s23 - s12 - s31),
+        (s2 - s1 - s3, s31 - s12 - s23),
+        (s3 - s1 - s2, s12 - s23 - s31),
+    ):
+        Q = (x0 + q, -y0 - s * q)
+        assert _doubles_to(E, Q, P)
+        halves.append(Q)
+    assert all(Q != R for Q, R in itertools.combinations(halves, 2))
+    return halves
 
 
 def _two_torsion_field(A: int, B: int, K):
@@ -624,13 +686,30 @@ def _k_rational(galois, v) -> bool:
 def two_primary_over_tower(A: int, B: int, K, cap: int):
     """(structure, witnesses) for the 2-primary torsion of
     y^2 = x^3 + Ax + B over the multi-quadratic field K, given a proven
-    bound `cap` on the exponent of E(K)[2^oo].
+    bound `cap` on the exponent of E(K)[2^oo].  The witnesses are the
+    points the search found, each with its order.
 
     2-torsion from the cubic roots in K (complete); order 4 by the halving
-    iff-criterion; orders 8, 16, ... by halving every lower-level class over
-    the 2-torsion field and descending to K by Galois fixedness.  Each level
-    is tried only while it is at most `cap`, and the search stops at the
-    first level with no half, so the result is exact.
+    iff-criterion.  Then H, the span of the witnesses, grows by a half over
+    K of a point of some class of H/2H but 0 (`_order_reps`), found over
+    the 2-torsion field and descended to K by Galois fixedness, until no
+    class has a half of order at most `cap`.
+
+    Exactness.  Let G be the points of E(K) of order dividing cap, a group
+    that holds H.  While H != G, take R in G outside H; some Q = 2^i R lies
+    outside H with 2Q in H.  2Q is not in 2H: else 2Q = 2R' with R' in H,
+    and Q - R' lies in E(K)[2], which H holds, so Q would lie in H.  So the
+    class of 2Q is not 0 and has a half over K of order at most cap, and
+    then so does the point of least order in that class, which
+    `_order_reps` yields.  The search stops exactly at H = G, and
+    G = E(K)[2^oo] since cap bounds its exponent.
+
+    H starts from a basis.  With one halvable root t_i and P4 its half,
+    H = <T_j> + <P4> for another root T_j = (t_j, 0): T_i = 2 P4, the third
+    root is T_i + T_j, and <P4> meets E[2] in T_i alone.  With three, and
+    P4, P4' the halves of T_1, T_2, H = <P4> + <P4'>: a half of T_3 differs
+    from P4 + P4' by a point of E[2] = <T_1, T_2>, and <P4>, <P4'> meet
+    E[2] in T_1 and T_2.  With one root, H = <P4>; with none, H = E(K)[2].
 
     The cap.  At a prime v of K above an odd prime p of good reduction,
     reduction is injective on the torsion of order prime to p: its kernel,
@@ -644,7 +723,8 @@ def two_primary_over_tower(A: int, B: int, K, cap: int):
         return AbGroupStructure.trivial(), []
     if len(roots) not in (1, 3):
         raise CurveError("impossible 2-torsion root count")  # pragma: no cover
-    witnesses = [(r, K.zero()) for r in roots]
+    zero = K.zero()
+    witnesses = [((r, zero), 2) for r in roots]
     halves = []
     if cap >= 4:
         EK = tower_short_curve(A, B, K)
@@ -652,63 +732,61 @@ def two_primary_over_tower(A: int, B: int, K, cap: int):
     halvable = [P4 for P4 in halves if P4 is not None]
     if len(roots) == 3 and len(halvable) not in (0, 1, 3):
         raise CurveError("halvable 2-torsion is not a subgroup")  # pragma: no cover
-    witnesses.extend(halvable)
-    top = 4 if halvable else 2
+    witnesses.extend((P4, 4) for P4 in halvable)
+    # points with no half over K: the roots that have none, then each failed class point
+    no_half = [(t, zero) for t, P4 in zip(roots, halves) if P4 is None]
+    if halvable:
+        basis = [(T, 2) for T in no_half[:1]] + [(P4, 4) for P4 in halvable[:2]]
+    else:
+        basis = witnesses[:2]
     if halvable and cap >= 8:
         L, e_roots = _two_torsion_field(A, B, K)
         galois = L.galois_over(K)
         EL = tower_short_curve(A, B, L)
-        level = 8
-        while level <= cap:
-            found = None
-            for P in _order_reps(EK, witnesses, level // 2):
-                for Q in _halves_over_tower(EL, e_roots, (L.lift(P[0]), L.lift(P[1]))):
+        while True:
+            for c, n, kept in _order_reps(EK, basis):
+                if 2 * n > cap or c in no_half:
+                    continue
+                found = None
+                for Q in _halves_over_tower(EL, e_roots, (L.lift(c[0]), L.lift(c[1]))):
                     if _k_rational(galois, Q[0]) and _k_rational(galois, Q[1]):
                         found = (K.project(Q[0]), K.project(Q[1]))
                         break
                 if found:
                     break
-            if found is None:
+                no_half.append(c)
+            else:
                 break
-            assert EK.on_curve(found)
-            assert EK.mul(level // 2, found) is not INF and EK.mul(level, found) is INF
-            witnesses.append(found)
-            top = level
-            level *= 2
-    if len(roots) == 1:
-        st = AbGroupStructure.cyclic(top)
-    else:
-        second = 4 if len(halvable) == 3 else 2
-        exps = sorted([second.bit_length() - 1, top.bit_length() - 1])
-        st = AbGroupStructure.from_prime_exponents({2: exps})
-    return st, witnesses
+            assert EK.on_curve(found) and _two_power_order(EK, found) == 2 * n
+            witnesses.append((found, 2 * n))
+            basis = sorted(kept + [(found, 2 * n)], key=lambda pair: pair[1])
+    return AbGroupStructure.from_prime_exponents({2: [n.bit_length() - 1 for _, n in basis]}), witnesses
 
 
-def _order_reps(E: EllipticCurve, witnesses, order: int) -> list:
-    """Elements of exact `order` in the span of the witnesses, one per +-pair.
+def _order_reps(E: EllipticCurve, basis):
+    """Yield (c, n, kept) for each class of H/2H but 0: a point c of least
+    order n in the class, and the basis pairs that, with any Q such that
+    2Q = c, give a basis of H + <Q>.  H = <g1> + <g2> is a direct sum,
+    given by `basis`, its (point, order) pairs with orders o1 <= o2; a
+    cyclic H has g2 alone.  The classes of order o2 come first.
 
-    The witnesses have 2-power orders, so their span is a 2-group and each P
-    in it has order 2^j for some j.  Then P has order exactly 2^j iff
-    2^(j-1)*P != O and 2^j*P = O, so j doublings find it; a P with
-    64*P != O after six doublings raises CurveError."""
-    span = subgroup_span(witnesses, E.add, INF, cap=512)
-    if span is None:
-        raise CurveError("2-primary span exceeded sanity cap")  # pragma: no cover
-    reps = []
-    seen = set()
-    for P in span:
-        if P is INF or P in seen:
-            continue
-        n, Q = 1, P
-        while Q is not INF:
-            if n == 64:
-                raise CurveError("point order exceeds bound 64")
-            n, Q = 2 * n, E.add(Q, Q)
-        if n == order:
-            reps.append(P)
-            seen.add(P)
-            seen.add(E.neg(P))
-    return reps
+    Proof.  Halving over K is a property of the class mod 2H: if
+    c' = c + 2R with R in H, then c = 2Q iff c' = 2(Q + R); so is -c,
+    which is c - 2c.  The classes are e1 g1 + e2 g2 + 2H, e_i in {0, 1}.
+    A point a1 g1 + a2 g2 of a class with e2 = 1 has a2 odd, so order o2;
+    one of g1 + 2H has a1 odd, so order at least o1.  So g2 and g1 + g2
+    have order o2, g1 has o1, each the least in its class, read off its
+    coordinates.  If 2Q = c = e g_k + g_m, with (g_k, o_k) the kept pair,
+    then g_m = 2Q - e g_k lies in <g_k, Q>, so <g_k, Q> = H + <Q>.  Q lies
+    outside H, as c is not in 2H, while 2Q lies in it, so
+    |H + <Q>| = 2|H| = o_k * 2n = o_k ord(Q): the sum <g_k> + <Q> is
+    direct."""
+    *low, (g2, o2) = basis
+    yield g2, o2, low
+    if low:
+        ((g1, o1),) = low
+        yield E.add(g1, g2), o2, low
+        yield g1, o1, [(g2, o2)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The torsion-bound engine.
 
 Combines residue-field reductions, the quadratic-twist decomposition of odd
-torsion, Weierstrass 2-torsion analysis and explicit halving/division-
-polynomial witnesses into two-sided bounds on J(K)_tors for the eleven
+torsion, Weierstrass 2-torsion analysis and explicit halving
+witnesses into two-sided bounds on J(K)_tors for the eleven
 builtin modular Jacobians, over any multi-quadratic field K.  `derive` mode
 recomputes everything from the models; `table` mode answers from the
 classification tables that data/models.json ships with each model, keyed on
@@ -79,6 +79,11 @@ class CurveModel(Record):
         return qfield.MultiQuadField([self.base_d])
 
     def elliptic(self) -> ellcurve.EllipticCurve:
+        return self._elliptic
+
+    @cached_property
+    def _elliptic(self) -> ellcurve.EllipticCurve:
+        # built once per model; cached_property bypasses the record's __setattr__
         if self.genus != 1:
             raise ModelError(f"{self.label} is not genus 1")
         return ellcurve.EllipticCurve.from_ints(QQ, self.ainvs, self.label)
@@ -843,40 +848,8 @@ def _capped_two_part(upper: AbGroupStructure, two_exact_group: AbGroupStructure)
 
 
 # ---------------------------------------------------------------------------
-# Division-polynomial criteria and the classification table surface
+# The classification table surface
 # ---------------------------------------------------------------------------
-
-
-def eight_torsion_criterion(model: CurveModel, K):
-    """(has_8_torsion, witness) for a genus-1 model: scans the degree <= 2
-    rational factors of the exact-order-8 kernel polynomial for a root a in
-    K with the cubic value a square in K; the witness records the root, the
-    point, and the quadratic subfield that supplied it."""
-    if model.genus != 1:
-        raise ModelError("criterion applies to genus-1 models")
-    A, B = ellcurve.short_model(model.elliptic())
-    kernel = ellcurve.primitive_kernel_poly(model.elliptic(), 8)
-    for g in poly.low_degree_factors(kernel, 2):
-        d = poly.splitting_quadratic_field(g) if g.degree == 2 else 1
-        if d != 1 and not K.contains_sqrt(d):
-            continue
-        for a in ellcurve._roots_in_tower(g, K):
-            val = a * a * a + K.from_rational(A) * a + K.from_rational(B)
-            y = qfield.sqrt_in_tower(val)
-            if y is None:
-                continue
-            E = ellcurve.tower_short_curve(A, B, K)
-            P = (a, y)
-            assert E.on_curve(P)
-            assert E.mul(4, P) is not None and E.mul(8, P) is None
-            y_field = y.support_gens()
-            return True, {
-                "factor": [c for c in g.coeffs],
-                "splitting_d": d,
-                "sqrt_subfield": y_field.signature(),
-                "order": 8,
-            }
-    return False, None
 
 
 def torsion_table(label: str, K, mode: str = "derive", primes=None) -> TorsionResult:

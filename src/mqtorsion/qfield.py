@@ -368,6 +368,13 @@ class TowerElem:
         self._check(other)
         return self * other.inverse()
 
+    def scale(self, num: int, den: int = 1) -> "TowerElem":
+        """self * num / den for integers num and den != 0: the numerators
+        times num over the denominator times den, by one gcd pass."""
+        if den < 0:
+            num, den = -num, -den
+        return _canonical(self.field, [n * num for n in self.nums], self.den * den)
+
     def norm_to_q(self) -> Fraction:
         """Product of all Galois conjugates."""
         out = self.field.one()
@@ -439,9 +446,7 @@ def _inverse_rec(a: TowerElem) -> TowerElem:
         (n,) = a.nums
         return _elem(a.field, (a.den if n > 0 else -a.den,), abs(n))
     x, y = _split_top(a)
-    sub = x.field
-    dd = sub.from_rational(a.field.gens[-1])
-    norm = x * x - dd * (y * y)
+    norm = x * x - (y * y).scale(a.field.gens[-1])
     ninv = _inverse_rec(norm)
     num_x = x * ninv
     num_y = -(y * ninv)
@@ -454,7 +459,9 @@ def sqrt_in_tower(v: TowerElem) -> TowerElem | None:
     Recursive over the tower: in F(sqrt(d)), v = x + y*sqrt(d) is a square iff
     either y = 0 and x or x/d is a square below, or norm(v) = m^2 below and one
     of (x+m)/2, (x-m)/2 is a square u^2 below (then v = (u + y/(2u) sqrt(d))^2).
-    Branches are explored in a fixed order; the first witness wins.
+    Branches are explored in a fixed order; the first witness wins.  The
+    divisions by the integers d and 2 scale the integer form (`scale`); the
+    one inverse of a step is that of u.
     """
     return _sqrt_rec(v)
 
@@ -468,25 +475,22 @@ def _sqrt_rec(v: TowerElem) -> TowerElem | None:
     x, y = _split_top(v)
     sub = x.field
     d = field.gens[-1]
-    dd = sub.from_rational(d)
     if y.is_zero():
         s = _sqrt_rec(x)
         if s is not None:
             return _join_top(s, sub.zero(), field)
-        s = _sqrt_rec(x / dd)
+        s = _sqrt_rec(x.scale(1, d))
         if s is not None:
             return _join_top(sub.zero(), s, field)
         return None
-    norm = x * x - dd * (y * y)
+    norm = x * x - (y * y).scale(d)
     m = _sqrt_rec(norm)
     if m is None:
         return None
-    two = sub.from_rational(2)
     for mm in (m, -m):
-        t = (x + mm) / two
-        u = _sqrt_rec(t)
+        u = _sqrt_rec((x + mm).scale(1, 2))
         if u is not None and not u.is_zero():
-            w = y / (two * u)
+            w = (y * u.inverse()).scale(1, 2)
             cand = _join_top(u, w, field)
             if cand * cand == v:
                 return cand

@@ -32,6 +32,14 @@
 - N2 = #C(F_{q^2}) of a genus-2 curve by the walk over all q^2 elements of
   F_{q^2} (`count_over_quadratic_ext_walk`).  Production counts it over F_q,
   one monic irreducible quadratic per conjugate pair.
+- The 2-primary search over a tower by the affine group law
+  (`two_primary_over_tower_affine`): every point of the level below in the
+  span of the witnesses is halved, each half checked and each order taken
+  by affine doublings, and the tower square root divides by tower inverses
+  (`sqrt_in_tower_by_inverses`).  Production halves one point per class of
+  H/2H by the explicit halving formula and checks halves and orders without
+  an inverse.  `eight_torsion_criterion` reads order 8 from the
+  division polynomial instead.
 - Helpers that no production path calls: the meet of two structures, the
   odd torsion of a model through the twist decomposition (production
   derive reads it per twist), and a functional that avoids two vectors of
@@ -44,7 +52,7 @@ import math
 
 from dataclasses import dataclass
 
-from mqtorsion import ff, hyperjac, mwtors, qfield
+from mqtorsion import ellcurve, ff, hyperjac, mwtors, poly, qfield
 from mqtorsion.intutil import is_prime
 from mqtorsion.mwtors import (
     CurveModel,
@@ -61,9 +69,12 @@ from mqtorsion.ellcurve import (
     BadReduction,
     CurveError,
     EllipticCurve,
+    _k_rational,
+    _two_torsion_field,
     short_model,
     twist_odd_torsion_q,
     two_primary_over_tower,
+    two_torsion_roots_in_tower,
 )
 from mqtorsion.ff import FieldDesc, FieldError
 from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elements, subgroup_span
@@ -75,6 +86,7 @@ from mqtorsion.poly import (
     Poly,
     PolyError,
     ResidueDomain,
+    TowerDomain,
     _ceil_log2,
     _center,
     _find_good_prime,
@@ -376,6 +388,191 @@ def torsion_over_tower(E: EllipticCurve, K, cap: int) -> AbGroupStructure:
         odd = odd.direct_sum(twist_odd_torsion_q(E, d))
     two, _ = two_primary_over_tower(A, B, K, cap)
     return odd.direct_sum(two)
+
+
+# ---------------------------------------------------------------------------
+# 2-primary torsion over a tower by the affine group law
+# ---------------------------------------------------------------------------
+
+
+def sqrt_in_tower_by_inverses(v):
+    """`qfield.sqrt_in_tower` with its divisions by d, 2 and 2u as
+    multiplications by tower inverses: the same branches in the same order,
+    so the same root."""
+    field = v.field
+    if not field.gens:
+        return qfield.sqrt_in_tower(v)
+    x, y = qfield._split_top(v)
+    sub = x.field
+    d = field.gens[-1]
+    dd = sub.from_rational(d)
+    if y.is_zero():
+        s = sqrt_in_tower_by_inverses(x)
+        if s is not None:
+            return qfield._join_top(s, sub.zero(), field)
+        s = sqrt_in_tower_by_inverses(x / dd)
+        if s is not None:
+            return qfield._join_top(sub.zero(), s, field)
+        return None
+    m = sqrt_in_tower_by_inverses(x * x - dd * (y * y))
+    if m is None:
+        return None
+    two = sub.from_rational(2)
+    for mm in (m, -m):
+        u = sqrt_in_tower_by_inverses((x + mm) / two)
+        if u is not None and not u.is_zero():
+            cand = qfield._join_top(u, y / (two * u), field)
+            if cand * cand == v:
+                return cand
+    return None
+
+
+def tower_curve_affine(A: int, B: int, K) -> EllipticCurve:
+    """y^2 = x^3 + Ax + B over K, its discriminant checked in the tower."""
+    dom = TowerDomain(K)
+    return EllipticCurve(dom, [dom.from_int(n) for n in (0, 0, 0, A, B)])
+
+
+def halving_witness_affine(E: EllipticCurve, t1):
+    """`ellcurve.halving_witness`, checked by the affine doubling E.mul."""
+    A, B = E.a[3], E.a[4]
+    m = qfield.sqrt_in_tower(t1 * t1 + t1 * t1 + t1 * t1 + A)
+    if m is None:
+        return None
+    for mm in (m, -m):
+        x = t1 + mm
+        y = qfield.sqrt_in_tower(x * x * x + A * x + B)
+        if y is not None:
+            P = (x, y)
+            assert E.on_curve(P) and E.mul(2, P) == (t1, E.domain.K.zero())
+            return P
+    return None
+
+
+def halves_over_tower_affine(E: EllipticCurve, e_roots: list, P) -> list:
+    """The points Q over L with 2Q = P, one per x-coordinate: each
+    x = x0 + (+-s1)(+-s2) + (+-s2)(+-s3) + (+-s3)(+-s1) with s_i^2 = x0 - e_i,
+    y a square root of the cubic at x, and the sign of y chosen by E.mul."""
+    A, B = E.a[3], E.a[4]
+    x0, _ = P
+    ss = []
+    for e in e_roots:
+        s = qfield.sqrt_in_tower(x0 - e)
+        if s is None:
+            return []
+        ss.append(s)
+    s1, s2, s3 = ss
+    out, seen_x = [], []
+    for b in (s2, -s2):
+        for c in (s3, -s3):
+            x = x0 + s1 * b + b * c + c * s1
+            if x in seen_x:
+                continue
+            seen_x.append(x)
+            y = qfield.sqrt_in_tower(x * x * x + A * x + B)
+            if y is None:
+                continue
+            for Q in ((x, y), (x, -y)):
+                if E.mul(2, Q) == P:
+                    out.append(Q)
+                    break
+    return out
+
+
+def order_reps_span(E: EllipticCurve, points, order: int) -> list:
+    """The points of exact `order` in the span of `points` (of 2-power
+    order), one per +-pair, each order found by affine doublings."""
+    span = subgroup_span(points, E.add, None, cap=512)
+    reps, seen = [], set()
+    for P in span:
+        if P is None or P in seen:
+            continue
+        n, Q = 1, P
+        while Q is not None:
+            if n == 64:
+                raise CurveError("point order exceeds bound 64")
+            n, Q = 2 * n, E.add(Q, Q)
+        if n == order:
+            reps.append(P)
+            seen.update((P, E.neg(P)))
+    return reps
+
+
+def two_primary_over_tower_affine(A: int, B: int, K, cap: int):
+    """(structure, witnesses) of `ellcurve.two_primary_over_tower` by the
+    affine group law: at each level every point of the level below in the
+    span of the witnesses is halved, and each order is checked by E.mul.
+    It halves only points of the top order, so the second invariant factor
+    stays at most 4 and Z/8 x Z/8 reads Z/4 x Z/8; no builtin model reaches
+    that group over the matrix fields."""
+    roots = two_torsion_roots_in_tower(A, B, K) if cap >= 2 else []
+    if not roots:
+        return AbGroupStructure.trivial(), []
+    witnesses = [(r, K.zero()) for r in roots]
+    halvable = []
+    if cap >= 4:
+        EK = tower_curve_affine(A, B, K)
+        halvable = [P4 for P4 in (halving_witness_affine(EK, t1) for t1 in roots) if P4 is not None]
+    witnesses.extend(halvable)
+    top = 4 if halvable else 2
+    if halvable and cap >= 8:
+        L, e_roots = _two_torsion_field(A, B, K)
+        galois = L.galois_over(K)
+        EL = tower_curve_affine(A, B, L)
+        level = 8
+        while level <= cap:
+            found = None
+            for P in order_reps_span(EK, witnesses, level // 2):
+                for Q in halves_over_tower_affine(EL, e_roots, (L.lift(P[0]), L.lift(P[1]))):
+                    if _k_rational(galois, Q[0]) and _k_rational(galois, Q[1]):
+                        found = (K.project(Q[0]), K.project(Q[1]))
+                        break
+                if found:
+                    break
+            if found is None:
+                break
+            assert EK.on_curve(found)
+            assert EK.mul(level // 2, found) is not None and EK.mul(level, found) is None
+            witnesses.append(found)
+            top = level
+            level *= 2
+    if len(roots) == 1:
+        return AbGroupStructure.cyclic(top), witnesses
+    second = 4 if len(halvable) == 3 else 2
+    exps = sorted([second.bit_length() - 1, top.bit_length() - 1])
+    return AbGroupStructure.from_prime_exponents({2: exps}), witnesses
+
+
+def eight_torsion_criterion(model: CurveModel, K):
+    """(has_8_torsion, witness) for a genus-1 model: scans the degree <= 2
+    rational factors of the exact-order-8 kernel polynomial for a root a in
+    K with the cubic value a square in K; the witness records the root, the
+    point, and the quadratic subfield that supplied it."""
+    if model.genus != 1:
+        raise ModelError("criterion applies to genus-1 models")
+    A, B = ellcurve.short_model(model.elliptic())
+    kernel = ellcurve.primitive_kernel_poly(model.elliptic(), 8)
+    for g in poly.low_degree_factors(kernel, 2):
+        d = poly.splitting_quadratic_field(g) if g.degree == 2 else 1
+        if d != 1 and not K.contains_sqrt(d):
+            continue
+        for a in ellcurve._roots_in_tower(g, K):
+            val = a * a * a + K.from_rational(A) * a + K.from_rational(B)
+            y = qfield.sqrt_in_tower(val)
+            if y is None:
+                continue
+            E = ellcurve.tower_short_curve(A, B, K)
+            P = (a, y)
+            assert E.on_curve(P)
+            assert E.mul(4, P) is not None and E.mul(8, P) is None
+            y_field = y.support_gens()
+            return True, {
+                "factor": [c for c in g.coeffs],
+                "splitting_d": d,
+                "sqrt_subfield": y_field.signature(),
+                "order": 8,
+            }
+    return False, None
 
 
 def group_meet(

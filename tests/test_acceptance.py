@@ -30,7 +30,6 @@ from mqtorsion.hyperjac import (
 )
 from mqtorsion.mwtors import (
     PreconditionError,
-    eight_torsion_criterion,
     get_model,
     jac_structure,
     model_registry,
@@ -46,7 +45,7 @@ from mqtorsion.poly import (
     splitting_quadratic_field,
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields, sqrt_in_tower
-from reference import all_classes, group_meet, hyperplane_avoiding
+from reference import all_classes, eight_torsion_criterion, group_meet, hyperplane_avoiding
 
 
 def G(*summands):

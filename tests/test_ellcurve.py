@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as Fr
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqtorsion import ellcurve, ff
@@ -27,12 +28,18 @@ from mqtorsion.ellcurve import (
     twist_odd_torsion_q,
     two_primary_over_tower,
 )
-from mqtorsion.groups import AbGroupStructure, structure_from_elements
+from mqtorsion.groups import AbGroupStructure, structure_from_elements, subgroup_span
 from mqtorsion.intutil import factorize, is_prime, is_squarefree
 from mqtorsion.mwtors import model_registry
 from mqtorsion.poly import QQ, TowerDomain, code_domain
-from mqtorsion.qfield import MultiQuadField, QQ_FIELD
-from reference import reduce_quadratic_curve, torsion_over_tower
+from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
+from reference import (
+    order_reps_span,
+    reduce_quadratic_curve,
+    torsion_over_tower,
+    tower_curve_affine,
+    two_primary_over_tower_affine,
+)
 
 X11 = (0, -1, -1, 0, 0)  # y^2 - y = x^3 - x^2
 X14 = (0, 0, 0, -675, 13662)
@@ -42,6 +49,7 @@ M212 = (0, -1, 0, 1, 0)
 M39 = (0, 0, 1, 0, 0)
 M48 = (0, 0, 0, 4, 0)
 M66 = (0, 0, 0, 0, 1)
+C15A1 = (1, 1, 1, -10, -10)  # 15a1: Z/8 x Z/8 over Q(sqrt(-1), sqrt(2), sqrt(3), sqrt(5), sqrt(7))
 
 
 # derandomized, so that every run draws the same examples
@@ -399,25 +407,60 @@ class TestTowerTorsion:
         from mqtorsion.ellcurve import tower_short_curve
 
         c = tower_short_curve(-27, 8694, MultiQuadField([-3, 5]))
-        orders = sorted(c.point_order(P, 64) for P in witnesses)
+        assert all(c.point_order(P, 64) == n for P, n in witnesses)
+        orders = sorted(n for _, n in witnesses)
         assert 8 in orders and all(o in (2, 4, 8) for o in orders)
 
-    def test_order_reps_match_point_order(self):
-        """Orders found by doubling agree with repeated addition, one
-        representative per +-pair."""
+    def test_order_reps_match_point_order(self, monkeypatch):
+        """At each step of the search, the candidates of `_order_reps`
+        against the span H of the witnesses found so far.  The basis spans
+        it as a direct sum of points of the recorded orders; the candidates
+        are one point of least order in each class of H/2H but 0, of the
+        order given; and the points of top order, one per +-pair as the
+        affine span search lists them (`order_reps_span`), fill exactly the
+        classes of the candidates of top order."""
         from mqtorsion.ellcurve import _order_reps, tower_short_curve
-        from mqtorsion.groups import subgroup_span
 
-        K = MultiQuadField([-3, 5])
-        _, witnesses = two_primary_over_tower(-27, 8694, K, 16)
-        c = tower_short_curve(-27, 8694, K)
-        span = subgroup_span(witnesses, c.add, INF)
-        assert len(span) == 16
-        for order in (2, 4, 8):
-            reps = _order_reps(c, witnesses, order)
-            pairs = {frozenset((P, c.neg(P))) for P in reps}
-            expect = {frozenset((P, c.neg(P))) for P in span if c.point_order(P, 64) == order}
-            assert len(pairs) == len(reps) and pairs == expect
+        bases = []
+
+        def recording(E, basis):
+            bases.append(list(basis))
+            return _order_reps(E, basis)
+
+        monkeypatch.setattr(ellcurve, "_order_reps", recording)
+        cases = [
+            (X15, (-3, 5)),  # Z/2 x Z/8: bases of orders (2, 4), (2, 8)
+            (X15, (-3,)),  # Z/8: cyclic bases
+            (M48, (-1, 2)),  # Z/4 x Z/4: a basis of orders (4, 4)
+            (C15A1, (-1, 2, 3, 5, 7)),  # Z/8 x Z/8: (4, 4), (4, 8), (8, 8)
+        ]
+        for ainvs, gens in cases:
+            bases.clear()
+            A, B = short_model(E(ainvs))
+            K = MultiQuadField(gens)
+            _, witnesses = two_primary_over_tower(A, B, K, 16)
+            c = tower_short_curve(A, B, K)
+            assert bases
+            # each step but the last finds one witness
+            first = len(witnesses) - len(bases) + 1
+            for step, basis in enumerate(bases):
+                top = basis[-1][1]
+                span = subgroup_span([P for P, _ in basis], c.add, INF)
+                assert span == subgroup_span([P for P, _ in witnesses[: first + step]], c.add, INF)
+                assert len(span) == prod(n for _, n in basis)
+                assert all(c.point_order(P, 64) == n for P, n in basis)
+                doubles = {c.add(P, P) for P in span}
+
+                def coset(P):
+                    return frozenset(c.add(P, D) for D in doubles)
+
+                reps = [(P, n) for P, n, _ in _order_reps(c, basis)]
+                assert len({coset(P) for P, _ in reps}) == len(reps) == len(span) // len(doubles) - 1
+                for P, n in reps:
+                    assert P in span and c.point_order(P, 64) == n
+                    assert n == min(c.point_order(R, 64) for R in coset(P))
+                top_classes = {coset(P) for P, n in reps if n == top}
+                assert {coset(P) for P in order_reps_span(c, list(span), top)} == top_classes
 
 
 # generators of the fields of degree <= 16 below
@@ -436,6 +479,107 @@ def small_curves():
     short = st.one_of(general, two_torsion).filter(lambda ab: 4 * ab[0] ** 3 + 27 * ab[1] ** 2 != 0)
     four_torsion = st.integers(-40, 40).filter(bool).map(lambda b: E((1, -b, -b, 0, 0)))
     return st.one_of(short.map(lambda ab: short_curve(*ab)), four_torsion)
+
+
+MATRIX_FIELDS = all_subfields((-1, 2, -2, 3, -3, 5, -7))
+
+
+class TestInverseFreeTwoPrimary:
+    """The 2-primary search, its halving check and its Jacobian orders
+    against the affine group law over the tower (`reference`)."""
+
+    @pytest.mark.parametrize("label", GENUS1_LABELS)
+    def test_matrix_fields_match_the_affine_search(self, label):
+        """The same structure as the affine search over the 52 matrix
+        fields, at the cap 16 that any curve over Q allows, and each
+        witness of its claimed order under E.mul."""
+        A, B = short_model(model_registry()[label].elliptic())
+        assert len(MATRIX_FIELDS) == 52
+        for K in MATRIX_FIELDS:
+            st, witnesses = two_primary_over_tower(A, B, K, 16)
+            assert st == two_primary_over_tower_affine(A, B, K, 16)[0]
+            c = tower_curve_affine(A, B, K)
+            for P, n in witnesses:
+                assert c.mul(n // 2, P) is not INF and c.mul(n, P) is INF
+
+    @staticmethod
+    def check_points(c, points, bound):
+        """`_doubles_to` and `_two_power_order` against E.mul on the given
+        affine points of c, none of 2-power order above `bound`."""
+        from mqtorsion.ellcurve import _doubles_to, _two_power_order
+
+        for Q in points:
+            double = c.mul(2, Q)
+            for P in {double, c.neg(double), points[0]} - {INF}:
+                assert _doubles_to(c, Q, P) == (double == P)
+            n = next((2**j for j in range(1, bound.bit_length()) if c.mul(2**j, Q) is INF), None)
+            if n is None:
+                with pytest.raises(CurveError):
+                    _two_power_order(c, Q)
+            else:
+                assert _two_power_order(c, Q) == n
+
+    @PROPERTY
+    @given(
+        st.one_of(small_curves(), st.sampled_from(GENUS1_LABELS).map(lambda l: model_registry()[l].elliptic())),
+        st.lists(st.sampled_from(FIELD_GENS), max_size=4),
+    )
+    @example(E(X15), [-3, 5])
+    @example(E(M212), [-1, 3, 7])
+    @example(E(M48), [-1, 2])
+    def test_checks_match_affine_law_on_torsion(self, curve, gens):
+        """On the span of the witnesses of the search, with the builtin
+        curves, whose points of order 8 lie over the level fields."""
+        A, B = short_model(curve)
+        K = MultiQuadField(gens)
+        points = [P for P, _ in two_primary_over_tower(A, B, K, 16)[1]]
+        c = tower_curve_affine(A, B, K)
+        self.check_points(c, [P for P in subgroup_span(points, c.add, INF) if P is not INF], 64)
+
+    @PROPERTY
+    @given(
+        st.integers(-20, 20),
+        st.integers(-20, 20),
+        st.integers(-20, 20),
+        st.lists(st.sampled_from(FIELD_GENS), max_size=4),
+    )
+    def test_checks_match_affine_law_on_a_rational_point(self, A, x, y, gens):
+        """On the curve through the integral point (x, y): that point,
+        mostly of infinite order, its double and its triple.  A rational
+        point of 2-power order has order at most 8 (Mazur), so E.mul needs
+        no multiple above 8, where the heights stay small."""
+        B = y * y - x**3 - A * x
+        if 4 * A**3 + 27 * B**2 == 0:
+            return
+        K = MultiQuadField(gens)
+        c = tower_curve_affine(A, B, K)
+        P = (K.from_rational(x), K.from_rational(y))
+        self.check_points(c, [Q for Q in (P, c.mul(2, P), c.mul(3, P)) if Q is not INF], 8)
+
+    def test_both_factors_of_order_eight(self):
+        """15a1 over K = Q(sqrt(-1), sqrt(2), sqrt(3), sqrt(5), sqrt(7)) has
+        E(K)[2^oo] = Z/8 x Z/8: its reduction at 13, of residue degree 2,
+        has that 2-part, and the search reaches it by halving the point of
+        order 4 left in its basis once the first point of order 8 is found.
+        A search that halves only points of the top order stops at
+        Z/4 x Z/8."""
+        c, K = E(C15A1), MultiQuadField([-1, 2, 3, 5, 7])
+        assert group_structure(reduce_mod_p(c, 13, K.residue_degree(13)[0])).ell_part(2) == AbGroupStructure((8, 8))
+        A, B = short_model(c)
+        st, witnesses = two_primary_over_tower(A, B, K, two_adic_cap(c, K))
+        assert st == AbGroupStructure((8, 8))
+        curve = tower_curve_affine(A, B, K)
+        assert [n for _, n in witnesses].count(8) == 2
+        for P, n in witnesses:
+            assert curve.mul(n // 2, P) is not INF and curve.mul(n, P) is INF
+
+    @pytest.mark.parametrize("A, B", [(0, 0), (-3, 2), (-27, 54), (-12, 16)])
+    def test_singular_model_is_refused_over_the_tower(self, A, B):
+        from mqtorsion.ellcurve import tower_short_curve
+
+        assert 4 * A**3 + 27 * B**2 == 0
+        with pytest.raises(CurveError):
+            tower_short_curve(A, B, MultiQuadField([-1, 2]))
 
 
 class TestCappedTwoPrimary:

@@ -6,11 +6,12 @@ J(F_p) and its zeta check), the inert twists of X1(18) at
 p = 5 to 13, the genus-2 twist loops restricted to K_S (X1(18) over a
 degree-16 field), the rational classes of X1(16) and X1(18) reduced under
 non-default primes, the 2-primary descent through tower fields up to
-Q(sqrt(-1), sqrt(2), sqrt(-3), sqrt(5)) of degree 16, the classification
-tables of models.json, the classify verdicts built on the exceptional
-curves, and the full `verify --all` report (the torsion matrix and the
-exceptional-curve checks), each compared byte for byte with its committed
-output.
+Q(sqrt(-1), sqrt(2), sqrt(-3), sqrt(5)) of degree 16 (over Q(sqrt(-1),
+sqrt(3)), X1(2,12) halves a point of order 4 into four points of order 8),
+the classification tables of models.json, the classify verdicts built on
+the exceptional curves, and the full `verify --all` report (the torsion
+matrix and the exceptional-curve checks), each compared byte for byte with
+its committed output.
 
 Each call runs in a fresh interpreter, as a user runs it, so that no memo of
 this test process is shared.  The same calls are diffed against the same
@@ -43,6 +44,7 @@ CALLS = {
     "jac_structure_X1-13_p5_deg2.json": "jac-structure --model X1(13) --prime 5 --deg 2",
     "torsion_derive_X1-15_K-3,5.json": "torsion --model X1(15) --field=-3,5 --mode derive --format json",
     "torsion_derive_X1-15_K-1,2,-3,5.json": "torsion --model X1(15) --field=-1,2,-3,5 --mode derive --format json",
+    "torsion_derive_X1-2,12_K-1,3.json": "torsion --model X1(2,12) --field=-1,3 --mode derive --format json",
     "torsion_table_X1-2,12_K-1,3.json": "torsion --model X1(2,12) --field=-1,3 --mode table --format json",
     "torsion_table_X1-11_K-7.json": "torsion --model X1(11) --field=-7 --mode table --format json",
     "classify_15_K-15,5.json": "classify --torsion 15 --field=-15,5 --format json",

@@ -15,7 +15,6 @@ from mqtorsion.mwtors import (
     ModelError,
     PreconditionError,
     derive_torsion,
-    eight_torsion_criterion,
     genus1_twist_torsion,
     genus2_twist_witness,
     get_model,
@@ -30,6 +29,7 @@ from mqtorsion.mwtors import (
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from reference import (
+    eight_torsion_criterion,
     genus2_rational_torsion_bounds_over_q,
     group_meet,
     jac_order,

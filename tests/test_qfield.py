@@ -17,7 +17,7 @@ from mqtorsion.qfield import (
     parse_field,
     sqrt_in_tower,
 )
-from reference import hyperplane_avoiding
+from reference import hyperplane_avoiding, sqrt_in_tower_by_inverses
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -405,6 +405,8 @@ class TestIntegerForm:
         assert (v - w).coords == tuple(x - y for x, y in zip(v.coords, w.coords))
         assert (-v).coords == tuple(-x for x in v.coords)
         assert (v * w).coords == schoolbook_mul(K, a, b)
+        num, den = data.draw(st.integers(-12, 12)), data.draw(st.integers(-12, 12).filter(bool))
+        assert v.scale(num, den).coords == tuple(x * num / den for x in v.coords)
         signs = tuple(data.draw(st.sampled_from((1, -1))) for _ in K.gens)
         flips = [prod(s for i, s in enumerate(signs) if m >> i & 1) for m in range(K.degree)]
         assert v.conjugate(signs).coords == tuple(f * x for f, x in zip(flips, v.coords))
@@ -419,6 +421,7 @@ class TestIntegerForm:
         K, a, b = case
         v, w = TowerElem(K, a), TowerElem(K, b)
         results = [v, w, v + w, v - w, v - v, -v, v * w, v * v, v.conjugate((-1,) * len(K.gens))]
+        results += [v.scale(6, -4), v.scale(0, 3), v.scale(1, 2)]
         results += [K.zero(), K.one(), K.from_rational(Fraction(-6, 4))] + [K.sqrt_gen(d) for d in K.span()]
         if not w.is_zero():
             results += [w.inverse(), v / w]
@@ -445,6 +448,22 @@ class TestIntegerForm:
         sq = TowerElem(K, a) * TowerElem(K, a)
         s = sqrt_in_tower(sq)
         assert s is not None and s * s == sq and is_canonical(s)
+
+    @PROPERTY
+    @given(field_and_coords())
+    def test_sqrt_matches_the_inverse_reference(self, case):
+        """The same root, or None, as the square root that divides by
+        tower inverses, on squares, on non-squares, and on squares times
+        the top generator, which take the branch y = 0 with x/d a square."""
+        K, a, b = case
+        v, w = TowerElem(K, a), TowerElem(K, b)
+        cases = [v, v * v, v * v + w]
+        if K.gens:
+            half = K.degree // 2
+            low = TowerElem(K, a[:half] + (0,) * half)  # in the subfield of the lower generators
+            cases += [low * low, (low * low).scale(K.gens[-1])]
+        for x in cases:
+            assert sqrt_in_tower(x) == sqrt_in_tower_by_inverses(x)
 
     def test_immutable(self):
         v = MultiQuadField([2, 3]).sqrt_gen(6)
