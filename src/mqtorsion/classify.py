@@ -291,8 +291,10 @@ def _tower_poly_roots(coeffs, K) -> list:
 
 
 def _torsion_point_in_tower(E: ellcurve.EllipticCurve, n: int, K):
-    """A point of exact order n on a curve over a quadratic field, found from
-    the kill polynomial's roots in K, or None."""
+    """A point of exact order n, a prime, on a curve over a quadratic field,
+    found from the kill polynomial's roots in K, or None.  An affine P has
+    P != O, so n*P = O makes its order a divisor of n other than 1: n."""
+    assert is_prime(n), n
     b = E.b_invariants()
     kill = poly.kill_poly(b, n, E.domain).coeffs
     T = poly.two_torsion_cubic(b, E.domain)
@@ -308,9 +310,7 @@ def _torsion_point_in_tower(E: ellcurve.EllipticCurve, n: int, K):
         if not E.on_curve(P):  # pragma: no cover
             continue
         if E.mul(n, P) is ellcurve.INF:
-            order = E.point_order(P, n)
-            if order == n:
-                return P
+            return P
     return None
 
 

@@ -2,8 +2,9 @@
 that recovers them one Sylow subgroup at a time, from a list of the
 elements or from a lazy collection that draws only the elements a Sylow
 span needs.  Each span records one relation per generator as it is built,
-and the structure of a Sylow subgroup is read from the Smith form of those
-relations, with no addition beyond the span's own."""
+and the structure of a span is read from the Smith form of those
+relations, with no addition beyond the span's own; a span can be grown by
+further generators without being built again."""
 
 from __future__ import annotations
 
@@ -118,31 +119,23 @@ class AbGroupStructure(Record):
         return "[" + ", ".join(str(d) for d in self.factors) + "]"
 
 
-def structure_from_elements(
-    elements,
-    add,
-    identity,
-    max_rank: int | None = None,
-    sylow: dict | None = None,
-) -> AbGroupStructure:
+def structure_from_elements(elements, add, identity, max_rank: int | None = None) -> AbGroupStructure:
     """Invariant factors of a finite abelian group G of order
     n = len(elements), where `elements` is G as a list or as a lazy sized
     collection (see `sylow_subgroups`).
 
-    G is the direct sum of its Sylow subgroups (`sylow_subgroups`, or the
-    `sylow` spans already computed from these elements).  For each ell with
-    ell^2 | n, the ell-exponents of S_ell are read from the Smith form of
-    the relation rows that `subgroup_span` recorded while it built S_ell
-    (`_smith_diagonal`), so the census makes no addition beyond the spans.
-    When only ell | n, S_ell is Z/ell and is not computed.  Exact, no
-    randomness.
+    G is the direct sum of its Sylow subgroups.  For each ell with
+    ell^2 | n, S_ell is spanned by `sylow_subgroups` and its ell-exponents
+    are read from the Smith form of the relation rows that `subgroup_span`
+    recorded while it built S_ell (`Span.structure`), so the census makes
+    no addition beyond the spans.  When only ell | n, S_ell is Z/ell and is
+    not computed.  Exact, no randomness.
     """
     n = len(elements)
     ell_exps = factorize(n)
-    if sylow is None:
-        sylow = sylow_subgroups(elements, add, identity, [ell for ell, e in ell_exps.items() if e > 1])
+    sylow = sylow_subgroups(elements, add, identity, [ell for ell, e in ell_exps.items() if e > 1])
     prime_exps = {
-        ell: [1] if e == 1 else [factorize(d).get(ell, 0) for d in _smith_diagonal(sylow[ell].rows)]
+        ell: [1] if e == 1 else sylow[ell].structure().prime_exponents()[ell]
         for ell, e in ell_exps.items()
     }
     out = AbGroupStructure.from_prime_exponents(prime_exps)
@@ -233,16 +226,25 @@ def scalar_mul(n, x, add, double, identity):
 
 class Span(set):
     """A subgroup as a set, with the generators that opened cosets in
-    `subgroup_span` and one relation row per generator,
-    sum_j rows[k][j] * gens[j] = 0, row k having k + 1 entries."""
+    `subgroup_span`, one relation row per generator,
+    sum_j rows[k][j] * gens[j] = 0, row k having k + 1 entries, and the
+    `index` of each element in the mixed-radix order of the cosets."""
 
-    __slots__ = ("gens", "rows")
+    __slots__ = ("gens", "rows", "index")
+
+    def structure(self) -> AbGroupStructure:
+        """The invariant factors of the span, from the Smith form of its
+        relation rows: Z^r / rows is the span (see `subgroup_span`)."""
+        return AbGroupStructure.from_summands(_smith_diagonal(self.rows))
 
 
-def subgroup_span(generators, add, identity, cap: int | None = None, stop_at_cap: bool = False):
+def subgroup_span(generators, add, identity, cap: int | None = None, stop_at_cap: bool = False, start=None):
     """The subgroup generated by `generators` in a finite abelian group, as a
     `Span`; None if it has more than `cap` elements.  With `stop_at_cap`, no
     further generator is drawn once the span has exactly `cap` elements.
+    With `start`, a `Span` of the same group, the span of `start` and the
+    generators is built on it: its elements keep their indices, and its
+    generators and rows come first.
 
     Built by coset extension.  With H the span of the generators taken so
     far and g the next one, <H, g> is the union of the cosets H + k*g for
@@ -267,9 +269,11 @@ def subgroup_span(generators, add, identity, cap: int | None = None, stop_at_cap
     a lower-triangular matrix with det m_1 * ... * m_r = |span|, so the
     lattice they generate has the index of the kernel, and is the kernel.
     """
-    span = [identity]
-    index = {identity: 0}
-    gens, rows = [], []
+    if start is None:
+        index, gens, rows = {identity: 0}, [], []
+    else:
+        index, gens, rows = dict(start.index), list(start.gens), list(start.rows)
+    span = list(index)
     for g in generators:
         h, coset, first = len(span), span, g
         while first not in index:
@@ -289,5 +293,5 @@ def subgroup_span(generators, add, identity, cap: int | None = None, stop_at_cap
         if stop_at_cap and len(span) == cap:
             break
     out = Span(index)
-    out.gens, out.rows = tuple(gens), tuple(rows)
+    out.gens, out.rows, out.index = tuple(gens), tuple(rows), index
     return out

@@ -22,13 +22,16 @@ The census of a reduction (`mwtors.Census`) is built from the pieces here:
 from the zeta function and whose classes are drawn only as a Sylow span
 needs them; `inert_twist_classes` lists the inert twist over F_p inside
 J(F_{p^2}).  Both read one stream of pair classes, and `jac_add` gives the
-group law.
+group law.  `two_rank_mod_p` gives the rank of J[2] over F_p and F_{p^2}
+from one factorisation of F mod p, which fixes many 2-parts without a span.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 
 from . import ff, poly
 from .groups import AbGroupStructure
@@ -385,9 +388,16 @@ def _conjugate_pair_classes(dom, F):
 
 def _pair_classes(dom, F):
     """The classes other than 0 of y^2 = F(x) over F_q, each once and in a
-    fixed order: [P + Q - (canonical degree-2)] for the pairs of F_q-points
-    (in the order of `rational_points_code`), then for the conjugate pairs
-    of quadratic points.  Lazy: nothing past the last class drawn is built.
+    fixed order: [P + Q - (canonical degree-2)] for the pairs of F_q-points,
+    then for the conjugate pairs of quadratic points.  Lazy: nothing past
+    the last class drawn is built.
+
+    Over F_p the pairs come in the order of `rational_points_code`.  Over
+    F_q, q = p^2, the pairs among the points with x outside F_p come first,
+    then the other pairs in that order.  A pair of F_p-points is fixed by
+    Frobenius, so its class lies in J(F_p), a subgroup of index L(-1) in
+    J(F_q) (`mwtors.Census`), and a Sylow span drawn from it would mostly
+    repeat what it has; so those pairs come late.
 
     Every class is there, and only once.  For a class D != 0 of a genus-2
     curve, deg(D + canonical) = 2 and h^0(D + canonical) = 1 by
@@ -397,11 +407,15 @@ def _pair_classes(dom, F):
     itself, which gives D = 0) are skipped, so distinct pairs give distinct
     classes; `symmetric_square_points` checks that injectivity."""
     pts = rational_points_code(dom, F)
-    for i, P in enumerate(pts):
-        for Q in pts[i:]:
-            cl = _pair_to_class(dom, F, P, Q)
-            if cl is not None:
-                yield cl
+    p = dom.tables.p
+    outside = lambda P: P[0] != "inf" and P[0] >= p  # the codes of F_p are 0..p-1
+    late = (
+        (P, Q) for i, P in enumerate(pts) for Q in pts[i:] if not (outside(P) and outside(Q))
+    )
+    for P, Q in chain(combinations_with_replacement(filter(outside, pts), 2), late):
+        cl = _pair_to_class(dom, F, P, Q)
+        if cl is not None:
+            yield cl
     yield from _conjugate_pair_classes(dom, F)
 
 
@@ -410,9 +424,10 @@ class ClassStream:
     caller takes from the zeta function, and each pass over it yields 0 and
     then the classes of `_pair_classes`, each class of J(F_q) once, in the
     same fixed order on every pass and in every process (list order, never
-    set order).  A Sylow span (`groups.sylow_subgroups`) draws from the
-    front of the stream and stops as soon as it is complete, so J(F_q) is
-    never listed."""
+    set order); over F_{p^2} the pairs of points with x outside F_p come
+    first, since the classes of J(F_p) add little to a span.  A Sylow span
+    (`groups.sylow_subgroups`) draws from the front of the stream and stops
+    as soon as it is complete, so J(F_q) is never listed."""
 
     __slots__ = ("curve", "order")
 
@@ -594,10 +609,48 @@ def two_torsion_galois(F: Poly, K) -> tuple[AbGroupStructure, bool]:
     Galois-stable subsets are orbit unions, and the K-rational ones form an
     elementary 2-group whose rank is counted from the orbit sizes."""
     orbits, exact = weierstrass_orbits(F, K)
-    m = len(orbits)
-    dim_even = m if all(s % 2 == 0 for s in orbits) else m - 1
-    dim = max(dim_even - 1, 0)
-    return AbGroupStructure.from_prime_exponents({2: [1] * dim}), exact
+    return AbGroupStructure.from_prime_exponents({2: [1] * _two_rank(orbits)}), exact
+
+
+def _two_rank(orbits) -> int:
+    """The rank of the Frobenius- or Galois-fixed part of J[2] for a genus-2
+    curve, from the orbit sizes on its six Weierstrass points W (the
+    infinite one included on a quintic): m - 2 for m orbits if some orbit
+    is odd, else m - 1.
+
+    Proof (Cornelissen, "Two-torsion in the Jacobian of hyperelliptic
+    curves over finite fields", 2001).  J[2] is the group of the even
+    subsets of W under symmetric difference, modulo {empty, W}, and Galois
+    acts on it through its permutation of W.  A class {T, W - T} is fixed
+    when each s maps T onto T or onto W - T; the latter gives
+    |T| = |W - T| = 3, which is odd.  So the fixed classes are the even
+    unions of orbits, modulo W.  The parity of a union is the number of its
+    odd orbits mod 2, so the even unions form a space of dimension m - 1 if
+    some orbit is odd and m otherwise, and W is one of them.  The sizes sum
+    to 6, so odd orbits come in pairs, and m - 2 >= 0."""
+    return len(orbits) - (2 if any(s % 2 for s in orbits) else 1)
+
+
+def two_rank_mod_p(coeffs, p: int, f: int) -> int:
+    """The rank of J(F_{p^f})[2], f = 1 or 2, for y^2 = F(x) with the
+    integer `coeffs` of F (degree 5 or 6, squarefree mod the odd prime p),
+    from one factorisation of F mod p.  The inert quadratic twist over F_p
+    has the rank of f = 1: its Weierstrass points are those of the curve,
+    and they carry the same Frobenius action.
+
+    The roots of an irreducible factor of degree d over F_p form one orbit
+    of the p-th power Frobenius, a d-cycle; its f-th power, the Frobenius
+    of F_{p^f}, splits a d-cycle into gcd(d, f) cycles of length
+    d / gcd(d, f).  A quintic adds its infinite Weierstrass point, an
+    orbit of size 1.  `_two_rank` reads the rank off the orbit sizes."""
+    inv = pow(coeffs[-1], -1, p)
+    monic = pnormalize([c * inv % p for c in coeffs])
+    orbits = [1] if len(monic) % 2 == 0 else []
+    for g in poly.mp_factor_squarefree(monic, p):
+        d = len(g) - 1
+        k = math.gcd(d, f)
+        orbits += [d // k] * k
+    return _two_rank(orbits)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .groups import (
     AbGroupStructure,
     GroupError,
     scalar_mul,
-    structure_from_elements,
     subgroup_span,
     sylow_subgroups,
 )
@@ -246,8 +245,8 @@ class Census:
     L_p(T) = prod(1 - alpha_i T) and #J(F_p) = L_p(1).  Over F_{p^2} the
     eigenvalues are the alpha_i^2, so
     L_{p^2}(T^2) = prod(1 - alpha_i^2 T^2) = L_p(T) * L_p(-T), and
-    #J(F_{p^2}) = L_{p^2}(1) = L_p(1) * L_p(-1).  The census of each ell
-    then follows `groups.sylow_subgroups`: with ell^e || N and m = N/ell^e,
+    #J(F_{p^2}) = L_{p^2}(1) = L_p(1) * L_p(-1).  A span of ell follows
+    `groups.sylow_subgroups`: with ell^e || N and m = N/ell^e,
     m * J = S_ell, and a span of images m*x with ell^e elements is S_ell, so
     the span stops drawing classes as soon as it has ell^e elements.
 
@@ -257,10 +256,23 @@ class Census:
     must equal L(-1) from the zeta oracle over F_p.
 
     `sylow(ell)` spans S_ell once, on first use, as a `groups.Span` that
-    carries one relation row per generator.  `structure` spans only the ell
-    with ell^2 | N (S_ell is Z/ell when ell || N) and reads each S_ell from
-    the Smith form of its rows, so it adds no class beyond the spans, and
-    `ell_pairs(ell)` reads J[ell] from S_ell.
+    carries one relation row per generator, and `ell_pairs(ell)` reads
+    J[ell] from it.  `exponents(ell)` takes the ell-part of the group by
+    the first of these that applies, and `structure` assembles the parts:
+    - ell || N: S_ell is Z/ell, and nothing is spanned.
+    - ell = 2, 2^e || N, and the 2-rank r of `two_rank` is 1, e - 1 or e:
+      the only partition of e into r parts is (e - r + 1, 1, ..., 1).
+    - ell odd, untwisted, f = 2: S_ell(J(F_p)) + S_ell(J^tw(F_p)), read
+      from the censuses `census(model, p, 1, False)` and
+      `census(model, p, 2, True)`.  Proof.  Let s be the p-th power
+      Frobenius on A = J(F_{p^2})[ell^oo]; s^2 = 1 on J(F_{p^2}).  As ell
+      is odd, 2 is a unit on A, and a = (a + s a)/2 + (a - s a)/2 puts
+      A = ker(s - 1) + ker(s + 1), a direct sum: s a = a = -s a gives
+      2a = 0, so a = 0.  ker(s - 1) is J(F_p)[ell^oo], and ker(s + 1) is
+      the ell-part of ker(1 + s), which `inert_twist_classes` lists as the
+      image of J^tw(F_p) under an isomorphism of curves over F_{p^2}, so as
+      a group.
+    - otherwise the Smith form of the relation rows of `sylow(ell)`.
     """
 
     def __init__(self, model: CurveModel, p: int, f: int, twisted: bool):
@@ -278,7 +290,8 @@ class Census:
             classes = hyperjac.ClassStream(C, order if f == 1 else order * twisted_order)
         self.classes = classes
         self.tables = C.domain.tables
-        self.weil_q = None if twisted else p**f
+        self.model, self.p = model, p
+        self.degree = 1 if twisted else f  # the group is rational over F_{p^degree}
         self._sylow: dict = {}
         self._ell_pairs: dict = {}
 
@@ -291,17 +304,48 @@ class Census:
         return self._sylow[ell]
 
     @cached_property
+    def _order_exponents(self) -> dict:
+        return factorize(len(self.classes))
+
+    @cached_property
+    def two_rank(self) -> int:
+        """The rank of the group's 2-torsion, from the Frobenius orbits on
+        the Weierstrass points (`hyperjac.two_rank_mod_p`)."""
+        return hyperjac.two_rank_mod_p(self.model.f_coeffs, self.p, self.degree)
+
+    def exponents(self, ell: int) -> list[int]:
+        """The exponents of the ell-Sylow subgroup, sorted."""
+        e = self._order_exponents.get(ell, 0)
+        if e < 2:
+            return [1] * e
+        if ell == 2:
+            r = self.two_rank
+            if 0 < r and r in (1, e - 1, e):
+                return [1] * (r - 1) + [e - r + 1]
+        elif self.degree == 2:
+            return sorted(
+                census(self.model, self.p, 1, False).exponents(ell)
+                + census(self.model, self.p, 2, True).exponents(ell)
+            )
+        return self.sylow(ell).structure().prime_exponents()[ell]
+
+    @cached_property
     def structure(self) -> AbGroupStructure:
-        """Invariant factors by the order census, spanning S_ell only for
-        the ell with ell^2 | N; on the full J(F_q) the Weil pairing makes
-        the first of four factors divide q - 1."""
-        square_ells = [ell for ell, e in factorize(len(self.classes)).items() if e > 1]
-        st = structure_from_elements(
-            self.classes, self.add, self.identity, max_rank=4,
-            sylow={ell: self.sylow(ell) for ell in square_ells},
-        )
-        q = self.weil_q
-        if q is not None and len(st.factors) == 4 and (q - 1) % st.factors[0]:
+        """Invariant factors from `exponents`, checked: the order is N and
+        the rank at most 4 (else GroupError), the 2-rank is `two_rank`
+        (else CrossCheckError, as when 2 | N but r = 0), and the Weil
+        pairing makes the first of four factors divide q - 1, for the
+        Jacobian over F_q, q = p^degree, of the curve or of its twist."""
+        n = len(self.classes)
+        st = AbGroupStructure.from_prime_exponents({ell: self.exponents(ell) for ell in self._order_exponents})
+        if st.order != n or st.rank() > 4:
+            raise GroupError(f"census inconsistent: structure {st} vs order {n} and rank 4")
+        if len(st.prime_exponents().get(2, ())) != self.two_rank:
+            raise CrossCheckError(
+                f"{self.model.label} at {self.p}: {st} does not have the 2-rank {self.two_rank} of its Weierstrass points"
+            )
+        q = self.p**self.degree
+        if len(st.factors) == 4 and (q - 1) % st.factors[0]:
             raise GroupError(f"Weil constraint violated: {st} over F_{q}")
         return st
 
@@ -433,8 +477,10 @@ def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
       exponent of the reduction bound is not the order of any torsion class,
       so that D is skipped without the certificate.  At the end H is the
       span of all the torsion generators, and reduction maps it
-      isomorphically onto the span of the kept reductions, whose invariant
-      factors are read in J(F_p).
+      isomorphically onto the span of the kept reductions.  That span is
+      built once, one kept generator at a time on the span before it, and
+      its invariant factors are read from its relation rows
+      (`groups.Span.structure`).
     """
     F = model.hyper_poly()
     CQ = hyperjac.rational_curve(F, model.label)
@@ -445,8 +491,7 @@ def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
     C = hyper_reduction(model, _class_reduction_prime(model, gens), 1)
     add, zero = partial(hyperjac.jac_add, C), C.identity()
     add_q, zero_q = partial(hyperjac.jac_add, CQ), CQ.identity()
-    kept = []
-    span = {zero}
+    span = subgroup_span((), add, zero)
     for D in gens:
         r = _reduce_class(C, D)
         if r in span:
@@ -454,11 +499,10 @@ def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
         multiples = subgroup_span([r], add, zero, cap=upper.exponent)
         if multiples is None or scalar_mul(len(multiples), D, add_q, lambda x: add_q(x, x), zero_q) != zero_q:
             continue
-        kept.append(r)
-        span = subgroup_span(kept, add, zero, cap=upper.order)
+        span = multiples if len(span) == 1 else subgroup_span([r], add, zero, cap=upper.order, start=span)
         if span is None:  # pragma: no cover
             raise CrossCheckError(f"{model.label}: rational span exceeds reduction bound")
-    return structure_from_elements(sorted(span), add, zero), upper
+    return span.structure(), upper
 
 
 def _class_reduction_prime(model: CurveModel, classes) -> int:

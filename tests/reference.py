@@ -4,6 +4,11 @@
   function.  Production never lists J(F_q): `mwtors.Census` takes the group
   order from the zeta function over F_p and spans each Sylow subgroup from
   the front of `hyperjac.ClassStream`.
+- The census by spans alone (`span_census`): every Sylow subgroup S_ell
+  with ell^2 | N spanned from the census's classes.  Production reads the
+  odd parts of J(F_{p^2}) from the censuses of J(F_p) and of its inert
+  twist, and a 2-part that its order and 2-rank fix from the Frobenius
+  orbits on the Weierstrass points.
 - Curves over Q(sqrt d) reduced at an odd prime, one F_q-table curve per
   embedding of sqrt(d).  Production counts #E(F_p) by one character sum
   (`ellcurve.quadratic_reduction_counts`).
@@ -112,6 +117,13 @@ def all_classes(C) -> list:
     if len(set(classes)) != len(classes) or len(classes) != nJ:
         raise ZetaMismatch(f"{C}: enumerated {len(classes)} classes, {len(set(classes))} distinct; zeta says {nJ}")
     return sorted(classes)
+
+
+def span_census(model, p: int, f: int, twisted: bool) -> AbGroupStructure:
+    """The structure of `mwtors.Census(model, p, f, twisted)` from the Sylow
+    spans of `structure_from_elements` over its classes."""
+    cen = mwtors.Census(model, p, f, twisted)
+    return structure_from_elements(cen.classes, cen.add, cen.identity, max_rank=4)
 
 
 def reduce_quadratic_curve(E: EllipticCurve, d: int, p: int, f: int) -> list[EllipticCurve]:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mqtorsion import ff, hyperjac, mwtors, poly
+from mqtorsion.ellcurve import BadReduction
 from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elements
 from mqtorsion.hyperjac import (
     HyperCurve,
@@ -26,7 +27,7 @@ from mqtorsion.hyperjac import (
 from mqtorsion.mwtors import Census, CurveModel, census, model_registry
 from mqtorsion.poly import QQ, Poly, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
-from reference import all_classes, count_over_quadratic_ext_walk, jac_order
+from reference import all_classes, count_over_quadratic_ext_walk, jac_order, span_census
 
 X13 = [1, -4, 6, -2, 1, -2, 1]  # x^6 - 2x^5 + x^4 - 2x^3 + 6x^2 - 4x + 1
 X16 = [0, -1, 2, 0, 2, 1]  # x(x^2+1)(x^2+2x-1)
@@ -242,15 +243,24 @@ class TestGroupStructure:
         assert st == AbGroupStructure.from_summands(expect)
 
 
-    def test_x13_f25_census_adds_once_per_class_but_zero(self):
-        # J(F_25) = Z/19 x Z/19 is its own 19-Sylow subgroup: the span adds
-        # once per class but 0, and its relation rows give the structure
-        cen = Census(model_of(X13), 5, 2, False)
-        add = cen.add
+    def test_x13_f25_census_adds_once_per_class_but_zero(self, monkeypatch):
+        # J(F_25) = Z/19 x Z/19 is its own 19-Sylow subgroup: the span census
+        # adds once per class but 0, and its relation rows give the
+        # structure.  The census reads it from J(F_5) = Z/19 and its twist,
+        # Z/19, whose orders fix them, so it adds nothing at all
         calls = []
-        cen.add = lambda a, b: calls.append(1) or add(a, b)
-        assert cen.structure == AbGroupStructure((19, 19))
-        assert len(calls) == 360
+        jac_add = hyperjac.jac_add
+        monkeypatch.setattr(hyperjac, "jac_add", lambda C, a, b: calls.append(1) or jac_add(C, a, b))
+        mwtors.census.cache_clear()  # the censuses of F_5 add through the wrapper too
+        try:
+            model = model_of(X13)
+            assert span_census(model, 5, 2, False) == AbGroupStructure((19, 19))
+            assert len(calls) == 360
+            calls.clear()
+            assert Census(model, 5, 2, False).structure == AbGroupStructure((19, 19))
+            assert calls == []
+        finally:
+            mwtors.census.cache_clear()
 
     def test_x18_f49_census_adds_fewer_than_classes(self):
         # |J(F_49)| = 1953 = 3^2 * 7 * 31: only the 3-Sylow subgroup is
@@ -329,6 +339,69 @@ class TestLazyCensus:
         assert st.order == order * twisted_order == 831_744
         assert st == AbGroupStructure.from_summands([2, 2, 456, 456])
         assert 0 < len(drawn) < 5000
+
+
+class TestCensusShortcuts:
+    """The census reads the odd parts of J(F_{p^2}) from J(F_p) and its
+    inert twist, and a 2-part from its order and the 2-rank of the
+    Weierstrass points; the span census (`reference.span_census`) spans
+    every Sylow subgroup of square order instead."""
+
+    def test_split_and_two_rank_match_span_census(self):
+        """Every good reduction p <= 47 of X1(13), X1(16) and X1(18): f = 1,
+        and f = 2 and the twist where F_{p^2} has tables (p <= 31)."""
+        cases = fixed = split = 0
+        for label, coeffs in MODELS.items():
+            model = model_of(coeffs)
+            for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+                for f, twisted in ((1, False), (2, False), (2, True)):
+                    if f == 2 and p * p > ff.MAX_TABLE_ORDER:
+                        continue
+                    try:
+                        cen = Census(model, p, f, twisted)
+                    except BadReduction:
+                        continue
+                    assert cen.structure == span_census(model, p, f, twisted), (label, p, f, twisted)
+                    exps = cen._order_exponents
+                    e, r = exps.get(2, 0), cen.two_rank
+                    fixed += e > 1 and r in (1, e - 1, e)
+                    split += f == 2 and not twisted and any(k > 1 for ell, k in exps.items() if ell != 2)
+                    cases += 1
+        assert (cases, fixed, split) == (96, 29, 25)
+
+    @pytest.mark.parametrize("p,rank", [(3, 0), (5, 0), (5, 3)])
+    def test_two_part_against_a_wrong_two_rank_raises(self, p, rank):
+        # J(F_9) has 2-part (Z/2)^4, fixed by its rank; J(F_25) has 2-part
+        # Z/2 x Z/2 x Z/4 x Z/8, spanned, whose rank 4 is not 3
+        cen = Census(model_of(X16), p, 2, False)
+        cen.two_rank = rank
+        with pytest.raises(mwtors.CrossCheckError):
+            cen.structure
+
+    @PROPERTY
+    @given(random_curves(primes=(13, 11, 7, 5, 3)))
+    def test_two_rank_formula_on_random_curves(self, C):
+        """The rank of J[2] from the Frobenius orbits on the Weierstrass
+        points, against the 2-Sylow span of the census: over F_p, or over
+        F_{p^2} and for the inert twist over F_p."""
+        p = C.domain.tables.p
+        f = 1 if C.domain.q == p else 2
+        model = model_from_curve(C)
+        for twisted in (False, True) if f == 2 else (False,):
+            spanned = span_census(model, p, f, twisted).ell_part(2).rank()
+            assert hyperjac.two_rank_mod_p(model.f_coeffs, p, 1 if twisted else f) == spanned
+
+    @pytest.mark.parametrize("coeffs,p", [(X13, 7), (X16, 3), (X18, 7)])
+    def test_pairs_off_f_p_come_first(self, coeffs, p):
+        """Over F_{p^2} the stream opens with the classes of the pairs of
+        points whose x lies outside F_p: deg u = 2, and u has roots in
+        F_{p^2}, none in F_p.  Every other class has deg u < 2, or a root in
+        F_p, or no root in F_{p^2}."""
+        C = curve(coeffs, p, 2)
+        dom = C.domain
+        roots = lambda u: [x for x in range(dom.q) if poly.peval(dom, u, x) == 0]
+        opens = [len(u) == 3 and min(roots(u), default=0) >= p for u, _, _ in hyperjac._pair_classes(dom, C.F)]
+        assert opens[0] and opens == sorted(opens, reverse=True)
 
 
 class TestSymmetricSquare:
