@@ -5,13 +5,15 @@ fields and their independent verification."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from . import ellcurve, mwtors, poly
-from .intutil import factorize, is_prime, kronecker
-from .poly import QQ, Poly, TowerDomain
+from .intutil import factorize, is_prime, kronecker, rational_reconstruct
+from .poly import QQ, Poly, ResidueDomain, TowerDomain
 from .qfield import MultiQuadField, sqrt_in_tower
 from .record import Record
 
@@ -262,38 +264,93 @@ def classify(target: str, K, table: RankTable | None = None) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _tower_poly_norm(coeffs, K) -> Poly:
-    """Norm of a polynomial over a quadratic field down to Q (degree 1 tower)."""
-    assert len(K.gens) == 1
-    conj = [c.conjugate((-1,)) for c in coeffs]
-    dom = TowerDomain(K)
-    prod = poly.pmul(dom, tuple(coeffs), tuple(conj))
-    out = []
-    for c in prod:
-        if not c.is_rational():
-            raise ClassifyError("norm is not rational")  # pragma: no cover
-        out.append(c.rational_value())
-    return Poly(QQ, out)
+def _embed(coeffs, t: int, m: int) -> tuple:
+    """The residues mod m of the coefficients (n0 + n1 sqrt g)/den of a
+    polynomial over K = Q(sqrt g) at sqrt g = t, denominators prime to m."""
+    return tuple((c.nums[0] + c.nums[1] * t) * pow(c.den, -1, m) % m for c in coeffs)
+
+
+def _split_prime(coeffs, g: int) -> tuple[int, int]:
+    """(p, s): the least odd prime p split in Q(sqrt g), prime to g and to
+    the coefficient denominators, at which both images of the polynomial,
+    at sqrt g = s and at sqrt g = -s with s^2 = g mod p, keep their degree
+    and stay squarefree mod p.  For a squarefree polynomial the search
+    ends: its leading coefficient and discriminant are nonzero, so only
+    finitely many primes divide their norms, and infinitely many split."""
+    for p in itertools.count(3, 2):
+        if not is_prime(p) or g % p == 0 or kronecker(g, p) != 1 or any(c.den % p == 0 for c in coeffs):
+            continue
+        Fp = ResidueDomain(p)
+        s = next(s for s in range(1, p) if (s * s - g) % p == 0)
+        images = [_embed(coeffs, t, p) for t in (s, p - s)]
+        if all(f[-1] and len(poly.pgcd(Fp, f, poly.pderiv(Fp, f))) == 1 for f in images):
+            return p, s
 
 
 def _tower_poly_roots(coeffs, K) -> list:
-    """All roots in the quadratic field K of a polynomial with coefficients
-    in K, via degree <= 2 factors of its norm to Q."""
+    """All roots in K = Q(sqrt g) of a squarefree polynomial f over K, from
+    its roots in Q_p at a split prime p (p-adic Newton iteration and
+    rational number reconstruction, von zur Gathen and Gerhard, Modern
+    Computer Algebra, 5.10), each checked exactly over K.
+
+    At the prime p of `_split_prime`, sqrt g maps to +-sigma in Z_p, with
+    sigma = s mod p lifted by Newton's iteration, and K embeds in Q_p twice.
+    The simple roots of each image of f mod p lift uniquely to Z/p^k
+    (`poly.hensel_root`).  A pair (r+, r-) of lifts gives a = (r+ + r-)/2
+    and b = (r+ - r-)/(2 sigma) mod p^k, each rebuilt as a fraction by
+    `rational_reconstruct`, and x = a + b sqrt g is kept only if f(x) = 0
+    over K.
+
+    Completeness.  Let x = a + b sqrt g be a root of f in K.  The images of
+    f have p-integral coefficients and unit leading coefficients, so both
+    images a +- b sigma of x are p-adic integers; so are a and b, as p is
+    odd and prime to g.  Their reductions are roots of the images mod p,
+    simple ones, so the lifts of those roots are a +- b sigma mod p^k, and
+    the pair gives a and b mod p^k.  Their size: the minimal polynomial of
+    x over Q, made primitive in Z[x], c2 t^2 + c1 t + c0 or c1 t + c0,
+    divides the primitive integer norm S of f (f times its conjugate), so
+    |c_j| <= B = `poly.factor_height_bound(S)`.  Then a = -c1/(2 c2) or
+    -c0/c1, and b = e/(2 c2) with e^2 = (c1^2 - 4 c0 c2)/g; e is an integer
+    since g is squarefree, and |e| <= sqrt(5) B.  So the numerators and
+    denominators of a and b are at most 3B, and for p^k > 2 (3B)^2
+    `rational_reconstruct` returns them (it finds the unique fraction with
+    both parts at most sqrt(p^k / 2)).  So every root of f in K is found."""
+    (g,) = K.gens
+    # f = (P0 + P1 sqrt g)/D on integer polynomials, so D^2 f conj(f) = P0^2 - g P1^2
+    D = math.lcm(*(c.den for c in coeffs))
+    P0, P1 = ([c.nums[i] * (D // c.den) for c in coeffs] for i in (0, 1))
+    norm = poly.psub(QQ, poly.pmul(QQ, P0, P0), poly.pscale(QQ, g, poly.pmul(QQ, P1, P1)))
+    N = 3 * poly.factor_height_bound(poly._int_coeffs(Poly(QQ, norm)))
+    p, s = _split_prime(coeffs, g)
+    k = 1
+    while p**k <= 2 * N * N:
+        k += 1
+    M = p**k
+    sigma = poly.hensel_root((-g % M, 0, 1), s, p, k)
+    lifts = []
+    for t in (sigma, M - sigma):
+        F = _embed(coeffs, t, M)
+        lifts.append([poly.hensel_root(F, r, p, k) for r in poly.mp_roots(tuple(c % p for c in F), p)])
+    half, half_sigma = pow(2, -1, M), pow(2 * sigma, -1, M)
     dom = TowerDomain(K)
-    norm = _tower_poly_norm(coeffs, K)
+    root_g = K.sqrt_gen(g)
     roots = []
-    for g in poly.low_degree_factors(norm, 2):
-        for a in ellcurve._roots_in_tower(g, K):
-            if poly.peval(dom, tuple(coeffs), a).is_zero():
-                if a not in roots:
-                    roots.append(a)
+    for rp in lifts[0]:
+        for rm in lifts[1]:
+            a = rational_reconstruct((rp + rm) * half, M)
+            b = rational_reconstruct((rp - rm) * half_sigma, M)
+            if a is None or b is None:
+                continue
+            x = K.from_rational(a) + root_g.scale(b.numerator, b.denominator)
+            if not poly.peval(dom, coeffs, x):
+                roots.append(x)
     return roots
 
 
 def _torsion_point_in_tower(E: ellcurve.EllipticCurve, n: int, K):
     """A point of exact order n, a prime, on a curve over a quadratic field,
-    found from the kill polynomial's roots in K, or None.  An affine P has
-    P != O, so n*P = O makes its order a divisor of n other than 1: n."""
+    found from the kill polynomial's roots in K, or None; its order is
+    certified by `ellcurve.has_order`."""
     assert is_prime(n), n
     b = E.b_invariants()
     kill = poly.kill_poly(b, n, E.domain).coeffs
@@ -304,12 +361,10 @@ def _torsion_point_in_tower(E: ellcurve.EllipticCurve, n: int, K):
         s = sqrt_in_tower(T(x))
         if s is None:
             continue
-        half = K.from_rational(Fraction(1, 2))
-        y = (s - (a1 * x + a3)) * half
-        P = (x, y)
+        P = (x, (s - (a1 * x + a3)).scale(1, 2))
         if not E.on_curve(P):  # pragma: no cover
             continue
-        if E.mul(n, P) is ellcurve.INF:
+        if ellcurve.has_order(E, P, n):
             return P
     return None
 
@@ -318,9 +373,12 @@ def verify_exceptional(curve: ExceptionalCurve, n: int | None = None) -> dict:
     """Certify a shipped curve: every good split prime p < 200 has
     n | #E(F_p) at both primes above it, each count one character sum over
     F_p (`ellcurve.quadratic_reduction_counts`); for n = 15 an explicit
-    order-15 point is constructed from the division polynomials and the
-    tower square roots; for n = 14 the rational 2-torsion point is
-    exhibited.  Raises on any failure."""
+    point P of order 15 is built as P3 + P5, each found from the roots in K
+    of a kill polynomial (`_tower_poly_roots`, p-adic roots rebuilt by
+    rational reconstruction and checked exactly over K) and a tower square
+    root, and 15P = O, 5P != O and 3P != O are checked in Jacobian
+    coordinates (`ellcurve.has_order`); for n = 14 the 2-torsion point over
+    K is exhibited.  Raises on any failure."""
     n = n or curve.target
     report = {"name": curve.name, "n": n, "primes_checked": [], "steps": []}
     if n == 1:
@@ -354,7 +412,7 @@ def verify_exceptional(curve: ExceptionalCurve, n: int | None = None) -> dict:
         if P3 is None or P5 is None:
             raise VerificationError(f"{curve.name}: 3- or 5-torsion not found")
         P15 = E.add(P3, P5)
-        if E.point_order(P15, 20) != 15:
+        if not ellcurve.has_order(E, P15, 15):
             raise VerificationError(f"{curve.name}: combined point is not order 15")
         report["steps"].append("explicit order-15 point constructed and verified")
         report["point_x"] = repr(P15[0])

@@ -78,7 +78,12 @@ def cmd_jac_structure(args) -> int:
 def cmd_torsion(args) -> int:
     model = _resolve_model(args.model)
     K = qfield.parse_field(args.field)
-    primes = tuple(int(p) for p in args.primes.split(",")) if args.primes else None
+    primes = None
+    if args.primes:
+        try:
+            primes = tuple(qfield.parse_integers(args.primes))
+        except ValueError:
+            raise ModelError(f"bad prime list {args.primes!r}") from None
     if args.model in mwtors.model_registry():
         result = mwtors.torsion_table(model.label, K, args.mode, primes)
     elif args.mode == "table":

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ff, poly, qfield
-from .groups import AbGroupStructure, GroupError, scalar_mul, structure_from_elements
+from .groups import AbGroupStructure, GroupError, structure_from_elements
 from .intutil import (
     factorize,
     integer_cubic_roots,
@@ -143,20 +143,6 @@ class EllipticCurve:
         x3 = d.sub(d.sub(d.sub(d.add(d.mul(lam, lam), d.mul(a1, lam)), a2), x1), x2)
         y3 = d.sub(d.neg(d.add(d.mul(d.add(lam, a1), x3), nu)), a3)
         return (x3, y3)
-
-    def mul(self, n: int, P):
-        """n * P for n >= 0."""
-        return scalar_mul(n, P, self.add, lambda Q: self.add(Q, Q), INF)
-
-    def point_order(self, P, bound: int = 100000) -> int:
-        if P is INF:
-            return 1
-        acc = P
-        for n in range(1, bound + 1):
-            if acc is INF:
-                return n
-            acc = self.add(acc, P)
-        raise CurveError(f"point order exceeds bound {bound}")
 
     def __repr__(self):
         return f"EllipticCurve({self.label or list(self.a)})"
@@ -480,18 +466,6 @@ def _screen_kills_odd(A: int, B: int, d: int) -> bool:
     return False
 
 
-def primitive_kernel_poly(E: EllipticCurve, n: int) -> Poly:
-    """Roots are the x-coordinates of the points of exact order n >= 2 on
-    the normalized short model."""
-    return poly.primitive_kernel_poly_b(_short_b(E), n)
-
-
-def _short_b(E: EllipticCurve) -> tuple:
-    """(b2, b4, b6, b8) of the normalized short model y^2 = x^3 + Ax + B."""
-    A, B = short_model(E)
-    return tuple(Fraction(v) for v in (0, 2 * A, 4 * B, -A * A))
-
-
 # ---------------------------------------------------------------------------
 # 2-primary torsion over a multi-quadratic tower
 # ---------------------------------------------------------------------------
@@ -560,29 +534,105 @@ def _doubles_to(E: EllipticCurve, Q, P) -> bool:
     )
 
 
+# Points of y^2 = x^3 + Ax + B over a tower in Jacobian coordinates
+# (X : Y : Z) = (X/Z^2, Y/Z^3), Z = 0 for O, added without an inverse
+# (Cohen, Frey et al., Handbook of Elliptic and Hyperelliptic Curve
+# Cryptography, 13.2.1).
+
+
+def _jacobian_double(A, R):
+    """2R for R = (X : Y : Z): (X' : M(S - X') - 8Y^4 : 2YZ) with
+    M = 3X^2 + AZ^4, S = 4XY^2 and X' = M^2 - 2S.  The result has Z = 0
+    exactly when R = O or Y = 0, that is when 2R = O."""
+    X, Y, Z = R
+    XX, YY, ZZ = X * X, Y * Y, Z * Z
+    S = (X * YY).scale(4)
+    M = XX.scale(3) + A * (ZZ * ZZ)
+    X = M * M - S.scale(2)
+    return X, M * (S - X) - (YY * YY).scale(8), (Y * Z).scale(2)
+
+
+def _jacobian_add_affine(A, R, P):
+    """R + P for R = (X : Y : Z) and an affine P = (x, y), by the mixed
+    addition.  With U = xZ^2, H = U - X and r = yZ^3 - Y, the chord through
+    (X/Z^2, Y/Z^3) and P has slope r/(ZH), and the sum is
+    (r^2 - H^3 - 2XH^2 : r(XH^2 - X3) - YH^3 : ZH).  When H = 0 the two
+    points have the same x: R = P if r = 0 (double it), else R = -P and
+    the sum is O."""
+    X, Y, Z = R
+    x, y = P
+    if not Z:
+        return x, y, x.field.one()
+    ZZ = Z * Z
+    H = x * ZZ - X
+    r = y * (ZZ * Z) - Y
+    if not H:
+        return _jacobian_double(A, R) if not r else (x.field.one(), x.field.one(), x.field.zero())
+    HH = H * H
+    HHH = HH * H
+    V = X * HH
+    X3 = r * r - HHH - V.scale(2)
+    return X3, r * (V - X3) - Y * HHH, Z * H
+
+
+def _jacobian_multiple(A, n: int, P):
+    """n*P for n >= 1 and an affine P, by doubling and adding P from the
+    top bit of n down."""
+    x, y = P
+    R = (x, y, x.field.one())
+    for bit in bin(n)[3:]:
+        R = _jacobian_double(A, R)
+        if bit == "1":
+            R = _jacobian_add_affine(A, R, P)
+    return R
+
+
+def _short_image(E: EllipticCurve, P):
+    """(A, Q): E, a long model over a tower, is isomorphic over its field
+    to y^2 = x^3 + Ax + B with A = -27 u^4 c4 and B = -54 u^6 c6, by
+    (x, y) -> (u^2 (36x + 3b2), 108 u^3 (2y + a1 x + a3)) (Silverman,
+    AEC III.1), and Q is the image of the affine point P.  u, the lcm of
+    the denominators of the a_i, makes A integral, so that the denominators
+    of the Jacobian multiples of Q come from Q alone: over Q(sqrt(-15))
+    this makes 15Q three times faster."""
+    b2, b4, _, _ = E.b_invariants()
+    a1, _, a3, _, _ = E.a
+    x, y = P
+    u = math.lcm(*(a.den for a in E.a))
+    A = (b2 * b2 - b4.scale(24)).scale(-27 * u**4)
+    return A, ((x.scale(36) + b2.scale(3)).scale(u * u), (y.scale(2) + a1 * x + a3).scale(108 * u**3))
+
+
+def has_order(E: EllipticCurve, P, n: int) -> bool:
+    """True iff the affine point P of E, a long model over a tower, has
+    exact order n >= 1, with no tower inverse.
+
+    Proof.  ord(P) divides n iff nP = O.  A proper divisor m of n divides
+    n/l for some prime l | n (take l | n/m).  So ord(P) = n iff nP = O and
+    (n/l)P != O for each prime l | n; for n = 15 these are 15P = O,
+    5P != O and 3P != O.  The multiples are taken on the short model
+    (`_short_image`) in Jacobian coordinates, where a point is O iff
+    Z = 0."""
+    A, Q = _short_image(E, P)
+    if _jacobian_multiple(A, n, Q)[2]:
+        return False
+    return all(_jacobian_multiple(A, n // ell, Q)[2] for ell in factorize(n))
+
+
 def _two_power_order(E: EllipticCurve, P) -> int:
     """The order of P, an affine point of 2-power order on
     E: y^2 = x^3 + Ax + B over a tower, by doubling in Jacobian coordinates
-    (X : Y : Z) = (X/Z^2, Y/Z^3), without an inverse (Cohen, Frey et al.,
-    Handbook of Elliptic and Hyperelliptic Curve Cryptography, 13.2.1).
-
-    The double of (X : Y : Z) is (X' : M(S - X') - 8Y^4 : 2YZ) with
-    M = 3X^2 + AZ^4, S = 4XY^2 and X' = M^2 - 2S.  An affine point (Z != 0)
-    with Y = 0 has order 2, and one with Y != 0 doubles to an affine point
-    (2YZ != 0).  So 2^j P = O exactly when the (j-1)-th double has Y = 0.
-    CurveError when the order exceeds 64."""
+    without an inverse.  An affine point (Z != 0) with Y = 0 has order 2,
+    and one with Y != 0 doubles to an affine point (2YZ != 0).  So
+    2^j P = O exactly when the (j-1)-th double has Y = 0.  CurveError when
+    the order exceeds 64."""
     A = E.a[3]
-    X, Y = P
-    Z = E.domain.one
+    R = (*P, E.domain.one)
     n = 2
-    while Y:
+    while R[1]:
         if n == 64:
             raise CurveError("point order exceeds bound 64")
-        XX, YY, ZZ = X * X, Y * Y, Z * Z
-        S = (X * YY).scale(4)
-        M = XX.scale(3) + A * (ZZ * ZZ)
-        X = M * M - S.scale(2)
-        Y, Z = M * (S - X) - (YY * YY).scale(8), (Y * Z).scale(2)
+        R = _jacobian_double(A, R)
         n *= 2
     return n
 

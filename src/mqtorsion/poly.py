@@ -9,7 +9,8 @@ each domain.  `kernels` binds the engine to one domain for the genus-2
 group law.  On top of it: elliptic division polynomials in x-only form
 over any domain, exact factor extraction of low-degree rational factors
 via modular factorization and Hensel lifting on the same kernels over Z/p
-and Z/p^k, and splitting fields of quadratics.
+and Z/p^k, roots mod p and their Newton lifts to Z/p^k, and splitting
+fields of quadratics.
 
 Polynomials are tuples, constant term first, no trailing zeros.
 """
@@ -565,18 +566,6 @@ def kill_poly(b, n: int, dom=QQ) -> Poly:
     return Poly(dom, f)
 
 
-@lru_cache(maxsize=256)
-def primitive_kernel_poly_b(b, n: int) -> Poly:
-    """Roots are the x-coordinates of points of exact order n (n >= 2)."""
-    if n < 2:
-        raise PolyError("n must be >= 2")
-    out = kill_poly(b, n)
-    for d in range(2, n):
-        if n % d == 0:
-            out = out.exact_div(primitive_kernel_poly_b(b, d))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Factor extraction mod p and mod p^k, on the dense kernels over Z/m
 # ---------------------------------------------------------------------------
@@ -640,6 +629,20 @@ def _equal_degree_split(f, d, p):
         return _equal_degree_split(g, d, p) + _equal_degree_split(rest, d, p)
 
 
+def mp_roots(f, p) -> list[int]:
+    """The roots in F_p of f, a nonzero tuple over `ResidueDomain(p)` (odd p)
+    with a nonzero leading coefficient, ascending: the linear factors of
+    gcd(f, x^p - x), split by `_equal_degree_split`."""
+    dom = ResidueDomain(p)
+    f = pmonic(dom, f)
+    x = (0, 1)
+    diff = psub(dom, _powmod(dom, x, p, f), x)
+    g = pgcd(dom, diff, f) if diff else f
+    if len(g) < 2:
+        return []
+    return sorted(-h[0] % p for h in _equal_degree_split(g, 1, p))
+
+
 # ---------------------------------------------------------------------------
 # Hensel lifting and rational factor extraction (degrees 1..3 complete)
 # ---------------------------------------------------------------------------
@@ -659,6 +662,20 @@ def _hensel_step(f, g, h, s, t, m):
     s1 = sub(s, d)
     t1 = sub(t, add(mul(t, b), mul(c, g1)))
     return g1, h1, s1, t1
+
+
+def hensel_root(F, r, p, k):
+    """The root of F in Z/p^k congruent to r, a simple root of F mod p, by
+    Newton's iteration r - F(r)/F'(r), which doubles the precision at each
+    step; F is a tuple over `ResidueDomain(p^k)`.  F'(r) is a unit, since
+    F'(r) mod p != 0, and the root is unique (Hensel's lemma)."""
+    ZM = ResidueDomain(p**k)
+    dF = pderiv(ZM, F)
+    prec = 1
+    while prec < k:
+        r = ZM.sub(r, ZM.div(peval(ZM, F, r), peval(ZM, dF, r)))
+        prec *= 2
+    return r
 
 
 def _lift_factors(F, factors, p, k):
@@ -793,6 +810,14 @@ def _low_degree_factors_primitive(F: tuple[int, ...], max_degree: int) -> tuple[
     return tuple(out)
 
 
+def factor_height_bound(S: tuple[int, ...]) -> int:
+    """B = 16 (||S||_2 + 1), with ||S||_2 rounded up, for a nonzero integer
+    polynomial S: every g in Z[x] of degree <= 4 dividing S in Z[x] has
+    (lc S / lc g) * g in Z[x] with coefficients at most B in absolute value
+    (see `_low_degree_factors_squarefree`)."""
+    return 16 * (math.isqrt(sum(c * c for c in S)) + 2)
+
+
 def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> list[Poly]:
     """Monic factors of degree <= max_degree of a squarefree primitive S,
     lifted from the factorization of L^-1 S mod the good prime p, L = lc(S).
@@ -814,8 +839,7 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) 
     if not low:
         return []
     high = [fac for fac in factors if len(fac) - 1 > max_degree]
-    l2 = math.isqrt(sum(c * c for c in S)) + 1
-    B = 16 * (l2 + 1)
+    B = factor_height_bound(S)
     k = 1
     while p**k <= 2 * B:
         k += 1

@@ -385,11 +385,6 @@ class TowerElem:
         assert out.is_rational()
         return out.rational_value()
 
-    def support_gens(self) -> "MultiQuadField":
-        """Smallest multi-quadratic subfield containing this element."""
-        vectors = self.field._vectors
-        return MultiQuadField._from_vectors(vectors[mask] for mask, c in enumerate(self.nums) if c)
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
@@ -499,22 +494,28 @@ def _sqrt_rec(v: TowerElem) -> TowerElem | None:
 
 # generators are factored by trial division; this keeps that prompt
 MAX_GENERATOR = 10**6
-# one generator; int() alone would also take "3_0" and non-ASCII digits
-_GENERATOR = r"\s*[+-]?[0-9]+\s*"
+# one integer of a list; int() alone would also take "3_0" and non-ASCII digits
+_INTEGER = r"\s*[+-]?[0-9]+\s*"
+
+
+def parse_integers(literal: str) -> list[int]:
+    """The integers of a comma-separated CLI literal, each an ASCII decimal
+    integer, optionally signed and padded with whitespace; ValueError for
+    anything else."""
+    parts = literal.split(",")
+    if not all(re.fullmatch(_INTEGER, part, re.ASCII) for part in parts):
+        raise ValueError(f"bad integer list {literal!r}")
+    return [int(part) for part in parts]  # ValueError past int's digit limit
 
 
 def parse_field(literal: str) -> MultiQuadField:
-    """Parse a CLI/config field literal: "Q" or comma-separated generators,
-    each an ASCII decimal integer, optionally signed and padded with
-    whitespace, at most MAX_GENERATOR in absolute value."""
+    """Parse a CLI/config field literal: "Q" or comma-separated generators
+    (`parse_integers`), each at most MAX_GENERATOR in absolute value."""
     s = literal.strip()
     if s in ("Q", "q", ""):
         return QQ_FIELD
-    parts = s.split(",")
     try:
-        if not all(re.fullmatch(_GENERATOR, part, re.ASCII) for part in parts):
-            raise ValueError
-        gens = [int(part) for part in parts]  # ValueError past int's digit limit
+        gens = parse_integers(s)
     except ValueError as exc:
         raise QFieldError(f"bad field literal {literal!r}") from exc
     for d in gens:

@@ -45,13 +45,23 @@
   H/2H by the explicit halving formula and checks halves and orders without
   an inverse.  `eight_torsion_criterion` reads order 8 from the
   division polynomial instead.
+- The roots in Q(sqrt d) of a polynomial over it from the degree <= 2
+  rational factors of its norm to Q (`tower_poly_roots_by_norm`).
+  Production lifts its roots mod a split prime p to Z/p^k and rebuilds
+  each root from a pair of them by rational reconstruction.
+- Multiples and orders of a point by the affine group law (`curve_mul`,
+  `point_order`).  Production takes them in Jacobian coordinates
+  (`ellcurve.has_order`).
 - Helpers that no production path calls: the meet of two structures, the
   odd torsion of a model through the twist decomposition (production
-  derive reads it per twist), and a functional that avoids two vectors of
-  F_2^n.
+  derive reads it per twist), a functional that avoids two vectors of
+  F_2^n, the polynomials of the points of exact order n
+  (`primitive_kernel_poly`), and the smallest subfield holding a tower
+  element (`support_gens`).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 import math
 
@@ -456,7 +466,7 @@ def halving_witness_affine(E: EllipticCurve, t1):
         y = qfield.sqrt_in_tower(x * x * x + A * x + B)
         if y is not None:
             P = (x, y)
-            assert E.on_curve(P) and E.mul(2, P) == (t1, E.domain.K.zero())
+            assert E.on_curve(P) and curve_mul(E, 2, P) == (t1, E.domain.K.zero())
             return P
     return None
 
@@ -485,7 +495,7 @@ def halves_over_tower_affine(E: EllipticCurve, e_roots: list, P) -> list:
             if y is None:
                 continue
             for Q in ((x, y), (x, -y)):
-                if E.mul(2, Q) == P:
+                if curve_mul(E, 2, Q) == P:
                     out.append(Q)
                     break
     return out
@@ -544,7 +554,7 @@ def two_primary_over_tower_affine(A: int, B: int, K, cap: int):
             if found is None:
                 break
             assert EK.on_curve(found)
-            assert EK.mul(level // 2, found) is not None and EK.mul(level, found) is None
+            assert curve_mul(EK, level // 2, found) is not None and curve_mul(EK, level, found) is None
             witnesses.append(found)
             top = level
             level *= 2
@@ -563,7 +573,7 @@ def eight_torsion_criterion(model: CurveModel, K):
     if model.genus != 1:
         raise ModelError("criterion applies to genus-1 models")
     A, B = ellcurve.short_model(model.elliptic())
-    kernel = ellcurve.primitive_kernel_poly(model.elliptic(), 8)
+    kernel = primitive_kernel_poly(model.elliptic(), 8)
     for g in poly.low_degree_factors(kernel, 2):
         d = poly.splitting_quadratic_field(g) if g.degree == 2 else 1
         if d != 1 and not K.contains_sqrt(d):
@@ -576,8 +586,8 @@ def eight_torsion_criterion(model: CurveModel, K):
             E = ellcurve.tower_short_curve(A, B, K)
             P = (a, y)
             assert E.on_curve(P)
-            assert E.mul(4, P) is not None and E.mul(8, P) is None
-            y_field = y.support_gens()
+            assert curve_mul(E, 4, P) is not None and curve_mul(E, 8, P) is None
+            y_field = support_gens(y)
             return True, {
                 "factor": [c for c in g.coeffs],
                 "splitting_d": d,
@@ -657,6 +667,73 @@ def hyperplane_avoiding(n: int, x: tuple[int, ...], y: tuple[int, ...]) -> tuple
         phi[next(j for j in range(n) if x[j])] = 1
         phi[next(j for j in range(n) if y[j])] = 1
     return tuple(phi)
+
+
+def curve_mul(E: EllipticCurve, n: int, P):
+    """n * P for n >= 0 by the affine group law."""
+    return scalar_mul(n, P, E.add, lambda Q: E.add(Q, Q), ellcurve.INF)
+
+
+def point_order(E: EllipticCurve, P, bound: int = 100000) -> int:
+    """The order of P by repeated affine addition; CurveError past bound."""
+    acc = P
+    for n in range(1, bound + 1):
+        if acc is ellcurve.INF:
+            return n
+        acc = E.add(acc, P)
+    raise CurveError(f"point order exceeds bound {bound}")
+
+
+@lru_cache(maxsize=256)
+def primitive_kernel_poly_b(b, n: int) -> Poly:
+    """Roots are the x-coordinates of points of exact order n (n >= 2)."""
+    if n < 2:
+        raise PolyError("n must be >= 2")
+    out = poly.kill_poly(b, n)
+    for d in range(2, n):
+        if n % d == 0:
+            out = out.exact_div(primitive_kernel_poly_b(b, d))
+    return out
+
+
+def primitive_kernel_poly(E: EllipticCurve, n: int) -> Poly:
+    """Roots are the x-coordinates of the points of exact order n >= 2 on
+    the normalized short model."""
+    A, B = short_model(E)
+    return primitive_kernel_poly_b(tuple(Fraction(v) for v in (0, 2 * A, 4 * B, -A * A)), n)
+
+
+def support_gens(v) -> qfield.MultiQuadField:
+    """Smallest multi-quadratic subfield containing the tower element v."""
+    vectors = v.field._vectors
+    return qfield.MultiQuadField._from_vectors(vectors[mask] for mask, c in enumerate(v.nums) if c)
+
+
+# ---------------------------------------------------------------------------
+# Roots over a quadratic field from the norm
+# ---------------------------------------------------------------------------
+
+
+def tower_poly_norm(coeffs, K) -> Poly:
+    """Norm of a polynomial over a quadratic field down to Q."""
+    assert len(K.gens) == 1
+    conj = [c.conjugate((-1,)) for c in coeffs]
+    prod = pmul(TowerDomain(K), tuple(coeffs), tuple(conj))
+    return Poly(QQ, [c.rational_value() for c in prod])
+
+
+def tower_poly_roots_by_norm(coeffs, K) -> list:
+    """All roots in the quadratic field K of a polynomial with coefficients
+    in K: a root has a minimal polynomial over Q of degree <= 2 that divides
+    the norm, so it is a root in K of one of the norm's monic factors of
+    degree <= 2, kept if the polynomial vanishes there."""
+    dom = TowerDomain(K)
+    roots = []
+    for g in poly.low_degree_factors(tower_poly_norm(coeffs, K), 2):
+        for a in ellcurve._roots_in_tower(g, K):
+            if poly.peval(dom, tuple(coeffs), a).is_zero() and a not in roots:
+                roots.append(a)
+    return roots
 
 
 # ---------------------------------------------------------------------------

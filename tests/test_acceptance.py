@@ -41,11 +41,16 @@ from mqtorsion.poly import (
     Poly,
     code_domain,
     low_degree_factors,
-    primitive_kernel_poly_b,
     splitting_quadratic_field,
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields, sqrt_in_tower
-from reference import all_classes, eight_torsion_criterion, group_meet, hyperplane_avoiding
+from reference import (
+    all_classes,
+    eight_torsion_criterion,
+    group_meet,
+    hyperplane_avoiding,
+    primitive_kernel_poly_b,
+)
 
 
 def G(*summands):

@@ -270,6 +270,14 @@ class TestBadInput:
     def test_malformed_arguments(self, capsys, argv):
         assert_one_line_error(*run_bad_input(capsys, *argv))
 
+    @pytest.mark.parametrize("primes", ["1_3", "\u0661\u0663", "13,", ",", " "])
+    def test_bad_prime_list(self, capsys, primes):
+        """Primes take the ASCII grammar of the field generators: int() alone
+        would read "1_3" and Arabic-Indic digits as 13."""
+        code, out, err = run_bad_input(capsys, "torsion", "--model", "X1(11)", "--field=Q", "--primes", primes)
+        assert_one_line_error(code, out, err)
+        assert err == f"error: bad prime list {primes!r}\n"
+
     @pytest.mark.parametrize("content", [
         "", "[]", '{"ranks": 5}', '{"ranks": [5]}',
         '{"ranks": [{"jacobian": "X1(11)", "twist": 1, "source": "s"}]}',

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Fr
+from functools import lru_cache
 from math import prod
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from mqtorsion import ellcurve, ff
 from mqtorsion.ellcurve import (
     INF,
-    primitive_kernel_poly,
     BadReduction,
     CurveError,
     EllipticCurve,
@@ -34,7 +34,10 @@ from mqtorsion.mwtors import model_registry
 from mqtorsion.poly import QQ, TowerDomain, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from reference import (
+    curve_mul,
     order_reps_span,
+    point_order,
+    primitive_kernel_poly,
     reduce_quadratic_curve,
     torsion_over_tower,
     tower_curve_affine,
@@ -93,7 +96,7 @@ class TestGroupLaw:
 
     def test_x11_point_order_five(self):
         c = E(X11)
-        assert c.point_order((Fr(0), Fr(0))) == 5
+        assert point_order(c, (Fr(0), Fr(0))) == 5
 
     def test_on_curve(self):
         c = E(X11)
@@ -399,7 +402,7 @@ class TestTowerTorsion:
         c = tower_short_curve(4, 0, K)
         P = halving_witness(c, K.zero())
         assert P is not None
-        assert c.point_order(P, 16) == 4
+        assert point_order(c, P, 16) == 4
 
     def test_witnesses_verified(self):
         st, witnesses = two_primary_over_tower(-27, 8694, MultiQuadField([-3, 5]), 16)
@@ -407,7 +410,7 @@ class TestTowerTorsion:
         from mqtorsion.ellcurve import tower_short_curve
 
         c = tower_short_curve(-27, 8694, MultiQuadField([-3, 5]))
-        assert all(c.point_order(P, 64) == n for P, n in witnesses)
+        assert all(point_order(c, P, 64) == n for P, n in witnesses)
         orders = sorted(n for _, n in witnesses)
         assert 8 in orders and all(o in (2, 4, 8) for o in orders)
 
@@ -448,7 +451,7 @@ class TestTowerTorsion:
                 span = subgroup_span([P for P, _ in basis], c.add, INF)
                 assert span == subgroup_span([P for P, _ in witnesses[: first + step]], c.add, INF)
                 assert len(span) == prod(n for _, n in basis)
-                assert all(c.point_order(P, 64) == n for P, n in basis)
+                assert all(point_order(c, P, 64) == n for P, n in basis)
                 doubles = {c.add(P, P) for P in span}
 
                 def coset(P):
@@ -457,8 +460,8 @@ class TestTowerTorsion:
                 reps = [(P, n) for P, n, _ in _order_reps(c, basis)]
                 assert len({coset(P) for P, _ in reps}) == len(reps) == len(span) // len(doubles) - 1
                 for P, n in reps:
-                    assert P in span and c.point_order(P, 64) == n
-                    assert n == min(c.point_order(R, 64) for R in coset(P))
+                    assert P in span and point_order(c, P, 64) == n
+                    assert n == min(point_order(c, R, 64) for R in coset(P))
                 top_classes = {coset(P) for P, n in reps if n == top}
                 assert {coset(P) for P in order_reps_span(c, list(span), top)} == top_classes
 
@@ -500,7 +503,7 @@ class TestInverseFreeTwoPrimary:
             assert st == two_primary_over_tower_affine(A, B, K, 16)[0]
             c = tower_curve_affine(A, B, K)
             for P, n in witnesses:
-                assert c.mul(n // 2, P) is not INF and c.mul(n, P) is INF
+                assert curve_mul(c, n // 2, P) is not INF and curve_mul(c, n, P) is INF
 
     @staticmethod
     def check_points(c, points, bound):
@@ -509,10 +512,10 @@ class TestInverseFreeTwoPrimary:
         from mqtorsion.ellcurve import _doubles_to, _two_power_order
 
         for Q in points:
-            double = c.mul(2, Q)
+            double = curve_mul(c, 2, Q)
             for P in {double, c.neg(double), points[0]} - {INF}:
                 assert _doubles_to(c, Q, P) == (double == P)
-            n = next((2**j for j in range(1, bound.bit_length()) if c.mul(2**j, Q) is INF), None)
+            n = next((2**j for j in range(1, bound.bit_length()) if curve_mul(c, 2**j, Q) is INF), None)
             if n is None:
                 with pytest.raises(CurveError):
                     _two_power_order(c, Q)
@@ -554,7 +557,7 @@ class TestInverseFreeTwoPrimary:
         K = MultiQuadField(gens)
         c = tower_curve_affine(A, B, K)
         P = (K.from_rational(x), K.from_rational(y))
-        self.check_points(c, [Q for Q in (P, c.mul(2, P), c.mul(3, P)) if Q is not INF], 8)
+        self.check_points(c, [Q for Q in (P, curve_mul(c, 2, P), curve_mul(c, 3, P)) if Q is not INF], 8)
 
     def test_both_factors_of_order_eight(self):
         """15a1 over K = Q(sqrt(-1), sqrt(2), sqrt(3), sqrt(5), sqrt(7)) has
@@ -571,7 +574,7 @@ class TestInverseFreeTwoPrimary:
         curve = tower_curve_affine(A, B, K)
         assert [n for _, n in witnesses].count(8) == 2
         for P, n in witnesses:
-            assert curve.mul(n // 2, P) is not INF and curve.mul(n, P) is INF
+            assert curve_mul(curve, n // 2, P) is not INF and curve_mul(curve, n, P) is INF
 
     @pytest.mark.parametrize("A, B", [(0, 0), (-3, 2), (-27, 54), (-12, 16)])
     def test_singular_model_is_refused_over_the_tower(self, A, B):
@@ -580,6 +583,100 @@ class TestInverseFreeTwoPrimary:
         assert 4 * A**3 + 27 * B**2 == 0
         with pytest.raises(CurveError):
             tower_short_curve(A, B, MultiQuadField([-1, 2]))
+
+
+@lru_cache(maxsize=None)
+def tower_torsion_points() -> tuple:
+    """(E, P, n): affine points P of order n on curves over towers, every n
+    from 2 to 16, with the multiples kP of each (of order n/k)."""
+    from mqtorsion import classify
+    from mqtorsion.ellcurve import _halves_over_tower, tower_short_curve, two_torsion_roots_in_tower
+
+    def tate(K, b, c):
+        """E(b, c): y^2 + (1 - c)xy - by = x^3 - bx^2 and its point (0, 0)."""
+        curve = EllipticCurve(TowerDomain(K), [K.one() - c, -b, -b, K.zero(), K.zero()])
+        return curve, (K.zero(), K.zero())
+
+    # Kubert's Tate normal forms of orders 4 to 10 and 12, at t = 1 + sqrt(5)
+    K = MultiQuadField([5])
+    one, t = K.one(), K.one() + K.sqrt_gen(5)
+    d10 = t * t / (t - (t - one) * (t - one))
+    c10 = t * d10 - t
+    m12 = (t.scale(3) - (t * t).scale(3) - one) / (t - one)
+    d12 = m12 + t
+    c12 = m12 / (one - t) * (d12 - one)
+    forms = [
+        (4, t, K.zero()),
+        (5, t, t),
+        (6, t + t * t, t),
+        (7, t * t * t - t * t, t * t - t),
+        (8, (t.scale(2) - one) * (t - one), (t.scale(2) - one) * (t - one) / t),
+        (9, t * t * (t - one) * (t * t - t + one), t * t * (t - one)),
+        (10, c10 * d10, c10),
+        (12, c12 * d12, c12),
+    ]
+    base = [(*tate(K, b, c), n) for n, b, c in forms]
+    # order 11 over Q(sqrt(2)): b = rc, c = s(r - 1) at (r, s) = (2 + sqrt(2), 2)
+    K = MultiQuadField([2])
+    c = (K.one() + K.sqrt_gen(2)).scale(2)
+    base.append((*tate(K, (K.from_rational(2) + K.sqrt_gen(2)) * c, c), 11))
+    # order 13 over Q(sqrt(17)): (x, y) = (-2, (3 + sqrt(17))/2) on
+    # y^2 + (x^3 + x^2 + 1)y - x^2 - x = 0, r = 1 - xy, s = 1 - xy/(y + 1)
+    K = MultiQuadField([17])
+    x, y = K.from_rational(-2), (K.from_rational(3) + K.sqrt_gen(17)).scale(1, 2)
+    r, s = K.one() - x * y, K.one() - x * y / (y + K.one())
+    c = s * (r - K.one())
+    base.append((*tate(K, r * c, c), 13))
+    # order 16 over Q(sqrt(6), sqrt(70)): a half of the point of order 8 of
+    # 210e2, whose 2-torsion is rational
+    A, B = short_model(E((1, 0, 0, -1070, 7812)))
+    K = MultiQuadField([6, 70])
+    curve = tower_short_curve(A, B, K)
+    P8 = (K.from_rational(8787), K.from_rational(816480))
+    base.append((curve, _halves_over_tower(curve, two_torsion_roots_in_tower(A, B, K), P8)[0], 16))
+    # the exceptional curves: P2 and P7, or P3 and P5, and their sums
+    for c in classify.exceptional_registry():
+        curve, K = c.curve(), c.field()
+        P, Q = (classify._torsion_point_in_tower(curve, n, K) for n in ((2, 7) if c.target == 14 else (3, 5)))
+        base.append((curve, curve.add(P, Q), c.target))
+    out = []
+    for curve, P, n in base:
+        out += [(curve, curve_mul(curve, k, P), n // k) for k in range(1, n) if n % k == 0]
+    return tuple(out)
+
+
+class TestJacobianMultiples:
+    """n*P in Jacobian coordinates and `has_order` against the affine law
+    (`reference.curve_mul`, `reference.point_order`) on tower points of
+    every order from 2 to 16."""
+
+    def test_orders(self):
+        points = tower_torsion_points()
+        assert {n for _, _, n in points} == set(range(2, 17))
+        for curve, P, n in points:
+            assert point_order(curve, P, 20) == n, (curve, n)
+
+    def test_multiples_match_the_affine_law(self):
+        from mqtorsion.ellcurve import _jacobian_multiple, _short_image
+
+        for curve, P, n in tower_torsion_points():
+            A, Q = _short_image(curve, P)
+            R = INF
+            for m in range(1, n + 3):
+                X, Y, Z = _jacobian_multiple(A, m, Q)
+                R = curve.add(R, P)
+                if R is INF:
+                    assert not Z, (curve, n, m)
+                else:
+                    x, y = _short_image(curve, R)[1]
+                    ZZ = Z * Z
+                    assert (X, Y) == (x * ZZ, y * ZZ * Z), (curve, n, m)
+
+    def test_has_order_matches_point_order(self):
+        from mqtorsion.ellcurve import has_order
+
+        for curve, P, n in tower_torsion_points():
+            assert [m for m in range(1, 21) if has_order(curve, P, m)] == [n], (curve, n)
 
 
 class TestCappedTwoPrimary:
@@ -629,7 +726,7 @@ class TestDivisionPolynomialSurface:
             for P in torsion_points_short(A, B):
                 if P is INF:
                     continue
-                n = cs.point_order(P, 20)
+                n = point_order(cs, P, 20)
                 assert primitive_kernel_poly(c, n)(P[0]) == 0
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mqtorsion import poly
 from mqtorsion.ellcurve import INF, CurveError, EllipticCurve, points_over_code_domain
 import reference
-from reference import low_degree_factors_monic_associate
+from reference import curve_mul, low_degree_factors_monic_associate, primitive_kernel_poly_b
 from mqtorsion.ff import make_field
 from mqtorsion.intutil import is_prime
 from mqtorsion.qfield import MultiQuadField, TowerElem
@@ -26,7 +26,6 @@ from mqtorsion.poly import (
     low_degree_factors,
     mp_factor_squarefree,
     peval,
-    primitive_kernel_poly_b,
     splitting_quadratic_field,
     two_torsion_cubic,
 )
@@ -288,7 +287,7 @@ class TestDivisionPolynomialProperties:
         dom, p = E.domain, E.domain.tables.p
         kill = kill_poly(E.b_invariants(), n, dom).coeffs
         roots = {x for x in range(p) if not peval(dom, kill, x)}
-        assert roots == {P[0] for P in points if P is not INF and P[0] < p and E.mul(n, P) is INF}
+        assert roots == {P[0] for P in points if P is not INF and P[0] < p and curve_mul(E, n, P) is INF}
 
     @PROPERTY
     @given(curves_over_small_fields(), st.integers(2, 9))
@@ -307,7 +306,7 @@ class TestDivisionPolynomialProperties:
         else:
             psi_sq = poly.pmul(dom, psi_sq, T)
         for P in points:
-            nP = INF if P is INF else E.mul(n, P)
+            nP = INF if P is INF else curve_mul(E, n, P)
             if nP is INF:
                 continue
             x = P[0]
@@ -499,7 +498,7 @@ class TestPrimitiveLift:
             E, K = c.curve(), c.field()
             for n in (2,) if c.target == 14 else (3, 5):
                 kill = poly.kill_poly(E.b_invariants(), n, E.domain).coeffs
-                F = poly._int_coeffs(classify._tower_poly_norm(kill, K))
+                F = poly._int_coeffs(reference.tower_poly_norm(kill, K))
                 fast = poly._low_degree_factors_primitive.__wrapped__(F, 2)
                 assert fast == low_degree_factors_monic_associate(F, 2), (c.name, n)
                 norms += 1
@@ -568,6 +567,26 @@ class TestModP:
             d, s, t = poly.pgcdext(dom, tuple(f), tuple(g))
             assert poly.padd(dom, poly.pmul(dom, s, tuple(f)), poly.pmul(dom, t, tuple(g))) == d
             assert d == poly.pgcd(dom, tuple(f), tuple(g)) and d[-1] == 1
+
+    @pytest.mark.parametrize("p", [3, 11, 17])
+    def test_roots_and_their_newton_lifts(self, p):
+        """`mp_roots` against a search over F_p, and each simple root lifted
+        by `hensel_root` to a root mod p^5 that reduces to it."""
+        rng = random.Random(p)
+        k, M = 5, p**5
+        ZM = ResidueDomain(M)
+        for _ in range(30):
+            F = tuple(rng.randrange(M) for _ in range(rng.randint(1, 6))) + (rng.randrange(1, M),)
+            f = tuple(c % p for c in F)
+            if not f[-1]:
+                continue
+            roots = poly.mp_roots(f, p)
+            assert roots == [r for r in range(p) if not peval(ResidueDomain(p), f, r)]
+            df = poly.pderiv(ResidueDomain(p), f)
+            for r in roots:
+                if peval(ResidueDomain(p), df, r):
+                    R = poly.hensel_root(F, r, p, k)
+                    assert R % p == r and peval(ZM, F, R) == 0
 
     def test_hensel_lift_to_a_prime_power(self):
         # x^4 + 1 = (x^2 + 4)(x^2 + 13) mod 17, lifted to 17^8
