@@ -309,10 +309,19 @@ def affine_count(b2: int, b4: int, b6: int, p: int) -> int:
     than this count.  For a short model y^2 = f(x), (b2, b4, b6) =
     (0, 2A, 4B) gives Y^2 = 4f(x), and Y -> 2Y shows that it has as many
     solutions as y^2 = f(x)."""
-    squares = [0] * p  # squares[v] = #{Y in F_p : Y^2 = v}
+    squares = _square_counts(p)
+    return sum(squares[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
+
+
+@lru_cache(maxsize=64)
+def _square_counts(p: int) -> bytes:
+    """squares[v] = #{Y in F_p : Y^2 = v}, which is 0, 1 or 2, built once
+    per prime p for `affine_count` and so for the twist screen
+    (`_screen_traces`); one byte per residue."""
+    squares = bytearray(p)
     for y in range(p):
         squares[y * y % p] += 1
-    return sum(squares[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p))
+    return bytes(squares)
 
 
 def quadratic_reduction_counts(ainvs, d: int, p: int) -> list[int]:

@@ -8,7 +8,7 @@ further generators without being built again."""
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 from .intutil import factorize
 from .record import Record
@@ -33,39 +33,23 @@ class AbGroupStructure(Record):
 
     @classmethod
     def trivial(cls) -> "AbGroupStructure":
-        return cls(())
+        return _from_summands(())
 
     @classmethod
     def cyclic(cls, n: int) -> "AbGroupStructure":
-        return cls((n,)) if n > 1 else cls(())
+        return _from_summands((n,) if n > 1 else ())
 
     @classmethod
     def from_summands(cls, ns) -> "AbGroupStructure":
-        """Canonicalize an arbitrary direct sum of Z/n's."""
-        prime_exps: dict[int, list[int]] = {}
-        for n in ns:
-            if n == 1:
-                continue
-            for p, e in factorize(n).items():
-                prime_exps.setdefault(p, []).append(e)
-        return cls.from_prime_exponents(prime_exps)
+        """Canonicalize an arbitrary direct sum of Z/n's: one shared
+        structure per tuple of summands (`_from_summands`)."""
+        return _from_summands(tuple(ns))
 
     @classmethod
     def from_prime_exponents(cls, prime_exps: dict[int, list[int]]) -> "AbGroupStructure":
-        """prime_exps[p] = exponent multiset of the p-Sylow decomposition."""
-        cleaned = {p: sorted(e for e in es if e > 0) for p, es in prime_exps.items()}
-        cleaned = {p: es for p, es in cleaned.items() if es}
-        width = max((len(es) for es in cleaned.values()), default=0)
-        factors = []
-        for i in range(width):
-            d = 1
-            for p, es in cleaned.items():
-                # align largest exponents into the last slot
-                j = len(es) - width + i
-                if j >= 0:
-                    d *= p ** es[j]
-            factors.append(d)
-        return cls(tuple(f for f in factors if f > 1))
+        """prime_exps[p] = exponent multiset of the p-Sylow decomposition,
+        for primes p; the shared structure of its invariant factors."""
+        return _from_summands(_invariant_factors(prime_exps))
 
     @property
     def order(self) -> int:
@@ -117,6 +101,46 @@ class AbGroupStructure(Record):
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(d) for d in self.factors) + "]"
+
+
+def _invariant_factors(prime_exps: dict[int, list[int]]) -> tuple[int, ...]:
+    """d1 | d2 | ... from the exponents of each prime: the last factor takes
+    the largest exponent of every prime, the one before it the next, and so
+    on."""
+    cleaned = {p: sorted(e for e in es if e > 0) for p, es in prime_exps.items()}
+    cleaned = {p: es for p, es in cleaned.items() if es}
+    width = max((len(es) for es in cleaned.values()), default=0)
+    factors = []
+    for i in range(width):
+        d = 1
+        for p, es in cleaned.items():
+            # align largest exponents into the last slot
+            j = len(es) - width + i
+            if j >= 0:
+                d *= p ** es[j]
+        factors.append(d)
+    return tuple(f for f in factors if f > 1)
+
+
+@lru_cache(maxsize=256)
+def _from_summands(ns: tuple[int, ...]) -> AbGroupStructure:
+    """The canonical form of Z/n_1 + Z/n_2 + ..., built once per tuple of
+    summands and shared by every caller: `direct_sum`, `trivial`, `cyclic`
+    and `from_prime_exponents` go through it too.  A tuple that is not
+    already the invariant factors maps to the entry of its invariant
+    factors, so equal structures are one instance.  Sharing is sound
+    because a structure is immutable (a `Record`): no caller can change
+    what another reads, and `prime_exponents` hands out fresh containers.
+    The key is the tuple itself, and the structure is a function of it, so
+    a hit returns what a fresh build would equal."""
+    prime_exps: dict[int, list[int]] = {}
+    for n in ns:
+        if n == 1:
+            continue
+        for p, e in factorize(n).items():
+            prime_exps.setdefault(p, []).append(e)
+    factors = _invariant_factors(prime_exps)
+    return AbGroupStructure(factors) if factors == ns else _from_summands(factors)
 
 
 def structure_from_elements(elements, add, identity, max_rank: int | None = None) -> AbGroupStructure:

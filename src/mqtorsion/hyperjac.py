@@ -558,47 +558,50 @@ def weierstrass_orbits(F: Poly, K) -> tuple[list[int], bool]:
     """Galois orbit sizes of the Weierstrass points of y^2 = F(x) over K,
     plus an exactness flag.
 
-    Orbits come from the rational factorization of F (complete through
-    degree 3; degree >= 4 irreducible cofactors are kept whole, which can
-    only undercount K-rational classes, never overcount)."""
-    deg = F.degree
-    if deg not in (3, 4, 5, 6):
-        raise JacError("degree must be in 3..6")
-    if not _is_squarefree(tuple(F.coeffs)):
-        raise JacError("F must be squarefree")
-    factors = poly.low_degree_factors(F, 3)
-    cof = F
-    for g in factors:
-        cof = cof.exact_div(g)
+    The orbits over K are the orbits of Gal(Q-bar/K) on the roots of F (and
+    the infinite point of a quintic, fixed).  The roots of an irreducible
+    rational factor g form one orbit of Gal(Q-bar/Q).  Over K, g of odd
+    degree n stays irreducible: for a root a, [K(a):Q] is divisible by n
+    and by [K:Q], a power of 2, so it is n[K:Q] and [K(a):K] = n.  A
+    quadratic g of discriminant class d splits into two fixed roots exactly
+    when sqrt(d) lies in K.  So the orbits are read from the rational
+    factors of F, which depend on F alone (`_weierstrass_factors`, factored
+    once per F), and from which of their discriminant classes lie in K.
+    The factors are complete through degree 3; a cofactor of degree >= 4 is
+    kept whole, which can only undercount K-rational classes, never
+    overcount, and clears the flag when its degree is 4 or 6."""
+    factors, cofactor = _weierstrass_factors(tuple(F.coeffs))
     orbits = []
-    exact_factors = True
-    for g in factors:
-        if g.degree == 1:
-            orbits.append(1)
-        elif g.degree == 2:
-            d = poly.splitting_quadratic_field(g)
-            if d == 1 or K.contains_sqrt(d):
-                orbits += [1, 1]
-            else:
-                orbits.append(2)
+    for g_degree, d in factors:
+        if g_degree == 2 and K.contains_sqrt(d):
+            orbits += [1, 1]
         else:
-            orbits.append(3)
-    if cof.degree > 0:
-        orbits.append(cof.degree)
-        if cof.degree in (4, 6):
-            exact_factors = False
-    if deg % 2 == 1:
+            orbits.append(g_degree)
+    if cofactor:
+        orbits.append(cofactor)
+    if F.degree % 2 == 1:
         orbits.append(1)  # the infinite Weierstrass point is rational
-    assert sum(orbits) == (deg if deg % 2 == 0 else deg + 1)
     has_rational = any(s == 1 for s in orbits)
-    return sorted(orbits), exact_factors and has_rational
+    return sorted(orbits), cofactor not in (4, 6) and has_rational
 
 
 @lru_cache(maxsize=256)
-def _is_squarefree(coeffs: tuple) -> bool:
-    """gcd(F, F') = 1 for the rational F of these coefficients (a Poly is unhashable)."""
+def _weierstrass_factors(coeffs: tuple) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(((deg g, d), ...), deg of the cofactor) for the rational F of these
+    coefficients (a Poly is unhashable): each monic irreducible factor g of
+    degree <= 3, with the squarefree class d of its splitting field for a
+    quadratic (1 otherwise), and the degree of F over their product.  A
+    cache keeps no raised exception, so the JacError of a bad degree or of
+    a non-squarefree F is raised again on every call."""
+    F = Poly(QQ, coeffs)
+    if F.degree not in (3, 4, 5, 6):
+        raise JacError("degree must be in 3..6")
     d0, _, _ = pgcdext(QQ, coeffs, pderiv(QQ, coeffs))
-    return pdegree(d0) <= 0
+    if pdegree(d0) > 0:
+        raise JacError("F must be squarefree")
+    factors = poly.low_degree_factors(F, 3)
+    data = tuple((g.degree, poly.splitting_quadratic_field(g) if g.degree == 2 else 1) for g in factors)
+    return data, F.degree - sum(g.degree for g in factors)
 
 
 def two_torsion_galois(F: Poly, K) -> tuple[AbGroupStructure, bool]:

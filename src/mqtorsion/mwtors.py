@@ -402,15 +402,25 @@ def meet_many(sides) -> AbGroupStructure:
 
 
 def reduction_bound(model: CurveModel, K, primes) -> AbGroupStructure:
-    """Upper bound on J(K)_tors from reductions at the given odd primes, with
-    residue degrees computed from K."""
-    if not primes:
+    """Upper bound on J(K)_tors from reductions at the given odd primes: the
+    meet over each p of J(F_{p^f}), f the residue degree of K at p, which
+    says nothing at ell = p.
+
+    K enters only through those residue degrees, so the meet is computed
+    once per (model, ((p, f), ...)) by `_reduction_meet`: two fields with
+    the same degrees at the same primes give the same sides, and so the
+    same meet."""
+    return _reduction_meet(model, tuple((p, K.residue_degree(p)[0]) for p in primes))
+
+
+@lru_cache(maxsize=256)
+def _reduction_meet(model: CurveModel, degrees: tuple) -> AbGroupStructure:
+    """The meet of `reduction_bound` from the residue degrees ((p, f), ...).
+    A cache keeps no raised exception, so an empty list, a bad reduction or
+    the ModelError of `meet_many` is raised again on every call."""
+    if not degrees:
         raise ModelError("empty prime list")
-    sides = []
-    for p in primes:
-        f, _ = K.residue_degree(p)
-        sides.append((jac_structure(model, p, f), frozenset({p})))
-    return meet_many(sides)
+    return meet_many((jac_structure(model, p, f), frozenset({p})) for p, f in degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -719,14 +729,13 @@ def derive_torsion(model: CurveModel, K, primes=None) -> TorsionResult:
     primes = model.primes if primes is None else tuple(primes)
     if primes is None:
         raise ModelError(f"no default reduction primes for {model.label}; supply them")
-    trace = []
-    upper = reduction_bound(model, K, primes)
+    # one prime at a time, so that a bad prime is reported before the next
+    trace, degrees = [], []
     for p in primes:
-        f, ram = K.residue_degree(p)
-        trace.append(
-            {"step": "reduction", "p": p, "f": f,
-             "structure": list(jac_structure(model, p, f).factors)}
-        )
+        f, _ = K.residue_degree(p)
+        trace.append({"step": "reduction", "p": p, "f": f, "structure": list(jac_structure(model, p, f).factors)})
+        degrees.append((p, f))
+    upper = _reduction_meet(model, tuple(degrees))
     if model.genus == 1:
         K_S = torsion_support_field(model, K, primes, upper)
         exact = _genus1_torsion(model, K_S, upper.ell_part(2).exponent)
@@ -786,14 +795,23 @@ def _bad_primes(model: CurveModel) -> frozenset:
 
 def _genus1_torsion(model: CurveModel, K, cap: int) -> AbGroupStructure:
     """Exact J(K)_tors of a genus-1 model, where cap bounds the exponent of
-    J(K)[2^oo] (`ellcurve.two_primary_over_tower`).  The odd part comes
-    through the twist decomposition, J(K)[odd] = sum over the twist classes
-    d of K of J^d(Q)[odd], each summand from `genus1_twist_torsion`, cached
-    per (model, d); the 2-part from the tower, cached per (model, K, cap)."""
-    odd = AbGroupStructure.trivial()
-    for d in K.twist_classes():
-        odd = odd.direct_sum(genus1_twist_torsion(model, d))
-    return odd.direct_sum(_genus1_two_primary(model, K, cap))
+    J(K)[2^oo] (`ellcurve.two_primary_over_tower`): the odd part cached per
+    (model, K) by `_genus1_odd_part`, the 2-part from the tower, cached per
+    (model, K, cap).  Derive passes K = K_S, so both are keyed on K_S."""
+    return _genus1_odd_part(model, K).direct_sum(_genus1_two_primary(model, K, cap))
+
+
+@lru_cache(maxsize=256)
+def _genus1_odd_part(model: CurveModel, K) -> AbGroupStructure:
+    """J(K)[odd] through the twist decomposition: the sum over the twist
+    classes d of K of J^d(Q)[odd], each summand from `genus1_twist_torsion`,
+    cached per (model, d).  The sum reads K only through its twist classes,
+    so it is computed once per (model, K); the factors of the summands are
+    pooled into one canonical form, which is the iterated direct sum, and a
+    trivial summand adds no factor."""
+    return AbGroupStructure.from_summands(
+        n for d in K.twist_classes() for n in genus1_twist_torsion(model, d).factors
+    )
 
 
 @lru_cache(maxsize=256)
@@ -803,6 +821,15 @@ def _genus1_two_primary(model: CurveModel, K, cap: int) -> AbGroupStructure:
 
 
 def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
+    """Two-sided bounds on J(K)_tors of a genus-2 model: the 2-part from the
+    Galois orbits on the Weierstrass points over K, the odd part from the
+    rational classes, tightened against `upper` by the twist-sum bound and
+    by twisted witnesses.  The twists are the classes of K_S
+    (`K_S.twist_classes()`), which are exactly the classes d of K with
+    sqrt(d) in K_S, in the same order: K_S is a subfield of K, so its span
+    is the part of the span of K that lies in K_S, and both are sorted by
+    `qfield._gen_key`.  Twists outside K_S carry no odd torsion
+    (`torsion_support_field`)."""
     # 2-part: Weierstrass orbit analysis (exact whenever a rational
     # Weierstrass point exists and every factor has degree <= 3)
     two_lower, two_exact = hyperjac.two_torsion_galois(model.hyper_poly(), K)
@@ -821,9 +848,7 @@ def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
     odd_lower = q_lower.odd_part()
     odd_upper = upper.odd_part()
     if odd_lower != odd_upper:
-        # twists outside K_S carry no odd torsion (torsion_support_field)
-        K_S = torsion_support_field(model, K, primes, upper)
-        twists = [d for d in K.twist_classes() if K_S.contains_sqrt(d)]
+        twists = torsion_support_field(model, K, primes, upper).twist_classes()
         # tighten the upper prime by prime with the twist-sum bound
         refined = {}
         for ell, es in odd_upper.prime_exponents().items():

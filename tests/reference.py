@@ -52,6 +52,13 @@
 - Multiples and orders of a point by the affine group law (`curve_mul`,
   `point_order`).  Production takes them in Jacobian coordinates
   (`ellcurve.has_order`).
+- The per-field stages of derive, as they were computed for every field K
+  (`reduction_bound_per_field`, `genus1_odd_part_per_field`,
+  `genus2_twists_by_filter`, `weierstrass_orbits_per_call`) and the
+  canonical form of a direct sum built afresh (`from_summands_uncached`).
+  Production computes each once per distinct input it reads: the residue
+  degrees at the primes, the field K_S, the polynomial F and the summand
+  tuple.
 - Helpers that no production path calls: the meet of two structures, the
   odd torsion of a model through the twist decomposition (production
   derive reads it per twist), a functional that avoids two vectors of
@@ -76,6 +83,7 @@ from mqtorsion.mwtors import (
     genus1_twist_torsion,
     genus2_rational_torsion_bounds,
     genus2_twist_witness,
+    jac_structure,
     meet_many,
     twist_ell_upper,
 )
@@ -917,3 +925,84 @@ def sqrt(a: FqElem) -> tuple[FqElem, FqElem] | None:
         root, neg = neg, root
     assert (root * root) == a
     return (root, neg)
+
+
+# ---------------------------------------------------------------------------
+# The per-field derive stages that production keys on what they read.  None
+# of them reads a cache that the stage it is checked against fills.
+# ---------------------------------------------------------------------------
+
+
+def from_summands_uncached(ns) -> AbGroupStructure:
+    """The canonical form of a direct sum of Z/n's, built afresh on every
+    call, with no shared structure (production interns one per summand
+    tuple): the k-th largest invariant factor is the product over the
+    primes p of p to the k-th largest exponent of p."""
+    prime_exps: dict[int, list[int]] = {}
+    for n in ns:
+        if n == 1:
+            continue
+        for p, e in factorize(n).items():
+            prime_exps.setdefault(p, []).append(e)
+    factors = [1] * max(map(len, prime_exps.values()), default=0)
+    for p, es in prime_exps.items():
+        for k, e in enumerate(sorted(es, reverse=True), 1):
+            factors[-k] *= p**e
+    return AbGroupStructure(tuple(factors))
+
+
+def reduction_bound_per_field(model: CurveModel, K, primes) -> AbGroupStructure:
+    """The meet of the reductions at the primes, with the residue degrees
+    taken from K on every call (production meets once per degrees)."""
+    if not primes:
+        raise ModelError("empty prime list")
+    sides = []
+    for p in primes:
+        f, _ = K.residue_degree(p)
+        sides.append((jac_structure(model, p, f), frozenset({p})))
+    return meet_many(sides)
+
+
+def genus1_odd_part_per_field(model: CurveModel, K) -> AbGroupStructure:
+    """J(K)[odd] of a genus-1 model as the direct sum, one twist class of K
+    at a time, of the odd torsion of each twist (production sums once per
+    (model, K))."""
+    odd = AbGroupStructure.trivial()
+    for d in K.twist_classes():
+        odd = from_summands_uncached(odd.factors + genus1_twist_torsion(model, d).factors)
+    return odd
+
+
+def genus2_twists_by_filter(K, K_S) -> list[int]:
+    """The twist classes of K with sqrt(d) in K_S (production lists the
+    classes of K_S)."""
+    return [d for d in K.twist_classes() if K_S.contains_sqrt(d)]
+
+
+def weierstrass_orbits_per_call(F: Poly, K) -> tuple[list[int], bool]:
+    """`hyperjac.weierstrass_orbits` with F checked, factored and divided out
+    over Q on every call (production factors each F once)."""
+    deg = F.degree
+    if deg not in (3, 4, 5, 6):
+        raise JacError("degree must be in 3..6")
+    if F.gcd(F.derivative()).degree > 0:
+        raise JacError("F must be squarefree")
+    factors = poly.low_degree_factors(F, 3)
+    cof = F
+    for g in factors:
+        cof = cof.exact_div(g)
+    orbits = []
+    exact_factors = True
+    for g in factors:
+        if g.degree == 2:
+            d = poly.splitting_quadratic_field(g)
+            orbits += [1, 1] if d == 1 or K.contains_sqrt(d) else [2]
+        else:
+            orbits.append(g.degree)
+    if cof.degree > 0:
+        orbits.append(cof.degree)
+        exact_factors = cof.degree not in (4, 6)
+    if deg % 2 == 1:
+        orbits.append(1)
+    assert sum(orbits) == (deg if deg % 2 == 0 else deg + 1)
+    return sorted(orbits), exact_factors and 1 in orbits

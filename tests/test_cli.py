@@ -245,6 +245,20 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--only", "bogus")
         assert code == 2
 
+    def test_table_mismatch_is_reported(self, capsys, monkeypatch):
+        """A closed derive that disagrees with the table is a FAIL line of
+        the report and exit 1, not an aborted run."""
+        lookup = mwtors.table_lookup
+        wrong = lambda label, K: (4,) if K.signature() == (1, -1) else lookup(label, K)
+        monkeypatch.setattr(mwtors, "table_lookup", wrong)
+        code, out, err = run(capsys, "verify", "--only", "X1(2,12)")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "pass  model-integrity X1(2,12)",
+            "FAIL  torsion-matrix X1(2,12)  ([((1, -1), '[8] != [4]')])",
+            "FAIL  total: 2 checks",
+        ]
+
 
 class TestBadInput:
     """Malformed arguments and files exit 2 with one line on stderr."""
@@ -277,6 +291,15 @@ class TestBadInput:
         code, out, err = run_bad_input(capsys, "torsion", "--model", "X1(11)", "--field=Q", "--primes", primes)
         assert_one_line_error(code, out, err)
         assert err == f"error: bad prime list {primes!r}\n"
+
+    @pytest.mark.parametrize("primes, message", [
+        ("3,9", "bad reduction at 3"), ("9,3", "9 is not an odd prime"), ("3,-5", "bad reduction at 3"),
+    ])
+    def test_reduction_primes_are_checked_in_order(self, capsys, primes, message):
+        """The first prime that fails is reported: X1(18) is bad at 3."""
+        code, out, err = run_bad_input(capsys, "torsion", "--model", "X1(18)", "--field=Q", "--primes", primes)
+        assert_one_line_error(code, out, err)
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("content", [
         "", "[]", '{"ranks": 5}', '{"ranks": [5]}',

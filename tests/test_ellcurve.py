@@ -274,6 +274,23 @@ class TestQuadraticReductionCounts:
         assert _counts(ainvs, d, p) == _reference_counts(curve, d, p)
 
 
+class TestAffineCount:
+    @PROPERTY
+    @given(
+        b=st.tuples(*[st.integers(-10**6, 10**6)] * 3),
+        p=st.sampled_from([p for p in range(3, 51, 2) if is_prime(p)]),
+    )
+    def test_matches_a_brute_force_count(self, b, p):
+        """The count read from the shared table of squares mod p is the
+        number of (x, Y) in F_p^2 on Y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6."""
+        b2, b4, b6 = b
+        brute = sum(
+            1 for x in range(p) for y in range(p) if (y * y - (4 * x**3 + b2 * x * x + 2 * b4 * x + b6)) % p == 0
+        )
+        assert ellcurve.affine_count(b2, b4, b6, p) == brute
+        assert ellcurve.affine_count(b2, b4, b6, p) == brute  # again, on the cached table
+
+
 class TestTwists:
     def test_trivial_twist(self):
         c = E(M48)

@@ -12,13 +12,17 @@ sqrt(3)), X1(2,12) halves a point of order 4 into four points of order 8),
 the classification tables of models.json, the classify verdicts built on
 the exceptional curves, and the full `verify --all` report (the torsion
 matrix and the exceptional-curve checks), each compared byte for byte with
-its committed output.
+its committed output.  `matrix_derive.jsonl` pins every row of the derive
+matrix, trace included: one sorted-key JSON line per (model, field) of the
+11 models over the 52 subfields spanned by -1, 2, -2, 3, -3, 5, -7, less the
+rows whose field fails the model's precondition.
 
 Each call runs in a fresh interpreter, as a user runs it, so that no memo of
 this test process is shared.  The same calls are diffed against the same
 files through the installed console script in CI.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -56,16 +60,44 @@ CALLS = {
 }
 
 
+MATRIX = "matrix_derive.jsonl"
+MATRIX_ROWS = """
+import json
+from mqtorsion import mwtors, qfield
+for label in sorted(mwtors.model_registry()):
+    model = mwtors.get_model(label)
+    for K in qfield.all_subfields((-1, 2, -2, 3, -3, 5, -7)):
+        try:
+            r = mwtors.derive_torsion(model, K)
+        except mwtors.PreconditionError:
+            continue
+        print(json.dumps(r.to_json(), sort_keys=True))
+"""
+
+
+def run_python(*argv):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    run = subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+    assert (run.returncode, run.stderr) == (0, b"")
+    return run.stdout
+
+
 def test_every_golden_file_has_a_call():
-    assert sorted(p.name for p in GOLDENS.iterdir()) == sorted(CALLS)
+    assert sorted(p.name for p in GOLDENS.iterdir()) == sorted([*CALLS, MATRIX])
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_cli_output_matches_golden(name):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    argv = [sys.executable, "-m", "mqtorsion.cli", *CALLS[name].split()]
-    run = subprocess.run(argv, capture_output=True, env=env)
-    assert (run.returncode, run.stderr) == (0, b"")
-    assert run.stdout == (GOLDENS / name).read_bytes()
+    assert run_python("-m", "mqtorsion.cli", *CALLS[name].split()) == (GOLDENS / name).read_bytes()
+
+
+def test_derive_matrix_matches_golden():
+    got = run_python("-c", MATRIX_ROWS).decode().splitlines()
+    expect = (GOLDENS / MATRIX).read_text().splitlines()
+    for row, (a, b) in enumerate(zip(got, expect), 1):
+        if a != b:
+            key = json.loads(b)
+            pytest.fail(f"row {row}, {key['label']} over {key['field']}, differs:\n got    {a}\n golden {b}")
+    assert len(got) == len(expect) == 472
