@@ -3,15 +3,13 @@
 F_{p^2} is realized as F_p[t]/(t^2 - r) where r is the first quadratic
 non-residue in the scan order -1, 2, 3, ..., so the integer codes of the
 elements, and every table built on them, are reproducible.  Arithmetic runs
-on those codes through `tables`.  A generic degree-2 extension of an
-arbitrary table field (where the genus-2 class stream lists the conjugate
-pairs of quadratic points, and q may already be p^2) is provided by
-`quadratic_extension`.
+on those codes through `tables`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .intutil import is_prime
 from .record import Record
@@ -61,7 +59,7 @@ def make_field(p: int, k: int) -> FieldDesc:
 
 
 # The largest q with tables: they hold q x q entries each for add and mul,
-# so memory and build time grow as q^2 (q = 1021 takes about 65 MB).
+# so memory and build time grow as q^2 (q = 1021 takes about 16 MB).
 MAX_TABLE_ORDER = 1024
 
 
@@ -73,7 +71,21 @@ class Tables:
     (a0 b0 + r a1 b1) + (a0 b1 + a1 b0) t and 1/a = conj(a)/norm(a); F_p is
     the case k = 1, with c1 = 0 and r = 0.  Scanning the codes in order
     keeps each `sqrt` tuple ascending.  A larger q raises FieldError before
-    anything is built."""
+    anything is built.
+
+    `add` and `mul` are sliced and gathered from a few lists, whose int
+    objects every row shares:
+    - add: row (a0, a1) holds (a0 + b0) % p + ((a1 + b1) % p)*p, b1 outer:
+      for each b1 the block of a0, (a0 + b0) % p, shifted by j*p,
+      j = (a1 + b1) % p, which runs over a1, a1 + 1, ... cyclically.  So the
+      row is the slice at a1*p of the blocks j = 0..p-1 written out twice;
+      for k = 1, the slice at a0 of `list(range(p)) * 2`.
+    - mul: with g the least code that generates the cyclic group F_q^*,
+      exp(i) = g^i is a bijection from Z/(q - 1) onto F_q^*, log its
+      inverse, so a*b = exp(log a + log b) = ext[log a + log b] for
+      a, b != 0, ext = exp + exp: row a is 0, then ext[log a:] gathered at
+      the offsets log b, b = 1..q-1.
+    """
 
     def __init__(self, field: FieldDesc):
         q = field.order
@@ -85,11 +97,25 @@ class Tables:
         self.p = p
         r = field.r % p if field.k == 2 else 0
         pairs = [(i % p, i // p) for i in range(q)]
-        self.add = [[(a0 + b0) % p + (a1 + b1) % p * p for b0, b1 in pairs] for a0, a1 in pairs]
-        self.mul = [
-            [(a0 * b0 + r * a1 * b1) % p + (a0 * b1 + a1 * b0) % p * p for b0, b1 in pairs]
-            for a0, a1 in pairs
-        ]
+        digits = list(range(p)) * 2
+        if field.k == 1:
+            self.add = [digits[a : a + p] for a in range(p)]
+        else:
+            twice = [[c + j * p for j in (*range(p), *range(p)) for c in digits[a0 : a0 + p]] for a0 in range(p)]
+            self.add = [twice[a0][a1 * p : a1 * p + q] for a1 in range(p) for a0 in range(p)]
+        mul = lambda a, b: (a[0] * b[0] + r * a[1] * b[1]) % p + (a[0] * b[1] + a[1] * b[0]) % p * p
+        for g in range(2, q):  # the least g whose powers meet 1 only at g^(q-1)
+            exp = [1]
+            while (x := mul(pairs[exp[-1]], pairs[g])) != 1:
+                exp.append(x)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        ext = exp + exp
+        gather = itemgetter(*log[1:])
+        self.mul = [[0] * q, *([0, *gather(ext[i : i + q - 1])] for i in log[1:])]
         self.neg = [-a0 % p + -a1 % p * p for a0, a1 in pairs]
         # 1/a = conj(a) / norm(a), norm(a) = a0^2 - r a1^2
         norm_inv = [pow((a0 * a0 - r * a1 * a1) % p, p - 2, p) for a0, a1 in pairs]
@@ -107,70 +133,3 @@ class Tables:
 @lru_cache(maxsize=256)
 def tables(field: FieldDesc) -> Tables:
     return Tables(field)
-
-
-class QuadExt:
-    """Degree-2 extension of a table field, elements coded as (a, b) pairs
-    meaning a + b*u with u^2 = r, r a fixed non-residue of the base.
-
-    Only what the conjugate pairs of quadratic points need: ring ops, square
-    roots, and the base-Frobenius conjugation.  The table of square roots,
-    one entry per square of F_{q^2}, is built on the first `sqrt` call.
-    """
-
-    def __init__(self, base: Tables):
-        self.base = base
-        self.order = base.q**2
-        r = None
-        for i in range(1, base.q):
-            if not base.is_sq[i]:
-                r = i
-                break
-        if r is None:
-            raise FieldError("base field has no non-residue")  # pragma: no cover
-        self.r = r
-        self.zero = (0, 0)
-        self.one = (1, 0)
-        self._sqrts: dict[tuple[int, int], tuple[int, int]] | None = None
-
-    def elements(self):
-        for b in range(self.base.q):
-            for a in range(self.base.q):
-                yield (a, b)
-
-    def embed(self, a: int) -> tuple[int, int]:
-        return (a, 0)
-
-    def add(self, x, y):
-        ba = self.base.add
-        return (ba[x[0]][y[0]], ba[x[1]][y[1]])
-
-    def neg(self, x):
-        bn = self.base.neg
-        return (bn[x[0]], bn[x[1]])
-
-    def mul(self, x, y):
-        ba, bm = self.base.add, self.base.mul
-        a, b = x
-        c, d = y
-        return (ba[bm[a][c]][bm[self.r][bm[b][d]]], ba[bm[a][d]][bm[b][c]])
-
-    def sqrt(self, x):
-        """The first root of x in the order of `elements`, or None."""
-        if x == (0, 0):
-            return (0, 0)
-        if self._sqrts is None:
-            sqrts: dict[tuple[int, int], tuple[int, int]] = {}
-            for y in self.elements():
-                sqrts.setdefault(self.mul(y, y), y)
-            self._sqrts = sqrts
-        return self._sqrts.get(x)
-
-    def conj(self, x):
-        """The base-field Frobenius x -> x^q: a + b*u -> a - b*u."""
-        return (x[0], self.base.neg[x[1]])
-
-
-@lru_cache(maxsize=256)
-def quadratic_extension(field: FieldDesc) -> QuadExt:
-    return QuadExt(tables(field))

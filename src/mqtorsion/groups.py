@@ -205,12 +205,13 @@ def sylow_subgroups(elements, add, identity, primes=None) -> dict:
     With ell^e || n and m = n / ell^e, the map x -> m*x sends G onto S_ell.
     G = S_ell + H with H the elements of order prime to ell; m kills H, since
     the order of H divides m, and m is prime to ell, so it is a unit on
-    S_ell.  Hence m*G = m*S_ell = S_ell.  The images m*x, taken in the
-    given order of the elements, are fed to `subgroup_span`, which stops
-    drawing them once the span has ell^e elements: a subgroup of S_ell with
-    ell^e = |S_ell| elements is S_ell.  Since the images cover S_ell, the
-    span does reach ell^e elements; if it does not, or if it grows past
-    ell^e, the input is not a group of order n and GroupError is raised.
+    S_ell.  Hence m*G = m*S_ell = S_ell.  The images m*x of the elements
+    but 0 (whose image every span holds), in their given order, are fed to
+    `subgroup_span`, which stops drawing them once the span has ell^e
+    elements: a subgroup of S_ell with ell^e = |S_ell| elements is S_ell.
+    Since the images cover S_ell, the span does reach ell^e elements; if it
+    does not, or if it grows past ell^e, the input is not a group of order
+    n and GroupError is raised.
     When n = ell^e, m = 1 and the elements are spanned as they are, so that
     the span records its relations.
     """
@@ -222,7 +223,7 @@ def sylow_subgroups(elements, add, identity, primes=None) -> dict:
             continue
         q = ell**e
         m = n // q
-        images = (scalar_mul(m, x, add, double, identity) for x in elements)
+        images = (scalar_mul(m, x, add, double, identity) for x in elements if x != identity)
         span = subgroup_span(images, add, identity, cap=q, stop_at_cap=True)
         if span is None or len(span) != q:
             raise GroupError(f"the {ell}-Sylow span is not of order {q}: not a group of order {n}")

@@ -1,8 +1,9 @@
 """Genus-2 hyperelliptic Jacobians: Mumford/Cantor arithmetic for degree-5
-models and balanced degree-6 split models, a zeta-function counting oracle,
-the enumeration of every divisor class over a small field and of the inert
-quadratic twist over F_p, the symmetric square with its P^1 of x-fibers,
-and Galois analysis of 2-torsion through Weierstrass points.
+models, balanced degree-6 split models and, over F_q, degree-6 models inert
+at infinity (the inert quadratic twists of the monic sextics), a
+zeta-function counting oracle, the enumeration of every divisor class over
+a small field, the symmetric square with its P^1 of x-fibers, and Galois
+analysis of 2-torsion through Weierstrass points.
 
 The group law (`jac_add`, `jac_neg`) is written once, over the polynomial
 kernel kit (`poly.kernels`) that each `HyperCurve` binds to its domain:
@@ -14,16 +15,18 @@ Multiples and orders are taken with `groups.scalar_mul` and
 Divisor classes are triples (u, v, n): u monic of degree <= 2, v of lower
 degree with v^2 = F mod u, and n the number of copies of the +infinity place
 in the balanced representation of a degree-6 split model (n = 0 throughout
-for degree-5 models, whose single infinite place is Weierstrass).  Reduced
-triples are unique in their class, so tuple equality is class equality.
+for the models with one place at infinity: a quintic, whose infinite point
+is Weierstrass, and an inert sextic).  Reduced triples are unique in their
+class, so tuple equality is class equality.
 
 The census of a reduction (`mwtors.Census`) is built from the pieces here:
 `ClassStream` is J(F_q) as a lazy collection, whose order the caller takes
 from the zeta function and whose classes are drawn only as a Sylow span
-needs them; `inert_twist_classes` lists the inert twist over F_p inside
-J(F_{p^2}).  Both read one stream of pair classes, and `jac_add` gives the
-group law.  `two_rank_mod_p` gives the rank of J[2] over F_p and F_{p^2}
-from one factorisation of F mod p, which fixes many 2-parts without a span.
+needs them, for the inert twist over F_p too.  One walk over the monic
+irreducible quadratics over F_q gives the count of N2 and the classes of
+the conjugate pairs of quadratic points.  `two_rank_mod_p` gives the rank
+of J[2] over F_p and F_{p^2} from one factorisation of F mod p, which fixes
+many 2-parts without a span.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 
-from . import ff, poly
+from . import poly
 from .groups import AbGroupStructure
-from .intutil import rational_sqrt
 from .poly import (
     QQ,
     Poly,
@@ -59,8 +61,12 @@ class JacError(ValueError):
 class HyperCurve:
     """y^2 = F(x), F squarefree of degree 5 or 6 over a field domain.
 
-    Degree-6 models must have square leading coefficient over every field of
-    use; all builtin models are monic, hence split everywhere."""
+    A sextic is monic, split at infinity, and its classes carry the
+    balanced weight n; or it lies over F_q with a non-square leading
+    coefficient (the inert twist of a monic sextic), inert at infinity: its
+    two points there are conjugate, one place of degree 2.  `Vp` is None
+    exactly when there is one place at infinity, on a quintic or an inert
+    sextic, and then every class is one reduced (u, v, 0)."""
 
     __slots__ = ("domain", "F", "label", "Vp", "R", "kit")
 
@@ -75,9 +81,9 @@ class HyperCurve:
         d, _, _ = pgcdext(domain, F, poly.pderiv(domain, F))
         if pdegree(d) != 0:
             raise JacError("model is singular")
-        if pdegree(F) == 6:
-            if F[-1] != domain.one:
-                raise JacError("degree-6 models must be monic here")
+        if pdegree(F) == 6 and F[-1] != domain.one and not (hasattr(domain, "tables") and not domain.tables.is_sq[F[-1]]):
+            raise JacError("degree-6 models must be monic, or have a non-square leading coefficient over F_q")
+        if pdegree(F) == 6 and F[-1] == domain.one:
             object.__setattr__(self, "Vp", _sqrt_series(domain, F))
             object.__setattr__(self, "R", psub(domain, F, pmul(domain, self.Vp, self.Vp)))
         else:
@@ -96,7 +102,7 @@ class HyperCurve:
         return pdegree(self.F)
 
     def identity(self):
-        return ((self.domain.one,), (), 1 if self.degree == 6 else 0)
+        return ((self.domain.one,), (), 0 if self.Vp is None else 1)
 
     def __repr__(self):
         return f"HyperCurve({self.label or list(self.F)})"
@@ -125,7 +131,7 @@ def jac_neg(C: HyperCurve, D):
     u, v, n = D
     kit = C.kit
     vneg = kit.divmod(kit.neg(v), u)[1]
-    if C.degree == 6:
+    if C.Vp is not None:
         return (u, vneg, 2 - pdegree(u) - n)
     return (u, vneg, 0)
 
@@ -137,7 +143,14 @@ def jac_add(C: HyperCurve, D1, D2):
     representation of total degree 4.  Each reduction step is the principal
     divisor of y - w with w = v (mod u), w steered toward +infinity (w close
     to V) or -infinity (w close to -V); it ends with 1 <= Np and
-    1 <= 4 - deg u - Np, and the weight of the reduced class is Np - 1."""
+    1 <= 4 - deg u - Np, and the weight of the reduced class is Np - 1.
+
+    With one place at infinity (`Vp` None) a step is Cantor's
+    (u, v) -> (monic((F - v^2)/u), -v mod u) while deg u > 2.  On an inert
+    sextic a class other than 0 is D - infinity, D affine of degree 2, so
+    deg u3 = 4 - 2 deg d is 0, 2 or 4; from 4, F - v3^2 has degree 6 (no
+    square is the non-square lc(F)), so one step, by the divisor of y - v3
+    whose poles are 3*infinity, gives deg u = 2."""
     ident = C.identity()
     if D1 == ident:
         return D2
@@ -162,7 +175,7 @@ def jac_add(C: HyperCurve, D1, D2):
         mul(s3, add(mul(v1, v2), F)),
     )
     v3 = divmod_(divmod_(t, d)[0], u3)[1]
-    if C.degree == 5:
+    if C.Vp is None:
         while pdegree(u3) > 2:
             u3 = monic(divmod_(sub(F, mul(v3, v3)), u3)[0])
             v3 = divmod_(neg(v3), u3)[1]
@@ -193,9 +206,9 @@ def is_valid_divisor(C: HyperCurve, D) -> bool:
         return False
     if pmod(dom, psub(dom, pmul(dom, v, v), C.F), u):
         return False
-    if C.degree == 6:
+    if C.Vp is not None:
         return 0 <= n <= 2 - pdegree(u)
-    return n == 0
+    return n == 0 and (C.degree == 5 or pdegree(u) != 1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,44 +240,52 @@ def curve_count(C: HyperCurve) -> int:
     return _affine_count_code(C) + points_at_infinity(C.domain, C.F)
 
 
-def _count_over_quadratic_ext(C: HyperCurve) -> int:
-    """N2 = #C(F_{q^2}), counted over F_q:
-    N2 = (points at infinity) + sum_{x in F_q} (2 - [F(x) = 0])
-         + sum_u 2 * (1 + chi(b^2 + a*b*s + a^2*n)),
-    u = t^2 - s*t + n running over the monic irreducible quadratics over F_q
-    (s^2 - 4n a non-square), a*t + b = F mod u, and chi the quadratic
-    character of F_q.  Proof: chi_{q^2} = chi_q o Norm, since for g a
-    generator of F_{q^2}^*, Norm(g) = g^(q+1) generates F_q^* and both
-    orders are even, so g^k and Norm(g)^k are squares exactly for even k.
-    A sextic's leading coefficient and each F(x), x in F_q, lie in F_q, so
-    they are squares in F_{q^2}.  The other x pair off as the roots x, x^q
-    of one u, with s = x + x^q and n = x * x^q; F(x) = a*x + b has norm
-    (a*x + b)(a*x^q + b) = b^2 + a*b*s + a^2*n, which is 0 iff F(x) = 0, so
-    x and x^q each give 1 + chi(norm) points.  a*t + b is read by Horner's
-    rule in F_q[t]/(u), t*(a*t + b) = (a*s + b)*t - a*n, on table codes.
-    """
-    dom = C.domain
+def _irreducible_quadratics(dom, F):
+    """(u, a, b, norm) for each monic irreducible quadratic
+    u = x^2 - s*x + n over F_q, as the coefficient codes (n, -s, 1): s runs
+    over F_q and, for each s, d = s^2 - 4n over the non-squares in code
+    order.  a*t + b = F mod u is read by Horner's rule in F_q[t]/(u),
+    t*(a*t + b) = (a*s + b)*t - a*n, on table codes, and
+    norm = b^2 + a*b*s + a^2*n is the norm of a*t + b to F_q: the roots
+    t, t^q of u have t + t^q = s and t * t^q = n."""
     t = dom.tables
     q, add, mul, neg, is_sq = t.q, t.add, t.mul, t.neg, t.is_sq
-    F = C.F
     top, rest = F[-1], F[-2::-1]
-    count = 2 if C.degree == 6 else 1
-    count += sum(2 if peval(dom, F, x) else 1 for x in range(q))
     quarter = t.inv[t.from_int(4)]
     minus_nonsquares = [neg[d] for d in range(1, q) if not is_sq[d]]
     for s in range(q):
-        ms, s2 = mul[s], add[mul[s][s]]
+        ms, s2, minus_s = mul[s], add[mul[s][s]], neg[s]
         for md in minus_nonsquares:
             n = mul[s2[md]][quarter]  # s^2 - 4n = d
             mn = mul[neg[n]]
             a, b = 0, top
             for c in rest:
                 a, b = add[ms[a]][b], add[mn[a]][c]
-            norm = add[mul[b][add[b][ms[a]]]][mul[mul[a][a]][n]]
-            if not norm:
-                count += 2
-            elif is_sq[norm]:
-                count += 4
+            yield (n, minus_s, 1), a, b, add[mul[b][add[b][ms[a]]]][mul[mul[a][a]][n]]
+
+
+def _count_over_quadratic_ext(C: HyperCurve) -> int:
+    """N2 = #C(F_{q^2}), counted over F_q:
+    N2 = (points at infinity) + sum_{x in F_q} (2 - [F(x) = 0])
+         + sum_u 2 * (1 + chi(norm)),
+    over the (u, a, b, norm) of `_irreducible_quadratics`, chi the quadratic
+    character of F_q.  Proof: chi_{q^2} = chi_q o Norm, since for g a
+    generator of F_{q^2}^*, Norm(g) = g^(q+1) generates F_q^* and both
+    orders are even, so g^k and Norm(g)^k are squares exactly for even k.
+    A sextic's leading coefficient and each F(x), x in F_q, lie in F_q, so
+    they are squares in F_{q^2}.  The other x pair off as the roots x, x^q
+    of one u, F(x) = a*x + b, whose norm is 0 iff F(x) = 0, so x and x^q
+    each give 1 + chi(norm) points.
+    """
+    dom = C.domain
+    F, is_sq = C.F, dom.tables.is_sq
+    count = 2 if C.degree == 6 else 1
+    count += sum(2 if peval(dom, F, x) else 1 for x in range(dom.q))
+    for _, _, _, norm in _irreducible_quadratics(dom, F):
+        if not norm:
+            count += 2
+        elif is_sq[norm]:
+            count += 4
     return count
 
 
@@ -354,36 +375,42 @@ def _pair_to_class(dom, F, P, Q):
 
 
 def _conjugate_pair_classes(dom, F):
-    """Classes from conjugate pairs of quadratic points (x not rational),
-    yielded in the order of `ext.elements()`."""
+    """Classes (u, v, 0) of the conjugate pairs of quadratic points, in the
+    order of `_irreducible_quadratics`, from z = a*t + b = F mod u in
+    F_q[t]/(u) = F_{q^2}: the point (t, y), y^2 = z, and its conjugate give
+    (u, v) with v(t) = y, v = c1*x + c0.  If N(z) = 0, z = 0 and the class
+    is (u, (), 0).  If N(z) is a non-square, so is z
+    (`_count_over_quadratic_ext`): no class.  Else z = v^2 for two
+    v = +-(c1*t + c0).  Let m = N(v) = v*v^q, a root of N(z), and T =
+    Tr(v) in F_q: T^2 = v^2 + 2 v v^q + v^(2q) = Tr(z) + 2m and
+    v*T = z + m, so v = (z + m)/T when T != 0.  For the other root -m,
+    Tr(z) - 2m = (v - v^q)^2 = c1^2 (s^2 - 4n) is 0 or a non-square.  So
+    m is the first root of N(z) with Tr(z) + 2m = a*s + 2b + 2m a nonzero
+    square, and its two roots T give v and -v.  If no root qualifies,
+    T = 0 and v = c*(t - s/2), whose square c^2 (s^2/4 - n) lies in F_q:
+    a = 0 and c^2 = b/(s^2/4 - n)."""
     t = dom.tables
-    ext = ff.quadratic_extension(dom.field)
-    coeffs = [ext.embed(c) for c in F]
-    seen = set()
-    for x in ext.elements():
-        if x[1] == 0 or x in seen:
-            continue
-        seen.add(x)
-        seen.add(ext.conj(x))
-        acc = ext.zero
-        for c in reversed(coeffs):
-            acc = ext.add(ext.mul(acc, x), c)
-        # minimal polynomial of x over F_q
-        tr = t.add[x[0]][x[0]]  # x + conj(x) = 2*x0
-        nm = t.add[t.mul[x[0]][x[0]]][t.neg[t.mul[t.mul[ext.r][x[1]]][x[1]]]]
-        u = (nm, t.neg[tr], 1)
-        if acc == ext.zero:
+    add, mul, neg, inv, sqrt, is_sq = t.add, t.mul, t.neg, t.inv, t.sqrt, t.is_sq
+    half, quarter = inv[t.from_int(2)], inv[t.from_int(4)]
+    for u, a, b, norm in _irreducible_quadratics(dom, F):
+        if not norm:
             yield (u, (), 0)
             continue
-        y = ext.sqrt(acc)
-        if y is None:
+        if not is_sq[norm]:
             continue
-        for yy in (y, ext.neg(y)):
-            a = t.mul[yy[1]][t.inv[x[1]]]
-            b = t.add[yy[0]][t.neg[t.mul[a][x[0]]]]
-            v = pnormalize((b, a))
-            assert not pmod(dom, psub(dom, pmul(dom, v, v), F), u)
-            yield (u, v, 0)
+        n, s = u[0], neg[u[1]]
+        trace = add[mul[a][s]][add[b][b]]
+        for m in sqrt[norm]:
+            T2 = add[trace][add[m][m]]
+            if T2 and is_sq[T2]:
+                T_inv = inv[sqrt[T2][0]]
+                c0, c1 = mul[add[b][m]][T_inv], mul[a][T_inv]
+                break
+        else:
+            c1 = sqrt[mul[b][inv[add[mul[mul[s][s]][quarter]][neg[n]]]]][0]
+            c0 = neg[mul[c1][mul[s][half]]]
+        yield (u, pnormalize((c0, c1)), 0)
+        yield (u, pnormalize((neg[c0], neg[c1])), 0)
 
 
 def _pair_classes(dom, F):
@@ -442,40 +469,6 @@ class ClassStream:
         C = self.curve
         yield C.identity()
         yield from _pair_classes(C.domain, C.F)
-
-
-def inert_twist_classes(C: HyperCurve) -> list:
-    """The Jacobian over F_p of the inert quadratic twist of C, as the sorted
-    classes of J(F_{p^2}) that it embeds onto; C lies over F_{p^2} = F_p(t),
-    t^2 = n, with coefficients in F_p.
-
-    The twist y^2 = F/n over F_p is enumerated by `_pair_classes`, and
-    (x, y) -> (x, t*y) maps it onto C over F_{p^2}, so a class (u, w, .)
-    maps to (u, t*w, 0); on codes t*c is c*p.  With 0 added, the image is
-    all of ker(1 + Frobenius) in J(F_{p^2}):
-    - the image lies in the kernel.  On a sextic, F/n has a non-square
-      leading coefficient, so the twist has no F_p-point at infinity: every
-      class other than 0 is [P + Q - (the place at infinity)] with P + Q
-      affine and not a fiber, so deg u = 2, and the image has weight 0,
-      [P + Q - infinity_+ - infinity_-].  On a quintic the weight is always
-      0.  Frobenius fixes u in F_p[x] and the weight, and negates t*w, so it
-      maps the reduced image D to the reduced -D;
-    - the map is injective, being an isomorphism of curves over F_{p^2},
-      and both sides have L(-1) elements: the twist over F_p, and the
-      kernel of the separable 1 + Frobenius, whose degree is the
-      characteristic polynomial of Frobenius at -1, that is L(-1).
-      `mwtors.Census` checks the count against L(-1) from the zeta oracle.
-    """
-    dom = C.domain
-    p = dom.tables.p
-    base = poly.code_domain(ff.make_field(p, 1))
-    bt = base.tables
-    ninv = bt.inv[dom.field.r % p]
-    twist = tuple(bt.mul[c][ninv] for c in C.F)
-    classes = [C.identity()]
-    for u, w, _ in _pair_classes(base, twist):
-        classes.append((u, tuple(c * p for c in w), 0))
-    return sorted(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -662,13 +655,21 @@ def two_rank_mod_p(coeffs, p: int, f: int) -> int:
 
 
 def search_rational_points(F: Poly, bound: int = 60) -> list:
-    """Integer points (x, y) with y^2 = F(x), |x| <= bound, y >= 0."""
+    """Integer points (x, y) with y^2 = F(x), |x| <= bound, y >= 0, on
+    integers: with D > 0 the least common denominator of the coefficients
+    of F and c_i = D*F_i, F(x) = num/D for the integer num = sum c_i x^i,
+    and num/D = num*D/D^2 is a rational square exactly when the integer
+    num*D is a perfect square; then y = isqrt(num*D)/D."""
+    D = math.lcm(*(c.denominator for c in F.coeffs))
+    cs = [c.numerator * (D // c.denominator) for c in reversed(F.coeffs)]
     out = []
     for x in range(-bound, bound + 1):
-        val = F(Fraction(x))
-        y = rational_sqrt(val)
-        if y is not None:
-            out.append((Fraction(x), y))
+        num = 0
+        for c in cs:
+            num = num * x + c
+        w = num * D
+        if w >= 0 and math.isqrt(w) ** 2 == w:
+            out.append((Fraction(x), Fraction(math.isqrt(w), D)))
     return out
 
 

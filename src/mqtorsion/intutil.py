@@ -1,7 +1,6 @@
 """Integer arithmetic helpers shared across the package.
 
-Everything here is exact: no floating point except where explicitly noted
-(cubic root isolation, which is always followed by integer verification).
+Everything here is exact: no floating point.
 """
 
 from __future__ import annotations
@@ -179,57 +178,41 @@ def rational_reconstruct(r: int, m: int) -> Fraction | None:
 
 
 def integer_cubic_roots(a2: int, a1: int, a0: int) -> list[int]:
-    """All integer roots of x^3 + a2 x^2 + a1 x + a0, exactly.
+    """All integer roots of f = x^3 + a2 x^2 + a1 x + a0, exactly, on
+    integers alone.
 
-    Splits the line at the critical points of the cubic (bracketed by exact
-    rationals), then runs integer bisection on each monotone piece.
+    Every root has |x| < bound = 2 + max |a_i| (Cauchy).  f' = 3x^2 +
+    2 a2 x + a1 vanishes at c = (-a2 -+ sqrt(disc))/3, disc = a2^2 - 3 a1;
+    with r = isqrt(disc), r <= sqrt(disc) < r + 1, so c- lies in
+    [floor((-a2 - r - 1)/3), ceil((-a2 - r)/3)] and c+ in
+    [floor((-a2 + r)/3), ceil((-a2 + r + 1)/3)], each bracket holding at
+    most three integers, which are tested.  f is monotone on each piece of
+    [-bound, bound] outside the open brackets (on all of it if disc < 0),
+    so each piece holds at most one root, found by integer bisection.
     """
 
     def f(x: int) -> int:
         return ((x + a2) * x + a1) * x + a0
 
     bound = 2 + max(abs(a2), abs(a1), abs(a0))
-    roots: set[int] = set()
-    # critical points of f: roots of 3x^2 + 2 a2 x + a1
     disc = a2 * a2 - 3 * a1
-    # monotone segments [lo, hi] in Fractions, plus stray integers near criticals
-    cuts: list[Fraction] = [Fraction(-bound), Fraction(bound)]
-    if disc >= 0:
+    if disc < 0:
+        pieces, brackets = [(-bound, bound)], ()
+    else:
         r = math.isqrt(disc)
-        cuts += [
-            Fraction(-a2 - r - 1, 3),
-            Fraction(-a2 - r, 3),
-            Fraction(-a2 + r, 3),
-            Fraction(-a2 + r + 1, 3),
-        ]
-        # the two critical brackets have width 1/3: test their nearby integers
-        for num in (-a2 - r, -a2 + r):
-            base = num // 3
-            for d in (-1, 0, 1, 2):
-                x = base + d
-                if abs(x) <= bound and f(x) == 0:
-                    roots.add(x)
-    cuts = sorted(set(cuts))
-    for a, b in zip(cuts, cuts[1:]):
-        lo = math.ceil(a)
-        hi = math.floor(b)
-        if lo > hi:
-            continue
+        lo1, hi1 = (-a2 - r - 1) // 3, -((a2 + r) // 3)
+        lo2, hi2 = (-a2 + r) // 3, -((a2 - r - 1) // 3)
+        pieces = [(-bound, lo1), (hi1, lo2), (hi2, bound)]
+        brackets = (*range(lo1, hi1 + 1), *range(lo2, hi2 + 1))
+    roots = {x for x in brackets if f(x) == 0}
+    for lo, hi in pieces:  # an empty piece, lo > hi, adds only exact roots
         flo, fhi = f(lo), f(hi)
-        if flo == 0:
-            roots.add(lo)
-        if fhi == 0:
-            roots.add(hi)
-        if flo * fhi < 0:
-            # f monotone here apart from the (already handled) critical slivers
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                fm = f(mid)
-                if fm == 0:
-                    roots.add(mid)
-                    break
-                if (fm < 0) == (flo < 0):
-                    lo, flo = mid, fm
-                else:
-                    hi, fhi = mid, fm
-    return sorted(r for r in roots if f(r) == 0)
+        roots.update(x for x, fx in ((lo, flo), (hi, fhi)) if fx == 0)
+        while flo * fhi < 0 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            fm = f(mid)
+            if fm == 0:
+                roots.add(mid)
+                break
+            lo, hi = (mid, hi) if (fm < 0) == (flo < 0) else (lo, mid)
+    return sorted(roots)

@@ -227,9 +227,21 @@ def _hyper_reduction_or_none(model: CurveModel, p: int, f: int):
     once, like a good one."""
     dom = code_domain(ff.make_field(p, f))
     try:
-        return hyperjac.HyperCurve.from_ints(dom, model.f_coeffs, model.label)
+        C = hyperjac.HyperCurve.from_ints(dom, model.f_coeffs, model.label)
     except hyperjac.JacError:
         return None
+    # a sextic model must reduce to a monic one; inert sextics are its twists
+    return None if C.degree == 6 and C.Vp is None else C
+
+
+def twist_reduction(model: CurveModel, p: int) -> hyperjac.HyperCurve:
+    """The inert quadratic twist y^2 = F(x)/n over F_p, n the non-residue r
+    of `ff.make_field(p, 2)`: a quintic, or a sextic inert at infinity, its
+    leading coefficient 1/n a non-square.  BadReduction where p is bad."""
+    C = hyper_reduction(model, p, 1)
+    t = C.domain.tables
+    ninv = t.inv[t.from_int(ff.make_field(p, 2).r)]
+    return hyperjac.HyperCurve(C.domain, [t.mul[c][ninv] for c in C.F], model.label)
 
 
 class Census:
@@ -250,10 +262,10 @@ class Census:
     m * J = S_ell, and a span of images m*x with ell^e elements is S_ell, so
     the span stops drawing classes as soon as it has ell^e elements.
 
-    Twisted (f = 2), `classes` is the Jacobian over F_p of the inert
-    quadratic twist, enumerated over F_p and embedded in J(F_{p^2}) as the
-    kernel of 1 + Frobenius (`hyperjac.inert_twist_classes`); its count
-    must equal L(-1) from the zeta oracle over F_p.
+    Twisted (f = 2), `classes` is J^tw(F_p) for the inert quadratic twist
+    y^2 = F/n (`twist_reduction`), the `hyperjac.ClassStream` of that curve
+    over F_p, of order prod(1 + alpha_i) = L_p(-1), as Frobenius acts on
+    J^tw by the -alpha_i.  No F_{p^2} table is built for it.
 
     `sylow(ell)` spans S_ell once, on first use, as a `groups.Span` that
     carries one relation row per generator, and `ell_pairs(ell)` reads
@@ -269,26 +281,26 @@ class Census:
       is odd, 2 is a unit on A, and a = (a + s a)/2 + (a - s a)/2 puts
       A = ker(s - 1) + ker(s + 1), a direct sum: s a = a = -s a gives
       2a = 0, so a = 0.  ker(s - 1) is J(F_p)[ell^oo], and ker(s + 1) is
-      the ell-part of ker(1 + s), which `inert_twist_classes` lists as the
-      image of J^tw(F_p) under an isomorphism of curves over F_{p^2}, so as
-      a group.
+      the ell-part of ker(1 + s), which is isomorphic to J^tw(F_p).  With
+      t^2 = n, (x, y) -> (x, t*y) is an isomorphism over F_{p^2} from
+      y^2 = F/n onto y^2 = F, so (u, w, 0) -> (u, t*w, 0) is injective.  On
+      a sextic, a class of J^tw(F_p) other than 0 is [P + Q - (the place at
+      infinity)] with P + Q affine, deg u = 2, and its image
+      [P' + Q' - infinity_+ - infinity_-] has weight 0, as on a quintic.  s
+      fixes u in F_p[x] and the weight and negates t*w, so the image lies
+      in ker(1 + s), the kernel of the separable isogeny 1 + s, whose
+      degree is L(-1), the characteristic polynomial of Frobenius at -1.
     - otherwise the Smith form of the relation rows of `sylow(ell)`.
     """
 
     def __init__(self, model: CurveModel, p: int, f: int, twisted: bool):
-        C = hyper_reduction(model, p, f)
+        C = twist_reduction(model, p) if twisted else hyper_reduction(model, p, f)
         self.add = partial(hyperjac.jac_add, C)
         self.identity = C.identity()
         order, twisted_order = _zeta_orders(model, p)
-        if twisted:
-            classes = hyperjac.inert_twist_classes(C)
-            if len(classes) != twisted_order:
-                raise CrossCheckError(
-                    f"{model.label} inert twist at {p}: kernel {len(classes)} != zeta {twisted_order}"
-                )
-        else:
-            classes = hyperjac.ClassStream(C, order if f == 1 else order * twisted_order)
-        self.classes = classes
+        self.classes = hyperjac.ClassStream(
+            C, twisted_order if twisted else order if f == 1 else order * twisted_order
+        )
         self.tables = C.domain.tables
         self.model, self.p = model, p
         self.degree = 1 if twisted else f  # the group is rational over F_{p^degree}
@@ -606,9 +618,30 @@ def _good_twist_prime(model: CurveModel, d: int, p: int) -> bool:
 
 @lru_cache(maxsize=256)
 def zeta(model: CurveModel, p: int, f: int) -> tuple:
-    """`hyperjac.zeta_order` of the reduction over F_{p^f}, counted once per
-    (model, p, f): the census and the CLI's cross-check read the same one."""
-    return hyperjac.zeta_order(hyper_reduction(model, p, f))
+    """(N1, N2, L, #J, L(-1)) of `hyperjac.zeta_order` for the reduction
+    over F_{p^f}, once per (model, p, f): the census and the CLI's
+    cross-check read the same one.  Over F_p they are counted.
+
+    Over F_{p^2} they are read from L_p = (1, -e1, e2, -p*e1, p^2).  The
+    Frobenius eigenvalues over F_{p^2} are the alpha_i^2, so
+    L_{p^2}(T^2) = L_p(T) * L_p(-T) = (1 + e2 T^2 + p^2 T^4)^2
+    - (e1 T + p e1 T^3)^2 = 1 + a1 T^2 + a2 T^4 + p^2 a1 T^6 + p^4 T^8, with
+    a1 = 2 e2 - e1^2 and a2 = e2^2 + 2 p^2 - 2 p e1^2.  With q = p^2, the
+    power sums of the alpha_i^2 give N1 = q + 1 + a1 and
+    N2 = q^2 + 1 - (a1^2 - 2 a2).  One independent check stays: N1 counted
+    over F_{p^2} (`hyperjac.curve_count`) must agree, else CrossCheckError."""
+    if f == 1:
+        return hyperjac.zeta_order(hyper_reduction(model, p, 1))
+    _, c1, e2, _, _ = zeta(model, p, 1)[2]  # c1 = -e1 enters squared
+    q = p * p
+    a1 = 2 * e2 - c1 * c1
+    a2 = e2 * e2 + 2 * q - 2 * p * c1 * c1
+    L = (1, a1, a2, q * a1, q * q)
+    N1 = q + 1 + a1
+    counted = hyperjac.curve_count(hyper_reduction(model, p, 2))
+    if counted != N1:
+        raise CrossCheckError(f"{model.label} over F_{q}: {counted} points, but {N1} from the zeta function over F_{p}")
+    return N1, q * q + 1 - (a1 * a1 - 2 * a2), L, sum(L), 1 - a1 + a2 - q * a1 + q * q
 
 
 def _zeta_orders(model: CurveModel, p: int) -> tuple[int, int]:
@@ -650,13 +683,17 @@ def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGro
 
 def _twisted_ell_torsion_data(model: CurveModel, d: int, p: int, ell: int):
     """Twisted Mumford pairs (u, v_d) over F_p of the nontrivial ell-torsion
-    classes of the d-twisted Jacobian, with deg u = 2 and weight 0: from
-    J(F_p) when d is a square mod p, else from the inert twist, whose pairs
-    are (u, t*w) with u, w in F_p[x]: v_d = sqrt(d)*t*w lies in F_p[x], as
-    sqrt(d) lies in F_p*t."""
-    cen = census(model, p, 1, False) if kronecker(d, p) == 1 else census(model, p, 2, True)
+    classes of the d-twisted Jacobian, with deg u = 2, weight 0 and
+    v_d^2 = d*F mod u: from J(F_p) when d is a square mod p, v_d = sqrt(d)*v;
+    else from the inert twist y^2 = F/n over F_p, v_d = sqrt(d*n)*w, as
+    (sqrt(d*n)*w)^2 = d*n*F/n = d*F.  sqrt(d*n) = n*c, c the least root of
+    d/n, is the sqrt(d)*t of the twist's embedding (u, t*w) in J(F_{p^2}),
+    t^2 = n, with sqrt(d) = c*t the least root of d there."""
+    twisted = kronecker(d, p) != 1
+    cen = census(model, p, 2 if twisted else 1, twisted)
     t = cen.tables
-    s = t.sqrt[t.from_int(d)][0]
+    n = t.from_int(ff.make_field(p, 2).r) if twisted else 1
+    s = t.mul[n][t.sqrt[t.mul[t.from_int(d)][t.inv[n]]][0]]
     return [(u, tuple(t.mul[s][c] for c in v), p) for u, v in cen.ell_pairs(ell)]
 
 

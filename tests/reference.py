@@ -35,8 +35,26 @@
   Production reads each Sylow structure from the Smith form of the
   relations its span recorded.
 - N2 = #C(F_{q^2}) of a genus-2 curve by the walk over all q^2 elements of
-  F_{q^2} (`count_over_quadratic_ext_walk`).  Production counts it over F_q,
-  one monic irreducible quadratic per conjugate pair.
+  F_{q^2} (`count_over_quadratic_ext_walk`), and the classes of the
+  conjugate pairs of quadratic points from the same walk, with square roots
+  from a table of every square of F_{q^2} (`conjugate_pair_classes_by_walk`),
+  both in the generic quadratic extension `QuadExt` of a table field.
+  Production reads both from one walk over the monic irreducible quadratics
+  u over F_q: the norm of F mod u, and its square root in F_q[t]/(u).
+- The inert quadratic twist over F_p listed as the classes of J(F_{p^2})
+  that it embeds onto (`inert_twist_classes`), checked against L(-1).
+  Production censuses it as a lazy class stream of its own curve over F_p.
+- The zeta data of a genus-2 reduction over F_{p^2} counted over F_{p^2}
+  (`hyperjac.zeta_order` of the curve over F_{p^2}).  Production reads
+  them from L_p by a closed form and counts only N1 over F_{p^2}.
+- The `add` and `mul` tables of F_q computed entry by entry
+  (`tables_entry_by_entry`).  Production gathers them from shared lists:
+  digit blocks for `add`, discrete logarithms for `mul`.
+- Integer points on y^2 = F(x) by one `Fraction` evaluation and exact
+  rational square root per x (`search_rational_points_by_fractions`), and
+  the integer roots of a monic cubic with its critical points bracketed by
+  `Fraction` cuts (`integer_cubic_roots_by_fractions`).  Production works
+  on integers throughout.
 - The 2-primary search over a tower by the affine group law
   (`two_primary_over_tower_affine`): every point of the level below in the
   span of the witnesses is halved, each half checked and each order taken
@@ -102,7 +120,7 @@ from mqtorsion.ellcurve import (
 from mqtorsion.ff import FieldDesc, FieldError
 from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elements, subgroup_span
 from mqtorsion.hyperjac import JacError, _pair_classes, jac_add, zeta_order
-from mqtorsion.intutil import factorize
+from mqtorsion.intutil import factorize, rational_sqrt
 from mqtorsion.poly import (
     GOOD_PRIME_CAP,
     QQ,
@@ -356,8 +374,8 @@ def sylow_partition(S, ell, add, identity) -> list[int]:
 
 def count_over_quadratic_ext_walk(C) -> int:
     """N2 = #C(F_{q^2}) by evaluating F at every element of F_{q^2}, with
-    squares decided by the root table of `ff.QuadExt`."""
-    ext = ff.quadratic_extension(C.domain.field)
+    squares decided by the root table of `QuadExt`."""
+    ext = quadratic_extension(C.domain.field)
     coeffs = [ext.embed(c) for c in C.F]
     count = 2 if C.degree == 6 else 1  # lc is always a square in F_{q^2}
     for x in ext.elements():
@@ -1006,3 +1024,205 @@ def weierstrass_orbits_per_call(F: Poly, K) -> tuple[list[int], bool]:
         orbits.append(1)
     assert sum(orbits) == (deg if deg % 2 == 0 else deg + 1)
     return sorted(orbits), exact_factors and 1 in orbits
+
+
+# ---------------------------------------------------------------------------
+# Finite fields: tables entry by entry, and the generic quadratic extension
+# ---------------------------------------------------------------------------
+
+
+def tables_entry_by_entry(field: FieldDesc) -> tuple[list, list]:
+    """(add, mul) of `ff.Tables`, one expression per entry on the digits
+    (c0, c1) of the codes, with t^2 = r."""
+    q, p = field.order, field.p
+    r = field.r % p if field.k == 2 else 0
+    pairs = [(i % p, i // p) for i in range(q)]
+    add = [[(a0 + b0) % p + (a1 + b1) % p * p for b0, b1 in pairs] for a0, a1 in pairs]
+    mul = [
+        [(a0 * b0 + r * a1 * b1) % p + (a0 * b1 + a1 * b0) % p * p for b0, b1 in pairs]
+        for a0, a1 in pairs
+    ]
+    return add, mul
+
+
+class QuadExt:
+    """Degree-2 extension of a table field, elements coded as (a, b) pairs
+    meaning a + b*u with u^2 = r, r the least non-residue code of the base.
+
+    Ring ops, square roots from a table of every square of F_{q^2} (built on
+    the first `sqrt` call), and the base-Frobenius conjugation."""
+
+    def __init__(self, base):
+        self.base = base
+        self.order = base.q**2
+        self.r = next(i for i in range(1, base.q) if not base.is_sq[i])
+        self.zero = (0, 0)
+        self.one = (1, 0)
+        self._sqrts = None
+
+    def elements(self):
+        for b in range(self.base.q):
+            for a in range(self.base.q):
+                yield (a, b)
+
+    def embed(self, a: int) -> tuple[int, int]:
+        return (a, 0)
+
+    def add(self, x, y):
+        ba = self.base.add
+        return (ba[x[0]][y[0]], ba[x[1]][y[1]])
+
+    def neg(self, x):
+        bn = self.base.neg
+        return (bn[x[0]], bn[x[1]])
+
+    def mul(self, x, y):
+        ba, bm = self.base.add, self.base.mul
+        a, b = x
+        c, d = y
+        return (ba[bm[a][c]][bm[self.r][bm[b][d]]], ba[bm[a][d]][bm[b][c]])
+
+    def sqrt(self, x):
+        """The first root of x in the order of `elements`, or None."""
+        if x == (0, 0):
+            return (0, 0)
+        if self._sqrts is None:
+            sqrts = {}
+            for y in self.elements():
+                sqrts.setdefault(self.mul(y, y), y)
+            self._sqrts = sqrts
+        return self._sqrts.get(x)
+
+    def conj(self, x):
+        """The base-field Frobenius x -> x^q: a + b*u -> a - b*u."""
+        return (x[0], self.base.neg[x[1]])
+
+
+@lru_cache(maxsize=256)
+def quadratic_extension(field: FieldDesc) -> QuadExt:
+    return QuadExt(ff.tables(field))
+
+
+def conjugate_pair_classes_by_walk(dom, F):
+    """The classes of the conjugate pairs of quadratic points of y^2 = F(x)
+    over F_q: one per root y of F(x) for each x in F_{q^2} outside F_q, up
+    to conjugation, each (u, v) read off x and y, in the order of
+    `QuadExt.elements`."""
+    t = dom.tables
+    ext = quadratic_extension(dom.field)
+    coeffs = [ext.embed(c) for c in F]
+    seen = set()
+    for x in ext.elements():
+        if x[1] == 0 or x in seen:
+            continue
+        seen.add(x)
+        seen.add(ext.conj(x))
+        acc = ext.zero
+        for c in reversed(coeffs):
+            acc = ext.add(ext.mul(acc, x), c)
+        # minimal polynomial of x over F_q
+        tr = t.add[x[0]][x[0]]  # x + conj(x) = 2*x0
+        nm = t.add[t.mul[x[0]][x[0]]][t.neg[t.mul[t.mul[ext.r][x[1]]][x[1]]]]
+        u = (nm, t.neg[tr], 1)
+        if acc == ext.zero:
+            yield (u, (), 0)
+            continue
+        y = ext.sqrt(acc)
+        if y is None:
+            continue
+        for yy in (y, ext.neg(y)):
+            a = t.mul[yy[1]][t.inv[x[1]]]
+            b = t.add[yy[0]][t.neg[t.mul[a][x[0]]]]
+            v = poly.pnormalize((b, a))
+            assert not poly.pmod(dom, poly.psub(dom, poly.pmul(dom, v, v), F), u)
+            yield (u, v, 0)
+
+
+def inert_twist_classes(C) -> list:
+    """The Jacobian over F_p of the inert quadratic twist of C, as the sorted
+    classes of J(F_{p^2}) that it embeds onto; C lies over F_{p^2} = F_p(t),
+    t^2 = n, with coefficients in F_p.  The twist y^2 = F/n is enumerated
+    over F_p by its pair stream, and (x, y) -> (x, t*y) maps a class
+    (u, w, .) to (u, t*w, 0); on codes t*c is c*p.  The count is checked
+    against L(-1) from the zeta function over F_p (the proof that the image
+    is ker(1 + Frobenius) is in the `mwtors.Census` docstring)."""
+    dom = C.domain
+    p = dom.tables.p
+    base = code_domain(ff.make_field(p, 1))
+    bt = base.tables
+    ninv = bt.inv[dom.field.r % p]
+    twist = tuple(bt.mul[c][ninv] for c in C.F)
+    classes = [C.identity()]
+    for u, w, _ in _pair_classes(base, twist):
+        classes.append((u, tuple(c * p for c in w), 0))
+    twisted_order = zeta_order(hyperjac.HyperCurve(base, C.F))[4]
+    if len(classes) != twisted_order:
+        raise ZetaMismatch(f"inert twist at {p}: kernel {len(classes)} != zeta {twisted_order}")
+    return sorted(classes)
+
+
+# ---------------------------------------------------------------------------
+# Integer points and integer cubic roots through Fractions
+# ---------------------------------------------------------------------------
+
+
+def search_rational_points_by_fractions(F: Poly, bound: int = 60) -> list:
+    """Integer points (x, y) with y^2 = F(x), |x| <= bound, y >= 0, by one
+    `Fraction` evaluation and rational square root per x."""
+    out = []
+    for x in range(-bound, bound + 1):
+        y = rational_sqrt(F(Fraction(x)))
+        if y is not None:
+            out.append((Fraction(x), y))
+    return out
+
+
+def integer_cubic_roots_by_fractions(a2: int, a1: int, a0: int) -> list[int]:
+    """All integer roots of x^3 + a2 x^2 + a1 x + a0: the line split at
+    `Fraction` cuts around the critical points, the nearby integers tested,
+    and integer bisection on each monotone piece."""
+
+    def f(x: int) -> int:
+        return ((x + a2) * x + a1) * x + a0
+
+    bound = 2 + max(abs(a2), abs(a1), abs(a0))
+    roots: set[int] = set()
+    disc = a2 * a2 - 3 * a1
+    cuts: list[Fraction] = [Fraction(-bound), Fraction(bound)]
+    if disc >= 0:
+        r = math.isqrt(disc)
+        cuts += [
+            Fraction(-a2 - r - 1, 3),
+            Fraction(-a2 - r, 3),
+            Fraction(-a2 + r, 3),
+            Fraction(-a2 + r + 1, 3),
+        ]
+        for num in (-a2 - r, -a2 + r):
+            base = num // 3
+            for d in (-1, 0, 1, 2):
+                x = base + d
+                if abs(x) <= bound and f(x) == 0:
+                    roots.add(x)
+    cuts = sorted(set(cuts))
+    for a, b in zip(cuts, cuts[1:]):
+        lo = math.ceil(a)
+        hi = math.floor(b)
+        if lo > hi:
+            continue
+        flo, fhi = f(lo), f(hi)
+        if flo == 0:
+            roots.add(lo)
+        if fhi == 0:
+            roots.add(hi)
+        if flo * fhi < 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                fm = f(mid)
+                if fm == 0:
+                    roots.add(mid)
+                    break
+                if (fm < 0) == (flo < 0):
+                    lo, flo = mid, fm
+                else:
+                    hi, fhi = mid, fm
+    return sorted(r for r in roots if f(r) == 0)

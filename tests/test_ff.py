@@ -1,7 +1,8 @@
 import pytest
 
-from mqtorsion.ff import MAX_TABLE_ORDER, FieldError, Tables, make_field, quadratic_extension, tables
-from reference import FqElem, elements, from_int, is_square, one, sqrt, zero
+from mqtorsion.ff import MAX_TABLE_ORDER, FieldError, Tables, make_field, tables
+from mqtorsion.intutil import is_prime
+from reference import FqElem, elements, from_int, is_square, one, quadratic_extension, sqrt, tables_entry_by_entry, zero
 
 SMALL_FIELDS = [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (11, 2), (13, 1), (13, 2)]
 
@@ -179,6 +180,29 @@ def test_integer_built_tables_match_fq_arithmetic(p, k):
     T = Tables(F)
     for name, expect in fq_reference_tables(F).items():
         assert getattr(T, name) == expect, name
+
+
+# every field with tables whose order is at most 400, and the two largest
+# fields of the shipped reductions
+GATHERED_FIELDS = [(p, 1) for p in range(3, 401) if is_prime(p)] + [
+    (p, 2) for p in range(3, 20) if is_prime(p)
+] + [(31, 2), (1009, 1)]
+
+
+@pytest.mark.parametrize("p,k", GATHERED_FIELDS)
+def test_gathered_tables_match_entry_by_entry(p, k):
+    """`add` from digit blocks and `mul` from discrete-log gathers equal
+    the tables computed one entry at a time."""
+    F = make_field(p, k)
+    T = Tables(F)
+    assert (T.add, T.mul) == tables_entry_by_entry(F)
+
+
+def test_mul_rows_share_their_entries():
+    # a gathered row holds the int objects of the exp list, not q fresh
+    # ints per row: a*b and b*a are one object
+    T = Tables(make_field(31, 2))
+    assert all(T.mul[a][b] is T.mul[b][a] for a in range(1, 961, 37) for b in range(1, 961, 41))
 
 
 class TestQuadraticExtension:

@@ -2,8 +2,10 @@
 and over F_49, F_121 and F_25 (the lazy Sylow census of J(F_{p^2}); over
 F_25 the 2-Sylow subgroup of X1(16) has 128 elements, and J(F_25) of X1(13)
 is Z/19 x Z/19, read from J(F_5) and its twist; over F_9 the 2-part (Z/2)^4
-of X1(16) is fixed by its order and 2-rank) and over F_31 (a census of
-J(F_p) and its zeta check), the inert twists of X1(18) at
+of X1(16) is fixed by its order and 2-rank), over F_31 (a census of J(F_p)
+and its zeta check), the two largest reductions of X1(13), over F_961 (a
+2-span, and the zeta data read from L_p) and over F_1009 (tables of
+1009^2 entries and the count of N2 over F_p), the inert twists of X1(18) at
 p = 5 to 13, the genus-2 twist loops restricted to K_S (X1(18) over a
 degree-16 field), the rational classes of X1(16) and X1(18) reduced under
 non-default primes, the 2-primary descent through tower fields up to
@@ -47,6 +49,8 @@ CALLS = {
     "jac_structure_X1-16_p5_deg2.json": "jac-structure --model X1(16) --prime 5 --deg 2",
     "jac_structure_X1-16_p3_deg2.json": "jac-structure --model X1(16) --prime 3 --deg 2",
     "jac_structure_X1-13_p31_deg1.json": "jac-structure --model X1(13) --prime 31 --deg 1",
+    "jac_structure_X1-13_p31_deg2.json": "jac-structure --model X1(13) --prime 31 --deg 2",
+    "jac_structure_X1-13_p1009_deg1.json": "jac-structure --model X1(13) --prime 1009 --deg 1",
     "jac_structure_X1-13_p5_deg2.json": "jac-structure --model X1(13) --prime 5 --deg 2",
     "torsion_derive_X1-15_K-3,5.json": "torsion --model X1(15) --field=-3,5 --mode derive --format json",
     "torsion_derive_X1-15_K-1,2,-3,5.json": "torsion --model X1(15) --field=-1,2,-3,5 --mode derive --format json",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Fr
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +13,6 @@ from mqtorsion.hyperjac import (
     HyperCurve,
     JacError,
     classes_from_rational_points,
-    inert_twist_classes,
     is_valid_divisor,
     jac_add,
     jac_neg,
@@ -25,9 +25,17 @@ from mqtorsion.hyperjac import (
     zeta_order,
 )
 from mqtorsion.mwtors import Census, CurveModel, census, model_registry
-from mqtorsion.poly import QQ, Poly, code_domain
+from mqtorsion.poly import QQ, Poly, code_domain, pdegree, pderiv, pgcdext, pnormalize
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
-from reference import all_classes, count_over_quadratic_ext_walk, jac_order, span_census
+from reference import (
+    all_classes,
+    conjugate_pair_classes_by_walk,
+    count_over_quadratic_ext_walk,
+    inert_twist_classes,
+    jac_order,
+    search_rational_points_by_fractions,
+    span_census,
+)
 
 X13 = [1, -4, 6, -2, 1, -2, 1]  # x^6 - 2x^5 + x^4 - 2x^3 + 6x^2 - 4x + 1
 X16 = [0, -1, 2, 0, 2, 1]  # x(x^2+1)(x^2+2x-1)
@@ -213,6 +221,34 @@ class TestZeta:
                     assert hyperjac._count_over_quadratic_ext(C) == count_over_quadratic_ext_walk(C), (coeffs, p, f)
                     pairs += 1
         assert pairs == 53
+
+    def test_zeta_over_f_p2_from_l_p_matches_the_count(self):
+        """`mwtors.zeta(model, p, 2)`, read from L_p, against the counts over
+        F_{p^2} at every good p whose F_{p^2} has tables (p <= 31; the count
+        of N2 there is itself checked against the walk over F_{p^4} above
+        for p <= 13)."""
+        pairs = 0
+        for coeffs in MODELS.values():
+            model = model_of(coeffs)
+            for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+                try:
+                    C = curve(coeffs, p, 2)
+                except JacError:
+                    continue
+                assert mwtors.zeta(model, p, 2) == zeta_order(C), (model.label, p)
+                pairs += 1
+        assert pairs == 28
+
+    def test_zeta_over_f_p2_checks_its_point_count(self, monkeypatch):
+        # one point too many over F_{p^2} only, so L_p itself is right
+        count = hyperjac.curve_count
+        monkeypatch.setattr(hyperjac, "curve_count", lambda C: count(C) + (C.domain.q > C.domain.tables.p))
+        mwtors.zeta.cache_clear()
+        try:
+            with pytest.raises(mwtors.CrossCheckError):
+                mwtors.zeta(model_of(X13), 5, 2)
+        finally:
+            mwtors.zeta.cache_clear()
 
     def test_enumeration_matches_zeta_everywhere(self):
         """Every builtin genus-2 model, every good odd p <= 13, f in {1,2}."""
@@ -468,6 +504,15 @@ def frobenius_kernel(C2):
     ]
 
 
+def embed_twist(C2, D):
+    """The class of J(F_{p^2}) onto which (x, y) -> (x, t*y), t^2 = n, maps
+    the class D of the inert twist y^2 = F/n over F_p; on codes t*c is c*p."""
+    u, w, _ = D
+    if len(u) == 1:
+        return C2.identity()
+    return (u, tuple(c * C2.domain.tables.p for c in w), 0)
+
+
 class TestTwistedStructures:
     def test_kernel_order_equals_twisted_zeta(self):
         """#ker(1 + Frobenius) on J(F_{p^2}) = L(-1) over F_p, for inert twists."""
@@ -505,7 +550,8 @@ class TestTwistedStructures:
         assert len(twist) == zeta_order(C1)[4]
 
     def test_ell_pairs_match_generic_scan(self):
-        """Skipping ell prime to the group order loses no ell-torsion."""
+        """Skipping ell prime to the group order loses no ell-torsion; the
+        pairs of the twist, over F_p, map onto those of ker(1 + Frobenius)."""
         found = 0
         for coeffs, p, f, twisted in [(X13, 3, 1, False), (X18, 5, 1, False), (X18, 5, 2, True)]:
             cen = census(model_of(coeffs), p, f, twisted)
@@ -517,9 +563,107 @@ class TestTwistedStructures:
                     for u, v, n in classes
                     if len(u) == 3 and n == 0 and multiple(C, ell, (u, v, n)) == C.identity()
                 )
-                assert cen.ell_pairs(ell) == slow
+                pairs = tuple(embed_twist(C, (u, v, 0))[:2] for u, v in cen.ell_pairs(ell)) if twisted else cen.ell_pairs(ell)
+                assert pairs == slow
                 found += bool(slow)
         assert found >= 2
+
+    @PROPERTY
+    @given(random_curves((3, 5, 7), min_f=2))
+    def test_twist_stream_matches_frobenius_kernel(self, C2):
+        """The census of the inert twist, a class stream over F_p, against
+        ker(1 + Frobenius) listed in J(F_{p^2}): the stream maps onto it,
+        and the Sylow structures and the ell-pairs agree."""
+        p = C2.domain.tables.p
+        cen = Census(model_from_curve(C2), p, 2, True)
+        kernel = frobenius_kernel(C2)
+        listed = [embed_twist(C2, D) for D in cen.classes]
+        assert len(listed) == len(set(listed)) == len(cen.classes) and sorted(listed) == kernel
+        add = lambda a, b: jac_add(C2, a, b)
+        assert cen.structure == structure_from_elements(kernel, add, C2.identity())
+        for ell in (2, 3, 5, 7, 11, 13):
+            slow = tuple(
+                (u, v) for u, v, n in kernel if len(u) == 3 and n == 0 and multiple(C2, ell, (u, v, n)) == C2.identity()
+            )
+            assert tuple(embed_twist(C2, (u, v, 0))[:2] for u, v in cen.ell_pairs(ell)) == slow
+
+    @PROPERTY
+    @given(random_curves((3, 5, 7, 11, 13), min_f=2), st.data())
+    def test_twist_group_law_is_the_law_over_f_p2(self, C2, data):
+        """Cantor's law on the twist y^2 = F/n over F_p, an inert sextic or a
+        quintic, commutes with its embedding in J(F_{p^2})."""
+        p = C2.domain.tables.p
+        cen = Census(model_from_curve(C2), p, 2, True)
+        classes = list(cen.classes)
+        for _ in range(10):
+            D1, D2 = data.draw(st.sampled_from(classes)), data.draw(st.sampled_from(classes))
+            assert embed_twist(C2, cen.add(D1, D2)) == jac_add(C2, embed_twist(C2, D1), embed_twist(C2, D2))
+
+    def test_listed_twist_has_l_minus_1_classes(self):
+        """Every builtin genus-2 model at every good p <= 31: the twist's
+        stream lists L(-1) distinct classes, L from the zeta function over
+        F_p."""
+        pairs = 0
+        for coeffs in MODELS.values():
+            model = model_of(coeffs)
+            for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+                try:
+                    cen = Census(model, p, 2, True)
+                except BadReduction:
+                    continue
+                listed = list(cen.classes)
+                assert len(set(listed)) == len(listed) == mwtors._zeta_orders(model, p)[1], (model.label, p)
+                pairs += 1
+        assert pairs == 28
+
+
+@st.composite
+def random_squarefree(draw, primes=(13, 11, 7, 5, 3)):
+    """(domain, F): a squarefree quintic or sextic over F_{p^f}, f in
+    {1, 2}, any nonzero leading coefficient, integer coefficients mod p."""
+    p = draw(st.sampled_from(primes))
+    dom = code_domain(ff.make_field(p, draw(st.integers(1, 2))))
+    degree = draw(st.sampled_from((5, 6)))
+    F = pnormalize(draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree)) + [draw(st.integers(1, p - 1))])
+    assume(pdegree(pgcdext(dom, F, pderiv(dom, F))[0]) == 0)
+    return dom, F
+
+
+class TestIrreducibleQuadraticWalk:
+    """The walk over the monic irreducible quadratics over F_q, against the
+    walk over all of F_{q^2} in `reference.QuadExt`."""
+
+    @PROPERTY
+    @given(random_squarefree())
+    def test_conjugate_pairs_match_the_walk_over_f_q2(self, curve_data):
+        dom, F = curve_data
+        got = list(hyperjac._conjugate_pair_classes(dom, F))
+        assert len(got) == len(set(got))
+        assert set(got) == set(conjugate_pair_classes_by_walk(dom, F))
+
+    @PROPERTY
+    @given(random_squarefree())
+    def test_count_matches_the_walk_over_f_q2(self, curve_data):
+        dom, F = curve_data
+        C = SimpleNamespace(domain=dom, F=F, degree=pdegree(F))
+        assert hyperjac._count_over_quadratic_ext(C) == count_over_quadratic_ext_walk(C)
+
+
+class TestRationalPoints:
+    @PROPERTY
+    @given(
+        st.sampled_from((5, 6)).flatmap(lambda deg: st.lists(st.integers(-30, 30), min_size=deg + 1, max_size=deg + 1)),
+        st.integers(1, 12),
+        st.integers(-1, 5),
+    )
+    def test_integer_search_matches_fractions(self, coeffs, den, y0):
+        """On integer quintics and sextics over a common denominator, with
+        the point (0, y0) forced when y0 >= 0."""
+        assume(coeffs[-1] != 0)
+        if y0 >= 0:
+            coeffs[0] = y0 * y0 * den
+        F = Poly(QQ, [Fr(c, den) for c in coeffs])
+        assert search_rational_points(F, 40) == search_rational_points_by_fractions(F, 40)
 
 
 class TestRationalLowerBounds:
