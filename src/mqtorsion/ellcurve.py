@@ -493,7 +493,11 @@ def tower_short_curve(A: int, B: int, K) -> EllipticCurve:
 
 
 def _roots_in_tower(g: Poly, K) -> list:
-    """Roots in K of a rational polynomial of degree <= 2 (monic)."""
+    """Roots in K of a rational polynomial of degree <= 2 (monic).  The
+    square root of the discriminant is read from the basis of K: with d its
+    squarefree class, sqrt(disc) = r * sqrt(d) for the rational
+    r = sqrt(disc / d) > 0, a positive multiple of the basis element whose
+    class is d, which is also the root that `qfield.sqrt_in_tower` gives."""
     if g.degree == 1:
         return [K.from_rational(-g.coeffs[0])]
     d = poly.splitting_quadratic_field(g)
@@ -504,8 +508,8 @@ def _roots_in_tower(g: Poly, K) -> list:
             return []
         s = K.from_rational(rs)
     elif K.contains_sqrt(d):
-        s = qfield.sqrt_in_tower(K.from_rational(disc))
-        assert s is not None
+        r = rational_sqrt(disc / d)
+        s = K.sqrt_gen(d).scale(r.numerator, r.denominator)
     else:
         return []
     mb = K.from_rational(-g.coeffs[1])

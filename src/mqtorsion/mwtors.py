@@ -833,9 +833,20 @@ def _bad_primes(model: CurveModel) -> frozenset:
 def _genus1_torsion(model: CurveModel, K, cap: int) -> AbGroupStructure:
     """Exact J(K)_tors of a genus-1 model, where cap bounds the exponent of
     J(K)[2^oo] (`ellcurve.two_primary_over_tower`): the odd part cached per
-    (model, K) by `_genus1_odd_part`, the 2-part from the tower, cached per
-    (model, K, cap).  Derive passes K = K_S, so both are keyed on K_S."""
-    return _genus1_odd_part(model, K).direct_sum(_genus1_two_primary(model, K, cap))
+    (model, K) by `_genus1_odd_part`, the 2-part from the tower over
+    K_2 = K n Q(zeta_m), m = 8 * prod(odd p | N), cached per
+    (model, K_2, cap).  Derive passes K = K_S.
+
+    Proof that J(K)[2^oo] = J(K_2)[2^oo].  A point P of J(K)[2^n] has
+    Q(P) in K n Q(J[2^n]), and Q(J[2^n]) is unramified outside 2N
+    (Neron-Ogg-Shafarevich), with N supported on `_bad_primes`.  Q(P) is
+    multi-quadratic, spanned by its quadratic subfields Q(sqrt d), and
+    Q(sqrt d) is ramified at every odd p | d; so all those p divide N,
+    |disc Q(sqrt d)| divides m, and sqrt(d) lies in K_2.  So P lies in
+    J(K_2), and cap, a bound on the exponent of J(K)[2^oo], bounds the
+    same group over K_2."""
+    K_2 = K.cyclotomic_intersection(8 * math.prod(_bad_primes(model) - {2}))
+    return _genus1_odd_part(model, K).direct_sum(_genus1_two_primary(model, K_2, cap))
 
 
 @lru_cache(maxsize=256)

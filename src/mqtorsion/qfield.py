@@ -1,24 +1,32 @@
-"""Multi-quadratic number fields as F_2-spans of squarefree integers.
+"""Multi-quadratic number fields as F_2-subspaces of the square classes.
 
-A field Q(sqrt(d_1), ..., sqrt(d_n)) is stored as the reduced row-echelon
-basis of the d_i viewed as F_2-vectors over the coordinates (2, 3, 5, ...,
-sign), which makes equality testing canonical.  Elements of the field are
-exact: 2^n integer numerators over one shared denominator, in the basis of
-square roots of products of generators.  The field is also the one place
+A field Q(sqrt(d_1), ..., sqrt(d_n)) is the F_2-span of the classes of the
+d_i in Q^*/Q^*2, each class a vector over the coordinates (2, 3, 5, ...,
+sign).  The field is stored as the reduced row-echelon basis of that span,
+int bitmasks over the coordinates its classes use, which makes equality
+canonical, and it is built once per distinct span: equal spans give one
+shared instance (`_field`).  Membership, residue degrees and cyclotomic
+intersections are read from the basis in O(n) vector operations; the 2^n
+classes of the span and the generator products are built together, once,
+when a signature or an element first needs them (`_span_tables`).
+Elements of the field are exact: 2^n integer numerators over one shared
+denominator, in the basis of square roots of products of generators.  The field is also the one place
 that maps the basis of a subfield into its own (`embedding`, `lift`,
 `project`, `galois_over`).
 
-Everything is immutable and pure; a field caches only its subfield of lower
-generators and its embeddings, and an element only its hash.
+Everything is immutable and pure.  A field memoises what it derives from
+its basis (its span, generator products, subfield of lower generators,
+embeddings, residue degrees and cyclotomic intersections), and an element
+only its hash.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .intutil import (
     factorize,
@@ -33,105 +41,189 @@ class QFieldError(ValueError):
     pass
 
 
-def _vector(d: int) -> frozenset:
-    """d (squarefree, not 0 or 1) as a set of F_2 coordinates; -1 is the sign."""
-    coords = set(factorize(abs(d)))
-    if d < 0:
-        coords.add(-1)
-    return frozenset(coords)
-
-
-def _unvector(v: frozenset) -> int:
-    out = -1 if -1 in v else 1
-    for p in v:
-        if p != -1:
-            out *= p
-    return out
-
-
 def _coord_key(c: int):
     # primes ascending, sign coordinate last
     return (1, 0) if c == -1 else (0, c)
 
 
-def _echelon(vectors) -> list[frozenset]:
-    """Reduced row echelon form over F_2: the pivot of each row, its least
-    coordinate, occurs in no other row.  Unique for the span."""
-    rows: dict = {}  # pivot -> row
+def _gen_key(d: int) -> int:
+    # the order of (|d|, d < 0) as one int, which sorts a large span faster
+    return 2 * abs(d) + (d < 0)
+
+
+def _unvector(coords: tuple, v: int) -> int:
+    """The squarefree class of the vector v over coords; -1 is the sign."""
+    return prod(c for i, c in enumerate(coords) if v >> i & 1)
+
+
+def _echelon(vectors) -> list[int]:
+    """Reduced row echelon form over F_2 of int bitmasks: the pivot of each
+    row, its lowest bit, occurs in no other row.  Unique for the span."""
+    rows: dict = {}  # pivot bit -> row
     for v in vectors:
         for piv, r in rows.items():
-            if piv in v:
-                v = v ^ r
+            if v & piv:
+                v ^= r
         if v:
-            piv = min(v, key=_coord_key)
-            rows = {p: r ^ v if piv in r else r for p, r in rows.items()}
+            piv = v & -v
+            rows = {p: r ^ v if r & piv else r for p, r in rows.items()}
             rows[piv] = v
     return list(rows.values())
 
 
-def _gen_key(d: int):
-    return (abs(d), d < 0)
+def _kernel(rows, phi) -> list[int]:
+    """A basis of the vectors of span(rows), for independent rows, that the
+    F_2-linear map phi (int bitmasks to int bitmasks) sends to 0.
+
+    Each row is reduced, with its image, against the pivots of the images
+    kept so far, each kept image being reduced against those before it; so
+    the image of v stays phi(v), and a row whose image reduces to 0 gives
+    a kernel vector.  The kept images are a basis of the image, and the
+    kernel vectors, one per other row and independent since each holds its
+    own row and earlier ones only, number dim span - dim image."""
+    pivots: dict = {}  # pivot bit -> (reduced image, vector)
+    kernel = []
+    for r in rows:
+        image, v = phi(r), r
+        for piv, (pimage, pv) in pivots.items():
+            if image & piv:
+                image ^= pimage
+                v ^= pv
+        if image:
+            pivots[image & -image] = (image, v)
+        else:
+            kernel.append(v)
+    return kernel
+
+
+def _vectors(gens) -> tuple[tuple, list[int]]:
+    """(coords, vectors): the coordinates that the generators use, sorted by
+    `_coord_key`, and each generator as a bitmask over them.  QFieldError
+    for a generator that is 0, 1 or not squarefree."""
+    factored = []
+    for d in gens:
+        if d in (0, 1):
+            raise QFieldError(f"generator {d} not allowed")
+        if not is_squarefree(d):
+            raise QFieldError(f"generator {d} is not squarefree")
+        factored.append([*factorize(d), -1] if d < 0 else list(factorize(d)))
+    coords = tuple(sorted({c for cs in factored for c in cs}, key=_coord_key))
+    bit = {c: 1 << i for i, c in enumerate(coords)}
+    return coords, [sum(bit[c] for c in cs) for cs in factored]
+
+
+def _subspace(coords: tuple, vectors) -> "MultiQuadField":
+    """The field spanned by the classes of `vectors`, int bitmasks over
+    coords (sorted by `_coord_key`, so a pivot is the least coordinate):
+    its reduced echelon rows, over only the coordinates they use, in the
+    `_gen_key` order of their classes.  Dropping unused coordinates keeps
+    the order of the rest, so the rows stay reduced."""
+    rows = _echelon(vectors)
+    used = [i for i in range(len(coords)) if any(r >> i & 1 for r in rows)]
+    if len(used) < len(coords):
+        rows = [sum(1 << j for j, i in enumerate(used) if r >> i & 1) for r in rows]
+        coords = tuple(coords[i] for i in used)
+    rows.sort(key=lambda r: _gen_key(_unvector(coords, r)))
+    return _field(coords, tuple(rows))
+
+
+def _span_tables(gens: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(products, span) of the field of these generators, built once per
+    field on first use, by an element or a signature.  products[mask] is
+    the product of the generators on the bits of mask; the class of a mask
+    with bit i set is that of the mask without it times gens[i], and the
+    class of c*d for squarefree c and d is c*d / gcd(c, d)^2.  The span is
+    the classes sorted by `_gen_key`."""
+    products, classes = [1], [1]
+    for d in gens:
+        products += [x * d for x in products]
+        classes += [c * d // gcd(c, d) ** 2 for c in classes]
+    return tuple(products), tuple(sorted(classes, key=_gen_key))
+
+
+@lru_cache(maxsize=256)
+def _field(coords: tuple, rows: tuple) -> "MultiQuadField":
+    """The one instance of the field of these reduced echelon rows over
+    these coordinates, shared by every caller, in the way
+    `groups._from_summands` shares a group structure.  The key is
+    canonical: the coordinates are those that the classes of the span use,
+    and the rows are its unique reduced echelon basis in generator order,
+    so equal spans give equal keys.  Sharing is sound because a field is
+    immutable and its memos are functions of the key; a field built again
+    after eviction is equal to, and hashes as, the one it replaces."""
+    field = object.__new__(MultiQuadField)
+    field._coords, field._rows = coords, rows
+    field.gens = tuple(_unvector(coords, r) for r in rows)
+    field._hash = hash(field.gens)
+    field._level = 8 * prod(c for c in coords if c > 2)
+    field._embeddings, field._degrees, field._meets = {}, {}, {}
+    return field
 
 
 class MultiQuadField:
     """Q(sqrt(d) : d in gens).  Q itself is the empty field `QQ_FIELD`.
 
-    The basis element of a mask is the product of sqrt(gens[i]) over its
-    bits i.  Its square is gen_products[mask], and classes[mask] is the
-    squarefree class of that square, read off the XOR of the generators'
-    F_2 vectors; every squarefree d with sqrt(d) in the field is the class
-    of exactly one mask.
+    `gens` are the classes of the reduced echelon basis, sorted by
+    `_gen_key`.  The basis element of a mask is the product of
+    sqrt(gens[i]) over its bits i; its square is gen_products[mask], and
+    every squarefree d with sqrt(d) in the field is the class of exactly one
+    mask (`_mask`).  `MultiQuadField(gens)` returns the shared instance of
+    the span (`_field`).
     """
 
-    def __init__(self, gens=()):
-        vecs = []
-        for d in gens:
-            if d in (0, 1):
-                raise QFieldError(f"generator {d} not allowed")
-            if not is_squarefree(d):
-                raise QFieldError(f"generator {d} is not squarefree")
-            vecs.append(_vector(d))
-        self._build(vecs)
+    gens: tuple[int, ...]
 
-    @classmethod
-    def _from_vectors(cls, vecs) -> "MultiQuadField":
-        """The field spanned by square classes given as F_2 vectors."""
-        field = cls.__new__(cls)
-        field._build(vecs)
-        return field
-
-    def _build(self, vecs) -> None:
-        rows = sorted(_echelon(vecs), key=lambda r: _gen_key(_unvector(r)))
-        self.gens: tuple[int, ...] = tuple(_unvector(r) for r in rows)
-        products, vectors = [1], [frozenset()]
-        for d, r in zip(self.gens, rows):
-            products += [x * d for x in products]
-            vectors += [v ^ r for v in vectors]
-        self.gen_products: tuple[int, ...] = tuple(products)
-        self._vectors = tuple(vectors)
-        self.classes: tuple[int, ...] = tuple(_unvector(v) for v in vectors)
-        self._mask_of = {d: mask for mask, d in enumerate(self.classes)}
-        self._embeddings: dict = {}
+    def __new__(cls, gens=()):
+        return _subspace(*_vectors(gens))
 
     @property
     def degree(self) -> int:
         return 2 ** len(self.gens)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiQuadField) and self.gens == other.gens
+        return self is other or isinstance(other, MultiQuadField) and self.gens == other.gens
 
     def __hash__(self) -> int:
-        return hash(self.gens)
+        return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which interns;
+        # the default would fill in the instance that __new__(cls) returns, Q
+        return MultiQuadField, (self.gens,)
 
     def __repr__(self) -> str:
         if not self.gens:
             return "Q"
         return "Q(" + ", ".join(f"sqrt({d})" for d in self.gens) + ")"
 
+    def _mask(self, d: int) -> int | None:
+        """The basis mask whose class is d, or None when sqrt(d) is not in
+        the field.  d is read as a vector over the coordinates by trial
+        division, which leaves a cofactor other than 1 when d is 0, is not
+        squarefree or has a prime that no class uses.  The vector is then
+        reduced against the pivots: row i is the only row that holds its
+        pivot, so a vector of the span is the sum of the rows whose pivots
+        it holds, and its mask has those bits i."""
+        v, m = 0, d
+        for i, c in enumerate(self._coords):
+            if c == -1:
+                if m < 0:
+                    v, m = v | 1 << i, -m
+            elif m % c == 0:
+                v, m = v | 1 << i, m // c
+        if m != 1:
+            return None
+        mask = 0
+        for i, r in enumerate(self._rows):
+            if v & r & -r:
+                v ^= r
+                mask |= 1 << i
+        return None if v else mask
+
     def contains_sqrt(self, d: int) -> bool:
         """True iff sqrt(d) lies in the field (d squarefree, nonzero); only
         a d outside the field is checked for squarefreeness."""
-        if d in self._mask_of:
+        if self._mask(d) is not None:
             return True
         if d == 0 or not is_squarefree(d):
             raise QFieldError(f"{d} is not a nonzero squarefree integer")
@@ -140,11 +232,21 @@ class MultiQuadField:
     def span(self) -> list[int]:
         """All squarefree d with sqrt(d) in the field, including 1.
         Sorted by (|d|, sign); cardinality 2^n."""
-        return sorted(self.classes, key=_gen_key)
+        return list(self._span[1])
 
     def signature(self) -> tuple[int, ...]:
         """Canonical identity of the field: its full sorted span."""
-        return tuple(self.span())
+        return self._span[1]
+
+    @property
+    def gen_products(self) -> tuple[int, ...]:
+        """The square of the basis element of each mask: the product of the
+        generators on its bits."""
+        return self._span[0]
+
+    @cached_property
+    def _span(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return _span_tables(self.gens)
 
     # -- number-theoretic structure -------------------------------------
 
@@ -152,24 +254,60 @@ class MultiQuadField:
         """The subfield of elements lying in the n-th cyclotomic field.
 
         Q(sqrt(d)) lies in Q(zeta_n) iff |disc| divides n, where
-        disc = d for d = 1 mod 4 and 4d otherwise.
-        """
+        disc = d for d = 1 mod 4 and 4d otherwise.  Those d form the
+        subspace C spanned by p* = (-1)^((p-1)/2) p for the odd p | n, by -1
+        if 4 | n and by 2 if 8 | n: each of these has |disc| dividing n.
+        Conversely, let |disc(d)| divide n.  Then the odd primes of d divide
+        n, 2 | d only if 8 | n, and d = e * prod p* * (2 if 2 | d) over the
+        odd p | d, with e = +-1.  If 4 does not divide n, then 2 does not
+        divide d and d = 1 mod 4, so e = 1, since prod p* = 1 mod 4.  So d
+        is in C iff its coordinates outside the odd p | n, 2 if 8 | n and
+        the sign are 0, and, when 4 does not divide n, its sign is that of
+        prod p*: the parity of its primes = 3 mod 4.  The intersection is
+        the kernel on the field of the map to those conditions.  They read
+        n only through which odd coordinates divide it and whether 4 and 8
+        do, so the result is memoised per gcd(n, 8 * prod of the odd
+        coordinates)."""
         if n < 1:
             raise QFieldError("n must be positive")
-        return MultiQuadField._from_vectors(
-            v for d, v in zip(self.classes, self._vectors) if n % abs(d if d % 4 == 1 else 4 * d) == 0
-        )
+        n = gcd(n, self._level)
+        if n not in self._meets:
+            outside = twisted = 0
+            for i, c in enumerate(self._coords):
+                if c == -1 or c % 4 == 3:
+                    twisted |= 1 << i
+                if c != -1 and n % (8 if c == 2 else c):
+                    outside |= 1 << i
+            if n % 4 == 0:
+                twisted = 0
+            sign = 1 << len(self._coords)
+            self._meets[n] = _subspace(
+                self._coords,
+                _kernel(self._rows, lambda v: (v & outside) | sign * ((v & twisted).bit_count() & 1)),
+            )
+        return self._meets[n]
 
     def residue_degree(self, p: int) -> tuple[int, bool]:
         """(f, ramified) for any prime of the field above the odd prime p.
 
-        f = 2 iff some d in the span with p not dividing d is a non-residue
-        mod p; ramified iff p divides some d in the span.
-        """
+        Ramified iff p divides some d in the span, that is, iff p is one of
+        its coordinates.  f = 2 iff some d in the span with p not dividing d
+        is a non-residue mod p.  Those d form the subspace W on which the
+        coordinate of p is 0, and on W the Legendre symbol is a character:
+        the class of d*e is d*e/g^2 with g = gcd(d, e) prime to p.  It is
+        the product of the symbols of the coordinates of d (-1, 2 and the
+        odd primes), so the parity of the coordinates of d that are
+        non-residues.  A character is nontrivial iff it is nontrivial on
+        some basis vector of W.  Memoised per p."""
         if p == 2 or not _is_odd_prime(p):
             raise QFieldError(f"{p} is not an odd prime")
-        f = 2 if any(d % p and kronecker(d, p) == -1 for d in self.classes) else 1
-        return f, any(d % p == 0 for d in self.classes)
+        if p not in self._degrees:
+            at_p = 1 << self._coords.index(p) if p in self._coords else 0
+            nonresidues = sum(1 << i for i, c in enumerate(self._coords) if c != p and kronecker(c, p) == -1)
+            units = _kernel(self._rows, lambda v: v & at_p)
+            f = 2 if any((v & nonresidues).bit_count() & 1 for v in units) else 1
+            self._degrees[p] = (f, at_p != 0)
+        return self._degrees[p]
 
     def twist_classes(self) -> list[int]:
         """The full span including the trivial twist 1."""
@@ -199,7 +337,7 @@ class MultiQuadField:
         mask of class d has square prod = d * c^-2, a square times d."""
         if not self.contains_sqrt(d):
             raise QFieldError(f"sqrt({d}) not in {self}")
-        mask = self._mask_of[d]
+        mask = self._mask(d)
         return mask, 1 / rational_sqrt(Fraction(self.gen_products[mask], d))
 
     # -- embeddings of subfields -------------------------------------------
@@ -260,7 +398,7 @@ class MultiQuadField:
         """The subfield of all generators but the last, built once.  The
         rows of a reduced echelon form stay reduced in any subset, so its
         generators are gens[:-1] and its basis is the first half of ours."""
-        return MultiQuadField._from_vectors(self._vectors[1 << i] for i in range(len(self.gens) - 1))
+        return _subspace(self._coords, self._rows[:-1])
 
 
 QQ_FIELD = MultiQuadField(())
@@ -494,6 +632,9 @@ def _sqrt_rec(v: TowerElem) -> TowerElem | None:
 
 # generators are factored by trial division; this keeps that prompt
 MAX_GENERATOR = 10**6
+# a result lists the 2^n classes of its field (the `field` key of the
+# output); past 2^20 of them the output alone takes tens of megabytes
+MAX_GENERATORS = 20
 # one integer of a list; int() alone would also take "3_0" and non-ASCII digits
 _INTEGER = r"\s*[+-]?[0-9]+\s*"
 
@@ -510,7 +651,9 @@ def parse_integers(literal: str) -> list[int]:
 
 def parse_field(literal: str) -> MultiQuadField:
     """Parse a CLI/config field literal: "Q" or comma-separated generators
-    (`parse_integers`), each at most MAX_GENERATOR in absolute value."""
+    (`parse_integers`), each at most MAX_GENERATOR in absolute value, whose
+    span has at most MAX_GENERATORS independent generators.  The count is
+    read from the echelon basis, before any span is built."""
     s = literal.strip()
     if s in ("Q", "q", ""):
         return QQ_FIELD
@@ -521,14 +664,15 @@ def parse_field(literal: str) -> MultiQuadField:
     for d in gens:
         if abs(d) > MAX_GENERATOR:
             raise QFieldError(f"generator {d} exceeds {MAX_GENERATOR} in absolute value")
-    return MultiQuadField(gens)
+    K = MultiQuadField(gens)
+    if len(K.gens) > MAX_GENERATORS:
+        raise QFieldError(f"field of {len(K.gens)} independent generators exceeds {MAX_GENERATORS}")
+    return K
 
 
 def all_subfields(gens: tuple[int, ...]) -> list[MultiQuadField]:
-    """Every distinct multi-quadratic field spanned by a subset of gens."""
-    seen = {}
-    for r in range(len(gens) + 1):
-        for combo in combinations(gens, r):
-            K = MultiQuadField(combo)
-            seen.setdefault(K.signature(), K)
-    return [seen[k] for k in sorted(seen)]
+    """Every distinct multi-quadratic field spanned by a subset of gens,
+    sorted by signature."""
+    coords, vecs = _vectors(gens)
+    fields = {_subspace(coords, combo) for r in range(len(vecs) + 1) for combo in combinations(vecs, r)}
+    return sorted(fields, key=MultiQuadField.signature)

@@ -77,6 +77,16 @@
   Production computes each once per distinct input it reads: the residue
   degrees at the primes, the field K_S, the polynomial F and the summand
   tuple.
+- The questions asked of a multi-quadratic field, answered by enumerating
+  its span as frozenset vectors (`enumerated_classes`): membership, residue
+  degrees, cyclotomic intersections, the signature, the lower subfield and
+  the embedding of a subfield through a map from each class to its mask.
+  Production reads each from the reduced echelon basis of the field and
+  builds the span only for a signature or an element.
+- The roots in K of a rational quadratic with the square root of its
+  discriminant taken by the tower recursion (`roots_in_tower_by_tower_sqrt`).
+  Production reads it from the basis of K, as a rational multiple of
+  `sqrt_gen` of its squarefree class.
 - Helpers that no production path calls: the meet of two structures, the
   odd torsion of a model through the twist decomposition (production
   derive reads it per twist), a functional that avoids two vectors of
@@ -120,7 +130,7 @@ from mqtorsion.ellcurve import (
 from mqtorsion.ff import FieldDesc, FieldError
 from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elements, subgroup_span
 from mqtorsion.hyperjac import JacError, _pair_classes, jac_add, zeta_order
-from mqtorsion.intutil import factorize, rational_sqrt
+from mqtorsion.intutil import factorize, is_squarefree, kronecker, rational_sqrt, squarefree_part
 from mqtorsion.poly import (
     GOOD_PRIME_CAP,
     QQ,
@@ -731,8 +741,8 @@ def primitive_kernel_poly(E: EllipticCurve, n: int) -> Poly:
 
 def support_gens(v) -> qfield.MultiQuadField:
     """Smallest multi-quadratic subfield containing the tower element v."""
-    vectors = v.field._vectors
-    return qfield.MultiQuadField._from_vectors(vectors[mask] for mask, c in enumerate(v.nums) if c)
+    products = v.field.gen_products
+    return qfield.MultiQuadField(squarefree_part(products[mask]) for mask, c in enumerate(v.nums) if c and mask)
 
 
 # ---------------------------------------------------------------------------
@@ -1226,3 +1236,92 @@ def integer_cubic_roots_by_fractions(a2: int, a1: int, a0: int) -> list[int]:
                 else:
                     hi, fhi = mid, fm
     return sorted(r for r in roots if f(r) == 0)
+
+
+# ---------------------------------------------------------------------------
+# Multi-quadratic fields by enumeration of the span
+# ---------------------------------------------------------------------------
+
+
+def _frozen_vector(d: int) -> frozenset:
+    """d (squarefree, not 0 or 1) as a set of F_2 coordinates; -1 is the sign."""
+    coords = set(factorize(abs(d)))
+    if d < 0:
+        coords.add(-1)
+    return frozenset(coords)
+
+
+def enumerated_classes(K) -> list[int]:
+    """The class of every basis mask of K, in mask order: the frozenset
+    vector of a mask is the XOR of those of the generators on its bits."""
+    vectors = [frozenset()]
+    for d in K.gens:
+        r = _frozen_vector(d)
+        vectors += [v ^ r for v in vectors]
+    return [math.prod(v) for v in vectors]
+
+
+def contains_sqrt_by_span(K, d: int) -> bool:
+    if d in enumerated_classes(K):
+        return True
+    if d == 0 or not is_squarefree(d):
+        raise QFieldError(f"{d} is not a nonzero squarefree integer")
+    return False
+
+
+def residue_degree_by_span(K, p: int) -> tuple[int, bool]:
+    """f = 2 iff some class prime to p is a non-residue mod p; ramified iff
+    p divides some class."""
+    classes = enumerated_classes(K)
+    f = 2 if any(d % p and kronecker(d, p) == -1 for d in classes) else 1
+    return f, any(d % p == 0 for d in classes)
+
+
+def cyclotomic_intersection_by_span(K, n: int):
+    """The span of the classes d with |disc Q(sqrt d)| dividing n."""
+    return qfield.MultiQuadField(
+        d for d in enumerated_classes(K) if d != 1 and n % abs(d if d % 4 == 1 else 4 * d) == 0
+    )
+
+
+def signature_by_span(K) -> tuple[int, ...]:
+    return tuple(sorted(enumerated_classes(K), key=lambda d: (abs(d), d < 0)))
+
+
+def lower_by_span(K):
+    classes = enumerated_classes(K)
+    return qfield.MultiQuadField(classes[1 << i] for i in range(len(K.gens) - 1))
+
+
+def embedding_by_span(L, K) -> tuple:
+    """`L.embedding(K)` with the mask of each generator of K read from a
+    map of every class of L to its mask."""
+    mask_of = {d: m for m, d in enumerate(enumerated_classes(L))}
+    products = L.gen_products
+    image = [(0, Fraction(1))]
+    for g in K.gens:
+        t = mask_of[g]
+        ct = 1 / rational_sqrt(Fraction(products[t], g))
+        image += [(s ^ t, cs * ct * products[s & t]) for s, cs in image]
+    return tuple(image)
+
+
+def roots_in_tower_by_tower_sqrt(g: Poly, K) -> list:
+    """Roots in K of a monic rational polynomial of degree <= 2, with the
+    square root of the discriminant from `qfield.sqrt_in_tower`."""
+    if g.degree == 1:
+        return [K.from_rational(-g.coeffs[0])]
+    d = poly.splitting_quadratic_field(g)
+    disc = g.coeffs[1] ** 2 - 4 * g.coeffs[0]
+    if d == 1:
+        rs = rational_sqrt(disc)
+        if rs is None:
+            return []
+        s = K.from_rational(rs)
+    elif K.contains_sqrt(d):
+        s = qfield.sqrt_in_tower(K.from_rational(disc))
+    else:
+        return []
+    mb = K.from_rational(-g.coeffs[1])
+    roots = [(mb + s).scale(1, 2), (mb - s).scale(1, 2)]
+    return roots if roots[0] != roots[1] else roots[:1]

@@ -177,6 +177,12 @@ class TestTorsion:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "exceeds 1000000" in err
 
+    def test_more_than_20_independent_generators_exit_2(self, capsys):
+        primes = "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61,67,71,73"
+        code, out, err = run(capsys, "torsion", "--model", "X1(11)", f"--field=-1,{primes}", "--mode", "derive")
+        assert code == 2 and out == ""
+        assert err == "error: field of 22 independent generators exceeds 20\n"
+
     def test_generator_at_the_bound_accepted(self, capsys):
         code, out, _ = run(capsys, "torsion", "--model", "X1(11)", "--field=-999979")
         assert code == 0 and json.loads(out)["lower"] == [5]

@@ -3,13 +3,15 @@ reads, and each such key is checked here against the per-field path of
 `tests/reference.py` that it replaced: on all 52 fields of the acceptance
 matrix, for every model the stage applies to, and on random fields of up to
 6 generators.  The memos under test are cleared first, and no reference
-reads them."""
+reads them.  The genus-1 2-part, keyed on K_2 = K_S n Q(zeta_(8 prod odd
+p | N)), is checked against the search over K_S.  A derive over 12
+generators builds the span of K only for its signature."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqtorsion import groups, hyperjac, mwtors
+from mqtorsion import ellcurve, groups, hyperjac, mwtors, qfield
 from mqtorsion.groups import AbGroupStructure
 from mqtorsion.hyperjac import JacError, weierstrass_orbits
 from mqtorsion.poly import QQ, Poly
@@ -29,7 +31,10 @@ MATRIX = all_subfields((-1, 2, -2, 3, -3, 5, -7))
 MODELS = [mwtors.get_model(label) for label in sorted(mwtors.model_registry())]
 GENUS1 = [m for m in MODELS if m.genus == 1]
 GENUS2 = [m for m in MODELS if m.genus == 2]
-MEMOS = (mwtors._reduction_meet, mwtors._genus1_odd_part, hyperjac._weierstrass_factors, groups._from_summands)
+MEMOS = (
+    mwtors._reduction_meet, mwtors._genus1_odd_part, mwtors._genus1_two_primary,
+    hyperjac._weierstrass_factors, groups._from_summands,
+)
 
 POOL = sorted({s * d for d in (-1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29) for s in (1, -1)} - {1})
 fields = st.lists(st.sampled_from(POOL), max_size=6).map(MultiQuadField)
@@ -62,6 +67,17 @@ def check_genus1_odd_part(model, K):
         assert mwtors._genus1_odd_part(model, L) == expect, (model.label, L)
 
 
+def check_genus1_two_part(model, K):
+    """The 2-part searched over K_2 = K_S n Q(zeta_(8 prod odd p | N))
+    against the search over K_S, under the same cap."""
+    upper = reduction_bound_per_field(model, K, model.primes)
+    K_S = mwtors.torsion_support_field(model, K, model.primes, upper)
+    cap = upper.ell_part(2).exponent
+    A, B = ellcurve.short_model(model.elliptic())
+    expect = ellcurve.two_primary_over_tower(A, B, K_S, cap)[0]
+    assert mwtors._genus1_torsion(model, K_S, cap).ell_part(2) == expect, (model.label, K)
+
+
 def check_genus2_twists(model, K):
     K_S = support_field(model, K)
     assert K_S.twist_classes() == genus2_twists_by_filter(K, K_S), (model.label, K)
@@ -86,6 +102,12 @@ class TestOnTheMatrix:
         for K in MATRIX:
             if admits(model, K):
                 check_genus1_odd_part(model, K)
+
+    @pytest.mark.parametrize("model", GENUS1, ids=lambda m: m.label)
+    def test_genus1_two_part(self, model):
+        for K in MATRIX:
+            if admits(model, K):
+                check_genus1_two_part(model, K)
 
     @pytest.mark.parametrize("model", GENUS2, ids=lambda m: m.label)
     def test_genus2_twists(self, model):
@@ -132,6 +154,13 @@ class TestOnRandomFields:
 
     @PROPERTY
     @given(K=fields)
+    def test_genus1_two_part(self, K):
+        for model in GENUS1:
+            if admits(model, K):
+                check_genus1_two_part(model, K)
+
+    @PROPERTY
+    @given(K=fields)
     def test_genus2_twists(self, K):
         for model in GENUS2:
             check_genus2_twists(model, K)
@@ -169,3 +198,29 @@ def test_an_unbounded_part_is_refused_on_every_call():
     for _ in range(2):
         with pytest.raises(mwtors.ModelError, match="no reduction prime bounds the 5-part"):
             mwtors.reduction_bound(model, MultiQuadField([-1]), (5,))
+
+
+TWELVE = (-1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@pytest.mark.parametrize("label", ["X1(11)", "X1(18)"])
+def test_derive_builds_no_span_but_the_signature_of_k(label, monkeypatch):
+    """Over 12 generators: residue degrees, membership and cyclotomic
+    intersections build no span; a derive builds the span of K once, for
+    its signature, and no other span of more than 2^8 classes."""
+    built = []
+    span_tables = qfield._span_tables
+    monkeypatch.setattr(qfield, "_span_tables", lambda gens: built.append(gens) or span_tables(gens))
+    qfield._field.cache_clear()
+    K = MultiQuadField(TWELVE)
+    for p in (3, 5, 7, 13, 37, 41):
+        K.residue_degree(p)
+    for d in (-1, 6, -31, 37, 2 * 41):
+        K.contains_sqrt(d)
+    for n in (8, 3 * 4 * 11, 8 * 3 * 5 * 7 * 13 * 31 * 37):
+        K.cyclotomic_intersection(n)
+    assert built == []
+    result = mwtors.derive_torsion(mwtors.get_model(label), K)
+    assert result.field_signature == K.signature()
+    assert [gens for gens in built if gens == K.gens] == [K.gens]
+    assert all(len(gens) <= 8 for gens in built if gens != K.gens), built

@@ -31,7 +31,7 @@ from mqtorsion.ellcurve import (
 from mqtorsion.groups import AbGroupStructure, structure_from_elements, subgroup_span
 from mqtorsion.intutil import factorize, is_prime, is_squarefree
 from mqtorsion.mwtors import model_registry
-from mqtorsion.poly import QQ, TowerDomain, code_domain
+from mqtorsion.poly import QQ, Poly, TowerDomain, code_domain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from reference import (
     curve_mul,
@@ -39,6 +39,7 @@ from reference import (
     point_order,
     primitive_kernel_poly,
     reduce_quadratic_curve,
+    roots_in_tower_by_tower_sqrt,
     torsion_over_tower,
     tower_curve_affine,
     two_primary_over_tower_affine,
@@ -380,6 +381,25 @@ class TestReductionScreen:
         for p, ap in ellcurve._screen_traces(A, B):
             Ep = reduce_mod_p(short_curve(A, B), p)
             assert len(points_over_code_domain(Ep)) == p + 1 - ap
+
+
+SIGNED_GENS = [-1] + [s * p for p in (2, 3, 5, 7, 11, 13) for s in (1, -1)]
+
+
+@PROPERTY
+@given(
+    gens=st.lists(st.sampled_from(SIGNED_GENS), max_size=5),
+    b=st.fractions(min_value=-30, max_value=30, max_denominator=6),
+    r=st.fractions(min_value=0, max_value=30, max_denominator=6),
+    data=st.data(),
+)
+def test_quadratic_roots_from_the_basis_match_the_tower_square_root(gens, b, r, data):
+    """x^2 + b*x + c with discriminant d * r^2, d a class of K or one of
+    the signed generators."""
+    K = MultiQuadField(gens)
+    d = data.draw(st.sampled_from(K.span() + SIGNED_GENS))
+    g = Poly(QQ, [(b * b - d * r * r) / 4, b, Fr(1)])
+    assert ellcurve._roots_in_tower(g, K) == roots_in_tower_by_tower_sqrt(g, K)
 
 
 class TestTowerTorsion:

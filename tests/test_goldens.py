@@ -7,7 +7,9 @@ and its zeta check), the two largest reductions of X1(13), over F_961 (a
 2-span, and the zeta data read from L_p) and over F_1009 (tables of
 1009^2 entries and the count of N2 over F_p), the inert twists of X1(18) at
 p = 5 to 13, the genus-2 twist loops restricted to K_S (X1(18) over a
-degree-16 field), the rational classes of X1(16) and X1(18) reduced under
+degree-16 field), the derives over fields of 10 and 12 generators (X1(15)
+and X1(18), whose `field` key lists 1,024 and 4,096 classes), the rational
+classes of X1(16) and X1(18) reduced under
 non-default primes, the 2-primary descent through tower fields up to
 Q(sqrt(-1), sqrt(2), sqrt(-3), sqrt(5)) of degree 16 (over Q(sqrt(-1),
 sqrt(3)), X1(2,12) halves a point of order 4 into four points of order 8),
@@ -42,6 +44,12 @@ CALLS = {
     "torsion_derive_X1-18_K-1,2,3.json": "torsion --model X1(18) --field=-1,2,3 --mode derive --format json",
     "torsion_derive_X1-18_K-2,-3,5.json": "torsion --model X1(18) --field=-2,-3,5 --mode derive --format json",
     "torsion_derive_X1-18_K2,13,-15,23.json": "torsion --model X1(18) --field=2,13,-15,23 --mode derive --format json",
+    "torsion_derive_X1-18_K-1,2,3,5,7,11,13,17,19,23,29,31.json": (
+        "torsion --model X1(18) --field=-1,2,3,5,7,11,13,17,19,23,29,31 --mode derive --format json"
+    ),
+    "torsion_derive_X1-15_K-3,5,-1,2,7,11,13,17,19,23.json": (
+        "torsion --model X1(15) --field=-3,5,-1,2,7,11,13,17,19,23 --mode derive --format json"
+    ),
     "torsion_derive_X1-16_Q_p7.json": "torsion --model X1(16) --field=Q --primes 7 --mode derive --format json",
     "torsion_derive_X1-18_Q_p5,13.json": "torsion --model X1(18) --field=Q --primes 5,13 --mode derive --format json",
     "jac_structure_X1-18_p7_deg2.json": "jac-structure --model X1(18) --prime 7 --deg 2",

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mqtorsion import qfield
 from mqtorsion.intutil import kronecker, squarefree_part
 from mqtorsion.qfield import (
+    MAX_GENERATORS,
     MultiQuadField,
     QFieldError,
     QQ_FIELD,
@@ -17,7 +21,17 @@ from mqtorsion.qfield import (
     parse_field,
     sqrt_in_tower,
 )
-from reference import hyperplane_avoiding, sqrt_in_tower_by_inverses, support_gens
+from reference import (
+    contains_sqrt_by_span,
+    cyclotomic_intersection_by_span,
+    embedding_by_span,
+    hyperplane_avoiding,
+    lower_by_span,
+    residue_degree_by_span,
+    signature_by_span,
+    sqrt_in_tower_by_inverses,
+    support_gens,
+)
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -263,6 +277,18 @@ class TestParseField:
             return
         assert parse_field(literal) == expect
 
+    def test_more_independent_generators_than_the_cap_refused(self, monkeypatch):
+        """21 primes are refused from their echelon basis, before any span;
+        20 parse without building one.  A dependent generator counts once."""
+        built = []
+        monkeypatch.setattr(qfield, "_span_tables", lambda gens: built.append(gens))
+        primes = [p for p in range(2, 80) if all(p % q for q in range(2, p))][:MAX_GENERATORS + 1]
+        literal = ",".join(map(str, primes))
+        with pytest.raises(QFieldError, match=f"^field of 21 independent generators exceeds {MAX_GENERATORS}$"):
+            parse_field(literal)
+        K = parse_field(",".join(map(str, primes[:-1])) + f",{primes[0] * primes[1]}")
+        assert len(K.gens) == MAX_GENERATORS and K.contains_sqrt(primes[1]) and built == []
+
     def test_all_subfields_dedup(self):
         fields = all_subfields((-1, 2, -2))
         assert len(fields) == 5  # Q, Q(i), Q(sqrt2), Q(sqrt-2), Q(i,sqrt2)
@@ -473,3 +499,81 @@ class TestIntegerForm:
         with pytest.raises(AttributeError):
             del v.den
         assert v.nums == (0, 0, 0, 1) and v.den == 1
+
+
+# +-{-1, 2, 3, ..., 47}
+POOL47 = sorted({s * d for d in (-1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) for s in (1, -1)} - {1})
+ODD_PRIMES_50 = [p for p in range(3, 50, 2) if all(p % q for q in range(3, p, 2))]
+CYCLOTOMIC_LEVELS = [n for n in range(1, 8 * 3 * 5 * 7 * 11 * 13 + 1) if (8 * 3 * 5 * 7 * 11 * 13) % n == 0]
+
+
+class TestSubspaceOperations:
+    """Each question asked of the echelon basis against the enumeration of
+    the span (`tests/reference.py`), on fields of up to 8 generators."""
+
+    fields = st.lists(st.sampled_from(POOL47), max_size=8).map(MultiQuadField)
+
+    @PROPERTY
+    @given(K=fields, extra=st.lists(st.integers(-3000, 3000), max_size=8))
+    def test_contains_sqrt(self, K, extra):
+        for d in [*POOL47, *K.span(), *extra]:
+            try:
+                expect = contains_sqrt_by_span(K, d)
+            except QFieldError:
+                with pytest.raises(QFieldError):
+                    K.contains_sqrt(d)
+                continue
+            assert K.contains_sqrt(d) == expect, (K, d)
+
+    @PROPERTY
+    @given(K=fields)
+    def test_residue_degree(self, K):
+        for p in ODD_PRIMES_50:
+            assert K.residue_degree(p) == residue_degree_by_span(K, p), (K, p)
+
+    @PROPERTY
+    @given(K=fields)
+    def test_cyclotomic_intersection(self, K):
+        for n in CYCLOTOMIC_LEVELS:
+            assert K.cyclotomic_intersection(n) == cyclotomic_intersection_by_span(K, n), (K, n)
+
+    @PROPERTY
+    @given(K=fields)
+    def test_signature_twist_classes_and_lower(self, K):
+        assert K.signature() == signature_by_span(K)
+        assert K.twist_classes() == list(signature_by_span(K))
+        n = len(K.gens)
+        assert list(K.gen_products) == [prod(K.gens[i] for i in range(n) if m >> i & 1) for m in range(2**n)]
+        if K.gens:
+            assert K.lower == lower_by_span(K)
+
+    @PROPERTY
+    @given(K=fields, n=st.sampled_from(CYCLOTOMIC_LEVELS))
+    def test_embedding(self, K, n):
+        for sub in (K.cyclotomic_intersection(n), K.lower if K.gens else K):
+            assert K.embedding(sub) == embedding_by_span(K, sub), (K, sub)
+
+    @PROPERTY
+    @given(gens=st.lists(st.sampled_from(POOL47), max_size=8), data=st.data())
+    def test_equal_spans_are_one_object(self, gens, data):
+        """The span from its generators, from all its classes in any order,
+        and from the generators with products of pairs mixed in."""
+        K = MultiQuadField(gens)
+        classes = data.draw(st.permutations(K.span()[1:]))
+        pairs = [squarefree_part(a * b) for a, b in zip(gens, gens[1:]) if squarefree_part(a * b) != 1]
+        assert MultiQuadField(classes) is K
+        assert MultiQuadField(pairs + gens[::-1]) is K
+
+    def test_copies_are_the_interned_field(self):
+        K = MultiQuadField([-3, 10])
+        assert copy.copy(K) is K and copy.deepcopy(K) is K and pickle.loads(pickle.dumps(K)) is K
+        assert QQ_FIELD.gens == () and MultiQuadField(()).gens == ()
+
+    @PROPERTY
+    @given(K=fields)
+    def test_a_field_rebuilt_after_eviction_equals_the_old(self, K):
+        old_signature, old_hash = K.signature(), hash(K)
+        qfield._field.cache_clear()
+        L = MultiQuadField(K.gens)
+        assert L is not K and L == K and hash(L) == old_hash
+        assert L.signature() == old_signature and L.one() == K.one()
