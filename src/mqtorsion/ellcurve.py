@@ -386,7 +386,6 @@ def quadratic_twist(E: EllipticCurve, d: int) -> EllipticCurve:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def torsion_points_short(A: int, B: int, hint: tuple[int, ...] = ()) -> tuple:
     """All rational torsion points of y^2 = x^3 + Ax + B (integral).
 
@@ -492,15 +491,15 @@ def tower_short_curve(A: int, B: int, K) -> EllipticCurve:
     return E
 
 
-def _roots_in_tower(g: Poly, K) -> list:
-    """Roots in K of a rational polynomial of degree <= 2 (monic).  The
-    square root of the discriminant is read from the basis of K: with d its
-    squarefree class, sqrt(disc) = r * sqrt(d) for the rational
+def _roots_in_tower(g: Poly, d: int, K) -> list:
+    """Roots in K of a rational polynomial g of degree <= 2 (monic), d the
+    squarefree class of its splitting field (`poly.splitting_quadratic_field`;
+    1 for a linear g).  The square root of the discriminant is read from the
+    basis of K: sqrt(disc) = r * sqrt(d) for the rational
     r = sqrt(disc / d) > 0, a positive multiple of the basis element whose
     class is d, which is also the root that `qfield.sqrt_in_tower` gives."""
     if g.degree == 1:
         return [K.from_rational(-g.coeffs[0])]
-    d = poly.splitting_quadratic_field(g)
     disc = g.coeffs[1] ** 2 - 4 * g.coeffs[0]
     if d == 1:
         rs = rational_sqrt(disc)
@@ -517,14 +516,22 @@ def _roots_in_tower(g: Poly, K) -> list:
     return roots if roots[0] != roots[1] else roots[:1]
 
 
+@lru_cache(maxsize=64)
+def _cubic_factors(A: int, B: int) -> tuple:
+    """(g, d) for each rational factor g of degree <= 2 of x^3 + Ax + B, d
+    the squarefree class of its splitting field (1 for a linear g): the
+    cubic factored once per curve, for every field K."""
+    cubic = Poly.from_ints(QQ, [B, A, 0, 1])
+    return tuple(
+        (g, poly.splitting_quadratic_field(g) if g.degree == 2 else 1)
+        for g in poly.low_degree_factors(cubic, 2)
+    )
+
+
 def two_torsion_roots_in_tower(A: int, B: int, K) -> list:
     """Roots of x^3 + Ax + B lying in K (complete: an irreducible cubic has
     no root in any multi-quadratic field)."""
-    cubic = Poly.from_ints(QQ, [B, A, 0, 1])
-    roots = []
-    for g in poly.low_degree_factors(cubic, 2):
-        roots.extend(_roots_in_tower(g, K))
-    return roots
+    return [r for g, d in _cubic_factors(A, B) for r in _roots_in_tower(g, d, K)]
 
 
 def _doubles_to(E: EllipticCurve, Q, P) -> bool:
@@ -725,18 +732,9 @@ def _two_torsion_field(A: int, B: int, K):
     three cubic roots as elements of L (requires the cubic to have at least
     one rational root, which holds whenever E has a point of order 4 over a
     multi-quadratic field)."""
-    cubic = Poly.from_ints(QQ, [B, A, 0, 1])
-    factors = poly.low_degree_factors(cubic, 2)
-    gens = list(K.gens)
-    for g in factors:
-        if g.degree == 2:
-            d = poly.splitting_quadratic_field(g)
-            if d != 1 and not K.contains_sqrt(d):
-                gens.append(d)
-    L = qfield.MultiQuadField(gens)
-    e_roots = []
-    for g in factors:
-        e_roots.extend(_roots_in_tower(g, L))
+    factors = _cubic_factors(A, B)
+    L = qfield.MultiQuadField([*K.gens, *(d for _, d in factors if d != 1 and not K.contains_sqrt(d))])
+    e_roots = [r for g, d in factors for r in _roots_in_tower(g, d, L)]
     if len(e_roots) != 3:
         raise CurveError("2-torsion field is not multi-quadratic")
     return L, e_roots

@@ -100,6 +100,25 @@ def _data_path(name: str) -> str:
     return os.path.join(base, name)
 
 
+def json_list(path: str, key: str, what: str, error=ModelError) -> list:
+    """The list under `key` of the JSON file at `path`, named `what` in
+    errors; `error` when the file cannot be read or is not an object holding
+    such a list."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc.strerror}") from None
+    if not isinstance(raw, dict) or not isinstance(raw.get(key), list):
+        raise error(f'{what} must be an object {{"{key}": [...]}}')
+    return raw[key]
+
+
+def data_list(name: str, key: str, error=ModelError) -> list:
+    """`json_list` of the shipped data file `name`."""
+    return json_list(_data_path(name), key, name, error)
+
+
 def _int_tuple(entry: dict, key: str, length: int | None = None) -> tuple[int, ...] | None:
     """entry[key] as a tuple of integers, None when absent; ModelError when
     it is not a list of integers (of the given length)."""
@@ -156,9 +175,8 @@ def _parse_model(entry: dict, source: str | None = None) -> CurveModel:
 
 @lru_cache(maxsize=None)
 def model_registry() -> dict[str, CurveModel]:
-    with open(_data_path("models.json")) as fh:
-        raw = json.load(fh)
-    return {entry["label"]: _parse_model(entry) for entry in raw["models"]}
+    models = [_parse_model(entry) for entry in data_list("models.json", "models")]
+    return {model.label: model for model in models}
 
 
 def get_model(label: str) -> CurveModel:

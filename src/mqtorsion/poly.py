@@ -6,11 +6,9 @@ One dense-tuple engine serves prime fields and their quadratic extensions
 supplies its ring operations and one row operation, `axpy`, that every
 sum, product, scaling and division runs on; zero is the one falsy value of
 each domain.  `kernels` binds the engine to one domain for the genus-2
-group law.  On top of it: elliptic division polynomials in x-only form
-over any domain, exact factor extraction of low-degree rational factors
-via modular factorization and Hensel lifting on the same kernels over Z/p
-and Z/p^k, roots mod p and their Newton lifts to Z/p^k, and splitting
-fields of quadratics.
+group law.  On top of it: exact factor extraction of low-degree rational
+factors via modular factorization and Hensel lifting on the same kernels
+over Z/p and Z/p^k, and splitting fields of quadratics.
 
 Polynomials are tuples, constant term first, no trailing zeros.
 """
@@ -499,74 +497,6 @@ def discriminant(dom, f):
 
 
 # ---------------------------------------------------------------------------
-# Division polynomials (x-only) from the b-invariants of a long Weierstrass
-# model.  For odd n the polynomial f_n below is psi_n itself; for even n it is
-# psi_n / psi_2, and psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 is carried as T.
-# ---------------------------------------------------------------------------
-
-
-def two_torsion_cubic(b, dom=QQ) -> Poly:
-    """T = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 over dom."""
-    b2, b4, b6, b8 = b
-    return Poly(dom, (b6, dom.add(b4, b4), b2, dom.from_int(4)))
-
-
-def divpoly_f(dom, b, n: int) -> tuple:
-    """f_n over dom from b = (b2, b4, b6, b8) in dom, by the doubling
-    recursion, memoised for the length of one call."""
-    b2, b4, b6, b8 = b
-    num = dom.from_int
-    T = two_torsion_cubic(b, dom).coeffs
-    memo = {
-        0: (),
-        1: (dom.one,),
-        2: (dom.one,),
-        3: (b8, dom.mul(num(3), b6), dom.mul(num(3), b4), b2, num(3)),
-        4: (
-            dom.sub(dom.mul(b4, b8), dom.mul(b6, b6)),
-            dom.sub(dom.mul(b2, b8), dom.mul(b4, b6)),
-            dom.mul(num(10), b8),
-            dom.mul(num(10), b6),
-            dom.mul(num(5), b4),
-            b2,
-            num(2),
-        ),
-    }
-    mul = lambda f, g: pmul(dom, f, g)
-
-    def f(k):
-        if k in memo:
-            return memo[k]
-        m, rem = divmod(k, 2)
-        if rem:  # k = 2m + 1
-            a = mul(f(m + 2), mul(f(m), mul(f(m), f(m))))
-            c = mul(f(m - 1), mul(f(m + 1), mul(f(m + 1), f(m + 1))))
-            T2 = mul(T, T)
-            out = psub(dom, mul(a, T2), c) if m % 2 == 0 else psub(dom, a, mul(c, T2))
-        else:  # k = 2m
-            inner = psub(
-                dom,
-                mul(f(m + 2), mul(f(m - 1), f(m - 1))),
-                mul(f(m - 2), mul(f(m + 1), f(m + 1))),
-            )
-            out = mul(f(m), inner)
-        memo[k] = out
-        return out
-
-    return f(n)
-
-
-def kill_poly(b, n: int, dom=QQ) -> Poly:
-    """Roots are exactly the x-coordinates of the nonzero points killed by n."""
-    if n < 1:
-        raise PolyError("n must be positive")
-    f = divpoly_f(dom, b, n)
-    if n % 2 == 0:
-        f = pmul(dom, two_torsion_cubic(b, dom).coeffs, f)
-    return Poly(dom, f)
-
-
-# ---------------------------------------------------------------------------
 # Factor extraction mod p and mod p^k, on the dense kernels over Z/m
 # ---------------------------------------------------------------------------
 
@@ -629,20 +559,6 @@ def _equal_degree_split(f, d, p):
         return _equal_degree_split(g, d, p) + _equal_degree_split(rest, d, p)
 
 
-def mp_roots(f, p) -> list[int]:
-    """The roots in F_p of f, a nonzero tuple over `ResidueDomain(p)` (odd p)
-    with a nonzero leading coefficient, ascending: the linear factors of
-    gcd(f, x^p - x), split by `_equal_degree_split`."""
-    dom = ResidueDomain(p)
-    f = pmonic(dom, f)
-    x = (0, 1)
-    diff = psub(dom, _powmod(dom, x, p, f), x)
-    g = pgcd(dom, diff, f) if diff else f
-    if len(g) < 2:
-        return []
-    return sorted(-h[0] % p for h in _equal_degree_split(g, 1, p))
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting and rational factor extraction (degrees 1..3 complete)
 # ---------------------------------------------------------------------------
@@ -662,20 +578,6 @@ def _hensel_step(f, g, h, s, t, m):
     s1 = sub(s, d)
     t1 = sub(t, add(mul(t, b), mul(c, g1)))
     return g1, h1, s1, t1
-
-
-def hensel_root(F, r, p, k):
-    """The root of F in Z/p^k congruent to r, a simple root of F mod p, by
-    Newton's iteration r - F(r)/F'(r), which doubles the precision at each
-    step; F is a tuple over `ResidueDomain(p^k)`.  F'(r) is a unit, since
-    F'(r) mod p != 0, and the root is unique (Hensel's lemma)."""
-    ZM = ResidueDomain(p**k)
-    dF = pderiv(ZM, F)
-    prec = 1
-    while prec < k:
-        r = ZM.sub(r, ZM.div(peval(ZM, F, r), peval(ZM, dF, r)))
-        prec *= 2
-    return r
 
 
 def _lift_factors(F, factors, p, k):
@@ -810,14 +712,6 @@ def _low_degree_factors_primitive(F: tuple[int, ...], max_degree: int) -> tuple[
     return tuple(out)
 
 
-def factor_height_bound(S: tuple[int, ...]) -> int:
-    """B = 16 (||S||_2 + 1), with ||S||_2 rounded up, for a nonzero integer
-    polynomial S: every g in Z[x] of degree <= 4 dividing S in Z[x] has
-    (lc S / lc g) * g in Z[x] with coefficients at most B in absolute value
-    (see `_low_degree_factors_squarefree`)."""
-    return 16 * (math.isqrt(sum(c * c for c in S)) + 2)
-
-
 def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> list[Poly]:
     """Monic factors of degree <= max_degree of a squarefree primitive S,
     lifted from the factorization of L^-1 S mod the good prime p, L = lc(S).
@@ -839,7 +733,7 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) 
     if not low:
         return []
     high = [fac for fac in factors if len(fac) - 1 > max_degree]
-    B = factor_height_bound(S)
+    B = 16 * (math.isqrt(sum(c * c for c in S)) + 2)  # 16 (||S||_2 + 1), the norm rounded up
     k = 1
     while p**k <= 2 * B:
         k += 1

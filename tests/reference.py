@@ -65,8 +65,12 @@
   division polynomial instead.
 - The roots in Q(sqrt d) of a polynomial over it from the degree <= 2
   rational factors of its norm to Q (`tower_poly_roots_by_norm`).
-  Production lifts its roots mod a split prime p to Z/p^k and rebuilds
-  each root from a pair of them by rational reconstruction.
+  Production searches for no roots: each exceptional curve ships a point
+  of exact order n, and the tests find its multiples among these roots.
+- The x-only division polynomials (`two_torsion_cubic`, `divpoly_f`,
+  `kill_poly`), checked against the group law and used to build kernel
+  polynomials and test inputs.  Production certifies torsion points by
+  their multiples (`ellcurve.has_order`) and never forms them.
 - Multiples and orders of a point by the affine group law (`curve_mul`,
   `point_order`).  Production takes them in Jacobian coordinates
   (`ellcurve.has_order`).
@@ -147,6 +151,7 @@ from mqtorsion.poly import (
     code_domain,
     mp_factor_squarefree,
     pmul,
+    psub,
 )
 
 
@@ -614,7 +619,7 @@ def eight_torsion_criterion(model: CurveModel, K):
         d = poly.splitting_quadratic_field(g) if g.degree == 2 else 1
         if d != 1 and not K.contains_sqrt(d):
             continue
-        for a in ellcurve._roots_in_tower(g, K):
+        for a in ellcurve._roots_in_tower(g, d, K):
             val = a * a * a + K.from_rational(A) * a + K.from_rational(B)
             y = qfield.sqrt_in_tower(val)
             if y is None:
@@ -720,12 +725,80 @@ def point_order(E: EllipticCurve, P, bound: int = 100000) -> int:
     raise CurveError(f"point order exceeds bound {bound}")
 
 
+# ---------------------------------------------------------------------------
+# Division polynomials (x-only) from the b-invariants of a long Weierstrass
+# model.  For odd n the polynomial f_n below is psi_n itself; for even n it is
+# psi_n / psi_2, and psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 is carried as T.
+# ---------------------------------------------------------------------------
+
+
+def two_torsion_cubic(b, dom=QQ) -> Poly:
+    """T = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 over dom."""
+    b2, b4, b6, b8 = b
+    return Poly(dom, (b6, dom.add(b4, b4), b2, dom.from_int(4)))
+
+
+def divpoly_f(dom, b, n: int) -> tuple:
+    """f_n over dom from b = (b2, b4, b6, b8) in dom, by the doubling
+    recursion, memoised for the length of one call."""
+    b2, b4, b6, b8 = b
+    num = dom.from_int
+    T = two_torsion_cubic(b, dom).coeffs
+    memo = {
+        0: (),
+        1: (dom.one,),
+        2: (dom.one,),
+        3: (b8, dom.mul(num(3), b6), dom.mul(num(3), b4), b2, num(3)),
+        4: (
+            dom.sub(dom.mul(b4, b8), dom.mul(b6, b6)),
+            dom.sub(dom.mul(b2, b8), dom.mul(b4, b6)),
+            dom.mul(num(10), b8),
+            dom.mul(num(10), b6),
+            dom.mul(num(5), b4),
+            b2,
+            num(2),
+        ),
+    }
+    mul = lambda f, g: pmul(dom, f, g)
+
+    def f(k):
+        if k in memo:
+            return memo[k]
+        m, rem = divmod(k, 2)
+        if rem:  # k = 2m + 1
+            a = mul(f(m + 2), mul(f(m), mul(f(m), f(m))))
+            c = mul(f(m - 1), mul(f(m + 1), mul(f(m + 1), f(m + 1))))
+            T2 = mul(T, T)
+            out = psub(dom, mul(a, T2), c) if m % 2 == 0 else psub(dom, a, mul(c, T2))
+        else:  # k = 2m
+            inner = psub(
+                dom,
+                mul(f(m + 2), mul(f(m - 1), f(m - 1))),
+                mul(f(m - 2), mul(f(m + 1), f(m + 1))),
+            )
+            out = mul(f(m), inner)
+        memo[k] = out
+        return out
+
+    return f(n)
+
+
+def kill_poly(b, n: int, dom=QQ) -> Poly:
+    """Roots are exactly the x-coordinates of the nonzero points killed by n."""
+    if n < 1:
+        raise PolyError("n must be positive")
+    f = divpoly_f(dom, b, n)
+    if n % 2 == 0:
+        f = pmul(dom, two_torsion_cubic(b, dom).coeffs, f)
+    return Poly(dom, f)
+
+
 @lru_cache(maxsize=256)
 def primitive_kernel_poly_b(b, n: int) -> Poly:
     """Roots are the x-coordinates of points of exact order n (n >= 2)."""
     if n < 2:
         raise PolyError("n must be >= 2")
-    out = poly.kill_poly(b, n)
+    out = kill_poly(b, n)
     for d in range(2, n):
         if n % d == 0:
             out = out.exact_div(primitive_kernel_poly_b(b, d))
@@ -766,7 +839,8 @@ def tower_poly_roots_by_norm(coeffs, K) -> list:
     dom = TowerDomain(K)
     roots = []
     for g in poly.low_degree_factors(tower_poly_norm(coeffs, K), 2):
-        for a in ellcurve._roots_in_tower(g, K):
+        d = poly.splitting_quadratic_field(g) if g.degree == 2 else 1
+        for a in ellcurve._roots_in_tower(g, d, K):
             if poly.peval(dom, tuple(coeffs), a).is_zero() and a not in roots:
                 roots.append(a)
     return roots

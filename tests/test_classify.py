@@ -1,14 +1,5 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from mqtorsion import classify as classify_mod
-from mqtorsion import poly
-from mqtorsion.ellcurve import CurveError, EllipticCurve
-from mqtorsion.intutil import is_squarefree
-from mqtorsion.poly import TowerDomain
 from mqtorsion.classify import (
     ClassifyError,
     RankTable,
@@ -22,10 +13,7 @@ from mqtorsion.classify import (
     verify_exceptional,
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
-from reference import tower_poly_roots_by_norm
-
-# derandomized, so that every run draws the same examples
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+from reference import curve_mul, kill_poly, point_order, tower_poly_roots_by_norm
 
 
 def with_ranks(records):
@@ -207,8 +195,17 @@ class TestVerifyExceptional:
         curve = next(c for c in exceptional_registry() if c.name == name)
         report = verify_exceptional(curve)
         assert len(report["primes_checked"]) >= 15
-        if curve.target == 15:
-            assert any("order-15" in s for s in report["steps"])
+        P = curve.certificate()
+        assert report["steps"][-1] == f"explicit order-{curve.target} point ({P[0]!r}, {P[1]!r}) on E verified"
+
+    @pytest.mark.parametrize("name", ["14-I", "14-II", "15-I", "15-II"])
+    def test_shipped_point_has_exact_order(self, name):
+        """Each shipped point against its order by the affine group law."""
+        curve = next(c for c in exceptional_registry() if c.name == name)
+        E, P = curve.curve(), curve.certificate()
+        assert E.on_curve(P) and point_order(E, P, 20) == curve.target
+        if name != "15-I":  # the Tate normal forms
+            assert P == (curve.field().zero(),) * 2
 
     def test_vacuous_n1(self):
         curve = exceptional_registry()[0]
@@ -221,99 +218,18 @@ class TestVerifyExceptional:
             verify_exceptional(curve, 9)
 
 
-SQUAREFREE = [d for d in range(-50, 51) if d not in (0, 1) and is_squarefree(d)]
-SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-
-
-@st.composite
-def tower_curves(draw):
-    """(K, E, n, x0): K = Q(sqrt(d)), squarefree |d| <= 50, and either a
-    curve over K with a point of order n in {3, 5, 7} at x = x0, or a Tate
-    normal form E(b, c) with b and c drawn from K, x0 = None.
-
-    The curves with a point of order n are y^2 + a1 xy + a3 y = x^3 (n = 3)
-    and the Tate normal forms E(t, t) and E(t^3 - t^2, t^2 - t), whose point
-    (0, 0) has order 5 and 7, moved by x -> x + sqrt(d) to x0 = -sqrt(d).
-    At x0 = 0 the norm would have the repeated factor x^2, which the norm
-    route splits only by Euclid over Q, too slow at degree 48."""
-    K = MultiQuadField([draw(st.sampled_from(SQUAREFREE))])
-    root_d = K.sqrt_gen(K.gens[0])
-    elem = lambda: K.from_rational(draw(SMALL)) + root_d.scale(*draw(SMALL).as_integer_ratio())
-    n = draw(st.sampled_from([3, 5, 7]))
-    zero, one, t = K.zero(), K.one(), elem()
-    if draw(st.booleans()):
-        if n == 3:
-            a1, a2, a3 = t, zero, draw(st.sampled_from([one, t + one]))
-        else:
-            b, c = (t, t) if n == 5 else (t * t * t - t * t, t * t - t)
-            a1, a2, a3 = one - c, -b, -b
-        # x = x' + r on y^2 + a1 xy + a3 y = x^3 + a2 x^2, r = sqrt(d)
-        r, x0 = root_d, -root_d
-        ainvs = [a1, a2 + r.scale(3), a3 + r * a1, (r * a2).scale(2) + (r * r).scale(3), r * r * (r + a2)]
-    else:
-        x0 = None
-        b, c = t, elem()
-        ainvs = [one - c, -b, -b, zero, zero]
-    try:
-        E = EllipticCurve(TowerDomain(K), ainvs)
-    except CurveError:
-        E = None
-    return K, E, n, x0
-
-
 class TestRootSearch:
-    """`classify._tower_poly_roots`, the roots of a polynomial over Q(sqrt(d))
-    from its p-adic roots, against the roots from the factors of its norm
-    to Q (`reference`)."""
-
-    @PROPERTY
-    @given(tower_curves())
-    def test_kill_polynomial_roots_match_the_norm_route(self, drawn):
-        K, E, n, x0 = drawn
-        if E is None:  # a singular model
-            return
-        kill = poly.kill_poly(E.b_invariants(), n, E.domain).coeffs
-        roots = classify_mod._tower_poly_roots(kill, K)
-        assert len(set(roots)) == len(roots)
-        assert set(roots) == set(tower_poly_roots_by_norm(kill, K))
-        if x0 is not None:
-            assert x0 in roots
+    """The multiples of each shipped point against the roots in K of the
+    kill polynomials, found by the norm route of `reference`, a search that
+    does not read the shipped points."""
 
     @pytest.mark.parametrize("name", ["14-I", "14-II", "15-I", "15-II"])
     def test_shipped_curves_match_the_norm_route(self, name):
         curve = next(c for c in exceptional_registry() if c.name == name)
-        E, K = curve.curve(), curve.field()
-        for n in (2,) if curve.target == 14 else (3, 5):
-            kill = poly.kill_poly(E.b_invariants(), n, E.domain).coeffs
-            roots = classify_mod._tower_poly_roots(kill, K)
-            assert roots and set(roots) == set(tower_poly_roots_by_norm(kill, K))
-
-    def test_roots_mod_p_that_pair_into_no_root_of_k(self, monkeypatch):
-        """x^2 - 3 over Q(sqrt(-7)): both images have the roots +-5 mod 11,
-        and the pairs rebuild to fractions, but sqrt(3) is not in K, so the
-        exact check over K rejects every candidate."""
-        K = MultiQuadField([-7])
-        f = (K.from_rational(-3), K.zero(), K.one())
-        p, s = classify_mod._split_prime(f, -7)
-        assert p == 11
-        assert all(poly.mp_roots(classify_mod._embed(f, t, p), p) == [5, 6] for t in (s, p - s))
-        checked = []
-        peval = poly.peval
-
-        def counted(dom, g, x):
-            if isinstance(dom, TowerDomain):
-                checked.append(x)
-            return peval(dom, g, x)
-
-        monkeypatch.setattr(poly, "peval", counted)
-        assert classify_mod._tower_poly_roots(f, K) == []
-        assert checked and all(not x.is_rational() or x * x != K.from_rational(3) for x in checked)
-
-    def test_rational_roots_and_a_root_with_both_parts(self):
-        K = MultiQuadField([5])
-        x1 = K.from_rational(Fraction(-2, 3))
-        x2 = K.from_rational(Fraction(7, 4)) + K.sqrt_gen(5).scale(-5, 6)
-        # (x - x1)(x - x2)(x^2 - 2): two roots in K, two outside
-        f = poly.pmul(TowerDomain(K), poly.pmul(TowerDomain(K), (-x1, K.one()), (-x2, K.one())),
-                      (K.from_rational(-2), K.zero(), K.one()))
-        assert set(classify_mod._tower_poly_roots(f, K)) == {x1, x2}
+        E, K, P = curve.curve(), curve.field(), curve.certificate()
+        n = curve.target
+        for ell in (2,) if n == 14 else (3, 5):
+            kill = kill_poly(E.b_invariants(), ell, E.domain).coeffs
+            roots = tower_poly_roots_by_norm(kill, K)
+            Q = curve_mul(E, n // ell, P)
+            assert {curve_mul(E, k, Q)[0] for k in range(1, ell)} <= set(roots), (name, ell)

@@ -351,6 +351,63 @@ class TestBadInput:
             assert_one_line_error(code, out, err)
 
 
+class TestDataFiles:
+    """An `MQTORSION_DATA` directory with one shipped file edited.  Each
+    call runs in a fresh interpreter, since the registries are process-wide
+    caches."""
+
+    @staticmethod
+    def call(tmp_path, name, edit, *argv):
+        for path in (Path(SRC) / "mqtorsion" / "data").glob("*.json"):
+            raw = json.loads(path.read_text())
+            if path.name == name:
+                edit(raw)
+            (tmp_path / path.name).write_text(json.dumps(raw))
+        env = dict(os.environ, MQTORSION_DATA=str(tmp_path),
+                   PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        run = subprocess.run([sys.executable, "-m", "mqtorsion.cli", *argv], capture_output=True, text=True, env=env)
+        return run.returncode, run.stdout, run.stderr
+
+    @staticmethod
+    def set_point(name, point):
+        def edit(raw):
+            next(c for c in raw["curves"] if c["name"] == name)["point"] = point
+        return edit
+
+    @pytest.mark.parametrize("name, edit, argv", [
+        ("exceptional.json", lambda raw: raw["curves"][0].pop("name"), ["classify", "--torsion", "14", "--field=-7"]),
+        ("exceptional.json", lambda raw: raw["curves"][2].pop("point"), ["verify", "--only", "exceptional"]),
+        ("exceptional.json", lambda raw: raw["curves"][2]["point"].pop(), ["verify", "--only", "exceptional"]),
+        ("exceptional.json", lambda raw: raw["curves"][1]["ainvs"][0].append("1"), ["classify", "--torsion", "14", "--field=-7"]),
+        ("exceptional.json", lambda raw: raw.pop("curves"), ["classify", "--torsion", "14", "--field=-7"]),
+        ("ranks.json", lambda raw: raw.pop("ranks"), ["classify", "--torsion", "14", "--field=-7"]),
+        ("models.json", lambda raw: raw.pop("models"), ["torsion", "--model", "X1(11)", "--field=Q"]),
+        ("models.json", lambda raw: raw["models"][0].pop("label"), ["torsion", "--model", "X1(11)", "--field=Q"]),
+    ])
+    def test_malformed_data_file_exit_2(self, tmp_path, name, edit, argv):
+        assert_one_line_error(*self.call(tmp_path, name, edit, *argv))
+
+    def test_point_off_its_curve_fails(self, tmp_path):
+        edit = self.set_point("15-I", [["315", "-132"], ["-5399", "2376"]])
+        code, out, err = self.call(tmp_path, "exceptional.json", edit, "verify", "--only", "exceptional")
+        assert (code, err) == (1, "")
+        assert "FAIL  exceptional 15-I  (15-I: the shipped point is not on the curve)" in out.splitlines()
+        assert out.count("pass  exceptional") == 3
+
+    def test_point_of_the_wrong_order_fails(self, tmp_path):
+        """3P for the point P of 15-I has order 5, not 15."""
+        from mqtorsion.classify import exceptional_registry
+        from reference import curve_mul
+
+        curve = next(c for c in exceptional_registry() if c.name == "15-I")
+        triple = curve_mul(curve.curve(), 3, curve.certificate())
+        edit = self.set_point("15-I", [[str(c) for c in v.coords] for v in triple])
+        code, out, err = self.call(tmp_path, "exceptional.json", edit, "verify", "--only", "exceptional")
+        assert (code, err) == (1, "")
+        assert "FAIL  exceptional 15-I  (15-I: the shipped point does not have order 15)" in out.splitlines()
+        assert out.count("pass  exceptional") == 3
+
+
 def test_cli_import_loads_no_dataclasses_typing_or_random():
     """A CLI call imports only what it runs.  Run under -S, since site
     packages may load these modules themselves.  `classify` stays: the

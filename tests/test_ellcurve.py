@@ -31,7 +31,7 @@ from mqtorsion.ellcurve import (
 from mqtorsion.groups import AbGroupStructure, structure_from_elements, subgroup_span
 from mqtorsion.intutil import factorize, is_prime, is_squarefree
 from mqtorsion.mwtors import model_registry
-from mqtorsion.poly import QQ, Poly, TowerDomain, code_domain
+from mqtorsion.poly import QQ, Poly, TowerDomain, code_domain, splitting_quadratic_field
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from reference import (
     curve_mul,
@@ -399,7 +399,7 @@ def test_quadratic_roots_from_the_basis_match_the_tower_square_root(gens, b, r, 
     K = MultiQuadField(gens)
     d = data.draw(st.sampled_from(K.span() + SIGNED_GENS))
     g = Poly(QQ, [(b * b - d * r * r) / 4, b, Fr(1)])
-    assert ellcurve._roots_in_tower(g, K) == roots_in_tower_by_tower_sqrt(g, K)
+    assert ellcurve._roots_in_tower(g, splitting_quadratic_field(g), K) == roots_in_tower_by_tower_sqrt(g, K)
 
 
 class TestTowerTorsion:
@@ -671,11 +671,9 @@ def tower_torsion_points() -> tuple:
     curve = tower_short_curve(A, B, K)
     P8 = (K.from_rational(8787), K.from_rational(816480))
     base.append((curve, _halves_over_tower(curve, two_torsion_roots_in_tower(A, B, K), P8)[0], 16))
-    # the exceptional curves: P2 and P7, or P3 and P5, and their sums
+    # the exceptional curves and their shipped points of order 14 and 15
     for c in classify.exceptional_registry():
-        curve, K = c.curve(), c.field()
-        P, Q = (classify._torsion_point_in_tower(curve, n, K) for n in ((2, 7) if c.target == 14 else (3, 5)))
-        base.append((curve, curve.add(P, Q), c.target))
+        base.append((c.curve(), c.certificate(), c.target))
     out = []
     for curve, P, n in base:
         out += [(curve, curve_mul(curve, k, P), n // k) for k in range(1, n) if n % k == 0]

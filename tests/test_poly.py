@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from mqtorsion import poly
 from mqtorsion.ellcurve import INF, CurveError, EllipticCurve, points_over_code_domain
 import reference
-from reference import curve_mul, low_degree_factors_monic_associate, primitive_kernel_poly_b
+from reference import (
+    curve_mul,
+    divpoly_f,
+    kill_poly,
+    low_degree_factors_monic_associate,
+    primitive_kernel_poly_b,
+    two_torsion_cubic,
+)
 from mqtorsion.ff import make_field
 from mqtorsion.intutil import is_prime
 from mqtorsion.qfield import MultiQuadField, TowerElem
@@ -20,14 +27,11 @@ from mqtorsion.poly import (
     ResidueDomain,
     TowerDomain,
     code_domain,
-    divpoly_f,
     kernels,
-    kill_poly,
     low_degree_factors,
     mp_factor_squarefree,
     peval,
     splitting_quadratic_field,
-    two_torsion_cubic,
 )
 
 
@@ -497,7 +501,7 @@ class TestPrimitiveLift:
         for c in classify.exceptional_registry():
             E, K = c.curve(), c.field()
             for n in (2,) if c.target == 14 else (3, 5):
-                kill = poly.kill_poly(E.b_invariants(), n, E.domain).coeffs
+                kill = kill_poly(E.b_invariants(), n, E.domain).coeffs
                 F = poly._int_coeffs(reference.tower_poly_norm(kill, K))
                 fast = poly._low_degree_factors_primitive.__wrapped__(F, 2)
                 assert fast == low_degree_factors_monic_associate(F, 2), (c.name, n)
@@ -567,26 +571,6 @@ class TestModP:
             d, s, t = poly.pgcdext(dom, tuple(f), tuple(g))
             assert poly.padd(dom, poly.pmul(dom, s, tuple(f)), poly.pmul(dom, t, tuple(g))) == d
             assert d == poly.pgcd(dom, tuple(f), tuple(g)) and d[-1] == 1
-
-    @pytest.mark.parametrize("p", [3, 11, 17])
-    def test_roots_and_their_newton_lifts(self, p):
-        """`mp_roots` against a search over F_p, and each simple root lifted
-        by `hensel_root` to a root mod p^5 that reduces to it."""
-        rng = random.Random(p)
-        k, M = 5, p**5
-        ZM = ResidueDomain(M)
-        for _ in range(30):
-            F = tuple(rng.randrange(M) for _ in range(rng.randint(1, 6))) + (rng.randrange(1, M),)
-            f = tuple(c % p for c in F)
-            if not f[-1]:
-                continue
-            roots = poly.mp_roots(f, p)
-            assert roots == [r for r in range(p) if not peval(ResidueDomain(p), f, r)]
-            df = poly.pderiv(ResidueDomain(p), f)
-            for r in roots:
-                if peval(ResidueDomain(p), df, r):
-                    R = poly.hensel_root(F, r, p, k)
-                    assert R % p == r and peval(ZM, F, R) == 0
 
     def test_hensel_lift_to_a_prime_power(self):
         # x^4 + 1 = (x^2 + 4)(x^2 + 13) mod 17, lifted to 17^8

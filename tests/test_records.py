@@ -17,7 +17,8 @@ MODEL = CurveModel("19a2", (1, 19), 1, None, (0, 1, 1, -769, -8470), None, "test
 FULL_MODEL = CurveModel("t", (1, 1), 2, None, None, (1, 2, 3), "s", {"a": 1}, (3, 5), {None: (2,)})
 RESULT = TorsionResult("X", (1, -3), AbGroupStructure((2,)), AbGroupStructure((2, 4)), False, ({"k": 1},))
 RANKS = RankTable.from_records([{"jacobian": "X1(14)", "twist": -7, "rank": 0, "source": "s"}])
-CURVE = ExceptionalCurve(14, -7, "14-I", ((Fraction(2), Fraction(3, 7)), (Fraction(0), Fraction(0))))
+ORIGIN = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+CURVE = ExceptionalCurve(14, -7, "14-I", ((Fraction(2), Fraction(3, 7)), (Fraction(0), Fraction(0))), ORIGIN)
 VERDICT = Verdict("15", (1,), None, "none", 0, "iff")
 
 # one instance of each record class, with a copy built from the same fields
@@ -29,7 +30,7 @@ RECORDS = {
                       lambda: TorsionResult("X", (1,), G28, G28, True)),
     "RankTable": (RANKS, lambda: RankTable(((("X1(14)", -7), (0, "s")),))),
     "ExceptionalCurve": (CURVE, lambda: ExceptionalCurve(
-        14, -7, "14-I", ((Fraction(2), Fraction(3, 7)), (Fraction(0), Fraction(0))))),
+        14, -7, "14-I", ((Fraction(2), Fraction(3, 7)), (Fraction(0), Fraction(0))), ORIGIN)),
     "Verdict": (VERDICT, lambda: Verdict(target="15", field_signature=(1,), rank_value=None,
                                          existence="none", count=0, equivalence_direction="iff")),
 }
@@ -52,7 +53,8 @@ class TestRepr:
                  "closed=False, trace=({'k': 1},))"),
         (RANKS, "RankTable(entries=((('X1(14)', -7), (0, 's')),))"),
         (CURVE, "ExceptionalCurve(target=14, base_d=-7, name='14-I', ainvs=((Fraction(2, 1), "
-                "Fraction(3, 7)), (Fraction(0, 1), Fraction(0, 1))))"),
+                "Fraction(3, 7)), (Fraction(0, 1), Fraction(0, 1))), point=((Fraction(0, 1), "
+                "Fraction(0, 1)), (Fraction(0, 1), Fraction(0, 1))))"),
         (VERDICT, "Verdict(target='15', field_signature=(1,), rank_value=None, existence='none', "
                   "count=0, equivalence_direction='iff', exceptional=(), condition=None, "
                   "annotations=())"),
