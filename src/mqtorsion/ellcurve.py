@@ -4,8 +4,7 @@ Long Weierstrass models y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with a
 complete chord-tangent group law, finite-field group structure by full
 enumeration + census, global minimal models over Q (Laska-Kraus-Connell),
 quadratic twists, reduction at good odd primes, point counts by one
-character sum over F_p (also for curves with coefficients in a quadratic
-field, at its split primes), exact rational torsion via Nagell-Lutz
+character sum over F_p, exact rational torsion via Nagell-Lutz
 (for the odd part of a twist, behind a screen by point counts mod p),
 exact 2-primary torsion over multi-quadratic towers, and exhaustive scans of
 all curves over a small field.
@@ -22,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import ff, poly, qfield
+from . import ff, qfield
 from .groups import AbGroupStructure, GroupError, structure_from_elements
 from .intutil import (
     factorize,
@@ -30,8 +29,9 @@ from .intutil import (
     is_prime,
     kronecker,
     rational_sqrt,
+    squarefree_part,
 )
-from .poly import QQ, Poly, TowerDomain, code_domain
+from .poly import QQ, TowerDomain, code_domain
 
 
 class CurveError(ValueError):
@@ -324,31 +324,6 @@ def _square_counts(p: int) -> bytes:
     return bytes(squares)
 
 
-def quadratic_reduction_counts(ainvs, d: int, p: int) -> list[int]:
-    """#E(F_p) at the two primes above a split odd p, for the curve whose
-    a-invariants are x_i + y_i sqrt(d) (ainvs: pairs of rationals), one
-    count per root s of d mod p in ascending order.
-
-    The prime above p at which sqrt(d) = s maps a_i to x_i + y_i s mod p,
-    and the count is 1 + affine_count of the reduced b-invariants.  Raises
-    BadReduction when p = 2, p | d, d is not a square mod p, p divides a
-    denominator, or the reduced discriminant vanishes."""
-    if p == 2 or d % p == 0:
-        raise BadReduction(p)
-    roots = [s for s in range(1, p) if (s * s - d) % p == 0]
-    if not roots or any(c.denominator % p == 0 for pair in ainvs for c in pair):
-        raise BadReduction(p)
-    red = lambda c: c.numerator * pow(c.denominator, -1, p)
-    xy = [(red(x), red(y)) for x, y in ainvs]
-    counts = []
-    for s in roots:
-        a1, a2, a3, a4, a6 = ((x + y * s) % p for x, y in xy)
-        if c4c6_disc((a1, a2, a3, a4, a6))[2] % p == 0:
-            raise BadReduction(p)
-        counts.append(1 + affine_count(a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6, p))
-    return counts
-
-
 def short_model(E: EllipticCurve) -> tuple[int, int]:
     """Integral (A, B) with E isomorphic over Q to y^2 = x^3 + Ax + B,
     normalized by removing common u^4 | A, u^6 | B."""
@@ -491,41 +466,52 @@ def tower_short_curve(A: int, B: int, K) -> EllipticCurve:
     return E
 
 
-def _roots_in_tower(g: Poly, d: int, K) -> list:
-    """Roots in K of a rational polynomial g of degree <= 2 (monic), d the
-    squarefree class of its splitting field (`poly.splitting_quadratic_field`;
-    1 for a linear g).  The square root of the discriminant is read from the
-    basis of K: sqrt(disc) = r * sqrt(d) for the rational
-    r = sqrt(disc / d) > 0, a positive multiple of the basis element whose
-    class is d, which is also the root that `qfield.sqrt_in_tower` gives."""
-    if g.degree == 1:
-        return [K.from_rational(-g.coeffs[0])]
-    disc = g.coeffs[1] ** 2 - 4 * g.coeffs[0]
+def _roots_in_tower(g, d: int, K) -> list:
+    """Roots in K of a monic rational polynomial g of degree <= 2 (a tuple),
+    d the squarefree class of its splitting field (1 for a linear g).  The
+    square root of the discriminant is read from the basis of K:
+    sqrt(disc) = r * sqrt(d) for the rational r = sqrt(disc / d) > 0, a
+    positive multiple of the basis element whose class is d, which is also
+    the root that `qfield.sqrt_in_tower` gives."""
+    if len(g) == 2:
+        return [K.from_rational(-g[0])]
+    disc = g[1] ** 2 - 4 * g[0]
     if d == 1:
-        rs = rational_sqrt(disc)
+        rs = rational_sqrt(Fraction(disc))
         if rs is None:
             return []
         s = K.from_rational(rs)
     elif K.contains_sqrt(d):
-        r = rational_sqrt(disc / d)
+        r = rational_sqrt(Fraction(disc, d))
         s = K.sqrt_gen(d).scale(r.numerator, r.denominator)
     else:
         return []
-    mb = K.from_rational(-g.coeffs[1])
+    mb = K.from_rational(-g[1])
     roots = [(mb + s).scale(1, 2), (mb - s).scale(1, 2)]
     return roots if roots[0] != roots[1] else roots[:1]
 
 
 @lru_cache(maxsize=64)
 def _cubic_factors(A: int, B: int) -> tuple:
-    """(g, d) for each rational factor g of degree <= 2 of x^3 + Ax + B, d
-    the squarefree class of its splitting field (1 for a linear g): the
-    cubic factored once per curve, for every field K."""
-    cubic = Poly.from_ints(QQ, [B, A, 0, 1])
-    return tuple(
-        (g, poly.splitting_quadratic_field(g) if g.degree == 2 else 1)
-        for g in poly.low_degree_factors(cubic, 2)
-    )
+    """(g, d) for each monic rational factor g of degree <= 2 of the
+    squarefree cubic x^3 + Ax + B (integer tuples), d the squarefree class
+    of its splitting field (1 for a linear g): the cubic factored once per
+    curve, for every field K.  The linear factors x - r come first, r
+    descending.
+
+    A rational root of a monic integer cubic is an integer (rational root
+    theorem), so `integer_cubic_roots` finds every one.  With no root the
+    cubic is irreducible, and with three it splits.  With exactly one root
+    r, x^3 + Ax + B = (x - r)(x^2 + rx + A + r^2), comparing coefficients
+    with r^3 + Ar + B = 0; the cofactor has no rational root, and its
+    discriminant r^2 - 4(A + r^2) = -3r^2 - 4A is not a square, so its
+    class is its squarefree part."""
+    roots = integer_cubic_roots(0, A, B)[::-1]
+    linear = tuple(((-r, 1), 1) for r in roots)
+    if len(roots) != 1:
+        return linear
+    r = roots[0]
+    return (*linear, ((A + r * r, r, 1), squarefree_part(-3 * r * r - 4 * A)))
 
 
 def two_torsion_roots_in_tower(A: int, B: int, K) -> list:
@@ -630,13 +616,24 @@ def has_order(E: EllipticCurve, P, n: int) -> bool:
     Proof.  ord(P) divides n iff nP = O.  A proper divisor m of n divides
     n/l for some prime l | n (take l | n/m).  So ord(P) = n iff nP = O and
     (n/l)P != O for each prime l | n; for n = 15 these are 15P = O,
-    5P != O and 3P != O.  The multiples are taken on the short model
-    (`_short_image`) in Jacobian coordinates, where a point is O iff
-    Z = 0."""
+    5P != O and 3P != O.  nP = l((n/l)P), so nP is read from the multiple
+    already taken for the first l, by a ladder of l alone: one ladder per
+    prime l | n.  The multiples are taken on the short model
+    (`_short_image`) in Jacobian coordinates, where a point is O iff Z = 0.
+    A point (X : Y : Z) with Z != 0 is the affine (X/Z^2, Y/Z^3), and
+    (x, y) -> (Z^2 x, Z^3 y) maps y^2 = x^3 + Ax + B isomorphically onto
+    y^2 = x^3 + A Z^4 x + B Z^6, taking it to the affine (X, Y); the ladder
+    of l runs there, with no inverse."""
+    if n == 1:
+        return False  # an affine point is not O
     A, Q = _short_image(E, P)
-    if _jacobian_multiple(A, n, Q)[2]:
+    ells = list(factorize(n))
+    multiples = [_jacobian_multiple(A, n // ell, Q) for ell in ells]
+    if not all(Z for _, _, Z in multiples):
         return False
-    return all(_jacobian_multiple(A, n // ell, Q)[2] for ell in factorize(n))
+    X, Y, Z = multiples[0]
+    ZZ = Z * Z
+    return not _jacobian_multiple(A * ZZ * ZZ, ells[0], (X, Y))[2]
 
 
 def _two_power_order(E: EllipticCurve, P) -> int:

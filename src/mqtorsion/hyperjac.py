@@ -3,12 +3,14 @@ models, balanced degree-6 split models and, over F_q, degree-6 models inert
 at infinity (the inert quadratic twists of the monic sextics), a
 zeta-function counting oracle, the enumeration of every divisor class over
 a small field, the symmetric square with its P^1 of x-fibers, and Galois
-analysis of 2-torsion through Weierstrass points.
+analysis of 2-torsion through Weierstrass points, read from the rational
+factors of degree <= 3 of the integer polynomial F.
 
 The group law (`jac_add`, `jac_neg`) is written once, over the polynomial
 kernel kit (`poly.kernels`) that each `HyperCurve` binds to its domain:
 the same kernels over F_q, over Q and over multi-quadratic towers, each
-running on its domain's row operation `axpy`.
+running on its domain's row operation `axpy`.  A model with integer
+coefficients is a curve over any of them by `HyperCurve.from_ints`.
 Multiples and orders are taken with `groups.scalar_mul` and
 `groups.subgroup_span` on top of it.
 
@@ -40,8 +42,6 @@ from . import poly
 from .groups import AbGroupStructure
 from .poly import (
     QQ,
-    Poly,
-    TowerDomain,
     pdegree,
     pderiv,
     pgcdext,
@@ -547,9 +547,10 @@ def _assert_line_pair_is_zero(C: HyperCurve, P, Q):
 # ---------------------------------------------------------------------------
 
 
-def weierstrass_orbits(F: Poly, K) -> tuple[list[int], bool]:
+def weierstrass_orbits(F, K) -> tuple[list[int], bool]:
     """Galois orbit sizes of the Weierstrass points of y^2 = F(x) over K,
-    plus an exactness flag.
+    plus an exactness flag, for the integer coefficients F (a tuple,
+    constant first).
 
     The orbits over K are the orbits of Gal(Q-bar/K) on the roots of F (and
     the infinite point of a quintic, fixed).  The roots of an irreducible
@@ -563,7 +564,8 @@ def weierstrass_orbits(F: Poly, K) -> tuple[list[int], bool]:
     The factors are complete through degree 3; a cofactor of degree >= 4 is
     kept whole, which can only undercount K-rational classes, never
     overcount, and clears the flag when its degree is 4 or 6."""
-    factors, cofactor = _weierstrass_factors(tuple(F.coeffs))
+    F = pnormalize(F)
+    factors, cofactor = _weierstrass_factors(F)
     orbits = []
     for g_degree, d in factors:
         if g_degree == 2 and K.contains_sqrt(d):
@@ -572,34 +574,37 @@ def weierstrass_orbits(F: Poly, K) -> tuple[list[int], bool]:
             orbits.append(g_degree)
     if cofactor:
         orbits.append(cofactor)
-    if F.degree % 2 == 1:
+    if len(F) % 2 == 0:
         orbits.append(1)  # the infinite Weierstrass point is rational
     has_rational = any(s == 1 for s in orbits)
     return sorted(orbits), cofactor not in (4, 6) and has_rational
 
 
 @lru_cache(maxsize=256)
-def _weierstrass_factors(coeffs: tuple) -> tuple[tuple[tuple[int, int], ...], int]:
-    """(((deg g, d), ...), deg of the cofactor) for the rational F of these
-    coefficients (a Poly is unhashable): each monic irreducible factor g of
-    degree <= 3, with the squarefree class d of its splitting field for a
-    quadratic (1 otherwise), and the degree of F over their product.  A
-    cache keeps no raised exception, so the JacError of a bad degree or of
-    a non-squarefree F is raised again on every call."""
-    F = Poly(QQ, coeffs)
-    if F.degree not in (3, 4, 5, 6):
+def _weierstrass_factors(F: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(((deg g, d), ...), deg of the cofactor) for the integer polynomial
+    F: each monic irreducible rational factor g of degree <= 3, with the
+    squarefree class d of its splitting field for a quadratic (1
+    otherwise), and the degree of F over their product.  F is checked
+    squarefree, by gcd(F, F') over Q, before `poly.low_degree_factors`,
+    whose search for a prime ends only for squarefree F.  A cache keeps no
+    raised exception, so the JacError of a bad degree or of a
+    non-squarefree F is raised again on every call."""
+    degree = pdegree(F)
+    if degree not in (3, 4, 5, 6):
         raise JacError("degree must be in 3..6")
-    d0, _, _ = pgcdext(QQ, coeffs, pderiv(QQ, coeffs))
+    FQ = tuple(map(Fraction, F))
+    d0, _, _ = pgcdext(QQ, FQ, pderiv(QQ, FQ))
     if pdegree(d0) > 0:
         raise JacError("F must be squarefree")
-    factors = poly.low_degree_factors(F, 3)
-    data = tuple((g.degree, poly.splitting_quadratic_field(g) if g.degree == 2 else 1) for g in factors)
-    return data, F.degree - sum(g.degree for g in factors)
+    factors = poly.low_degree_factors(F)
+    data = tuple((pdegree(g), poly.splitting_quadratic_field(g) if len(g) == 3 else 1) for g in factors)
+    return data, degree - sum(pdegree(g) for g in factors)
 
 
-def two_torsion_galois(F: Poly, K) -> tuple[AbGroupStructure, bool]:
+def two_torsion_galois(F, K) -> tuple[AbGroupStructure, bool]:
     """(subgroup of J(K)[2] generated by K-rational even Weierstrass subsets,
-    exactness flag).
+    exactness flag), for the integer coefficients F of y^2 = F(x).
 
     The group of 2-torsion classes is even-size subsets modulo complements;
     Galois-stable subsets are orbit unions, and the K-rational ones form an
@@ -654,27 +659,19 @@ def two_rank_mod_p(coeffs, p: int, f: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def search_rational_points(F: Poly, bound: int = 60) -> list:
-    """Integer points (x, y) with y^2 = F(x), |x| <= bound, y >= 0, on
-    integers: with D > 0 the least common denominator of the coefficients
-    of F and c_i = D*F_i, F(x) = num/D for the integer num = sum c_i x^i,
-    and num/D = num*D/D^2 is a rational square exactly when the integer
-    num*D is a perfect square; then y = isqrt(num*D)/D."""
-    D = math.lcm(*(c.denominator for c in F.coeffs))
-    cs = [c.numerator * (D // c.denominator) for c in reversed(F.coeffs)]
+def search_rational_points(F, bound: int = 60) -> list:
+    """Integer points (x, y) with y^2 = F(x), |x| <= bound, y >= 0, for the
+    integer coefficients F (a tuple, constant first), as pairs of
+    Fractions: F(x) by Horner's rule on integers, y its exact integer
+    square root."""
     out = []
     for x in range(-bound, bound + 1):
-        num = 0
-        for c in cs:
-            num = num * x + c
-        w = num * D
+        w = 0
+        for c in reversed(F):
+            w = w * x + c
         if w >= 0 and math.isqrt(w) ** 2 == w:
-            out.append((Fraction(x), Fraction(math.isqrt(w), D)))
+            out.append((Fraction(x), Fraction(math.isqrt(w))))
     return out
-
-
-def rational_curve(F: Poly, label=None) -> HyperCurve:
-    return HyperCurve(QQ, F.coeffs, label)
 
 
 def classes_from_rational_points(C: HyperCurve, pts) -> list:
@@ -702,8 +699,3 @@ def classes_from_rational_points(C: HyperCurve, pts) -> list:
         out.append(((dom.one,), (), 0))
         out.append(((dom.one,), (), 2))
     return out
-
-
-def tower_curve(F: Poly, K, label=None) -> HyperCurve:
-    dom = TowerDomain(K)
-    return HyperCurve(dom, [dom.K.from_rational(c) for c in F.coeffs], label)

@@ -26,7 +26,7 @@ from .groups import (
     sylow_subgroups,
 )
 from .intutil import crt_pair, factorize, is_prime, kronecker, rational_reconstruct
-from .poly import QQ, Poly, code_domain
+from .poly import QQ, TowerDomain, code_domain
 from .record import Record
 
 
@@ -86,11 +86,6 @@ class CurveModel(Record):
         if self.genus != 1:
             raise ModelError(f"{self.label} is not genus 1")
         return ellcurve.EllipticCurve.from_ints(QQ, self.ainvs, self.label)
-
-    def hyper_poly(self) -> Poly:
-        if self.genus != 2:
-            raise ModelError(f"{self.label} is not genus 2")
-        return Poly.from_ints(QQ, self.f_coeffs)
 
 
 def _data_path(name: str) -> str:
@@ -522,11 +517,10 @@ def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
       its invariant factors are read from its relation rows
       (`groups.Span.structure`).
     """
-    F = model.hyper_poly()
-    CQ = hyperjac.rational_curve(F, model.label)
+    CQ = hyperjac.HyperCurve.from_ints(QQ, model.f_coeffs, model.label)
     upper = reduction_bound(model, qfield.QQ_FIELD, primes or model.primes)
     gens = hyperjac.classes_from_rational_points(
-        CQ, hyperjac.search_rational_points(F, 40)
+        CQ, hyperjac.search_rational_points(model.f_coeffs, 40)
     )
     C = hyper_reduction(model, _class_reduction_prime(model, gens), 1)
     add, zero = partial(hyperjac.jac_add, C), C.identity()
@@ -579,8 +573,7 @@ def genus2_twist_witness(model: CurveModel, d: int, ell: int):
     The returned witness is a divisor class on the base curve over Q(sqrt d)
     anti-fixed by conjugation, i.e. a genuine twisted class."""
     K = qfield.MultiQuadField([d])
-    F = model.hyper_poly()
-    CK = hyperjac.tower_curve(F, K, model.label)
+    CK = hyperjac.HyperCurve.from_ints(TowerDomain(K), model.f_coeffs, model.label)
     add, zero = partial(hyperjac.jac_add, CK), CK.identity()
     s = K.sqrt_gen(d)
     sinv = K.one() / s
@@ -844,8 +837,8 @@ def _bad_primes(model: CurveModel) -> frozenset:
     disc(F) * lc(F) (genus 2): outside them and 2 the reduction is good."""
     if model.genus == 1:
         return frozenset(factorize(ellcurve.minimal_disc(model.elliptic())))
-    F = model.hyper_poly()
-    return frozenset(factorize(int(F.discriminant() * F.coeffs[-1])))
+    F = model.f_coeffs
+    return frozenset(factorize(int(poly.discriminant(F) * F[-1])))
 
 
 def _genus1_torsion(model: CurveModel, K, cap: int) -> AbGroupStructure:
@@ -898,7 +891,7 @@ def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
     (`torsion_support_field`)."""
     # 2-part: Weierstrass orbit analysis (exact whenever a rational
     # Weierstrass point exists and every factor has degree <= 3)
-    two_lower, two_exact = hyperjac.two_torsion_galois(model.hyper_poly(), K)
+    two_lower, two_exact = hyperjac.two_torsion_galois(model.f_coeffs, K)
     trace.append(
         {"step": "two-torsion-orbits", "structure": list(two_lower.factors),
          "exact": two_exact}

@@ -6,11 +6,13 @@ One dense-tuple engine serves prime fields and their quadratic extensions
 supplies its ring operations and one row operation, `axpy`, that every
 sum, product, scaling and division runs on; zero is the one falsy value of
 each domain.  `kernels` binds the engine to one domain for the genus-2
-group law.  On top of it: exact factor extraction of low-degree rational
-factors via modular factorization and Hensel lifting on the same kernels
-over Z/p and Z/p^k, and splitting fields of quadratics.
+group law.  On top of it: the discriminant over Q, exact extraction of
+the rational factors of degree <= 3 of a squarefree integer polynomial
+via modular factorization and Hensel lifting on the same kernels over Z/p
+and Z/p^k, and splitting fields of quadratics.
 
-Polynomials are tuples, constant term first, no trailing zeros.
+Polynomials are tuples, constant term first, no trailing zeros, and the
+kernels take their domain as the first argument.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ from .intutil import (
 
 class PolyError(ValueError):
     pass
-
-
-class InexactDivision(PolyError):
-    """Raised when exact_div is asked to divide by a non-divisor."""
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +285,6 @@ def pmod(dom, f, g):
     return pdivmod(dom, f, g)[1]
 
 
-def pexact_div(dom, f, g):
-    q, r = pdivmod(dom, f, g)
-    if r:
-        raise InexactDivision("inexact polynomial division")
-    return q
-
-
 def pmonic(dom, f):
     if not f:
         return f
@@ -348,152 +339,54 @@ def kernels(dom) -> Kernels:
     return Kernels(*(partial(fn, dom) for fn in (padd, psub, pneg, pmul, pdivmod, pgcdext, pmonic)))
 
 
-# ---------------------------------------------------------------------------
-# Poly wrapper
-# ---------------------------------------------------------------------------
-
-
-class Poly:
-    """Immutable dense polynomial over a domain."""
-
-    __slots__ = ("domain", "coeffs")
-
-    def __init__(self, domain, coeffs):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "coeffs", pnormalize(coeffs))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def from_ints(cls, domain, ints):
-        return cls(domain, [domain.from_int(n) for n in ints])
-
-    @property
-    def degree(self):
-        return pdegree(self.coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.domain is other.domain
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.domain), self.coeffs))
-
-    def _wrap(self, cs):
-        return Poly(self.domain, cs)
-
-    def __add__(self, other):
-        return self._wrap(padd(self.domain, self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return self._wrap(psub(self.domain, self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return self._wrap(pneg(self.domain, self.coeffs))
-
-    def __mul__(self, other):
-        return self._wrap(pmul(self.domain, self.coeffs, other.coeffs))
-
-    def __divmod__(self, other):
-        q, r = pdivmod(self.domain, self.coeffs, other.coeffs)
-        return self._wrap(q), self._wrap(r)
-
-    def __mod__(self, other):
-        return self._wrap(pmod(self.domain, self.coeffs, other.coeffs))
-
-    def exact_div(self, other):
-        return self._wrap(pexact_div(self.domain, self.coeffs, other.coeffs))
-
-    def divides(self, other) -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return not pdivmod(self.domain, other.coeffs, self.coeffs)[1]
-
-    def monic(self):
-        return self._wrap(pmonic(self.domain, self.coeffs))
-
-    def gcd(self, other):
-        return self._wrap(pgcd(self.domain, self.coeffs, other.coeffs))
-
-    def derivative(self):
-        return self._wrap(pderiv(self.domain, self.coeffs))
-
-    def __call__(self, x):
-        return peval(self.domain, self.coeffs, x)
-
-    def discriminant(self):
-        return discriminant(self.domain, self.coeffs)
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
-
-
-def resultant(dom, f, g):
-    """res(f, g) via the Sylvester determinant with exact division-free Gauss.
+def resultant(f, g):
+    """res(f, g) of two polynomials over Q (tuples of rationals) via the
+    Sylvester determinant, by Gaussian elimination over Q.
 
     Sizes here are tiny (degrees <= 12), so the O(n^3) fraction elimination
     is more than fast enough and has no sign subtleties.
     """
     m, n = pdegree(f), pdegree(g)
     if m < 0 or n < 0:
-        return dom.zero
+        return Fraction(0)
     if m == 0:
-        return _dpow(dom, f[0], n)
+        return Fraction(f[0]) ** n
     if n == 0:
-        return _dpow(dom, g[0], m)
+        return Fraction(g[0]) ** m
     size = m + n
     rows = []
-    for i in range(n):
-        row = [dom.zero] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [dom.zero] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    det = dom.one
+    for shifts, h in ((n, f), (m, g)):
+        for i in range(shifts):
+            row = [Fraction(0)] * size
+            for j, c in enumerate(reversed(h)):
+                row[i + j] = Fraction(c)
+            rows.append(row)
+    det = Fraction(1)
     for col in range(size):
         piv = next((r for r in range(col, size) if rows[r][col]), None)
         if piv is None:
-            return dom.zero
+            return Fraction(0)
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            det = dom.neg(det)
-        det = dom.mul(det, rows[col][col])
-        inv = dom.div(dom.one, rows[col][col])
+            det = -det
+        det *= rows[col][col]
         for r in range(col + 1, size):
             if not rows[r][col]:
                 continue
-            factor = dom.mul(rows[r][col], inv)
+            factor = rows[r][col] / rows[col][col]
             for c in range(col, size):
-                rows[r][c] = dom.sub(rows[r][c], dom.mul(factor, rows[col][c]))
+                rows[r][c] -= factor * rows[col][c]
     return det
 
 
-def _dpow(dom, a, n):
-    out = dom.one
-    for _ in range(n):
-        out = dom.mul(out, a)
-    return out
-
-
-def discriminant(dom, f):
+def discriminant(f):
+    """disc(f) = (-1)^(n(n-1)/2) res(f, f') / lc(f) of a polynomial over Q
+    of degree n >= 1 (a tuple of rationals)."""
     n = pdegree(f)
     if n < 1:
         raise PolyError("discriminant needs degree >= 1")
-    res = resultant(dom, f, pderiv(dom, f))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    out = dom.div(res, f[-1])
-    return out if sign == 1 else dom.neg(out)
+    out = resultant(f, pderiv(QQ, f)) / f[-1]
+    return -out if (n * (n - 1) // 2) % 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +478,7 @@ def _lift_factors(F, factors, p, k):
     peeling one factor at a time."""
     M = p ** (1 << _ceil_log2(k))
     if len(factors) == 1:
-        return [Poly.from_ints(ResidueDomain(M), F).coeffs]
+        return [_residues(F, M)]
     Fp = ResidueDomain(p)
     g = factors[0]
     h = reduce(partial(pmul, Fp), factors[1:])
@@ -593,7 +486,7 @@ def _lift_factors(F, factors, p, k):
     m = p
     G, H, S, T = g, h, s, t
     for _ in range(_ceil_log2(k)):
-        G, H, S, T = _hensel_step(Poly.from_ints(ResidueDomain(m * m), F).coeffs, G, H, S, T, m)
+        G, H, S, T = _hensel_step(_residues(F, m * m), G, H, S, T, m)
         m *= m
     return [G] + _lift_factors(H, factors[1:], p, k)
 
@@ -610,129 +503,71 @@ def _center(c, m):
     return c - m if c > m // 2 else c
 
 
-def _int_coeffs(f: Poly) -> tuple[int, ...]:
-    """Clear denominators and content: primitive integer coefficients."""
-    if f.is_zero():
-        raise PolyError("zero polynomial")
-    den = math.lcm(*[c.denominator for c in f.coeffs])
-    ints = [int(c * den) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+def _residues(F, m):
+    """The integer tuple F reduced mod m, a tuple over `ResidueDomain(m)`."""
+    return pnormalize([c % m for c in F])
 
 
-def _squarefree_parts(F: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """Yield (S_i, i) with F = prod S_i^i up to constant, S_i squarefree monic
-    over Q (returned as primitive integer tuples).  Euclid over Q: the slow
-    path behind the certificate of `_low_degree_factors_primitive`."""
-    fq = Poly(QQ, [Fraction(c) for c in F]).monic()
-    out = []
-    i = 1
-    while fq.degree > 0:
-        g = fq.gcd(fq.derivative())
-        part = fq.exact_div(g)  # product of primes dividing fq
-        # primes with multiplicity exactly i: part / gcd(part, g)
-        exact = part.exact_div(part.gcd(g))
-        if exact.degree > 0:
-            out.append((_int_coeffs(exact), i))
-        fq = g
-        i += 1
-    return out
-
-
-# Odd primes below this are tried for the squarefree certificate.
-GOOD_PRIME_CAP = 128
-
-
-def _find_good_prime(S: tuple[int, ...], cap: int | None = None) -> int | None:
-    """The least odd prime p < cap at which S keeps its degree and stays
-    squarefree, or None if there is none.  With cap None the search is
-    unbounded; it ends for squarefree S, since every odd prime dividing
-    neither the leading coefficient nor disc(S) != 0 qualifies."""
-    ps = itertools.count(3, 2) if cap is None else range(3, cap, 2)
-    for p in ps:
+def _find_good_prime(S: tuple[int, ...]) -> int:
+    """The least odd prime p at which the integer polynomial S keeps its
+    degree and stays squarefree.  The search ends for squarefree S: disc(S)
+    is then a nonzero integer, and every odd prime dividing neither lc(S)
+    nor disc(S) qualifies."""
+    for p in itertools.count(3, 2):
         if is_prime(p) and S[-1] % p != 0:
             Fp = ResidueDomain(p)
-            fp = Poly.from_ints(Fp, S).coeffs
+            fp = _residues(S, p)
             if len(pgcd(Fp, fp, pderiv(Fp, fp))) == 1:
                 return p
-    return None
 
 
-def low_degree_factors(f: Poly, max_degree: int = 2) -> list[Poly]:
-    """All monic irreducible rational factors of f of degree <= max_degree
-    (with multiplicity), found by modular factorization + Hensel lifting +
-    trial division.  Complete for max_degree <= 3.
+def low_degree_factors(F: tuple[int, ...]) -> list[tuple]:
+    """All monic irreducible rational factors of degree <= 3 of a
+    squarefree integer polynomial F (a tuple, constant first), each a tuple
+    of Fractions, found by modular factorization, Hensel lifting and trial
+    division.
 
-    Works on the primitive integer polynomial F of f, never on its monic
-    associate, whose coefficients grow as lc(F)^(deg F - 1).  F is first
-    tested for a squarefree certificate mod the odd primes below
-    GOOD_PRIME_CAP that do not divide lc(F); the prime that certifies it is
-    also the Hensel prime, and only an uncertified F is split into
-    squarefree parts by Euclid over Q.  Memoised on F and max_degree: f and
-    c*f (c a nonzero rational) have the same monic factors.
-    """
-    if f.is_zero():
-        raise PolyError("zero polynomial")
-    if max_degree > 4:
-        raise PolyError("complete extraction implemented only for degree <= 4")
-    if f.degree == 0:
-        return []
-    return list(_low_degree_factors_primitive(_int_coeffs(f), max_degree))
+    Works on F itself, never on its monic associate, whose coefficients
+    grow as lc(F)^(deg F - 1).  The caller checks that F is squarefree
+    (`hyperjac._weierstrass_factors` does, by gcd(F, F') over Q): the
+    search for the Hensel prime ends only for squarefree F.  Memoised on
+    F."""
+    return list(_low_degree_factors_primitive(tuple(F)))
 
 
 @lru_cache(maxsize=256)
-def _low_degree_factors_primitive(F: tuple[int, ...], max_degree: int) -> tuple[Poly, ...]:
-    """Squarefree certificate: if the primitive F is squarefree mod an odd
-    prime p that does not divide lc(F), it is squarefree over Q.  Proof: by
-    Gauss's lemma a repeated factor of F over Q can be taken in Z[x],
-    F = H^2 R with H, R in Z[x] and deg H > 0; lc(H)^2 lc(R) = lc(F) is
-    prime to p, so H mod p keeps its degree, and F mod p would have the
-    repeated factor H mod p."""
-    p = _find_good_prime(F, GOOD_PRIME_CAP)
-    if p is not None:
-        parts = [(F, 1, p)]
-    else:
-        parts = [(S, mult, _find_good_prime(S)) for S, mult in _squarefree_parts(F)]
-    out = []
-    for S, mult, q in parts:
-        for g in _low_degree_factors_squarefree(S, max_degree, q):
-            out.extend([g] * mult)
-    out.sort(key=lambda g: (g.degree, g.coeffs))
-    # exactness check: the found factors divide F
-    check = Poly(QQ, (Fraction(1),))
-    for g in out:
-        check = check * g
-    if not check.divides(Poly.from_ints(QQ, F)):
+def _low_degree_factors_primitive(F: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The factors of `low_degree_factors`, lifted mod the least prime at
+    which F stays squarefree of its degree, sorted by degree and then by
+    coefficients, and checked exact: their product divides F over Q."""
+    out = sorted(_low_degree_factors_squarefree(F, _find_good_prime(F)), key=lambda g: (len(g), g))
+    product = reduce(partial(pmul, QQ), out, (QQ.one,))
+    if pdivmod(QQ, tuple(map(Fraction, F)), product)[1]:
         raise PolyError("internal factor extraction inconsistency")  # pragma: no cover
     return tuple(out)
 
 
-def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> list[Poly]:
-    """Monic factors of degree <= max_degree of a squarefree primitive S,
-    lifted from the factorization of L^-1 S mod the good prime p, L = lc(S).
+def _low_degree_factors_squarefree(S: tuple[int, ...], p: int) -> list[tuple]:
+    """Monic factors of degree <= 3 of a squarefree integer S, lifted from
+    the factorization of L^-1 S mod the good prime p, L = lc(S).
 
-    Only the factors of degree <= max_degree are lifted; the others travel
-    as one block, their product.  Hensel lifts are unique, so each low
-    factor lifts as it would alone.  An irreducible factor g of S over Z,
-    whose monic image mod M is the product of the lifted f_i, i in I, has
-    (L / lc g) * g = L * prod_{i in I} f_i mod M, and the left side is an
-    integer polynomial with |coefficient j| <= C(d, j) * ||S||_2 for
-    d = deg g <= 4 (Mahler-Mignotte: M(g) <= M(S) * |lc g| / |L| since the
-    cofactor has measure at least |L / lc g|, and M(S) <= ||S||_2).  So for
-    M > 2B, B = 16 (||S||_2 + 1), the centred residue of
-    L * prod f_i is (L / lc g) * g itself, and its monic associate is g."""
+    Only the factors of degree <= 3 are lifted; the others travel as one
+    block, their product.  Hensel lifts are unique, so each low factor
+    lifts as it would alone.  An irreducible factor g of S over Z, primitive
+    and with monic image mod M the product of the lifted f_i, i in I, has
+    S = g h with h in Z[x] (Gauss's lemma), so L / lc g = lc h is an
+    integer and (L / lc g) * g = L * prod_{i in I} f_i mod M.  The left side
+    has |coefficient j| <= C(d, j) * ||S||_2 for d = deg g <= 3
+    (Mahler-Mignotte: M(lc(h) g) <= M(h) M(g) = M(S) <= ||S||_2).  So for
+    M > 2B, B = 16 (||S||_2 + 1), the centred residue of L * prod f_i is
+    (L / lc g) * g itself, and its monic associate is g."""
     L = S[-1]
     Fp = ResidueDomain(p)
-    factors = mp_factor_squarefree(pmonic(Fp, Poly.from_ints(Fp, S).coeffs), p)
-    low = [fac for fac in factors if len(fac) - 1 <= max_degree]
+    factors = mp_factor_squarefree(pmonic(Fp, _residues(S, p)), p)
+    low = [fac for fac in factors if len(fac) <= 4]
     if not low:
         return []
-    high = [fac for fac in factors if len(fac) - 1 > max_degree]
+    high = [fac for fac in factors if len(fac) > 4]
     B = 16 * (math.isqrt(sum(c * c for c in S)) + 2)  # 16 (||S||_2 + 1), the norm rounded up
     k = 1
     while p**k <= 2 * B:
@@ -740,14 +575,14 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) 
     M = p ** (1 << _ceil_log2(k))
     ZM = ResidueDomain(M)
     block = [reduce(partial(pmul, Fp), high)] if high else []
-    lifted = _lift_factors(pmonic(ZM, Poly.from_ints(ZM, S).coeffs), low + block, p, k)
+    lifted = _lift_factors(pmonic(ZM, _residues(S, M)), low + block, p, k)
     degs = [len(x) - 1 for x in low]
     out = []
-    rem = Poly.from_ints(QQ, S)
+    rem = tuple(map(Fraction, S))
     seen = set()
-    for rsize in (1, 2, 3, 4):
+    for rsize in (1, 2, 3):
         for combo in itertools.combinations(range(len(low)), rsize):
-            if sum(degs[i] for i in combo) > max_degree:
+            if sum(degs[i] for i in combo) > 3:
                 continue
             prod = (ZM.from_int(L),)
             for i in combo:
@@ -756,40 +591,35 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) 
             if cand in seen:
                 continue
             seen.add(cand)
-            g = Poly.from_ints(QQ, cand).monic()
-            if not _is_irreducible_low(g):
+            if not _is_irreducible_low(cand):
                 continue
-            if g.divides(rem):
+            g = pmonic(QQ, tuple(map(Fraction, cand)))
+            if not pdivmod(QQ, rem, g)[1]:
                 out.append(g)
     return out
 
 
-def _is_irreducible_low(g: Poly) -> bool:
-    """Irreducibility over Q for monic rational polynomials of degree <= 4."""
-    d = g.degree
-    if d == 1:
+def _is_irreducible_low(g: tuple[int, ...]) -> bool:
+    """Irreducibility over Q of an integer polynomial of degree 1 to 3: one
+    of degree 2 or 3 is reducible exactly when it has a rational root."""
+    if len(g) == 2:
         return True
-    if d == 2:
-        disc = g.coeffs[1] ** 2 - 4 * g.coeffs[0]
-        return not rational_is_square(disc)
-    if d == 3:
-        # a root x of c3 x^3 + c2 x^2 + c1 x + c0 gives the integer root
-        # c3 x of y^3 + c2 y^2 + c3 c1 y + c3^2 c0
-        c0, c1, c2, c3 = _int_coeffs(g)
-        return not integer_cubic_roots(c2, c3 * c1, c3 * c3 * c0)
-    if d == 4:
-        return not low_degree_factors(g, 2)
-    return False
+    if len(g) == 3:
+        c0, c1, c2 = g
+        return not rational_is_square(c1 * c1 - 4 * c0 * c2)
+    # a root x of c3 x^3 + c2 x^2 + c1 x + c0 gives the integer root
+    # c3 x of y^3 + c2 y^2 + c3 c1 y + c3^2 c0
+    c0, c1, c2, c3 = g
+    return not integer_cubic_roots(c2, c3 * c1, c3 * c3 * c0)
 
 
-def splitting_quadratic_field(f: Poly) -> int:
-    """Squarefree d with splitting field Q(sqrt(d)) of a rational quadratic;
-    1 when the quadratic splits over Q (or is a perfect square)."""
-    if f.degree != 2:
+def splitting_quadratic_field(f) -> int:
+    """Squarefree d with splitting field Q(sqrt(d)) of a rational quadratic
+    f (a tuple, constant first); 1 when the quadratic splits over Q."""
+    if len(f) != 3:
         raise PolyError("need a quadratic")
-    a, b, c = f.coeffs[2], f.coeffs[1], f.coeffs[0]
-    disc = b * b - 4 * a * c
+    c, b, a = f
+    disc = Fraction(b * b - 4 * a * c)
     if disc == 0 or rational_is_square(disc):
         return 1
     return squarefree_part(disc.numerator * disc.denominator)
-

@@ -10,11 +10,18 @@
   twist, and a 2-part that its order and 2-rank fix from the Frobenius
   orbits on the Weierstrass points.
 - Curves over Q(sqrt d) reduced at an odd prime, one F_q-table curve per
-  embedding of sqrt(d).  Production counts #E(F_p) by one character sum
-  (`ellcurve.quadratic_reduction_counts`).
+  embedding of sqrt(d), and #E(F_p) at the primes above a split p by one
+  character sum over F_p each (`quadratic_reduction_counts`).  Production
+  counts no points of these curves: the shipped point of order n gives
+  n | #E(F_p) at every good unramified odd p (`classify.verify_exceptional`),
+  and the tests check the counts against the shipped data.
 - Low-degree factor extraction on the monic associate
-  G(x) = L^(n-1) F(x/L) of the primitive F.  Production factors and lifts F
-  itself, whose coefficients do not grow with the leading coefficient L.
+  G(x) = L^(n-1) F(x/L) of the primitive F, split into squarefree parts by
+  Euclid over Q (`squarefree_parts`), with multiplicities.  Production
+  factors and lifts a squarefree F itself, whose coefficients do not grow
+  with the leading coefficient L.  `low_degree_rational_factors` runs
+  production on each squarefree part of a rational polynomial that need not
+  be squarefree, such as the norm of a kill polynomial.
 - The rational-classes lower bound of a genus-2 model, over Q: each class's
   order by repeated addition (`jac_order`), then the span and its census
   over Q.  Production reduces the classes at one good odd prime, spans and
@@ -91,6 +98,9 @@
   discriminant taken by the tower recursion (`roots_in_tower_by_tower_sqrt`).
   Production reads it from the basis of K, as a rational multiple of
   `sqrt_gen` of its squarefree class.
+- The rational factors of the 2-division cubic x^3 + Ax + B by factor
+  extraction (`cubic_factors_by_extraction`).  Production reads them from
+  the integer roots of the cubic (`ellcurve._cubic_factors`).
 - Helpers that no production path calls: the meet of two structures, the
   odd torsion of a model through the twist decomposition (production
   derive reads it per twist), a functional that avoids two vectors of
@@ -100,7 +110,7 @@
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations
 import math
 
@@ -124,6 +134,8 @@ from mqtorsion.ellcurve import (
     BadReduction,
     CurveError,
     EllipticCurve,
+    affine_count,
+    c4c6_disc,
     _k_rational,
     _two_torsion_field,
     short_model,
@@ -136,9 +148,7 @@ from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elemen
 from mqtorsion.hyperjac import JacError, _pair_classes, jac_add, zeta_order
 from mqtorsion.intutil import factorize, is_squarefree, kronecker, rational_sqrt, squarefree_part
 from mqtorsion.poly import (
-    GOOD_PRIME_CAP,
     QQ,
-    Poly,
     PolyError,
     ResidueDomain,
     TowerDomain,
@@ -147,10 +157,15 @@ from mqtorsion.poly import (
     _find_good_prime,
     _is_irreducible_low,
     _lift_factors,
-    _squarefree_parts,
     code_domain,
     mp_factor_squarefree,
+    pderiv,
+    pdivmod,
+    peval,
+    pgcd,
+    pmonic,
     pmul,
+    pnormalize,
     psub,
 )
 
@@ -211,43 +226,76 @@ def _frac_mod(x: Fraction, t) -> int:
     return t.mul[t.from_int(x.numerator)][t.inv[den]]
 
 
-def low_degree_factors_monic_associate(F: tuple[int, ...], max_degree: int) -> tuple[Poly, ...]:
-    """The factors of `poly._low_degree_factors_primitive`, found on the
-    monic associate G of the primitive F: G is certified squarefree mod a
-    good prime (or split by Euclid over Q), all its factors mod p are lifted
-    to p^k > 2B with B bounded from ||G||_2, and each factor h of G maps
-    back to the monic h(Lx)."""
-    L = F[-1]
-    n = len(F) - 1
-    G = tuple(F[i] * L ** (n - 1 - i) for i in range(n)) + (1,)
-    p = _find_good_prime(G, GOOD_PRIME_CAP)
-    if p is not None:
-        parts = [(G, 1, p)]
-    else:
-        parts = [(S, mult, _find_good_prime(S)) for S, mult in _squarefree_parts(G)]
-    found: list[tuple[Poly, int]] = []
-    for S, mult, q in parts:
-        for h in _monic_factors_squarefree(S, max_degree, q):
-            found.append((h, mult))
+def primitive_ints(f) -> tuple[int, ...]:
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of the nonzero rational polynomial f."""
+    den = math.lcm(*(Fraction(c).denominator for c in f))
+    ints = [int(c * den) for c in f]
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return tuple(c // g for c in ints)
+
+
+def squarefree_parts(f) -> list[tuple[tuple[int, ...], int]]:
+    """(S_i, i) with f = prod S_i^i up to a constant, each S_i squarefree
+    and a primitive integer tuple, for a rational polynomial f of degree
+    >= 1: Euclid over Q."""
+    fq = pmonic(QQ, tuple(map(Fraction, f)))
     out = []
-    for h, mult in found:
-        coeffs = [Fraction(c) for c in h.coeffs]
-        mapped = [coeffs[i] * Fraction(L) ** i for i in range(len(coeffs))]
-        g = Poly(QQ, mapped).monic()
-        out.extend([g] * mult)
-    out.sort(key=lambda g: (g.degree, g.coeffs))
-    check = Poly(QQ, (Fraction(1),))
-    for g in out:
-        check = check * g
-    if not check.divides(Poly.from_ints(QQ, F)):
+    i = 1
+    while len(fq) > 1:
+        g = pgcd(QQ, fq, pderiv(QQ, fq))
+        part = pdivmod(QQ, fq, g)[0]  # product of primes dividing fq
+        # primes with multiplicity exactly i: part / gcd(part, g)
+        exact = pdivmod(QQ, part, pgcd(QQ, part, g))[0]
+        if len(exact) > 1:
+            out.append((primitive_ints(exact), i))
+        fq = g
+        i += 1
+    return out
+
+
+def _sorted_checked(out: list, F) -> tuple:
+    """The monic factors out, sorted by degree and then coefficients, after
+    checking that their product divides the rational polynomial F."""
+    out.sort(key=lambda g: (len(g), g))
+    check = reduce(partial(pmul, QQ), out, (Fraction(1),))
+    if pdivmod(QQ, tuple(map(Fraction, F)), check)[1]:
         raise PolyError("internal factor extraction inconsistency")
     return tuple(out)
 
 
-def _monic_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> list[Poly]:
-    """Factors of degree <= max_degree of a squarefree monic S, lifted from
-    the factorization mod the good prime p."""
-    factors = mp_factor_squarefree(Poly.from_ints(ResidueDomain(p), S).coeffs, p)
+def low_degree_rational_factors(f, max_degree: int) -> tuple:
+    """The monic irreducible factors of degree <= max_degree <= 3 of a
+    rational polynomial f of degree >= 1 that need not be squarefree, with
+    multiplicity: `poly.low_degree_factors` on each squarefree part."""
+    out = []
+    for S, mult in squarefree_parts(f):
+        out += [g for g in poly.low_degree_factors(S) if len(g) <= max_degree + 1] * mult
+    return _sorted_checked(out, f)
+
+
+def low_degree_factors_monic_associate(F: tuple[int, ...], max_degree: int) -> tuple:
+    """The factors of degree <= max_degree of the primitive F, with
+    multiplicity, found on the monic associate G of F: G is split into
+    squarefree parts by Euclid over Q, each part's factors mod its least
+    good prime are all lifted to p^k > 2B with B bounded from ||G||_2, and
+    each factor h of G maps back to the monic h(Lx)."""
+    L = F[-1]
+    n = len(F) - 1
+    G = tuple(F[i] * L ** (n - 1 - i) for i in range(n)) + (1,)
+    out = []
+    for S, mult in squarefree_parts(G):
+        for h in _monic_factors_squarefree(S, max_degree, _find_good_prime(S)):
+            out += [pmonic(QQ, tuple(c * Fraction(L) ** i for i, c in enumerate(h)))] * mult
+    return _sorted_checked(out, F)
+
+
+def _monic_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> list[tuple]:
+    """Factors of degree <= max_degree <= 3 of a squarefree monic S, lifted
+    from the factorization mod the good prime p."""
+    factors = mp_factor_squarefree(pnormalize([c % p for c in S]), p)
     if all(len(fac) - 1 > max_degree for fac in factors):
         return []
     l2 = math.isqrt(sum(c * c for c in S)) + 1
@@ -260,9 +308,9 @@ def _monic_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> li
     ZM = ResidueDomain(M)
     degs = [len(x) - 1 for x in lifted]
     out = []
-    rem = Poly(QQ, [Fraction(c) for c in S])
+    rem = tuple(map(Fraction, S))
     seen = set()
-    for rsize in (1, 2, 3, 4):
+    for rsize in (1, 2, 3):
         for combo in combinations(range(len(lifted)), rsize):
             if sum(degs[i] for i in combo) > max_degree:
                 continue
@@ -273,12 +321,56 @@ def _monic_factors_squarefree(S: tuple[int, ...], max_degree: int, p: int) -> li
             if cand in seen:
                 continue
             seen.add(cand)
-            g = Poly(QQ, [Fraction(c) for c in cand])
-            if not _is_irreducible_low(g):
+            if not _is_irreducible_low(cand):
                 continue
-            if g.divides(rem):
+            g = tuple(map(Fraction, cand))
+            if not pdivmod(QQ, rem, g)[1]:
                 out.append(g)
     return out
+
+
+def quadratic_reduction_counts(ainvs, d: int, p: int) -> list[int]:
+    """#E(F_p) at the two primes above a split odd p, for the curve whose
+    a-invariants are x_i + y_i sqrt(d) (ainvs: pairs of rationals), one
+    count per root s of d mod p in ascending order.
+
+    The prime above p at which sqrt(d) = s maps a_i to x_i + y_i s mod p,
+    and the count is 1 + affine_count of the reduced b-invariants.  Raises
+    BadReduction when p = 2, p | d, d is not a square mod p, p divides a
+    denominator, or the reduced discriminant vanishes."""
+    if p == 2 or d % p == 0:
+        raise BadReduction(p)
+    roots = [s for s in range(1, p) if (s * s - d) % p == 0]
+    if not roots or any(c.denominator % p == 0 for pair in ainvs for c in pair):
+        raise BadReduction(p)
+    red = lambda c: c.numerator * pow(c.denominator, -1, p)
+    xy = [(red(x), red(y)) for x, y in ainvs]
+    counts = []
+    for s in roots:
+        a1, a2, a3, a4, a6 = ((x + y * s) % p for x, y in xy)
+        if c4c6_disc((a1, a2, a3, a4, a6))[2] % p == 0:
+            raise BadReduction(p)
+        counts.append(1 + affine_count(a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6, p))
+    return counts
+
+
+def split_prime_counts(curve) -> dict[int, list[int]]:
+    """{p: counts} for a shipped exceptional curve over Q(sqrt d): #E(F_p)
+    at both primes above each good split prime p < 200
+    (`quadratic_reduction_counts`), the odd p prime to d with d a square
+    mod p that divide neither a denominator of the a-invariants nor the
+    norm of the discriminant."""
+    E, d = curve.curve(), curve.base_d
+    disc_norm = E.discriminant().norm_to_q()
+    bad = set(factorize(disc_norm.numerator * disc_norm.denominator))
+    for c in E.a:
+        for co in c.coords:
+            bad |= set(factorize(co.denominator))
+    return {
+        p: quadratic_reduction_counts(curve.ainvs, d, p)
+        for p in range(3, 200)
+        if is_prime(p) and p not in bad and d % p and kronecker(d, p) == 1
+    }
 
 
 def _trim(dom, cs):
@@ -419,10 +511,9 @@ def genus2_rational_torsion_bounds_over_q(model, primes: tuple = ()):
     """`mwtors.genus2_rational_torsion_bounds` computed over Q: the classes
     of finite order up to the exponent of the reduction bound, their span
     and its census, all with rational Cantor steps."""
-    F = model.hyper_poly()
-    C = hyperjac.rational_curve(F, model.label)
+    C = hyperjac.HyperCurve.from_ints(QQ, model.f_coeffs, model.label)
     upper = mwtors.reduction_bound(model, qfield.QQ_FIELD, primes or model.primes)
-    gens = hyperjac.classes_from_rational_points(C, hyperjac.search_rational_points(F, 40))
+    gens = hyperjac.classes_from_rational_points(C, hyperjac.search_rational_points(model.f_coeffs, 40))
     good = []
     for D in gens:
         try:
@@ -615,8 +706,8 @@ def eight_torsion_criterion(model: CurveModel, K):
         raise ModelError("criterion applies to genus-1 models")
     A, B = ellcurve.short_model(model.elliptic())
     kernel = primitive_kernel_poly(model.elliptic(), 8)
-    for g in poly.low_degree_factors(kernel, 2):
-        d = poly.splitting_quadratic_field(g) if g.degree == 2 else 1
+    for g in low_degree_rational_factors(kernel, 2):
+        d = poly.splitting_quadratic_field(g) if len(g) == 3 else 1
         if d != 1 and not K.contains_sqrt(d):
             continue
         for a in ellcurve._roots_in_tower(g, d, K):
@@ -630,7 +721,7 @@ def eight_torsion_criterion(model: CurveModel, K):
             assert curve_mul(E, 4, P) is not None and curve_mul(E, 8, P) is None
             y_field = support_gens(y)
             return True, {
-                "factor": [c for c in g.coeffs],
+                "factor": list(g),
                 "splitting_d": d,
                 "sqrt_subfield": y_field.signature(),
                 "order": 8,
@@ -732,10 +823,10 @@ def point_order(E: EllipticCurve, P, bound: int = 100000) -> int:
 # ---------------------------------------------------------------------------
 
 
-def two_torsion_cubic(b, dom=QQ) -> Poly:
+def two_torsion_cubic(b, dom=QQ) -> tuple:
     """T = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 over dom."""
     b2, b4, b6, b8 = b
-    return Poly(dom, (b6, dom.add(b4, b4), b2, dom.from_int(4)))
+    return pnormalize((b6, dom.add(b4, b4), b2, dom.from_int(4)))
 
 
 def divpoly_f(dom, b, n: int) -> tuple:
@@ -743,7 +834,7 @@ def divpoly_f(dom, b, n: int) -> tuple:
     recursion, memoised for the length of one call."""
     b2, b4, b6, b8 = b
     num = dom.from_int
-    T = two_torsion_cubic(b, dom).coeffs
+    T = two_torsion_cubic(b, dom)
     memo = {
         0: (),
         1: (dom.one,),
@@ -783,29 +874,30 @@ def divpoly_f(dom, b, n: int) -> tuple:
     return f(n)
 
 
-def kill_poly(b, n: int, dom=QQ) -> Poly:
+def kill_poly(b, n: int, dom=QQ) -> tuple:
     """Roots are exactly the x-coordinates of the nonzero points killed by n."""
     if n < 1:
         raise PolyError("n must be positive")
     f = divpoly_f(dom, b, n)
     if n % 2 == 0:
-        f = pmul(dom, two_torsion_cubic(b, dom).coeffs, f)
-    return Poly(dom, f)
+        f = pmul(dom, two_torsion_cubic(b, dom), f)
+    return pnormalize(f)
 
 
 @lru_cache(maxsize=256)
-def primitive_kernel_poly_b(b, n: int) -> Poly:
+def primitive_kernel_poly_b(b, n: int) -> tuple:
     """Roots are the x-coordinates of points of exact order n (n >= 2)."""
     if n < 2:
         raise PolyError("n must be >= 2")
     out = kill_poly(b, n)
     for d in range(2, n):
         if n % d == 0:
-            out = out.exact_div(primitive_kernel_poly_b(b, d))
+            out, r = pdivmod(QQ, out, primitive_kernel_poly_b(b, d))
+            assert not r
     return out
 
 
-def primitive_kernel_poly(E: EllipticCurve, n: int) -> Poly:
+def primitive_kernel_poly(E: EllipticCurve, n: int) -> tuple:
     """Roots are the x-coordinates of the points of exact order n >= 2 on
     the normalized short model."""
     A, B = short_model(E)
@@ -823,12 +915,12 @@ def support_gens(v) -> qfield.MultiQuadField:
 # ---------------------------------------------------------------------------
 
 
-def tower_poly_norm(coeffs, K) -> Poly:
+def tower_poly_norm(coeffs, K) -> tuple:
     """Norm of a polynomial over a quadratic field down to Q."""
     assert len(K.gens) == 1
     conj = [c.conjugate((-1,)) for c in coeffs]
     prod = pmul(TowerDomain(K), tuple(coeffs), tuple(conj))
-    return Poly(QQ, [c.rational_value() for c in prod])
+    return pnormalize([c.rational_value() for c in prod])
 
 
 def tower_poly_roots_by_norm(coeffs, K) -> list:
@@ -838,8 +930,8 @@ def tower_poly_roots_by_norm(coeffs, K) -> list:
     degree <= 2, kept if the polynomial vanishes there."""
     dom = TowerDomain(K)
     roots = []
-    for g in poly.low_degree_factors(tower_poly_norm(coeffs, K), 2):
-        d = poly.splitting_quadratic_field(g) if g.degree == 2 else 1
+    for g in low_degree_rational_factors(tower_poly_norm(coeffs, K), 2):
+        d = poly.splitting_quadratic_field(g) if len(g) == 3 else 1
         for a in ellcurve._roots_in_tower(g, d, K):
             if poly.peval(dom, tuple(coeffs), a).is_zero() and a not in roots:
                 roots.append(a)
@@ -1081,29 +1173,32 @@ def genus2_twists_by_filter(K, K_S) -> list[int]:
     return [d for d in K.twist_classes() if K_S.contains_sqrt(d)]
 
 
-def weierstrass_orbits_per_call(F: Poly, K) -> tuple[list[int], bool]:
-    """`hyperjac.weierstrass_orbits` with F checked, factored and divided out
-    over Q on every call (production factors each F once)."""
-    deg = F.degree
+def weierstrass_orbits_per_call(F, K) -> tuple[list[int], bool]:
+    """`hyperjac.weierstrass_orbits` with the integer F checked, factored
+    and divided out over Q on every call (production factors each F once)."""
+    F = pnormalize(F)
+    FQ = tuple(map(Fraction, F))
+    deg = len(F) - 1
     if deg not in (3, 4, 5, 6):
         raise JacError("degree must be in 3..6")
-    if F.gcd(F.derivative()).degree > 0:
+    if len(pgcd(QQ, FQ, pderiv(QQ, FQ))) > 1:
         raise JacError("F must be squarefree")
-    factors = poly.low_degree_factors(F, 3)
-    cof = F
+    factors = poly.low_degree_factors(F)
+    cof = FQ
     for g in factors:
-        cof = cof.exact_div(g)
+        cof, r = pdivmod(QQ, cof, g)
+        assert not r
     orbits = []
     exact_factors = True
     for g in factors:
-        if g.degree == 2:
+        if len(g) == 3:
             d = poly.splitting_quadratic_field(g)
             orbits += [1, 1] if d == 1 or K.contains_sqrt(d) else [2]
         else:
-            orbits.append(g.degree)
-    if cof.degree > 0:
-        orbits.append(cof.degree)
-        exact_factors = cof.degree not in (4, 6)
+            orbits.append(len(g) - 1)
+    if len(cof) > 1:
+        orbits.append(len(cof) - 1)
+        exact_factors = len(cof) - 1 not in (4, 6)
     if deg % 2 == 1:
         orbits.append(1)
     assert sum(orbits) == (deg if deg % 2 == 0 else deg + 1)
@@ -1250,12 +1345,14 @@ def inert_twist_classes(C) -> list:
 # ---------------------------------------------------------------------------
 
 
-def search_rational_points_by_fractions(F: Poly, bound: int = 60) -> list:
-    """Integer points (x, y) with y^2 = F(x), |x| <= bound, y >= 0, by one
-    `Fraction` evaluation and rational square root per x."""
+def search_rational_points_by_fractions(F, bound: int = 60) -> list:
+    """Integer points (x, y) with y^2 = F(x), |x| <= bound, y >= 0, for the
+    rational coefficients F, by one `Fraction` evaluation and rational
+    square root per x."""
+    F = tuple(map(Fraction, F))
     out = []
     for x in range(-bound, bound + 1):
-        y = rational_sqrt(F(Fraction(x)))
+        y = rational_sqrt(peval(QQ, F, Fraction(x)))
         if y is not None:
             out.append((Fraction(x), y))
     return out
@@ -1380,13 +1477,24 @@ def embedding_by_span(L, K) -> tuple:
     return tuple(image)
 
 
-def roots_in_tower_by_tower_sqrt(g: Poly, K) -> list:
-    """Roots in K of a monic rational polynomial of degree <= 2, with the
-    square root of the discriminant from `qfield.sqrt_in_tower`."""
-    if g.degree == 1:
-        return [K.from_rational(-g.coeffs[0])]
+def cubic_factors_by_extraction(A: int, B: int) -> tuple:
+    """`ellcurve._cubic_factors` by factor extraction: the monic factors of
+    degree <= 2 of x^3 + Ax + B from `poly.low_degree_factors`, each with
+    the squarefree class of its splitting field (1 for a linear factor)."""
+    return tuple(
+        (g, poly.splitting_quadratic_field(g) if len(g) == 3 else 1)
+        for g in poly.low_degree_factors((B, A, 0, 1))
+        if len(g) <= 3
+    )
+
+
+def roots_in_tower_by_tower_sqrt(g, K) -> list:
+    """Roots in K of a monic rational polynomial of degree <= 2 (a tuple),
+    with the square root of the discriminant from `qfield.sqrt_in_tower`."""
+    if len(g) == 2:
+        return [K.from_rational(-g[0])]
     d = poly.splitting_quadratic_field(g)
-    disc = g.coeffs[1] ** 2 - 4 * g.coeffs[0]
+    disc = g[1] ** 2 - 4 * g[0]
     if d == 1:
         rs = rational_sqrt(disc)
         if rs is None:
@@ -1396,6 +1504,6 @@ def roots_in_tower_by_tower_sqrt(g: Poly, K) -> list:
         s = qfield.sqrt_in_tower(K.from_rational(disc))
     else:
         return []
-    mb = K.from_rational(-g.coeffs[1])
+    mb = K.from_rational(-g[1])
     roots = [(mb + s).scale(1, 2), (mb - s).scale(1, 2)]
     return roots if roots[0] != roots[1] else roots[:1]

@@ -36,20 +36,16 @@ from mqtorsion.mwtors import (
     table_lookup,
     torsion_table,
 )
-from mqtorsion.poly import (
-    QQ,
-    Poly,
-    code_domain,
-    low_degree_factors,
-    splitting_quadratic_field,
-)
+from mqtorsion.poly import QQ, code_domain, low_degree_factors, pdivmod, splitting_quadratic_field
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields, sqrt_in_tower
 from reference import (
     all_classes,
     eight_torsion_criterion,
     group_meet,
     hyperplane_avoiding,
+    primitive_ints,
     primitive_kernel_poly_b,
+    split_prime_counts,
 )
 
 
@@ -144,18 +140,18 @@ def test_criterion_05_division_polynomial_criteria():
     A, B = -27, 8694
     b = tuple(Fr(v) for v in (0, 2 * A, 4 * B, -A * A))
     prim8 = primitive_kernel_poly_b(b, 8)
-    q1 = Poly.from_ints(QQ, [-531, -66, 1])
-    q2 = Poly.from_ints(QQ, [981, 6, 1])
-    assert q1.divides(prim8) and q2.divides(prim8)
+    q1 = (-531, -66, 1)
+    q2 = (981, 6, 1)
+    assert not pdivmod(QQ, prim8, q1)[1] and not pdivmod(QQ, prim8, q2)[1]
     assert splitting_quadratic_field(q1) == 5
     assert splitting_quadratic_field(q2) == -3
-    factors15 = low_degree_factors(prim8, 2)
+    factors15 = low_degree_factors(primitive_ints(prim8))
     assert factors15 == [q1, q2]
     # X1(2,12): extracted factors split in Q(sqrt(-1)) and Q(sqrt(3))
     A, B = 54, 189  # normalized short model of the level-24 curve
     b = tuple(Fr(v) for v in (0, 2 * A, 4 * B, -A * A))
-    factors = low_degree_factors(primitive_kernel_poly_b(b, 8), 2)
-    fields = sorted(splitting_quadratic_field(g) for g in factors if g.degree == 2)
+    factors = low_degree_factors(primitive_ints(primitive_kernel_poly_b(b, 8)))
+    fields = sorted(splitting_quadratic_field(g) for g in factors if len(g) == 3)
     assert fields == [-1, 3]
     report("5: PASS - 8-kernel factors and splitting fields match the case lists")
 
@@ -170,7 +166,7 @@ def test_criterion_06_small_field_scan():
 def test_criterion_07_two_torsion_galois():
     """Weierstrass-orbit 2-part orders for the degree-5 model; the 2-torsion
     field of the level-14 cubic."""
-    F16 = Poly.from_ints(QQ, get_model("X1(16)").f_coeffs)
+    F16 = get_model("X1(16)").f_coeffs
     ladder = []
     for gens in ((), (-1,), (2,), (-1, 2)):
         K = MultiQuadField(gens) if gens else QQ_FIELD
@@ -178,9 +174,9 @@ def test_criterion_07_two_torsion_galois():
         assert exact
         ladder.append(st.order)
     assert ladder == [4, 8, 8, 16]
-    quad = Poly.from_ints(QQ, [414, -33, 1])  # the level-14 quadratic factor
+    quad = (414, -33, 1)  # the level-14 quadratic factor
     assert splitting_quadratic_field(quad) == -7
-    st, exact = two_torsion_galois(Poly.from_ints(QQ, [13662, -675, 0, 1]), MultiQuadField([-7]))
+    st, exact = two_torsion_galois((13662, -675, 0, 1), MultiQuadField([-7]))
     assert exact and st.order == 4
     report("7: PASS - orbit 2-parts 4/8/8/16; level-14 2-torsion field is Q(sqrt(-7))")
 
@@ -233,12 +229,14 @@ def test_criterion_09_classifier_goldens():
 
 
 def test_criterion_10_exceptional_curves():
+    """Each shipped point has exact order n; and, apart from the points, n
+    divides #E(F_p) at both primes above every good split p < 200."""
     for curve in exceptional_registry():
-        rep = verify_exceptional(curve)
-        assert len(rep["primes_checked"]) >= 15
-        if curve.target == 15:
-            assert any("order-15" in s for s in rep["steps"])
-    report("10: PASS - all 4 exceptional curves certified (counts + explicit points)")
+        verify_exceptional(curve)  # raises on failure
+        counts = split_prime_counts(curve)
+        assert len(counts) >= 15
+        assert all(count % curve.target == 0 for pair in counts.values() for count in pair)
+    report("10: PASS - all 4 exceptional curves certified (explicit points, counts checked apart)")
 
 
 def test_criterion_11_pure_property_suites():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mqtorsion.classify import (
@@ -13,7 +15,8 @@ from mqtorsion.classify import (
     verify_exceptional,
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
-from reference import curve_mul, kill_poly, point_order, tower_poly_roots_by_norm
+from mqtorsion.ellcurve import has_order
+from reference import curve_mul, kill_poly, point_order, split_prime_counts, tower_poly_roots_by_norm
 
 
 def with_ranks(records):
@@ -193,10 +196,31 @@ class TestVerifyExceptional:
     @pytest.mark.parametrize("name", ["14-I", "14-II", "15-I", "15-II"])
     def test_certification(self, name):
         curve = next(c for c in exceptional_registry() if c.name == name)
-        report = verify_exceptional(curve)
-        assert len(report["primes_checked"]) >= 15
-        P = curve.certificate()
-        assert report["steps"][-1] == f"explicit order-{curve.target} point ({P[0]!r}, {P[1]!r}) on E verified"
+        assert verify_exceptional(curve) is None
+
+    @pytest.mark.parametrize("name", ["14-I", "14-II", "15-I", "15-II"])
+    def test_n_divides_the_point_counts(self, name):
+        """The shipped curve checked apart from its shipped point: n divides
+        #E(F_p) at both primes above every good split p < 200, counted by
+        `reference.quadratic_reduction_counts`, over at least 15 primes."""
+        curve = next(c for c in exceptional_registry() if c.name == name)
+        counts = split_prime_counts(curve)
+        assert len(counts) >= 15
+        for p, pair in counts.items():
+            assert len(pair) == 2 and all(count % curve.target == 0 for count in pair), (p, pair)
+
+    @pytest.mark.parametrize("name", ["14-I", "14-II", "15-I", "15-II"])
+    def test_has_order_matches_the_affine_order(self, name):
+        """`has_order` on the shipped point P and on 2P, 3P and 5P against
+        the order by the affine group law, at every n up to 2 * target: the
+        one true order passes, every wrong n fails."""
+        curve = next(c for c in exceptional_registry() if c.name == name)
+        E, P = curve.curve(), curve.certificate()
+        for k in (1, 2, 3, 5):
+            Q = curve_mul(E, k, P)
+            order = point_order(E, Q, 40)
+            assert order == curve.target // math.gcd(k, curve.target)
+            assert [n for n in range(1, 2 * curve.target + 1) if has_order(E, Q, n)] == [order], (name, k)
 
     @pytest.mark.parametrize("name", ["14-I", "14-II", "15-I", "15-II"])
     def test_shipped_point_has_exact_order(self, name):
@@ -209,10 +233,10 @@ class TestVerifyExceptional:
 
     def test_vacuous_n1(self):
         curve = exceptional_registry()[0]
-        assert verify_exceptional(curve, 1)["steps"] == ["vacuous"]
+        assert verify_exceptional(curve, 1) is None
 
     def test_failure_detected(self):
-        # n = 9 does not divide the point counts of the 14-curves
+        # the shipped point of a 14-curve does not have order 9
         curve = next(c for c in exceptional_registry() if c.name == "14-I")
         with pytest.raises(VerificationError):
             verify_exceptional(curve, 9)
@@ -229,7 +253,7 @@ class TestRootSearch:
         E, K, P = curve.curve(), curve.field(), curve.certificate()
         n = curve.target
         for ell in (2,) if n == 14 else (3, 5):
-            kill = kill_poly(E.b_invariants(), ell, E.domain).coeffs
+            kill = kill_poly(E.b_invariants(), ell, E.domain)
             roots = tower_poly_roots_by_norm(kill, K)
             Q = curve_mul(E, n // ell, P)
             assert {curve_mul(E, k, Q)[0] for k in range(1, ell)} <= set(roots), (name, ell)

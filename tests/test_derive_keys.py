@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from mqtorsion import ellcurve, groups, hyperjac, mwtors, qfield
 from mqtorsion.groups import AbGroupStructure
 from mqtorsion.hyperjac import JacError, weierstrass_orbits
-from mqtorsion.poly import QQ, Poly
 from mqtorsion.qfield import MultiQuadField, all_subfields
 from reference import (
     from_summands_uncached,
@@ -117,7 +116,7 @@ class TestOnTheMatrix:
     @pytest.mark.parametrize("model", GENUS2, ids=lambda m: m.label)
     def test_weierstrass_orbits(self, model):
         for K in MATRIX:
-            check_weierstrass_orbits(model.hyper_poly(), K)
+            check_weierstrass_orbits(model.f_coeffs, K)
         assert hyperjac._weierstrass_factors.cache_info().misses == 1
 
     def test_from_summands(self):
@@ -171,7 +170,7 @@ class TestOnRandomFields:
         K=fields,
     )
     def test_weierstrass_orbits(self, coeffs, K):
-        F = Poly.from_ints(QQ, coeffs)
+        F = tuple(coeffs)
         try:
             expect = weierstrass_orbits_per_call(F, K)
         except JacError:

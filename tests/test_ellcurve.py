@@ -19,7 +19,6 @@ from mqtorsion.ellcurve import (
     minimal_disc,
     minimal_model,
     points_over_code_domain,
-    quadratic_reduction_counts,
     quadratic_twist,
     reduce_mod_p,
     short_curve,
@@ -31,13 +30,15 @@ from mqtorsion.ellcurve import (
 from mqtorsion.groups import AbGroupStructure, structure_from_elements, subgroup_span
 from mqtorsion.intutil import factorize, is_prime, is_squarefree
 from mqtorsion.mwtors import model_registry
-from mqtorsion.poly import QQ, Poly, TowerDomain, code_domain, splitting_quadratic_field
+from mqtorsion.poly import QQ, TowerDomain, code_domain, peval, splitting_quadratic_field
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from reference import (
+    cubic_factors_by_extraction,
     curve_mul,
     order_reps_span,
     point_order,
     primitive_kernel_poly,
+    quadratic_reduction_counts,
     reduce_quadratic_curve,
     roots_in_tower_by_tower_sqrt,
     torsion_over_tower,
@@ -242,8 +243,8 @@ _SMALL_FRACTIONS = st.builds(Fr, st.integers(-12, 12), st.sampled_from([1, 1, 1,
 
 
 class TestQuadraticReductionCounts:
-    """The character-sum counts against the F_p-table reductions they
-    replace."""
+    """The character-sum counts of `reference.quadratic_reduction_counts`
+    against the F_p-table reductions."""
 
     def test_exceptional_curves_at_every_odd_prime_below_200(self):
         from mqtorsion.classify import exceptional_registry
@@ -398,8 +399,42 @@ def test_quadratic_roots_from_the_basis_match_the_tower_square_root(gens, b, r, 
     the signed generators."""
     K = MultiQuadField(gens)
     d = data.draw(st.sampled_from(K.span() + SIGNED_GENS))
-    g = Poly(QQ, [(b * b - d * r * r) / 4, b, Fr(1)])
+    g = ((b * b - d * r * r) / 4, b, Fr(1))
     assert ellcurve._roots_in_tower(g, splitting_quadratic_field(g), K) == roots_in_tower_by_tower_sqrt(g, K)
+
+
+def _three_roots(r1, r2):
+    """(A, B) of (x - r1)(x - r2)(x + r1 + r2)."""
+    r3 = -r1 - r2
+    return r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+
+
+def _one_root(r, c):
+    """(A, B) of (x - r)(x^2 + rx + c)."""
+    return c - r * r, -r * c
+
+
+_CUBICS = st.one_of(
+    st.tuples(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4)),
+    st.builds(_three_roots, st.integers(-300, 300), st.integers(-300, 300)),
+    st.builds(_one_root, st.integers(-300, 300), st.integers(-10**4, 10**4)),
+)
+
+
+@PROPERTY
+@given(AB=_CUBICS)
+@example(AB=(0, -2))  # x^3 - 2, irreducible
+@example(AB=(1, 1))  # x^3 + x + 1, irreducible
+@example(AB=_three_roots(1, 2))
+@example(AB=_one_root(3, 5))
+def test_cubic_factors_match_factor_extraction(AB):
+    """The factors of x^3 + Ax + B read from its integer roots, each with
+    its splitting class d, against factor extraction, on random, planted
+    one-root and three-root, and irreducible squarefree cubics."""
+    A, B = AB
+    if 4 * A**3 + 27 * B**2 == 0:
+        return  # a repeated root: not a curve
+    assert ellcurve._cubic_factors.__wrapped__(A, B) == cubic_factors_by_extraction(A, B)
 
 
 class TestTowerTorsion:
@@ -746,8 +781,8 @@ class TestCappedTwoPrimary:
 class TestDivisionPolynomialSurface:
     def test_kill_and_primitive_wrappers(self):
         c = E(X15)
-        assert primitive_kernel_poly(c, 2).degree == 3
-        assert primitive_kernel_poly(c, 8).degree == 24
+        assert len(primitive_kernel_poly(c, 2)) - 1 == 3
+        assert len(primitive_kernel_poly(c, 8)) - 1 == 24
 
     def test_found_torsion_x_kills_kernel_poly(self):
         """x(P) of every rational point of exact order n is a root of the
@@ -762,7 +797,7 @@ class TestDivisionPolynomialSurface:
                 if P is INF:
                     continue
                 n = point_order(cs, P, 20)
-                assert primitive_kernel_poly(c, n)(P[0]) == 0
+                assert peval(QQ, primitive_kernel_poly(c, n), P[0]) == 0
 
 
 def long_model_scan(field: ff.FieldDesc, n: int):

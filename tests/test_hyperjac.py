@@ -16,16 +16,14 @@ from mqtorsion.hyperjac import (
     is_valid_divisor,
     jac_add,
     jac_neg,
-    rational_curve,
     search_rational_points,
     symmetric_square_points,
-    tower_curve,
     two_torsion_galois,
     weierstrass_orbits,
     zeta_order,
 )
 from mqtorsion.mwtors import Census, CurveModel, census, model_registry
-from mqtorsion.poly import QQ, Poly, code_domain, pdegree, pderiv, pgcdext, pnormalize
+from mqtorsion.poly import QQ, TowerDomain, code_domain, pdegree, pderiv, pgcdext, pmul, pnormalize
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
 from reference import (
     all_classes,
@@ -59,9 +57,8 @@ def multiple(C, k, D):
 
 class TestModelSanity:
     def test_x16_expansion(self):
-        f = Poly.from_ints(QQ, [0, -1, 0, 1]) * Poly.from_ints(QQ, [1, 0, 1])
-        f = Poly.from_ints(QQ, [0, 1]) * Poly.from_ints(QQ, [-1, 2, 1]) * Poly.from_ints(QQ, [1, 0, 1])
-        assert list(f.coeffs) == X16
+        f = pmul(QQ, pmul(QQ, (0, 1), (-1, 2, 1)), (1, 0, 1))
+        assert list(f) == X16
 
     def test_singular_model_rejected(self):
         with pytest.raises(JacError):
@@ -170,12 +167,11 @@ class TestGroupLawProperties:
         """red(D1 + D2) = red(D1) + red(D2) at every good odd p <= 13 at which
         D1, D2 and D1 + D2 have p-integral coefficients."""
         coeffs = [y0 * y0, *coeffs[1:], 1]  # (0, y0) is a rational point
-        F = Poly.from_ints(QQ, coeffs)
         try:
-            CQ = rational_curve(F)
+            CQ = HyperCurve.from_ints(QQ, coeffs)
         except JacError:
             assume(False)
-        gens = classes_from_rational_points(CQ, search_rational_points(F, 6))
+        gens = classes_from_rational_points(CQ, search_rational_points(coeffs, 6))
         D1, D2 = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
         D12 = jac_add(CQ, D1, D2)
         checked = 0
@@ -456,7 +452,7 @@ class TestSymmetricSquare:
 
 class TestTwoTorsionGalois:
     def test_x16_case_ladder(self):
-        F = Poly.from_ints(QQ, X16)
+        F = X16
         for gens, order in [((), 4), ((-1,), 8), ((2,), 8), ((-1, 2), 16)]:
             K = MultiQuadField(gens) if gens else QQ_FIELD
             st, exact = two_torsion_galois(F, K)
@@ -464,31 +460,46 @@ class TestTwoTorsionGalois:
             assert st.order == order
 
     def test_x14_cubic(self):
-        F = Poly.from_ints(QQ, [13662, -675, 0, 1])
+        F = [13662, -675, 0, 1]
         st, exact = two_torsion_galois(F, QQ_FIELD)
         assert exact and st.order == 2
         st, exact = two_torsion_galois(F, MultiQuadField([-7]))
         assert exact and st.order == 4  # full 2-torsion of a genus-1 curve
 
     def test_x13_trivial(self):
-        F = Poly.from_ints(QQ, X13)
+        F = X13
         for gens in [(), (-1,), (2, 3), (-1, 2, -7)]:
             K = MultiQuadField(gens) if gens else QQ_FIELD
             st, _ = two_torsion_galois(F, K)
             assert st.order == 1
 
     def test_orbit_counts(self):
-        F = Poly.from_ints(QQ, X16)
+        F = X16
         orbits, exact = weierstrass_orbits(F, QQ_FIELD)
         assert orbits == [1, 1, 2, 2] and exact
         orbits, _ = weierstrass_orbits(F, MultiQuadField([-1, 2]))
         assert orbits == [1, 1, 1, 1, 1, 1]
 
     def test_non_squarefree_rejected_on_every_call(self):
-        F = Poly.from_ints(QQ, [0, 0, 1, 1, 1])  # x^2 (x^2 + x + 1)
+        F = [0, 0, 1, 1, 1]  # x^2 (x^2 + x + 1)
         for _ in range(2):  # the second call reads the cached verdict
             with pytest.raises(JacError):
                 weierstrass_orbits(F, QQ_FIELD)
+
+    def test_non_squarefree_raises_before_the_prime_search(self, monkeypatch):
+        """A repeated factor is refused by gcd(F, F') over Q before
+        `poly.low_degree_factors`, whose search for a prime at which F
+        stays squarefree would not end on it."""
+
+        def no_search(S):
+            raise AssertionError(f"prime search on {S}")
+
+        monkeypatch.setattr(poly, "_find_good_prime", no_search)
+        # g^2 h: x^2 (x^2 + x + 1), (x + 1)^2 (x^3 + 2), (x^2 + 1)^2 (x^2 - 2), (x^2 - 2)^2 x
+        for g, h in [((0, 1), (1, 1, 1)), ((1, 1), (2, 0, 0, 1)), ((1, 0, 1), (-2, 0, 1)), ((-2, 0, 1), (0, 1))]:
+            F = tuple(int(c) for c in pmul(QQ, pmul(QQ, g, g), h))
+            with pytest.raises(JacError, match="F must be squarefree"):
+                hyperjac._weierstrass_factors(F)
 
 
 def frobenius_kernel(C2):
@@ -653,24 +664,21 @@ class TestRationalPoints:
     @PROPERTY
     @given(
         st.sampled_from((5, 6)).flatmap(lambda deg: st.lists(st.integers(-30, 30), min_size=deg + 1, max_size=deg + 1)),
-        st.integers(1, 12),
         st.integers(-1, 5),
     )
-    def test_integer_search_matches_fractions(self, coeffs, den, y0):
-        """On integer quintics and sextics over a common denominator, with
-        the point (0, y0) forced when y0 >= 0."""
+    def test_integer_search_matches_fractions(self, coeffs, y0):
+        """On integer quintics and sextics, with the point (0, y0) forced
+        when y0 >= 0."""
         assume(coeffs[-1] != 0)
         if y0 >= 0:
-            coeffs[0] = y0 * y0 * den
-        F = Poly(QQ, [Fr(c, den) for c in coeffs])
-        assert search_rational_points(F, 40) == search_rational_points_by_fractions(F, 40)
+            coeffs[0] = y0 * y0
+        assert search_rational_points(coeffs, 40) == search_rational_points_by_fractions(coeffs, 40)
 
 
 class TestRationalLowerBounds:
     def test_x18_cusp_classes_reach_z21(self):
-        F = Poly.from_ints(QQ, X18)
-        C = rational_curve(F, "X1(18)")
-        pts = search_rational_points(F, 10)
+        C = HyperCurve.from_ints(QQ, X18, "X1(18)")
+        pts = search_rational_points(X18, 10)
         assert (Fr(0), Fr(1)) in pts
         gens = classes_from_rational_points(C, pts)
         orders = set()
@@ -680,15 +688,13 @@ class TestRationalLowerBounds:
         assert max(orders) == 21
 
     def test_x13_cusp_class_order_19(self):
-        F = Poly.from_ints(QQ, X13)
-        C = rational_curve(F, "X1(13)")
-        gens = classes_from_rational_points(C, search_rational_points(F, 5))
+        C = HyperCurve.from_ints(QQ, X13, "X1(13)")
+        gens = classes_from_rational_points(C, search_rational_points(X13, 5))
         assert any(jac_order(C, D, 25) == 19 for D in gens)
 
     def test_x18_twist_three_torsion_witness_over_tower(self):
         K = MultiQuadField([-3])
-        F = Poly.from_ints(QQ, X18)
-        C = tower_curve(F, K)
+        C = HyperCurve.from_ints(TowerDomain(K), X18)
         s = K.sqrt_gen(-3)
         u = (K.one(), K.one(), K.one())
         v = (-s, -s)

@@ -27,6 +27,7 @@ from mqtorsion.mwtors import (
     torsion_table,
     verify_model_integrity,
 )
+from mqtorsion.poly import QQ
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from reference import (
     eight_torsion_criterion,
@@ -328,7 +329,7 @@ def genus2_model(coeffs):
     """The genus-2 model y^2 = F(x), with its first two good odd primes as
     the reduction primes; JacError when F is singular."""
     bare = CurveModel("test", (1, 1), 2, None, None, tuple(coeffs), "test")
-    hyperjac.rational_curve(bare.hyper_poly())
+    hyperjac.HyperCurve.from_ints(QQ, coeffs)
     bad = mwtors._bad_primes(bare)
     primes = tuple(p for p in range(3, 200, 2) if is_prime(p) and p not in bad)[:2]
     return CurveModel("test", (1, 1), 2, None, None, tuple(coeffs), "test", primes=primes)
@@ -374,8 +375,8 @@ class TestRationalClassesOverFp:
         certificate over Q rejects them."""
         model = genus2_model([4, 0, -1, 2, 3, 1])
         lower, upper = genus2_rational_torsion_bounds_over_q(model)
-        CQ = hyperjac.rational_curve(model.hyper_poly())
-        gens = hyperjac.classes_from_rational_points(CQ, hyperjac.search_rational_points(model.hyper_poly(), 40))
+        CQ = hyperjac.HyperCurve.from_ints(QQ, model.f_coeffs)
+        gens = hyperjac.classes_from_rational_points(CQ, hyperjac.search_rational_points(model.f_coeffs, 40))
         C = mwtors.hyper_reduction(model, mwtors._class_reduction_prime(model, gens), 1)
         add = lambda a, b: hyperjac.jac_add(C, a, b)
         torsion = [mwtors._reduce_class(C, D) for D in gens if self._finite(CQ, D, upper.exponent)]
