@@ -277,12 +277,12 @@ def classify(target: str, K, table: RankTable | None = None) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def verify_exceptional(curve: ExceptionalCurve, n: int | None = None) -> None:
+def verify_exceptional(curve: ExceptionalCurve) -> None:
     """Certify a shipped curve: its shipped point P lies on E and has exact
-    order n (the curve's target by default) over K, checked by nP = O and
+    order n, the curve's target, over K, checked by nP = O and
     (n/l)P != O for each prime l | n in Jacobian coordinates
-    (`ellcurve.has_order`), so E(K) holds Z/n; n = 1 is vacuous.  Raises
-    VerificationError on any failure.
+    (`ellcurve.has_order`), so E(K) holds Z/n.  Raises VerificationError
+    on any failure.
 
     No point count is needed besides.  Z/n in E(K) gives n | #E(F_P) at
     every prime P of K of good reduction above an odd prime p unramified
@@ -293,9 +293,7 @@ def verify_exceptional(curve: ExceptionalCurve, n: int | None = None) -> None:
     the torsion of E(K), and Z/n embeds into E(F_P).  The tests keep the
     counts at the split primes below 200 as an independent check of the
     shipped data."""
-    n = n or curve.target
-    if n == 1:
-        return
+    n = curve.target
     E, P = curve.curve(), curve.certificate()
     if not E.on_curve(P):
         raise VerificationError(f"{curve.name}: the shipped point is not on the curve")

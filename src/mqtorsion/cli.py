@@ -67,7 +67,8 @@ def cmd_jac_structure(args) -> int:
         "order": st.order,
     }
     if model.genus == 2:
-        n1, n2, L, nj, _ = mwtors.zeta(model, args.prime, args.deg)
+        R = mwtors.reduction(model, args.prime)
+        n1, n2, L, nj, _ = R.zeta if args.deg == 1 else R.zeta2
         if nj != st.order:
             raise CrossCheckError("zeta oracle disagrees with the census")
         payload["zeta_check"] = {"N1": n1, "N2": n2, "L": list(L), "order": nj}
@@ -158,7 +159,7 @@ def _verify_symmetric_square(report):
         model = mwtors.get_model(label)
         for p in (3, 5):
             try:
-                C = mwtors.hyper_reduction(model, p, 2)
+                C = mwtors.reduction(model, p).curve2
             except ellcurve.BadReduction:
                 report.append((f"symmetric-square {label} p={p}", True, "bad reduction, skipped"))
                 continue

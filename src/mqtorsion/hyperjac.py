@@ -1,25 +1,28 @@
 """Genus-2 hyperelliptic Jacobians: Mumford/Cantor arithmetic for degree-5
-models, balanced degree-6 split models and, over F_q, degree-6 models inert
-at infinity (the inert quadratic twists of the monic sextics), a
-zeta-function counting oracle, the enumeration of every divisor class over
-a small field, the symmetric square with its P^1 of x-fibers, and Galois
-analysis of 2-torsion through Weierstrass points, read from the rational
-factors of degree <= 3 of the integer polynomial F.
+models, balanced degree-6 split models and degree-6 models inert at
+infinity (a non-square leading coefficient, over F_q or Q: the inert
+twists of the monic sextics over F_p, and the quadratic twists
+y^2 = d*F(x) over Q), a zeta-function counting oracle, the enumeration of
+every divisor class over a small field, the symmetric square with its P^1
+of x-fibers, and Galois analysis of 2-torsion through Weierstrass points,
+read from the rational factors of degree <= 3 of the integer polynomial F.
 
-The group law (`jac_add`, `jac_neg`) is written once, over the polynomial
-kernel kit (`poly.kernels`) that each `HyperCurve` binds to its domain:
-the same kernels over F_q, over Q and over multi-quadratic towers, each
-running on its domain's row operation `axpy`.  A model with integer
-coefficients is a curve over any of them by `HyperCurve.from_ints`.
-Multiples and orders are taken with `groups.scalar_mul` and
-`groups.subgroup_span` on top of it.
+The group law (`jac_add`) is written once, over the polynomial kernel kit
+(`poly.kernels`) that each `HyperCurve` binds to its domain: the same
+kernels over F_q, over Q and over multi-quadratic towers, each running on
+its domain's row operation `axpy`.  A model with integer coefficients is a
+curve over any of them by `HyperCurve.from_ints`.  Multiples and orders are
+taken with `groups.scalar_mul` and `groups.subgroup_span` on top of it.
 
 Divisor classes are triples (u, v, n): u monic of degree <= 2, v of lower
 degree with v^2 = F mod u, and n the number of copies of the +infinity place
 in the balanced representation of a degree-6 split model (n = 0 throughout
 for the models with one place at infinity: a quintic, whose infinite point
 is Weierstrass, and an inert sextic).  Reduced triples are unique in their
-class, so tuple equality is class equality.
+class, so tuple equality is class equality.  The class [P + Q - canonical]
+of two points is built in one place, `pair_class`, over any field domain:
+the rational-point classes over Q, the pair stream over F_q and the
+symmetric square all read it.
 
 The census of a reduction (`mwtors.Census`) is built from the pieces here:
 `ClassStream` is J(F_q) as a lazy collection, whose order the caller takes
@@ -40,6 +43,7 @@ from itertools import chain, combinations_with_replacement
 
 from . import poly
 from .groups import AbGroupStructure
+from .intutil import rational_is_square
 from .poly import (
     QQ,
     pdegree,
@@ -49,7 +53,6 @@ from .poly import (
     pmul,
     pnormalize,
     psub,
-    padd,
     peval,
 )
 
@@ -62,11 +65,12 @@ class HyperCurve:
     """y^2 = F(x), F squarefree of degree 5 or 6 over a field domain.
 
     A sextic is monic, split at infinity, and its classes carry the
-    balanced weight n; or it lies over F_q with a non-square leading
-    coefficient (the inert twist of a monic sextic), inert at infinity: its
-    two points there are conjugate, one place of degree 2.  `Vp` is None
-    exactly when there is one place at infinity, on a quintic or an inert
-    sextic, and then every class is one reduced (u, v, 0)."""
+    balanced weight n; or it lies over F_q or Q with a non-square leading
+    coefficient (the inert twist of a monic sextic over F_p, or its twist
+    y^2 = d*F(x) over Q), inert at infinity: its two points there are
+    conjugate, one place of degree 2.  `Vp` is None exactly when there is
+    one place at infinity, on a quintic or an inert sextic, and then every
+    class is one reduced (u, v, 0)."""
 
     __slots__ = ("domain", "F", "label", "Vp", "R", "kit")
 
@@ -78,11 +82,11 @@ class HyperCurve:
         object.__setattr__(self, "kit", poly.kernels(domain))
         if pdegree(F) not in (5, 6):
             raise JacError("degree must be 5 or 6")
-        d, _, _ = pgcdext(domain, F, poly.pderiv(domain, F))
+        d, _, _ = pgcdext(domain, F, pderiv(domain, F))
         if pdegree(d) != 0:
             raise JacError("model is singular")
-        if pdegree(F) == 6 and F[-1] != domain.one and not (hasattr(domain, "tables") and not domain.tables.is_sq[F[-1]]):
-            raise JacError("degree-6 models must be monic, or have a non-square leading coefficient over F_q")
+        if pdegree(F) == 6 and F[-1] != domain.one and _is_square(domain, F[-1]):
+            raise JacError("degree-6 models must be monic, or have a non-square leading coefficient over F_q or Q")
         if pdegree(F) == 6 and F[-1] == domain.one:
             object.__setattr__(self, "Vp", _sqrt_series(domain, F))
             object.__setattr__(self, "R", psub(domain, F, pmul(domain, self.Vp, self.Vp)))
@@ -108,6 +112,14 @@ class HyperCurve:
         return f"HyperCurve({self.label or list(self.F)})"
 
 
+def _is_square(dom, c) -> bool:
+    """Whether c is a square of the domain; only the leading coefficient of
+    a sextic asks, and a tower answers True, so its sextics stay monic."""
+    if hasattr(dom, "tables"):
+        return dom.tables.is_sq[c]
+    return dom is not QQ or rational_is_square(c)
+
+
 def _sqrt_series(dom, F):
     """The monic cubic V with deg(F - V^2) <= 2 (char != 2)."""
     f5, f4, f3 = F[5], F[4], F[3]
@@ -127,15 +139,6 @@ def _sqrt_series(dom, F):
 # ---------------------------------------------------------------------------
 
 
-def jac_neg(C: HyperCurve, D):
-    u, v, n = D
-    kit = C.kit
-    vneg = kit.divmod(kit.neg(v), u)[1]
-    if C.Vp is not None:
-        return (u, vneg, 2 - pdegree(u) - n)
-    return (u, vneg, 0)
-
-
 def jac_add(C: HyperCurve, D1, D2):
     """Cantor composition + reduction; balanced weights on split sextics.
 
@@ -147,7 +150,8 @@ def jac_add(C: HyperCurve, D1, D2):
 
     With one place at infinity (`Vp` None) a step is Cantor's
     (u, v) -> (monic((F - v^2)/u), -v mod u) while deg u > 2.  On an inert
-    sextic a class other than 0 is D - infinity, D affine of degree 2, so
+    sextic, over F_q or Q alike (the argument uses no finiteness), a class
+    other than 0 is D - infinity, D affine of degree 2, so
     deg u3 = 4 - 2 deg d is 0, 2 or 4; from 4, F - v3^2 has degree 6 (no
     square is the non-square lc(F)), so one step, by the divisor of y - v3
     whose poles are 3*infinity, gives deg u = 2."""
@@ -216,28 +220,8 @@ def is_valid_divisor(C: HyperCurve, D) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _affine_count_code(C: HyperCurve) -> int:
-    dom = C.domain
-    t = dom.tables
-    count = 0
-    for x in range(t.q):
-        val = peval(dom, C.F, x)
-        count += 1 if val == 0 else len(t.sqrt[val])
-    return count
-
-
-def points_at_infinity(dom, F) -> int:
-    """F_q-points at infinity of y^2 = F(x): one for a quintic; for a sextic,
-    two or none as the leading coefficient is a square or not."""
-    if pdegree(F) == 5:
-        return 1
-    if hasattr(dom, "tables"):
-        return 2 if dom.tables.is_sq[F[-1]] else 0
-    raise JacError("infinity counting needs a finite field")
-
-
 def curve_count(C: HyperCurve) -> int:
-    return _affine_count_code(C) + points_at_infinity(C.domain, C.F)
+    return len(rational_points_code(C))
 
 
 def _irreducible_quadratics(dom, F):
@@ -315,63 +299,63 @@ def zeta_order(C: HyperCurve):
 # ---------------------------------------------------------------------------
 
 
-def rational_points_code(dom, F) -> list:
-    """Affine points of y^2 = F(x) as (x, y) codes, plus synthetic markers
-    for the F_q-points at infinity."""
+def _points_at_infinity(C: HyperCurve) -> list:
+    """The rational points at infinity of C as markers ("inf", s): s = 0
+    for the one point of a quintic, s = +1 and -1 for the two of a split
+    sextic, none on an inert sextic."""
+    if C.degree == 5:
+        return [("inf", 0)]
+    return [("inf", 1), ("inf", -1)] if C.Vp is not None else []
+
+
+def rational_points_code(C: HyperCurve) -> list:
+    """The F_q-points of C: the affine points as (x, y) codes, then the
+    markers of `_points_at_infinity`."""
+    dom = C.domain
     t = dom.tables
     pts = []
     for x in range(t.q):
-        val = peval(dom, F, x)
+        val = peval(dom, C.F, x)
         if val == 0:
             pts.append((x, 0))
         else:
             for y in t.sqrt[val]:
                 pts.append((x, y))
-    at_infinity = points_at_infinity(dom, F)
-    if at_infinity == 1:
-        pts.append(("inf", 0))
-    elif at_infinity == 2:
-        pts += [("inf", 1), ("inf", -1)]
-    return pts
+    return pts + _points_at_infinity(C)
 
 
-def _pair_to_class(dom, F, P, Q):
-    """The class [P + Q - (canonical degree-2)] for rational points P, Q,
-    or None when the pair lies on the line.  The interpolating v has degree
-    at most deg u - 1 and comes out normalised, so it is already reduced."""
-    t = dom.tables
-    sextic = pdegree(F) == 6
+def pair_class(C: HyperCurve, P, Q):
+    """The class [P + Q - (canonical degree 2)] of two points of C over its
+    domain, any field; None when P + Q is a fiber of x, which is the
+    canonical class, so the class 0.  A point is (x, y), or ("inf", s) with
+    s = +1 or -1 on a split sextic and s = 0 on a quintic.
+
+    With two affine points, u = (x - x1)(x - x2) and v is the line through
+    them, or the tangent v = y1 + F'(x1)/(2 y1) (x - x1) at a doubled point
+    with y1 != 0, whose square is F mod (x - x1)^2; deg v < deg u, so
+    (u, v) is reduced.  P + iota(P) and a doubled Weierstrass point are
+    fibers.  With one point at infinity, the class is (x - x1, y1) of
+    weight 1 for +infinity and 0 for -infinity (0 on a quintic), and the
+    pairs at infinity are 0 on a quintic (2 * infinity is a fiber) and on
+    infinity_+ + infinity_- of a sextic; 2 * infinity_+- has u = 1 and the
+    weight 2 or 0."""
+    dom = C.domain
     if P[0] == "inf" and Q[0] == "inf":
-        if not sextic:
-            return None  # 2*infinity is the fiber at infinity
-        if P[1] != Q[1]:
-            return None  # the fiber at infinity
-        return ((dom.one,), (), 2 if P[1] == 1 else 0)
-    if P[0] == "inf" or Q[0] == "inf":
-        if P[0] == "inf":
-            P, Q = Q, P
-        x, y = P
-        u = (t.neg[x], 1)
-        v = (y,) if y else ()
-        if not sextic:
-            return (u, v, 0)
-        return (u, v, 1 if Q[1] == 1 else 0)
-    (x1, y1), (x2, y2) = P, Q
+        return None if P[1] != Q[1] or not P[1] else ((dom.one,), (), 1 + P[1])
+    if P[0] == "inf":
+        P, Q = Q, P
+    x1, y1 = P
+    if Q[0] == "inf":
+        return ((dom.neg(x1), dom.one), pnormalize((y1,)), (1 + Q[1]) // 2)
+    x2, y2 = Q
     if x1 == x2:
-        if y1 != y2:
-            return None  # P + iota(P): the fiber at x1
-        if y1 == 0:
-            return None  # doubled Weierstrass point, also a fiber
-        # tangent interpolation at a doubled point
-        u = pmul(dom, (t.neg[x1], 1), (t.neg[x1], 1))
-        fp = peval(dom, poly.pderiv(dom, F), x1)
-        lam = dom.div(fp, t.add[y1][y1])
-        v = padd(dom, (y1,), pmul(dom, (lam,), (t.neg[x1], 1)))
-        return (u, v, 0)
-    u = pmul(dom, (t.neg[x1], 1), (t.neg[x2], 1))
-    lam = dom.div(t.add[y2][t.neg[y1]], t.add[x2][t.neg[x1]])
-    v = padd(dom, (y1,), pmul(dom, (lam,), (t.neg[x1], 1)))
-    return (u, v, 0)
+        if y1 != y2 or not y1:
+            return None
+        lam = dom.div(peval(dom, pderiv(dom, C.F), x1), dom.add(y1, y1))
+    else:
+        lam = dom.div(dom.sub(y2, y1), dom.sub(x2, x1))
+    u = pmul(dom, (dom.neg(x1), dom.one), (dom.neg(x2), dom.one))
+    return (u, pnormalize((dom.sub(y1, dom.mul(lam, x1)), lam)), 0)
 
 
 def _conjugate_pair_classes(dom, F):
@@ -413,7 +397,7 @@ def _conjugate_pair_classes(dom, F):
         yield (u, pnormalize((neg[c0], neg[c1])), 0)
 
 
-def _pair_classes(dom, F):
+def _pair_classes(C: HyperCurve):
     """The classes other than 0 of y^2 = F(x) over F_q, each once and in a
     fixed order: [P + Q - (canonical degree-2)] for the pairs of F_q-points,
     then for the conjugate pairs of quadratic points.  Lazy: nothing past
@@ -433,17 +417,17 @@ def _pair_classes(dom, F):
     conjugate pair.  The pairs that are fibers of x (the canonical system
     itself, which gives D = 0) are skipped, so distinct pairs give distinct
     classes; `symmetric_square_points` checks that injectivity."""
-    pts = rational_points_code(dom, F)
-    p = dom.tables.p
+    pts = rational_points_code(C)
+    p = C.domain.tables.p
     outside = lambda P: P[0] != "inf" and P[0] >= p  # the codes of F_p are 0..p-1
     late = (
         (P, Q) for i, P in enumerate(pts) for Q in pts[i:] if not (outside(P) and outside(Q))
     )
     for P, Q in chain(combinations_with_replacement(filter(outside, pts), 2), late):
-        cl = _pair_to_class(dom, F, P, Q)
+        cl = pair_class(C, P, Q)
         if cl is not None:
             yield cl
-    yield from _conjugate_pair_classes(dom, F)
+    yield from _conjugate_pair_classes(C.domain, C.F)
 
 
 class ClassStream:
@@ -468,7 +452,7 @@ class ClassStream:
     def __iter__(self):
         C = self.curve
         yield C.identity()
-        yield from _pair_classes(C.domain, C.F)
+        yield from _pair_classes(C)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +470,13 @@ def symmetric_square_points(C: HyperCurve):
     dom = C.domain
     t = dom.tables
     q = t.q
-    pts = rational_points_code(dom, C.F)
+    pts = rational_points_code(C)
     line = []
     off = []
     class_map = {}
     for i, P in enumerate(pts):
         for Q in pts[i:]:
-            cl = _pair_to_class(dom, C.F, P, Q)
+            cl = pair_class(C, P, Q)
             if cl is None:
                 line.append((P, Q))
             else:
@@ -503,7 +487,7 @@ def symmetric_square_points(C: HyperCurve):
         val = peval(dom, C.F, x)
         if val != 0 and not t.is_sq[val]:
             line.append(((x, "conj"), (x, "conj'")))
-    if C.degree == 6 and points_at_infinity(dom, C.F) == 0:  # pragma: no cover
+    if C.degree == 6 and C.Vp is None:  # pragma: no cover
         line.append((("inf", "conj"), ("inf", "conj'")))
     conj = list(_conjugate_pair_classes(dom, C.F))
     N1, N2, _, nJ, _ = zeta_order(C)
@@ -523,23 +507,15 @@ def symmetric_square_points(C: HyperCurve):
 
 
 def _assert_line_pair_is_zero(C: HyperCurve, P, Q):
-    dom = C.domain
-    sextic = C.degree == 6
-    pieces = []
-    for idx, point in enumerate((P, Q)):
-        if point[0] == "inf":
-            if sextic:
-                pieces.append(((dom.one,), (), 1 + (1 if point[1] == 1 else -1)))
-            else:
-                pieces.append(C.identity())
-        else:
-            x, y = point
-            t = dom.tables
-            u = (t.neg[x], 1)
-            n = 0 if not sextic else (1 if idx else 0)
-            pieces.append((u, pmod(dom, (y,), u), n))
-    total = jac_add(C, pieces[0], pieces[1])
-    assert total == C.identity(), (P, Q)
+    """A fiber P + Q of x sums to 0 as [P + O_- - K] + [Q + O_+ - K], K the
+    canonical divisor, O_+- the points infinity_+- of a split sextic
+    (infinity_+ + infinity_- = K) or the point at infinity of a quintic
+    (2 * infinity = K), each piece from `pair_class`; a point at infinity
+    is paired with itself."""
+    s = 0 if C.degree == 5 else 1
+    partner = lambda R, sign: R if R[0] == "inf" else ("inf", sign)
+    pieces = (pair_class(C, P, partner(P, -s)), pair_class(C, Q, partner(Q, s)))
+    assert jac_add(C, *(D or C.identity() for D in pieces)) == C.identity(), (P, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -675,27 +651,9 @@ def search_rational_points(F, bound: int = 60) -> list:
 
 
 def classes_from_rational_points(C: HyperCurve, pts) -> list:
-    """Divisor classes [P + infty_- - canonical] and [P + Q - canonical] from
-    affine rational points, over any exact field domain."""
-    dom = C.domain
-    out = []
-    sextic = C.degree == 6
-    for i, (x1, y1) in enumerate(pts):
-        u1 = pnormalize((-x1, dom.one))
-        v1 = pmod(dom, (y1,), u1)
-        if sextic:
-            out.append((u1, v1, 0))
-            out.append((u1, v1, 1))
-        else:
-            out.append((u1, v1, 0))
-        for (x2, y2) in pts[i:]:
-            if x1 == x2:
-                continue
-            u = pmul(dom, (-x1, dom.one), (-x2, dom.one))
-            lam = dom.div(dom.sub(y2, y1), dom.sub(x2, x1))
-            v = pmod(dom, padd(dom, (y1,), pmul(dom, (lam,), (-x1, dom.one))), u)
-            out.append((u, v, 0))
-    if sextic:
-        out.append(((dom.one,), (), 0))
-        out.append(((dom.one,), (), 2))
-    return out
+    """The classes `pair_class` of every pair, a point with itself
+    included, of the affine rational points `pts` and the rational points
+    at infinity, over any field domain; the fibers of x, class 0, are left
+    out."""
+    pts = [*pts, *_points_at_infinity(C)]
+    return [cl for i, P in enumerate(pts) for Q in pts[i:] if (cl := pair_class(C, P, Q)) is not None]

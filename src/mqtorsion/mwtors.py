@@ -16,6 +16,7 @@ import json
 import math
 import os
 from functools import cached_property, lru_cache, partial
+from itertools import product
 
 from . import ellcurve, ff, hyperjac, poly, qfield
 from .groups import (
@@ -26,7 +27,7 @@ from .groups import (
     sylow_subgroups,
 )
 from .intutil import crt_pair, factorize, is_prime, kronecker, rational_reconstruct
-from .poly import QQ, TowerDomain, code_domain
+from .poly import QQ, code_domain
 from .record import Record
 
 
@@ -221,64 +222,135 @@ def jac_structure(model: CurveModel, p: int, f: int) -> AbGroupStructure:
         raise ModelError(f"{p} is not an odd prime")
     if model.genus == 1:
         return ellcurve.group_structure(ellcurve.reduce_mod_p(model.elliptic(), p, f))
-    return census(model, p, f, False).structure
+    return reduction(model, p).census(f).structure
 
 
-def hyper_reduction(model: CurveModel, p: int, f: int) -> hyperjac.HyperCurve:
-    """A genus-2 model over F_{p^f}; BadReduction where the reduction is not
-    a curve the group law accepts."""
-    C = _hyper_reduction_or_none(model, p, f)
-    if C is None:
+def reduction(model: CurveModel, p: int) -> "Reduction":
+    """The `Reduction` of a genus-2 model at the odd prime p; BadReduction
+    where the reduction is not a curve the group law accepts."""
+    R = _reduction_or_none(model, p)
+    if R is None:
         raise ellcurve.BadReduction(p)
-    return C
+    return R
 
 
 @lru_cache(maxsize=256)
-def _hyper_reduction_or_none(model: CurveModel, p: int, f: int):
-    """The reduction of `hyper_reduction`, or None where it is bad: a cache
-    keeps no raised exception, so a bad (model, p, f) is built and rejected
+def _reduction_or_none(model: CurveModel, p: int):
+    """The `Reduction` of `reduction`, or None where it is bad: a cache
+    keeps no raised exception, so a bad (model, p) is built and rejected
     once, like a good one."""
-    dom = code_domain(ff.make_field(p, f))
     try:
-        C = hyperjac.HyperCurve.from_ints(dom, model.f_coeffs, model.label)
+        C = hyperjac.HyperCurve.from_ints(code_domain(ff.make_field(p, 1)), model.f_coeffs, model.label)
     except hyperjac.JacError:
         return None
     # a sextic model must reduce to a monic one; inert sextics are its twists
-    return None if C.degree == 6 and C.Vp is None else C
+    return None if C.degree == 6 and C.Vp is None else Reduction(model, p, C)
 
 
-def twist_reduction(model: CurveModel, p: int) -> hyperjac.HyperCurve:
-    """The inert quadratic twist y^2 = F(x)/n over F_p, n the non-residue r
-    of `ff.make_field(p, 2)`: a quintic, or a sextic inert at infinity, its
-    leading coefficient 1/n a non-square.  BadReduction where p is bad."""
-    C = hyper_reduction(model, p, 1)
-    t = C.domain.tables
-    ninv = t.inv[t.from_int(ff.make_field(p, 2).r)]
-    return hyperjac.HyperCurve(C.domain, [t.mul[c][ninv] for c in C.F], model.label)
+class Reduction:
+    """One good reduction of a genus-2 model y^2 = F(x) at an odd prime p,
+    built once per (model, p) by `reduction`: the curve over F_p and over
+    F_{p^2}, their zeta data, and the censuses of J(F_p), J(F_{p^2}) and
+    the inert twist, each made on first use.
+
+    - `curve` over F_p, and `zeta`, the (N1, N2, L, #J, L(-1)) of
+      `hyperjac.zeta_order`, counted over F_p.  If alpha_1..alpha_4 are the
+      Frobenius eigenvalues over F_p, then L_p(T) = prod(1 - alpha_i T),
+      #J(F_p) = L_p(1), and the inert twist has order
+      prod(1 + alpha_i) = L_p(-1), as Frobenius acts on it by the -alpha_i.
+    - `zeta2`, the same data over F_{p^2}, read from L_p =
+      (1, -e1, e2, -p*e1, p^2).  The eigenvalues over F_{p^2} are the
+      alpha_i^2, so L_{p^2}(T^2) = L_p(T) * L_p(-T) =
+      (1 + e2 T^2 + p^2 T^4)^2 - (e1 T + p e1 T^3)^2 =
+      1 + a1 T^2 + a2 T^4 + p^2 a1 T^6 + p^4 T^8, with a1 = 2 e2 - e1^2 and
+      a2 = e2^2 + 2 p^2 - 2 p e1^2.  With q = p^2, the power sums of the
+      alpha_i^2 give N1 = q + 1 + a1 and N2 = q^2 + 1 - (a1^2 - 2 a2), and
+      #J(F_{p^2}) = L_p(1) * L_p(-1).  One independent check stays: N1
+      counted over F_{p^2} (`hyperjac.curve_count` on `curve2`) must agree,
+      else CrossCheckError.
+    - `census(f)`, f = 1 or 2, the `Census` of J(F_{p^f}); `twist`, the
+      `Census` of the inert twist y^2 = F/n over F_p, n the non-residue r
+      of `ff.make_field(p, 2)`: a quintic, or a sextic inert at infinity,
+      its leading coefficient 1/n a non-square.  No F_{p^2} table is built
+      for it.
+    - `twist_census(d)`, the census of J^d(F_p) for the quadratic twist
+      y^2 = d*F(x): J(F_p) when d is a square mod p, else the inert twist,
+      as y^2 = d*F is then isomorphic over F_p to y^2 = F/n (d*n is a
+      square).  BadReduction when p divides d.
+
+    The odd part of J(F_{p^2}) is that of J(F_p) + J^tw(F_p).  Proof.  Let
+    ell be odd and s the p-th power Frobenius on A = J(F_{p^2})[ell^oo];
+    s^2 = 1 on J(F_{p^2}).  As ell is odd, 2 is a unit on A, and
+    a = (a + s a)/2 + (a - s a)/2 puts A = ker(s - 1) + ker(s + 1), a
+    direct sum: s a = a = -s a gives 2a = 0, so a = 0.  ker(s - 1) is
+    J(F_p)[ell^oo], and ker(s + 1) is the ell-part of ker(1 + s), which is
+    isomorphic to J^tw(F_p).  With t^2 = n, (x, y) -> (x, t*y) is an
+    isomorphism over F_{p^2} from y^2 = F/n onto y^2 = F, so
+    (u, w, 0) -> (u, t*w, 0) is injective.  On a sextic, a class of
+    J^tw(F_p) other than 0 is [P + Q - (the place at infinity)] with P + Q
+    affine, deg u = 2, and its image [P' + Q' - infinity_+ - infinity_-]
+    has weight 0, as on a quintic.  s fixes u in F_p[x] and the weight and
+    negates t*w, so the image lies in ker(1 + s), the kernel of the
+    separable isogeny 1 + s, whose degree is L(-1), the characteristic
+    polynomial of Frobenius at -1.
+    """
+
+    def __init__(self, model: CurveModel, p: int, curve: hyperjac.HyperCurve):
+        self.model, self.p, self.curve = model, p, curve
+        self._census: dict = {}
+
+    @cached_property
+    def zeta(self) -> tuple:
+        return hyperjac.zeta_order(self.curve)
+
+    @cached_property
+    def curve2(self) -> hyperjac.HyperCurve:
+        return hyperjac.HyperCurve.from_ints(code_domain(ff.make_field(self.p, 2)), self.model.f_coeffs, self.model.label)
+
+    @cached_property
+    def zeta2(self) -> tuple:
+        p, q = self.p, self.p * self.p
+        _, c1, e2, _, _ = self.zeta[2]  # c1 = -e1 enters squared
+        a1 = 2 * e2 - c1 * c1
+        a2 = e2 * e2 + 2 * q - 2 * p * c1 * c1
+        L = (1, a1, a2, q * a1, q * q)
+        N1 = q + 1 + a1
+        counted = hyperjac.curve_count(self.curve2)
+        if counted != N1:
+            raise CrossCheckError(f"{self.model.label} over F_{q}: {counted} points, but {N1} from the zeta function over F_{p}")
+        return N1, q * q + 1 - (a1 * a1 - 2 * a2), L, sum(L), 1 - a1 + a2 - q * a1 + q * q
+
+    def census(self, f: int) -> "Census":
+        if f not in self._census:
+            C = self.curve if f == 1 else self.curve2
+            _, _, _, order, twisted_order = self.zeta
+            self._census[f] = Census(self, C, order if f == 1 else order * twisted_order, f)
+        return self._census[f]
+
+    @cached_property
+    def twist(self) -> "Census":
+        t = self.curve.domain.tables
+        ninv = t.inv[t.from_int(ff.make_field(self.p, 2).r)]
+        C = hyperjac.HyperCurve(self.curve.domain, [t.mul[c][ninv] for c in self.curve.F], self.model.label)
+        return Census(self, C, self.zeta[4], 1)
+
+    def twist_census(self, d: int) -> "Census":
+        if d % self.p == 0:
+            raise ellcurve.BadReduction(self.p)
+        return self.census(1) if kronecker(d, self.p) == 1 else self.twist
 
 
 class Census:
-    """One reduction of a genus-2 model, with f = 1 or 2 (the residue
-    degrees of a multi-quadratic field), as a collection `classes` of the
-    group's elements whose Sylow subgroups are spanned on demand.
-
-    Untwisted, `classes` is J(F_{p^f}) as a lazy `hyperjac.ClassStream`, and
-    its order N comes from the zeta function of the curve over F_p
-    (`_zeta_orders`, from point counts over F_p and F_{p^2}), so no count
-    over F_{p^4} is made.  If
-    alpha_1..alpha_4 are the Frobenius eigenvalues over F_p, then
-    L_p(T) = prod(1 - alpha_i T) and #J(F_p) = L_p(1).  Over F_{p^2} the
-    eigenvalues are the alpha_i^2, so
-    L_{p^2}(T^2) = prod(1 - alpha_i^2 T^2) = L_p(T) * L_p(-T), and
-    #J(F_{p^2}) = L_{p^2}(1) = L_p(1) * L_p(-1).  A span of ell follows
+    """A group of a `Reduction`, J(F_{p^f}) for f = 1 or 2 (the residue
+    degrees of a multi-quadratic field) or the inert twist over F_p, as a
+    collection `classes` of its elements whose Sylow subgroups are spanned
+    on demand.  `classes` is the lazy `hyperjac.ClassStream` of `curve`,
+    its order N given by the reduction's zeta function over F_p, so no
+    count over F_{p^4} is made; `degree` is the f with the group rational
+    over F_{p^f}, 1 for the twist.  A span of ell follows
     `groups.sylow_subgroups`: with ell^e || N and m = N/ell^e,
     m * J = S_ell, and a span of images m*x with ell^e elements is S_ell, so
     the span stops drawing classes as soon as it has ell^e elements.
-
-    Twisted (f = 2), `classes` is J^tw(F_p) for the inert quadratic twist
-    y^2 = F/n (`twist_reduction`), the `hyperjac.ClassStream` of that curve
-    over F_p, of order prod(1 + alpha_i) = L_p(-1), as Frobenius acts on
-    J^tw by the -alpha_i.  No F_{p^2} table is built for it.
 
     `sylow(ell)` spans S_ell once, on first use, as a `groups.Span` that
     carries one relation row per generator, and `ell_pairs(ell)` reads
@@ -287,36 +359,19 @@ class Census:
     - ell || N: S_ell is Z/ell, and nothing is spanned.
     - ell = 2, 2^e || N, and the 2-rank r of `two_rank` is 1, e - 1 or e:
       the only partition of e into r parts is (e - r + 1, 1, ..., 1).
-    - ell odd, untwisted, f = 2: S_ell(J(F_p)) + S_ell(J^tw(F_p)), read
-      from the censuses `census(model, p, 1, False)` and
-      `census(model, p, 2, True)`.  Proof.  Let s be the p-th power
-      Frobenius on A = J(F_{p^2})[ell^oo]; s^2 = 1 on J(F_{p^2}).  As ell
-      is odd, 2 is a unit on A, and a = (a + s a)/2 + (a - s a)/2 puts
-      A = ker(s - 1) + ker(s + 1), a direct sum: s a = a = -s a gives
-      2a = 0, so a = 0.  ker(s - 1) is J(F_p)[ell^oo], and ker(s + 1) is
-      the ell-part of ker(1 + s), which is isomorphic to J^tw(F_p).  With
-      t^2 = n, (x, y) -> (x, t*y) is an isomorphism over F_{p^2} from
-      y^2 = F/n onto y^2 = F, so (u, w, 0) -> (u, t*w, 0) is injective.  On
-      a sextic, a class of J^tw(F_p) other than 0 is [P + Q - (the place at
-      infinity)] with P + Q affine, deg u = 2, and its image
-      [P' + Q' - infinity_+ - infinity_-] has weight 0, as on a quintic.  s
-      fixes u in F_p[x] and the weight and negates t*w, so the image lies
-      in ker(1 + s), the kernel of the separable isogeny 1 + s, whose
-      degree is L(-1), the characteristic polynomial of Frobenius at -1.
+    - ell odd, f = 2: S_ell(J(F_p)) + S_ell(J^tw(F_p)), read from the
+      censuses `census(1)` and `twist` of the reduction (the proof is in
+      the `Reduction` docstring).
     - otherwise the Smith form of the relation rows of `sylow(ell)`.
     """
 
-    def __init__(self, model: CurveModel, p: int, f: int, twisted: bool):
-        C = twist_reduction(model, p) if twisted else hyper_reduction(model, p, f)
-        self.add = partial(hyperjac.jac_add, C)
-        self.identity = C.identity()
-        order, twisted_order = _zeta_orders(model, p)
-        self.classes = hyperjac.ClassStream(
-            C, twisted_order if twisted else order if f == 1 else order * twisted_order
-        )
-        self.tables = C.domain.tables
-        self.model, self.p = model, p
-        self.degree = 1 if twisted else f  # the group is rational over F_{p^degree}
+    def __init__(self, reduction: Reduction, curve: hyperjac.HyperCurve, order: int, degree: int):
+        self.reduction = reduction
+        self.add = partial(hyperjac.jac_add, curve)
+        self.identity = curve.identity()
+        self.classes = hyperjac.ClassStream(curve, order)
+        self.tables = curve.domain.tables
+        self.degree = degree
         self._sylow: dict = {}
         self._ell_pairs: dict = {}
 
@@ -336,7 +391,8 @@ class Census:
     def two_rank(self) -> int:
         """The rank of the group's 2-torsion, from the Frobenius orbits on
         the Weierstrass points (`hyperjac.two_rank_mod_p`)."""
-        return hyperjac.two_rank_mod_p(self.model.f_coeffs, self.p, self.degree)
+        R = self.reduction
+        return hyperjac.two_rank_mod_p(R.model.f_coeffs, R.p, self.degree)
 
     def exponents(self, ell: int) -> list[int]:
         """The exponents of the ell-Sylow subgroup, sorted."""
@@ -348,10 +404,7 @@ class Census:
             if 0 < r and r in (1, e - 1, e):
                 return [1] * (r - 1) + [e - r + 1]
         elif self.degree == 2:
-            return sorted(
-                census(self.model, self.p, 1, False).exponents(ell)
-                + census(self.model, self.p, 2, True).exponents(ell)
-            )
+            return sorted(self.reduction.census(1).exponents(ell) + self.reduction.twist.exponents(ell))
         return self.sylow(ell).structure().prime_exponents()[ell]
 
     @cached_property
@@ -365,11 +418,12 @@ class Census:
         st = AbGroupStructure.from_prime_exponents({ell: self.exponents(ell) for ell in self._order_exponents})
         if st.order != n or st.rank() > 4:
             raise GroupError(f"census inconsistent: structure {st} vs order {n} and rank 4")
+        R = self.reduction
         if len(st.prime_exponents().get(2, ())) != self.two_rank:
             raise CrossCheckError(
-                f"{self.model.label} at {self.p}: {st} does not have the 2-rank {self.two_rank} of its Weierstrass points"
+                f"{R.model.label} at {R.p}: {st} does not have the 2-rank {self.two_rank} of its Weierstrass points"
             )
-        q = self.p**self.degree
+        q = R.p**self.degree
         if len(st.factors) == 4 and (q - 1) % st.factors[0]:
             raise GroupError(f"Weil constraint violated: {st} over F_{q}")
         return st
@@ -378,25 +432,19 @@ class Census:
         """(u, v) of the non-trivial ell-torsion classes with deg u = 2 and
         n = 0, sorted.  J[ell] lies in the ell-Sylow subgroup, so only that
         is scanned; it is trivial unless ell divides the group order
-        (Cauchy), and then nothing is spanned or scanned.  S_ell is unique,
+        (Cauchy), and then nothing is spanned or scanned.  When every
+        exponent of S_ell is 1, S_ell has exponent ell, so S_ell lies in
+        J[ell] and is J[ell]: nothing is scanned either.  S_ell is unique,
         so the pairs do not depend on the order in which classes are drawn."""
         if ell not in self._ell_pairs:
-            double = lambda x: self.add(x, x)
-            torsion = sorted(
-                x
-                for x in self.sylow(ell)
-                if scalar_mul(ell, x, self.add, double, self.identity) == self.identity
-            )
+            S = self.sylow(ell)
+            if set(self.exponents(ell)) <= {1}:
+                torsion = sorted(S)
+            else:
+                double = lambda x: self.add(x, x)
+                torsion = sorted(x for x in S if scalar_mul(ell, x, self.add, double, self.identity) == self.identity)
             self._ell_pairs[ell] = tuple((u, v) for u, v, n in torsion if len(u) == 3 and n == 0)
         return self._ell_pairs[ell]
-
-
-@lru_cache(maxsize=256)
-def census(model: CurveModel, p: int, f: int, twisted: bool) -> Census:
-    """The census of J(F_{p^f}), or for f = 2 with `twisted` of the inert
-    twist over F_p; built once per process, and kept for the 256 most
-    recent reductions."""
-    return Census(model, p, f, twisted)
 
 
 def meet_many(sides) -> AbGroupStructure:
@@ -460,17 +508,6 @@ def genus1_twist_torsion(model: CurveModel, d: int) -> AbGroupStructure:
     return ellcurve.twist_odd_torsion_q(model.elliptic(), d)
 
 
-def genus2_twist_reduction(model: CurveModel, d: int, p: int) -> AbGroupStructure:
-    """Structure of the d-twisted Jacobian over F_p: the base reduction when
-    d is a square mod p, else the inert twist.
-    Twists in the same square class mod p share the computation."""
-    if d % p == 0:
-        raise ellcurve.BadReduction(p)
-    if kronecker(d, p) == 1:
-        return jac_structure(model, p, 1)
-    return census(model, p, 2, True).structure
-
-
 @lru_cache(maxsize=256)
 def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
     """(lower, upper) for J(Q)_tors of a genus-2 model: the subgroup that the
@@ -522,7 +559,7 @@ def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
     gens = hyperjac.classes_from_rational_points(
         CQ, hyperjac.search_rational_points(model.f_coeffs, 40)
     )
-    C = hyper_reduction(model, _class_reduction_prime(model, gens), 1)
+    C = reduction(model, _class_reduction_prime(model, gens)).curve
     add, zero = partial(hyperjac.jac_add, C), C.identity()
     add_q, zero_q = partial(hyperjac.jac_add, CQ), CQ.identity()
     span = subgroup_span((), add, zero)
@@ -566,18 +603,23 @@ def _reduce_class(C: hyperjac.HyperCurve, D):
 
 @lru_cache(maxsize=256)
 def genus2_twist_witness(model: CurveModel, d: int, ell: int):
-    """A verified ell-torsion divisor of the d-twist over Q, reconstructed by
-    CRT from twisted ell-torsion at several primes and certified over the
-    tower Q(sqrt(d)); None when reconstruction fails.
+    """A verified ell-torsion class (u, v, 0) of J^d(Q), the Jacobian of the
+    twist y^2 = d*F(x) over Q, reconstructed by CRT from the twisted
+    ell-torsion at several primes; None when reconstruction fails.  It is
+    certified on that curve over Q: a valid divisor, not 0, and
+    ell * D = 0, so of order exactly ell, as ell is prime.
 
-    The returned witness is a divisor class on the base curve over Q(sqrt d)
-    anti-fixed by conjugation, i.e. a genuine twisted class."""
-    K = qfield.MultiQuadField([d])
-    CK = hyperjac.HyperCurve.from_ints(TowerDomain(K), model.f_coeffs, model.label)
-    add, zero = partial(hyperjac.jac_add, CK), CK.identity()
-    s = K.sqrt_gen(d)
-    sinv = K.one() / s
-    primes = [p for p in (3, 5, 7, 11, 13, 17, 19) if _good_twist_prime(model, d, p)]
+    This is the twisted class of the sum J(K)[odd] = sum_d J^d(Q)[odd].
+    Over Q(sqrt d), (x, y) -> (x, y/sqrt(d)) maps y^2 = d*F onto y^2 = F,
+    so it identifies J(C^d) with J(C) over Q(sqrt d), carrying (u, v, 0)
+    to (u, v/sqrt(d), 0).  A class of J(C^d)(Q) is fixed by the conjugation
+    sigma of Q(sqrt d), and sigma negates sqrt(d); so its image E satisfies
+    sigma(E) = -E, and every class of J(Q(sqrt d)) that sigma negates comes
+    from one of J(C^d)(Q) this way.  So J(C^d)(Q) is the group of those
+    classes."""
+    CQ = hyperjac.HyperCurve.from_ints(QQ, [d * c for c in model.f_coeffs], model.label)
+    add, zero = partial(hyperjac.jac_add, CQ), CQ.identity()
+    primes = [p for p in (3, 5, 7, 11, 13, 17, 19) if d % p and _reduction_or_none(model, p)]
     per_prime = []
     for p in primes[:4]:
         data = _twisted_ell_torsion_data(model, d, p, ell)
@@ -587,78 +629,13 @@ def genus2_twist_witness(model: CurveModel, d: int, ell: int):
             break
     if len(per_prime) < 2:
         return None
-    # CRT all pairings of candidates across the collected primes
-    (p1, d1), (p2, d2) = per_prime[0], per_prime[1]
-    extra = per_prime[2:] if len(per_prime) > 2 else []
-    for cand1 in d1:
-        for cand2 in d2:
-            rec = _crt_and_reconstruct(cand1, p1, cand2, p2, extra)
-            if rec is None:
-                continue
-            u_q, vd_q = rec
-            # lift to the tower: v = v_d / sqrt(d)
-            u = tuple(K.from_rational(c) for c in u_q)
-            v = tuple(K.from_rational(c) * sinv for c in vd_q)
-            D = (u, v, 0)
-            if not hyperjac.is_valid_divisor(CK, D):
-                continue
-            # ell is prime, so D != 0 with ell*D = 0 has order exactly ell
-            if D == zero or scalar_mul(ell, D, add, lambda x: add(x, x), zero) != zero:
-                continue
-            signs = (-1,)  # the conjugation negating sqrt(d)
-            Dsig = (
-                tuple(c.conjugate(signs) for c in u),
-                tuple(c.conjugate(signs) for c in v),
-                0,
-            )
-            if Dsig != hyperjac.jac_neg(CK, D):
-                continue
-            return D
+    (p1, d1), (p2, d2), *extra = per_prime
+    for cand1, cand2 in product(d1, d2):
+        rec = _crt_and_reconstruct(cand1, p1, cand2, p2, extra)
+        if rec and hyperjac.is_valid_divisor(CQ, D := (*rec, 0)) and D != zero:
+            if scalar_mul(ell, D, add, lambda x: add(x, x), zero) == zero:
+                return D
     return None
-
-
-def _good_twist_prime(model: CurveModel, d: int, p: int) -> bool:
-    if d % p == 0:
-        return False
-    try:
-        hyper_reduction(model, p, 1)
-    except ellcurve.BadReduction:
-        return False
-    return True
-
-
-@lru_cache(maxsize=256)
-def zeta(model: CurveModel, p: int, f: int) -> tuple:
-    """(N1, N2, L, #J, L(-1)) of `hyperjac.zeta_order` for the reduction
-    over F_{p^f}, once per (model, p, f): the census and the CLI's
-    cross-check read the same one.  Over F_p they are counted.
-
-    Over F_{p^2} they are read from L_p = (1, -e1, e2, -p*e1, p^2).  The
-    Frobenius eigenvalues over F_{p^2} are the alpha_i^2, so
-    L_{p^2}(T^2) = L_p(T) * L_p(-T) = (1 + e2 T^2 + p^2 T^4)^2
-    - (e1 T + p e1 T^3)^2 = 1 + a1 T^2 + a2 T^4 + p^2 a1 T^6 + p^4 T^8, with
-    a1 = 2 e2 - e1^2 and a2 = e2^2 + 2 p^2 - 2 p e1^2.  With q = p^2, the
-    power sums of the alpha_i^2 give N1 = q + 1 + a1 and
-    N2 = q^2 + 1 - (a1^2 - 2 a2).  One independent check stays: N1 counted
-    over F_{p^2} (`hyperjac.curve_count`) must agree, else CrossCheckError."""
-    if f == 1:
-        return hyperjac.zeta_order(hyper_reduction(model, p, 1))
-    _, c1, e2, _, _ = zeta(model, p, 1)[2]  # c1 = -e1 enters squared
-    q = p * p
-    a1 = 2 * e2 - c1 * c1
-    a2 = e2 * e2 + 2 * q - 2 * p * c1 * c1
-    L = (1, a1, a2, q * a1, q * q)
-    N1 = q + 1 + a1
-    counted = hyperjac.curve_count(hyper_reduction(model, p, 2))
-    if counted != N1:
-        raise CrossCheckError(f"{model.label} over F_{q}: {counted} points, but {N1} from the zeta function over F_{p}")
-    return N1, q * q + 1 - (a1 * a1 - 2 * a2), L, sum(L), 1 - a1 + a2 - q * a1 + q * q
-
-
-def _zeta_orders(model: CurveModel, p: int) -> tuple[int, int]:
-    """(#J(F_p), twisted order L(-1)) from the zeta oracle over F_p."""
-    z = zeta(model, p, 1)
-    return z[3], z[4]
 
 
 @lru_cache(maxsize=256)
@@ -670,13 +647,12 @@ def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGro
     the meet of the ell-parts over the supplied primes other than ell is
     returned, or None when no such prime has good reduction."""
     for p in range(3, 48, 2):
-        if not is_prime(p) or d % p == 0:
+        if not is_prime(p):
             continue
         try:
-            orders = _zeta_orders(model, p)
+            order = len(reduction(model, p).twist_census(d).classes)
         except ellcurve.BadReduction:
             continue
-        order = orders[0] if kronecker(d, p) == 1 else orders[1]
         if order % ell:
             return AbGroupStructure.trivial()
     sides = []
@@ -684,7 +660,7 @@ def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGro
         if p == ell:
             continue
         try:
-            sides.append((genus2_twist_reduction(model, d, p).ell_part(ell), frozenset()))
+            sides.append((reduction(model, p).twist_census(d).structure.ell_part(ell), frozenset()))
         except ellcurve.BadReduction:
             continue
     if not sides:
@@ -695,45 +671,39 @@ def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGro
 def _twisted_ell_torsion_data(model: CurveModel, d: int, p: int, ell: int):
     """Twisted Mumford pairs (u, v_d) over F_p of the nontrivial ell-torsion
     classes of the d-twisted Jacobian, with deg u = 2, weight 0 and
-    v_d^2 = d*F mod u: from J(F_p) when d is a square mod p, v_d = sqrt(d)*v;
-    else from the inert twist y^2 = F/n over F_p, v_d = sqrt(d*n)*w, as
-    (sqrt(d*n)*w)^2 = d*n*F/n = d*F.  sqrt(d*n) = n*c, c the least root of
-    d/n, is the sqrt(d)*t of the twist's embedding (u, t*w) in J(F_{p^2}),
-    t^2 = n, with sqrt(d) = c*t the least root of d there."""
-    twisted = kronecker(d, p) != 1
-    cen = census(model, p, 2 if twisted else 1, twisted)
+    v_d^2 = d*F mod u, from the census `Reduction.twist_census(d)`: J(F_p)
+    when d is a square mod p, v_d = sqrt(d)*v; else the inert twist
+    y^2 = F/n over F_p, v_d = sqrt(d*n)*w, as (sqrt(d*n)*w)^2 =
+    d*n*F/n = d*F.  sqrt(d*n) = n*c, c the least root of d/n, is the
+    sqrt(d)*t of the twist's embedding (u, t*w) in J(F_{p^2}), t^2 = n,
+    with sqrt(d) = c*t the least root of d there."""
+    cen = reduction(model, p).twist_census(d)
     t = cen.tables
-    n = t.from_int(ff.make_field(p, 2).r) if twisted else 1
+    n = 1 if kronecker(d, p) == 1 else t.from_int(ff.make_field(p, 2).r)
     s = t.mul[n][t.sqrt[t.mul[t.from_int(d)][t.inv[n]]][0]]
-    return [(u, tuple(t.mul[s][c] for c in v), p) for u, v in cen.ell_pairs(ell)]
+    return [(u, tuple(t.mul[s][c] for c in v)) for u, v in cen.ell_pairs(ell)]
 
 
 def _crt_and_reconstruct(cand1, p1, cand2, p2, extra):
-    """Rationally reconstruct (u, v_d) from per-prime data; None on failure."""
-    u1, v1, _ = cand1
-    u2, v2, _ = cand2
-    if len(u1) != len(u2) or len(v1) != len(v2):
+    """(u, v_d) over Q from the candidates (u, v_d) at p1 and p2 and, at
+    each (p, data) of `extra`, the first candidate of the same degrees, by
+    CRT and rational reconstruction; None when the degrees differ, a
+    coefficient has no reconstruction or u is not monic."""
+    shape = lambda c: (len(c[0]), len(c[1]))
+    if shape(cand1) != shape(cand2):
         return None
-    m = p1 * p2
-    residues_u = [crt_pair(a, p1, b, p2) for a, b in zip(u1, u2)]
-    residues_v = [crt_pair(a, p1, b, p2) for a, b in zip(v1, v2)]
-    for p3, data3 in extra:
-        matched = None
-        for u3, v3, _ in data3:
-            if len(u3) == len(u1) and len(v3) == len(v1):
-                matched = (u3, v3)
-                break
-        if matched:
-            residues_u = [crt_pair(a, m, b, p3) for a, b in zip(residues_u, matched[0])]
-            residues_v = [crt_pair(a, m, b, p3) for a, b in zip(residues_v, matched[1])]
-            m *= p3
-    u_q = [rational_reconstruct(r, m) for r in residues_u]
-    v_q = [rational_reconstruct(r, m) for r in residues_v]
-    if any(c is None for c in u_q) or any(c is None for c in v_q):
+    picks = [(cand1, p1), (cand2, p2)]
+    for p, data in extra:
+        picks += [(c, p) for c in data if shape(c) == shape(cand1)][:1]
+    m, residues = 1, [0] * sum(shape(cand1))
+    for (u, v), p in picks:
+        residues = [crt_pair(r, m, c, p) for r, c in zip(residues, (*u, *v))]
+        m *= p
+    q = [rational_reconstruct(r, m) for r in residues]
+    k = len(cand1[0])
+    if None in q or q[k - 1] != 1:
         return None
-    if u_q[-1] != 1:
-        return None
-    return tuple(u_q), tuple(v_q)
+    return tuple(q[:k]), tuple(q[k:])
 
 
 # ---------------------------------------------------------------------------

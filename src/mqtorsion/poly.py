@@ -340,43 +340,19 @@ def kernels(dom) -> Kernels:
 
 
 def resultant(f, g):
-    """res(f, g) of two polynomials over Q (tuples of rationals) via the
-    Sylvester determinant, by Gaussian elimination over Q.
-
-    Sizes here are tiny (degrees <= 12), so the O(n^3) fraction elimination
-    is more than fast enough and has no sign subtleties.
-    """
+    """res(f, g) of two polynomials over Q (tuples of rationals) by the
+    Euclidean recurrence res(f, g) = (-1)^(mn) lc(g)^(m - deg r) res(g, r),
+    m = deg f, n = deg g >= 1, r = f mod g; res(f, g) = g0^m when n = 0,
+    and 0 when f or g is 0.  Proof: res(f, g) = (-1)^(mn) res(g, f), and
+    res(g, f) = lc(g)^m prod f(beta) over the roots beta of g, where
+    f(beta) = r(beta), so res(g, f) = lc(g)^(m - deg r) res(g, r)."""
     m, n = pdegree(f), pdegree(g)
     if m < 0 or n < 0:
         return Fraction(0)
-    if m == 0:
-        return Fraction(f[0]) ** n
     if n == 0:
         return Fraction(g[0]) ** m
-    size = m + n
-    rows = []
-    for shifts, h in ((n, f), (m, g)):
-        for i in range(shifts):
-            row = [Fraction(0)] * size
-            for j, c in enumerate(reversed(h)):
-                row[i + j] = Fraction(c)
-            rows.append(row)
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, size):
-            if not rows[r][col]:
-                continue
-            factor = rows[r][col] / rows[col][col]
-            for c in range(col, size):
-                rows[r][c] -= factor * rows[col][c]
-    return det
+    r = pmod(QQ, tuple(map(Fraction, f)), tuple(map(Fraction, g)))
+    return (-1) ** (m * n) * Fraction(g[-1]) ** (m - pdegree(r)) * resultant(g, r)
 
 
 def discriminant(f):
@@ -524,27 +500,21 @@ def _find_good_prime(S: tuple[int, ...]) -> int:
 def low_degree_factors(F: tuple[int, ...]) -> list[tuple]:
     """All monic irreducible rational factors of degree <= 3 of a
     squarefree integer polynomial F (a tuple, constant first), each a tuple
-    of Fractions, found by modular factorization, Hensel lifting and trial
-    division.
+    of Fractions, sorted by degree and then by coefficients: found by
+    modular factorization, Hensel lifting and trial division mod the least
+    prime at which F stays squarefree of its degree, and checked exact:
+    their product divides F over Q.
 
     Works on F itself, never on its monic associate, whose coefficients
     grow as lc(F)^(deg F - 1).  The caller checks that F is squarefree
-    (`hyperjac._weierstrass_factors` does, by gcd(F, F') over Q): the
-    search for the Hensel prime ends only for squarefree F.  Memoised on
-    F."""
-    return list(_low_degree_factors_primitive(tuple(F)))
-
-
-@lru_cache(maxsize=256)
-def _low_degree_factors_primitive(F: tuple[int, ...]) -> tuple[tuple, ...]:
-    """The factors of `low_degree_factors`, lifted mod the least prime at
-    which F stays squarefree of its degree, sorted by degree and then by
-    coefficients, and checked exact: their product divides F over Q."""
+    (`hyperjac._weierstrass_factors` does, by gcd(F, F') over Q, and keeps
+    the factors per F): the search for the Hensel prime ends only for
+    squarefree F."""
     out = sorted(_low_degree_factors_squarefree(F, _find_good_prime(F)), key=lambda g: (len(g), g))
     product = reduce(partial(pmul, QQ), out, (QQ.one,))
     if pdivmod(QQ, tuple(map(Fraction, F)), product)[1]:
         raise PolyError("internal factor extraction inconsistency")  # pragma: no cover
-    return tuple(out)
+    return out
 
 
 def _low_degree_factors_squarefree(S: tuple[int, ...], p: int) -> list[tuple]:

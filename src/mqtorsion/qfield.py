@@ -456,14 +456,6 @@ class TowerElem:
     def __bool__(self) -> bool:
         return any(self.nums)
 
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise QFieldError("not a rational element")
-        return Fraction(self.nums[0], self.den)
-
     def __add__(self, other):
         self._check(other)
         a, b = self.den, other.den
@@ -512,16 +504,6 @@ class TowerElem:
         if den < 0:
             num, den = -num, -den
         return _canonical(self.field, [n * num for n in self.nums], self.den * den)
-
-    def norm_to_q(self) -> Fraction:
-        """Product of all Galois conjugates."""
-        out = self.field.one()
-        n = len(self.field.gens)
-        for mask in range(2**n):
-            signs = tuple(-1 if mask >> i & 1 else 1 for i in range(n))
-            out = out * self.conjugate(signs)
-        assert out.is_rational()
-        return out.rational_value()
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -9,6 +9,14 @@
   odd parts of J(F_{p^2}) from the censuses of J(F_p) and of its inert
   twist, and a 2-part that its order and 2-rank fix from the Frobenius
   orbits on the Weierstrass points.
+- The class [P + Q - canonical] of two F_q-points read from the field
+  tables (`pair_class_by_codes`), and the negation -D of a divisor class
+  (`jac_neg`).  Production builds the pair class over any domain in
+  `hyperjac.pair_class`, and never negates a class: the twist witness is
+  certified on the curve y^2 = d*F(x) over Q, with no conjugation.
+- The resultant over Q as the Sylvester determinant
+  (`resultant_sylvester`).  Production takes it by the Euclidean
+  recurrence.
 - Curves over Q(sqrt d) reduced at an odd prime, one F_q-table curve per
   embedding of sqrt(d), and #E(F_p) at the primes above a split p by one
   character sum over F_p each (`quadratic_reduction_counts`).  Production
@@ -78,6 +86,8 @@
   `kill_poly`), checked against the group law and used to build kernel
   polynomials and test inputs.  Production certifies torsion points by
   their multiples (`ellcurve.has_order`) and never forms them.
+- The value of a rational tower element (`rational_value`) and the norm of
+  a tower element to Q (`norm_to_q`), which no production path takes.
 - Multiples and orders of a point by the affine group law (`curve_mul`,
   `point_order`).  Production takes them in Jacobian coordinates
   (`ellcurve.has_order`).
@@ -145,7 +155,7 @@ from mqtorsion.ellcurve import (
 )
 from mqtorsion.ff import FieldDesc, FieldError
 from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elements, subgroup_span
-from mqtorsion.hyperjac import JacError, _pair_classes, jac_add, zeta_order
+from mqtorsion.hyperjac import HyperCurve, JacError, _pair_classes, jac_add, zeta_order
 from mqtorsion.intutil import factorize, is_squarefree, kronecker, rational_sqrt, squarefree_part
 from mqtorsion.poly import (
     QQ,
@@ -178,18 +188,91 @@ def all_classes(C) -> list:
     """Every reduced divisor class of C over F_q, sorted: the whole pair
     stream, with no class listed twice and as many classes as L(1) from the
     zeta oracle, which counts points over F_q and F_{q^2}."""
-    classes = [C.identity(), *_pair_classes(C.domain, C.F)]
+    classes = [C.identity(), *_pair_classes(C)]
     nJ = zeta_order(C)[3]
     if len(set(classes)) != len(classes) or len(classes) != nJ:
         raise ZetaMismatch(f"{C}: enumerated {len(classes)} classes, {len(set(classes))} distinct; zeta says {nJ}")
     return sorted(classes)
 
 
-def span_census(model, p: int, f: int, twisted: bool) -> AbGroupStructure:
-    """The structure of `mwtors.Census(model, p, f, twisted)` from the Sylow
-    spans of `structure_from_elements` over its classes."""
-    cen = mwtors.Census(model, p, f, twisted)
+def span_census(cen) -> AbGroupStructure:
+    """The structure of the `mwtors.Census` cen from the Sylow spans of
+    `structure_from_elements` over its classes, none of its shortcuts
+    taken."""
     return structure_from_elements(cen.classes, cen.add, cen.identity, max_rank=4)
+
+
+def resultant_sylvester(f, g):
+    """res(f, g) over Q as the determinant of the Sylvester matrix, by
+    Gaussian elimination over Q: the reference for the Euclidean recurrence
+    of `poly.resultant`."""
+    m, n = poly.pdegree(f), poly.pdegree(g)
+    if m < 0 or n < 0:
+        return Fraction(0)
+    if m == 0:
+        return Fraction(f[0]) ** n
+    if n == 0:
+        return Fraction(g[0]) ** m
+    size = m + n
+    rows = []
+    for shifts, h in ((n, f), (m, g)):
+        for i in range(shifts):
+            row = [Fraction(0)] * size
+            for j, c in enumerate(reversed(h)):
+                row[i + j] = Fraction(c)
+            rows.append(row)
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] / rows[col][col]
+            for c in range(col, size):
+                rows[r][c] -= factor * rows[col][c]
+    return det
+
+
+def jac_neg(C, D):
+    """-D = (u, -v mod u) with the weight of the conjugate places, 2 - deg u
+    - n, on a split sextic."""
+    u, v, n = D
+    kit = C.kit
+    vneg = kit.divmod(kit.neg(v), u)[1]
+    if C.Vp is not None:
+        return (u, vneg, 2 - poly.pdegree(u) - n)
+    return (u, vneg, 0)
+
+
+def pair_class_by_codes(dom, F, P, Q):
+    """[P + Q - (canonical degree-2)] for F_q-points P, Q given as codes, or
+    None when the pair is a fiber of x, read from the field tables: the
+    code-only form that `hyperjac.pair_class` replaced."""
+    t = dom.tables
+    sextic = len(F) == 7
+    if P[0] == "inf" and Q[0] == "inf":
+        if not sextic or P[1] != Q[1]:
+            return None  # 2*infinity, or the fiber at infinity
+        return ((dom.one,), (), 2 if P[1] == 1 else 0)
+    if P[0] == "inf" or Q[0] == "inf":
+        if P[0] == "inf":
+            P, Q = Q, P
+        x, y = P
+        return ((t.neg[x], 1), (y,) if y else (), 1 if sextic and Q[1] == 1 else 0)
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if y1 != y2 or y1 == 0:
+            return None  # P + iota(P), or a doubled Weierstrass point
+        u = pmul(dom, (t.neg[x1], 1), (t.neg[x1], 1))
+        lam = dom.div(peval(dom, pderiv(dom, F), x1), t.add[y1][y1])
+    else:
+        u = pmul(dom, (t.neg[x1], 1), (t.neg[x2], 1))
+        lam = dom.div(t.add[y2][t.neg[y1]], t.add[x2][t.neg[x1]])
+    return (u, poly.padd(dom, (y1,), pmul(dom, (lam,), (t.neg[x1], 1))), 0)
 
 
 def reduce_quadratic_curve(E: EllipticCurve, d: int, p: int, f: int) -> list[EllipticCurve]:
@@ -361,7 +444,7 @@ def split_prime_counts(curve) -> dict[int, list[int]]:
     mod p that divide neither a denominator of the a-invariants nor the
     norm of the discriminant."""
     E, d = curve.curve(), curve.base_d
-    disc_norm = E.discriminant().norm_to_q()
+    disc_norm = norm_to_q(E.discriminant())
     bad = set(factorize(disc_norm.numerator * disc_norm.denominator))
     for c in E.a:
         for co in c.coords:
@@ -904,6 +987,23 @@ def primitive_kernel_poly(E: EllipticCurve, n: int) -> tuple:
     return primitive_kernel_poly_b(tuple(Fraction(v) for v in (0, 2 * A, 4 * B, -A * A)), n)
 
 
+def rational_value(v) -> Fraction:
+    """The tower element v as a rational; QFieldError when it is not one."""
+    if any(v.nums[1:]):
+        raise QFieldError("not a rational element")
+    return Fraction(v.nums[0], v.den)
+
+
+def norm_to_q(v) -> Fraction:
+    """The norm of the tower element v to Q: the product of all its Galois
+    conjugates."""
+    out = v.field.one()
+    n = len(v.field.gens)
+    for mask in range(2**n):
+        out = out * v.conjugate(tuple(-1 if mask >> i & 1 else 1 for i in range(n)))
+    return rational_value(out)
+
+
 def support_gens(v) -> qfield.MultiQuadField:
     """Smallest multi-quadratic subfield containing the tower element v."""
     products = v.field.gen_products
@@ -920,7 +1020,7 @@ def tower_poly_norm(coeffs, K) -> tuple:
     assert len(K.gens) == 1
     conj = [c.conjugate((-1,)) for c in coeffs]
     prod = pmul(TowerDomain(K), tuple(coeffs), tuple(conj))
-    return pnormalize([c.rational_value() for c in prod])
+    return pnormalize([rational_value(c) for c in prod])
 
 
 def tower_poly_roots_by_norm(coeffs, K) -> list:
@@ -1332,7 +1432,7 @@ def inert_twist_classes(C) -> list:
     ninv = bt.inv[dom.field.r % p]
     twist = tuple(bt.mul[c][ninv] for c in C.F)
     classes = [C.identity()]
-    for u, w, _ in _pair_classes(base, twist):
+    for u, w, _ in _pair_classes(HyperCurve(base, twist)):
         classes.append((u, tuple(c * p for c in w), 0))
     twisted_order = zeta_order(hyperjac.HyperCurve(base, C.F))[4]
     if len(classes) != twisted_order:

@@ -43,6 +43,7 @@ from reference import (
     eight_torsion_criterion,
     group_meet,
     hyperplane_avoiding,
+    jac_neg,
     primitive_ints,
     primitive_kernel_poly_b,
     split_prime_counts,
@@ -244,7 +245,7 @@ def test_criterion_11_pure_property_suites():
     model = get_model("X1(13)")
     dom = code_domain(ff.make_field(3, 2))
     C = HyperCurve.from_ints(dom, model.f_coeffs)
-    from mqtorsion.hyperjac import jac_add, jac_neg
+    from mqtorsion.hyperjac import jac_add
 
     cls = all_classes(C)
     rng = random.Random(2024)

@@ -5,7 +5,6 @@ import pytest
 from mqtorsion.classify import (
     ClassifyError,
     RankTable,
-    VerificationError,
     classify,
     default_ranks,
     exceptional_curves,
@@ -231,15 +230,10 @@ class TestVerifyExceptional:
         if name != "15-I":  # the Tate normal forms
             assert P == (curve.field().zero(),) * 2
 
-    def test_vacuous_n1(self):
-        curve = exceptional_registry()[0]
-        assert verify_exceptional(curve, 1) is None
-
     def test_failure_detected(self):
         # the shipped point of a 14-curve does not have order 9
         curve = next(c for c in exceptional_registry() if c.name == "14-I")
-        with pytest.raises(VerificationError):
-            verify_exceptional(curve, 9)
+        assert has_order(curve.curve(), curve.certificate(), 9) is False
 
 
 class TestRootSearch:

@@ -60,7 +60,7 @@ class TestJacStructure:
         counted = []
         zeta_order = hyperjac.zeta_order
         monkeypatch.setattr(hyperjac, "zeta_order", lambda C: counted.append(C) or zeta_order(C))
-        for memo in (mwtors.zeta, mwtors.census, mwtors.jac_structure):
+        for memo in (mwtors._reduction_or_none, mwtors.jac_structure):
             memo.cache_clear()
         code, out, _ = run(capsys, "jac-structure", "--model", "X1(13)", "--prime", "31", "--deg", "1")
         assert code == 0 and json.loads(out)["zeta_check"]["order"] == 912

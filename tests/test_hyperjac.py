@@ -9,20 +9,22 @@ from hypothesis import strategies as st
 from mqtorsion import ff, hyperjac, mwtors, poly
 from mqtorsion.ellcurve import BadReduction
 from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elements
+from mqtorsion.intutil import factorize
 from mqtorsion.hyperjac import (
     HyperCurve,
     JacError,
     classes_from_rational_points,
     is_valid_divisor,
     jac_add,
-    jac_neg,
+    pair_class,
+    rational_points_code,
     search_rational_points,
     symmetric_square_points,
     two_torsion_galois,
     weierstrass_orbits,
     zeta_order,
 )
-from mqtorsion.mwtors import Census, CurveModel, census, model_registry
+from mqtorsion.mwtors import CurveModel, model_registry, reduction
 from mqtorsion.poly import QQ, TowerDomain, code_domain, pdegree, pderiv, pgcdext, pmul, pnormalize
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
 from reference import (
@@ -30,7 +32,9 @@ from reference import (
     conjugate_pair_classes_by_walk,
     count_over_quadratic_ext_walk,
     inert_twist_classes,
+    jac_neg,
     jac_order,
+    pair_class_by_codes,
     search_rational_points_by_fractions,
     span_census,
 )
@@ -50,6 +54,15 @@ def curve(coeffs, p, f, label=None):
     return HyperCurve.from_ints(code_domain(ff.make_field(p, f)), coeffs, label)
 
 
+def fresh(model, p):
+    """The `mwtors.Reduction` of model at p built anew, outside the cache of
+    `mwtors.reduction`, so that its censuses start empty."""
+    R = mwtors._reduction_or_none.__wrapped__(model, p)
+    if R is None:
+        raise BadReduction(p)
+    return R
+
+
 def multiple(C, k, D):
     """k * D by double-and-add over jac_add."""
     return scalar_mul(k, D, lambda a, b: jac_add(C, a, b), lambda a: jac_add(C, a, a), C.identity())
@@ -63,6 +76,16 @@ class TestModelSanity:
     def test_singular_model_rejected(self):
         with pytest.raises(JacError):
             curve([0, 0, 1, 0, 0, 0, 1], 5, 1)  # x^6 + x^2 has gcd with derivative
+
+    def test_sextic_leading_coefficient_over_q(self):
+        """Over Q a sextic is monic (split at infinity) or has a non-square
+        leading coefficient (inert); a square other than 1 is refused."""
+        for lead in (4, Fr(9, 4)):
+            with pytest.raises(JacError):
+                HyperCurve(QQ, [Fr(c) for c in X18[:-1]] + [Fr(lead)])
+        for lead in (-1, 3, -3, Fr(1, 2)):
+            assert HyperCurve(QQ, [Fr(c) for c in X18[:-1]] + [Fr(lead)]).Vp is None
+        assert HyperCurve.from_ints(QQ, X18).Vp is not None
 
     def test_bad_reduction_detected(self):
         with pytest.raises(JacError):
@@ -136,6 +159,62 @@ def point_classes(C, xs):
             for n in (0, 1) if C.degree == 6 else (0,):
                 out.append(((t.neg[x], 1), (y,) if y else (), n))
     return out
+
+
+class TestPairClass:
+    """`pair_class` over any domain against the code-only form that it
+    replaced (`reference.pair_class_by_codes`), on every pair of F_q-points."""
+
+    @staticmethod
+    def check_every_pair(C):
+        pts = rational_points_code(C)
+        for i, P in enumerate(pts):
+            for Q in pts[i:]:
+                got = pair_class(C, P, Q)
+                assert got == pair_class(C, Q, P) == pair_class_by_codes(C.domain, C.F, P, Q), (C, P, Q)
+                assert got is None or is_valid_divisor(C, got)
+        return len(pts) * (len(pts) + 1) // 2
+
+    def test_every_pair_on_the_models(self):
+        """X1(13), X1(16) and X1(18) over F_p and F_{p^2}, every good p <= 13."""
+        pairs = 0
+        for coeffs in MODELS.values():
+            for p in (3, 5, 7, 11, 13):
+                for f in (1, 2):
+                    try:
+                        C = curve(coeffs, p, f)
+                    except JacError:
+                        continue
+                    pairs += self.check_every_pair(C)
+        assert pairs > 50_000
+
+    @PROPERTY
+    @given(random_curves(primes=(13, 11, 7, 5, 3)))
+    def test_every_pair_on_random_curves(self, C):
+        self.check_every_pair(C)
+
+    @pytest.mark.parametrize("coeffs", MODELS.values())
+    def test_rational_classes_reduce_to_the_classes_of_the_reduced_points(self, coeffs):
+        """Over Q and over F_p alike: at each good p <= 13, a pair class of
+        rational points with p-integral coefficients reduces to the pair
+        class of the reduced points."""
+        CQ = HyperCurve.from_ints(QQ, coeffs)
+        pts = [*search_rational_points(coeffs, 10), *hyperjac._points_at_infinity(CQ)]
+        checked = 0
+        for p in (3, 5, 7, 11, 13):
+            try:
+                C = curve(coeffs, p, 1)
+            except JacError:
+                continue
+            red = lambda P: P if P[0] == "inf" else tuple(int(c) % p for c in P)
+            for i, P in enumerate(pts):
+                for Q in pts[i:]:
+                    D = pair_class(CQ, P, Q)
+                    if D is None or any(c.denominator % p == 0 for c in (*D[0], *D[1])):
+                        continue
+                    assert mwtors._reduce_class(C, D) == pair_class(C, red(P), red(Q)), (p, P, Q)
+                    checked += 1
+        assert checked > 20
 
 
 class TestGroupLawProperties:
@@ -219,7 +298,7 @@ class TestZeta:
         assert pairs == 53
 
     def test_zeta_over_f_p2_from_l_p_matches_the_count(self):
-        """`mwtors.zeta(model, p, 2)`, read from L_p, against the counts over
+        """`Reduction.zeta2`, read from L_p, against the counts over
         F_{p^2} at every good p whose F_{p^2} has tables (p <= 31; the count
         of N2 there is itself checked against the walk over F_{p^4} above
         for p <= 13)."""
@@ -231,7 +310,7 @@ class TestZeta:
                     C = curve(coeffs, p, 2)
                 except JacError:
                     continue
-                assert mwtors.zeta(model, p, 2) == zeta_order(C), (model.label, p)
+                assert reduction(model, p).zeta2 == zeta_order(C), (model.label, p)
                 pairs += 1
         assert pairs == 28
 
@@ -239,12 +318,8 @@ class TestZeta:
         # one point too many over F_{p^2} only, so L_p itself is right
         count = hyperjac.curve_count
         monkeypatch.setattr(hyperjac, "curve_count", lambda C: count(C) + (C.domain.q > C.domain.tables.p))
-        mwtors.zeta.cache_clear()
-        try:
-            with pytest.raises(mwtors.CrossCheckError):
-                mwtors.zeta(model_of(X13), 5, 2)
-        finally:
-            mwtors.zeta.cache_clear()
+        with pytest.raises(mwtors.CrossCheckError):
+            fresh(model_of(X13), 5).zeta2
 
     def test_enumeration_matches_zeta_everywhere(self):
         """Every builtin genus-2 model, every good odd p <= 13, f in {1,2}."""
@@ -271,7 +346,7 @@ class TestGroupStructure:
         ],
     )
     def test_paper_structures(self, coeffs, p, f, expect):
-        st = census(model_of(coeffs), p, f, False).structure
+        st = reduction(model_of(coeffs), p).census(f).structure
         assert st == AbGroupStructure.from_summands(expect)
 
 
@@ -283,21 +358,17 @@ class TestGroupStructure:
         calls = []
         jac_add = hyperjac.jac_add
         monkeypatch.setattr(hyperjac, "jac_add", lambda C, a, b: calls.append(1) or jac_add(C, a, b))
-        mwtors.census.cache_clear()  # the censuses of F_5 add through the wrapper too
-        try:
-            model = model_of(X13)
-            assert span_census(model, 5, 2, False) == AbGroupStructure((19, 19))
-            assert len(calls) == 360
-            calls.clear()
-            assert Census(model, 5, 2, False).structure == AbGroupStructure((19, 19))
-            assert calls == []
-        finally:
-            mwtors.census.cache_clear()
+        model = model_of(X13)
+        assert span_census(fresh(model, 5).census(2)) == AbGroupStructure((19, 19))
+        assert len(calls) == 360
+        calls.clear()
+        assert fresh(model, 5).census(2).structure == AbGroupStructure((19, 19))  # its censuses of F_5 too
+        assert calls == []
 
     def test_x18_f49_census_adds_fewer_than_classes(self):
         # |J(F_49)| = 1953 = 3^2 * 7 * 31: only the 3-Sylow subgroup is
         # projected out and layered, so most classes are never added
-        cen = Census(model_of(X18), 7, 2, False)
+        cen = fresh(model_of(X18), 7).census(2)
         add = cen.add
         calls = []
         cen.add = lambda a, b: calls.append(1) or add(a, b)
@@ -337,7 +408,7 @@ class TestLazyCensus:
                         C = curve(coeffs, p, f)
                     except JacError:
                         continue
-                    cen = Census(model, p, f, False)
+                    cen = reduction(model, p).census(f)
                     assert len(cen.classes) == len(all_classes(C))
                     assert cen.structure == full_structure(C), (model.label, p, f)
                     pairs += 1
@@ -348,7 +419,7 @@ class TestLazyCensus:
     def test_lazy_census_on_random_curves(self, C):
         p = C.domain.tables.p
         f = 1 if C.domain.q == p else 2
-        cen = Census(model_from_curve(C), p, f, False)
+        cen = fresh(model_from_curve(C), p).census(f)
         assert len(cen.classes) == len(all_classes(C))
         assert cen.structure == full_structure(C)
 
@@ -357,14 +428,14 @@ class TestLazyCensus:
         drawn = []
         pair_classes = hyperjac._pair_classes
 
-        def counted(dom, F):
-            for cl in pair_classes(dom, F):
+        def counted(C):
+            for cl in pair_classes(C):
                 drawn.append(cl)
                 yield cl
 
         monkeypatch.setattr(hyperjac, "_pair_classes", counted)
         mwtors.jac_structure.cache_clear()
-        mwtors.census.cache_clear()
+        mwtors._reduction_or_none.cache_clear()
         model = mwtors.get_model("X1(13)")
         st = mwtors.jac_structure(model, 31, 2)
         _, _, _, order, twisted_order = zeta_order(curve(X13, 31, 1))
@@ -390,10 +461,11 @@ class TestCensusShortcuts:
                     if f == 2 and p * p > ff.MAX_TABLE_ORDER:
                         continue
                     try:
-                        cen = Census(model, p, f, twisted)
+                        R = reduction(model, p)
                     except BadReduction:
                         continue
-                    assert cen.structure == span_census(model, p, f, twisted), (label, p, f, twisted)
+                    cen = R.twist if twisted else R.census(f)
+                    assert cen.structure == span_census(cen), (label, p, f, twisted)
                     exps = cen._order_exponents
                     e, r = exps.get(2, 0), cen.two_rank
                     fixed += e > 1 and r in (1, e - 1, e)
@@ -405,7 +477,7 @@ class TestCensusShortcuts:
     def test_two_part_against_a_wrong_two_rank_raises(self, p, rank):
         # J(F_9) has 2-part (Z/2)^4, fixed by its rank; J(F_25) has 2-part
         # Z/2 x Z/2 x Z/4 x Z/8, spanned, whose rank 4 is not 3
-        cen = Census(model_of(X16), p, 2, False)
+        cen = fresh(model_of(X16), p).census(2)
         cen.two_rank = rank
         with pytest.raises(mwtors.CrossCheckError):
             cen.structure
@@ -419,8 +491,9 @@ class TestCensusShortcuts:
         p = C.domain.tables.p
         f = 1 if C.domain.q == p else 2
         model = model_from_curve(C)
+        R = fresh(model, p)
         for twisted in (False, True) if f == 2 else (False,):
-            spanned = span_census(model, p, f, twisted).ell_part(2).rank()
+            spanned = span_census(R.twist if twisted else R.census(f)).ell_part(2).rank()
             assert hyperjac.two_rank_mod_p(model.f_coeffs, p, 1 if twisted else f) == spanned
 
     @pytest.mark.parametrize("coeffs,p", [(X13, 7), (X16, 3), (X18, 7)])
@@ -432,7 +505,7 @@ class TestCensusShortcuts:
         C = curve(coeffs, p, 2)
         dom = C.domain
         roots = lambda u: [x for x in range(dom.q) if poly.peval(dom, u, x) == 0]
-        opens = [len(u) == 3 and min(roots(u), default=0) >= p for u, _, _ in hyperjac._pair_classes(dom, C.F)]
+        opens = [len(u) == 3 and min(roots(u), default=0) >= p for u, _, _ in hyperjac._pair_classes(C)]
         assert opens[0] and opens == sorted(opens, reverse=True)
 
 
@@ -529,12 +602,12 @@ class TestTwistedStructures:
         """#ker(1 + Frobenius) on J(F_{p^2}) = L(-1) over F_p, for inert twists."""
         for coeffs, p in [(X13, 3), (X16, 3), (X18, 5), (X18, 7)]:
             Cp = curve(coeffs, p, 1)
-            tw = census(model_of(coeffs), p, 2, True).structure
+            tw = reduction(model_of(coeffs), p).twist.structure
             assert tw.order == zeta_order(Cp)[4]
 
     def test_x18_minus3_twist_is_z3_compatible(self):
         # the twist group over F_5 must admit Z/3 (its rational torsion)
-        tw = census(model_of(X18), 5, 2, True).structure
+        tw = reduction(model_of(X18), 5).twist.structure
         assert AbGroupStructure.cyclic(3).embeds_in(tw)
 
     def test_inert_twist_equals_frobenius_kernel(self):
@@ -560,12 +633,37 @@ class TestTwistedStructures:
         C1 = HyperCurve(code_domain(ff.make_field(p, 1)), C2.F)
         assert len(twist) == zeta_order(C1)[4]
 
+    def test_ell_pairs_skip_the_scan_only_where_the_exponent_is_ell(self):
+        """The ell-pairs of every census that `Reduction.twist_census` can
+        return, J(F_p) and the inert twist, of the three models at every
+        good p <= 13, against the ell * x scan of S_ell: equal whether the
+        scan was skipped (S_ell of exponent ell) or not."""
+        skipped = scanned = 0
+        for coeffs in MODELS.values():
+            for p in (3, 5, 7, 11, 13):
+                try:
+                    R = fresh(model_of(coeffs), p)
+                except BadReduction:
+                    continue
+                for cen in (R.census(1), R.twist):
+                    double = lambda x: cen.add(x, x)
+                    for ell in factorize(len(cen.classes)):
+                        torsion = sorted(
+                            x for x in cen.sylow(ell) if scalar_mul(ell, x, cen.add, double, cen.identity) == cen.identity
+                        )
+                        assert cen.ell_pairs(ell) == tuple((u, v) for u, v, n in torsion if len(u) == 3 and n == 0)
+                        elementary = set(cen.exponents(ell)) == {1}
+                        skipped += elementary
+                        scanned += not elementary
+        assert skipped > 0 and scanned > 0
+
     def test_ell_pairs_match_generic_scan(self):
         """Skipping ell prime to the group order loses no ell-torsion; the
         pairs of the twist, over F_p, map onto those of ker(1 + Frobenius)."""
         found = 0
         for coeffs, p, f, twisted in [(X13, 3, 1, False), (X18, 5, 1, False), (X18, 5, 2, True)]:
-            cen = census(model_of(coeffs), p, f, twisted)
+            R = reduction(model_of(coeffs), p)
+            cen = R.twist if twisted else R.census(f)
             C = curve(coeffs, p, f)
             classes = frobenius_kernel(C) if twisted else all_classes(C)
             for ell in (2, 3, 5, 7, 19):
@@ -586,7 +684,7 @@ class TestTwistedStructures:
         ker(1 + Frobenius) listed in J(F_{p^2}): the stream maps onto it,
         and the Sylow structures and the ell-pairs agree."""
         p = C2.domain.tables.p
-        cen = Census(model_from_curve(C2), p, 2, True)
+        cen = fresh(model_from_curve(C2), p).twist
         kernel = frobenius_kernel(C2)
         listed = [embed_twist(C2, D) for D in cen.classes]
         assert len(listed) == len(set(listed)) == len(cen.classes) and sorted(listed) == kernel
@@ -604,7 +702,7 @@ class TestTwistedStructures:
         """Cantor's law on the twist y^2 = F/n over F_p, an inert sextic or a
         quintic, commutes with its embedding in J(F_{p^2})."""
         p = C2.domain.tables.p
-        cen = Census(model_from_curve(C2), p, 2, True)
+        cen = fresh(model_from_curve(C2), p).twist
         classes = list(cen.classes)
         for _ in range(10):
             D1, D2 = data.draw(st.sampled_from(classes)), data.draw(st.sampled_from(classes))
@@ -619,11 +717,11 @@ class TestTwistedStructures:
             model = model_of(coeffs)
             for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
                 try:
-                    cen = Census(model, p, 2, True)
+                    R = reduction(model, p)
                 except BadReduction:
                     continue
-                listed = list(cen.classes)
-                assert len(set(listed)) == len(listed) == mwtors._zeta_orders(model, p)[1], (model.label, p)
+                listed = list(R.twist.classes)
+                assert len(set(listed)) == len(listed) == R.zeta[4], (model.label, p)
                 pairs += 1
         assert pairs == 28
 

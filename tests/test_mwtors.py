@@ -27,12 +27,13 @@ from mqtorsion.mwtors import (
     torsion_table,
     verify_model_integrity,
 )
-from mqtorsion.poly import QQ
+from mqtorsion.poly import QQ, TowerDomain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from reference import (
     eight_torsion_criterion,
     genus2_rational_torsion_bounds_over_q,
     group_meet,
+    jac_neg,
     jac_order,
     torsion_over_tower,
     twist_odd_torsion,
@@ -123,17 +124,14 @@ class TestReductionBound:
         from_ints = hyperjac.HyperCurve.from_ints
         counting = lambda dom, coeffs, label: built.append(dom) or from_ints(dom, coeffs, label)
         monkeypatch.setattr(hyperjac.HyperCurve, "from_ints", staticmethod(counting))
-        mwtors._hyper_reduction_or_none.cache_clear()
-        mwtors.zeta.cache_clear()
+        mwtors._reduction_or_none.cache_clear()
         for _ in range(3):
             with pytest.raises(BadReduction):
-                mwtors.hyper_reduction(model, 3, 1)
-            with pytest.raises(BadReduction):
-                mwtors._zeta_orders(model, 3)
+                mwtors.reduction(model, 3)
         assert len(built) == 1
-        assert mwtors.hyper_reduction(model, 7, 1) is mwtors.hyper_reduction(model, 7, 1)
+        assert mwtors.reduction(model, 7) is mwtors.reduction(model, 7)
         assert len(built) == 2
-        mwtors._hyper_reduction_or_none.cache_clear()
+        mwtors._reduction_or_none.cache_clear()
 
 
 class TestTwists:
@@ -150,6 +148,30 @@ class TestTwists:
 
     def test_x18_twist_witness_absent_for_trivial_twist(self):
         assert genus2_twist_witness(get_model("X1(18)"), 2, 3) is None
+
+    def test_x18_witness_over_q_is_a_class_that_conjugation_negates(self):
+        """The witness on y^2 = -3 F(x) over Q, moved to y^2 = F(x) over
+        Q(sqrt(-3)) by v -> v/sqrt(-3), is a class of order 3 that the
+        conjugation sigma negates, and not 0, so not fixed by sigma."""
+        u, v, n = genus2_twist_witness(get_model("X1(18)"), -3, 3)
+        K = MultiQuadField([-3])
+        C = hyperjac.HyperCurve.from_ints(TowerDomain(K), get_model("X1(18)").f_coeffs)
+        sinv = K.one() / K.sqrt_gen(-3)
+        D = (tuple(map(K.from_rational, u)), tuple(K.from_rational(c) * sinv for c in v), n)
+        assert hyperjac.is_valid_divisor(C, D) and jac_order(C, D, 5) == 3
+        sigma = lambda part: tuple(c.conjugate((-1,)) for c in part)
+        assert (sigma(D[0]), sigma(D[1]), 0) == jac_neg(C, D) != D
+
+    def test_a_reconstruction_that_is_not_ell_torsion_is_refused(self, monkeypatch):
+        """The 3-torsion data of the -3 twist of X1(18), handed in as 7-torsion
+        data, reconstructs the witness W: a valid class, not 0, but
+        7 * W = W != 0, so no 7-torsion witness is returned."""
+        model = get_model("X1(18)")
+        data = mwtors._twisted_ell_torsion_data
+        monkeypatch.setattr(mwtors, "_twisted_ell_torsion_data", lambda model, d, p, ell: data(model, d, p, 3))
+        witness = genus2_twist_witness.__wrapped__  # outside the cache
+        assert witness(model, -3, 3) == genus2_twist_witness(model, -3, 3)
+        assert witness(model, -3, 7) is None
 
 
 class TestTwistOddTorsion:
@@ -377,7 +399,7 @@ class TestRationalClassesOverFp:
         lower, upper = genus2_rational_torsion_bounds_over_q(model)
         CQ = hyperjac.HyperCurve.from_ints(QQ, model.f_coeffs)
         gens = hyperjac.classes_from_rational_points(CQ, hyperjac.search_rational_points(model.f_coeffs, 40))
-        C = mwtors.hyper_reduction(model, mwtors._class_reduction_prime(model, gens), 1)
+        C = mwtors.reduction(model, mwtors._class_reduction_prime(model, gens)).curve
         add = lambda a, b: hyperjac.jac_add(C, a, b)
         torsion = [mwtors._reduce_class(C, D) for D in gens if self._finite(CQ, D, upper.exponent)]
         span = subgroup_span(torsion, add, C.identity())
