@@ -280,7 +280,7 @@ def classify(target: str, K, table: RankTable | None = None) -> Verdict:
 def verify_exceptional(curve: ExceptionalCurve) -> None:
     """Certify a shipped curve: its shipped point P lies on E and has exact
     order n, the curve's target, over K, checked by nP = O and
-    (n/l)P != O for each prime l | n in Jacobian coordinates
+    (n/l)P != O for each prime l | n on the affine group law
     (`ellcurve.has_order`), so E(K) holds Z/n.  Raises VerificationError
     on any failure.
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ff, qfield
-from .groups import AbGroupStructure, GroupError, structure_from_elements
+from .groups import AbGroupStructure, GroupError, scalar_mul, structure_from_elements
 from .intutil import (
     factorize,
     integer_cubic_roots,
@@ -70,7 +70,7 @@ class EllipticCurve:
     def from_ints(cls, domain, ainvs, label=None):
         return cls(domain, [domain.from_int(n) for n in ainvs], label)
 
-    def b_invariants(self):
+    def discriminant(self):
         d = self.domain
         a1, a2, a3, a4, a6 = self.a
         m, add, sub = d.mul, d.add, d.sub
@@ -82,17 +82,11 @@ class EllipticCurve:
                 sub(m(a2, m(a3, a3)), m(m(a1, a3), a4))),
             m(a4, a4),
         )
-        return b2, b4, b6, b8
-
-    def discriminant(self):
-        d = self.domain
-        b2, b4, b6, b8 = self.b_invariants()
-        m = d.mul
         t1 = d.neg(m(m(b2, b2), b8))
         t2 = d.neg(m(d.from_int(8), m(b4, m(b4, b4))))
         t3 = d.neg(m(d.from_int(27), m(b6, b6)))
         t4 = m(d.from_int(9), m(b2, m(b4, b6)))
-        return d.add(d.add(t1, t2), d.add(t3, t4))
+        return add(add(t1, t2), add(t3, t4))
 
     # -- group law --------------------------------------------------------
 
@@ -467,28 +461,22 @@ def tower_short_curve(A: int, B: int, K) -> EllipticCurve:
 
 
 def _roots_in_tower(g, d: int, K) -> list:
-    """Roots in K of a monic rational polynomial g of degree <= 2 (a tuple),
-    d the squarefree class of its splitting field (1 for a linear g).  The
-    square root of the discriminant is read from the basis of K:
-    sqrt(disc) = r * sqrt(d) for the rational r = sqrt(disc / d) > 0, a
-    positive multiple of the basis element whose class is d, which is also
-    the root that `qfield.sqrt_in_tower` gives."""
+    """Roots in K of a monic rational polynomial g (a tuple), linear or an
+    irreducible quadratic, d the squarefree class of its splitting field
+    (1 for a linear g).  The callers read g from `_cubic_factors`, which
+    gives a quadratic only when it is irreducible, so its class d is not 1
+    and its two roots differ.  The square root of the discriminant is read
+    from the basis of K: sqrt(disc) = r * sqrt(d) for the rational
+    r = sqrt(disc / d) > 0, a positive multiple of the basis element whose
+    class is d, which is also the root that `qfield.sqrt_in_tower` gives."""
     if len(g) == 2:
         return [K.from_rational(-g[0])]
-    disc = g[1] ** 2 - 4 * g[0]
-    if d == 1:
-        rs = rational_sqrt(Fraction(disc))
-        if rs is None:
-            return []
-        s = K.from_rational(rs)
-    elif K.contains_sqrt(d):
-        r = rational_sqrt(Fraction(disc, d))
-        s = K.sqrt_gen(d).scale(r.numerator, r.denominator)
-    else:
+    if not K.contains_sqrt(d):
         return []
+    r = rational_sqrt(Fraction(g[1] ** 2 - 4 * g[0], d))
+    s = K.sqrt_gen(d).scale(r.numerator, r.denominator)
     mb = K.from_rational(-g[1])
-    roots = [(mb + s).scale(1, 2), (mb - s).scale(1, 2)]
-    return roots if roots[0] != roots[1] else roots[:1]
+    return [(mb + s).scale(1, 2), (mb - s).scale(1, 2)]
 
 
 @lru_cache(maxsize=64)
@@ -540,118 +528,24 @@ def _doubles_to(E: EllipticCurve, Q, P) -> bool:
     )
 
 
-# Points of y^2 = x^3 + Ax + B over a tower in Jacobian coordinates
-# (X : Y : Z) = (X/Z^2, Y/Z^3), Z = 0 for O, added without an inverse
-# (Cohen, Frey et al., Handbook of Elliptic and Hyperelliptic Curve
-# Cryptography, 13.2.1).
-
-
-def _jacobian_double(A, R):
-    """2R for R = (X : Y : Z): (X' : M(S - X') - 8Y^4 : 2YZ) with
-    M = 3X^2 + AZ^4, S = 4XY^2 and X' = M^2 - 2S.  The result has Z = 0
-    exactly when R = O or Y = 0, that is when 2R = O."""
-    X, Y, Z = R
-    XX, YY, ZZ = X * X, Y * Y, Z * Z
-    S = (X * YY).scale(4)
-    M = XX.scale(3) + A * (ZZ * ZZ)
-    X = M * M - S.scale(2)
-    return X, M * (S - X) - (YY * YY).scale(8), (Y * Z).scale(2)
-
-
-def _jacobian_add_affine(A, R, P):
-    """R + P for R = (X : Y : Z) and an affine P = (x, y), by the mixed
-    addition.  With U = xZ^2, H = U - X and r = yZ^3 - Y, the chord through
-    (X/Z^2, Y/Z^3) and P has slope r/(ZH), and the sum is
-    (r^2 - H^3 - 2XH^2 : r(XH^2 - X3) - YH^3 : ZH).  When H = 0 the two
-    points have the same x: R = P if r = 0 (double it), else R = -P and
-    the sum is O."""
-    X, Y, Z = R
-    x, y = P
-    if not Z:
-        return x, y, x.field.one()
-    ZZ = Z * Z
-    H = x * ZZ - X
-    r = y * (ZZ * Z) - Y
-    if not H:
-        return _jacobian_double(A, R) if not r else (x.field.one(), x.field.one(), x.field.zero())
-    HH = H * H
-    HHH = HH * H
-    V = X * HH
-    X3 = r * r - HHH - V.scale(2)
-    return X3, r * (V - X3) - Y * HHH, Z * H
-
-
-def _jacobian_multiple(A, n: int, P):
-    """n*P for n >= 1 and an affine P, by doubling and adding P from the
-    top bit of n down."""
-    x, y = P
-    R = (x, y, x.field.one())
-    for bit in bin(n)[3:]:
-        R = _jacobian_double(A, R)
-        if bit == "1":
-            R = _jacobian_add_affine(A, R, P)
-    return R
-
-
-def _short_image(E: EllipticCurve, P):
-    """(A, Q): E, a long model over a tower, is isomorphic over its field
-    to y^2 = x^3 + Ax + B with A = -27 u^4 c4 and B = -54 u^6 c6, by
-    (x, y) -> (u^2 (36x + 3b2), 108 u^3 (2y + a1 x + a3)) (Silverman,
-    AEC III.1), and Q is the image of the affine point P.  u, the lcm of
-    the denominators of the a_i, makes A integral, so that the denominators
-    of the Jacobian multiples of Q come from Q alone: over Q(sqrt(-15))
-    this makes 15Q three times faster."""
-    b2, b4, _, _ = E.b_invariants()
-    a1, _, a3, _, _ = E.a
-    x, y = P
-    u = math.lcm(*(a.den for a in E.a))
-    A = (b2 * b2 - b4.scale(24)).scale(-27 * u**4)
-    return A, ((x.scale(36) + b2.scale(3)).scale(u * u), (y.scale(2) + a1 * x + a3).scale(108 * u**3))
-
-
 def has_order(E: EllipticCurve, P, n: int) -> bool:
-    """True iff the affine point P of E, a long model over a tower, has
-    exact order n >= 1, with no tower inverse.
+    """True iff the affine point P of E, a long model over a field domain,
+    has exact order n >= 1.
 
     Proof.  ord(P) divides n iff nP = O.  A proper divisor m of n divides
     n/l for some prime l | n (take l | n/m).  So ord(P) = n iff nP = O and
     (n/l)P != O for each prime l | n; for n = 15 these are 15P = O,
     5P != O and 3P != O.  nP = l((n/l)P), so nP is read from the multiple
     already taken for the first l, by a ladder of l alone: one ladder per
-    prime l | n.  The multiples are taken on the short model
-    (`_short_image`) in Jacobian coordinates, where a point is O iff Z = 0.
-    A point (X : Y : Z) with Z != 0 is the affine (X/Z^2, Y/Z^3), and
-    (x, y) -> (Z^2 x, Z^3 y) maps y^2 = x^3 + Ax + B isomorphically onto
-    y^2 = x^3 + A Z^4 x + B Z^6, taking it to the affine (X, Y); the ladder
-    of l runs there, with no inverse."""
+    prime l | n, each `groups.scalar_mul` on the affine law E.add."""
     if n == 1:
         return False  # an affine point is not O
-    A, Q = _short_image(E, P)
+    double = lambda Q: E.add(Q, Q)
     ells = list(factorize(n))
-    multiples = [_jacobian_multiple(A, n // ell, Q) for ell in ells]
-    if not all(Z for _, _, Z in multiples):
+    multiples = [scalar_mul(n // ell, P, E.add, double, INF) for ell in ells]
+    if any(R is INF for R in multiples):
         return False
-    X, Y, Z = multiples[0]
-    ZZ = Z * Z
-    return not _jacobian_multiple(A * ZZ * ZZ, ells[0], (X, Y))[2]
-
-
-def _two_power_order(E: EllipticCurve, P) -> int:
-    """The order of P, an affine point of 2-power order on
-    E: y^2 = x^3 + Ax + B over a tower, by doubling in Jacobian coordinates
-    without an inverse.  An affine point (Z != 0) with Y = 0 has order 2,
-    and one with Y != 0 doubles to an affine point (2YZ != 0).  So
-    2^j P = O exactly when the (j-1)-th double has Y = 0.  CurveError when
-    the order exceeds 64."""
-    A = E.a[3]
-    R = (*P, E.domain.one)
-    n = 2
-    while R[1]:
-        if n == 64:
-            raise CurveError("point order exceeds bound 64")
-        R = _jacobian_double(A, R)
-        n *= 2
-    return n
+    return scalar_mul(ells[0], multiples[0], E.add, double, INF) is INF
 
 
 def halving_witness(E: EllipticCurve, t1):
@@ -737,10 +631,6 @@ def _two_torsion_field(A: int, B: int, K):
     return L, e_roots
 
 
-def _k_rational(galois, v) -> bool:
-    return all(v.conjugate(signs) == v for signs in galois)
-
-
 def two_primary_over_tower(A: int, B: int, K, cap: int):
     """(structure, witnesses) for the 2-primary torsion of
     y^2 = x^3 + Ax + B over the multi-quadratic field K, given a proven
@@ -750,8 +640,11 @@ def two_primary_over_tower(A: int, B: int, K, cap: int):
     2-torsion from the cubic roots in K (complete); order 4 by the halving
     iff-criterion.  Then H, the span of the witnesses, grows by a half over
     K of a point of some class of H/2H but 0 (`_order_reps`), found over
-    the 2-torsion field and descended to K by Galois fixedness, until no
-    class has a half of order at most `cap`.
+    the 2-torsion field L and descended to K by `K.project`, until no class
+    has a half of order at most `cap`.  The basis of K maps to rational
+    multiples of distinct basis elements of L (`embedding`), so an element
+    of L lies in K iff its coordinates vanish off those basis elements, and
+    a point of E(L) lies in E(K) iff `K.project` maps both its x and its y.
 
     Exactness.  Let G be the points of E(K) of order dividing cap, a group
     that holds H.  While H != G, take R in G outside H; some Q = 2^i R lies
@@ -760,7 +653,13 @@ def two_primary_over_tower(A: int, B: int, K, cap: int):
     class of 2Q is not 0 and has a half over K of order at most cap, and
     then so does the point of least order in that class, which
     `_order_reps` yields.  The search stops exactly at H = G, and
-    G = E(K)[2^oo] since cap bounds its exponent.
+    G = E(K)[2^oo] since cap bounds its exponent.  A found half has order
+    2n, n the order of its class point c, with no order taken:
+    `_halves_over_tower` checks 2Q = c over L (`_doubles_to`), and c has
+    order n >= 2 (`_order_reps`), a power of 2.  So 2nQ = nc = O and
+    nQ = (n/2)c != O: Q has order 2n.  The lift E(K) -> E(L) is an
+    injective group homomorphism and the found point over K lifts back to
+    Q, so it lies on E and has order 2n too.
 
     H starts from a basis.  With one halvable root t_i and P4 its half,
     H = <T_j> + <P4> for another root T_j = (t_j, 0): T_i = 2 P4, the third
@@ -799,7 +698,6 @@ def two_primary_over_tower(A: int, B: int, K, cap: int):
         basis = witnesses[:2]
     if halvable and cap >= 8:
         L, e_roots = _two_torsion_field(A, B, K)
-        galois = L.galois_over(K)
         EL = tower_short_curve(A, B, L)
         while True:
             for c, n, kept in _order_reps(EK, basis):
@@ -807,15 +705,15 @@ def two_primary_over_tower(A: int, B: int, K, cap: int):
                     continue
                 found = None
                 for Q in _halves_over_tower(EL, e_roots, (L.lift(c[0]), L.lift(c[1]))):
-                    if _k_rational(galois, Q[0]) and _k_rational(galois, Q[1]):
-                        found = (K.project(Q[0]), K.project(Q[1]))
+                    x, y = K.project(Q[0]), K.project(Q[1])
+                    if x is not None and y is not None:
+                        found = (x, y)
                         break
                 if found:
                     break
                 no_half.append(c)
             else:
                 break
-            assert EK.on_curve(found) and _two_power_order(EK, found) == 2 * n
             witnesses.append((found, 2 * n))
             basis = sorted(kept + [(found, 2 * n)], key=lambda pair: pair[1])
     return AbGroupStructure.from_prime_exponents({2: [n.bit_length() - 1 for _, n in basis]}), witnesses

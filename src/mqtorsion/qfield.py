@@ -10,9 +10,10 @@ intersections are read from the basis in O(n) vector operations; the 2^n
 classes of the span and the generator products are built together, once,
 when a signature or an element first needs them (`_span_tables`).
 Elements of the field are exact: 2^n integer numerators over one shared
-denominator, in the basis of square roots of products of generators.  The field is also the one place
-that maps the basis of a subfield into its own (`embedding`, `lift`,
-`project`, `galois_over`).
+denominator, in the basis of square roots of products of generators.  The
+field is also the one place that maps the basis of a subfield into its own
+(`embedding`, `lift`, and its inverse `project`, which also tests
+membership).
 
 Everything is immutable and pure.  A field memoises what it derives from
 its basis (its span, generator products, subfield of lower generators,
@@ -367,31 +368,15 @@ class MultiQuadField:
             coords[mask] = c * scale
         return TowerElem(self, tuple(coords))
 
-    def project(self, v: "TowerElem") -> "TowerElem":
+    def project(self, v: "TowerElem") -> "TowerElem | None":
         """The element of this field that lifts to v, an element of a larger
-        field: the exact inverse of `lift`.  QFieldError when v does not lie
-        in this field."""
-        preimage = {mask: (m, scale) for m, (mask, scale) in enumerate(v.field.embedding(self))}
-        coords = [Fraction(0)] * self.degree
-        for mask, c in enumerate(v.coords):
-            if c:
-                if mask not in preimage:
-                    raise QFieldError(f"{v} does not lie in {self}")
-                m, scale = preimage[mask]
-                coords[m] = c / scale
-        return TowerElem(self, tuple(coords))
-
-    def galois_over(self, K: "MultiQuadField") -> list[tuple[int, ...]]:
-        """The nontrivial elements of Gal(self/K) as sign tuples on gens:
-        the sign flips that fix the image of every generator of K."""
-        n = len(self.gens)
-        image = self.embedding(K)
-        fixed = [image[1 << i][0] for i in range(len(K.gens))]
-        return [
-            tuple(-1 if bits >> i & 1 else 1 for i in range(n))
-            for bits in range(1, 2**n)
-            if all(bin(bits & m).count("1") % 2 == 0 for m in fixed)
-        ]
+        field: the exact inverse of `lift`, or None when v does not lie in
+        this field, that is when a nonzero coordinate of v lies off the
+        images of this field's basis elements (`embedding`)."""
+        image, nums = v.field.embedding(self), v.nums
+        if sum(map(bool, nums)) != sum(1 for mask, _ in image if nums[mask]):
+            return None
+        return TowerElem(self, tuple(Fraction(nums[mask], v.den) / scale for mask, scale in image))
 
     @cached_property
     def lower(self) -> "MultiQuadField":
@@ -479,14 +464,6 @@ class TowerElem:
                 for t, ct in nz_other:
                     out[s ^ t] += cs * ct * products[s & t]
         return _canonical(self.field, out, self.den * other.den)
-
-    def conjugate(self, signs: tuple[int, ...]) -> "TowerElem":
-        """Galois conjugation; signs[i] = -1 flips sqrt(gens[i])."""
-        if len(signs) != len(self.field.gens) or any(s not in (1, -1) for s in signs):
-            raise QFieldError("signs must be a tuple of +-1 per generator")
-        flips = sum(1 << i for i, s in enumerate(signs) if s == -1)
-        nums = tuple(-n if bin(mask & flips).count("1") % 2 else n for mask, n in enumerate(self.nums))
-        return _elem(self.field, nums, self.den)
 
     def inverse(self) -> "TowerElem":
         if self.is_zero():

@@ -73,24 +73,29 @@
 - The 2-primary search over a tower by the affine group law
   (`two_primary_over_tower_affine`): every point of the level below in the
   span of the witnesses is halved, each half checked and each order taken
-  by affine doublings, and the tower square root divides by tower inverses
-  (`sqrt_in_tower_by_inverses`).  Production halves one point per class of
-  H/2H by the explicit halving formula and checks halves and orders without
-  an inverse.  `eight_torsion_criterion` reads order 8 from the
-  division polynomial instead.
+  by affine doublings, each half descended to K when every element of
+  Gal(L/K) fixes it (`galois_over`, `conjugate`, `k_rational`), and the
+  tower square root divides by tower inverses (`sqrt_in_tower_by_inverses`).
+  Production halves one point per class of H/2H by the explicit halving
+  formula, checks each half without an inverse, reads its order from its
+  class and descends it by `MultiQuadField.project`.
+  `eight_torsion_criterion` reads order 8 from the division polynomial
+  instead.
 - The roots in Q(sqrt d) of a polynomial over it from the degree <= 2
   rational factors of its norm to Q (`tower_poly_roots_by_norm`).
   Production searches for no roots: each exceptional curve ships a point
   of exact order n, and the tests find its multiples among these roots.
 - The x-only division polynomials (`two_torsion_cubic`, `divpoly_f`,
-  `kill_poly`), checked against the group law and used to build kernel
-  polynomials and test inputs.  Production certifies torsion points by
-  their multiples (`ellcurve.has_order`) and never forms them.
-- The value of a rational tower element (`rational_value`) and the norm of
-  a tower element to Q (`norm_to_q`), which no production path takes.
-- Multiples and orders of a point by the affine group law (`curve_mul`,
-  `point_order`).  Production takes them in Jacobian coordinates
-  (`ellcurve.has_order`).
+  `kill_poly`) from the b-invariants of a curve (`curve_b_invariants`),
+  checked against the group law and used to build kernel polynomials and
+  test inputs.  Production certifies torsion points by their multiples
+  (`ellcurve.has_order`) and never forms them.
+- The value of a rational tower element (`rational_value`), its Galois
+  conjugates (`conjugate`) and its norm to Q (`norm_to_q`), which no
+  production path takes.
+- The order of a point by repeated affine addition (`point_order`), and
+  its multiples (`curve_mul`).  Production proves an order by one
+  `groups.scalar_mul` ladder per prime dividing it (`ellcurve.has_order`).
 - The per-field stages of derive, as they were computed for every field K
   (`reduction_bound_per_field`, `genus1_odd_part_per_field`,
   `genus2_twists_by_filter`, `weierstrass_orbits_per_call`) and the
@@ -146,7 +151,6 @@ from mqtorsion.ellcurve import (
     EllipticCurve,
     affine_count,
     c4c6_disc,
-    _k_rational,
     _two_torsion_field,
     short_model,
     twist_odd_torsion_q,
@@ -754,14 +758,14 @@ def two_primary_over_tower_affine(A: int, B: int, K, cap: int):
     top = 4 if halvable else 2
     if halvable and cap >= 8:
         L, e_roots = _two_torsion_field(A, B, K)
-        galois = L.galois_over(K)
+        galois = galois_over(L, K)
         EL = tower_curve_affine(A, B, L)
         level = 8
         while level <= cap:
             found = None
             for P in order_reps_span(EK, witnesses, level // 2):
                 for Q in halves_over_tower_affine(EL, e_roots, (L.lift(P[0]), L.lift(P[1]))):
-                    if _k_rational(galois, Q[0]) and _k_rational(galois, Q[1]):
+                    if k_rational(galois, Q[0]) and k_rational(galois, Q[1]):
                         found = (K.project(Q[0]), K.project(Q[1]))
                         break
                 if found:
@@ -906,6 +910,22 @@ def point_order(E: EllipticCurve, P, bound: int = 100000) -> int:
 # ---------------------------------------------------------------------------
 
 
+def curve_b_invariants(E: EllipticCurve) -> tuple:
+    """(b2, b4, b6, b8) of the long model E, in its domain."""
+    d = E.domain
+    a1, a2, a3, a4, a6 = E.a
+    m, add, sub = d.mul, d.add, d.sub
+    b2 = add(m(a1, a1), m(d.from_int(4), a2))
+    b4 = add(add(a4, a4), m(a1, a3))
+    b6 = add(m(a3, a3), m(d.from_int(4), a6))
+    b8 = sub(
+        add(add(m(m(a1, a1), a6), m(m(d.from_int(4), a2), a6)),
+            sub(m(a2, m(a3, a3)), m(m(a1, a3), a4))),
+        m(a4, a4),
+    )
+    return b2, b4, b6, b8
+
+
 def two_torsion_cubic(b, dom=QQ) -> tuple:
     """T = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 over dom."""
     b2, b4, b6, b8 = b
@@ -987,6 +1007,35 @@ def primitive_kernel_poly(E: EllipticCurve, n: int) -> tuple:
     return primitive_kernel_poly_b(tuple(Fraction(v) for v in (0, 2 * A, 4 * B, -A * A)), n)
 
 
+def conjugate(v, signs: tuple[int, ...]):
+    """The Galois conjugate of the tower element v: signs[i] = -1 flips
+    sqrt(gens[i])."""
+    if len(signs) != len(v.field.gens) or any(s not in (1, -1) for s in signs):
+        raise QFieldError("signs must be a tuple of +-1 per generator")
+    flips = sum(1 << i for i, s in enumerate(signs) if s == -1)
+    nums = tuple(-n if bin(mask & flips).count("1") % 2 else n for mask, n in enumerate(v.nums))
+    return qfield._elem(v.field, nums, v.den)
+
+
+def galois_over(L, K) -> list[tuple[int, ...]]:
+    """The nontrivial elements of Gal(L/K), for a subfield K of L, as sign
+    tuples on the generators of L: the sign flips that fix the image of
+    every generator of K."""
+    n = len(L.gens)
+    image = L.embedding(K)
+    fixed = [image[1 << i][0] for i in range(len(K.gens))]
+    return [
+        tuple(-1 if bits >> i & 1 else 1 for i in range(n))
+        for bits in range(1, 2**n)
+        if all(bin(bits & m).count("1") % 2 == 0 for m in fixed)
+    ]
+
+
+def k_rational(galois, v) -> bool:
+    """True iff every sign tuple of `galois` fixes the tower element v."""
+    return all(conjugate(v, signs) == v for signs in galois)
+
+
 def rational_value(v) -> Fraction:
     """The tower element v as a rational; QFieldError when it is not one."""
     if any(v.nums[1:]):
@@ -1000,7 +1049,7 @@ def norm_to_q(v) -> Fraction:
     out = v.field.one()
     n = len(v.field.gens)
     for mask in range(2**n):
-        out = out * v.conjugate(tuple(-1 if mask >> i & 1 else 1 for i in range(n)))
+        out = out * conjugate(v, tuple(-1 if mask >> i & 1 else 1 for i in range(n)))
     return rational_value(out)
 
 
@@ -1018,7 +1067,7 @@ def support_gens(v) -> qfield.MultiQuadField:
 def tower_poly_norm(coeffs, K) -> tuple:
     """Norm of a polynomial over a quadratic field down to Q."""
     assert len(K.gens) == 1
-    conj = [c.conjugate((-1,)) for c in coeffs]
+    conj = [conjugate(c, (-1,)) for c in coeffs]
     prod = pmul(TowerDomain(K), tuple(coeffs), tuple(conj))
     return pnormalize([rational_value(c) for c in prod])
 

@@ -15,7 +15,7 @@ from mqtorsion.classify import (
 )
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from mqtorsion.ellcurve import has_order
-from reference import curve_mul, kill_poly, point_order, split_prime_counts, tower_poly_roots_by_norm
+from reference import curve_b_invariants, curve_mul, kill_poly, point_order, split_prime_counts, tower_poly_roots_by_norm
 
 
 def with_ranks(records):
@@ -247,7 +247,7 @@ class TestRootSearch:
         E, K, P = curve.curve(), curve.field(), curve.certificate()
         n = curve.target
         for ell in (2,) if n == 14 else (3, 5):
-            kill = kill_poly(E.b_invariants(), ell, E.domain)
+            kill = kill_poly(curve_b_invariants(E), ell, E.domain)
             roots = tower_poly_roots_by_norm(kill, K)
             Q = curve_mul(E, n // ell, P)
             assert {curve_mul(E, k, Q)[0] for k in range(1, ell)} <= set(roots), (name, ell)

@@ -29,6 +29,7 @@ from mqtorsion.poly import QQ, TowerDomain, code_domain, pdegree, pderiv, pgcdex
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
 from reference import (
     all_classes,
+    conjugate,
     conjugate_pair_classes_by_walk,
     count_over_quadratic_ext_walk,
     inert_twist_classes,
@@ -799,6 +800,6 @@ class TestRationalLowerBounds:
         D = (u, v, 0)
         assert is_valid_divisor(C, D)
         assert jac_order(C, D, 5) == 3
-        sig = lambda e: e.conjugate((-1,))
+        sig = lambda e: conjugate(e, (-1,))
         Dsig = (tuple(map(sig, u)), tuple(map(sig, v)), 0)
         assert Dsig == jac_neg(C, D)

@@ -30,6 +30,7 @@ from mqtorsion.mwtors import (
 from mqtorsion.poly import QQ, TowerDomain
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from reference import (
+    conjugate,
     eight_torsion_criterion,
     genus2_rational_torsion_bounds_over_q,
     group_meet,
@@ -159,7 +160,7 @@ class TestTwists:
         sinv = K.one() / K.sqrt_gen(-3)
         D = (tuple(map(K.from_rational, u)), tuple(K.from_rational(c) * sinv for c in v), n)
         assert hyperjac.is_valid_divisor(C, D) and jac_order(C, D, 5) == 3
-        sigma = lambda part: tuple(c.conjugate((-1,)) for c in part)
+        sigma = lambda part: tuple(conjugate(c, (-1,)) for c in part)
         assert (sigma(D[0]), sigma(D[1]), 0) == jac_neg(C, D) != D
 
     def test_a_reconstruction_that_is_not_ell_torsion_is_refused(self, monkeypatch):

@@ -11,6 +11,7 @@ from mqtorsion import poly
 from mqtorsion.ellcurve import INF, CurveError, EllipticCurve, points_over_code_domain
 import reference
 from reference import (
+    curve_b_invariants,
     curve_mul,
     divpoly_f,
     kill_poly,
@@ -313,7 +314,7 @@ class TestDivisionPolynomialProperties:
         nonzero points killed by n, whose y lies in F_{p^2}."""
         E, points = curve
         dom, p = E.domain, E.domain.tables.p
-        kill = kill_poly(E.b_invariants(), n, dom)
+        kill = kill_poly(curve_b_invariants(E), n, dom)
         roots = {x for x in range(p) if not peval(dom, kill, x)}
         assert roots == {P[0] for P in points if P is not INF and P[0] < p and curve_mul(E, n, P) is INF}
 
@@ -324,7 +325,7 @@ class TestDivisionPolynomialProperties:
         nP != O, the recursion's f_m carrying T = psi_2^2 for even m."""
         E, points = curve
         dom = E.domain
-        b = E.b_invariants()
+        b = curve_b_invariants(E)
         T = two_torsion_cubic(b, dom)
         f = {m: divpoly_f(dom, b, m) for m in (n - 1, n, n + 1)}
         psi_sq = poly.pmul(dom, f[n], f[n])
@@ -486,7 +487,7 @@ class TestPrimitiveLift:
         for c in classify.exceptional_registry():
             E, K = c.curve(), c.field()
             for n in (2,) if c.target == 14 else (3, 5):
-                kill = kill_poly(E.b_invariants(), n, E.domain)
+                kill = kill_poly(curve_b_invariants(E), n, E.domain)
                 F = primitive_ints(reference.tower_poly_norm(kill, K))
                 assert low_degree_rational_factors(F, 2) == low_degree_factors_monic_associate(F, 2), (c.name, n)
                 norms += 1

@@ -22,9 +22,11 @@ from mqtorsion.qfield import (
     sqrt_in_tower,
 )
 from reference import (
+    conjugate,
     contains_sqrt_by_span,
     cyclotomic_intersection_by_span,
     embedding_by_span,
+    galois_over,
     hyperplane_avoiding,
     lower_by_span,
     norm_to_q,
@@ -166,7 +168,7 @@ class TestTowerArith:
         K = MultiQuadField([-3, 5])
         m15 = K.sqrt_gen(-15)
         signs = tuple(-1 if g == -3 else 1 for g in K.gens)
-        assert m15.conjugate(signs) == -m15
+        assert conjugate(m15, signs) == -m15
 
     def test_norm_of_unit(self):
         K = MultiQuadField([2])
@@ -338,9 +340,9 @@ class TestEmbedding:
     @given(tower_pair())
     def test_galois_over_fixes_the_subfield(self, case):
         K, L, _, v, _ = case
-        galois = L.galois_over(K)
+        galois = galois_over(L, K)
         assert len(galois) == 2 ** (len(L.gens) - len(K.gens)) - 1
-        assert all(L.lift(v).conjugate(signs) == L.lift(v) for signs in galois)
+        assert all(conjugate(L.lift(v), signs) == L.lift(v) for signs in galois)
 
     @PROPERTY
     @given(tower_pair())
@@ -349,8 +351,23 @@ class TestEmbedding:
         if K.contains_sqrt(d):
             assert K.project(L.sqrt_gen(d)) == K.sqrt_gen(d)
         else:
-            with pytest.raises(QFieldError):
-                K.project(L.sqrt_gen(d))
+            assert K.project(L.sqrt_gen(d)) is None
+
+    @PROPERTY
+    @given(tower_pair().filter(lambda case: case[1].degree <= 16), st.data())
+    def test_project_is_none_exactly_off_the_fixed_field(self, case, data):
+        """K.project(u) is None iff some element of Gal(L/K) moves u, and
+        lifts back to u otherwise, on three elements u of L: one of K, one
+        of K + K*sqrt(d) and one with random sparse coordinates."""
+        K, L, d, v, w = case
+        galois = galois_over(L, K)
+        sparse = st.sampled_from((0, 0, 1, -2, Fraction(1, 3)))
+        coords = data.draw(st.lists(sparse, min_size=L.degree, max_size=L.degree))
+        for u in (L.lift(v), L.lift(v) + L.lift(w) * L.sqrt_gen(d), TowerElem(L, coords)):
+            image = K.project(u)
+            assert (image is None) == any(conjugate(u, signs) != u for signs in galois)
+            if image is not None:
+                assert L.lift(image) == u
 
 
 SIGNED = [-1] + [s * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37) for s in (1, -1)]
@@ -436,7 +453,7 @@ class TestIntegerForm:
         assert v.scale(num, den).coords == tuple(x * num / den for x in v.coords)
         signs = tuple(data.draw(st.sampled_from((1, -1))) for _ in K.gens)
         flips = [prod(s for i, s in enumerate(signs) if m >> i & 1) for m in range(K.degree)]
-        assert v.conjugate(signs).coords == tuple(f * x for f, x in zip(flips, v.coords))
+        assert conjugate(v, signs).coords == tuple(f * x for f, x in zip(flips, v.coords))
         if not w.is_zero():
             one = (Fraction(1),) + (Fraction(0),) * (K.degree - 1)
             assert schoolbook_mul(K, w.inverse().coords, b) == one
@@ -447,7 +464,7 @@ class TestIntegerForm:
     def test_results_are_canonical(self, case):
         K, a, b = case
         v, w = TowerElem(K, a), TowerElem(K, b)
-        results = [v, w, v + w, v - w, v - v, -v, v * w, v * v, v.conjugate((-1,) * len(K.gens))]
+        results = [v, w, v + w, v - w, v - v, -v, v * w, v * v, conjugate(v, (-1,) * len(K.gens))]
         results += [v.scale(6, -4), v.scale(0, 3), v.scale(1, 2)]
         results += [K.zero(), K.one(), K.from_rational(Fraction(-6, 4))] + [K.sqrt_gen(d) for d in K.span()]
         if not w.is_zero():
