@@ -632,10 +632,13 @@ def _two_torsion_field(A: int, B: int, K):
 
 
 def two_primary_over_tower(A: int, B: int, K, cap: int):
-    """(structure, witnesses) for the 2-primary torsion of
+    """(structure, witnesses, basis) for the 2-primary torsion of
     y^2 = x^3 + Ax + B over the multi-quadratic field K, given a proven
     bound `cap` on the exponent of E(K)[2^oo].  The witnesses are the
-    points the search found, each with its order.
+    points the search found, each with its order; the basis is the final
+    H as (point, order) pairs, orders ascending, with E(K)[2^oo] the
+    direct sum of their cyclic groups: empty when the group is trivial,
+    one pair when it is cyclic.
 
     2-torsion from the cubic roots in K (complete); order 4 by the halving
     iff-criterion.  Then H, the span of the witnesses, grows by a half over
@@ -677,7 +680,7 @@ def two_primary_over_tower(A: int, B: int, K, cap: int):
     over K also holds over each subfield of K."""
     roots = two_torsion_roots_in_tower(A, B, K) if cap >= 2 else []
     if not roots:
-        return AbGroupStructure.trivial(), []
+        return AbGroupStructure.trivial(), [], []
     if len(roots) not in (1, 3):
         raise CurveError("impossible 2-torsion root count")  # pragma: no cover
     zero = K.zero()
@@ -716,7 +719,7 @@ def two_primary_over_tower(A: int, B: int, K, cap: int):
                 break
             witnesses.append((found, 2 * n))
             basis = sorted(kept + [(found, 2 * n)], key=lambda pair: pair[1])
-    return AbGroupStructure.from_prime_exponents({2: [n.bit_length() - 1 for _, n in basis]}), witnesses
+    return AbGroupStructure.from_prime_exponents({2: [n.bit_length() - 1 for _, n in basis]}), witnesses, basis
 
 
 def _order_reps(E: EllipticCurve, basis):

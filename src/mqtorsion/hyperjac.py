@@ -154,7 +154,16 @@ def jac_add(C: HyperCurve, D1, D2):
     other than 0 is D - infinity, D affine of degree 2, so
     deg u3 = 4 - 2 deg d is 0, 2 or 4; from 4, F - v3^2 has degree 6 (no
     square is the non-square lc(F)), so one step, by the divisor of y - v3
-    whose poles are 3*infinity, gives deg u = 2."""
+    whose poles are 3*infinity, gives deg u = 2.
+
+    Composition with gcd(u1, u2) = 1 makes no second gcdext.  Cantor's
+    d = gcd(u1, u2, v1 + v2) divides gcd(u1, u2) = 1, so u3 = u1*u2, and
+    for any s1*u1 + s2*u2 + s3*(v1 + v2) = 1 the numerator
+    t = s1*u1*v2 + s2*u2*v1 + s3*(v1*v2 + F) is v1 mod u1: there
+    F = v1^2, so t = v1*(s2*u2 + s3*(v1 + v2)) = v1*(1 - s1*u1); and
+    likewise v2 mod u2.  By CRT, t mod u1*u2 is the one polynomial of
+    degree < deg u3 with those residues, whatever the triple; the triple
+    (e1, e2, 0) of e1*u1 + e2*u2 = 1 gives it with no division by d."""
     ident = C.identity()
     if D1 == ident:
         return D2
@@ -165,20 +174,24 @@ def jac_add(C: HyperCurve, D1, D2):
     u1, v1, n1 = D1
     u2, v2, n2 = D2
     e, e1, e2 = gcdext(u1, u2)
-    vsum = add(v1, v2)
-    if vsum:
-        d, c1, c2 = gcdext(e, vsum)
-        s1 = mul(c1, e1)
-        s2 = mul(c1, e2)
-        s3 = c2
+    if len(e) == 1:  # coprime: d = 1, and v3 by CRT alone
+        d, u3 = e, mul(u1, u2)
+        v3 = divmod_(add(mul(mul(e1, u1), v2), mul(mul(e2, u2), v1)), u3)[1]
     else:
-        d, s1, s2, s3 = e, e1, e2, ()
-    u3 = divmod_(mul(u1, u2), mul(d, d))[0]
-    t = add(
-        add(mul(mul(s1, u1), v2), mul(mul(s2, u2), v1)),
-        mul(s3, add(mul(v1, v2), F)),
-    )
-    v3 = divmod_(divmod_(t, d)[0], u3)[1]
+        vsum = add(v1, v2)
+        if vsum:
+            d, c1, c2 = gcdext(e, vsum)
+            s1 = mul(c1, e1)
+            s2 = mul(c1, e2)
+            s3 = c2
+        else:
+            d, s1, s2, s3 = e, e1, e2, ()
+        u3 = divmod_(mul(u1, u2), mul(d, d))[0]
+        t = add(
+            add(mul(mul(s1, u1), v2), mul(mul(s2, u2), v1)),
+            mul(s3, add(mul(v1, v2), F)),
+        )
+        v3 = divmod_(divmod_(t, d)[0], u3)[1]
     if C.Vp is None:
         while pdegree(u3) > 2:
             u3 = monic(divmod_(sub(F, mul(v3, v3)), u3)[0])

@@ -141,22 +141,11 @@ def kronecker(a: int, n: int) -> int:
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     """Residue mod m1*m2 congruent to r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    g, x, _ = ext_gcd(m1, m2)
-    if g != 1:
-        raise ValueError("moduli not coprime")
+    try:
+        x = pow(m1, -1, m2)
+    except ValueError:
+        raise ValueError("moduli not coprime") from None
     return (r1 + (r2 - r1) * x % m2 * m1) % (m1 * m2)
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def rational_reconstruct(r: int, m: int) -> Fraction | None:

@@ -359,6 +359,7 @@ class Census:
     - ell || N: S_ell is Z/ell, and nothing is spanned.
     - ell = 2, 2^e || N, and the 2-rank r of `two_rank` is 1, e - 1 or e:
       the only partition of e into r parts is (e - r + 1, 1, ..., 1).
+    - ell = 2 and any other r > 0: from 2*S_2 (`_two_exponents`).
     - ell odd, f = 2: S_ell(J(F_p)) + S_ell(J^tw(F_p)), read from the
       censuses `census(1)` and `twist` of the reduction (the proof is in
       the `Reduction` docstring).
@@ -401,11 +402,36 @@ class Census:
             return [1] * e
         if ell == 2:
             r = self.two_rank
-            if 0 < r and r in (1, e - 1, e):
+            if r in (1, e - 1, e):
                 return [1] * (r - 1) + [e - r + 1]
+            if r:
+                return self._two_exponents(e, r)
         elif self.degree == 2:
             return sorted(self.reduction.census(1).exponents(ell) + self.reduction.twist.exponents(ell))
         return self.sylow(ell).structure().prime_exponents()[ell]
+
+    def _two_exponents(self, e: int, r: int) -> list[int]:
+        """The exponents of S_2, 2^e || N, from its 2-rank r > 0.
+
+        Proof.  S_2 = Z/2^a_1 + ... + Z/2^a_r with every a_i >= 1, as r
+        counts its cyclic factors.  So 2*S_2 = Z/2^(a_1 - 1) + ... +
+        Z/2^(a_r - 1), of order 2^(e - r), and its exponents are the
+        a_i - 1 that are not 0: each plus one, and a 1 for each factor that
+        doubling kills, are the a_i.  With m = N/2^e, m*J = S_2
+        (`groups.sylow_subgroups`), so the images (2m)*x of the classes x
+        cover 2*S_2, and their span is 2*S_2 once it has 2^(e - r)
+        elements, where it stops.  A span that ends short of that, or
+        passes it, shows that the rank is not r: CrossCheckError."""
+        cap = 1 << (e - r)
+        double = lambda x: self.add(x, x)
+        m2 = 2 * (len(self.classes) >> e)
+        images = (scalar_mul(m2, x, self.add, double, self.identity) for x in self.classes if x != self.identity)
+        span = subgroup_span(images, self.add, self.identity, cap=cap, stop_at_cap=True)
+        if span is None or len(span) != cap:
+            R = self.reduction
+            raise CrossCheckError(f"{R.model.label} at {R.p}: 2*S_2 is not of order {cap}, so the 2-rank is not {r}")
+        halved = span.structure().prime_exponents().get(2, [])
+        return [1] * (r - len(halved)) + [k + 1 for k in halved]
 
     @cached_property
     def structure(self) -> AbGroupStructure:
@@ -814,9 +840,13 @@ def _bad_primes(model: CurveModel) -> frozenset:
 def _genus1_torsion(model: CurveModel, K, cap: int) -> AbGroupStructure:
     """Exact J(K)_tors of a genus-1 model, where cap bounds the exponent of
     J(K)[2^oo] (`ellcurve.two_primary_over_tower`): the odd part cached per
-    (model, K) by `_genus1_odd_part`, the 2-part from the tower over
+    (model, K) by `_genus1_odd_part`, the 2-part J(K_2)[2^oo] over
     K_2 = K n Q(zeta_m), m = 8 * prod(odd p | N), cached per
-    (model, K_2, cap).  Derive passes K = K_S.
+    (model, K_2, cap) by `_genus1_two_primary`.  When this process has
+    already searched a field M that contains K_2 for the same model, the
+    2-part is read from E(M)[2^oo] as its points with both coordinates in
+    K_2 (`TowerTwoPrimary`), with no search; else K_2 is searched, and
+    registered for the subfields that come later.  Derive passes K = K_S.
 
     Proof that J(K)[2^oo] = J(K_2)[2^oo].  A point P of J(K)[2^n] has
     Q(P) in K n Q(J[2^n]), and Q(J[2^n]) is unramified outside 2N
@@ -845,8 +875,82 @@ def _genus1_odd_part(model: CurveModel, K) -> AbGroupStructure:
 
 @lru_cache(maxsize=256)
 def _genus1_two_primary(model: CurveModel, K, cap: int) -> AbGroupStructure:
+    """J(K)[2^oo] of a genus-1 model, cap a proven bound on its exponent:
+    read from the first field of `_tower_searches(model)` that contains K
+    (`TowerTwoPrimary.read`), else searched over K by
+    `ellcurve.two_primary_over_tower` and that search registered.  Every
+    cap that reaches here is proven for a field that contains K, so each
+    registered group is exact.  A read exponent above cap contradicts the
+    proof of one of the two caps: CrossCheckError."""
+    searches = _tower_searches(model)
+    for searched in searches:
+        if all(searched.M.contains_sqrt(d) for d in K.gens):
+            st = searched.read(K)
+            if st.exponent > cap:
+                raise CrossCheckError(f"{model.label}/{K}: 2-part {st} read from {searched.M} exceeds the cap {cap}")
+            return st
     A, B = ellcurve.short_model(model.elliptic())
-    return ellcurve.two_primary_over_tower(A, B, K, cap)[0]
+    st, _, basis = ellcurve.two_primary_over_tower(A, B, K, cap)
+    searches.append(TowerTwoPrimary(A, B, K, basis))
+    del searches[:-256]
+    return st
+
+
+@lru_cache(maxsize=256)
+def _tower_searches(model: CurveModel) -> list:
+    """The `TowerTwoPrimary` of the last 256 fields this process has
+    searched for the genus-1 model, in search order: a registry that
+    `_genus1_two_primary` reads and appends to, emptied by `cache_clear`."""
+    return []
+
+
+class TowerTwoPrimary:
+    """E(M)[2^oo] of y^2 = x^3 + Ax + B over the field M of one exact
+    search, from its direct-sum `basis` (`ellcurve.two_primary_over_tower`),
+    read on every subfield K of M by `read`.
+
+    Proof.  For K in M, E(K)[2^oo] = E(M)[2^oo] n E(K): a point of E(K) of
+    2-power order is one of E(M), and O lies in both.  A point (x, y) of
+    E(M) lies in E(K) iff x and y lie in K.  The basis element of each mask
+    of K is a rational multiple of a distinct basis element of M
+    (`M.embedding(K)`), so K is the span of those basis elements of M, and
+    an element of M lies in K iff its nonzero coordinates sit on their
+    masks: the test `K.project` makes.  So each point has its `support`, the
+    set of masks where x or y has a nonzero coordinate, taken once, and it
+    lies in E(K) iff the support lies in the image of K.  The basis
+    (g1, o1), (g2, o2) makes E(M)[2^oo] the direct sum <g1> + <g2>, so its
+    points are a*g1 + b*g2 for 0 <= a < o1 and 0 <= b < o2, each once, and
+    that point has order lcm(o1/gcd(a, o1), o2/gcd(b, o2)), the larger of
+    two powers of 2.  E(K)[2^oo] is a finite subgroup of
+    E[2^oo] = (Q_2/Z_2)^2, so of rank at most 2: Z/(|G|/e) + Z/e with e its
+    exponent, the largest order of its points.  The points are built once,
+    on the first read, and each read then costs one mask test per point."""
+
+    def __init__(self, A: int, B: int, M, basis):
+        self.A, self.B, self.M, self.basis = A, B, M, basis
+
+    @cached_property
+    def points(self) -> list[tuple[int, int]]:
+        """(support, order) of each point of E(M)[2^oo] but O, the support
+        as a bitmask over the basis masks of M."""
+        E = ellcurve.tower_short_curve(self.A, self.B, self.M)
+        sums = [(ellcurve.INF, 1)]
+        for g, o in self.basis:
+            multiples = [(ellcurve.INF, 1)]
+            for k in range(1, o):
+                multiples.append((E.add(multiples[-1][0], g), o // math.gcd(k, o)))
+            sums = [(E.add(P, Q), max(n, m)) for P, n in sums for Q, m in multiples]
+        return [
+            (sum(1 << mask for mask, (a, b) in enumerate(zip(x.nums, y.nums)) if a or b), n)
+            for (x, y), n in sums[1:]
+        ]
+
+    def read(self, K) -> AbGroupStructure:
+        """E(K)[2^oo] for a subfield K of M."""
+        image = sum(1 << mask for mask, _ in self.M.embedding(K))
+        orders = [n for support, n in self.points if not support & ~image]
+        e = max(orders, default=1)
+        return AbGroupStructure.from_summands(((len(orders) + 1) // e, e))
 
 
 def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:

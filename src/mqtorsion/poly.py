@@ -3,9 +3,10 @@
 One dense-tuple engine serves prime fields and their quadratic extensions
 (int-coded elements), the rationals (Fraction), multi-quadratic towers
 (TowerElem) and the residues Z/m (ints, `ResidueDomain`).  Each domain
-supplies its ring operations and one row operation, `axpy`, that every
-sum, product, scaling and division runs on; zero is the one falsy value of
-each domain.  `kernels` binds the engine to one domain for the genus-2
+supplies one row operation, `axpy`, that every sum, product, scaling and
+division runs on, and neg, mul and div; the field domains also add and
+subtract, for the curve code.  Zero is the one falsy value of each
+domain.  `kernels` binds the engine to one domain for the genus-2
 group law.  On top of it: the discriminant over Q, exact extraction of
 the rational factors of degree <= 3 of a squarefree integer polynomial
 via modular factorization and Hensel lifting on the same kernels over Z/p
@@ -150,7 +151,8 @@ class ResidueDomain:
     Factor extraction keeps to that: modulo a prime power p^k the Hensel
     steps divide only by monic polynomials, and the polynomial made monic
     there has a leading coefficient prime to p; every other division is
-    modulo a prime, where each nonzero residue is a unit."""
+    modulo a prime, where each nonzero residue is a unit.  No curve lives
+    over Z/m, so it has no add or sub: the kernels add through `axpy`."""
 
     zero = 0
     one = 1
@@ -160,12 +162,6 @@ class ResidueDomain:
 
     def from_int(self, n):
         return n % self.m
-
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def sub(self, a, b):
-        return (a - b) % self.m
 
     def neg(self, a):
         return -a % self.m

@@ -466,6 +466,17 @@ def _trim(dom, cs):
     return tuple(cs)
 
 
+class ResidueRing(ResidueDomain):
+    """`poly.ResidueDomain` with the sums of Z/m, which its kernels make
+    through `axpy` alone, for the generic kernels below."""
+
+    def add(self, a, b):
+        return (a + b) % self.m
+
+    def sub(self, a, b):
+        return (a - b) % self.m
+
+
 def generic_padd(dom, op, f, g):
     """f op g for op = dom.add or dom.sub, one call per coefficient."""
     n = max(len(f), len(g))
@@ -627,7 +638,7 @@ def torsion_over_tower(E: EllipticCurve, K, cap: int) -> AbGroupStructure:
     odd = AbGroupStructure.trivial()
     for d in K.twist_classes():
         odd = odd.direct_sum(twist_odd_torsion_q(E, d))
-    two, _ = two_primary_over_tower(A, B, K, cap)
+    two, _, _ = two_primary_over_tower(A, B, K, cap)
     return odd.direct_sum(two)
 
 

@@ -4,17 +4,18 @@ reads, and each such key is checked here against the per-field path of
 matrix, for every model the stage applies to, and on random fields of up to
 6 generators.  The memos under test are cleared first, and no reference
 reads them.  The genus-1 2-part, keyed on K_2 = K_S n Q(zeta_(8 prod odd
-p | N)), is checked against the search over K_S.  A derive over 12
-generators builds the span of K only for its signature."""
+p | N)), is checked against the search over K_S, and its read from a
+searched superfield against the search over each subfield.  A derive over
+12 generators builds the span of K only for its signature."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mqtorsion import ellcurve, groups, hyperjac, mwtors, qfield
 from mqtorsion.groups import AbGroupStructure
 from mqtorsion.hyperjac import JacError, weierstrass_orbits
-from mqtorsion.qfield import MultiQuadField, all_subfields
+from mqtorsion.qfield import QQ_FIELD, MultiQuadField, all_subfields
 from reference import (
     from_summands_uncached,
     genus1_odd_part_per_field,
@@ -31,7 +32,7 @@ MODELS = [mwtors.get_model(label) for label in sorted(mwtors.model_registry())]
 GENUS1 = [m for m in MODELS if m.genus == 1]
 GENUS2 = [m for m in MODELS if m.genus == 2]
 MEMOS = (
-    mwtors._reduction_meet, mwtors._genus1_odd_part, mwtors._genus1_two_primary,
+    mwtors._reduction_meet, mwtors._genus1_odd_part, mwtors._genus1_two_primary, mwtors._tower_searches,
     hyperjac._weierstrass_factors, groups._from_summands,
 )
 
@@ -77,6 +78,18 @@ def check_genus1_two_part(model, K):
     assert mwtors._genus1_torsion(model, K_S, cap).ell_part(2) == expect, (model.label, K)
 
 
+def proven_cap(model, K) -> int:
+    return reduction_bound_per_field(model, K, model.primes).ell_part(2).exponent
+
+
+def every_subfield(M) -> set:
+    """Every subfield of M, each the span of a subset of its square classes."""
+    out = {QQ_FIELD}
+    for d in M.span()[1:]:
+        out |= {MultiQuadField([*K.gens, d]) for K in out}
+    return out
+
+
 def check_genus2_twists(model, K):
     K_S = support_field(model, K)
     assert K_S.twist_classes() == genus2_twists_by_filter(K, K_S), (model.label, K)
@@ -107,6 +120,15 @@ class TestOnTheMatrix:
         for K in MATRIX:
             if admits(model, K):
                 check_genus1_two_part(model, K)
+
+    @pytest.mark.parametrize("model", GENUS1, ids=lambda m: m.label)
+    def test_genus1_two_part_read_from_the_largest_field(self, model):
+        """Largest degree first, as `verify` derives the matrix: the first
+        field is searched, and every other one reads its 2-part from it."""
+        for K in sorted(MATRIX, key=lambda K: -K.degree):
+            if admits(model, K):
+                check_genus1_two_part(model, K)
+        assert len(mwtors._tower_searches(model)) == 1
 
     @pytest.mark.parametrize("model", GENUS2, ids=lambda m: m.label)
     def test_genus2_twists(self, model):
@@ -157,6 +179,26 @@ class TestOnRandomFields:
         for model in GENUS1:
             if admits(model, K):
                 check_genus1_two_part(model, K)
+
+    @PROPERTY
+    @given(M=st.lists(st.sampled_from(POOL), max_size=5).map(MultiQuadField))
+    @example(M=MultiQuadField([-1, 2, 3, 5, 7]))  # Z/2 x Z/8 for X1(15), Z/4 x Z/4 for X1(4,8)
+    @example(M=MultiQuadField([-1, 3, 11]))  # Z/2 x Z/4 for X1(4,8)
+    def test_genus1_two_part_read_from_a_superfield(self, M):
+        """The 2-part of every subfield K of M read from the search over
+        M, under the caps proven over M and over K, against the search
+        over K."""
+        subfields = every_subfield(M)
+        for model in GENUS1:
+            mwtors._genus1_two_primary.cache_clear()
+            mwtors._tower_searches.cache_clear()
+            A, B = ellcurve.short_model(model.elliptic())
+            mwtors._genus1_two_primary(model, M, proven_cap(model, M))
+            for K in subfields:
+                cap = proven_cap(model, K)
+                expect = ellcurve.two_primary_over_tower(A, B, K, cap)[0]
+                assert mwtors._genus1_two_primary(model, K, cap) == expect, (model.label, M, K)
+            assert len(mwtors._tower_searches(model)) == 1
 
     @PROPERTY
     @given(K=fields)

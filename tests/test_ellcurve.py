@@ -478,7 +478,7 @@ class TestTowerTorsion:
         assert point_order(c, P, 16) == 4
 
     def test_witnesses_verified(self):
-        st, witnesses = two_primary_over_tower(-27, 8694, MultiQuadField([-3, 5]), 16)
+        st, witnesses, _ = two_primary_over_tower(-27, 8694, MultiQuadField([-3, 5]), 16)
         assert st == AbGroupStructure((2, 8))
         from mqtorsion.ellcurve import tower_short_curve
 
@@ -514,7 +514,7 @@ class TestTowerTorsion:
             bases.clear()
             A, B = short_model(E(ainvs))
             K = MultiQuadField(gens)
-            _, witnesses = two_primary_over_tower(A, B, K, 16)
+            _, witnesses, _ = two_primary_over_tower(A, B, K, 16)
             c = tower_short_curve(A, B, K)
             assert bases
             # each step but the last finds one witness
@@ -567,16 +567,21 @@ class TestInverseFreeTwoPrimary:
     @pytest.mark.parametrize("label", GENUS1_LABELS)
     def test_matrix_fields_match_the_affine_search(self, label):
         """The same structure as the affine search over the 52 matrix
-        fields, at the cap 16 that any curve over Q allows, and each
-        witness of its claimed order under E.mul."""
+        fields, at the cap 16 that any curve over Q allows, each witness
+        of its claimed order under E.mul, and the basis a direct-sum basis
+        of the group: its orders ascend, and their product is the order of
+        its span and of the group."""
         A, B = short_model(model_registry()[label].elliptic())
         assert len(MATRIX_FIELDS) == 52
         for K in MATRIX_FIELDS:
-            st, witnesses = two_primary_over_tower(A, B, K, 16)
+            st, witnesses, basis = two_primary_over_tower(A, B, K, 16)
             assert st == two_primary_over_tower_affine(A, B, K, 16)[0]
             c = tower_curve_affine(A, B, K)
-            for P, n in witnesses:
+            for P, n in witnesses + basis:
                 assert curve_mul(c, n // 2, P) is not INF and curve_mul(c, n, P) is INF
+            orders = [n for _, n in basis]
+            assert orders == sorted(orders) and st.factors == tuple(orders)
+            assert len(subgroup_span([P for P, _ in basis], c.add, INF)) == st.order
 
     @staticmethod
     def check_points(c, points):
@@ -633,7 +638,7 @@ class TestInverseFreeTwoPrimary:
         c, K = E(C15A1), MultiQuadField([-1, 2, 3, 5, 7])
         assert group_structure(reduce_mod_p(c, 13, K.residue_degree(13)[0])).ell_part(2) == AbGroupStructure((8, 8))
         A, B = short_model(c)
-        st, witnesses = two_primary_over_tower(A, B, K, two_adic_cap(c, K))
+        st, witnesses, _ = two_primary_over_tower(A, B, K, two_adic_cap(c, K))
         assert st == AbGroupStructure((8, 8))
         curve = tower_curve_affine(A, B, K)
         assert [n for _, n in witnesses].count(8) == 2

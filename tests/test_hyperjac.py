@@ -448,13 +448,14 @@ class TestLazyCensus:
 class TestCensusShortcuts:
     """The census reads the odd parts of J(F_{p^2}) from J(F_p) and its
     inert twist, and a 2-part from its order and the 2-rank of the
-    Weierstrass points; the span census (`reference.span_census`) spans
-    every Sylow subgroup of square order instead."""
+    Weierstrass points, spanning 2*S_2 when those two leave it open; the
+    span census (`reference.span_census`) spans every Sylow subgroup of
+    square order instead."""
 
     def test_split_and_two_rank_match_span_census(self):
         """Every good reduction p <= 47 of X1(13), X1(16) and X1(18): f = 1,
         and f = 2 and the twist where F_{p^2} has tables (p <= 31)."""
-        cases = fixed = split = 0
+        cases = fixed = doubled = split = 0
         for label, coeffs in MODELS.items():
             model = model_of(coeffs)
             for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
@@ -470,14 +471,17 @@ class TestCensusShortcuts:
                     exps = cen._order_exponents
                     e, r = exps.get(2, 0), cen.two_rank
                     fixed += e > 1 and r in (1, e - 1, e)
+                    doubled += e > 1 and r not in (0, 1, e - 1, e)
                     split += f == 2 and not twisted and any(k > 1 for ell, k in exps.items() if ell != 2)
                     cases += 1
-        assert (cases, fixed, split) == (96, 29, 25)
+        assert (cases, fixed, doubled, split) == (96, 29, 23, 25)
 
     @pytest.mark.parametrize("p,rank", [(3, 0), (5, 0), (5, 3)])
     def test_two_part_against_a_wrong_two_rank_raises(self, p, rank):
         # J(F_9) has 2-part (Z/2)^4, fixed by its rank; J(F_25) has 2-part
-        # Z/2 x Z/2 x Z/4 x Z/8, spanned, whose rank 4 is not 3
+        # Z/2 x Z/2 x Z/4 x Z/8, whose rank 4 is not 3: its double has order
+        # 2^3, not the 2^(7 - 3) that rank 3 gives, and with rank 0 the
+        # spanned 2-part has rank 4
         cen = fresh(model_of(X16), p).census(2)
         cen.two_rank = rank
         with pytest.raises(mwtors.CrossCheckError):

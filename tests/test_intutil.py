@@ -1,7 +1,10 @@
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqtorsion.intutil import integer_cubic_roots
+from mqtorsion.intutil import crt_pair, integer_cubic_roots
 from reference import integer_cubic_roots_by_fractions
 
 # derandomized, so that every run draws the same examples
@@ -37,3 +40,17 @@ class TestIntegerCubicRoots:
         assert integer_cubic_roots(0, -3, 2) == [-2, 1]
         assert integer_cubic_roots(0, -1, 0) == [-1, 0, 1]
         assert integer_cubic_roots(0, 1, 1) == []
+
+
+class TestCrtPair:
+    @PROPERTY
+    @given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+    def test_the_residue_of_both_congruences(self, m1, m2, r1, r2):
+        """The one residue mod m1*m2 with both congruences, or ValueError
+        when the moduli share a factor."""
+        if math.gcd(m1, m2) != 1:
+            with pytest.raises(ValueError, match="moduli not coprime"):
+                crt_pair(r1, m1, r2, m2)
+            return
+        x = crt_pair(r1, m1, r2, m2)
+        assert 0 <= x < m1 * m2 and (x - r1) % m1 == 0 and (x - r2) % m2 == 0

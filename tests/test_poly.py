@@ -65,7 +65,7 @@ def _codes(pk):
 
 
 def _residues(m):
-    return ResidueDomain(m), lambda rng: rng.randrange(m)
+    return reference.ResidueRing(m), lambda rng: rng.randrange(m)
 
 
 def _rationals(_):
