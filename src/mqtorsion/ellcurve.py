@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ff, qfield
-from .groups import AbGroupStructure, GroupError, scalar_mul, structure_from_elements
+from .groups import AbGroupStructure, CrossCheckError, GroupError, scalar_mul, structure_from_elements
 from .intutil import (
     factorize,
     integer_cubic_roots,
@@ -502,12 +502,6 @@ def _cubic_factors(A: int, B: int) -> tuple:
     return (*linear, ((A + r * r, r, 1), squarefree_part(-3 * r * r - 4 * A)))
 
 
-def two_torsion_roots_in_tower(A: int, B: int, K) -> list:
-    """Roots of x^3 + Ax + B lying in K (complete: an irreducible cubic has
-    no root in any multi-quadratic field)."""
-    return [r for g, d in _cubic_factors(A, B) for r in _roots_in_tower(g, d, K)]
-
-
 def _doubles_to(E: EllipticCurve, Q, P) -> bool:
     """True iff Q = (x, y) lies on E: y^2 = x^3 + Ax + B over a tower and
     2Q = P = (x0, y0), both affine, checked without an inverse.
@@ -546,30 +540,6 @@ def has_order(E: EllipticCurve, P, n: int) -> bool:
     if any(R is INF for R in multiples):
         return False
     return scalar_mul(ells[0], multiples[0], E.add, double, INF) is INF
-
-
-def halving_witness(E: EllipticCurve, t1):
-    """A point P over K with 2P = (t1, 0) on E: y^2 = x^3 + Ax + B over the
-    tower K (`tower_short_curve`), or None.
-
-    With the cofactor q(x) = x^2 + t1 x + (t1^2 + A), the halves of (t1, 0)
-    have x = t1 +- m where m^2 = q(t1); P exists in E(K) iff m lies in K and
-    the cubic value at one such x is a square in K.  Both directions exact.
-    """
-    A, B = E.a[3], E.a[4]
-    q_t1 = (t1 * t1).scale(3) + A  # 3 t1^2 + A
-    m = qfield.sqrt_in_tower(q_t1)
-    if m is None:
-        return None
-    for mm in (m, -m):
-        x = t1 + mm
-        val = x * x * x + A * x + B
-        y = qfield.sqrt_in_tower(val)
-        if y is not None:
-            P = (x, y)
-            assert _doubles_to(E, P, (t1, E.domain.zero))
-            return P
-    return None
 
 
 def _halves_over_tower(E: EllipticCurve, e_roots: list, P) -> list:
@@ -612,124 +582,70 @@ def _halves_over_tower(E: EllipticCurve, e_roots: list, P) -> list:
         (s3 - s1 - s2, s12 - s23 - s31),
     ):
         Q = (x0 + q, -y0 - s * q)
-        assert _doubles_to(E, Q, P)
+        if not _doubles_to(E, Q, P):
+            raise CrossCheckError(f"the half {Q} does not double to {P}")
         halves.append(Q)
-    assert all(Q != R for Q, R in itertools.combinations(halves, 2))
+    if len(set(halves)) != 4:
+        raise CrossCheckError(f"the four halves of {P} are not distinct")
     return halves
 
 
-def _two_torsion_field(A: int, B: int, K):
-    """(L, e_roots): the compositum of K with the 2-torsion field, and the
-    three cubic roots as elements of L (requires the cubic to have at least
-    one rational root, which holds whenever E has a point of order 4 over a
-    multi-quadratic field)."""
-    factors = _cubic_factors(A, B)
-    L = qfield.MultiQuadField([*K.gens, *(d for _, d in factors if d != 1 and not K.contains_sqrt(d))])
-    e_roots = [r for g, d in factors for r in _roots_in_tower(g, d, L)]
-    if len(e_roots) != 3:
-        raise CurveError("2-torsion field is not multi-quadratic")
-    return L, e_roots
+def two_primary_over_tower(A: int, B: int, M) -> list:
+    """A direct-sum basis of E(M)[2^oo] for E: y^2 = x^3 + Ax + B over the
+    multi-quadratic field M, which must hold E[2] when the cubic has a
+    rational root: (point, order) pairs, orders ascending, E(M)[2^oo] the
+    direct sum of their cyclic groups, and empty when it is trivial.  A
+    cubic with one root in M raises CrossCheckError.
 
+    With no root in M the cubic is irreducible, as M holds every rational
+    root; a root of an irreducible cubic has degree 3 over Q, and every
+    element of M a power of 2, so E(M)[2] = 0 and E(M)[2^oo] is trivial.
+    Otherwise the three roots e_i lie in M, and H starts as
+    E(M)[2] = E[2] = <T1> + <T2>, T_i = (e_i, 0).  H grows by a half over M
+    (`_halves_over_tower`) of the point c of least order n in some class of
+    H/2H but 0 (`_order_reps`), until no class has one.
 
-def two_primary_over_tower(A: int, B: int, K, cap: int):
-    """(structure, witnesses, basis) for the 2-primary torsion of
-    y^2 = x^3 + Ax + B over the multi-quadratic field K, given a proven
-    bound `cap` on the exponent of E(K)[2^oo].  The witnesses are the
-    points the search found, each with its order; the basis is the final
-    H as (point, order) pairs, orders ascending, with E(K)[2^oo] the
-    direct sum of their cyclic groups: empty when the group is trivial,
-    one pair when it is cyclic.
+    Exactness.  Let G = E(M)[2^oo], a group that holds H.  While H != G,
+    take R in G outside H; some Q = 2^i R lies outside H with 2Q in H.  2Q
+    is not in 2H: else 2Q = 2R' with R' in H, and Q - R' lies in E(M)[2],
+    which H holds, so Q would lie in H.  So the class of 2Q is not 0 and
+    has a half over M, and then so does the point of least order in that
+    class (`_order_reps`).  The search stops only at H = G.  A found half
+    Q has order 2n with no order taken: `_halves_over_tower` checks 2Q = c
+    (`_doubles_to`, whose failure raises), and c has order n >= 2, a power
+    of 2, so 2nQ = nc = O and nQ = (n/2)c != O.
 
-    2-torsion from the cubic roots in K (complete); order 4 by the halving
-    iff-criterion.  Then H, the span of the witnesses, grows by a half over
-    K of a point of some class of H/2H but 0 (`_order_reps`), found over
-    the 2-torsion field L and descended to K by `K.project`, until no class
-    has a half of order at most `cap`.  The basis of K maps to rational
-    multiples of distinct basis elements of L (`embedding`), so an element
-    of L lies in K iff its coordinates vanish off those basis elements, and
-    a point of E(L) lies in E(K) iff `K.project` maps both its x and its y.
-
-    Exactness.  Let G be the points of E(K) of order dividing cap, a group
-    that holds H.  While H != G, take R in G outside H; some Q = 2^i R lies
-    outside H with 2Q in H.  2Q is not in 2H: else 2Q = 2R' with R' in H,
-    and Q - R' lies in E(K)[2], which H holds, so Q would lie in H.  So the
-    class of 2Q is not 0 and has a half over K of order at most cap, and
-    then so does the point of least order in that class, which
-    `_order_reps` yields.  The search stops exactly at H = G, and
-    G = E(K)[2^oo] since cap bounds its exponent.  A found half has order
-    2n, n the order of its class point c, with no order taken:
-    `_halves_over_tower` checks 2Q = c over L (`_doubles_to`), and c has
-    order n >= 2 (`_order_reps`), a power of 2.  So 2nQ = nc = O and
-    nQ = (n/2)c != O: Q has order 2n.  The lift E(K) -> E(L) is an
-    injective group homomorphism and the found point over K lifts back to
-    Q, so it lies on E and has order 2n too.
-
-    H starts from a basis.  With one halvable root t_i and P4 its half,
-    H = <T_j> + <P4> for another root T_j = (t_j, 0): T_i = 2 P4, the third
-    root is T_i + T_j, and <P4> meets E[2] in T_i alone.  With three, and
-    P4, P4' the halves of T_1, T_2, H = <P4> + <P4'>: a half of T_3 differs
-    from P4 + P4' by a point of E[2] = <T_1, T_2>, and <P4>, <P4'> meet
-    E[2] in T_1 and T_2.  With one root, H = <P4>; with none, H = E(K)[2].
-
-    The cap.  At a prime v of K above an odd prime p of good reduction,
-    reduction is injective on the torsion of order prime to p: its kernel,
-    the points of the formal group over the maximal ideal of K_v, is pro-p
-    (Silverman, AEC VII.3.1).  So E(K)[2^oo] embeds in E~(F_{p^f}), f the
-    residue degree, and its exponent is at most the 2-exponent of every such
-    reduction and of their meet, the reduction bound of `mwtors`.  A bound
-    over K also holds over each subfield of K."""
-    roots = two_torsion_roots_in_tower(A, B, K) if cap >= 2 else []
+    Termination, with no cap on the exponent.  Each step doubles |H|
+    (`_order_reps`), and H stays in G, which is finite: at a prime of M
+    above an odd prime p of good reduction, reduction is injective on the
+    torsion of order prime to p, as its kernel, the points of the formal
+    group, is pro-p (Silverman, AEC VII.3.1), so G embeds in E~(F_{p^f}).
+    So the search makes at most log2|G| - 2 steps."""
+    roots = [r for g, d in _cubic_factors(A, B) for r in _roots_in_tower(g, d, M)]
     if not roots:
-        return AbGroupStructure.trivial(), [], []
-    if len(roots) not in (1, 3):
-        raise CurveError("impossible 2-torsion root count")  # pragma: no cover
-    zero = K.zero()
-    witnesses = [((r, zero), 2) for r in roots]
-    halves = []
-    if cap >= 4:
-        EK = tower_short_curve(A, B, K)
-        halves = [halving_witness(EK, t1) for t1 in roots]
-    halvable = [P4 for P4 in halves if P4 is not None]
-    if len(roots) == 3 and len(halvable) not in (0, 1, 3):
-        raise CurveError("halvable 2-torsion is not a subgroup")  # pragma: no cover
-    witnesses.extend((P4, 4) for P4 in halvable)
-    # points with no half over K: the roots that have none, then each failed class point
-    no_half = [(t, zero) for t, P4 in zip(roots, halves) if P4 is None]
-    if halvable:
-        basis = [(T, 2) for T in no_half[:1]] + [(P4, 4) for P4 in halvable[:2]]
-    else:
-        basis = witnesses[:2]
-    if halvable and cap >= 8:
-        L, e_roots = _two_torsion_field(A, B, K)
-        EL = tower_short_curve(A, B, L)
-        while True:
-            for c, n, kept in _order_reps(EK, basis):
-                if 2 * n > cap or c in no_half:
-                    continue
-                found = None
-                for Q in _halves_over_tower(EL, e_roots, (L.lift(c[0]), L.lift(c[1]))):
-                    x, y = K.project(Q[0]), K.project(Q[1])
-                    if x is not None and y is not None:
-                        found = (x, y)
-                        break
-                if found:
-                    break
-                no_half.append(c)
-            else:
+        return []
+    if len(roots) != 3:
+        raise CrossCheckError(f"x^3 + {A}x + {B} has one root in {M}, so M misses part of E[2]")
+    E = tower_short_curve(A, B, M)
+    basis = [((e, M.zero()), 2) for e in roots[:2]]
+    while True:
+        for c, n, kept in _order_reps(E, basis):
+            halves = _halves_over_tower(E, roots, c)
+            if halves:
+                basis = sorted([*kept, (halves[0], 2 * n)], key=lambda pair: pair[1])
                 break
-            witnesses.append((found, 2 * n))
-            basis = sorted(kept + [(found, 2 * n)], key=lambda pair: pair[1])
-    return AbGroupStructure.from_prime_exponents({2: [n.bit_length() - 1 for _, n in basis]}), witnesses, basis
+        else:
+            return basis
 
 
 def _order_reps(E: EllipticCurve, basis):
     """Yield (c, n, kept) for each class of H/2H but 0: a point c of least
     order n in the class, and the basis pairs that, with any Q such that
     2Q = c, give a basis of H + <Q>.  H = <g1> + <g2> is a direct sum,
-    given by `basis`, its (point, order) pairs with orders o1 <= o2; a
-    cyclic H has g2 alone.  The classes of order o2 come first.
+    given by `basis`, its two (point, order) pairs with orders o1 <= o2.
+    The classes of order o2 come first.
 
-    Proof.  Halving over K is a property of the class mod 2H: if
+    Proof.  Halving over M is a property of the class mod 2H: if
     c' = c + 2R with R in H, then c = 2Q iff c' = 2(Q + R); so is -c,
     which is c - 2c.  The classes are e1 g1 + e2 g2 + 2H, e_i in {0, 1}.
     A point a1 g1 + a2 g2 of a class with e2 = 1 has a2 odd, so order o2;
@@ -740,12 +656,10 @@ def _order_reps(E: EllipticCurve, basis):
     outside H, as c is not in 2H, while 2Q lies in it, so
     |H + <Q>| = 2|H| = o_k * 2n = o_k ord(Q): the sum <g_k> + <Q> is
     direct."""
-    *low, (g2, o2) = basis
-    yield g2, o2, low
-    if low:
-        ((g1, o1),) = low
-        yield E.add(g1, g2), o2, low
-        yield g1, o1, [(g2, o2)]
+    (g1, o1), (g2, o2) = basis
+    yield g2, o2, [(g1, o1)]
+    yield E.add(g1, g2), o2, [(g1, o1)]
+    yield g1, o1, [(g2, o2)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,11 @@ class GroupError(ValueError):
     pass
 
 
+class CrossCheckError(RuntimeError):
+    """A computed answer fails a check it must pass, or disagrees with a
+    tabulated one: data-integrity failure."""
+
+
 class AbGroupStructure(Record):
     """[d1, d2, ...] with d1 | d2 | ... ; the trivial group is []."""
 

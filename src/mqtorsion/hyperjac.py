@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 
 from . import poly
-from .groups import AbGroupStructure
+from .groups import AbGroupStructure, CrossCheckError
 from .intutil import rational_is_square
 from .poly import (
     QQ,
@@ -292,15 +292,16 @@ def zeta_order(C: HyperCurve):
     irreducible quadratic (`_count_over_quadratic_ext` has the proof).
 
     The degree-4 L-polynomial is pinned by N1, N2 and the functional
-    equation; #J = L(1).  Integer Weil inequalities are asserted."""
+    equation; #J = L(1).  Counts that break the integrality of e2 or the
+    Weil bounds e1^2 <= 16q and |e2| <= 6q raise CrossCheckError."""
     q = C.domain.q
     N1 = curve_count(C)
     N2 = _count_over_quadratic_ext(C)
     s1 = q + 1 - N1
     s2 = q * q + 1 - N2
-    assert (s1 * s1 - s2) % 2 == 0
     e1, e2 = s1, (s1 * s1 - s2) // 2
-    assert e1 * e1 <= 16 * q and abs(e2) <= 6 * q
+    if (s1 * s1 - s2) % 2 or e1 * e1 > 16 * q or abs(e2) > 6 * q:
+        raise CrossCheckError(f"{C.label} over F_{q}: counts N1 = {N1}, N2 = {N2} break the Weil bounds")
     L = (1, -e1, e2, -q * e1, q * q)
     nJ = 1 - e1 + e2 - q * e1 + q * q
     twisted = 1 + e1 + e2 + q * e1 + q * q  # L(-1), the quadratic-twist order
@@ -479,7 +480,8 @@ def symmetric_square_points(C: HyperCurve):
     mapped to J(F_q) and checked injective, line points map to 0.
 
     Counts satisfy #line = q + 1 and
-    #X^(2)(F_q) = N1(N1+1)/2 + (N2-N1)/2."""
+    #X^(2)(F_q) = N1(N1+1)/2 + (N2-N1)/2.  A failed check raises
+    CrossCheckError."""
     dom = C.domain
     t = dom.tables
     q = t.q
@@ -505,21 +507,23 @@ def symmetric_square_points(C: HyperCurve):
     conj = list(_conjugate_pair_classes(dom, C.F))
     N1, N2, _, nJ, _ = zeta_order(C)
     total = len(line) + len(off) + len(conj)
-    assert len(line) == q + 1
-    assert total == N1 * (N1 + 1) // 2 + (N2 - N1) // 2
+    if len(line) != q + 1:
+        raise CrossCheckError(f"{C.label} over F_{q}: {len(line)} points on the line, not {q + 1}")
+    if total != N1 * (N1 + 1) // 2 + (N2 - N1) // 2:
+        raise CrossCheckError(f"{C.label} over F_{q}: {total} points of the symmetric square, but N1 = {N1}, N2 = {N2}")
     # injectivity off the line
     images = set(class_map.values()) | set(conj)
-    assert len(images) == len(off) + len(conj)
-    assert C.identity() not in images
+    if len(images) != len(off) + len(conj) or C.identity() in images:
+        raise CrossCheckError(f"{C.label} over F_{q}: the symmetric square off the line is not injective")
     # arithmetic spot-check: rational line pairs compose to the identity
     for P, Q in line:
         if P[1] in ("conj", "conj'"):
             continue
-        _assert_line_pair_is_zero(C, P, Q)
+        _check_line_pair_is_zero(C, P, Q)
     return line, off + [("conj", cl) for cl in conj], class_map
 
 
-def _assert_line_pair_is_zero(C: HyperCurve, P, Q):
+def _check_line_pair_is_zero(C: HyperCurve, P, Q):
     """A fiber P + Q of x sums to 0 as [P + O_- - K] + [Q + O_+ - K], K the
     canonical divisor, O_+- the points infinity_+- of a split sextic
     (infinity_+ + infinity_- = K) or the point at infinity of a quintic
@@ -528,7 +532,8 @@ def _assert_line_pair_is_zero(C: HyperCurve, P, Q):
     s = 0 if C.degree == 5 else 1
     partner = lambda R, sign: R if R[0] == "inf" else ("inf", sign)
     pieces = (pair_class(C, P, partner(P, -s)), pair_class(C, Q, partner(Q, s)))
-    assert jac_add(C, *(D or C.identity() for D in pieces)) == C.identity(), (P, Q)
+    if jac_add(C, *(D or C.identity() for D in pieces)) != C.identity():
+        raise CrossCheckError(f"{C.label}: the fiber {P} + {Q} does not sum to 0")
 
 
 # ---------------------------------------------------------------------------

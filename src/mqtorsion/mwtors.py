@@ -1,8 +1,9 @@
 """The torsion-bound engine.
 
 Combines residue-field reductions, the quadratic-twist decomposition of odd
-torsion, Weierstrass 2-torsion analysis and explicit halving
-witnesses into two-sided bounds on J(K)_tors for the eleven
+torsion, Weierstrass 2-torsion analysis and, for a genus-1 model, one
+2-primary search over the field M_E that holds every point of 2-power
+order over every K, into two-sided bounds on J(K)_tors for the eleven
 builtin modular Jacobians, over any multi-quadratic field K.  `derive` mode
 recomputes everything from the models; `table` mode answers from the
 classification tables that data/models.json ships with each model, keyed on
@@ -21,6 +22,7 @@ from itertools import product
 from . import ellcurve, ff, hyperjac, poly, qfield
 from .groups import (
     AbGroupStructure,
+    CrossCheckError,
     GroupError,
     scalar_mul,
     subgroup_span,
@@ -37,10 +39,6 @@ class ModelError(ValueError):
 
 class PreconditionError(ValueError):
     """A theorem hypothesis (e.g. zeta_M in K) is violated."""
-
-
-class CrossCheckError(RuntimeError):
-    """Derived and tabulated answers disagree: data-integrity failure."""
 
 
 class DataIntegrityError(RuntimeError):
@@ -782,7 +780,7 @@ def derive_torsion(model: CurveModel, K, primes=None) -> TorsionResult:
     upper = _reduction_meet(model, tuple(degrees))
     if model.genus == 1:
         K_S = torsion_support_field(model, K, primes, upper)
-        exact = _genus1_torsion(model, K_S, upper.ell_part(2).exponent)
+        exact = _genus1_torsion(model, K_S)
         trace.append({"step": "tower-torsion-exact", "structure": list(exact.factors)})
         if not exact.embeds_in(upper):
             raise CrossCheckError(
@@ -837,27 +835,41 @@ def _bad_primes(model: CurveModel) -> frozenset:
     return frozenset(factorize(int(poly.discriminant(F) * F[-1])))
 
 
-def _genus1_torsion(model: CurveModel, K, cap: int) -> AbGroupStructure:
-    """Exact J(K)_tors of a genus-1 model, where cap bounds the exponent of
-    J(K)[2^oo] (`ellcurve.two_primary_over_tower`): the odd part cached per
-    (model, K) by `_genus1_odd_part`, the 2-part J(K_2)[2^oo] over
-    K_2 = K n Q(zeta_m), m = 8 * prod(odd p | N), cached per
-    (model, K_2, cap) by `_genus1_two_primary`.  When this process has
-    already searched a field M that contains K_2 for the same model, the
-    2-part is read from E(M)[2^oo] as its points with both coordinates in
-    K_2 (`TowerTwoPrimary`), with no search; else K_2 is searched, and
-    registered for the subfields that come later.  Derive passes K = K_S.
+def _genus1_torsion(model: CurveModel, K) -> AbGroupStructure:
+    """Exact J(K)_tors of a genus-1 model E: the odd part cached per
+    (model, K) by `_genus1_odd_part`, the 2-part read from the one search
+    of the model, E(M_E)[2^oo] over M_E = Q(sqrt(-1), sqrt(2), sqrt(p) :
+    odd p | N) (`_genus1_two_primary`), as the points with both coordinates
+    in K_2 = K n Q(zeta_m), m = 8 * prod(odd p | N).  Derive passes
+    K = K_S.
 
-    Proof that J(K)[2^oo] = J(K_2)[2^oo].  A point P of J(K)[2^n] has
-    Q(P) in K n Q(J[2^n]), and Q(J[2^n]) is unramified outside 2N
+    Proof that E(K)[2^oo] = E(M_E)[2^oo] n E(K_2).  A point P of E(K)[2^n]
+    has Q(P) in K n Q(E[2^n]), and Q(E[2^n]) is unramified outside 2N
     (Neron-Ogg-Shafarevich), with N supported on `_bad_primes`.  Q(P) is
     multi-quadratic, spanned by its quadratic subfields Q(sqrt d), and
     Q(sqrt d) is ramified at every odd p | d; so all those p divide N,
-    |disc Q(sqrt d)| divides m, and sqrt(d) lies in K_2.  So P lies in
-    J(K_2), and cap, a bound on the exponent of J(K)[2^oo], bounds the
-    same group over K_2."""
+    and sqrt(d) lies in M_E.  Q(sqrt d) lies in Q(zeta_m) iff |disc| | m,
+    that is iff every odd prime of d divides N, so the square classes of
+    M_E are those of Q(zeta_m), K n M_E = K_2, and P lies in E(K_2).  The
+    search finds E(M_E)[2^oo] exactly, from H = E(M_E)[2] and with no cap
+    on the exponent (the proofs are in `ellcurve.two_primary_over_tower`).
+
+    The read.  A point (x, y) of E(M_E) lies in E(K_2) iff x and y lie in
+    K_2.  The basis element of each mask of K_2 is a rational multiple of
+    a distinct basis element of M_E (`M_E.embedding(K_2)`), so K_2 is the
+    span of those basis elements, and an element of M_E lies in K_2 iff
+    its nonzero coordinates sit on their masks: the point lies in E(K_2)
+    iff its support lies in the image of K_2, one mask test.
+    E(K_2)[2^oo] is a finite subgroup of E[2^oo] = (Q_2/Z_2)^2, so of rank
+    at most 2: Z/(|G|/e) + Z/e with e its exponent, the largest order of
+    its points."""
+    M, points = _genus1_two_primary(model)
     K_2 = K.cyclotomic_intersection(8 * math.prod(_bad_primes(model) - {2}))
-    return _genus1_odd_part(model, K).direct_sum(_genus1_two_primary(model, K_2, cap))
+    image = sum(1 << mask for mask, _ in M.embedding(K_2))
+    orders = [n for support, n in points if not support & ~image]
+    e = max(orders, default=1)
+    two = AbGroupStructure.from_summands(((len(orders) + 1) // e, e))
+    return _genus1_odd_part(model, K).direct_sum(two)
 
 
 @lru_cache(maxsize=256)
@@ -874,83 +886,36 @@ def _genus1_odd_part(model: CurveModel, K) -> AbGroupStructure:
 
 
 @lru_cache(maxsize=256)
-def _genus1_two_primary(model: CurveModel, K, cap: int) -> AbGroupStructure:
-    """J(K)[2^oo] of a genus-1 model, cap a proven bound on its exponent:
-    read from the first field of `_tower_searches(model)` that contains K
-    (`TowerTwoPrimary.read`), else searched over K by
-    `ellcurve.two_primary_over_tower` and that search registered.  Every
-    cap that reaches here is proven for a field that contains K, so each
-    registered group is exact.  A read exponent above cap contradicts the
-    proof of one of the two caps: CrossCheckError."""
-    searches = _tower_searches(model)
-    for searched in searches:
-        if all(searched.M.contains_sqrt(d) for d in K.gens):
-            st = searched.read(K)
-            if st.exponent > cap:
-                raise CrossCheckError(f"{model.label}/{K}: 2-part {st} read from {searched.M} exceeds the cap {cap}")
-            return st
+def _genus1_two_primary(model: CurveModel) -> tuple:
+    """(M_E, points) of a genus-1 model E: M_E = Q(sqrt(-1), sqrt(2),
+    sqrt(p) : odd p | N), and the (support, order) of each point of
+    E(M_E)[2^oo] but O, its support the bitmask of the basis masks of M_E
+    where x or y has a nonzero coordinate.  One search per model
+    (`ellcurve.two_primary_over_tower`), read for every K by
+    `_genus1_torsion`.
+
+    M_E holds E[2] when the cubic x^3 + Ax + B has a rational root, as the
+    search needs: Q(E[2]) is then Q or Q(sqrt d), d the class of the
+    discriminant of the quadratic cofactor, and Q(E[2]) is unramified
+    outside 2N, so every odd prime of d divides N.  The search's basis
+    (g1, o1), (g2, o2) makes E(M_E)[2^oo] the direct sum <g1> + <g2>, so
+    its points are a*g1 + b*g2 for 0 <= a < o1 and 0 <= b < o2, each once,
+    and that point has order lcm(o1/gcd(a, o1), o2/gcd(b, o2)), the larger
+    of two powers of 2."""
+    M = qfield.MultiQuadField([-1, 2, *(_bad_primes(model) - {2})])
     A, B = ellcurve.short_model(model.elliptic())
-    st, _, basis = ellcurve.two_primary_over_tower(A, B, K, cap)
-    searches.append(TowerTwoPrimary(A, B, K, basis))
-    del searches[:-256]
-    return st
-
-
-@lru_cache(maxsize=256)
-def _tower_searches(model: CurveModel) -> list:
-    """The `TowerTwoPrimary` of the last 256 fields this process has
-    searched for the genus-1 model, in search order: a registry that
-    `_genus1_two_primary` reads and appends to, emptied by `cache_clear`."""
-    return []
-
-
-class TowerTwoPrimary:
-    """E(M)[2^oo] of y^2 = x^3 + Ax + B over the field M of one exact
-    search, from its direct-sum `basis` (`ellcurve.two_primary_over_tower`),
-    read on every subfield K of M by `read`.
-
-    Proof.  For K in M, E(K)[2^oo] = E(M)[2^oo] n E(K): a point of E(K) of
-    2-power order is one of E(M), and O lies in both.  A point (x, y) of
-    E(M) lies in E(K) iff x and y lie in K.  The basis element of each mask
-    of K is a rational multiple of a distinct basis element of M
-    (`M.embedding(K)`), so K is the span of those basis elements of M, and
-    an element of M lies in K iff its nonzero coordinates sit on their
-    masks: the test `K.project` makes.  So each point has its `support`, the
-    set of masks where x or y has a nonzero coordinate, taken once, and it
-    lies in E(K) iff the support lies in the image of K.  The basis
-    (g1, o1), (g2, o2) makes E(M)[2^oo] the direct sum <g1> + <g2>, so its
-    points are a*g1 + b*g2 for 0 <= a < o1 and 0 <= b < o2, each once, and
-    that point has order lcm(o1/gcd(a, o1), o2/gcd(b, o2)), the larger of
-    two powers of 2.  E(K)[2^oo] is a finite subgroup of
-    E[2^oo] = (Q_2/Z_2)^2, so of rank at most 2: Z/(|G|/e) + Z/e with e its
-    exponent, the largest order of its points.  The points are built once,
-    on the first read, and each read then costs one mask test per point."""
-
-    def __init__(self, A: int, B: int, M, basis):
-        self.A, self.B, self.M, self.basis = A, B, M, basis
-
-    @cached_property
-    def points(self) -> list[tuple[int, int]]:
-        """(support, order) of each point of E(M)[2^oo] but O, the support
-        as a bitmask over the basis masks of M."""
-        E = ellcurve.tower_short_curve(self.A, self.B, self.M)
-        sums = [(ellcurve.INF, 1)]
-        for g, o in self.basis:
-            multiples = [(ellcurve.INF, 1)]
-            for k in range(1, o):
-                multiples.append((E.add(multiples[-1][0], g), o // math.gcd(k, o)))
-            sums = [(E.add(P, Q), max(n, m)) for P, n in sums for Q, m in multiples]
-        return [
-            (sum(1 << mask for mask, (a, b) in enumerate(zip(x.nums, y.nums)) if a or b), n)
-            for (x, y), n in sums[1:]
-        ]
-
-    def read(self, K) -> AbGroupStructure:
-        """E(K)[2^oo] for a subfield K of M."""
-        image = sum(1 << mask for mask, _ in self.M.embedding(K))
-        orders = [n for support, n in self.points if not support & ~image]
-        e = max(orders, default=1)
-        return AbGroupStructure.from_summands(((len(orders) + 1) // e, e))
+    E = ellcurve.tower_short_curve(A, B, M)
+    sums = [(ellcurve.INF, 1)]
+    for g, o in ellcurve.two_primary_over_tower(A, B, M):
+        multiples = [(ellcurve.INF, 1)]
+        for k in range(1, o):
+            multiples.append((E.add(multiples[-1][0], g), o // math.gcd(k, o)))
+        sums = [(E.add(P, Q), max(n, m)) for P, n in sums for Q, m in multiples]
+    points = tuple(
+        (sum(1 << mask for mask, (a, b) in enumerate(zip(x.nums, y.nums)) if a or b), n)
+        for (x, y), n in sums[1:]
+    )
+    return M, points
 
 
 def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:

@@ -12,8 +12,8 @@ when a signature or an element first needs them (`_span_tables`).
 Elements of the field are exact: 2^n integer numerators over one shared
 denominator, in the basis of square roots of products of generators.  The
 field is also the one place that maps the basis of a subfield into its own
-(`embedding`, `lift`, and its inverse `project`, which also tests
-membership).
+(`embedding`), from which an element's support tells whether it lies in the
+subfield.
 
 Everything is immutable and pure.  A field memoises what it derives from
 its basis (its span, generator products, subfield of lower generators,
@@ -360,23 +360,6 @@ class MultiQuadField:
                 image += [(s ^ t, cs * ct * self.gen_products[s & t]) for s, cs in image]
             self._embeddings[K] = tuple(image)
         return self._embeddings[K]
-
-    def lift(self, v: "TowerElem") -> "TowerElem":
-        """v, an element of a subfield, as an element of this field."""
-        coords = [Fraction(0)] * self.degree
-        for (mask, scale), c in zip(self.embedding(v.field), v.coords):
-            coords[mask] = c * scale
-        return TowerElem(self, tuple(coords))
-
-    def project(self, v: "TowerElem") -> "TowerElem | None":
-        """The element of this field that lifts to v, an element of a larger
-        field: the exact inverse of `lift`, or None when v does not lie in
-        this field, that is when a nonzero coordinate of v lies off the
-        images of this field's basis elements (`embedding`)."""
-        image, nums = v.field.embedding(self), v.nums
-        if sum(map(bool, nums)) != sum(1 for mask, _ in image if nums[mask]):
-            return None
-        return TowerElem(self, tuple(Fraction(nums[mask], v.den) / scale for mask, scale in image))
 
     @cached_property
     def lower(self) -> "MultiQuadField":

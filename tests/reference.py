@@ -39,9 +39,13 @@
   Tonelli-Shanks square roots: the arithmetic that the integer-coded
   `ff.Tables` are checked against.
 - The torsion of a rational elliptic curve over a multi-quadratic field K
-  from the curve alone (`torsion_over_tower`).  Production derive reads the
-  odd part from the cached twist torsion of the model, one entry per
-  (model, d), and caches the 2-part per (model, K, cap).
+  from the curve alone (`torsion_over_tower`), its 2-part searched over
+  the compositum L = K(E[2]) (`two_torsion_field`) and descended to K by
+  `project`, the exact inverse of `lift` (`two_primary_by_descent`).
+  Production derive reads the odd part from the cached twist torsion of
+  the model, one entry per (model, d), and the 2-part of every field from
+  one search per model over M_E, which holds every point of 2-power order
+  over every field, by one mask test per point.
 - The dense polynomial kernels coefficient by coefficient, one `dom.add`,
   `dom.sub` or `dom.mul` call each (`generic_*`).  Production runs every
   kernel row through the domain's `axpy`.
@@ -76,9 +80,10 @@
   by affine doublings, each half descended to K when every element of
   Gal(L/K) fixes it (`galois_over`, `conjugate`, `k_rational`), and the
   tower square root divides by tower inverses (`sqrt_in_tower_by_inverses`).
-  Production halves one point per class of H/2H by the explicit halving
-  formula, checks each half without an inverse, reads its order from its
-  class and descends it by `MultiQuadField.project`.
+  up to a cap on the exponent.  Production searches once per model, over
+  M_E, which holds E[2], and needs neither a cap nor a descent: it halves
+  one point per class of H/2H by the explicit halving formula, checks each
+  half without an inverse and reads its order from its class.
   `eight_torsion_criterion` reads order 8 from the division polynomial
   instead.
 - The roots in Q(sqrt d) of a polynomial over it from the degree <= 2
@@ -146,16 +151,18 @@ from mqtorsion.mwtors import (
 )
 from mqtorsion.qfield import QFieldError
 from mqtorsion.ellcurve import (
+    INF,
     BadReduction,
     CurveError,
     EllipticCurve,
+    _cubic_factors,
+    _roots_in_tower,
     affine_count,
     c4c6_disc,
-    _two_torsion_field,
     short_model,
+    tower_short_curve,
     twist_odd_torsion_q,
     two_primary_over_tower,
-    two_torsion_roots_in_tower,
 )
 from mqtorsion.ff import FieldDesc, FieldError
 from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elements, subgroup_span
@@ -627,19 +634,76 @@ def genus2_rational_torsion_bounds_over_q(model, primes: tuple = ()):
     return structure_from_elements(sorted(span), add, C.identity()), upper
 
 
-def torsion_over_tower(E: EllipticCurve, K, cap: int) -> AbGroupStructure:
-    """Exact torsion of a rational curve over the multi-quadratic field K,
-    given a proven bound `cap` on the exponent of E(K)[2^oo] (see
-    `two_primary_over_tower`): odd part through the twist decomposition,
-    E(K)[odd] = sum over the twist classes d of K of E^d(Q)[odd] (each
-    settled by `twist_odd_torsion_q`: the reduction screen, else
-    Nagell-Lutz), 2-part through the tower machinery up to the cap."""
+def torsion_over_tower(E: EllipticCurve, K) -> AbGroupStructure:
+    """Exact torsion of a rational curve over the multi-quadratic field K:
+    odd part through the twist decomposition, E(K)[odd] = sum over the
+    twist classes d of K of E^d(Q)[odd] (each settled by
+    `twist_odd_torsion_q`: the reduction screen, else Nagell-Lutz), 2-part
+    by the search over K(E[2]) descended to K (`two_primary_by_descent`)."""
     A, B = short_model(E)
     odd = AbGroupStructure.trivial()
     for d in K.twist_classes():
         odd = odd.direct_sum(twist_odd_torsion_q(E, d))
-    two, _, _ = two_primary_over_tower(A, B, K, cap)
-    return odd.direct_sum(two)
+    return odd.direct_sum(two_primary_by_descent(A, B, K))
+
+
+# ---------------------------------------------------------------------------
+# The 2-torsion field and the descent from it
+# ---------------------------------------------------------------------------
+
+
+def two_torsion_roots_in_tower(A: int, B: int, K) -> list:
+    """Roots of x^3 + Ax + B lying in K (complete: an irreducible cubic has
+    no root in any multi-quadratic field)."""
+    return [r for g, d in _cubic_factors(A, B) for r in _roots_in_tower(g, d, K)]
+
+
+def two_torsion_field(A: int, B: int, K):
+    """(L, e_roots): the compositum of K with the 2-torsion field, and the
+    three cubic roots as elements of L; CurveError when the cubic has no
+    rational root, as its splitting field is then not multi-quadratic."""
+    factors = _cubic_factors(A, B)
+    L = qfield.MultiQuadField([*K.gens, *(d for _, d in factors if d != 1 and not K.contains_sqrt(d))])
+    e_roots = [r for g, d in factors for r in _roots_in_tower(g, d, L)]
+    if len(e_roots) != 3:
+        raise CurveError("2-torsion field is not multi-quadratic")
+    return L, e_roots
+
+
+def lift(L, v):
+    """v, an element of a subfield of L, as an element of L, through the
+    embedding of the subfield's basis (`L.embedding`)."""
+    coords = [Fraction(0)] * L.degree
+    for (mask, scale), c in zip(L.embedding(v.field), v.coords):
+        coords[mask] = c * scale
+    return qfield.TowerElem(L, tuple(coords))
+
+
+def project(K, v):
+    """The element of the subfield K that lifts to v, an element of a
+    larger field: the exact inverse of `lift`, or None when v does not lie
+    in K, that is when a nonzero coordinate of v lies off the images of
+    the basis elements of K."""
+    image, nums = v.field.embedding(K), v.nums
+    if sum(map(bool, nums)) != sum(1 for mask, _ in image if nums[mask]):
+        return None
+    return qfield.TowerElem(K, tuple(Fraction(nums[mask], v.den) / scale for mask, scale in image))
+
+
+def two_primary_by_descent(A: int, B: int, K) -> AbGroupStructure:
+    """E(K)[2^oo] of y^2 = x^3 + Ax + B: the census of the points of
+    E(L)[2^oo], L = K(E[2]) (`two_torsion_field`), searched by
+    `ellcurve.two_primary_over_tower`, that `project` maps into K.
+    Trivial when no root of the cubic lies in K, as E(K)[2] is then 0.
+    Production reads a subfield of its one search field by one mask test
+    per point."""
+    if not two_torsion_roots_in_tower(A, B, K):
+        return AbGroupStructure.trivial()
+    L, _ = two_torsion_field(A, B, K)
+    EL = tower_short_curve(A, B, L)
+    span = subgroup_span([P for P, _ in two_primary_over_tower(A, B, L)], EL.add, INF)
+    points = [P for P in span if P is INF or all(project(K, c) is not None for c in P)]
+    return structure_from_elements(points, EL.add, INF, max_rank=2)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +750,9 @@ def tower_curve_affine(A: int, B: int, K) -> EllipticCurve:
 
 
 def halving_witness_affine(E: EllipticCurve, t1):
-    """`ellcurve.halving_witness`, checked by the affine doubling E.mul."""
+    """A point P over K with 2P = (t1, 0), or None: a half has
+    x = t1 +- m, m^2 = 3 t1^2 + A, and y a square root of the cubic at x,
+    checked by the affine doubling E.mul."""
     A, B = E.a[3], E.a[4]
     m = qfield.sqrt_in_tower(t1 * t1 + t1 * t1 + t1 * t1 + A)
     if m is None:
@@ -751,9 +817,10 @@ def order_reps_span(E: EllipticCurve, points, order: int) -> list:
 
 
 def two_primary_over_tower_affine(A: int, B: int, K, cap: int):
-    """(structure, witnesses) of `ellcurve.two_primary_over_tower` by the
-    affine group law: at each level every point of the level below in the
-    span of the witnesses is halved, and each order is checked by E.mul.
+    """(structure, witnesses) of E(K)[2^oo], given a proven bound `cap` on
+    its exponent, by the affine group law: at each level every point of the
+    level below in the span of the witnesses is halved over L = K(E[2]) and
+    descended to K, and each order is checked by E.mul.
     It halves only points of the top order, so the second invariant factor
     stays at most 4 and Z/8 x Z/8 reads Z/4 x Z/8; no builtin model reaches
     that group over the matrix fields."""
@@ -768,16 +835,16 @@ def two_primary_over_tower_affine(A: int, B: int, K, cap: int):
     witnesses.extend(halvable)
     top = 4 if halvable else 2
     if halvable and cap >= 8:
-        L, e_roots = _two_torsion_field(A, B, K)
+        L, e_roots = two_torsion_field(A, B, K)
         galois = galois_over(L, K)
         EL = tower_curve_affine(A, B, L)
         level = 8
         while level <= cap:
             found = None
             for P in order_reps_span(EK, witnesses, level // 2):
-                for Q in halves_over_tower_affine(EL, e_roots, (L.lift(P[0]), L.lift(P[1]))):
+                for Q in halves_over_tower_affine(EL, e_roots, (lift(L, P[0]), lift(L, P[1]))):
                     if k_rational(galois, Q[0]) and k_rational(galois, Q[1]):
-                        found = (K.project(Q[0]), K.project(Q[1]))
+                        found = (project(K, Q[0]), project(K, Q[1]))
                         break
                 if found:
                     break

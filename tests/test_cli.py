@@ -265,6 +265,37 @@ class TestVerify:
             "FAIL  total: 2 checks",
         ]
 
+    def test_symmetric_square_checks_survive_python_O(self):
+        """Under python -O, which strips asserts, a zeta function that gives
+        N2 + 2 breaks the count of the symmetric square of every curve with
+        good reduction: a FAIL line with the counts, exit 1, no traceback.
+        X1(18) is bad at 3, so that check is skipped and passes."""
+        code = (
+            "import sys\n"
+            "from mqtorsion import cli, hyperjac\n"
+            "zeta = hyperjac.zeta_order\n"
+            "hyperjac.zeta_order = lambda C: (lambda N1, N2, *rest: (N1, N2 + 2, *rest))(*zeta(C))\n"
+            "sys.exit(cli.main(['verify', '--only', 'symmetric-square']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert (run.returncode, run.stderr) == (1, "")
+        lines = run.stdout.splitlines()
+        assert [line.split("  (")[0] for line in lines] == [
+            *(f"FAIL  symmetric-square {label} p={p}" for label in ("X1(13)", "X1(16)") for p in (3, 5)),
+            "pass  symmetric-square X1(18) p=3",
+            "FAIL  symmetric-square X1(18) p=5",
+            "FAIL  total: 6 checks",
+        ]
+        assert lines[0].endswith("(X1(13) over F_9: 66 points of the symmetric square, but N1 = 8, N2 = 70)")
+
+    def test_one_cross_check_error_for_every_module(self):
+        """`verify` and the exit code 4 catch the one class that groups,
+        ellcurve, hyperjac and mwtors raise."""
+        from mqtorsion import ellcurve, groups
+
+        assert mwtors.CrossCheckError is groups.CrossCheckError is ellcurve.CrossCheckError is hyperjac.CrossCheckError
+
 
 class TestBadInput:
     """Malformed arguments and files exit 2 with one line on stderr."""

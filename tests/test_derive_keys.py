@@ -3,24 +3,31 @@ reads, and each such key is checked here against the per-field path of
 `tests/reference.py` that it replaced: on all 52 fields of the acceptance
 matrix, for every model the stage applies to, and on random fields of up to
 6 generators.  The memos under test are cleared first, and no reference
-reads them.  The genus-1 2-part, keyed on K_2 = K_S n Q(zeta_(8 prod odd
-p | N)), is checked against the search over K_S, and its read from a
-searched superfield against the search over each subfield.  A derive over
-12 generators builds the span of K only for its signature."""
+reads them.  The genus-1 2-part, read from one search per model over
+M_E = Q(sqrt(-1), sqrt(2), sqrt(p) : odd p | N), is checked against the
+search over K_S(E[2]) descended to K_S, and on every subfield of M_E, for
+the builtin models and for random curves, against the affine reference
+search.  A derive over 12 generators builds the span of K only for its
+signature."""
+
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mqtorsion import ellcurve, groups, hyperjac, mwtors, qfield
 from mqtorsion.groups import AbGroupStructure
 from mqtorsion.hyperjac import JacError, weierstrass_orbits
+from mqtorsion.intutil import factorize, is_prime
 from mqtorsion.qfield import QQ_FIELD, MultiQuadField, all_subfields
 from reference import (
     from_summands_uncached,
     genus1_odd_part_per_field,
     genus2_twists_by_filter,
     reduction_bound_per_field,
+    two_primary_by_descent,
+    two_primary_over_tower_affine,
     weierstrass_orbits_per_call,
 )
 
@@ -32,18 +39,35 @@ MODELS = [mwtors.get_model(label) for label in sorted(mwtors.model_registry())]
 GENUS1 = [m for m in MODELS if m.genus == 1]
 GENUS2 = [m for m in MODELS if m.genus == 2]
 MEMOS = (
-    mwtors._reduction_meet, mwtors._genus1_odd_part, mwtors._genus1_two_primary, mwtors._tower_searches,
+    mwtors._reduction_meet, mwtors._genus1_odd_part, mwtors._genus1_two_primary,
     hyperjac._weierstrass_factors, groups._from_summands,
 )
 
 POOL = sorted({s * d for d in (-1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29) for s in (1, -1)} - {1})
 fields = st.lists(st.sampled_from(POOL), max_size=6).map(MultiQuadField)
+# (s, t) of x^2 + sx + t: any, or split, whose curves have E[4] over M_E
+QUADRATICS = st.one_of(
+    st.tuples(st.integers(-30, 30), st.integers(-300, 300)),
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20)).map(lambda ab: (-ab[0] - ab[1], ab[0] * ab[1])),
+)
 
 
 @pytest.fixture(autouse=True)
 def cleared_memos():
     for memo in MEMOS:
         memo.cache_clear()
+
+
+@contextmanager
+def counted_searches():
+    """The curve (A, B) of each call of `ellcurve.two_primary_over_tower`
+    in the block, which derive looks up in the module on every call."""
+    calls, search = [], ellcurve.two_primary_over_tower
+    ellcurve.two_primary_over_tower = lambda A, B, M: calls.append((A, B)) or search(A, B, M)
+    try:
+        yield calls
+    finally:
+        ellcurve.two_primary_over_tower = search
 
 
 def admits(model, K) -> bool:
@@ -68,18 +92,27 @@ def check_genus1_odd_part(model, K):
 
 
 def check_genus1_two_part(model, K):
-    """The 2-part searched over K_2 = K_S n Q(zeta_(8 prod odd p | N))
-    against the search over K_S, under the same cap."""
-    upper = reduction_bound_per_field(model, K, model.primes)
-    K_S = mwtors.torsion_support_field(model, K, model.primes, upper)
-    cap = upper.ell_part(2).exponent
+    """The 2-part over K_S read from the search over M_E against the search
+    over K_S(E[2]) descended to K_S."""
+    K_S = support_field(model, K)
     A, B = ellcurve.short_model(model.elliptic())
-    expect = ellcurve.two_primary_over_tower(A, B, K_S, cap)[0]
-    assert mwtors._genus1_torsion(model, K_S, cap).ell_part(2) == expect, (model.label, K)
+    assert mwtors._genus1_torsion(model, K_S).ell_part(2) == two_primary_by_descent(A, B, K_S), (model.label, K)
 
 
-def proven_cap(model, K) -> int:
-    return reduction_bound_per_field(model, K, model.primes).ell_part(2).exponent
+def search_field(model) -> MultiQuadField:
+    """M_E: sqrt(-1), sqrt(2) and sqrt(p) for each odd prime p of the
+    minimal discriminant, which are the odd primes of the conductor N."""
+    return MultiQuadField([-1, 2, *(p for p in factorize(ellcurve.minimal_disc(model.elliptic())) if p > 2)])
+
+
+def check_read(model, K, primes):
+    """The 2-part over a subfield K of M_E, read from the search over M_E,
+    against the affine reference search over K, capped by the 2-exponent
+    of the reductions at the primes over K."""
+    A, B = ellcurve.short_model(model.elliptic())
+    cap = reduction_bound_per_field(model, K, primes).ell_part(2).exponent
+    expect = two_primary_over_tower_affine(A, B, K, cap)[0]
+    assert mwtors._genus1_torsion(model, K).ell_part(2) == expect, (model.label, K)
 
 
 def every_subfield(M) -> set:
@@ -123,12 +156,37 @@ class TestOnTheMatrix:
 
     @pytest.mark.parametrize("model", GENUS1, ids=lambda m: m.label)
     def test_genus1_two_part_read_from_the_largest_field(self, model):
-        """Largest degree first, as `verify` derives the matrix: the first
-        field is searched, and every other one reads its 2-part from it."""
-        for K in sorted(MATRIX, key=lambda K: -K.degree):
-            if admits(model, K):
-                check_genus1_two_part(model, K)
-        assert len(mwtors._tower_searches(model)) == 1
+        """Every subfield of M_E, the largest field that the 2-part needs
+        (168 fields over the 8 models), read from the one search over M_E
+        against the affine search over the subfield."""
+        M = search_field(model)
+        subfields = every_subfield(M)
+        assert len(subfields) == {4: 5, 8: 16, 16: 67}[M.degree]
+        with counted_searches() as searches:
+            for K in subfields:
+                check_read(model, K, model.primes)
+        assert len(searches) == 1 and mwtors._genus1_two_primary(model)[0] == M
+
+    def test_one_search_per_model_in_either_order(self):
+        """The 52 fields derived for every genus-1 model in signature order,
+        and again, the memos cleared, in reverse: each order searches once
+        per model and gives the same results."""
+
+        def derive_all(fields) -> dict:
+            return {
+                (model.label, K): mwtors.derive_torsion(model, K)
+                for model in GENUS1 for K in fields if admits(model, K)
+            }
+
+        curves = sorted(ellcurve.short_model(model.elliptic()) for model in GENUS1)
+        with counted_searches() as searches:
+            forward = derive_all(MATRIX)
+        assert sorted(searches) == curves
+        for memo in MEMOS:
+            memo.cache_clear()
+        with counted_searches() as searches:
+            assert derive_all(MATRIX[::-1]) == forward
+        assert sorted(searches) == curves
 
     @pytest.mark.parametrize("model", GENUS2, ids=lambda m: m.label)
     def test_genus2_twists(self, model):
@@ -181,24 +239,27 @@ class TestOnRandomFields:
                 check_genus1_two_part(model, K)
 
     @PROPERTY
-    @given(M=st.lists(st.sampled_from(POOL), max_size=5).map(MultiQuadField))
-    @example(M=MultiQuadField([-1, 2, 3, 5, 7]))  # Z/2 x Z/8 for X1(15), Z/4 x Z/4 for X1(4,8)
-    @example(M=MultiQuadField([-1, 3, 11]))  # Z/2 x Z/4 for X1(4,8)
-    def test_genus1_two_part_read_from_a_superfield(self, M):
-        """The 2-part of every subfield K of M read from the search over
-        M, under the caps proven over M and over K, against the search
-        over K."""
-        subfields = every_subfield(M)
-        for model in GENUS1:
-            mwtors._genus1_two_primary.cache_clear()
-            mwtors._tower_searches.cache_clear()
-            A, B = ellcurve.short_model(model.elliptic())
-            mwtors._genus1_two_primary(model, M, proven_cap(model, M))
-            for K in subfields:
-                cap = proven_cap(model, K)
-                expect = ellcurve.two_primary_over_tower(A, B, K, cap)[0]
-                assert mwtors._genus1_two_primary(model, K, cap) == expect, (model.label, M, K)
-            assert len(mwtors._tower_searches(model)) == 1
+    @given(r=st.integers(-20, 20), quadratic=QUADRATICS, data=st.data())
+    def test_genus1_two_part_read_from_a_superfield(self, r, quadratic, data):
+        """Random curves y^2 = (x - r)(x^2 + sx + t) with at most 5 odd
+        bad primes: the search over M_E, which holds E[2], raises nothing,
+        and the 2-part of random subfields of M_E read from it equals the
+        affine search over each, capped by the reductions at three good odd
+        primes."""
+        s, t = quadratic
+        assume(s * s != 4 * t and r * r + s * r + t != 0)  # a squarefree cubic
+        ainvs = (0, s - r, 0, t - r * s, -r * t)
+        model = mwtors.CurveModel(f"({r}, {s}, {t})", (1, 1), 1, None, ainvs, None, "test")
+        M = search_field(model)
+        assume(M.degree <= 2**7)
+        mwtors._genus1_two_primary.cache_clear()
+        disc = ellcurve.minimal_disc(model.elliptic())
+        primes = [p for p in range(3, 32) if is_prime(p) and disc % p][:3]
+        with counted_searches() as searches:
+            assert mwtors._genus1_two_primary(model)[0] == M
+            for _ in range(3):
+                check_read(model, MultiQuadField(data.draw(st.lists(st.sampled_from(M.span()[1:]), max_size=4))), primes)
+        assert len(searches) == 1
 
     @PROPERTY
     @given(K=fields)

@@ -15,7 +15,6 @@ from mqtorsion.ellcurve import (
     EllipticCurve,
     exhaustive_small_field_scan,
     group_structure,
-    halving_witness,
     minimal_disc,
     minimal_model,
     points_over_code_domain,
@@ -43,7 +42,10 @@ from reference import (
     roots_in_tower_by_tower_sqrt,
     torsion_over_tower,
     tower_curve_affine,
+    two_primary_by_descent,
     two_primary_over_tower_affine,
+    two_torsion_field,
+    two_torsion_roots_in_tower,
 )
 
 X11 = (0, -1, -1, 0, 0)  # y^2 - y = x^3 - x^2
@@ -79,7 +81,7 @@ def j_invariant(c: EllipticCurve) -> Fr:
 def two_adic_cap(c: EllipticCurve, K) -> int:
     """A proven bound on the exponent of c(K)[2^oo]: the least 2-exponent of
     the reductions at the first two good odd primes, each over its residue
-    field in K (the argument of two_primary_over_tower)."""
+    field in K (the cap of `reference.two_primary_over_tower_affine`)."""
     return min(
         group_structure(reduce_mod_p(c, p, K.residue_degree(p)[0])).ell_part(2).exponent
         for p in good_odd_primes(c, 100)[:2]
@@ -345,7 +347,7 @@ class TestTorsionQ:
     def test_two_independent_paths_agree(self):
         for ainvs in (X11, X14, X15, M210, M212, M39, M48, M66):
             c = E(ainvs)
-            assert torsion_structure_q(c) == torsion_over_tower(c, QQ_FIELD, two_adic_cap(c, QQ_FIELD))
+            assert torsion_structure_q(c) == torsion_over_tower(c, QQ_FIELD)
 
 
 GENUS1_LABELS = sorted(label for label, m in model_registry().items() if m.genus == 1)
@@ -466,35 +468,51 @@ class TestTowerTorsion:
     def test_matches_known_tables(self, ainvs, gens, expect):
         K = MultiQuadField(gens) if gens else QQ_FIELD
         c = E(ainvs)
-        assert torsion_over_tower(c, K, two_adic_cap(c, K)) == AbGroupStructure.from_summands(expect)
+        assert torsion_over_tower(c, K) == AbGroupStructure.from_summands(expect)
 
     def test_halving_witness_order(self):
-        from mqtorsion.ellcurve import tower_short_curve
+        """The four halves of (0, 0) on y^2 = x^3 + 4x over Q(sqrt(-1)),
+        each of order 4."""
+        from mqtorsion.ellcurve import _halves_over_tower, tower_short_curve
 
         K = MultiQuadField([-1])
         c = tower_short_curve(4, 0, K)
-        P = halving_witness(c, K.zero())
-        assert P is not None
-        assert point_order(c, P, 16) == 4
+        halves = _halves_over_tower(c, two_torsion_roots_in_tower(4, 0, K), (K.zero(), K.zero()))
+        assert len(halves) == 4
+        assert all(point_order(c, P, 16) == 4 for P in halves)
+
+    def test_a_half_that_fails_its_check_raises(self, monkeypatch):
+        """`_halves_over_tower` raises, with no assert, when a half does not
+        double to the point it halves."""
+        from mqtorsion.ellcurve import _halves_over_tower, tower_short_curve
+
+        K = MultiQuadField([-1])
+        c = tower_short_curve(4, 0, K)
+        monkeypatch.setattr(ellcurve, "_doubles_to", lambda E, Q, P: False)
+        with pytest.raises(ellcurve.CrossCheckError, match="does not double to"):
+            _halves_over_tower(c, two_torsion_roots_in_tower(4, 0, K), (K.zero(), K.zero()))
 
     def test_witnesses_verified(self):
-        st, witnesses, _ = two_primary_over_tower(-27, 8694, MultiQuadField([-3, 5]), 16)
-        assert st == AbGroupStructure((2, 8))
+        """The basis over Q(sqrt(-3), sqrt(5)), which holds E[2]: points of
+        the orders it gives, 2 and 8, spanning a group of order 16."""
         from mqtorsion.ellcurve import tower_short_curve
 
-        c = tower_short_curve(-27, 8694, MultiQuadField([-3, 5]))
-        assert all(point_order(c, P, 64) == n for P, n in witnesses)
-        orders = sorted(n for _, n in witnesses)
-        assert 8 in orders and all(o in (2, 4, 8) for o in orders)
+        K = MultiQuadField([-3, 5])
+        basis = two_primary_over_tower(-27, 8694, K)
+        assert [n for _, n in basis] == [2, 8]
+        c = tower_short_curve(-27, 8694, K)
+        assert all(point_order(c, P, 64) == n for P, n in basis)
+        assert len(subgroup_span([P for P, _ in basis], c.add, INF)) == 16
 
     def test_order_reps_match_point_order(self, monkeypatch):
         """At each step of the search, the candidates of `_order_reps`
-        against the span H of the witnesses found so far.  The basis spans
-        it as a direct sum of points of the recorded orders; the candidates
-        are one point of least order in each class of H/2H but 0, of the
-        order given; and the points of top order, one per +-pair as the
-        affine span search lists them (`order_reps_span`), fill exactly the
-        classes of the candidates of top order."""
+        against the span H of the basis.  H starts as E[2] and doubles at
+        each step, and the basis spans it as a direct sum of points of the
+        recorded orders; the candidates are one point of least order in
+        each class of H/2H but 0, of the order given; and the points of top
+        order, one per +-pair as the affine span search lists them
+        (`order_reps_span`), fill exactly the classes of the candidates of
+        top order.  The last step finds no half and returns its basis."""
         from mqtorsion.ellcurve import _order_reps, tower_short_curve
 
         bases = []
@@ -505,25 +523,22 @@ class TestTowerTorsion:
 
         monkeypatch.setattr(ellcurve, "_order_reps", recording)
         cases = [
-            (X15, (-3, 5)),  # Z/2 x Z/8: bases of orders (2, 4), (2, 8)
-            (X15, (-3,)),  # Z/8: cyclic bases
-            (M48, (-1, 2)),  # Z/4 x Z/4: a basis of orders (4, 4)
-            (C15A1, (-1, 2, 3, 5, 7)),  # Z/8 x Z/8: (4, 4), (4, 8), (8, 8)
+            (X15, (-3, 5)),  # Z/2 x Z/8: bases of orders (2, 2), (2, 4), (2, 8)
+            (M48, (-1, 2)),  # Z/4 x Z/4: (2, 2), (2, 4), (4, 4)
+            (C15A1, (-1, 2, 3, 5, 7)),  # Z/8 x Z/8: ..., (4, 4), (4, 8), (8, 8)
         ]
         for ainvs, gens in cases:
             bases.clear()
             A, B = short_model(E(ainvs))
             K = MultiQuadField(gens)
-            _, witnesses, _ = two_primary_over_tower(A, B, K, 16)
+            final = two_primary_over_tower(A, B, K)
             c = tower_short_curve(A, B, K)
-            assert bases
-            # each step but the last finds one witness
-            first = len(witnesses) - len(bases) + 1
-            for step, basis in enumerate(bases):
+            assert bases[-1] == final and [n for _, n in bases[0]] == [2, 2]
+            spans = [subgroup_span([P for P, _ in basis], c.add, INF) for basis in bases]
+            for step, (basis, span) in enumerate(zip(bases, spans)):
                 top = basis[-1][1]
-                span = subgroup_span([P for P, _ in basis], c.add, INF)
-                assert span == subgroup_span([P for P, _ in witnesses[: first + step]], c.add, INF)
-                assert len(span) == prod(n for _, n in basis)
+                assert len(span) == prod(n for _, n in basis) == 4 << step
+                assert step == 0 or spans[step - 1] <= span
                 assert all(point_order(c, P, 64) == n for P, n in basis)
                 doubles = {c.add(P, P) for P in span}
 
@@ -566,22 +581,29 @@ class TestInverseFreeTwoPrimary:
 
     @pytest.mark.parametrize("label", GENUS1_LABELS)
     def test_matrix_fields_match_the_affine_search(self, label):
-        """The same structure as the affine search over the 52 matrix
-        fields, at the cap 16 that any curve over Q allows, each witness
-        of its claimed order under E.mul, and the basis a direct-sum basis
-        of the group: its orders ascend, and their product is the order of
-        its span and of the group."""
+        """Over each of the 52 matrix fields K, the search over K(E[2])
+        descended to K against the affine search over K, at the cap 16 that
+        any curve over Q allows; and the basis over K(E[2]) a direct-sum
+        basis of the group there: two points of the orders it gives under
+        E.mul, ascending, whose product is the order of their span.  A
+        curve with no rational 2-torsion point has no 2-power torsion over
+        any K, and its search returns no basis."""
         A, B = short_model(model_registry()[label].elliptic())
         assert len(MATRIX_FIELDS) == 52
         for K in MATRIX_FIELDS:
-            st, witnesses, basis = two_primary_over_tower(A, B, K, 16)
-            assert st == two_primary_over_tower_affine(A, B, K, 16)[0]
-            c = tower_curve_affine(A, B, K)
-            for P, n in witnesses + basis:
+            assert two_primary_by_descent(A, B, K) == two_primary_over_tower_affine(A, B, K, 16)[0]
+            try:
+                L, _ = two_torsion_field(A, B, K)
+            except CurveError:
+                assert two_primary_over_tower(A, B, K) == []
+                continue
+            basis = two_primary_over_tower(A, B, L)
+            c = tower_curve_affine(A, B, L)
+            for P, n in basis:
                 assert curve_mul(c, n // 2, P) is not INF and curve_mul(c, n, P) is INF
             orders = [n for _, n in basis]
-            assert orders == sorted(orders) and st.factors == tuple(orders)
-            assert len(subgroup_span([P for P, _ in basis], c.add, INF)) == st.order
+            assert orders == sorted(orders) and len(orders) == 2
+            assert len(subgroup_span([P for P, _ in basis], c.add, INF)) == prod(orders)
 
     @staticmethod
     def check_points(c, points):
@@ -602,12 +624,16 @@ class TestInverseFreeTwoPrimary:
     @example(E(M212), [-1, 3, 7])
     @example(E(M48), [-1, 2])
     def test_checks_match_affine_law_on_torsion(self, curve, gens):
-        """On the span of the witnesses of the search, with the builtin
-        curves, whose points of order 8 lie over the level fields."""
+        """On E(L)[2^oo], L = K(E[2]), spanned by the basis of the search,
+        with the builtin curves, whose points of order 8 lie over the level
+        fields.  A curve whose cubic is irreducible has no such point."""
         A, B = short_model(curve)
-        K = MultiQuadField(gens)
-        points = [P for P, _ in two_primary_over_tower(A, B, K, 16)[1]]
-        c = tower_curve_affine(A, B, K)
+        try:
+            L, _ = two_torsion_field(A, B, MultiQuadField(gens))
+        except CurveError:
+            return
+        points = [P for P, _ in two_primary_over_tower(A, B, L)]
+        c = tower_curve_affine(A, B, L)
         self.check_points(c, [P for P in subgroup_span(points, c.add, INF) if P is not INF])
 
     @PROPERTY
@@ -638,11 +664,10 @@ class TestInverseFreeTwoPrimary:
         c, K = E(C15A1), MultiQuadField([-1, 2, 3, 5, 7])
         assert group_structure(reduce_mod_p(c, 13, K.residue_degree(13)[0])).ell_part(2) == AbGroupStructure((8, 8))
         A, B = short_model(c)
-        st, witnesses, _ = two_primary_over_tower(A, B, K, two_adic_cap(c, K))
-        assert st == AbGroupStructure((8, 8))
+        basis = two_primary_over_tower(A, B, K)
+        assert [n for _, n in basis] == [8, 8]
         curve = tower_curve_affine(A, B, K)
-        assert [n for _, n in witnesses].count(8) == 2
-        for P, n in witnesses:
+        for P, n in basis:
             assert curve_mul(curve, n // 2, P) is not INF and curve_mul(curve, n, P) is INF
 
     @pytest.mark.parametrize("A, B", [(0, 0), (-3, 2), (-27, 54), (-12, 16)])
@@ -659,7 +684,7 @@ def tower_torsion_points() -> tuple:
     """(E, P, n): affine points P of order n on curves over towers, every n
     from 2 to 16, with the multiples kP of each (of order n/k)."""
     from mqtorsion import classify
-    from mqtorsion.ellcurve import _halves_over_tower, tower_short_curve, two_torsion_roots_in_tower
+    from mqtorsion.ellcurve import _halves_over_tower, tower_short_curve
 
     def tate(K, b, c):
         """E(b, c): y^2 + (1 - c)xy - by = x^3 - bx^2 and its point (0, 0)."""
@@ -730,32 +755,35 @@ class TestHasOrder:
 
 
 class TestCappedTwoPrimary:
-    """torsion_over_tower with the cap from two reductions against the same
-    call with cap 16, the largest 2-power exponent of any elliptic curve
-    over Q over the compositum of all quadratic fields (Fujita, 2005)."""
+    """The search, which takes no cap, descended from K(E[2]) to K, against
+    the affine reference search capped by the 2-exponent of two
+    reductions, a proven bound on the exponent of E(K)[2^oo]."""
+
+    @staticmethod
+    def check(c, K):
+        A, B = short_model(c)
+        assert two_primary_by_descent(A, B, K) == two_primary_over_tower_affine(A, B, K, two_adic_cap(c, K))[0]
 
     @pytest.mark.parametrize("label", GENUS1_LABELS)
     @PROPERTY
     @given(gens=st.lists(st.sampled_from(FIELD_GENS), max_size=4))
     def test_builtin_curves(self, label, gens):
-        c = model_registry()[label].elliptic()
-        K = MultiQuadField(gens)
-        assert torsion_over_tower(c, K, two_adic_cap(c, K)) == torsion_over_tower(c, K, 16)
+        self.check(model_registry()[label].elliptic(), MultiQuadField(gens))
 
     @PROPERTY
     @given(small_curves(), st.lists(st.sampled_from(FIELD_GENS), max_size=4))
     def test_random_curves(self, c, gens):
-        K = MultiQuadField(gens)
-        assert torsion_over_tower(c, K, two_adic_cap(c, K)) == torsion_over_tower(c, K, 16)
+        self.check(c, MultiQuadField(gens))
 
     def test_cap_equal_to_the_true_exponent(self):
         c, K = E(X15), MultiQuadField([-3, 5])
         assert two_adic_cap(c, K) == 8
-        assert torsion_over_tower(c, K, 8) == torsion_over_tower(c, K, 16) == AbGroupStructure((2, 8))
-        # the search stops at the cap: a cap below the truth cuts the 2-part
-        assert two_primary_over_tower(-27, 8694, K, 4)[0] == AbGroupStructure((2, 4))
-        assert two_primary_over_tower(-27, 8694, K, 2)[0] == AbGroupStructure((2, 2))
-        assert two_primary_over_tower(-27, 8694, K, 1)[0] == AbGroupStructure.trivial()
+        assert torsion_over_tower(c, K) == AbGroupStructure((2, 8))
+        assert two_primary_over_tower_affine(-27, 8694, K, 8)[0] == AbGroupStructure((2, 8))
+        # the reference stops at its cap: a cap below the truth cuts the 2-part
+        assert two_primary_over_tower_affine(-27, 8694, K, 4)[0] == AbGroupStructure((2, 4))
+        assert two_primary_over_tower_affine(-27, 8694, K, 2)[0] == AbGroupStructure((2, 2))
+        assert two_primary_over_tower_affine(-27, 8694, K, 1)[0] == AbGroupStructure.trivial()
 
 
 class TestDivisionPolynomialSurface:

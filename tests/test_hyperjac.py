@@ -282,6 +282,15 @@ class TestZeta:
     def test_paper_orders(self, coeffs, p, f, nj):
         assert zeta_order(curve(coeffs, p, f))[3] == nj
 
+    @pytest.mark.parametrize("shift", [1, 200])
+    def test_counts_off_the_weil_bounds_raise(self, monkeypatch, shift):
+        """N2 moved by 1 makes e2 = (s1^2 - s2)/2 a half-integer, and by 200
+        puts |e2| above 6q over F_5: both raise, with no assert involved."""
+        count = hyperjac._count_over_quadratic_ext
+        monkeypatch.setattr(hyperjac, "_count_over_quadratic_ext", lambda C: count(C) + shift)
+        with pytest.raises(hyperjac.CrossCheckError, match="break the Weil bounds"):
+            zeta_order(curve(X13, 5, 1))
+
     def test_count_over_f_q_matches_the_walk_over_f_q2(self):
         """N2 counted over F_q against the walk over all of F_{q^2}, at every
         good reduction of the builtin genus-2 models: f = 1 for p <= 47 and

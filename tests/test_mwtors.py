@@ -219,8 +219,7 @@ class TestEightTorsion:
             for gens in ((), (-1,), (3,), (-3,), (5,), (-15,), (2,), (-1, 3), (-3, 5)):
                 K = MultiQuadField(gens) if gens else QQ_FIELD
                 ok, _ = eight_torsion_criterion(model, K)
-                cap = reduction_bound(model, K, model.primes).ell_part(2).exponent
-                exact = torsion_over_tower(model.elliptic(), K, cap)
+                exact = torsion_over_tower(model.elliptic(), K)
                 assert ok == (exact.exponent % 8 == 0), (label, gens)
 
 
@@ -303,11 +302,12 @@ class TestTorsionSupportField:
         upper = reduction_bound(model, K, primes)
         K_S = torsion_support_field(model, K, primes, upper)
         assert all(K.contains_sqrt(d) for d in K_S.gens)
-        E, cap = model.elliptic(), upper.ell_part(2).exponent
-        exact = torsion_over_tower(E, K, cap)
-        assert exact == torsion_over_tower(E, K_S, cap)
-        # derive's path: the odd part from the per-(model, d) twist torsion
-        assert mwtors._genus1_torsion(model, K_S, cap) == exact
+        E = model.elliptic()
+        exact = torsion_over_tower(E, K)
+        assert exact == torsion_over_tower(E, K_S)
+        # derive's path: the odd part from the per-(model, d) twist torsion,
+        # the 2-part read from the search over M_E
+        assert mwtors._genus1_torsion(model, K_S) == exact
 
     def test_genus2_support_from_the_discriminant(self):
         # X1(18): disc(F) * lc(F) = -2^15 * 3^4, and upper = [3, 21] over
