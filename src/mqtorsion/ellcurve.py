@@ -544,8 +544,8 @@ def has_order(E: EllipticCurve, P, n: int) -> bool:
 
 def _halves_over_tower(E: EllipticCurve, e_roots: list, P) -> list:
     """The four points Q over L with 2Q = P on E: y^2 = x^3 + Ax + B over
-    the tower L, given the three roots e_i of the cubic in L; [] when P has
-    no half over L.
+    the tower L, given the three roots e_i of the cubic in L; P must have
+    them, and CrossCheckError is raised when it has no half over L.
 
     Halving (Bekker and Zarhin, The divisibility by 2 of rational points on
     elliptic curves, 2017).  P = (x0, y0) has a half over L iff each
@@ -563,12 +563,9 @@ def _halves_over_tower(E: EllipticCurve, e_roots: list, P) -> list:
     checked to be distinct.  The halves of P form one coset of E[2], which
     lies in E(L), so there are four of them and these are all."""
     x0, y0 = P
-    ss = []
-    for e in e_roots:
-        s = qfield.sqrt_in_tower(x0 - e)
-        if s is None:
-            return []
-        ss.append(s)
+    ss = [qfield.sqrt_in_tower(x0 - e) for e in e_roots]
+    if None in ss:
+        raise CrossCheckError(f"{P} has no half over {x0.field}")
     s1, s2, s3 = ss
     s12, s23, s31 = s1 * s2, s2 * s3, s3 * s1
     if s12 * s3 != -y0:
@@ -590,52 +587,74 @@ def _halves_over_tower(E: EllipticCurve, e_roots: list, P) -> list:
     return halves
 
 
-def two_primary_over_tower(A: int, B: int, M) -> list:
-    """A direct-sum basis of E(M)[2^oo] for E: y^2 = x^3 + Ax + B over the
-    multi-quadratic field M, which must hold E[2] when the cubic has a
-    rational root: (point, order) pairs, orders ascending, E(M)[2^oo] the
-    direct sum of their cyclic groups, and empty when it is trivial.  A
-    cubic with one root in M raises CrossCheckError.
+def two_primary_over_tower(A: int, B: int) -> tuple:
+    """(F, basis) for E: y^2 = x^3 + Ax + B: a direct-sum basis of
+    G = E(Q(2^oo))[2^oo], the points of 2-power order over all
+    multi-quadratic fields, as (point, order) pairs, orders ascending, and
+    a multi-quadratic field F over which they lie; (Q, []) when G = 0.
 
-    With no root in M the cubic is irreducible, as M holds every rational
-    root; a root of an irreducible cubic has degree 3 over Q, and every
-    element of M a power of 2, so E(M)[2] = 0 and E(M)[2^oo] is trivial.
-    Otherwise the three roots e_i lie in M, and H starts as
-    E(M)[2] = E[2] = <T1> + <T2>, T_i = (e_i, 0).  H grows by a half over M
-    (`_halves_over_tower`) of the point c of least order n in some class of
-    H/2H but 0 (`_order_reps`), until no class has one.
+    A root of an irreducible cubic has degree 3, not a power of 2, so G
+    then has no point of order 2.  Otherwise F starts as Q(E[2])
+    (`_cubic_factors`) and H as E[2] = <(e1, 0)> + <(e2, 0)>.  A point
+    c = (x0, y0) has a half over a field L containing F iff each x0 - e_i
+    is a square in L (`_halves_over_tower`).  A multi-quadratic L is
+    F(sqrt q : q rational), and by Kummer theory the elements of F that are
+    squares in L lie in classes q F^2.  So c has a half over some
+    multi-quadratic field iff each x0 - e_i lies in a class c_i F^2
+    (`qfield.rational_class`), and then over F(sqrt c_i).  For the point c
+    of least order n in a class of H/2H but 0 (`_order_reps`) that has one,
+    H grows by the half when each sqrt c_i lies in F; else F grows by them,
+    and H, lifted into the larger F (`qfield.lift`), is the same group.
 
-    Exactness.  Let G = E(M)[2^oo], a group that holds H.  While H != G,
-    take R in G outside H; some Q = 2^i R lies outside H with 2Q in H.  2Q
-    is not in 2H: else 2Q = 2R' with R' in H, and Q - R' lies in E(M)[2],
-    which H holds, so Q would lie in H.  So the class of 2Q is not 0 and
-    has a half over M, and then so does the point of least order in that
-    class (`_order_reps`).  The search stops only at H = G.  A found half
-    Q has order 2n with no order taken: `_halves_over_tower` checks 2Q = c
-    (`_doubles_to`, whose failure raises), and c has order n >= 2, a power
-    of 2, so 2nQ = nc = O and nQ = (n/2)c != O.
+    The classes.  F(sqrt c_i) = F(sqrt(x0 - e_i)) lies in F(Q) for a half
+    Q of c over the algebraic closure, as sqrt(x0 - e_i) is a rational
+    function of Q, so in Q(E[2^oo]), as F does by induction.  Q(E[2^oo])
+    is unramified outside 2N (Neron-Ogg-Shafarevich), N the conductor, and
+    so is Q(sqrt c_i), whose odd primes then divide N: c_i, like the
+    classes of F, has its primes among those of 6(4A^3 + 27B^2), which
+    `rational_class` is given.
 
-    Termination, with no cap on the exponent.  Each step doubles |H|
-    (`_order_reps`), and H stays in G, which is finite: at a prime of M
-    above an odd prime p of good reduction, reduction is injective on the
-    torsion of order prime to p, as its kernel, the points of the formal
-    group, is pro-p (Silverman, AEC VII.3.1), so G embeds in E~(F_{p^f}).
-    So the search makes at most log2|G| - 2 steps."""
-    roots = [r for g, d in _cubic_factors(A, B) for r in _roots_in_tower(g, d, M)]
-    if not roots:
-        return []
-    if len(roots) != 3:
-        raise CrossCheckError(f"x^3 + {A}x + {B} has one root in {M}, so M misses part of E[2]")
-    E = tower_short_curve(A, B, M)
-    basis = [((e, M.zero()), 2) for e in roots[:2]]
+    Exactness.  While H != G, take R in G outside H; some Q = 2^i R lies
+    outside H with 2Q in H.  2Q is not in 2H: else 2Q = 2R' with R' in H,
+    and Q - R' lies in E[2], which H holds, so Q would lie in H.  So the
+    class of 2Q is not 0 and has a half over a multi-quadratic field, and
+    then so does the point of least order in that class (`_order_reps`).
+    The search stops only at H = G.  A found half Q has order 2n with no
+    order taken: `_halves_over_tower` checks 2Q = c (`_doubles_to`, whose
+    failure raises), and c has order n >= 2, a power of 2, so 2nQ = nc = O
+    and nQ = (n/2)c != O.
+
+    Termination, with no cap on the exponent.  Over one F each step
+    doubles |H| inside G, which is finite: G lies in E(M),
+    M = Q(sqrt(-1), sqrt(2), sqrt(p) : odd p | N), as each Q(P), P in G,
+    is multi-quadratic and unramified outside 2N; and at a prime of M above
+    an odd prime p of good reduction, reduction is injective on the
+    torsion of order prime to p, its kernel being pro-p (Silverman, AEC
+    VII.3.1).  F grows inside Q(E[2]) Q(G), as each sqrt c_i lies in F(Q)
+    for a half Q in G: a finite field, whatever the primes of N."""
+    factors = _cubic_factors(A, B)
+    if not factors:
+        return qfield.QQ_FIELD, []
+    F = qfield.MultiQuadField([d for _, d in factors if d != 1])
+    E = tower_short_curve(A, B, F)
+    roots = [r for g, d in factors for r in _roots_in_tower(g, d, F)]
+    basis = [((e, F.zero()), 2) for e in roots[:2]]
+    primes = tuple(factorize(6 * (4 * A**3 + 27 * B**2)))
     while True:
         for c, n, kept in _order_reps(E, basis):
-            halves = _halves_over_tower(E, roots, c)
-            if halves:
-                basis = sorted([*kept, (halves[0], 2 * n)], key=lambda pair: pair[1])
+            classes = [qfield.rational_class(c[0] - e, primes) for e in roots]
+            if None not in classes:
                 break
         else:
-            return basis
+            return F, basis
+        grow = [d for d in classes if not F.contains_sqrt(d)]
+        if grow:
+            F = qfield.MultiQuadField([*F.gens, *grow])
+            E = tower_short_curve(A, B, F)
+            roots = [r for g, d in factors for r in _roots_in_tower(g, d, F)]
+            basis = [((qfield.lift(F, x), qfield.lift(F, y)), n) for (x, y), n in basis]
+        else:
+            basis = sorted([*kept, (_halves_over_tower(E, roots, c)[0], 2 * n)], key=lambda pair: pair[1])
 
 
 def _order_reps(E: EllipticCurve, basis):

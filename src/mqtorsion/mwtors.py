@@ -2,8 +2,8 @@
 
 Combines residue-field reductions, the quadratic-twist decomposition of odd
 torsion, Weierstrass 2-torsion analysis and, for a genus-1 model, one
-2-primary search over the field M_E that holds every point of 2-power
-order over every K, into two-sided bounds on J(K)_tors for the eleven
+search for the points of 2-power order over all multi-quadratic fields at
+once, read for each K, into two-sided bounds on J(K)_tors for the eleven
 builtin modular Jacobians, over any multi-quadratic field K.  `derive` mode
 recomputes everything from the models; `table` mode answers from the
 classification tables that data/models.json ships with each model, keyed on
@@ -838,37 +838,28 @@ def _bad_primes(model: CurveModel) -> frozenset:
 def _genus1_torsion(model: CurveModel, K) -> AbGroupStructure:
     """Exact J(K)_tors of a genus-1 model E: the odd part cached per
     (model, K) by `_genus1_odd_part`, the 2-part read from the one search
-    of the model, E(M_E)[2^oo] over M_E = Q(sqrt(-1), sqrt(2), sqrt(p) :
-    odd p | N) (`_genus1_two_primary`), as the points with both coordinates
-    in K_2 = K n Q(zeta_m), m = 8 * prod(odd p | N).  Derive passes
-    K = K_S.
+    of the model (`_genus1_two_primary`), as the points of
+    G = E(Q(2^oo))[2^oo] whose coordinates lie in K.  Derive passes K = K_S.
 
-    Proof that E(K)[2^oo] = E(M_E)[2^oo] n E(K_2).  A point P of E(K)[2^n]
-    has Q(P) in K n Q(E[2^n]), and Q(E[2^n]) is unramified outside 2N
-    (Neron-Ogg-Shafarevich), with N supported on `_bad_primes`.  Q(P) is
-    multi-quadratic, spanned by its quadratic subfields Q(sqrt d), and
-    Q(sqrt d) is ramified at every odd p | d; so all those p divide N,
-    and sqrt(d) lies in M_E.  Q(sqrt d) lies in Q(zeta_m) iff |disc| | m,
-    that is iff every odd prime of d divides N, so the square classes of
-    M_E are those of Q(zeta_m), K n M_E = K_2, and P lies in E(K_2).  The
-    search finds E(M_E)[2^oo] exactly, from H = E(M_E)[2] and with no cap
-    on the exponent (the proofs are in `ellcurve.two_primary_over_tower`).
-
-    The read.  A point (x, y) of E(M_E) lies in E(K_2) iff x and y lie in
-    K_2.  The basis element of each mask of K_2 is a rational multiple of
-    a distinct basis element of M_E (`M_E.embedding(K_2)`), so K_2 is the
-    span of those basis elements, and an element of M_E lies in K_2 iff
-    its nonzero coordinates sit on their masks: the point lies in E(K_2)
-    iff its support lies in the image of K_2, one mask test.
-    E(K_2)[2^oo] is a finite subgroup of E[2^oo] = (Q_2/Z_2)^2, so of rank
-    at most 2: Z/(|G|/e) + Z/e with e its exponent, the largest order of
-    its points."""
-    M, points = _genus1_two_primary(model)
-    K_2 = K.cyclotomic_intersection(8 * math.prod(_bad_primes(model) - {2}))
-    image = sum(1 << mask for mask, _ in M.embedding(K_2))
-    orders = [n for support, n in points if not support & ~image]
-    e = max(orders, default=1)
-    two = AbGroupStructure.from_summands(((len(orders) + 1) // e, e))
+    K is multi-quadratic, so E(K)[2^oo] = G n E(K), which is G when K
+    holds the field F of the search, over which the points of G lie: the
+    direct sum of the cyclic groups of its basis.  Otherwise the points are
+    built (`_genus1_two_points`).  F n K is spanned by the basis elements
+    of F whose classes lie in K: each lies in F n K, and they number
+    [F n K : Q], the classes of F in K being those of F n K.  So a point
+    lies in E(K) iff the basis masks of its support lie among them, one
+    mask test.  E(K)[2^oo] is a finite subgroup of E[2^oo] = (Q_2/Z_2)^2,
+    so of rank at most 2: Z/(|G|/e) + Z/e with e its exponent, the largest
+    order of its points."""
+    F, basis = _genus1_two_primary(model)
+    if all(K.contains_sqrt(d) for d in F.gens):
+        two = AbGroupStructure.from_summands(n for _, n in basis)
+    else:
+        classes, points = _genus1_two_points(model)
+        image = sum(1 << mask for mask, d in enumerate(classes) if K.contains_sqrt(d))
+        orders = [n for support, n in points if not support & ~image]
+        e = max(orders, default=1)
+        two = AbGroupStructure.from_summands(((len(orders) + 1) // e, e))
     return _genus1_odd_part(model, K).direct_sum(two)
 
 
@@ -887,26 +878,29 @@ def _genus1_odd_part(model: CurveModel, K) -> AbGroupStructure:
 
 @lru_cache(maxsize=256)
 def _genus1_two_primary(model: CurveModel) -> tuple:
-    """(M_E, points) of a genus-1 model E: M_E = Q(sqrt(-1), sqrt(2),
-    sqrt(p) : odd p | N), and the (support, order) of each point of
-    E(M_E)[2^oo] but O, its support the bitmask of the basis masks of M_E
-    where x or y has a nonzero coordinate.  One search per model
+    """(F, basis): the one search of a genus-1 model
     (`ellcurve.two_primary_over_tower`), read for every K by
-    `_genus1_torsion`.
+    `_genus1_torsion`."""
+    return ellcurve.two_primary_over_tower(*ellcurve.short_model(model.elliptic()))
 
-    M_E holds E[2] when the cubic x^3 + Ax + B has a rational root, as the
-    search needs: Q(E[2]) is then Q or Q(sqrt d), d the class of the
-    discriminant of the quadratic cofactor, and Q(E[2]) is unramified
-    outside 2N, so every odd prime of d divides N.  The search's basis
-    (g1, o1), (g2, o2) makes E(M_E)[2^oo] the direct sum <g1> + <g2>, so
-    its points are a*g1 + b*g2 for 0 <= a < o1 and 0 <= b < o2, each once,
-    and that point has order lcm(o1/gcd(a, o1), o2/gcd(b, o2)), the larger
-    of two powers of 2."""
-    M = qfield.MultiQuadField([-1, 2, *(_bad_primes(model) - {2})])
-    A, B = ellcurve.short_model(model.elliptic())
-    E = ellcurve.tower_short_curve(A, B, M)
+
+@lru_cache(maxsize=256)
+def _genus1_two_points(model: CurveModel) -> tuple:
+    """(classes, points) of the search of a genus-1 model E: the squarefree
+    class of each basis mask of its field F, and the (support, order) of
+    each point of G = E(Q(2^oo))[2^oo] but O, its support the bitmask of
+    the basis masks of F where x or y has a nonzero coordinate.
+
+    The class of a mask with bit i set is that of the mask without it
+    times gens[i], and the class of c*d for squarefree c and d is
+    c*d / gcd(c, d)^2.  The search's basis (g1, o1), (g2, o2) makes G the
+    direct sum <g1> + <g2>, so its points are a*g1 + b*g2 for
+    0 <= a < o1 and 0 <= b < o2, each once, and that point has order
+    lcm(o1/gcd(a, o1), o2/gcd(b, o2)), the larger of two powers of 2."""
+    F, basis = _genus1_two_primary(model)
+    E = ellcurve.tower_short_curve(*ellcurve.short_model(model.elliptic()), F)
     sums = [(ellcurve.INF, 1)]
-    for g, o in ellcurve.two_primary_over_tower(A, B, M):
+    for g, o in basis:
         multiples = [(ellcurve.INF, 1)]
         for k in range(1, o):
             multiples.append((E.add(multiples[-1][0], g), o // math.gcd(k, o)))
@@ -915,7 +909,10 @@ def _genus1_two_primary(model: CurveModel) -> tuple:
         (sum(1 << mask for mask, (a, b) in enumerate(zip(x.nums, y.nums)) if a or b), n)
         for (x, y), n in sums[1:]
     )
-    return M, points
+    classes = [1]
+    for d in F.gens:
+        classes += [c * d // math.gcd(c, d) ** 2 for c in classes]
+    return tuple(classes), points
 
 
 def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:

@@ -10,15 +10,14 @@ intersections are read from the basis in O(n) vector operations; the 2^n
 classes of the span and the generator products are built together, once,
 when a signature or an element first needs them (`_span_tables`).
 Elements of the field are exact: 2^n integer numerators over one shared
-denominator, in the basis of square roots of products of generators.  The
-field is also the one place that maps the basis of a subfield into its own
-(`embedding`), from which an element's support tells whether it lies in the
-subfield.
+denominator, in the basis of square roots of products of generators.  An
+element has a square root (`sqrt_in_tower`) and a rational square class
+(`rational_class`) when it has one, each found by norms down the tower.
 
 Everything is immutable and pure.  A field memoises what it derives from
 its basis (its span, generator products, subfield of lower generators,
-embeddings, residue degrees and cyclotomic intersections), and an element
-only its hash.
+residue degrees and cyclotomic intersections), and an element only its
+hash.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ def _field(coords: tuple, rows: tuple) -> "MultiQuadField":
     field.gens = tuple(_unvector(coords, r) for r in rows)
     field._hash = hash(field.gens)
     field._level = 8 * prod(c for c in coords if c > 2)
-    field._embeddings, field._degrees, field._meets = {}, {}, {}
+    field._degrees, field._meets = {}, {}
     return field
 
 
@@ -327,39 +326,16 @@ class MultiQuadField:
         return _elem(self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator)
 
     def sqrt_gen(self, d: int) -> "TowerElem":
-        """The element sqrt(d) for d in the span (d squarefree)."""
-        mask, scale = self._basis_scale(d)
-        nums = [0] * self.degree
-        nums[mask] = scale.numerator
-        return _elem(self, tuple(nums), scale.denominator)
-
-    def _basis_scale(self, d: int) -> tuple[int, Fraction]:
-        """(mask, c) with sqrt(d) = c times the basis element of mask: the
-        mask of class d has square prod = d * c^-2, a square times d."""
+        """The element sqrt(d) for d in the span (d squarefree): c times the
+        basis element of the mask of class d, whose square is
+        prod = d * c^-2, a square times d."""
         if not self.contains_sqrt(d):
             raise QFieldError(f"sqrt({d}) not in {self}")
         mask = self._mask(d)
-        return mask, 1 / rational_sqrt(Fraction(self.gen_products[mask], d))
-
-    # -- embeddings of subfields -------------------------------------------
-
-    def embedding(self, K: "MultiQuadField") -> tuple[tuple[int, Fraction], ...]:
-        """(mask, c) for each basis mask m of the subfield K: the basis
-        element m of K is c times this field's basis element of mask.
-
-        Built one generator of K at a time.  The image of sqrt(g) is
-        sqrt_gen(g), and the image of m | bit i is the product of the images
-        of m and of bit i, computed as a product of two basis elements:
-        sqrt(P_s) * sqrt(P_t) = P_(s & t) * sqrt(P_(s ^ t)) with P the
-        generator products.  So the map is multiplicative by construction,
-        and injective on masks since the classes of K's masks differ."""
-        if K not in self._embeddings:
-            image = [(0, Fraction(1))]
-            for g in K.gens:
-                t, ct = self._basis_scale(g)
-                image += [(s ^ t, cs * ct * self.gen_products[s & t]) for s, cs in image]
-            self._embeddings[K] = tuple(image)
-        return self._embeddings[K]
+        scale = 1 / rational_sqrt(Fraction(self.gen_products[mask], d))
+        nums = [0] * self.degree
+        nums[mask] = scale.numerator
+        return _elem(self, tuple(nums), scale.denominator)
 
     @cached_property
     def lower(self) -> "MultiQuadField":
@@ -570,6 +546,58 @@ def _sqrt_rec(v: TowerElem) -> TowerElem | None:
             if cand * cand == v:
                 return cand
     return None
+
+
+def lift(F: MultiQuadField, v: TowerElem) -> TowerElem:
+    """v, an element of a subfield of F, as an element of F, through the
+    embedding that maps the square root of each generator g of the
+    subfield to F.sqrt_gen(g): its basis element of a mask, the product of
+    those roots on the bits of the mask, maps to that product in F.  The
+    generators are independent square classes, so this is a field
+    embedding."""
+    images = [F.one()]
+    for g in v.field.gens:
+        root = F.sqrt_gen(g)
+        images += [b * root for b in images]
+    out = F.zero()
+    for b, n in zip(images, v.nums):
+        out += b.scale(n, v.den)
+    return out
+
+
+def rational_class(v: TowerElem, primes) -> int | None:
+    """The squarefree c, a sign times primes of `primes`, with v in c * F^2
+    for F the field of v, whose generators must have their primes in
+    `primes`; 1 for v = 0 = 0^2; None when v lies in no such class.
+
+    Recursive over the tower, like `sqrt_in_tower`.  For F = F'(sqrt d),
+    Q^* F^2 n F' = Q^* F'^2: if b in F has b^2 in F', then b^2 lies in F'^2
+    or d F'^2 (Kummer), and d is rational.  So v in F' keeps its class.
+    For v = x + y sqrt(d) with y != 0 and v = q b^2, the norm
+    x^2 - d y^2 = q^2 N(b)^2 is a square m^2 in F', and
+    v * 2(x + m) = (v + m)^2, so v lies in the class of 2(x + m) in F' (of
+    2(x - m) when x + m = 0, as x = m = 0 would make the norm 0); with no
+    such m, v lies in no class.  At Q, v = n/den lies in the class of
+    n * den, which is c times a square when c exists, since the classes of
+    F are classes of `primes`."""
+    if not v:
+        return 1
+    while v.field.gens:
+        x, y = _split_top(v)
+        if y:
+            m = _sqrt_rec(x * x - (y * y).scale(v.field.gens[-1]))
+            if m is None:
+                return None
+            x = (x + m if x + m else x - m).scale(2)
+        v = x
+    (n,) = v.nums
+    c, rest = -1 if n < 0 else 1, abs(n) * v.den
+    for p in primes:
+        e = 0
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        c *= p if e % 2 else 1
+    return c if isqrt(rest) ** 2 == rest else None
 
 
 # generators are factored by trial division; this keeps that prompt

@@ -39,13 +39,13 @@
   Tonelli-Shanks square roots: the arithmetic that the integer-coded
   `ff.Tables` are checked against.
 - The torsion of a rational elliptic curve over a multi-quadratic field K
-  from the curve alone (`torsion_over_tower`), its 2-part searched over
-  the compositum L = K(E[2]) (`two_torsion_field`) and descended to K by
-  `project`, the exact inverse of `lift` (`two_primary_by_descent`).
-  Production derive reads the odd part from the cached twist torsion of
-  the model, one entry per (model, d), and the 2-part of every field from
-  one search per model over M_E, which holds every point of 2-power order
-  over every field, by one mask test per point.
+  from the curve alone (`torsion_over_tower`), its 2-part the points of
+  the production search's span that Gal(KF/K) fixes, F the field of the
+  search (`two_primary_by_descent`), each lifted by the embedding of the
+  basis of a subfield (`embedding`, `lift`).  Production derive reads the
+  odd part from the cached twist torsion of the model, one entry per
+  (model, d), and the 2-part of every field from one search per model, by
+  one mask test per point on the square classes of F.
 - The dense polynomial kernels coefficient by coefficient, one `dom.add`,
   `dom.sub` or `dom.mul` call each (`generic_*`).  Production runs every
   kernel row through the domain's `axpy`.
@@ -79,11 +79,14 @@
   span of the witnesses is halved, each half checked and each order taken
   by affine doublings, each half descended to K when every element of
   Gal(L/K) fixes it (`galois_over`, `conjugate`, `k_rational`), and the
-  tower square root divides by tower inverses (`sqrt_in_tower_by_inverses`).
-  up to a cap on the exponent.  Production searches once per model, over
-  M_E, which holds E[2], and needs neither a cap nor a descent: it halves
-  one point per class of H/2H by the explicit halving formula, checks each
-  half without an inverse and reads its order from its class.
+  tower square root divides by tower inverses (`sqrt_in_tower_by_inverses`),
+  up to a cap on the exponent, over K(E[2]) (`two_torsion_field`) and
+  descended by `project`, the exact inverse of `lift`.  Production searches
+  once per model, over all multi-quadratic fields at once, and needs
+  neither a cap nor a descent: it halves one point per class of H/2H by
+  the explicit halving formula once the rational square classes of the
+  half lie in its field, which it grows by them, checks each half without
+  an inverse and reads its order from its class.
   `eight_torsion_criterion` reads order 8 from the division polynomial
   instead.
 - The roots in Q(sqrt d) of a polynomial over it from the degree <= 2
@@ -110,10 +113,14 @@
   tuple.
 - The questions asked of a multi-quadratic field, answered by enumerating
   its span as frozenset vectors (`enumerated_classes`): membership, residue
-  degrees, cyclotomic intersections, the signature, the lower subfield and
-  the embedding of a subfield through a map from each class to its mask.
-  Production reads each from the reduced echelon basis of the field and
-  builds the span only for a signature or an element.
+  degrees, cyclotomic intersections, the signature and the lower
+  subfield.  Production reads each from the reduced echelon basis of the
+  field and builds the span only for a signature or an element.  The
+  embedding of a subfield through a map from each class to its mask
+  (`embedding_by_span`) checks the one built from the basis (`embedding`).
+- The rational square class of a tower element by trying every class of
+  the given primes (`rational_class_by_search`).  Production takes norms
+  down the tower (`qfield.rational_class`).
 - The roots in K of a rational quadratic with the square root of its
   discriminant taken by the tower recursion (`roots_in_tower_by_tower_sqrt`).
   Production reads it from the basis of K, as a rational multiple of
@@ -131,7 +138,7 @@
 
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import combinations
+from itertools import combinations, product
 import math
 
 from dataclasses import dataclass
@@ -670,11 +677,31 @@ def two_torsion_field(A: int, B: int, K):
     return L, e_roots
 
 
+def embedding(L, K) -> tuple[tuple[int, Fraction], ...]:
+    """(mask, c) for each basis mask m of the subfield K of L: the basis
+    element m of K is c times L's basis element of mask.
+
+    Built one generator of K at a time.  The image of sqrt(g) is
+    L.sqrt_gen(g), a multiple of one basis element, and the image of
+    m | bit i is the product of the images of m and of bit i, computed as a
+    product of two basis elements: sqrt(P_s) * sqrt(P_t) =
+    P_(s & t) * sqrt(P_(s ^ t)) with P the generator products.  So the map
+    is multiplicative by construction, and injective on masks since the
+    classes of K's masks differ."""
+    image = [(0, Fraction(1))]
+    for g in K.gens:
+        root = L.sqrt_gen(g)
+        t = next(mask for mask, n in enumerate(root.nums) if n)
+        ct = root.coords[t]
+        image += [(s ^ t, cs * ct * L.gen_products[s & t]) for s, cs in image]
+    return tuple(image)
+
+
 def lift(L, v):
     """v, an element of a subfield of L, as an element of L, through the
-    embedding of the subfield's basis (`L.embedding`)."""
+    embedding of the subfield's basis (`embedding`)."""
     coords = [Fraction(0)] * L.degree
-    for (mask, scale), c in zip(L.embedding(v.field), v.coords):
+    for (mask, scale), c in zip(embedding(L, v.field), v.coords):
         coords[mask] = c * scale
     return qfield.TowerElem(L, tuple(coords))
 
@@ -684,7 +711,7 @@ def project(K, v):
     larger field: the exact inverse of `lift`, or None when v does not lie
     in K, that is when a nonzero coordinate of v lies off the images of
     the basis elements of K."""
-    image, nums = v.field.embedding(K), v.nums
+    image, nums = embedding(v.field, K), v.nums
     if sum(map(bool, nums)) != sum(1 for mask, _ in image if nums[mask]):
         return None
     return qfield.TowerElem(K, tuple(Fraction(nums[mask], v.den) / scale for mask, scale in image))
@@ -692,18 +719,17 @@ def project(K, v):
 
 def two_primary_by_descent(A: int, B: int, K) -> AbGroupStructure:
     """E(K)[2^oo] of y^2 = x^3 + Ax + B: the census of the points of
-    E(L)[2^oo], L = K(E[2]) (`two_torsion_field`), searched by
-    `ellcurve.two_primary_over_tower`, that `project` maps into K.
-    Trivial when no root of the cubic lies in K, as E(K)[2] is then 0.
-    Production reads a subfield of its one search field by one mask test
-    per point."""
-    if not two_torsion_roots_in_tower(A, B, K):
-        return AbGroupStructure.trivial()
-    L, _ = two_torsion_field(A, B, K)
-    EL = tower_short_curve(A, B, L)
-    span = subgroup_span([P for P, _ in two_primary_over_tower(A, B, L)], EL.add, INF)
-    points = [P for P in span if P is INF or all(project(K, c) is not None for c in P)]
-    return structure_from_elements(points, EL.add, INF, max_rank=2)
+    E(Q(2^oo))[2^oo], spanned by the basis that
+    `ellcurve.two_primary_over_tower` finds over its field F, that every
+    element of Gal(L/K) fixes, L = KF, each lifted to L.  Production reads
+    them by one mask test per point on the classes of F."""
+    F, basis = two_primary_over_tower(A, B)
+    EF = tower_short_curve(A, B, F)
+    L = qfield.MultiQuadField([*K.gens, *F.gens])
+    galois = galois_over(L, K)
+    span = subgroup_span([P for P, _ in basis], EF.add, INF)
+    points = [P for P in span if P is INF or all(k_rational(galois, lift(L, c)) for c in P)]
+    return structure_from_elements(points, EF.add, INF, max_rank=2)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,7 +1126,7 @@ def galois_over(L, K) -> list[tuple[int, ...]]:
     tuples on the generators of L: the sign flips that fix the image of
     every generator of K."""
     n = len(L.gens)
-    image = L.embedding(K)
+    image = embedding(L, K)
     fixed = [image[1 << i][0] for i in range(len(K.gens))]
     return [
         tuple(-1 if bits >> i & 1 else 1 for i in range(n))
@@ -1691,8 +1717,18 @@ def lower_by_span(K):
     return qfield.MultiQuadField(classes[1 << i] for i in range(len(K.gens) - 1))
 
 
+def rational_class_by_search(v, primes) -> int | None:
+    """The first squarefree c, a sign times primes of `primes`, with v/c a
+    square in the field of v (`qfield.sqrt_in_tower`), or None."""
+    for signs in product((1, -1), repeat=len(primes) + 1):
+        c = math.prod(p for p, s in zip((-1, *primes), signs) if s < 0)
+        if qfield.sqrt_in_tower(v.scale(1, c)) is not None:
+            return c
+    return None
+
+
 def embedding_by_span(L, K) -> tuple:
-    """`L.embedding(K)` with the mask of each generator of K read from a
+    """`embedding(L, K)` with the mask of each generator of K read from a
     map of every class of L to its mask."""
     mask_of = {d: m for m, d in enumerate(enumerated_classes(L))}
     products = L.gen_products

@@ -3,13 +3,14 @@ reads, and each such key is checked here against the per-field path of
 `tests/reference.py` that it replaced: on all 52 fields of the acceptance
 matrix, for every model the stage applies to, and on random fields of up to
 6 generators.  The memos under test are cleared first, and no reference
-reads them.  The genus-1 2-part, read from one search per model over
-M_E = Q(sqrt(-1), sqrt(2), sqrt(p) : odd p | N), is checked against the
-search over K_S(E[2]) descended to K_S, and on every subfield of M_E, for
-the builtin models and for random curves, against the affine reference
-search.  A derive over 12 generators builds the span of K only for its
-signature."""
+reads them.  The genus-1 2-part, read from one search per model, is checked
+against the affine reference search over K_S and over every subfield of
+M_E = Q(sqrt(-1), sqrt(2), sqrt(p) : odd p | N), the field that holds
+every point of 2-power order over every K, for the builtin models and for
+random curves.  A derive over 12 generators builds the span of K only for
+its signature."""
 
+import math
 from contextlib import contextmanager
 
 import pytest
@@ -26,7 +27,6 @@ from reference import (
     genus1_odd_part_per_field,
     genus2_twists_by_filter,
     reduction_bound_per_field,
-    two_primary_by_descent,
     two_primary_over_tower_affine,
     weierstrass_orbits_per_call,
 )
@@ -39,7 +39,7 @@ MODELS = [mwtors.get_model(label) for label in sorted(mwtors.model_registry())]
 GENUS1 = [m for m in MODELS if m.genus == 1]
 GENUS2 = [m for m in MODELS if m.genus == 2]
 MEMOS = (
-    mwtors._reduction_meet, mwtors._genus1_odd_part, mwtors._genus1_two_primary,
+    mwtors._reduction_meet, mwtors._genus1_odd_part, mwtors._genus1_two_primary, mwtors._genus1_two_points,
     hyperjac._weierstrass_factors, groups._from_summands,
 )
 
@@ -63,7 +63,7 @@ def counted_searches():
     """The curve (A, B) of each call of `ellcurve.two_primary_over_tower`
     in the block, which derive looks up in the module on every call."""
     calls, search = [], ellcurve.two_primary_over_tower
-    ellcurve.two_primary_over_tower = lambda A, B, M: calls.append((A, B)) or search(A, B, M)
+    ellcurve.two_primary_over_tower = lambda A, B: calls.append((A, B)) or search(A, B)
     try:
         yield calls
     finally:
@@ -92,11 +92,9 @@ def check_genus1_odd_part(model, K):
 
 
 def check_genus1_two_part(model, K):
-    """The 2-part over K_S read from the search over M_E against the search
-    over K_S(E[2]) descended to K_S."""
-    K_S = support_field(model, K)
-    A, B = ellcurve.short_model(model.elliptic())
-    assert mwtors._genus1_torsion(model, K_S).ell_part(2) == two_primary_by_descent(A, B, K_S), (model.label, K)
+    """The 2-part over K_S read from the search against the affine
+    reference search over K_S."""
+    check_read(model, support_field(model, K), model.primes)
 
 
 def search_field(model) -> MultiQuadField:
@@ -105,10 +103,16 @@ def search_field(model) -> MultiQuadField:
     return MultiQuadField([-1, 2, *(p for p in factorize(ellcurve.minimal_disc(model.elliptic())) if p > 2)])
 
 
+def check_search_field(model, M):
+    """The field of the one search lies in M_E."""
+    F, _ = mwtors._genus1_two_primary(model)
+    assert all(M.contains_sqrt(d) for d in F.gens), (model.label, F)
+
+
 def check_read(model, K, primes):
-    """The 2-part over a subfield K of M_E, read from the search over M_E,
-    against the affine reference search over K, capped by the 2-exponent
-    of the reductions at the primes over K."""
+    """The 2-part over K read from the search against the affine reference
+    search over K, capped by the 2-exponent of the reductions at the
+    primes over K."""
     A, B = ellcurve.short_model(model.elliptic())
     cap = reduction_bound_per_field(model, K, primes).ell_part(2).exponent
     expect = two_primary_over_tower_affine(A, B, K, cap)[0]
@@ -157,15 +161,17 @@ class TestOnTheMatrix:
     @pytest.mark.parametrize("model", GENUS1, ids=lambda m: m.label)
     def test_genus1_two_part_read_from_the_largest_field(self, model):
         """Every subfield of M_E, the largest field that the 2-part needs
-        (168 fields over the 8 models), read from the one search over M_E
-        against the affine search over the subfield."""
+        (168 fields over the 8 models), read from the one search against
+        the affine search over the subfield.  The search grows its field
+        inside M_E."""
         M = search_field(model)
         subfields = every_subfield(M)
         assert len(subfields) == {4: 5, 8: 16, 16: 67}[M.degree]
         with counted_searches() as searches:
             for K in subfields:
                 check_read(model, K, model.primes)
-        assert len(searches) == 1 and mwtors._genus1_two_primary(model)[0] == M
+        assert len(searches) == 1
+        check_search_field(model, M)
 
     def test_one_search_per_model_in_either_order(self):
         """The 52 fields derived for every genus-1 model in signature order,
@@ -241,22 +247,22 @@ class TestOnRandomFields:
     @PROPERTY
     @given(r=st.integers(-20, 20), quadratic=QUADRATICS, data=st.data())
     def test_genus1_two_part_read_from_a_superfield(self, r, quadratic, data):
-        """Random curves y^2 = (x - r)(x^2 + sx + t) with at most 5 odd
-        bad primes: the search over M_E, which holds E[2], raises nothing,
-        and the 2-part of random subfields of M_E read from it equals the
-        affine search over each, capped by the reductions at three good odd
-        primes."""
+        """Random curves y^2 = (x - r)(x^2 + sx + t), with as many bad
+        primes as they have: the search raises nothing and grows its field
+        inside M_E, and the 2-part of random subfields of M_E read from it
+        equals the affine search over each, capped by the reductions at
+        three good odd primes."""
         s, t = quadratic
         assume(s * s != 4 * t and r * r + s * r + t != 0)  # a squarefree cubic
         ainvs = (0, s - r, 0, t - r * s, -r * t)
         model = mwtors.CurveModel(f"({r}, {s}, {t})", (1, 1), 1, None, ainvs, None, "test")
         M = search_field(model)
-        assume(M.degree <= 2**7)
-        mwtors._genus1_two_primary.cache_clear()
+        for memo in MEMOS:
+            memo.cache_clear()
         disc = ellcurve.minimal_disc(model.elliptic())
-        primes = [p for p in range(3, 32) if is_prime(p) and disc % p][:3]
+        primes = [p for p in range(3, 64) if is_prime(p) and disc % p][:3]
         with counted_searches() as searches:
-            assert mwtors._genus1_two_primary(model)[0] == M
+            check_search_field(model, M)
             for _ in range(3):
                 check_read(model, MultiQuadField(data.draw(st.lists(st.sampled_from(M.span()[1:]), max_size=4))), primes)
         assert len(searches) == 1
@@ -291,6 +297,27 @@ class TestOnRandomFields:
         assert AbGroupStructure.from_summands(tuple(ns)) is got
         assert AbGroupStructure.from_summands(got.factors) is got
         assert AbGroupStructure.from_prime_exponents(got.prime_exponents()) is got
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_many_bad_primes_search_a_field_of_degree_8(k):
+    """y^2 = x^3 - n^2 x, n the product of the first k odd primes, has k
+    odd bad primes and M_E of degree 2^(k + 2).  The search grows its field
+    only to Q(sqrt(-1), sqrt(2), sqrt(n)), over which
+    E(Q(2^oo))[2^oo] = Z/4 x Z/4 lies, and the read over each subfield of
+    it equals the affine search at the cap 16 that any curve over Q
+    allows."""
+    n = math.prod([p for p in range(3, 42) if is_prime(p)][:k])
+    model = mwtors.CurveModel(f"n = {n}", (1, 1), 1, None, (0, 0, 0, -n * n, 0), None, "test")
+    assert len(search_field(model).gens) == k + 2
+    A, B = ellcurve.short_model(model.elliptic())
+    with counted_searches() as searches:
+        F, basis = mwtors._genus1_two_primary(model)
+        assert F == MultiQuadField([-1, 2, n]) and [o for _, o in basis] == [4, 4]
+        for K in every_subfield(MultiQuadField([-1, 2, n])):
+            expect = two_primary_over_tower_affine(A, B, K, 16)[0]
+            assert mwtors._genus1_torsion(model, K).ell_part(2) == expect, K
+    assert len(searches) == 1
 
 
 def test_an_unbounded_part_is_refused_on_every_call():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mqtorsion import ellcurve, ff
+from mqtorsion import ellcurve, ff, qfield
 from mqtorsion.ellcurve import (
     INF,
     BadReduction,
@@ -44,7 +44,6 @@ from reference import (
     tower_curve_affine,
     two_primary_by_descent,
     two_primary_over_tower_affine,
-    two_torsion_field,
     two_torsion_roots_in_tower,
 )
 
@@ -493,46 +492,50 @@ class TestTowerTorsion:
             _halves_over_tower(c, two_torsion_roots_in_tower(4, 0, K), (K.zero(), K.zero()))
 
     def test_witnesses_verified(self):
-        """The basis over Q(sqrt(-3), sqrt(5)), which holds E[2]: points of
-        the orders it gives, 2 and 8, spanning a group of order 16."""
+        """The basis of the search for X1(15), over the field it grew to,
+        Q(sqrt(-3), sqrt(5)): points of the orders it gives, 2 and 8,
+        spanning a group of order 16."""
         from mqtorsion.ellcurve import tower_short_curve
 
-        K = MultiQuadField([-3, 5])
-        basis = two_primary_over_tower(-27, 8694, K)
-        assert [n for _, n in basis] == [2, 8]
+        K, basis = two_primary_over_tower(-27, 8694)
+        assert K == MultiQuadField([-3, 5]) and [n for _, n in basis] == [2, 8]
         c = tower_short_curve(-27, 8694, K)
         assert all(point_order(c, P, 64) == n for P, n in basis)
         assert len(subgroup_span([P for P, _ in basis], c.add, INF)) == 16
 
     def test_order_reps_match_point_order(self, monkeypatch):
-        """At each step of the search, the candidates of `_order_reps`
-        against the span H of the basis.  H starts as E[2] and doubles at
-        each step, and the basis spans it as a direct sum of points of the
+        """At each step of the search, lifted into its last field, the
+        candidates of `_order_reps` against the span H of the basis.  H
+        starts as E[2] and doubles at each step but those that grow the
+        field, and the basis spans it as a direct sum of points of the
         recorded orders; the candidates are one point of least order in
         each class of H/2H but 0, of the order given; and the points of top
         order, one per +-pair as the affine span search lists them
         (`order_reps_span`), fill exactly the classes of the candidates of
         top order.  The last step finds no half and returns its basis."""
-        from mqtorsion.ellcurve import _order_reps, tower_short_curve
+        from mqtorsion.ellcurve import _order_reps
 
-        bases = []
+        steps = []
 
         def recording(E, basis):
-            bases.append(list(basis))
+            steps.append((E, list(basis)))
             return _order_reps(E, basis)
 
         monkeypatch.setattr(ellcurve, "_order_reps", recording)
         cases = [
             (X15, (-3, 5)),  # Z/2 x Z/8: bases of orders (2, 2), (2, 4), (2, 8)
             (M48, (-1, 2)),  # Z/4 x Z/4: (2, 2), (2, 4), (4, 4)
-            (C15A1, (-1, 2, 3, 5, 7)),  # Z/8 x Z/8: ..., (4, 4), (4, 8), (8, 8)
+            (C15A1, (-1, 2, 3, 5)),  # Z/8 x Z/8: ..., (4, 4), (4, 8), (8, 8)
         ]
         for ainvs, gens in cases:
-            bases.clear()
-            A, B = short_model(E(ainvs))
-            K = MultiQuadField(gens)
-            final = two_primary_over_tower(A, B, K)
-            c = tower_short_curve(A, B, K)
+            steps.clear()
+            K, final = two_primary_over_tower(*short_model(E(ainvs)))
+            c = steps[-1][0]
+            assert K == MultiQuadField(gens) and c.a[3].field == K
+            bases = []
+            for _, basis in steps:
+                lifted = [((qfield.lift(K, x), qfield.lift(K, y)), n) for (x, y), n in basis]
+                bases += [lifted] if lifted not in bases else []
             assert bases[-1] == final and [n for _, n in bases[0]] == [2, 2]
             spans = [subgroup_span([P for P, _ in basis], c.add, INF) for basis in bases]
             for step, (basis, span) in enumerate(zip(bases, spans)):
@@ -581,29 +584,27 @@ class TestInverseFreeTwoPrimary:
 
     @pytest.mark.parametrize("label", GENUS1_LABELS)
     def test_matrix_fields_match_the_affine_search(self, label):
-        """Over each of the 52 matrix fields K, the search over K(E[2])
-        descended to K against the affine search over K, at the cap 16 that
-        any curve over Q allows; and the basis over K(E[2]) a direct-sum
-        basis of the group there: two points of the orders it gives under
+        """Over each of the 52 matrix fields K, the search descended to K
+        against the affine search over K, at the cap 16 that any curve over
+        Q allows; and the basis of the search a direct-sum basis of the
+        group over its field: two points of the orders it gives under
         E.mul, ascending, whose product is the order of their span.  A
         curve with no rational 2-torsion point has no 2-power torsion over
-        any K, and its search returns no basis."""
+        any K, and its search returns no basis, over Q."""
         A, B = short_model(model_registry()[label].elliptic())
         assert len(MATRIX_FIELDS) == 52
         for K in MATRIX_FIELDS:
             assert two_primary_by_descent(A, B, K) == two_primary_over_tower_affine(A, B, K, 16)[0]
-            try:
-                L, _ = two_torsion_field(A, B, K)
-            except CurveError:
-                assert two_primary_over_tower(A, B, K) == []
-                continue
-            basis = two_primary_over_tower(A, B, L)
-            c = tower_curve_affine(A, B, L)
-            for P, n in basis:
-                assert curve_mul(c, n // 2, P) is not INF and curve_mul(c, n, P) is INF
-            orders = [n for _, n in basis]
-            assert orders == sorted(orders) and len(orders) == 2
-            assert len(subgroup_span([P for P, _ in basis], c.add, INF)) == prod(orders)
+        L, basis = two_primary_over_tower(A, B)
+        if not two_torsion_roots_in_tower(A, B, QQ_FIELD):
+            assert (L, basis) == (QQ_FIELD, [])
+            return
+        c = tower_curve_affine(A, B, L)
+        for P, n in basis:
+            assert curve_mul(c, n // 2, P) is not INF and curve_mul(c, n, P) is INF
+        orders = [n for _, n in basis]
+        assert orders == sorted(orders) and len(orders) == 2
+        assert len(subgroup_span([P for P, _ in basis], c.add, INF)) == prod(orders)
 
     @staticmethod
     def check_points(c, points):
@@ -616,23 +617,18 @@ class TestInverseFreeTwoPrimary:
                 assert _doubles_to(c, Q, P) == (double == P)
 
     @PROPERTY
-    @given(
-        st.one_of(small_curves(), st.sampled_from(GENUS1_LABELS).map(lambda l: model_registry()[l].elliptic())),
-        st.lists(st.sampled_from(FIELD_GENS), max_size=4),
-    )
-    @example(E(X15), [-3, 5])
-    @example(E(M212), [-1, 3, 7])
-    @example(E(M48), [-1, 2])
-    def test_checks_match_affine_law_on_torsion(self, curve, gens):
-        """On E(L)[2^oo], L = K(E[2]), spanned by the basis of the search,
-        with the builtin curves, whose points of order 8 lie over the level
-        fields.  A curve whose cubic is irreducible has no such point."""
+    @given(st.one_of(small_curves(), st.sampled_from(GENUS1_LABELS).map(lambda l: model_registry()[l].elliptic())))
+    @example(E(X15))
+    @example(E(M212))
+    @example(E(M48))
+    def test_checks_match_affine_law_on_torsion(self, curve):
+        """On E(Q(2^oo))[2^oo], spanned by the basis of the search over
+        its field L, with the builtin curves, whose points of order 8 lie
+        over the level fields.  A curve whose cubic is irreducible has no
+        such point."""
         A, B = short_model(curve)
-        try:
-            L, _ = two_torsion_field(A, B, MultiQuadField(gens))
-        except CurveError:
-            return
-        points = [P for P, _ in two_primary_over_tower(A, B, L)]
+        L, basis = two_primary_over_tower(A, B)
+        points = [P for P, _ in basis]
         c = tower_curve_affine(A, B, L)
         self.check_points(c, [P for P in subgroup_span(points, c.add, INF) if P is not INF])
 
@@ -657,16 +653,18 @@ class TestInverseFreeTwoPrimary:
     def test_both_factors_of_order_eight(self):
         """15a1 over K = Q(sqrt(-1), sqrt(2), sqrt(3), sqrt(5), sqrt(7)) has
         E(K)[2^oo] = Z/8 x Z/8: its reduction at 13, of residue degree 2,
-        has that 2-part, and the search reaches it by halving the point of
+        has that 2-part, and the search reaches it, over the subfield
+        Q(sqrt(-1), sqrt(2), sqrt(3), sqrt(5)), by halving the point of
         order 4 left in its basis once the first point of order 8 is found.
         A search that halves only points of the top order stops at
         Z/4 x Z/8."""
         c, K = E(C15A1), MultiQuadField([-1, 2, 3, 5, 7])
         assert group_structure(reduce_mod_p(c, 13, K.residue_degree(13)[0])).ell_part(2) == AbGroupStructure((8, 8))
         A, B = short_model(c)
-        basis = two_primary_over_tower(A, B, K)
-        assert [n for _, n in basis] == [8, 8]
-        curve = tower_curve_affine(A, B, K)
+        L, basis = two_primary_over_tower(A, B)
+        assert L == MultiQuadField([-1, 2, 3, 5]) and [n for _, n in basis] == [8, 8]
+        assert two_primary_by_descent(A, B, K) == AbGroupStructure((8, 8))
+        curve = tower_curve_affine(A, B, L)
         for P, n in basis:
             assert curve_mul(curve, n // 2, P) is not INF and curve_mul(curve, n, P) is INF
 
@@ -755,8 +753,8 @@ class TestHasOrder:
 
 
 class TestCappedTwoPrimary:
-    """The search, which takes no cap, descended from K(E[2]) to K, against
-    the affine reference search capped by the 2-exponent of two
+    """The search, which takes no cap, descended from its field to K,
+    against the affine reference search capped by the 2-exponent of two
     reductions, a proven bound on the exponent of E(K)[2^oo]."""
 
     @staticmethod

@@ -306,7 +306,7 @@ class TestTorsionSupportField:
         exact = torsion_over_tower(E, K)
         assert exact == torsion_over_tower(E, K_S)
         # derive's path: the odd part from the per-(model, d) twist torsion,
-        # the 2-part read from the search over M_E
+        # the 2-part read from the one search of the model
         assert mwtors._genus1_torsion(model, K_S) == exact
 
     def test_genus2_support_from_the_discriminant(self):

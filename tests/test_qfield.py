@@ -19,12 +19,14 @@ from mqtorsion.qfield import (
     TowerElem,
     all_subfields,
     parse_field,
+    rational_class,
     sqrt_in_tower,
 )
 from reference import (
     conjugate,
     contains_sqrt_by_span,
     cyclotomic_intersection_by_span,
+    embedding,
     embedding_by_span,
     galois_over,
     hyperplane_avoiding,
@@ -32,6 +34,7 @@ from reference import (
     lower_by_span,
     norm_to_q,
     project,
+    rational_class_by_search,
     residue_degree_by_span,
     signature_by_span,
     sqrt_in_tower_by_inverses,
@@ -321,7 +324,7 @@ class TestEmbedding:
         K, L = MultiQuadField([-3, -7]), MultiQuadField([-3, -7, -1])
         v = TowerElem(K, tuple(Fraction(c) for c in (1, 2, 3, 4)))
         assert project(K, lift(L, v)) == v
-        assert lift(L, K.sqrt_gen(21)) == -(L.sqrt_gen(3) * L.sqrt_gen(7))
+        assert lift(L, K.sqrt_gen(21)) == qfield.lift(L, K.sqrt_gen(21)) == -(L.sqrt_gen(3) * L.sqrt_gen(7))
 
     @PROPERTY
     @given(tower_pair())
@@ -334,7 +337,10 @@ class TestEmbedding:
     @PROPERTY
     @given(tower_pair())
     def test_lift_is_multiplicative(self, case):
+        """The reference lift, through the embedding of the basis, is a
+        ring map, and `qfield.lift` gives the same elements."""
         K, L, _, v, w = case
+        assert qfield.lift(L, v) == lift(L, v) and qfield.lift(L, v * w) == lift(L, v * w)
         assert lift(L, v * w) == lift(L, v) * lift(L, w)
         assert lift(L, v + w) == lift(L, v) + lift(L, w)
 
@@ -511,6 +517,23 @@ class TestIntegerForm:
         for x in cases:
             assert sqrt_in_tower(x) == sqrt_in_tower_by_inverses(x)
 
+    @PROPERTY
+    @given(
+        st.lists(st.sampled_from([-1, 2, -2, 3, -3, 5, -5, 7, -7, 21]), max_size=4).map(MultiQuadField),
+        st.data(),
+    )
+    def test_rational_class_matches_the_search(self, K, data):
+        """On 0, on random elements, on rational multiples of squares and
+        on those plus an element: a class exactly where some class of the
+        primes 2, 3, 5, 7 has one (`reference.rational_class_by_search`),
+        and v/c then a square.  A multiple by 11 has no class of these."""
+        v, w = (TowerElem(K, data.draw(st.lists(COORD, min_size=K.degree, max_size=K.degree))) for _ in "vw")
+        q = K.from_rational(data.draw(st.sampled_from([1, -1, 2, -6, 15, -35, 11, -22, Fraction(-3, 28)])))
+        for x in (K.zero(), v, q * v * v, q * v * v + w):
+            c = rational_class(x, (2, 3, 5, 7))
+            assert (c is None) == (rational_class_by_search(x, (2, 3, 5, 7)) is None), (K, x)
+            assert c is None or sqrt_in_tower(x.scale(1, c)) is not None, (K, x, c)
+
     def test_immutable(self):
         v = MultiQuadField([2, 3]).sqrt_gen(6)
         for name, value in (("nums", (0, 0, 0, 1)), ("den", 2), ("field", QQ_FIELD), ("coords", ()), ("extra", 1)):
@@ -571,7 +594,7 @@ class TestSubspaceOperations:
     @given(K=fields, n=st.sampled_from(CYCLOTOMIC_LEVELS))
     def test_embedding(self, K, n):
         for sub in (K.cyclotomic_intersection(n), K.lower if K.gens else K):
-            assert K.embedding(sub) == embedding_by_span(K, sub), (K, sub)
+            assert embedding(K, sub) == embedding_by_span(K, sub), (K, sub)
 
     @PROPERTY
     @given(gens=st.lists(st.sampled_from(POOL47), max_size=8), data=st.data())
