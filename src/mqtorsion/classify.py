@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import ellcurve, mwtors
-from .poly import TowerDomain
+from .poly import TowerDomain, integral
 from .qfield import MultiQuadField
 from .record import Record
 
@@ -102,7 +102,7 @@ class ExceptionalCurve(Record):
     target: int
     base_d: int
     name: str
-    ainvs: tuple  # pairs (rational part, sqrt-part) as Fractions
+    ainvs: tuple  # pairs (rational part, sqrt-part), elements of poly.QQ
     point: tuple  # x and y as such pairs: a point of exact order target
 
     def field(self) -> MultiQuadField:
@@ -131,14 +131,15 @@ class ExceptionalCurve(Record):
 
 def _rational_pairs(rec: dict, key: str, length: int) -> tuple:
     """rec[key], a list of `length` pairs of rational strings or integers,
-    as pairs of Fractions; ClassifyError when it is not one."""
+    as pairs of elements of `poly.QQ` (ints where integral); ClassifyError
+    when it is not one."""
     value = rec[key]
     if isinstance(value, list) and len(value) == length and all(
         isinstance(pair, list) and len(pair) == 2 and all(type(c) in (int, str) for c in pair)
         for pair in value
     ):
         try:
-            return tuple((Fraction(a), Fraction(b)) for a, b in value)
+            return tuple((integral(Fraction(a)), integral(Fraction(b))) for a, b in value)
         except (ValueError, ZeroDivisionError):
             pass
     raise ClassifyError(f"exceptional.json: {key!r} must be {length} pairs of rationals")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from . import ff, qfield
@@ -28,7 +27,6 @@ from .intutil import (
     integer_cubic_roots,
     is_prime,
     kronecker,
-    rational_sqrt,
     squarefree_part,
 )
 from .poly import QQ, TowerDomain, code_domain
@@ -183,13 +181,9 @@ def group_structure(E: EllipticCurve) -> AbGroupStructure:
 
 
 def _int_ainvs(E: EllipticCurve) -> tuple[int, ...]:
-    out = []
-    for c in E.a:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise CurveError("model is not integral")
-        out.append(int(f))
-    return tuple(out)
+    if any(c.denominator != 1 for c in E.a):
+        raise CurveError("model is not integral")
+    return tuple(c.numerator for c in E.a)
 
 
 def c4c6_disc(ainvs) -> tuple[int, int, int]:
@@ -201,7 +195,8 @@ def c4c6_disc(ainvs) -> tuple[int, int, int]:
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
     disc = -(b2 * b2) * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    assert c4**3 - c6**2 == 1728 * disc
+    if c4**3 - c6**2 != 1728 * disc:
+        raise CurveError(f"c4^3 - c6^2 != 1728 disc for {ainvs}: the invariants need exact integers")
     return c4, c6, disc
 
 
@@ -224,22 +219,28 @@ def _kraus_ok(c4: int, c6: int) -> bool:
 
 
 def model_from_c4c6(c4: int, c6: int, label=None) -> EllipticCurve:
-    """Connell's reconstruction of an integral model from Kraus-valid (c4, c6)."""
+    """Connell's reconstruction of an integral model from Kraus-valid (c4, c6);
+    CurveError when (c4, c6) is not Kraus-valid, so that a step of the
+    reconstruction is not exact."""
     b2 = (-c6) % 12
     if b2 > 6:
         b2 -= 12
-    assert (b2 * b2 - c4) % 24 == 0
+    if (b2 * b2 - c4) % 24:
+        raise CurveError(f"(c4, c6) = ({c4}, {c6}) gives no integral b4")
     b4 = (b2 * b2 - c4) // 24
-    assert (-(b2**3) + 36 * b2 * b4 - c6) % 216 == 0
+    if (-(b2**3) + 36 * b2 * b4 - c6) % 216:
+        raise CurveError(f"(c4, c6) = ({c4}, {c6}) gives no integral b6")
     b6 = (-(b2**3) + 36 * b2 * b4 - c6) // 216
     a1 = b2 % 2
     a2 = (b2 - a1) // 4
     a3 = b6 % 2
     a6 = (b6 - a3) // 4
     a4 = (b4 - a1 * a3) // 2
-    assert (b2 - a1) % 4 == 0 and (b6 - a3) % 4 == 0 and (b4 - a1 * a3) % 2 == 0
+    if (b2 - a1) % 4 or (b6 - a3) % 4 or (b4 - a1 * a3) % 2:
+        raise CurveError(f"(c4, c6) = ({c4}, {c6}) gives no integral a-invariants")
     E = EllipticCurve.from_ints(QQ, (a1, a2, a3, a4, a6), label)
-    assert c4c6_disc((a1, a2, a3, a4, a6))[:2] == (c4, c6)
+    if c4c6_disc((a1, a2, a3, a4, a6))[:2] != (c4, c6):
+        raise CurveError(f"the model rebuilt from (c4, c6) = ({c4}, {c6}) has other invariants")
     return E
 
 
@@ -259,7 +260,8 @@ def minimal_model(E: EllipticCurve) -> EllipticCurve:
             u //= 3
             continue
         break
-    assert _kraus_ok(c4 // u**4, c6 // u**6)
+    if not _kraus_ok(c4 // u**4, c6 // u**6):
+        raise CurveError(f"no Kraus-valid scaling of (c4, c6) = ({c4}, {c6}) for {E}")
     return model_from_c4c6(c4 // u**4, c6 // u**6, E.label)
 
 
@@ -368,11 +370,11 @@ def torsion_points_short(A: int, B: int, hint: tuple[int, ...] = ()) -> tuple:
         ys = [y * p**i for y in ys for i in range(e // 2 + 1)]
     candidates: set = set()
     for x in integer_cubic_roots(0, A, B):
-        candidates.add((Fraction(x), Fraction(0)))
+        candidates.add((x, 0))
     for y in ys:
         for x in integer_cubic_roots(0, A, B - y * y):
-            candidates.add((Fraction(x), Fraction(y)))
-            candidates.add((Fraction(x), Fraction(-y)))
+            candidates.add((x, y))
+            candidates.add((x, -y))
     limit = len(candidates) + 1
     torsion = [INF]
     for P in candidates:
@@ -466,15 +468,18 @@ def _roots_in_tower(g, d: int, K) -> list:
     (1 for a linear g).  The callers read g from `_cubic_factors`, which
     gives a quadratic only when it is irreducible, so its class d is not 1
     and its two roots differ.  The square root of the discriminant is read
-    from the basis of K: sqrt(disc) = r * sqrt(d) for the rational
-    r = sqrt(disc / d) > 0, a positive multiple of the basis element whose
-    class is d, which is also the root that `qfield.sqrt_in_tower` gives."""
+    from the basis of K: sqrt(disc) = r * sqrt(d) for r = sqrt(disc / d) > 0,
+    a positive multiple of the basis element whose class is d, which is
+    also the root that `qfield.sqrt_in_tower` gives.  r^2 = disc / d is a
+    rational square, so r is the quotient of the integer square roots of
+    its numerator and denominator; for an integer g, as `_cubic_factors`
+    gives, r^2 is an integer."""
     if len(g) == 2:
         return [K.from_rational(-g[0])]
     if not K.contains_sqrt(d):
         return []
-    r = rational_sqrt(Fraction(g[1] ** 2 - 4 * g[0], d))
-    s = K.sqrt_gen(d).scale(r.numerator, r.denominator)
+    r2 = QQ.div(g[1] ** 2 - 4 * g[0], d)
+    s = K.sqrt_gen(d).scale(math.isqrt(r2.numerator), math.isqrt(r2.denominator))
     mb = K.from_rational(-g[1])
     return [(mb + s).scale(1, 2), (mb - s).scale(1, 2)]
 

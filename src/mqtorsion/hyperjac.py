@@ -37,7 +37,6 @@ many 2-parts without a span.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 
@@ -114,10 +113,11 @@ class HyperCurve:
 
 def _is_square(dom, c) -> bool:
     """Whether c is a square of the domain; only the leading coefficient of
-    a sextic asks, and a tower answers True, so its sextics stay monic."""
+    a sextic asks, and a tower (`poly.TowerDomain`) answers True, so its
+    sextics stay monic."""
     if hasattr(dom, "tables"):
         return dom.tables.is_sq[c]
-    return dom is not QQ or rational_is_square(c)
+    return hasattr(dom, "K") or rational_is_square(c)
 
 
 def _sqrt_series(dom, F):
@@ -587,8 +587,7 @@ def _weierstrass_factors(F: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...
     degree = pdegree(F)
     if degree not in (3, 4, 5, 6):
         raise JacError("degree must be in 3..6")
-    FQ = tuple(map(Fraction, F))
-    d0, _, _ = pgcdext(QQ, FQ, pderiv(QQ, FQ))
+    d0, _, _ = pgcdext(QQ, F, pderiv(QQ, F))
     if pdegree(d0) > 0:
         raise JacError("F must be squarefree")
     factors = poly.low_degree_factors(F)
@@ -655,16 +654,16 @@ def two_rank_mod_p(coeffs, p: int, f: int) -> int:
 
 def search_rational_points(F, bound: int = 60) -> list:
     """Integer points (x, y) with y^2 = F(x), |x| <= bound, y >= 0, for the
-    integer coefficients F (a tuple, constant first), as pairs of
-    Fractions: F(x) by Horner's rule on integers, y its exact integer
-    square root."""
+    integer coefficients F (a tuple, constant first), as pairs of ints,
+    elements of `poly.QQ`: F(x) by Horner's rule on integers, y its exact
+    integer square root."""
     out = []
     for x in range(-bound, bound + 1):
         w = 0
         for c in reversed(F):
             w = w * x + c
         if w >= 0 and math.isqrt(w) ** 2 == w:
-            out.append((Fraction(x), Fraction(math.isqrt(w))))
+            out.append((x, math.isqrt(w)))
     return out
 
 

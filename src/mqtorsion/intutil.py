@@ -5,11 +5,21 @@ Everything here is exact: no floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Trial division stops below this bound; what is left is split by is_prime,
+# isqrt and Pollard-Brent rho.
+_TRIAL_BOUND = 1 << 10
+# The squarings mod a piece that rho may spend on one number.
+_RHO_WORK = 1 << 18
+
+
+class ModelError(ValueError):
+    """A model, or a number it gives, that the package cannot work with."""
 
 
 def is_prime(n: int) -> bool:
@@ -38,7 +48,7 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int, hint: tuple[int, ...] = ()) -> dict[int, int]:
-    """Factor |n| by trial division.  `hint` primes are tried first, which keeps
+    """Factor |n| (`_factor`).  `hint` primes are tried first, which keeps
     twist discriminants (known prime support) cheap.  Each call returns a
     fresh dict, so a caller may change it."""
     if n == 0:
@@ -49,21 +59,71 @@ def factorize(n: int, hint: tuple[int, ...] = ()) -> dict[int, int]:
 @lru_cache(maxsize=256)
 def _factor(n: int, hint: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The sorted (prime, exponent) pairs of n > 0, memoised: one run factors
-    the same group orders and discriminants many times."""
+    the same group orders and discriminants many times.
+
+    Trial division by the hint primes, then by p = 2, 3, 5, 7, ... while
+    p^2 <= n and p < _TRIAL_BOUND, so an n below _TRIAL_BOUND^2 is factored
+    by trial division alone.  Every prime factor of what is left is then at
+    least the last p, so a piece m of it is prime when m < p^2 or
+    `is_prime(m)`; otherwise it splits as r * r for r = isqrt(m) when that
+    is exact, and else by `_rho`.  Rho may spend _RHO_WORK squarings on n,
+    and raises ModelError past them, so every call ends."""
     out: dict[int, int] = {}
     for p in hint:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     p = 2
-    while p * p <= n:
+    while p * p <= n and p < _TRIAL_BOUND:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    pieces, work = [n] if n > 1 else [], _RHO_WORK
+    while pieces:
+        m = pieces.pop()
+        if m < p * p or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        r = math.isqrt(m)
+        if r * r == m:
+            d = r
+        else:
+            d, work = _rho(m, work)
+        pieces += [d, m // d]
     return tuple(sorted(out.items()))
+
+
+def _rho(m: int, work: int) -> tuple[int, int]:
+    """(d, work left): a proper divisor d of the odd composite m, by
+    Pollard's rho with Brent's cycle search and gcds batched over 64 steps,
+    on x -> x^2 + c for c = 1, 2, ... from x = 2, all fixed.  Each squaring
+    mod m costs one unit of work; ModelError when none is left."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(64, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                k += 64
+            work -= 2 * r
+            if work < 0:
+                raise ModelError(f"no factor of a {len(str(m))}-digit number within {_RHO_WORK} rho steps")
+            r *= 2
+        if g == m:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g, work
 
 
 def squarefree_part(n: int) -> int:
@@ -91,19 +151,8 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def rational_is_square(x: Fraction) -> bool:
+def rational_is_square(x: int | Fraction) -> bool:
     return x >= 0 and is_square(x.numerator) and is_square(x.denominator)
-
-
-def rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None."""
-    if x < 0:
-        return None
-    a = math.isqrt(x.numerator)
-    b = math.isqrt(x.denominator)
-    if a * a == x.numerator and b * b == x.denominator:
-        return Fraction(a, b)
-    return None
 
 
 def kronecker(a: int, n: int) -> int:
@@ -148,8 +197,9 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + (r2 - r1) * x % m2 * m1) % (m1 * m2)
 
 
-def rational_reconstruct(r: int, m: int) -> Fraction | None:
-    """Find a/b = r (mod m) with |a|, b <= sqrt(m/2), b coprime to m; None if absent."""
+def rational_reconstruct(r: int, m: int) -> int | Fraction | None:
+    """Find a/b = r (mod m) with |a|, b <= sqrt(m/2), b coprime to m; None if
+    absent.  An element of `poly.QQ`: an int when b divides a."""
     r %= m
     bound = math.isqrt(m // 2)
     v0, v1 = (m, 0), (r, 1)
@@ -163,7 +213,7 @@ def rational_reconstruct(r: int, m: int) -> Fraction | None:
         return None
     if (a - r * b) % m != 0:
         return None
-    return Fraction(a, b)
+    return a // b if a % b == 0 else Fraction(a, b)
 
 
 def integer_cubic_roots(a2: int, a1: int, a0: int) -> list[int]:

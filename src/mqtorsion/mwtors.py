@@ -28,13 +28,9 @@ from .groups import (
     subgroup_span,
     sylow_subgroups,
 )
-from .intutil import crt_pair, factorize, is_prime, kronecker, rational_reconstruct
+from .intutil import ModelError, crt_pair, factorize, is_prime, kronecker, rational_reconstruct
 from .poly import QQ, code_domain
 from .record import Record
-
-
-class ModelError(ValueError):
-    pass
 
 
 class PreconditionError(ValueError):

@@ -1,7 +1,8 @@
 """Univariate polynomials over every coefficient domain in the package.
 
 One dense-tuple engine serves prime fields and their quadratic extensions
-(int-coded elements), the rationals (Fraction), multi-quadratic towers
+(int-coded elements), the rationals (ints, and a Fraction only where a
+denominator appears: `RationalDomain`), multi-quadratic towers
 (TowerElem) and the residues Z/m (ints, `ResidueDomain`).  Each domain
 supplies one row operation, `axpy`, that every sum, product, scaling and
 division runs on, and neg, mul and div; the field domains also add and
@@ -43,16 +44,44 @@ class PolyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _OperatorDomain:
-    """Arithmetic by Python operators, for values whose zero is falsy."""
+def integral(x):
+    """x, an int or a Fraction, as an int when its denominator is 1."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
+class RationalDomain:
+    """The rationals, integer first: an integral value is a Python int, and
+    only a value with a denominator is a Fraction (its denominator then is
+    not 1).  So the Q-side arithmetic runs on ints, and a Fraction is built
+    only where a denominator appears.
+
+    Exactness.  int + - * int is an int.  Arithmetic with a Fraction
+    operand and an int or Fraction other operand is Fraction arithmetic,
+    exact, and `integral` turns an integral result back into an int.  `div`
+    is the only operation that can leave Z: it divides two ints by divmod,
+    and builds `Fraction(a, b)` when the remainder is not 0; with a Fraction
+    operand it is Fraction division.  No operation here applies `/` to two
+    ints, so no float ever arises.
+
+    Nothing else changes.  An int and a Fraction of equal value compare
+    equal and hash equal (Fraction.__hash__ is defined so), so tuple
+    equality of classes, set and dict membership, and sorted orders are the
+    same as with Fractions throughout; str gives the same digits too."""
+
+    zero = 0
+    one = 1
+
+    @staticmethod
+    def from_int(n):
+        return n
 
     @staticmethod
     def add(a, b):
-        return a + b
+        return integral(a + b)
 
     @staticmethod
     def sub(a, b):
-        return a - b
+        return integral(a - b)
 
     @staticmethod
     def neg(a):
@@ -60,29 +89,22 @@ class _OperatorDomain:
 
     @staticmethod
     def mul(a, b):
-        return a * b
+        return integral(a * b)
 
     @staticmethod
     def div(a, b):
-        return a / b
+        if a.__class__ is int and b.__class__ is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return integral(a / b)  # a Fraction operand: Fraction division
 
     @staticmethod
     def axpy(out, k, c, g):
         """out[k + j] += c * g[j] for each j."""
         for j, b in enumerate(g, k):
             if b:
-                out[j] = out[j] + c * b
-
-
-class RationalDomain(_OperatorDomain):
-    """Fractions."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def from_int(n):
-        return Fraction(n)
+                s = out[j] + c * b  # `integral(s)` inlined: this runs once per coefficient
+                out[j] = s if s.__class__ is int or s.denominator != 1 else s.numerator
 
     def __repr__(self):
         return "QQ"
@@ -187,8 +209,9 @@ def code_domain(field: ff.FieldDesc) -> CodeDomain:
     return CodeDomain(field)
 
 
-class TowerDomain(_OperatorDomain):
-    """A MultiQuadField acting as a coefficient domain (TowerElem values)."""
+class TowerDomain:
+    """A MultiQuadField acting as a coefficient domain (TowerElem values),
+    with the arithmetic of TowerElem's operators."""
 
     def __init__(self, K):
         self.K = K
@@ -196,7 +219,34 @@ class TowerDomain(_OperatorDomain):
         self.one = K.one()
 
     def from_int(self, n):
-        return self.K.from_rational(Fraction(n))
+        return self.K.from_rational(n)
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def div(a, b):
+        return a / b
+
+    @staticmethod
+    def axpy(out, k, c, g):
+        """out[k + j] += c * g[j] for each j."""
+        for j, b in enumerate(g, k):
+            if b:
+                out[j] = out[j] + c * b
 
     def __repr__(self):
         return f"Tower({self.K!r})"
@@ -344,11 +394,11 @@ def resultant(f, g):
     f(beta) = r(beta), so res(g, f) = lc(g)^(m - deg r) res(g, r)."""
     m, n = pdegree(f), pdegree(g)
     if m < 0 or n < 0:
-        return Fraction(0)
+        return 0
     if n == 0:
-        return Fraction(g[0]) ** m
-    r = pmod(QQ, tuple(map(Fraction, f)), tuple(map(Fraction, g)))
-    return (-1) ** (m * n) * Fraction(g[-1]) ** (m - pdegree(r)) * resultant(g, r)
+        return integral(g[0] ** m)
+    r = pmod(QQ, f, g)
+    return integral((-1) ** (m * n) * g[-1] ** (m - pdegree(r)) * resultant(g, r))
 
 
 def discriminant(f):
@@ -357,7 +407,7 @@ def discriminant(f):
     n = pdegree(f)
     if n < 1:
         raise PolyError("discriminant needs degree >= 1")
-    out = resultant(f, pderiv(QQ, f)) / f[-1]
+    out = QQ.div(resultant(f, pderiv(QQ, f)), f[-1])
     return -out if (n * (n - 1) // 2) % 2 else out
 
 
@@ -374,9 +424,10 @@ def _powmod(dom, a, e, f):
 
 def mp_factor_squarefree(f, p):
     """Irreducible monic factors of a squarefree monic f over F_p (odd p),
-    f a tuple over `ResidueDomain(p)`."""
+    f a tuple over `ResidueDomain(p)`; PolyError when f is not monic."""
     dom = ResidueDomain(p)
-    assert f and f[-1] == 1
+    if not f or f[-1] != 1:
+        raise PolyError(f"{f} is not a monic polynomial mod {p}")
     out = []
     x = (0, 1)
     w = x
@@ -496,7 +547,7 @@ def _find_good_prime(S: tuple[int, ...]) -> int:
 def low_degree_factors(F: tuple[int, ...]) -> list[tuple]:
     """All monic irreducible rational factors of degree <= 3 of a
     squarefree integer polynomial F (a tuple, constant first), each a tuple
-    of Fractions, sorted by degree and then by coefficients: found by
+    over `QQ`, sorted by degree and then by coefficients: found by
     modular factorization, Hensel lifting and trial division mod the least
     prime at which F stays squarefree of its degree, and checked exact:
     their product divides F over Q.
@@ -508,7 +559,7 @@ def low_degree_factors(F: tuple[int, ...]) -> list[tuple]:
     squarefree F."""
     out = sorted(_low_degree_factors_squarefree(F, _find_good_prime(F)), key=lambda g: (len(g), g))
     product = reduce(partial(pmul, QQ), out, (QQ.one,))
-    if pdivmod(QQ, tuple(map(Fraction, F)), product)[1]:
+    if pdivmod(QQ, F, product)[1]:
         raise PolyError("internal factor extraction inconsistency")  # pragma: no cover
     return out
 
@@ -544,7 +595,6 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], p: int) -> list[tuple]:
     lifted = _lift_factors(pmonic(ZM, _residues(S, M)), low + block, p, k)
     degs = [len(x) - 1 for x in low]
     out = []
-    rem = tuple(map(Fraction, S))
     seen = set()
     for rsize in (1, 2, 3):
         for combo in itertools.combinations(range(len(low)), rsize):
@@ -559,8 +609,8 @@ def _low_degree_factors_squarefree(S: tuple[int, ...], p: int) -> list[tuple]:
             seen.add(cand)
             if not _is_irreducible_low(cand):
                 continue
-            g = pmonic(QQ, tuple(map(Fraction, cand)))
-            if not pdivmod(QQ, rem, g)[1]:
+            g = pmonic(QQ, cand)
+            if not pdivmod(QQ, S, g)[1]:
                 out.append(g)
     return out
 
@@ -585,7 +635,7 @@ def splitting_quadratic_field(f) -> int:
     if len(f) != 3:
         raise PolyError("need a quadratic")
     c, b, a = f
-    disc = Fraction(b * b - 4 * a * c)
+    disc = b * b - 4 * a * c
     if disc == 0 or rational_is_square(disc):
         return 1
     return squarefree_part(disc.numerator * disc.denominator)

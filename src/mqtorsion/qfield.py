@@ -33,7 +33,6 @@ from .intutil import (
     is_prime,
     is_squarefree,
     kronecker,
-    rational_sqrt,
 )
 
 
@@ -322,20 +321,20 @@ class MultiQuadField:
         return self.from_rational(1)
 
     def from_rational(self, x) -> "TowerElem":
-        x = Fraction(x)
+        """The rational x, an int or a Fraction, as an element."""
         return _elem(self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator)
 
     def sqrt_gen(self, d: int) -> "TowerElem":
-        """The element sqrt(d) for d in the span (d squarefree): c times the
-        basis element of the mask of class d, whose square is
-        prod = d * c^-2, a square times d."""
+        """The element sqrt(d) for d in the span (d squarefree): the basis
+        element of the mask of class d over c, whose square is the product
+        prod = d * c^2 of the generators in the mask.  prod / d = c^2 is an
+        integer, as d is squarefree, so c = isqrt(prod // d) exactly."""
         if not self.contains_sqrt(d):
             raise QFieldError(f"sqrt({d}) not in {self}")
         mask = self._mask(d)
-        scale = 1 / rational_sqrt(Fraction(self.gen_products[mask], d))
         nums = [0] * self.degree
-        nums[mask] = scale.numerator
-        return _elem(self, tuple(nums), scale.denominator)
+        nums[mask] = 1
+        return _elem(self, tuple(nums), isqrt(self.gen_products[mask] // d))
 
     @cached_property
     def lower(self) -> "MultiQuadField":
@@ -358,15 +357,12 @@ class TowerElem:
 
     The form is canonical, den > 0 and gcd(den, *nums) == 1, so equal
     elements have equal (nums, den); +, - and * normalise with one gcd pass.
-    `TowerElem(field, coords)` takes Fraction or int coordinates, `coords`
-    gives them back as Fractions, and the cached hash is that of (field,
-    coords).  Immutable."""
+    Elements are built by the field and by arithmetic (`_elem`,
+    `_canonical`), never from coordinates; `coords` gives the coordinates
+    as Fractions, and the cached hash is that of (field, nums, den).
+    Immutable."""
 
     __slots__ = ("field", "nums", "den", "_hash")
-
-    def __new__(cls, field: MultiQuadField, coords):
-        den = lcm(*(c.denominator for c in coords))
-        return _elem(field, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     def __setattr__(self, *_):
         raise AttributeError("TowerElem is immutable")
@@ -387,7 +383,7 @@ class TowerElem:
         try:
             return self._hash
         except AttributeError:
-            _set_hash(self, hash((self.field, self.coords)))
+            _set_hash(self, hash((self.field, self.nums, self.den)))
             return self._hash
 
     def _check(self, other: "TowerElem") -> None:

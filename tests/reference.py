@@ -69,6 +69,10 @@
 - The `add` and `mul` tables of F_q computed entry by entry
   (`tables_entry_by_entry`).  Production gathers them from shared lists:
   digit blocks for `add`, discrete logarithms for `mul`.
+- The factorization of an integer by trial division up to its square root
+  (`factorize_by_trial_division`).  Production stops trial division at a
+  fixed bound and splits what is left by `is_prime`, `isqrt` and
+  Pollard-Brent rho.
 - Integer points on y^2 = F(x) by one `Fraction` evaluation and exact
   rational square root per x (`search_rational_points_by_fractions`), and
   the integer roots of a monic cubic with its critical points bracketed by
@@ -128,6 +132,14 @@
 - The rational factors of the 2-division cubic x^3 + Ax + B by factor
   extraction (`cubic_factors_by_extraction`).  Production reads them from
   the integer roots of the cubic (`ellcurve._cubic_factors`).
+- The rationals as Fractions throughout (`FractionDomain`, `FRACTIONS`),
+  and the Nagell-Lutz candidates as Fractions on a curve over it
+  (`torsion_points_short_by_fractions`): `poly.QQ` keeps an int for every
+  integral value and builds a Fraction only where a denominator appears.
+  The exact square root of a rational (`rational_sqrt`), which production
+  takes only of integers.
+- A tower element from its coordinates (`tower_elem`).  Production builds
+  elements only through the field and through arithmetic.
 - Helpers that no production path calls: the meet of two structures, the
   odd torsion of a model through the twist decomposition (production
   derive reads it per twist), a functional that avoids two vectors of
@@ -174,7 +186,7 @@ from mqtorsion.ellcurve import (
 from mqtorsion.ff import FieldDesc, FieldError
 from mqtorsion.groups import AbGroupStructure, scalar_mul, structure_from_elements, subgroup_span
 from mqtorsion.hyperjac import HyperCurve, JacError, _pair_classes, jac_add, zeta_order
-from mqtorsion.intutil import factorize, is_squarefree, kronecker, rational_sqrt, squarefree_part
+from mqtorsion.intutil import factorize, integer_cubic_roots, is_squarefree, kronecker, squarefree_part
 from mqtorsion.poly import (
     QQ,
     PolyError,
@@ -655,6 +667,99 @@ def torsion_over_tower(E: EllipticCurve, K) -> AbGroupStructure:
 
 
 # ---------------------------------------------------------------------------
+# Rationals as Fractions, and tower elements from coordinates
+# ---------------------------------------------------------------------------
+
+
+class FractionDomain:
+    """The rationals with every value a Fraction, by Python operators: the
+    slow path that the integer-first `poly.QQ` replaces.  `div` is a / b on
+    Fractions, exact."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    @staticmethod
+    def from_int(n):
+        return Fraction(n)
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def div(a, b):
+        return a / b
+
+    @staticmethod
+    def axpy(out, k, c, g):
+        """out[k + j] += c * g[j] for each j."""
+        for j, b in enumerate(g, k):
+            if b:
+                out[j] = out[j] + c * b
+
+    def __repr__(self):
+        return "QQ(Fraction)"
+
+
+FRACTIONS = FractionDomain()
+
+
+def rational_sqrt(x):
+    """Exact square root of a rational, as a Fraction, or None."""
+    if x < 0:
+        return None
+    a = math.isqrt(x.numerator)
+    b = math.isqrt(x.denominator)
+    if a * a == x.numerator and b * b == x.denominator:
+        return Fraction(a, b)
+    return None
+
+
+def torsion_points_short_by_fractions(A: int, B: int) -> tuple:
+    """`ellcurve.torsion_points_short` with its Nagell-Lutz candidates as
+    Fractions, iterated on the curve over `FRACTIONS`."""
+    E = EllipticCurve.from_ints(FRACTIONS, (0, 0, 0, A, B))
+    ys = [1]
+    for p, e in factorize(16 * abs(4 * A**3 + 27 * B**2)).items():
+        ys = [y * p**i for y in ys for i in range(e // 2 + 1)]
+    candidates = {(Fraction(x), Fraction(0)) for x in integer_cubic_roots(0, A, B)}
+    for y in ys:
+        for x in integer_cubic_roots(0, A, B - y * y):
+            candidates |= {(Fraction(x), Fraction(y)), (Fraction(x), Fraction(-y))}
+    torsion = [INF]
+    for P in candidates:
+        acc = P
+        for _ in range(len(candidates) + 1):
+            if acc is INF:
+                torsion.append(P)
+                break
+            if acc not in candidates:
+                break
+            acc = E.add(acc, P)
+    return tuple(sorted(torsion, key=lambda P: (0,) if P is INF else (1, P)))
+
+
+def tower_elem(field, coords):
+    """The element of field with the coordinates coords (ints or
+    Fractions), one per basis mask, in canonical form."""
+    den = math.lcm(*(c.denominator for c in coords))
+    return qfield._elem(field, tuple(c.numerator * (den // c.denominator) for c in coords), den)
+
+
+# ---------------------------------------------------------------------------
 # The 2-torsion field and the descent from it
 # ---------------------------------------------------------------------------
 
@@ -703,7 +808,7 @@ def lift(L, v):
     coords = [Fraction(0)] * L.degree
     for (mask, scale), c in zip(embedding(L, v.field), v.coords):
         coords[mask] = c * scale
-    return qfield.TowerElem(L, tuple(coords))
+    return tower_elem(L, tuple(coords))
 
 
 def project(K, v):
@@ -714,7 +819,7 @@ def project(K, v):
     image, nums = embedding(v.field, K), v.nums
     if sum(map(bool, nums)) != sum(1 for mask, _ in image if nums[mask]):
         return None
-    return qfield.TowerElem(K, tuple(Fraction(nums[mask], v.den) / scale for mask, scale in image))
+    return tower_elem(K, tuple(Fraction(nums[mask], v.den) / scale for mask, scale in image))
 
 
 def two_primary_by_descent(A: int, B: int, K) -> AbGroupStructure:
@@ -1605,9 +1710,24 @@ def search_rational_points_by_fractions(F, bound: int = 60) -> list:
     F = tuple(map(Fraction, F))
     out = []
     for x in range(-bound, bound + 1):
-        y = rational_sqrt(peval(QQ, F, Fraction(x)))
+        y = rational_sqrt(peval(FRACTIONS, F, Fraction(x)))
         if y is not None:
             out.append((Fraction(x), y))
+    return out
+
+
+def factorize_by_trial_division(n: int) -> dict[int, int]:
+    """The prime factorization of n > 0 by trial division by 2, 3, 5, 7, ...
+    while p^2 <= n."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
 
 

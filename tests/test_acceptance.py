@@ -47,6 +47,7 @@ from reference import (
     primitive_ints,
     primitive_kernel_poly_b,
     split_prime_counts,
+    tower_elem,
 )
 
 
@@ -265,10 +266,8 @@ def test_criterion_11_pure_property_suites():
     # sqrt round trips in towers
     K = MultiQuadField([-3, 5])
     rng = random.Random(7)
-    from mqtorsion.qfield import TowerElem
-
     for _ in range(120):
-        v = TowerElem(K, tuple(Fr(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)))
+        v = tower_elem(K, tuple(Fr(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)))
         s = sqrt_in_tower(v * v)
         assert s is not None and s * s == v * v
     # hyperplane lemma, exhaustive for n <= 4

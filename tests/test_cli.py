@@ -160,6 +160,37 @@ class TestTorsion:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "Is a directory" in err
 
+    def test_large_prime_squared_in_the_discriminant_ends(self, tmp_path):
+        """y^2 = x(x - 1)(x + P), P = 999999999989: the discriminant
+        16 P^2 (P + 1)^2 holds P^2, which trial division alone reaches only
+        after about P/2 steps.  A fresh process ends well within the
+        timeout, with an answer or a one-line error."""
+        P = 999999999989
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "label": "x(x-1)(x+P)", "level": [1, 2], "genus": 1, "base_field": "Q",
+            "coeffs": [0, P - 1, 0, -P, 0], "primes": [7, 11],
+        }))
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["torsion", "--model", str(path), "--mode", "derive", "--field=Q"]
+        run = subprocess.run([sys.executable, "-m", "mqtorsion.cli", *argv], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert run.returncode in (0, 2, 3), run.stderr
+        assert run.returncode == 2 or run.stderr == ""
+
+    def test_unfactorable_discriminant_exit_2(self, capsys, tmp_path):
+        """y^2 = x^3 + B with B the product of two primes of 19 and 27
+        digits: no factor of B is found within the work bound of rho, so the
+        call ends with a one-line error."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "label": "m", "level": [1, 2], "genus": 1, "base_field": "Q",
+            "coeffs": [0, 0, 0, 0, (2**61 - 1) * (2**89 - 1)], "primes": [5, 7],
+        }))
+        code, out, err = run(capsys, "torsion", "--model", str(path), "--mode", "derive", "--field=Q")
+        assert_one_line_error(code, out, err)
+        assert "rho steps" in err
+
     def test_byte_identical_runs(self, capsys):
         _, out1, _ = run(capsys, "torsion", "--model", "X1(14)", "--field=-7")
         _, out2, _ = run(capsys, "torsion", "--model", "X1(14)", "--field=-7")

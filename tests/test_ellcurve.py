@@ -41,6 +41,7 @@ from reference import (
     reduce_quadratic_curve,
     roots_in_tower_by_tower_sqrt,
     torsion_over_tower,
+    torsion_points_short_by_fractions,
     tower_curve_affine,
     two_primary_by_descent,
     two_primary_over_tower_affine,
@@ -196,6 +197,25 @@ class TestMinimalModels:
             small = minimal_disc(c)
             assert big % small == 0
 
+    def test_c4c6_disc_rejects_inexact_invariants(self):
+        """Floats break c4^3 - c6^2 = 1728 disc by rounding."""
+        with pytest.raises(CurveError, match="exact integers"):
+            ellcurve.c4c6_disc((0.1, 0.2, 0.3, 0.4, 0.5))
+
+    @pytest.mark.parametrize("c4, c6, step", [(2, 0, "b4"), (24, 36, "b6"), (1, 1, "a-invariants")])
+    def test_model_from_c4c6_rejects_invalid_invariants(self, c4, c6, step):
+        """(c4, c6) that satisfy no Kraus condition: a step of Connell's
+        reconstruction is not exact."""
+        with pytest.raises(CurveError, match=f"gives no integral {step}"):
+            ellcurve.model_from_c4c6(c4, c6)
+
+    def test_minimal_model_rejects_a_scaling_that_fails_kraus(self, monkeypatch):
+        """A Kraus test that accepts no (c4, c6) leaves minimal_model no
+        valid scaling."""
+        monkeypatch.setattr(ellcurve, "_kraus_ok", lambda c4, c6: False)
+        with pytest.raises(CurveError, match="no Kraus-valid scaling"):
+            minimal_model(E(X11))
+
 
 class TestReduction:
     def test_bad_prime_raises(self):
@@ -347,6 +367,22 @@ class TestTorsionQ:
         for ainvs in (X11, X14, X15, M210, M212, M39, M48, M66):
             c = E(ainvs)
             assert torsion_structure_q(c) == torsion_over_tower(c, QQ_FIELD)
+
+    @PROPERTY
+    @given(st.integers(-300, 300), st.integers(-300, 300))
+    @example(-43, 166)  # Z/7
+    @example(0, 1)  # Z/6
+    @example(-1, 0)  # Z/2 x Z/2
+    @example(-675, 13662)  # X14, Z/6
+    def test_integer_candidates_match_fraction_candidates(self, A, B):
+        """The Nagell-Lutz candidates as ints, iterated over the
+        integer-first `QQ`, give the points that Fraction candidates on the
+        curve over `reference.FRACTIONS` give, with int coordinates."""
+        if 4 * A**3 + 27 * B**2 == 0:
+            return  # singular
+        points = ellcurve.torsion_points_short(A, B)
+        assert points == torsion_points_short_by_fractions(A, B)
+        assert all(type(c) is int for P in points[1:] for c in P)
 
 
 GENUS1_LABELS = sorted(label for label, m in model_registry().items() if m.genus == 1)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Fr
+from functools import partial, reduce
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +29,7 @@ from mqtorsion.mwtors import CurveModel, model_registry, reduction
 from mqtorsion.poly import QQ, TowerDomain, code_domain, pdegree, pderiv, pgcdext, pmul, pnormalize
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD
 from reference import (
+    FRACTIONS,
     all_classes,
     conjugate,
     conjugate_pair_classes_by_walk,
@@ -784,7 +786,83 @@ class TestRationalPoints:
         assume(coeffs[-1] != 0)
         if y0 >= 0:
             coeffs[0] = y0 * y0
-        assert search_rational_points(coeffs, 40) == search_rational_points_by_fractions(coeffs, 40)
+        points = search_rational_points(coeffs, 40)
+        assert points == search_rational_points_by_fractions(coeffs, 40)
+        assert all(type(c) is int for P in points for c in P)
+
+
+def is_qq_class(D) -> bool:
+    """Every coefficient of the class an element of the integer-first `QQ`:
+    an int, or a Fraction whose denominator is not 1."""
+    u, v, _ = D
+    return all(type(c) is int or (type(c) is Fr and c.denominator != 1) for c in (*u, *v))
+
+
+def int_poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def curves_with_rational_classes(draw):
+    """(F, C over QQ, C over FRACTIONS, classes): X1(13), X1(16) or X1(18),
+    or a random squarefree integral quintic or sextic with at least three
+    integral points, F = (x - r1)(x - r2)(x - r3) g(x) + s(x)^2 with s of
+    degree <= 2, which passes through (r_i, s(r_i)).  A sextic has leading
+    coefficient 1 (split at infinity) or a non-square (inert)."""
+    name = draw(st.sampled_from(("X1(13)", "X1(16)", "X1(18)", "quintic", "sextic")))
+    if name in MODELS:
+        F = MODELS[name]
+    else:
+        roots = draw(st.lists(st.integers(-6, 6), min_size=3, max_size=3, unique=True))
+        lead = draw(st.sampled_from((1, -1, 2, -3, 5)))
+        low = {"quintic": 2, "sextic": 3}[name]  # deg g
+        g = draw(st.lists(st.integers(-4, 4), min_size=low, max_size=low)) + [lead]
+        s = draw(st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+        F = int_poly_mul(reduce(int_poly_mul, ([-r, 1] for r in roots)), g)
+        for i, c in enumerate(int_poly_mul(s, s)):
+            F[i] += c
+    try:
+        C, CF = HyperCurve.from_ints(QQ, F), HyperCurve.from_ints(FRACTIONS, F)
+    except JacError:
+        assume(False)  # singular
+    classes = classes_from_rational_points(C, search_rational_points(F, 8))
+    assert classes == classes_from_rational_points(CF, search_rational_points_by_fractions(F, 8))
+    assume(classes)
+    return F, C, CF, classes
+
+
+def as_fractions(D):
+    u, v, n = D
+    return (tuple(map(Fr, u)), tuple(map(Fr, v)), n)
+
+
+class TestIntegerFirstGroupLaw:
+    """Cantor over the integer-first `QQ` against the Fraction-only domain
+    `reference.FRACTIONS`: equal classes, each coefficient an int or a
+    Fraction with a denominator."""
+
+    @PROPERTY
+    @given(curves_with_rational_classes(), st.data())
+    def test_jac_add_matches_fractions(self, curve_data, data):
+        F, C, CF, classes = curve_data
+        D1, D2 = (data.draw(st.sampled_from(classes)) for _ in "12")
+        D3 = jac_add(C, D1, D2)
+        assert D3 == jac_add(CF, as_fractions(D1), as_fractions(D2)) and is_qq_class(D3)
+        assert all(map(is_qq_class, classes))
+
+    @PROPERTY
+    @given(curves_with_rational_classes(), st.data(), st.integers(1, 24))
+    def test_scalar_mul_matches_fractions(self, curve_data, data, k):
+        F, C, CF, classes = curve_data
+        D = data.draw(st.sampled_from(classes))
+        add, add_f = partial(jac_add, C), partial(jac_add, CF)
+        kD = scalar_mul(k, D, add, lambda x: add(x, x), C.identity())
+        assert kD == scalar_mul(k, as_fractions(D), add_f, lambda x: add_f(x, x), CF.identity())
+        assert is_qq_class(kD)
 
 
 class TestRationalLowerBounds:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqtorsion.intutil import crt_pair, integer_cubic_roots
-from reference import integer_cubic_roots_by_fractions
+from mqtorsion import intutil
+from mqtorsion.intutil import ModelError, crt_pair, factorize, integer_cubic_roots, is_prime
+from reference import factorize_by_trial_division, integer_cubic_roots_by_fractions
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -54,3 +55,37 @@ class TestCrtPair:
             return
         x = crt_pair(r1, m1, r2, m2)
         assert 0 <= x < m1 * m2 and (x - r1) % m1 == 0 and (x - r2) % m2 == 0
+
+
+# primes on both sides of the trial-division bound, and a few far past it
+_PRIMES = [p for p in range(2, 1200) if is_prime(p)][::7] + [1021, 1031, 1033, 65537, 999983, 1000003]
+
+
+class TestFactorize:
+    @PROPERTY
+    @given(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=6), st.lists(st.sampled_from(_PRIMES), max_size=3))
+    def test_matches_trial_division(self, primes, hint):
+        """Products of primes below and above the bound, squares among them,
+        with and without hint primes: the factorization of trial division
+        up to the square root."""
+        n = math.prod(primes)
+        assert factorize(n, tuple(hint)) == factorize(-n) == factorize_by_trial_division(n)
+
+    def test_past_the_bound(self):
+        P = 999999999989
+        assert factorize(P * P * 21649 * 513239) == {21649: 1, 513239: 1, P: 2}
+        assert factorize((2**31 - 1) * (2**61 - 1)) == {2**31 - 1: 1, 2**61 - 1: 1}
+        assert factorize(1031**3 * 1033) == {1031: 3, 1033: 1}
+
+    def test_unfactorable_raises_model_error(self):
+        """Two primes of 19 and 27 digits: rho spends its work bound without
+        a factor."""
+        with pytest.raises(ModelError, match="rho steps"):
+            factorize((2**61 - 1) * (2**89 - 1))
+
+    def test_small_inputs_take_trial_division_alone(self, monkeypatch):
+        """Below the square of the bound, no cofactor is tested or split."""
+        monkeypatch.setattr(intutil, "is_prime", None)
+        monkeypatch.setattr(intutil, "_rho", None)
+        for n in (1, 2, 997 * 1009, 1021 * 1021 - 2, 2**20 - 1):
+            assert intutil._factor.__wrapped__(n, ()) == tuple(sorted(factorize_by_trial_division(n).items()))

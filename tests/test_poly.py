@@ -24,9 +24,10 @@ from reference import (
 )
 from mqtorsion.ff import make_field
 from mqtorsion.intutil import is_prime
-from mqtorsion.qfield import MultiQuadField, TowerElem
+from mqtorsion.qfield import MultiQuadField
 from mqtorsion.poly import (
     QQ,
+    PolyError,
     ResidueDomain,
     TowerDomain,
     code_domain,
@@ -74,7 +75,7 @@ def _rationals(_):
 
 def _tower(gens):
     dom = TowerDomain(MultiQuadField(gens))
-    draw = lambda rng: TowerElem(dom.K, [Fr(rng.randint(-2, 2)) for _ in range(dom.K.degree)])
+    draw = lambda rng: reference.tower_elem(dom.K, [Fr(rng.randint(-2, 2)) for _ in range(dom.K.degree)])
     return dom, lambda rng: dom.zero if rng.random() < 0.2 else draw(rng)
 
 
@@ -529,6 +530,11 @@ class TestModP:
         assert prod == f
         assert all(len(g) - 1 in (1, 2) for g in facs)
 
+    @pytest.mark.parametrize("f", [(1, 0, 2), (), (3,)])
+    def test_factor_squarefree_rejects_a_non_monic_input(self, f):
+        with pytest.raises(PolyError, match="not a monic polynomial mod 7"):
+            mp_factor_squarefree(f, 7)
+
     @pytest.mark.parametrize("m", [7, 9, 11**2, 3**8, 1000])
     def test_kernels_agree_with_integer_arithmetic(self, m):
         """Over Z/m the kernels compute the integer results reduced mod m,
@@ -564,3 +570,66 @@ class TestModP:
         ZM = ResidueDomain(M)
         assert poly.pmul(ZM, G, H) == F
         assert G[-1] == H[-1] == 1 and all(0 <= c < M for c in G + H)
+
+
+def is_qq_value(x) -> bool:
+    """An element of the integer-first `QQ`: an int, or a Fraction whose
+    denominator is not 1 (so never a float)."""
+    return type(x) is int or (type(x) is Fr and x.denominator != 1)
+
+
+# ints, small and large, and Fractions with and without a denominator, as
+# `QQ` holds them
+QQ_VALUES = st.one_of(
+    st.integers(-10**3, 10**3),
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=60).map(poly.integral),
+)
+
+
+class TestIntegerFirstRationals:
+    """`QQ` against the Fraction-only domain `reference.FRACTIONS`."""
+
+    def test_constants(self):
+        assert (QQ.zero, QQ.one, QQ.from_int(-7)) == (0, 1, -7)
+        assert all(type(c) is int for c in (QQ.zero, QQ.one, QQ.from_int(-7)))
+
+    @PROPERTY
+    @given(QQ_VALUES, QQ_VALUES)
+    def test_operations_match_fractions(self, a, b):
+        F = reference.FRACTIONS
+        fa, fb = Fr(a), Fr(b)
+        results = [
+            (QQ.add(a, b), F.add(fa, fb)),
+            (QQ.sub(a, b), F.sub(fa, fb)),
+            (QQ.neg(a), F.neg(fa)),
+            (QQ.mul(a, b), F.mul(fa, fb)),
+        ]
+        if b:
+            results.append((QQ.div(a, b), F.div(fa, fb)))
+        for got, want in results:
+            assert is_qq_value(got) and got == want, (a, b, got, want)
+
+    @PROPERTY
+    @given(st.lists(QQ_VALUES, max_size=6), st.integers(0, 3), QQ_VALUES, st.lists(QQ_VALUES, max_size=5))
+    def test_axpy_matches_fractions(self, out, k, c, g):
+        out += [QQ.zero] * (k + len(g) - len(out))
+        want = [Fr(x) for x in out]
+        reference.FRACTIONS.axpy(want, k, Fr(c), [Fr(b) for b in g])
+        QQ.axpy(out, k, c, g)
+        assert all(map(is_qq_value, out)) and out == want
+
+    @PROPERTY
+    @given(st.lists(QQ_VALUES, min_size=1, max_size=6), st.lists(QQ_VALUES, min_size=1, max_size=4))
+    def test_kernels_match_fractions(self, f, g):
+        """Products, quotients, remainders and Bezout cofactors."""
+        f, g = pnormalize(f), pnormalize(g)
+        assume(g)
+        F = reference.FRACTIONS
+        fF, gF = tuple(map(Fr, f)), tuple(map(Fr, g))
+        for got, want in (
+            ((pmul(QQ, f, g),), (pmul(F, fF, gF),)),
+            (pdivmod(QQ, f, g), pdivmod(F, fF, gF)),
+            (poly.pgcdext(QQ, f, g), poly.pgcdext(F, fF, gF)),
+        ):
+            assert got == want and all(is_qq_value(c) for p in got for c in p)

@@ -67,7 +67,7 @@ class TestRepr:
         assert repr(verdict).startswith(
             "Verdict(target='14', field_signature=(1, -7), rank_value=0, existence='exactly', "
             "count=2, equivalence_direction='iff', exceptional=(ExceptionalCurve(target=14, "
-            "base_d=-7, name='14-I', ainvs=((Fraction(2, 1), Fraction(3, 7)), ")
+            "base_d=-7, name='14-I', ainvs=((2, Fraction(3, 7)), ")
         assert repr(verdict).endswith(
             "condition=None, annotations=('with rank 0, every curve over K with Z/14 torsion is "
             "defined over the listed quadratic field(s)',))")
