@@ -44,7 +44,6 @@ from . import poly
 from .groups import AbGroupStructure, CrossCheckError
 from .intutil import rational_is_square
 from .poly import (
-    QQ,
     pdegree,
     pderiv,
     pgcdext,
@@ -580,15 +579,15 @@ def _weierstrass_factors(F: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...
     F: each monic irreducible rational factor g of degree <= 3, with the
     squarefree class d of its splitting field for a quadratic (1
     otherwise), and the degree of F over their product.  F is checked
-    squarefree, by gcd(F, F') over Q, before `poly.low_degree_factors`,
-    whose search for a prime ends only for squarefree F.  A cache keeps no
-    raised exception, so the JacError of a bad degree or of a
-    non-squarefree F is raised again on every call."""
+    squarefree, by disc(F) != 0 (the resultant of F and F' over Q, with no
+    Bezout cofactors), before `poly.low_degree_factors`, whose search for a
+    prime ends only for squarefree F.  A cache keeps no raised exception,
+    so the JacError of a bad degree or of a non-squarefree F is raised
+    again on every call."""
     degree = pdegree(F)
     if degree not in (3, 4, 5, 6):
         raise JacError("degree must be in 3..6")
-    d0, _, _ = pgcdext(QQ, F, pderiv(QQ, F))
-    if pdegree(d0) > 0:
+    if poly.discriminant(F) == 0:
         raise JacError("F must be squarefree")
     factors = poly.low_degree_factors(F)
     data = tuple((pdegree(g), poly.splitting_quadratic_field(g) if len(g) == 3 else 1) for g in factors)

@@ -775,8 +775,7 @@ def derive_torsion(model: CurveModel, K, primes=None) -> TorsionResult:
         degrees.append((p, f))
     upper = _reduction_meet(model, tuple(degrees))
     if model.genus == 1:
-        K_S = torsion_support_field(model, K, primes, upper)
-        exact = _genus1_torsion(model, K_S)
+        exact = _genus1_torsion(model, K)
         trace.append({"step": "tower-torsion-exact", "structure": list(exact.factors)})
         if not exact.embeds_in(upper):
             raise CrossCheckError(
@@ -787,33 +786,23 @@ def derive_torsion(model: CurveModel, K, primes=None) -> TorsionResult:
 
 
 def torsion_support_field(model: CurveModel, K, primes, upper: AbGroupStructure):
-    """K_S: the subfield of K generated by the sqrt(d) with every prime of d
-    in S = {2} u primes(minimal disc) u primes(upper.order), together with
-    a lone reduction prime.  For a genus-1 model J(K)_tors = J(K_S)_tors.
-    A genus-2 model y^2 = F(x) takes the primes of disc(F) * lc(F) for
-    those of the minimal disc, and then every twist class d of K outside
-    K_S has J^d(Q)[ell] = 0 for each odd ell dividing upper.order.
+    """K_S of a genus-2 model y^2 = F(x): the subfield of K generated by the
+    sqrt(d) with every prime of d in S = {2} u primes(disc(F) * lc(F)) u
+    primes(upper.order), together with a lone reduction prime.  Every twist
+    class d of K outside K_S has J^d(Q)[ell] = 0 for each odd ell dividing
+    upper.order, so the twist loops of `_derive_genus2` run over the
+    classes of K_S.  A genus-1 derive builds no K_S (`_genus1_torsion`).
 
-    Proof.  Let P in J(K) have order n.  Every prime ell of n divides
-    upper.order: reduction at a good p != ell is injective on the ell-part,
-    and `meet_many` refuses an ell that occurs but no such p bounds.  Only
-    with one distinct reduction prime p can the p-part go unbounded without
-    occurring, so that p joins S.  Q(P) lies in K n Q(J[n]), and
-    Q(J[n]) is unramified outside n*N (Neron-Ogg-Shafarevich; Serre-Tate),
-    with N supported on the primes of the minimal discriminant.  Q(P) is
-    multi-quadratic, spanned by its quadratic subfields Q(sqrt d), and
-    Q(sqrt d) is ramified at every odd p | d; with 2 in S, each such d has
-    all its primes in S.  So Q(P) lies in K_S, and J(K)_tors = J(K_S)_tors.
-    Q(sqrt d) lies in Q(zeta_m) iff |disc| divides m, so for
-    m = 8 * prod(odd p in S), K n Q(zeta_m) is exactly K_S.
-
-    Proof for genus 2.  Let ell be odd, d != 1 and 0 != P in J^d(Q)[ell].
-    As a point of J(Q(sqrt d)), P satisfies sigma P = -P != P, so Q(P) is
-    Q(sqrt d), which is ramified at every odd prime of d.  Q(P) lies in
-    Q(J[ell]), unramified outside ell*N, and N is supported on 2 and the
-    primes of disc(F) * lc(F): y^2 = F(x) stays a smooth genus-2 curve mod
-    every other prime.  So every odd prime of d divides
-    ell * disc(F) * lc(F) and lies in S, and d is a class of K_S.
+    Proof.  Let ell be odd, d != 1 and 0 != P in J^d(Q)[ell].  As a point
+    of J(Q(sqrt d)), P satisfies sigma P = -P != P, so Q(P) is Q(sqrt d),
+    which is ramified at every odd prime of d.  Q(P) lies in Q(J[ell]),
+    unramified outside ell*N (Neron-Ogg-Shafarevich; Serre-Tate), and N is
+    supported on 2 and the primes of disc(F) * lc(F): y^2 = F(x) stays a
+    smooth genus-2 curve mod every other prime.  So every odd prime of d
+    divides ell * disc(F) * lc(F) and lies in S, and d is a class of K_S.
+    A lone reduction prime only adds classes to K_S.  Q(sqrt d) lies in
+    Q(zeta_m) iff |disc| divides m, so for m = 8 * prod(odd p in S),
+    K n Q(zeta_m) is exactly K_S.
     """
     support = {2} | _bad_primes(model) | set(upper.prime_exponents())
     if len(set(primes)) == 1:
@@ -832,10 +821,10 @@ def _bad_primes(model: CurveModel) -> frozenset:
 
 
 def _genus1_torsion(model: CurveModel, K) -> AbGroupStructure:
-    """Exact J(K)_tors of a genus-1 model E: the odd part cached per
-    (model, K) by `_genus1_odd_part`, the 2-part read from the one search
-    of the model (`_genus1_two_primary`), as the points of
-    G = E(Q(2^oo))[2^oo] whose coordinates lie in K.  Derive passes K = K_S.
+    """Exact J(K)_tors of a genus-1 model E, read over K itself: the sum of
+    E^d(Q)[odd] (`genus1_twist_torsion`) over the twist classes d of K whose
+    primes lie in the set S of `_genus1_twist_primes`, and the points of
+    G = E(Q(2^oo))[2^oo] (`_genus1_two_primary`) with coordinates in K.
 
     K is multi-quadratic, so E(K)[2^oo] = G n E(K), which is G when K
     holds the field F of the search, over which the points of G lie: the
@@ -856,20 +845,36 @@ def _genus1_torsion(model: CurveModel, K) -> AbGroupStructure:
         orders = [n for support, n in points if not support & ~image]
         e = max(orders, default=1)
         two = AbGroupStructure.from_summands(((len(orders) + 1) // e, e))
-    return _genus1_odd_part(model, K).direct_sum(two)
+    S = _genus1_twist_primes(model)
+    twists = K.cyclotomic_intersection(8 * math.prod(S - {2})).twist_classes() if S else ()
+    odd = (n for d in twists for n in genus1_twist_torsion(model, d).factors)
+    return AbGroupStructure.from_summands(odd).direct_sum(two)
 
 
 @lru_cache(maxsize=256)
-def _genus1_odd_part(model: CurveModel, K) -> AbGroupStructure:
-    """J(K)[odd] through the twist decomposition: the sum over the twist
-    classes d of K of J^d(Q)[odd], each summand from `genus1_twist_torsion`,
-    cached per (model, d).  The sum reads K only through its twist classes,
-    so it is computed once per (model, K); the factors of the summands are
-    pooled into one canonical form, which is the iterated direct sum, and a
-    trivial summand adds no factor."""
-    return AbGroupStructure.from_summands(
-        n for d in K.twist_classes() for n in genus1_twist_torsion(model, d).factors
-    )
+def _genus1_twist_primes(model: CurveModel) -> frozenset:
+    """S for a genus-1 model E: E^d(Q)[odd] != 0 only for d = +- a product
+    of primes of S, empty when no d has it.  Gal(K/Q) of a multi-quadratic
+    K splits E(K)[odd] into E^d(Q)[odd] over the classes d of K, so it is
+    the sum over the classes of K n Q(zeta_m), m = 8 * prod(odd p in S).
+
+    Which ell.  Let E^d(Q)[ell] != 0, ell odd, and p a screen prime
+    (`ellcurve._screen_traces`: odd, of good reduction).  Reduction at a
+    prime of Q(sqrt d) above p is injective on the prime-to-p torsion of
+    E(Q(sqrt d)), which holds E^d(Q), and its residue field lies in
+    F_{p^2}.  So ell divides g, the gcd over p of p * #E(F_{p^2}) =
+    p * ((p + 1)^2 - a_p^2), and ell <= 7 by Mazur, also when g = 0, with no
+    screen prime (Hasse's bound keeps each term nonzero).
+
+    Which d.  For d != 1 and 0 != P in E^d(Q)[ell], P in E(Q(sqrt d)) has
+    sigma P = -P != P, so Q(sqrt d) = Q(P) lies in Q(E[ell]), unramified
+    outside ell*N (Neron-Ogg-Shafarevich), N supported on `_bad_primes`.
+    Q(sqrt d) is ramified at each odd prime of d, so d is +- a product of
+    primes of S = {2} u ells u primes(N)."""
+    traces = ellcurve._screen_traces(*ellcurve.short_model(model.elliptic()))
+    g = math.gcd(*(p * ((p + 1) ** 2 - ap * ap) for p, ap in traces))
+    ells = {ell for ell in (3, 5, 7) if g % ell == 0}
+    return frozenset({2} | ells | _bad_primes(model)) if ells else frozenset()
 
 
 @lru_cache(maxsize=256)
@@ -920,7 +925,7 @@ def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
     sqrt(d) in K_S, in the same order: K_S is a subfield of K, so its span
     is the part of the span of K that lies in K_S, and both are sorted by
     `qfield._gen_key`.  Twists outside K_S carry no odd torsion
-    (`torsion_support_field`)."""
+    (`torsion_support_field`, which only genus 2 builds)."""
     # 2-part: Weierstrass orbit analysis (exact whenever a rational
     # Weierstrass point exists and every factor has degree <= 3)
     two_lower, two_exact = hyperjac.two_torsion_galois(model.f_coeffs, K)
@@ -947,27 +952,15 @@ def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
                 refined[ell] = es
                 continue
             total = AbGroupStructure.trivial()
-            ok = True
             for d in twists:
-                part = (
-                    q_upper.ell_part(ell)
-                    if d == 1
-                    else twist_ell_upper(model, d, ell, primes)
-                )
+                part = q_upper.ell_part(ell) if d == 1 else twist_ell_upper(model, d, ell, primes)
                 if part is None:
-                    ok = False
+                    refined[ell] = es
                     break
                 total = total.direct_sum(part)
-            if ok:
-                merged = meet_many(
-                    [
-                        (AbGroupStructure.from_prime_exponents({ell: es}), frozenset()),
-                        (total, frozenset()),
-                    ]
-                )
-                refined[ell] = merged.prime_exponents().get(ell, [])
             else:
-                refined[ell] = es
+                bound = AbGroupStructure.from_prime_exponents({ell: es})
+                refined[ell] = meet_many([(bound, frozenset()), (total, frozenset())]).prime_exponents().get(ell, [])
         odd_upper = AbGroupStructure.from_prime_exponents(refined)
         trace.append({"step": "twist-sum-upper", "upper": list(odd_upper.factors)})
     if odd_lower != odd_upper:

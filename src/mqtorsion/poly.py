@@ -554,9 +554,9 @@ def low_degree_factors(F: tuple[int, ...]) -> list[tuple]:
 
     Works on F itself, never on its monic associate, whose coefficients
     grow as lc(F)^(deg F - 1).  The caller checks that F is squarefree
-    (`hyperjac._weierstrass_factors` does, by gcd(F, F') over Q, and keeps
-    the factors per F): the search for the Hensel prime ends only for
-    squarefree F."""
+    (`hyperjac._weierstrass_factors` does, by disc(F) != 0, the resultant
+    of F and F' over Q with no Bezout cofactors, and keeps the factors per
+    F): the search for the Hensel prime ends only for squarefree F."""
     out = sorted(_low_degree_factors_squarefree(F, _find_good_prime(F)), key=lambda g: (len(g), g))
     product = reduce(partial(pmul, QQ), out, (QQ.one,))
     if pdivmod(QQ, F, product)[1]:

@@ -113,8 +113,8 @@
   `genus2_twists_by_filter`, `weierstrass_orbits_per_call`) and the
   canonical form of a direct sum built afresh (`from_summands_uncached`).
   Production computes each once per distinct input it reads: the residue
-  degrees at the primes, the field K_S, the polynomial F and the summand
-  tuple.
+  degrees at the primes, the twist d of a genus-1 odd summand, the field
+  K_S, the polynomial F and the summand tuple.
 - The questions asked of a multi-quadratic field, answered by enumerating
   its span as frozenset vectors (`enumerated_classes`): membership, residue
   degrees, cyclotomic intersections, the signature and the lower
@@ -161,7 +161,6 @@ from mqtorsion.mwtors import (
     CurveModel,
     ModelError,
     PreconditionError,
-    genus1_twist_torsion,
     genus2_rational_torsion_bounds,
     genus2_twist_witness,
     jac_structure,
@@ -1054,7 +1053,7 @@ def twist_odd_torsion(model: CurveModel, K, ell: int):
     primes = model.primes or (3, 5)
     for d in K.twist_classes():
         if model.genus == 1:
-            total = total.direct_sum(genus1_twist_torsion(model, d).ell_part(ell))
+            total = total.direct_sum(twist_odd_torsion_q(model.elliptic(), d).ell_part(ell))
             continue
         if d == 1:
             low, up = genus2_rational_torsion_bounds(model, primes)
@@ -1517,11 +1516,11 @@ def reduction_bound_per_field(model: CurveModel, K, primes) -> AbGroupStructure:
 
 def genus1_odd_part_per_field(model: CurveModel, K) -> AbGroupStructure:
     """J(K)[odd] of a genus-1 model as the direct sum, one twist class of K
-    at a time, of the odd torsion of each twist (production sums once per
-    (model, K))."""
+    at a time, of the odd torsion of each twist (production reads only the
+    classes of K whose primes lie in `mwtors._genus1_twist_primes`)."""
     odd = AbGroupStructure.trivial()
     for d in K.twist_classes():
-        odd = from_summands_uncached(odd.factors + genus1_twist_torsion(model, d).factors)
+        odd = from_summands_uncached(odd.factors + twist_odd_torsion_q(model.elliptic(), d).factors)
     return odd
 
 

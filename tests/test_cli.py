@@ -178,6 +178,23 @@ class TestTorsion:
         assert run.returncode in (0, 2, 3), run.stderr
         assert run.returncode == 2 or run.stderr == ""
 
+    def test_many_bad_primes_and_odd_torsion_derive_quickly_over_q(self, tmp_path):
+        """y^2 + xy + a3*y = x^3, a3 = 7 * 13 * 19 * 31 * 37 * 43, has a point
+        of order 3, and every prime p = 1 mod 3 below 50 is bad, so no
+        screen prime rules out odd torsion on a twist.  A derive over Q
+        tries the trivial twist alone, not each of the 2^10 twists by the
+        primes that could carry it, and a fresh process ends in seconds."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "label": "m", "level": [1, 3], "genus": 1, "base_field": "Q",
+            "coeffs": [1, 0, 7 * 13 * 19 * 31 * 37 * 43, 0, 0], "primes": [5, 11],
+        }))
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        argv = ["torsion", "--model", str(path), "--mode", "derive", "--field=Q"]
+        run = subprocess.run([sys.executable, "-m", "mqtorsion.cli", *argv], capture_output=True, text=True,
+                             env=env, timeout=20)
+        assert run.returncode == 0 and json.loads(run.stdout)["lower"] == [3], run.stderr
+
     def test_unfactorable_discriminant_exit_2(self, capsys, tmp_path):
         """y^2 = x^3 + B with B the product of two primes of 19 and 27
         digits: no factor of B is found within the work bound of rho, so the

@@ -7,8 +7,11 @@ reads them.  The genus-1 2-part, read from one search per model, is checked
 against the affine reference search over K_S and over every subfield of
 M_E = Q(sqrt(-1), sqrt(2), sqrt(p) : odd p | N), the field that holds
 every point of 2-power order over every K, for the builtin models and for
-random curves.  A derive over 12 generators builds the span of K only for
-its signature."""
+random curves.  The genus-1 odd part, read over the classes of K whose
+primes lie in the model's set S, is checked against the sum over all the
+twist classes of K, and the genus-1 table against T on every
+multi-quadratic subfield of Q(zeta_N), which proves it for every K.  A derive over 12 generators builds
+the span of K only for its signature."""
 
 import math
 from contextlib import contextmanager
@@ -27,6 +30,7 @@ from reference import (
     genus1_odd_part_per_field,
     genus2_twists_by_filter,
     reduction_bound_per_field,
+    torsion_over_tower,
     two_primary_over_tower_affine,
     weierstrass_orbits_per_call,
 )
@@ -39,8 +43,8 @@ MODELS = [mwtors.get_model(label) for label in sorted(mwtors.model_registry())]
 GENUS1 = [m for m in MODELS if m.genus == 1]
 GENUS2 = [m for m in MODELS if m.genus == 2]
 MEMOS = (
-    mwtors._reduction_meet, mwtors._genus1_odd_part, mwtors._genus1_two_primary, mwtors._genus1_two_points,
-    hyperjac._weierstrass_factors, groups._from_summands,
+    mwtors._reduction_meet, mwtors._genus1_twist_primes, mwtors.genus1_twist_torsion, mwtors._genus1_two_primary,
+    mwtors._genus1_two_points, hyperjac._weierstrass_factors, groups._from_summands,
 )
 
 POOL = sorted({s * d for d in (-1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29) for s in (1, -1)} - {1})
@@ -59,15 +63,17 @@ def cleared_memos():
 
 
 @contextmanager
-def counted_searches():
-    """The curve (A, B) of each call of `ellcurve.two_primary_over_tower`
-    in the block, which derive looks up in the module on every call."""
-    calls, search = [], ellcurve.two_primary_over_tower
-    ellcurve.two_primary_over_tower = lambda A, B: calls.append((A, B)) or search(A, B)
+def counted(name):
+    """The arguments of each call of `ellcurve.<name>` in the block, which
+    derive looks up in the module on every call: the curve (A, B) of each
+    `two_primary_over_tower` search, the (E, d) of each
+    `twist_odd_torsion_q`."""
+    calls, f = [], getattr(ellcurve, name)
+    setattr(ellcurve, name, lambda *args: calls.append(args) or f(*args))
     try:
         yield calls
     finally:
-        ellcurve.two_primary_over_tower = search
+        setattr(ellcurve, name, f)
 
 
 def admits(model, K) -> bool:
@@ -86,9 +92,10 @@ def check_reduction_bound(model, K):
 
 
 def check_genus1_odd_part(model, K):
-    for L in (K, support_field(model, K)):
-        expect = genus1_odd_part_per_field(model, L)
-        assert mwtors._genus1_odd_part(model, L) == expect, (model.label, L)
+    """The odd part of T read over K itself against the sum over the twist
+    classes of K."""
+    expect = genus1_odd_part_per_field(model, K)
+    assert mwtors._genus1_torsion(model, K).odd_part() == expect, (model.label, K)
 
 
 def check_genus1_two_part(model, K):
@@ -167,7 +174,7 @@ class TestOnTheMatrix:
         M = search_field(model)
         subfields = every_subfield(M)
         assert len(subfields) == {4: 5, 8: 16, 16: 67}[M.degree]
-        with counted_searches() as searches:
+        with counted("two_primary_over_tower") as searches:
             for K in subfields:
                 check_read(model, K, model.primes)
         assert len(searches) == 1
@@ -185,12 +192,12 @@ class TestOnTheMatrix:
             }
 
         curves = sorted(ellcurve.short_model(model.elliptic()) for model in GENUS1)
-        with counted_searches() as searches:
+        with counted("two_primary_over_tower") as searches:
             forward = derive_all(MATRIX)
         assert sorted(searches) == curves
         for memo in MEMOS:
             memo.cache_clear()
-        with counted_searches() as searches:
+        with counted("two_primary_over_tower") as searches:
             assert derive_all(MATRIX[::-1]) == forward
         assert sorted(searches) == curves
 
@@ -261,7 +268,7 @@ class TestOnRandomFields:
             memo.cache_clear()
         disc = ellcurve.minimal_disc(model.elliptic())
         primes = [p for p in range(3, 64) if is_prime(p) and disc % p][:3]
-        with counted_searches() as searches:
+        with counted("two_primary_over_tower") as searches:
             check_search_field(model, M)
             for _ in range(3):
                 check_read(model, MultiQuadField(data.draw(st.lists(st.sampled_from(M.span()[1:]), max_size=4))), primes)
@@ -311,13 +318,126 @@ def test_many_bad_primes_search_a_field_of_degree_8(k):
     model = mwtors.CurveModel(f"n = {n}", (1, 1), 1, None, (0, 0, 0, -n * n, 0), None, "test")
     assert len(search_field(model).gens) == k + 2
     A, B = ellcurve.short_model(model.elliptic())
-    with counted_searches() as searches:
+    with counted("two_primary_over_tower") as searches:
         F, basis = mwtors._genus1_two_primary(model)
         assert F == MultiQuadField([-1, 2, n]) and [o for _, o in basis] == [4, 4]
         for K in every_subfield(MultiQuadField([-1, 2, n])):
             expect = two_primary_over_tower_affine(A, B, K, 16)[0]
             assert mwtors._genus1_torsion(model, K).ell_part(2) == expect, K
     assert len(searches) == 1
+
+
+def level_field(model) -> MultiQuadField:
+    """The largest multi-quadratic subfield of Q(zeta_N), N = level[1]."""
+    N = model.level[1]
+    return MultiQuadField([-1, 2, *(p for p in factorize(N) if p > 2)]).cyclotomic_intersection(N)
+
+
+def odd_twists(model) -> list:
+    """D: (d, factors of E^d(Q)[odd]) for each +- product d of the primes
+    of `_genus1_twist_primes` whose twist has odd torsion, every other d
+    having none.  Production tries only the classes of each K."""
+    S = mwtors._genus1_twist_primes(model)
+    classes = MultiQuadField([-1, *S]).twist_classes() if S else ()
+    return [(d, group.factors) for d in classes if (group := mwtors.genus1_twist_torsion(model, d)).order > 1]
+
+
+class TestGenus1Theorem:
+    """J(K)_tors of a genus-1 model is T = G + sum over d in D of E^d(Q)[odd]
+    read over K, so the theorem for every multi-quadratic K is a finite
+    check on T."""
+
+    def test_the_table_equals_t_on_every_subfield_of_the_level_field(self):
+        """Every class that T reads lies in Q(zeta_N), N = level[1]: each d
+        of D, and each generator of the search field F, which holds the
+        support of every point of G.  So T read over K is T read over
+        K n Q(zeta_N), on which the table is keyed, and the table equals T
+        on every K once it does on each multi-quadratic subfield of
+        Q(zeta_N) that admits the model: 20 fields over the 8 models."""
+        checked = 0
+        for model in GENUS1:
+            C = level_field(model)
+            F, _ = mwtors._genus1_two_primary(model)
+            assert all(C.contains_sqrt(d) for d, _ in odd_twists(model)), model.label
+            assert all(C.contains_sqrt(d) for d in F.gens), model.label
+            for K in every_subfield(C):
+                if admits(model, K):
+                    tabled = AbGroupStructure.from_summands(mwtors.table_lookup(model.label, K))
+                    assert mwtors._genus1_torsion(model, K) == tabled, (model.label, K)
+                    checked += 1
+        assert checked == 20
+
+    def test_the_twists_of_the_builtin_models(self):
+        D = {model.label: odd_twists(model) for model in GENUS1}
+        assert D == {
+            "X1(11)": [(1, (5,))], "X1(14)": [(1, (3,))], "X1(2,10)": [(1, (3,))], "X1(6,6)": [(1, (3,))],
+            "X1(3,9)": [(1, (3,)), (-3, (3,))], "X1(15)": [], "X1(2,12)": [], "X1(4,8)": [],
+        }
+
+    @pytest.mark.parametrize("label", ["X1(15)", "X1(2,12)", "X1(4,8)", "n = 3 * 5 * ... * 41"])
+    def test_no_twist_is_tried_when_no_odd_prime_bounds_the_reductions(self, label):
+        """No odd prime ell <= 7 divides every p * #E(F_{p^2}) at the screen
+        primes: S is empty, and no twist is tried over any K, for 12 odd
+        bad primes too."""
+        if label.startswith("n"):
+            n = math.prod([p for p in range(3, 42) if is_prime(p)])
+            model = mwtors.CurveModel(label, (1, 1), 1, None, (0, 0, 0, -n * n, 0), None, "test")
+        else:
+            model = mwtors.get_model(label)
+        with counted("twist_odd_torsion_q") as twists:
+            assert mwtors._genus1_twist_primes(model) == frozenset()
+            assert mwtors._genus1_torsion(model, MultiQuadField([-1, 2, 3, 5, 7])).odd_part().order == 1
+        assert twists == []
+
+    def test_the_twists_tried_are_those_of_k(self):
+        """y^2 + xy + a3*y = x^3 has a point of order 3, and with
+        a3 = 7 * 13 * 19 * 31 * 37 * 43 the screen keeps 3 while S holds
+        nine primes.  A derive tries only the classes of K with primes in S:
+        d = 1 over Q, the four classes of Q(sqrt 7, sqrt 13) over
+        Q(sqrt 5, sqrt 7, sqrt 13), each twist once per model."""
+        a3 = 7 * 13 * 19 * 31 * 37 * 43
+        model = mwtors.CurveModel("a3", (1, 3), 1, None, (1, 0, a3, 0, 0), None, "test", primes=(5, 11))
+        assert {3, 7, 13, 19, 31, 37, 43} < mwtors._genus1_twist_primes(model)
+        with counted("twist_odd_torsion_q") as twists:
+            assert mwtors.derive_torsion(model, QQ_FIELD).lower == AbGroupStructure.cyclic(3)
+            assert [d for _, d in twists] == [1]
+            K = MultiQuadField([5, 7, 13])
+            assert mwtors.derive_torsion(model, K).lower.odd_part() == AbGroupStructure.cyclic(3)
+            mwtors.derive_torsion(model, K)
+        assert sorted(d for _, d in twists) == [1, 7, 13, 91]
+
+    @PROPERTY
+    @given(
+        q=st.sampled_from([s * p for p in (5, 11, 13, 17, 19, 23, 29) for s in (1, -1)]),
+        gens=st.lists(st.sampled_from(POOL), max_size=3),
+        with_q=st.booleans(),
+    )
+    def test_the_twists_of_x1_14_by_a_prime(self, q, gens, with_q):
+        """E^q for E = X1(14) and q a prime outside {2, 3, 7}: D is {q}, a
+        prime of N, with E^q(Q(sqrt q))[3] from E(Q)[3].  T read over random
+        K, with and without sqrt(q), against the sum over the twist classes
+        of K and against the torsion over K by the descent."""
+        A, B = ellcurve.short_model(ellcurve.quadratic_twist(mwtors.get_model("X1(14)").elliptic(), q))
+        model = mwtors.CurveModel(f"X1(14)^({q})", (1, 1), 1, None, (0, 0, 0, A, B), None, "test")
+        assert odd_twists(model) == [(q, (3,))]
+        K = MultiQuadField(gens + [q] * with_q)
+        T = mwtors._genus1_torsion(model, K)
+        assert T.odd_part() == genus1_odd_part_per_field(model, K)
+        assert T == torsion_over_tower(model.elliptic(), K)
+
+    def test_derive_builds_no_support_field(self, monkeypatch):
+        """A genus-1 derive reads T over K itself: with K_S refused, it
+        still gives the table on every matrix field."""
+
+        def refused(*args):
+            raise AssertionError("torsion_support_field on a genus-1 model")
+
+        monkeypatch.setattr(mwtors, "torsion_support_field", refused)
+        for model in GENUS1:
+            for K in MATRIX:
+                if admits(model, K):
+                    result = mwtors.derive_torsion(model, K)
+                    assert result.closed and result.lower.factors == mwtors.table_lookup(model.label, K)
 
 
 def test_an_unbounded_part_is_refused_on_every_call():

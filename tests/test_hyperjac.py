@@ -576,7 +576,7 @@ class TestTwoTorsionGalois:
                 weierstrass_orbits(F, QQ_FIELD)
 
     def test_non_squarefree_raises_before_the_prime_search(self, monkeypatch):
-        """A repeated factor is refused by gcd(F, F') over Q before
+        """A repeated factor is refused by disc(F) = 0 before
         `poly.low_degree_factors`, whose search for a prime at which F
         stays squarefree would not end on it."""
 

@@ -305,9 +305,9 @@ class TestTorsionSupportField:
         E = model.elliptic()
         exact = torsion_over_tower(E, K)
         assert exact == torsion_over_tower(E, K_S)
-        # derive's path: the odd part from the per-(model, d) twist torsion,
-        # the 2-part read from the one search of the model
-        assert mwtors._genus1_torsion(model, K_S) == exact
+        # derive's path: T read over K itself, the odd part over the classes
+        # of K with primes in S, the 2-part from the one search of the model
+        assert mwtors._genus1_torsion(model, K) == exact
 
     def test_genus2_support_from_the_discriminant(self):
         # X1(18): disc(F) * lc(F) = -2^15 * 3^4, and upper = [3, 21] over
