@@ -395,21 +395,31 @@ def torsion_structure_q(E: EllipticCurve, hint=()) -> AbGroupStructure:
     return structure_from_elements(pts, short_curve(A, B).add, INF, max_rank=2)
 
 
-# Odd primes below this carry the reduction screen of twist_odd_torsion_q.
+# Odd primes below this carry the reduction screens of both genera.
 SCREEN_PRIME_CAP = 50
+
+
+def screen_primes(good, limit: float = math.inf) -> tuple[int, ...]:
+    """The screen primes of a curve whose odd primes of good reduction are
+    the p with good(p): each such p below SCREEN_PRIME_CAP or, when there
+    is none, the least one, so that a screen is empty only when no good odd
+    prime lies up to `limit`."""
+    out, p = [], 3
+    while (p < SCREEN_PRIME_CAP or not out) and p <= limit:
+        if is_prime(p) and good(p):
+            out.append(p)
+        p += 2
+    return tuple(out)
 
 
 @lru_cache(maxsize=64)
 def _screen_traces(A: int, B: int) -> tuple[tuple[int, int], ...]:
-    """(p, a_p) for y^2 = x^3 + Ax + B at each odd prime p < SCREEN_PRIME_CAP
-    not dividing 4A^3 + 27B^2, with a_p = p + 1 - #E(F_p) = p - the affine
-    count of `affine_count` at (b2, b4, b6) = (0, 2A, 4B)."""
+    """(p, a_p) for y^2 = x^3 + Ax + B at each of its screen primes p
+    (`screen_primes`: odd, not dividing 4A^3 + 27B^2), with
+    a_p = p + 1 - #E(F_p) = p - the affine count of `affine_count` at
+    (b2, b4, b6) = (0, 2A, 4B)."""
     D = 4 * A**3 + 27 * B**2
-    out = []
-    for p in range(3, SCREEN_PRIME_CAP, 2):
-        if is_prime(p) and D % p:
-            out.append((p, p - affine_count(0, 2 * A, 4 * B, p)))
-    return tuple(out)
+    return tuple((p, p - affine_count(0, 2 * A, 4 * B, p)) for p in screen_primes(lambda p: D % p))
 
 
 def twist_odd_torsion_q(E: EllipticCurve, d: int) -> AbGroupStructure:

@@ -1,14 +1,15 @@
 """The torsion-bound engine.
 
 Combines residue-field reductions, the quadratic-twist decomposition of odd
-torsion, Weierstrass 2-torsion analysis and, for a genus-1 model, one
-search for the points of 2-power order over all multi-quadratic fields at
-once, read for each K, into two-sided bounds on J(K)_tors for the eleven
-builtin modular Jacobians, over any multi-quadratic field K.  `derive` mode
-recomputes everything from the models; `table` mode answers from the
-classification tables that data/models.json ships with each model, keyed on
-the cyclotomic intersection, and the two are cross-checked whenever both
-are available.  The default reduction primes live in the same file.
+torsion over the twists with primes in one finite set per model, for both
+genera (`_twist_primes`), Weierstrass 2-torsion analysis and, for a genus-1
+model, one search for the points of 2-power order over all multi-quadratic
+fields at once, read for each K, into two-sided bounds on J(K)_tors for
+the eleven builtin modular Jacobians, over any multi-quadratic field K.
+`derive` mode recomputes everything from the models; `table` mode answers
+from the classification tables that data/models.json ships with each model,
+keyed on the cyclotomic intersection, and the two are cross-checked
+whenever both are available.  The default reduction primes live there too.
 """
 
 from __future__ import annotations
@@ -639,7 +640,7 @@ def genus2_twist_witness(model: CurveModel, d: int, ell: int):
     classes."""
     CQ = hyperjac.HyperCurve.from_ints(QQ, [d * c for c in model.f_coeffs], model.label)
     add, zero = partial(hyperjac.jac_add, CQ), CQ.identity()
-    primes = [p for p in (3, 5, 7, 11, 13, 17, 19) if d % p and _reduction_or_none(model, p)]
+    primes = [p for p, _, _ in _screen_orders(model) if d % p]
     per_prime = []
     for p in primes[:4]:
         data = _twisted_ell_torsion_data(model, d, p, ell)
@@ -662,18 +663,14 @@ def genus2_twist_witness(model: CurveModel, d: int, ell: int):
 def twist_ell_upper(model: CurveModel, d: int, ell: int, primes: tuple) -> AbGroupStructure:
     """Upper bound on the ell-part of the d-twist's rational torsion.
 
-    An order screen over a pool of good primes usually kills it outright
-    (ell does not divide the twisted group order at some prime); otherwise
-    the meet of the ell-parts over the supplied primes other than ell is
-    returned, or None when no such prime has good reduction."""
-    for p in range(3, 48, 2):
-        if not is_prime(p):
-            continue
-        try:
-            order = len(reduction(model, p).twist_census(d).classes)
-        except ellcurve.BadReduction:
-            continue
-        if order % ell:
+    An order screen at the screen primes p not dividing d (J^d is bad at
+    the others) usually kills it outright: there J^d(F_p) has order L_p(1)
+    when (d/p) = 1, else L_p(-1) (`_screen_orders`), and ell does not
+    divide it.  Otherwise the meet of the ell-parts over the supplied
+    primes other than ell is returned, or None when no such prime has good
+    reduction."""
+    for p, order, twisted in _screen_orders(model):
+        if d % p and (order if kronecker(d, p) == 1 else twisted) % ell:
             return AbGroupStructure.trivial()
     sides = []
     for p in primes:
@@ -785,31 +782,6 @@ def derive_torsion(model: CurveModel, K, primes=None) -> TorsionResult:
     return _derive_genus2(model, K, primes, upper, trace)
 
 
-def torsion_support_field(model: CurveModel, K, primes, upper: AbGroupStructure):
-    """K_S of a genus-2 model y^2 = F(x): the subfield of K generated by the
-    sqrt(d) with every prime of d in S = {2} u primes(disc(F) * lc(F)) u
-    primes(upper.order), together with a lone reduction prime.  Every twist
-    class d of K outside K_S has J^d(Q)[ell] = 0 for each odd ell dividing
-    upper.order, so the twist loops of `_derive_genus2` run over the
-    classes of K_S.  A genus-1 derive builds no K_S (`_genus1_torsion`).
-
-    Proof.  Let ell be odd, d != 1 and 0 != P in J^d(Q)[ell].  As a point
-    of J(Q(sqrt d)), P satisfies sigma P = -P != P, so Q(P) is Q(sqrt d),
-    which is ramified at every odd prime of d.  Q(P) lies in Q(J[ell]),
-    unramified outside ell*N (Neron-Ogg-Shafarevich; Serre-Tate), and N is
-    supported on 2 and the primes of disc(F) * lc(F): y^2 = F(x) stays a
-    smooth genus-2 curve mod every other prime.  So every odd prime of d
-    divides ell * disc(F) * lc(F) and lies in S, and d is a class of K_S.
-    A lone reduction prime only adds classes to K_S.  Q(sqrt d) lies in
-    Q(zeta_m) iff |disc| divides m, so for m = 8 * prod(odd p in S),
-    K n Q(zeta_m) is exactly K_S.
-    """
-    support = {2} | _bad_primes(model) | set(upper.prime_exponents())
-    if len(set(primes)) == 1:
-        support |= set(primes)
-    return K.cyclotomic_intersection(8 * math.prod(support - {2}))
-
-
 @lru_cache(maxsize=None)
 def _bad_primes(model: CurveModel) -> frozenset:
     """The primes of the minimal discriminant (genus 1) or of
@@ -822,58 +794,81 @@ def _bad_primes(model: CurveModel) -> frozenset:
 
 def _genus1_torsion(model: CurveModel, K) -> AbGroupStructure:
     """Exact J(K)_tors of a genus-1 model E, read over K itself: the sum of
-    E^d(Q)[odd] (`genus1_twist_torsion`) over the twist classes d of K whose
-    primes lie in the set S of `_genus1_twist_primes`, and the points of
-    G = E(Q(2^oo))[2^oo] (`_genus1_two_primary`) with coordinates in K.
+    E^d(Q)[odd] (`genus1_twist_torsion`) over the classes d of
+    `_twist_classes`, and the points of G = E(Q(2^oo))[2^oo]
+    (`_genus1_two_points`) with coordinates in K.
 
-    K is multi-quadratic, so E(K)[2^oo] = G n E(K), which is G when K
-    holds the field F of the search, over which the points of G lie: the
-    direct sum of the cyclic groups of its basis.  Otherwise the points are
-    built (`_genus1_two_points`).  F n K is spanned by the basis elements
-    of F whose classes lie in K: each lies in F n K, and they number
-    [F n K : Q], the classes of F in K being those of F n K.  So a point
-    lies in E(K) iff the basis masks of its support lie among them, one
-    mask test.  E(K)[2^oo] is a finite subgroup of E[2^oo] = (Q_2/Z_2)^2,
-    so of rank at most 2: Z/(|G|/e) + Z/e with e its exponent, the largest
-    order of its points."""
-    F, basis = _genus1_two_primary(model)
-    if all(K.contains_sqrt(d) for d in F.gens):
-        two = AbGroupStructure.from_summands(n for _, n in basis)
-    else:
-        classes, points = _genus1_two_points(model)
-        image = sum(1 << mask for mask, d in enumerate(classes) if K.contains_sqrt(d))
-        orders = [n for support, n in points if not support & ~image]
-        e = max(orders, default=1)
-        two = AbGroupStructure.from_summands(((len(orders) + 1) // e, e))
-    S = _genus1_twist_primes(model)
-    twists = K.cyclotomic_intersection(8 * math.prod(S - {2})).twist_classes() if S else ()
-    odd = (n for d in twists for n in genus1_twist_torsion(model, d).factors)
+    K is multi-quadratic, so E(K)[2^oo] = G n E(K).  The points of G lie
+    over the field F of the search (`_genus1_two_primary`), and F n K is
+    spanned by the basis elements of F whose classes lie in K: each lies in
+    F n K, and they number [F n K : Q], the classes of F in K being those
+    of F n K.  So a point lies in E(K) iff the basis masks of its support
+    lie among them, one mask test.  E(K)[2^oo] is a finite subgroup of
+    E[2^oo] = (Q_2/Z_2)^2, so of rank at most 2: Z/(n/e) + Z/e with n its
+    order and e its exponent, the largest order of its points."""
+    classes, points = _genus1_two_points(model)
+    image = sum(1 << mask for mask, d in enumerate(classes) if K.contains_sqrt(d))
+    orders = [n for support, n in points if not support & ~image]
+    e = max(orders, default=1)
+    two = AbGroupStructure.from_summands(((len(orders) + 1) // e, e))
+    odd = (n for d in _twist_classes(model, K) for n in genus1_twist_torsion(model, d).factors)
     return AbGroupStructure.from_summands(odd).direct_sum(two)
 
 
+def _twist_classes(model: CurveModel, K) -> tuple[int, ...]:
+    """The classes d of K whose primes lie in the set S of `_twist_primes`,
+    none when S is empty: the classes of K n Q(zeta_m),
+    m = 8 * prod(odd p in S), as Q(sqrt d) lies in Q(zeta_m) iff |disc(d)|
+    divides m.  They come in the order of the classes of K: K n Q(zeta_m)
+    is a subfield of K, so its span is the part of the span of K that lies
+    in it, and both are sorted by `qfield._gen_key`."""
+    S = _twist_primes(model)
+    return K.cyclotomic_intersection(8 * math.prod(S - {2})).twist_classes() if S else ()
+
+
 @lru_cache(maxsize=256)
-def _genus1_twist_primes(model: CurveModel) -> frozenset:
-    """S for a genus-1 model E: E^d(Q)[odd] != 0 only for d = +- a product
-    of primes of S, empty when no d has it.  Gal(K/Q) of a multi-quadratic
-    K splits E(K)[odd] into E^d(Q)[odd] over the classes d of K, so it is
-    the sum over the classes of K n Q(zeta_m), m = 8 * prod(odd p in S).
+def _screen_orders(model: CurveModel) -> tuple[tuple[int, int, int], ...]:
+    """(p, L_p(1), L_p(-1)) at each screen prime p of the model
+    (`ellcurve.screen_primes`: odd, of good reduction): the orders of
+    J(F_p) and of its inert twist, which is J^d(F_p) for p not dividing d
+    and (d/p) = -1.  For genus 1, p + 1 -+ a_p from the traces of
+    `ellcurve._screen_traces`; for genus 2, from the zeta data of each
+    `Reduction`, which needs a good prime up to `ff.MAX_TABLE_ORDER`, else
+    ModelError."""
+    if model.genus == 1:
+        traces = ellcurve._screen_traces(*ellcurve.short_model(model.elliptic()))
+        return tuple((p, p + 1 - ap, p + 1 + ap) for p, ap in traces)
+    primes = ellcurve.screen_primes(lambda p: _reduction_or_none(model, p) is not None, ff.MAX_TABLE_ORDER)
+    if not primes:
+        raise ModelError(f"{model.label}: no odd prime of good reduction up to {ff.MAX_TABLE_ORDER}")
+    return tuple((p, *reduction(model, p).zeta[3:5]) for p in primes)
 
-    Which ell.  Let E^d(Q)[ell] != 0, ell odd, and p a screen prime
-    (`ellcurve._screen_traces`: odd, of good reduction).  Reduction at a
-    prime of Q(sqrt d) above p is injective on the prime-to-p torsion of
-    E(Q(sqrt d)), which holds E^d(Q), and its residue field lies in
-    F_{p^2}.  So ell divides g, the gcd over p of p * #E(F_{p^2}) =
-    p * ((p + 1)^2 - a_p^2), and ell <= 7 by Mazur, also when g = 0, with no
-    screen prime (Hasse's bound keeps each term nonzero).
 
-    Which d.  For d != 1 and 0 != P in E^d(Q)[ell], P in E(Q(sqrt d)) has
-    sigma P = -P != P, so Q(sqrt d) = Q(P) lies in Q(E[ell]), unramified
-    outside ell*N (Neron-Ogg-Shafarevich), N supported on `_bad_primes`.
-    Q(sqrt d) is ramified at each odd prime of d, so d is +- a product of
-    primes of S = {2} u ells u primes(N)."""
-    traces = ellcurve._screen_traces(*ellcurve.short_model(model.elliptic()))
-    g = math.gcd(*(p * ((p + 1) ** 2 - ap * ap) for p, ap in traces))
-    ells = {ell for ell in (3, 5, 7) if g % ell == 0}
+@lru_cache(maxsize=256)
+def _twist_primes(model: CurveModel) -> frozenset:
+    """S for a model of genus 1 or 2 with Jacobian J: J^d(Q)[odd] != 0 only
+    for d = +- a product of primes of S, and S is empty when no d has it.
+    Gal(K/Q) of a multi-quadratic K splits J(K)[odd] into J^d(Q)[odd] over
+    the classes d of K, so it is the sum over `_twist_classes`.
+
+    Which ell.  Let J^d(Q)[ell] != 0, ell odd, and (p, L_p(1), L_p(-1)) a
+    row of `_screen_orders`.  J^d(Q) is the group of classes of J(Q(sqrt d))
+    that the conjugation sigma negates (`genus2_twist_witness`; so for
+    genus 1).  J has good reduction at p, so the kernel of reduction at a
+    prime of Q(sqrt d) above p is pro-p (the formal group): reduction is
+    injective on the prime-to-p torsion, into J over a residue field inside
+    F_{p^2}.  So ell = p or ell divides #J(F_{p^2}) = L_p(1) * L_p(-1), and
+    ell divides g, the gcd over the rows of p * L_p(1) * L_p(-1), which is
+    not 0: there is a row, and L_p(+-1) >= (sqrt(p) - 1)^(2 genus) > 0.
+
+    Which d.  For d != 1 and 0 != P in J^d(Q)[ell], P in J(Q(sqrt d)) has
+    sigma P = -P != P, so Q(sqrt d) = Q(P) lies in Q(J[ell]), unramified
+    outside ell*N (Neron-Ogg-Shafarevich; Serre-Tate), with N supported on
+    2 and `_bad_primes`: the model stays smooth of its genus mod every
+    other prime.  Q(sqrt d) is ramified at each odd prime of d, so d is
+    +- a product of primes of S = {2} u odd primes(g) u primes(N)."""
+    g = math.gcd(*(p * order * twisted for p, order, twisted in _screen_orders(model)))
+    ells = set(factorize(g)) - {2}
     return frozenset({2} | ells | _bad_primes(model)) if ells else frozenset()
 
 
@@ -920,12 +915,9 @@ def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
     """Two-sided bounds on J(K)_tors of a genus-2 model: the 2-part from the
     Galois orbits on the Weierstrass points over K, the odd part from the
     rational classes, tightened against `upper` by the twist-sum bound and
-    by twisted witnesses.  The twists are the classes of K_S
-    (`K_S.twist_classes()`), which are exactly the classes d of K with
-    sqrt(d) in K_S, in the same order: K_S is a subfield of K, so its span
-    is the part of the span of K that lies in K_S, and both are sorted by
-    `qfield._gen_key`.  Twists outside K_S carry no odd torsion
-    (`torsion_support_field`, which only genus 2 builds)."""
+    by twisted witnesses.  The twists are the classes of `_twist_classes`,
+    or d = 1 alone when S is empty; no other class of K carries odd
+    torsion (`_twist_primes`)."""
     # 2-part: Weierstrass orbit analysis (exact whenever a rational
     # Weierstrass point exists and every factor has degree <= 3)
     two_lower, two_exact = hyperjac.two_torsion_galois(model.f_coeffs, K)
@@ -944,7 +936,7 @@ def _derive_genus2(model, K, primes, upper, trace) -> TorsionResult:
     odd_lower = q_lower.odd_part()
     odd_upper = upper.odd_part()
     if odd_lower != odd_upper:
-        twists = torsion_support_field(model, K, primes, upper).twist_classes()
+        twists = _twist_classes(model, K) or (1,)
         # tighten the upper prime by prime with the twist-sum bound
         refined = {}
         for ell, es in odd_upper.prime_exponents().items():

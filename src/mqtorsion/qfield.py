@@ -228,13 +228,10 @@ class MultiQuadField:
             raise QFieldError(f"{d} is not a nonzero squarefree integer")
         return False
 
-    def span(self) -> list[int]:
-        """All squarefree d with sqrt(d) in the field, including 1.
-        Sorted by (|d|, sign); cardinality 2^n."""
-        return list(self._span[1])
-
     def signature(self) -> tuple[int, ...]:
-        """Canonical identity of the field: its full sorted span."""
+        """Canonical identity of the field: its full span, all squarefree d
+        with sqrt(d) in the field, including 1, sorted by (|d|, sign);
+        cardinality 2^n."""
         return self._span[1]
 
     @property
@@ -308,9 +305,9 @@ class MultiQuadField:
             self._degrees[p] = (f, at_p != 0)
         return self._degrees[p]
 
-    def twist_classes(self) -> list[int]:
-        """The full span including the trivial twist 1."""
-        return self.span()
+    def twist_classes(self) -> tuple[int, ...]:
+        """The full span including the trivial twist 1: the signature."""
+        return self.signature()
 
     # -- elements --------------------------------------------------------
 

@@ -110,11 +110,12 @@
   `groups.scalar_mul` ladder per prime dividing it (`ellcurve.has_order`).
 - The per-field stages of derive, as they were computed for every field K
   (`reduction_bound_per_field`, `genus1_odd_part_per_field`,
-  `genus2_twists_by_filter`, `weierstrass_orbits_per_call`) and the
+  `twists_by_filter`, `weierstrass_orbits_per_call`) and the
   canonical form of a direct sum built afresh (`from_summands_uncached`).
   Production computes each once per distinct input it reads: the residue
-  degrees at the primes, the twist d of a genus-1 odd summand, the field
-  K_S, the polynomial F and the summand tuple.
+  degrees at the primes, the twist d of a genus-1 odd summand, the
+  field K n Q(zeta_m) of the twist classes, the polynomial F and the
+  summand tuple.
 - The questions asked of a multi-quadratic field, answered by enumerating
   its span as frozenset vectors (`enumerated_classes`): membership, residue
   degrees, cyclotomic intersections, the signature and the lower
@@ -1517,17 +1518,18 @@ def reduction_bound_per_field(model: CurveModel, K, primes) -> AbGroupStructure:
 def genus1_odd_part_per_field(model: CurveModel, K) -> AbGroupStructure:
     """J(K)[odd] of a genus-1 model as the direct sum, one twist class of K
     at a time, of the odd torsion of each twist (production reads only the
-    classes of K whose primes lie in `mwtors._genus1_twist_primes`)."""
+    classes of K whose primes lie in `mwtors._twist_primes`)."""
     odd = AbGroupStructure.trivial()
     for d in K.twist_classes():
         odd = from_summands_uncached(odd.factors + twist_odd_torsion_q(model.elliptic(), d).factors)
     return odd
 
 
-def genus2_twists_by_filter(K, K_S) -> list[int]:
-    """The twist classes of K with sqrt(d) in K_S (production lists the
-    classes of K_S)."""
-    return [d for d in K.twist_classes() if K_S.contains_sqrt(d)]
+def twists_by_filter(K, S) -> list[int]:
+    """The twist classes of K whose primes all lie in S, none when S is
+    empty (production lists the classes of K n Q(zeta_m),
+    m = 8 * prod(odd p in S))."""
+    return [d for d in K.twist_classes() if S and set(factorize(abs(d))) <= S]
 
 
 def weierstrass_orbits_per_call(F, K) -> tuple[list[int], bool]:

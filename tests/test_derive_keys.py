@@ -4,17 +4,19 @@ reads, and each such key is checked here against the per-field path of
 matrix, for every model the stage applies to, and on random fields of up to
 6 generators.  The memos under test are cleared first, and no reference
 reads them.  The genus-1 2-part, read from one search per model, is checked
-against the affine reference search over K_S and over every subfield of
+against the affine reference search over K n M_E and over every subfield of
 M_E = Q(sqrt(-1), sqrt(2), sqrt(p) : odd p | N), the field that holds
 every point of 2-power order over every K, for the builtin models and for
-random curves.  The genus-1 odd part, read over the classes of K whose
-primes lie in the model's set S, is checked against the sum over all the
+random curves.  The twists of both genera are the classes of K whose
+primes lie in the model's set S, whatever the primes of the call; the
+genus-1 odd part read over them is checked against the sum over all the
 twist classes of K, and the genus-1 table against T on every
-multi-quadratic subfield of Q(zeta_N), which proves it for every K.  A derive over 12 generators builds
-the span of K only for its signature."""
+multi-quadratic subfield of Q(zeta_N), which proves it for every K.  A
+derive over 12 generators builds the span of K only for its signature."""
 
 import math
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,9 +30,9 @@ from mqtorsion.qfield import QQ_FIELD, MultiQuadField, all_subfields
 from reference import (
     from_summands_uncached,
     genus1_odd_part_per_field,
-    genus2_twists_by_filter,
     reduction_bound_per_field,
     torsion_over_tower,
+    twists_by_filter,
     two_primary_over_tower_affine,
     weierstrass_orbits_per_call,
 )
@@ -43,8 +45,8 @@ MODELS = [mwtors.get_model(label) for label in sorted(mwtors.model_registry())]
 GENUS1 = [m for m in MODELS if m.genus == 1]
 GENUS2 = [m for m in MODELS if m.genus == 2]
 MEMOS = (
-    mwtors._reduction_meet, mwtors._genus1_twist_primes, mwtors.genus1_twist_torsion, mwtors._genus1_two_primary,
-    mwtors._genus1_two_points, hyperjac._weierstrass_factors, groups._from_summands,
+    mwtors._reduction_meet, mwtors._screen_orders, mwtors._twist_primes, mwtors.genus1_twist_torsion,
+    mwtors._genus1_two_primary, mwtors._genus1_two_points, hyperjac._weierstrass_factors, groups._from_summands,
 )
 
 POOL = sorted({s * d for d in (-1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29) for s in (1, -1)} - {1})
@@ -63,26 +65,22 @@ def cleared_memos():
 
 
 @contextmanager
-def counted(name):
-    """The arguments of each call of `ellcurve.<name>` in the block, which
+def counted(name, module=ellcurve):
+    """The arguments of each call of `module.<name>` in the block, which
     derive looks up in the module on every call: the curve (A, B) of each
     `two_primary_over_tower` search, the (E, d) of each
-    `twist_odd_torsion_q`."""
-    calls, f = [], getattr(ellcurve, name)
-    setattr(ellcurve, name, lambda *args: calls.append(args) or f(*args))
+    `twist_odd_torsion_q`, the (model, d, ell, ...) of each twist bound or
+    witness of `mwtors`."""
+    calls, f = [], getattr(module, name)
+    setattr(module, name, lambda *args: calls.append(args) or f(*args))
     try:
         yield calls
     finally:
-        setattr(ellcurve, name, f)
+        setattr(module, name, f)
 
 
 def admits(model, K) -> bool:
     return model.zeta_gen is None or K.contains_sqrt(model.zeta_gen)
-
-
-def support_field(model, K):
-    upper = reduction_bound_per_field(model, K, model.primes)
-    return mwtors.torsion_support_field(model, K, model.primes, upper)
 
 
 def check_reduction_bound(model, K):
@@ -99,9 +97,10 @@ def check_genus1_odd_part(model, K):
 
 
 def check_genus1_two_part(model, K):
-    """The 2-part over K_S read from the search against the affine
-    reference search over K_S."""
-    check_read(model, support_field(model, K), model.primes)
+    """The 2-part over K read from the search against the affine reference
+    search over K n Q(zeta_m), m = 8 * prod(odd p | N), which holds K n M_E
+    and so every point of 2-power order over K."""
+    check_read(model, K, model.primes, K.cyclotomic_intersection(8 * math.prod(mwtors._bad_primes(model) - {2})))
 
 
 def search_field(model) -> MultiQuadField:
@@ -116,27 +115,29 @@ def check_search_field(model, M):
     assert all(M.contains_sqrt(d) for d in F.gens), (model.label, F)
 
 
-def check_read(model, K, primes):
+def check_read(model, K, primes, over=None):
     """The 2-part over K read from the search against the affine reference
-    search over K, capped by the 2-exponent of the reductions at the
-    primes over K."""
+    search over K, or over a subfield `over` of K that holds K n M_E,
+    capped by the 2-exponent of the reductions at the primes over K."""
     A, B = ellcurve.short_model(model.elliptic())
     cap = reduction_bound_per_field(model, K, primes).ell_part(2).exponent
-    expect = two_primary_over_tower_affine(A, B, K, cap)[0]
+    expect = two_primary_over_tower_affine(A, B, K if over is None else over, cap)[0]
     assert mwtors._genus1_torsion(model, K).ell_part(2) == expect, (model.label, K)
 
 
 def every_subfield(M) -> set:
     """Every subfield of M, each the span of a subset of its square classes."""
     out = {QQ_FIELD}
-    for d in M.span()[1:]:
+    for d in M.signature()[1:]:
         out |= {MultiQuadField([*K.gens, d]) for K in out}
     return out
 
 
-def check_genus2_twists(model, K):
-    K_S = support_field(model, K)
-    assert K_S.twist_classes() == genus2_twists_by_filter(K, K_S), (model.label, K)
+def check_twists(model, K):
+    """The twist classes of K n Q(zeta_m) against the classes of K filtered
+    by their primes."""
+    expect = twists_by_filter(K, mwtors._twist_primes(model))
+    assert list(mwtors._twist_classes(model, K)) == expect, (model.label, K)
 
 
 def check_weierstrass_orbits(F, K):
@@ -204,7 +205,7 @@ class TestOnTheMatrix:
     @pytest.mark.parametrize("model", GENUS2, ids=lambda m: m.label)
     def test_genus2_twists(self, model):
         for K in MATRIX:
-            check_genus2_twists(model, K)
+            check_twists(model, K)
 
     @pytest.mark.parametrize("model", GENUS2, ids=lambda m: m.label)
     def test_weierstrass_orbits(self, model):
@@ -271,14 +272,29 @@ class TestOnRandomFields:
         with counted("two_primary_over_tower") as searches:
             check_search_field(model, M)
             for _ in range(3):
-                check_read(model, MultiQuadField(data.draw(st.lists(st.sampled_from(M.span()[1:]), max_size=4))), primes)
+                check_read(model, MultiQuadField(data.draw(st.lists(st.sampled_from(M.signature()[1:]), max_size=4))), primes)
         assert len(searches) == 1
 
     @PROPERTY
     @given(K=fields)
     def test_genus2_twists(self, K):
         for model in GENUS2:
-            check_genus2_twists(model, K)
+            check_twists(model, K)
+
+    @PROPERTY
+    @given(K=fields, primes=st.lists(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31)), min_size=1, max_size=3))
+    def test_genus2_twists_do_not_depend_on_the_primes(self, K, primes):
+        """Every twist d that a genus-2 derive bounds or searches for a
+        witness is a class of K with primes in S, or d = 1 when S is empty,
+        whatever the primes of the call, a lone prime outside S included."""
+        for model, call in product(GENUS2, (primes, primes[:1])):
+            allowed = twists_by_filter(K, mwtors._twist_primes(model)) or [1]
+            with counted("twist_ell_upper", mwtors) as bounds, counted("genus2_twist_witness", mwtors) as witnesses:
+                try:
+                    mwtors.derive_torsion(model, K, call)
+                except (mwtors.ModelError, ellcurve.BadReduction):
+                    continue  # a bad prime, or a part no prime of the call bounds
+            assert {d for _, d, *_ in bounds + witnesses} <= set(allowed), (model.label, K, call)
 
     @PROPERTY
     @given(
@@ -335,9 +351,9 @@ def level_field(model) -> MultiQuadField:
 
 def odd_twists(model) -> list:
     """D: (d, factors of E^d(Q)[odd]) for each +- product d of the primes
-    of `_genus1_twist_primes` whose twist has odd torsion, every other d
+    of `_twist_primes` whose twist has odd torsion, every other d
     having none.  Production tries only the classes of each K."""
-    S = mwtors._genus1_twist_primes(model)
+    S = mwtors._twist_primes(model)
     classes = MultiQuadField([-1, *S]).twist_classes() if S else ()
     return [(d, group.factors) for d in classes if (group := mwtors.genus1_twist_torsion(model, d)).order > 1]
 
@@ -376,16 +392,16 @@ class TestGenus1Theorem:
 
     @pytest.mark.parametrize("label", ["X1(15)", "X1(2,12)", "X1(4,8)", "n = 3 * 5 * ... * 41"])
     def test_no_twist_is_tried_when_no_odd_prime_bounds_the_reductions(self, label):
-        """No odd prime ell <= 7 divides every p * #E(F_{p^2}) at the screen
-        primes: S is empty, and no twist is tried over any K, for 12 odd
-        bad primes too."""
+        """No odd prime divides every p * #E(F_{p^2}) at the screen primes:
+        S is empty, and no twist is tried over any K, for 12 odd bad primes
+        too."""
         if label.startswith("n"):
             n = math.prod([p for p in range(3, 42) if is_prime(p)])
             model = mwtors.CurveModel(label, (1, 1), 1, None, (0, 0, 0, -n * n, 0), None, "test")
         else:
             model = mwtors.get_model(label)
         with counted("twist_odd_torsion_q") as twists:
-            assert mwtors._genus1_twist_primes(model) == frozenset()
+            assert mwtors._twist_primes(model) == frozenset()
             assert mwtors._genus1_torsion(model, MultiQuadField([-1, 2, 3, 5, 7])).odd_part().order == 1
         assert twists == []
 
@@ -397,7 +413,7 @@ class TestGenus1Theorem:
         Q(sqrt 5, sqrt 7, sqrt 13), each twist once per model."""
         a3 = 7 * 13 * 19 * 31 * 37 * 43
         model = mwtors.CurveModel("a3", (1, 3), 1, None, (1, 0, a3, 0, 0), None, "test", primes=(5, 11))
-        assert {3, 7, 13, 19, 31, 37, 43} < mwtors._genus1_twist_primes(model)
+        assert {3, 7, 13, 19, 31, 37, 43} < mwtors._twist_primes(model)
         with counted("twist_odd_torsion_q") as twists:
             assert mwtors.derive_torsion(model, QQ_FIELD).lower == AbGroupStructure.cyclic(3)
             assert [d for _, d in twists] == [1]
@@ -425,19 +441,19 @@ class TestGenus1Theorem:
         assert T.odd_part() == genus1_odd_part_per_field(model, K)
         assert T == torsion_over_tower(model.elliptic(), K)
 
-    def test_derive_builds_no_support_field(self, monkeypatch):
-        """A genus-1 derive reads T over K itself: with K_S refused, it
-        still gives the table on every matrix field."""
-
-        def refused(*args):
-            raise AssertionError("torsion_support_field on a genus-1 model")
-
-        monkeypatch.setattr(mwtors, "torsion_support_field", refused)
-        for model in GENUS1:
-            for K in MATRIX:
-                if admits(model, K):
-                    result = mwtors.derive_torsion(model, K)
-                    assert result.closed and result.lower.factors == mwtors.table_lookup(model.label, K)
+    def test_derive_builds_no_support_field(self):
+        """Both genera take their twists from `_twist_classes` over K
+        itself, with no support field of their own: every genus-1 derive
+        lists them once, and so does every genus-2 derive that enters its
+        twist loops, and each gives the table on every matrix field."""
+        with counted("_twist_classes", mwtors) as calls:
+            for model in MODELS:
+                for K in MATRIX:
+                    if admits(model, K):
+                        calls.clear()
+                        result = mwtors.derive_torsion(model, K)
+                        assert result.closed and result.lower.factors == mwtors.table_lookup(model.label, K)
+                        assert calls == [(model, K)] or model.genus == 2 and calls == [], (model.label, K)
 
 
 def test_an_unbounded_part_is_refused_on_every_call():

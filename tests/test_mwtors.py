@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mqtorsion import hyperjac, mwtors
+from mqtorsion import ellcurve, hyperjac, mwtors
 from mqtorsion.ellcurve import BadReduction
 from mqtorsion.groups import AbGroupStructure, subgroup_span
 from mqtorsion.intutil import is_prime, is_squarefree
@@ -23,7 +24,6 @@ from mqtorsion.mwtors import (
     model_registry,
     reduction_bound,
     table_lookup,
-    torsion_support_field,
     torsion_table,
     verify_model_integrity,
 )
@@ -268,62 +268,104 @@ SIGNED_PRIMES = [-1] + [s * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) for 
 
 
 class TestTorsionSupportField:
-    def test_tower_fields_collapse_to_level_field(self):
-        model = get_model("X1(15)")
-        K = MultiQuadField([-3, 5, 11, -17, 23])
-        upper = reduction_bound(model, K, model.primes)
-        assert torsion_support_field(model, K, model.primes, upper) == MultiQuadField([-3, 5])
+    """The odd torsion of J(K) lives on the twist classes of K whose primes
+    lie in S (`mwtors._twist_primes`), one set per model for both genera:
+    the classes of K n Q(zeta_m), m = 8 * prod(odd p in S)
+    (`mwtors._twist_classes`)."""
 
-    def test_lone_reduction_prime_stays(self):
-        # reduction at 3 alone does not bound the 3-part, so sqrt(3) is kept
-        model = get_model("X1(11)")
-        K = MultiQuadField([3, 13])
-        upper = reduction_bound(model, K, (3,))
-        assert 3 not in upper.prime_exponents()
-        assert torsion_support_field(model, K, (3,), upper) == MultiQuadField([3])
-        assert torsion_support_field(model, K, (3, 5), reduction_bound(model, K, (3, 5))) == QQ_FIELD
+    def test_tower_fields_collapse_to_level_field(self):
+        # S = {2, 3, 7} for X1(14): its twists over a tower are those of
+        # Q(sqrt(-7), sqrt(2))
+        model = get_model("X1(14)")
+        K = MultiQuadField([-7, 2, 11, -17, 23])
+        assert mwtors._twist_classes(model, K) == (1, 2, -7, -14)
+        assert derive_torsion(model, K).lower.odd_part() == derive_torsion(model, MultiQuadField([-7, 2])).lower.odd_part()
 
     def test_torsion_ramified_at_a_good_prime(self):
         # 19a2 has good reduction at 3, and its 3-isogeny has kernel mu_3: a
-        # 3-torsion point over Q(sqrt(-3)).  Only the 3 of `upper` keeps sqrt(-3).
+        # 3-torsion point over Q(sqrt(-3)).  Only the 3 of g keeps sqrt(-3).
         model = CurveModel("19a2", (1, 19), 1, None, (0, 1, 1, -769, -8470), None, "test")
         K = MultiQuadField([-3, 11])
         r = derive_torsion(model, K, (5, 7))
         assert r.closed and r.lower == G(3)
-        assert torsion_support_field(model, K, (5, 7), r.upper) == MultiQuadField([-3])
+        assert mwtors._bad_primes(model) == {19} and 3 in mwtors._twist_primes(model)
+        assert mwtors._twist_classes(model, K) == (1, -3)
+
+    def test_genus2_torsion_ramified_at_a_good_prime(self):
+        """The genus-2 analogue: C: y^2 = g(x^2 + 2), with Y^2 = g(X) =
+        X^3 + 4X^2 - 144X - 944 the curve 19a1 scaled by 4.  The double
+        cover (x, y) -> (x^2 + 2, y) of 19a1 pulls its points back into J
+        with a kernel of exponent 2, and 19a1[3] = Z/3 + mu_3, so J holds
+        Z/3 x Z/3 over Q(sqrt(-3)), its mu_3 in the -3 twist.  C is good at
+        3, which divides d = -3: J^d(F_3) bounds nothing there, and the
+        order screen skips it."""
+        model = CurveModel("19a1 / 2", (1, 1), 2, None, None, (-1208, 0, -116, 0, 10, 0, 1), "test")
+        E = ellcurve.EllipticCurve.from_ints(QQ, (0, 1, 1, -9, -15), "19a1")
+        K = MultiQuadField([-3])
+        assert 3 not in mwtors._bad_primes(model) and torsion_over_tower(E, K).ell_part(3) == G(3, 3)
+        assert G(3, 3).embeds_in(derive_torsion(model, K, (5, 7)).upper)
 
     @PROPERTY
     @given(st.sampled_from(GENUS1), st.lists(st.sampled_from(SIGNED_PRIMES), max_size=4))
     @example("X1(3,9)", [2, -3])  # the -3 twist carries 3-torsion
     def test_reduced_field_has_the_same_torsion(self, label, gens):
+        # the twist classes and every point of 2-power order over K lie in
+        # K n Q(zeta_m), m = 8 * prod(odd p in S or bad)
         model = get_model(label)
         K = MultiQuadField(gens)
-        primes = model.primes
-        upper = reduction_bound(model, K, primes)
-        K_S = torsion_support_field(model, K, primes, upper)
-        assert all(K.contains_sqrt(d) for d in K_S.gens)
+        odd = (mwtors._twist_primes(model) | mwtors._bad_primes(model)) - {2}
+        M = K.cyclotomic_intersection(8 * math.prod(odd))
+        assert all(M.contains_sqrt(d) for d in mwtors._twist_classes(model, K))
         E = model.elliptic()
         exact = torsion_over_tower(E, K)
-        assert exact == torsion_over_tower(E, K_S)
+        assert exact == torsion_over_tower(E, M)
         # derive's path: T read over K itself, the odd part over the classes
         # of K with primes in S, the 2-part from the one search of the model
         assert mwtors._genus1_torsion(model, K) == exact
 
+    def test_the_sets_of_the_genus2_models(self):
+        S = {label: mwtors._twist_primes(get_model(label)) for label in ("X1(13)", "X1(16)", "X1(18)")}
+        assert S == {"X1(13)": {2, 13, 19}, "X1(16)": {2, 5}, "X1(18)": {2, 3, 7}}
+
     def test_genus2_support_from_the_discriminant(self):
-        # X1(18): disc(F) * lc(F) = -2^15 * 3^4, and upper = [3, 21] over
-        # Q(sqrt(2), sqrt(13), sqrt(-15), sqrt(23)), so S = {2, 3, 7}
+        # X1(18): disc(F) * lc(F) = -2^15 * 3^4, and g has the odd primes 3
+        # and 7, so S = {2, 3, 7}, whatever the reduction bound over K
         model = get_model("X1(18)")
         K = MultiQuadField([2, 13, -15, 23])
-        upper = reduction_bound(model, K, model.primes)
-        assert upper == G(3, 21)
-        assert torsion_support_field(model, K, model.primes, upper) == MultiQuadField([2])
+        assert mwtors._bad_primes(model) == {2, 3}
+        assert mwtors._twist_classes(model, K) == (1, 2)
 
     def test_genus2_twists_outside_support_closed(self):
-        # every twist outside K_S carries no odd torsion; derive mode used
-        # to leave this field open at lower [21], upper [3, 21]
+        # every twist class of K outside S carries no odd torsion; derive
+        # mode used to leave this field open at lower [21], upper [3, 21]
         K = MultiQuadField([2, 13, -15, 23])
         r = torsion_table("X1(18)", K, "derive")
         assert r.closed and r.lower == r.upper == torsion_table("X1(18)", K, "table").lower == G(21)
+
+    def test_no_good_odd_prime_below_the_screen_cap(self):
+        """y^2 = x^3 - n^2 x, n the product of the odd primes below 50, is
+        bad at each of them.  The screen reaches the least good odd prime,
+        53, whose row is #E(F_53) and its twist's 2 * 54 - #E(F_53), counted
+        here point by point; so g = 53 * #E(F_{53^2}) is not 0, and S is
+        finite: 2, the bad primes and the odd primes of g."""
+        n = math.prod(p for p in range(3, 50) if is_prime(p))
+        model = CurveModel("n", (1, 1), 1, None, (0, 0, 0, -n * n, 0), None, "test")
+        count = 1 + sum(1 for x in range(53) for y in range(53) if (y * y - x**3 + n * n * x) % 53 == 0)
+        assert mwtors._screen_orders(model) == ((53, count, 108 - count),)
+        odd_g = {p for p in range(3, 54) if is_prime(p) and 53 * count * (108 - count) % p == 0}
+        S = {2} | {p for p in range(3, 50) if is_prime(p)} | odd_g
+        assert mwtors._twist_primes(model) == S and 53 in S
+        assert mwtors._twist_classes(model, MultiQuadField([-1, 3, 59])) == (1, -1, 3, -3)
+
+    def test_no_good_odd_prime_up_to_the_table_order(self, monkeypatch):
+        # y^2 = 2x^6 + x^5 + 1 reduces to no curve that `Reduction` takes
+        # at any odd prime, as its leading coefficient is never 1 mod p; with
+        # no good prime up to the largest F_p table, there is no screen and
+        # no S
+        monkeypatch.setattr(mwtors.ff, "MAX_TABLE_ORDER", 60)
+        model = CurveModel("2x^6", (1, 1), 2, None, None, (1, 0, 0, 0, 0, 1, 2), "test")
+        with pytest.raises(ModelError, match="no odd prime of good reduction up to 60"):
+            mwtors._twist_primes(model)
 
 
 class TestRandomFieldsDeriveEqualsTable:

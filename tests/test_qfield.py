@@ -76,12 +76,12 @@ class TestSpan:
     @pytest.mark.parametrize("gens", [(2,), (-1, 2), (-3, 5), (-1, 2, 7), (2, 3, 5)])
     def test_span_matches_brute_force(self, gens):
         K = MultiQuadField(gens)
-        assert set(K.span()) == brute_span(gens)
+        assert set(K.signature()) == brute_span(gens)
 
     @pytest.mark.parametrize("gens", [(-1, 2), (-3, 5, 7)])
     def test_span_group_closure(self, gens):
         K = MultiQuadField(gens)
-        span = K.span()
+        span = K.signature()
         for a in span:
             for b in span:
                 prod = a * b
@@ -140,7 +140,7 @@ class TestResidueDegree:
             f, ram = K.residue_degree(p)
             brute_f = 1
             brute_ram = False
-            for d in K.span():
+            for d in K.signature():
                 if d == 1:
                     continue
                 if d % p == 0:
@@ -154,9 +154,9 @@ class TestResidueDegree:
 
 class TestTwistClasses:
     def test_examples(self):
-        assert MultiQuadField([-3, 5]).twist_classes() == [1, -3, 5, -15]
-        assert QQ_FIELD.twist_classes() == [1]
-        assert MultiQuadField([-7]).twist_classes() == [1, -7]
+        assert MultiQuadField([-3, 5]).twist_classes() == (1, -3, 5, -15)
+        assert QQ_FIELD.twist_classes() == (1,)
+        assert MultiQuadField([-7]).twist_classes() == (1, -7)
 
     def test_cardinality(self):
         K = MultiQuadField([-1, 2, 5])
@@ -327,7 +327,7 @@ class TestEmbedding:
     def test_project_inverts_lift(self, case):
         K, L, _, v, _ = case
         assert project(K, lift(L, v)) == v
-        for d in K.span():
+        for d in K.signature():
             assert project(K, lift(L, K.sqrt_gen(d))) == K.sqrt_gen(d)
 
     @PROPERTY
@@ -386,7 +386,7 @@ class TestClassTable:
         K = MultiQuadField(gens)
         assert K.degree <= 64
         classes = {squarefree_part(prod) for prod in K.gen_products}
-        assert K.span() == sorted(classes, key=lambda d: (abs(d), d < 0))
+        assert list(K.signature()) == sorted(classes, key=lambda d: (abs(d), d < 0))
         for d in SIGNED + sorted(classes):
             assert K.contains_sqrt(d) == (d in classes)
         for d in classes:
@@ -399,9 +399,9 @@ class TestClassTable:
     @given(st.lists(st.sampled_from(SIGNED), max_size=6), st.sampled_from([8, 12, 15, 24, 120, 840]))
     def test_subfields_match_their_definitions(self, gens, n):
         K = MultiQuadField(gens)
-        keep = [d for d in K.span() if n % abs(d if d % 4 == 1 else 4 * d) == 0]
+        keep = [d for d in K.signature() if n % abs(d if d % 4 == 1 else 4 * d) == 0]
         assert K.cyclotomic_intersection(n) == MultiQuadField([d for d in keep if d != 1])
-        v = sum((K.sqrt_gen(d) for d in K.span()[::3]), K.zero())
+        v = sum((K.sqrt_gen(d) for d in K.signature()[::3]), K.zero())
         ds = [squarefree_part(K.gen_products[m]) for m, c in enumerate(v.coords) if c and m]
         assert support_gens(v) == MultiQuadField(ds)
 
@@ -470,7 +470,7 @@ class TestIntegerForm:
         v, w = tower_elem(K, a), tower_elem(K, b)
         results = [v, w, v + w, v - w, v - v, -v, v * w, v * v, conjugate(v, (-1,) * len(K.gens))]
         results += [v.scale(6, -4), v.scale(0, 3), v.scale(1, 2)]
-        results += [K.zero(), K.one(), K.from_rational(Fraction(-6, 4))] + [K.sqrt_gen(d) for d in K.span()]
+        results += [K.zero(), K.one(), K.from_rational(Fraction(-6, 4))] + [K.sqrt_gen(d) for d in K.signature()]
         if not w.is_zero():
             results += [w.inverse(), v / w]
         assert all(is_canonical(r) for r in results)
@@ -555,7 +555,7 @@ class TestSubspaceOperations:
     @PROPERTY
     @given(K=fields, extra=st.lists(st.integers(-3000, 3000), max_size=8))
     def test_contains_sqrt(self, K, extra):
-        for d in [*POOL47, *K.span(), *extra]:
+        for d in [*POOL47, *K.signature(), *extra]:
             try:
                 expect = contains_sqrt_by_span(K, d)
             except QFieldError:
@@ -580,7 +580,7 @@ class TestSubspaceOperations:
     @given(K=fields)
     def test_signature_twist_classes_and_lower(self, K):
         assert K.signature() == signature_by_span(K)
-        assert K.twist_classes() == list(signature_by_span(K))
+        assert K.twist_classes() == signature_by_span(K)
         n = len(K.gens)
         assert list(K.gen_products) == [prod(K.gens[i] for i in range(n) if m >> i & 1) for m in range(2**n)]
         if K.gens:
@@ -598,7 +598,7 @@ class TestSubspaceOperations:
         """The span from its generators, from all its classes in any order,
         and from the generators with products of pairs mixed in."""
         K = MultiQuadField(gens)
-        classes = data.draw(st.permutations(K.span()[1:]))
+        classes = data.draw(st.permutations(K.signature()[1:]))
         pairs = [squarefree_part(a * b) for a, b in zip(gens, gens[1:]) if squarefree_part(a * b) != 1]
         assert MultiQuadField(classes) is K
         assert MultiQuadField(pairs + gens[::-1]) is K
