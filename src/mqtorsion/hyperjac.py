@@ -80,8 +80,9 @@ class HyperCurve:
         object.__setattr__(self, "kit", poly.kernels(domain))
         if pdegree(F) not in (5, 6):
             raise JacError("degree must be 5 or 6")
-        d, _, _ = pgcdext(domain, F, pderiv(domain, F))
-        if pdegree(d) != 0:
+        # over Q disc(F), the resultant of F and F' with no Bezout cofactors, as in
+        # `_weierstrass_factors`; over any other domain gcd(F, F')
+        if poly.discriminant(F) == 0 if domain is poly.QQ else pdegree(pgcdext(domain, F, pderiv(domain, F))[0]) > 0:
             raise JacError("model is singular")
         if pdegree(F) == 6 and F[-1] != domain.one and _is_square(domain, F[-1]):
             raise JacError("degree-6 models must be monic, or have a non-square leading coefficient over F_q or Q")

@@ -246,7 +246,8 @@ class Reduction:
     """One good reduction of a genus-2 model y^2 = F(x) at an odd prime p,
     built once per (model, p) by `reduction`: the curve over F_p and over
     F_{p^2}, their zeta data, and the censuses of J(F_p), J(F_{p^2}) and
-    the inert twist, each made on first use.
+    the inert twist, each made on first use.  `curve2`, with the F_{p^2}
+    tables, is built only when `zeta2` or a draw from `census(2)` needs it.
 
     - `curve` over F_p, and `zeta`, the (N1, N2, L, #J, L(-1)) of
       `hyperjac.zeta_order`, counted over F_p.  If alpha_1..alpha_4 are the
@@ -266,8 +267,8 @@ class Reduction:
     - `census(f)`, f = 1 or 2, the `Census` of J(F_{p^f}); `twist`, the
       `Census` of the inert twist y^2 = F/n over F_p, n the non-residue r
       of `ff.make_field(p, 2)`: a quintic, or a sextic inert at infinity,
-      its leading coefficient 1/n a non-square.  No F_{p^2} table is built
-      for it.
+      its leading coefficient 1/n a non-square, built when a class of it
+      is drawn.  No F_{p^2} table is built for it.
     - `twist_census(d)`, the census of J^d(F_p) for the quadratic twist
       y^2 = d*F(x): J(F_p) when d is a square mod p, else the inert twist,
       as y^2 = d*F is then isomorphic over F_p to y^2 = F/n (d*n is a
@@ -317,17 +318,21 @@ class Reduction:
 
     def census(self, f: int) -> "Census":
         if f not in self._census:
-            C = self.curve if f == 1 else self.curve2
             _, _, _, order, twisted_order = self.zeta
-            self._census[f] = Census(self, C, order if f == 1 else order * twisted_order, f)
+            if f == 1:
+                self._census[f] = Census(self, lambda: self.curve, order, 1)
+            else:
+                self._census[f] = Census(self, lambda: self.curve2, order * twisted_order, 2)
         return self._census[f]
 
     @cached_property
     def twist(self) -> "Census":
+        return Census(self, self._twist_curve, self.zeta[4], 1)
+
+    def _twist_curve(self) -> hyperjac.HyperCurve:
         t = self.curve.domain.tables
         ninv = t.inv[t.from_int(ff.make_field(self.p, 2).r)]
-        C = hyperjac.HyperCurve(self.curve.domain, [t.mul[c][ninv] for c in self.curve.F], self.model.label)
-        return Census(self, C, self.zeta[4], 1)
+        return hyperjac.HyperCurve(self.curve.domain, [t.mul[c][ninv] for c in self.curve.F], self.model.label)
 
     def twist_census(self, d: int) -> "Census":
         if d % self.p == 0:
@@ -335,41 +340,82 @@ class Reduction:
         return self.census(1) if kronecker(d, self.p) == 1 else self.twist
 
 
+def _partitions(e: int, r: int, cap: int):
+    """The partitions of e into r parts of at most cap, each as a tuple of
+    its parts in descending order."""
+    if r == 0:
+        if e == 0:
+            yield ()
+        return
+    for first in range(min(cap, e - r + 1), -(-e // r) - 1, -1):
+        for rest in _partitions(e - first, r - 1, first):
+            yield (first, *rest)
+
+
 class Census:
     """A group of a `Reduction`, J(F_{p^f}) for f = 1 or 2 (the residue
     degrees of a multi-quadratic field) or the inert twist over F_p, as a
     collection `classes` of its elements whose Sylow subgroups are spanned
-    on demand.  `classes` is the lazy `hyperjac.ClassStream` of `curve`,
-    its order N given by the reduction's zeta function over F_p, so no
-    count over F_{p^4} is made; `degree` is the f with the group rational
-    over F_{p^f}, 1 for the twist.  A span of ell follows
-    `groups.sylow_subgroups`: with ell^e || N and m = N/ell^e,
-    m * J = S_ell, and a span of images m*x with ell^e elements is S_ell, so
-    the span stops drawing classes as soon as it has ell^e elements.
+    on demand.  Its order N is given by the reduction's zeta function over
+    F_p, so no count over F_{p^4} is made; `degree` is the f with the group
+    rational over F_{p^f}, 1 for the twist.  `classes` is the lazy
+    `hyperjac.ClassStream` of the curve that the function `make_curve`
+    builds when the first class is drawn, so a census read from its order
+    and from the other censuses builds no curve, and for f = 2 no F_{p^2}
+    table.  A span of ell follows `groups.sylow_subgroups`: with
+    ell^e || N and m = N/ell^e, m * J = S_ell, and a span of images m*x
+    with ell^e elements is S_ell, so the span stops drawing classes as soon
+    as it has ell^e elements.
 
     `sylow(ell)` spans S_ell once, on first use, as a `groups.Span` that
     carries one relation row per generator, and `ell_pairs(ell)` reads
     J[ell] from it.  `exponents(ell)` takes the ell-part of the group by
     the first of these that applies, and `structure` assembles the parts:
     - ell || N: S_ell is Z/ell, and nothing is spanned.
-    - ell = 2, 2^e || N, and the 2-rank r of `two_rank` is 1, e - 1 or e:
-      the only partition of e into r parts is (e - r + 1, 1, ..., 1).
-    - ell = 2 and any other r > 0: from 2*S_2 (`_two_exponents`).
+    - ell = 2, 2^e || N: the one partition of e that the 2-part rule
+      below leaves (`_two_partitions`), or, when it leaves more than one,
+      the span of 2*S_2 (`_two_exponents`).
     - ell odd, f = 2: S_ell(J(F_p)) + S_ell(J^tw(F_p)), read from the
       censuses `census(1)` and `twist` of the reduction (the proof is in
       the `Reduction` docstring).
     - otherwise the Smith form of the relation rows of `sylow(ell)`.
+
+    The 2-part rule.  The exponents of S_2 are a partition of e into r
+    parts, r = `two_rank`, its number of cyclic factors; r = 1, e - 1 or e
+    leaves only (e - r + 1, 1, ..., 1).  For f = 2 the parts are at most
+    c + 1, and in descending order each is at least the part in the same
+    place of A = J(F_p)[2^oo] and of B = J^tw(F_p)[2^oo], 2^c the larger of
+    their exponents.  Proof.  Let s be the p-th power Frobenius on
+    S_2 = J(F_{p^2})[2^oo]; s^2 = 1.  A = ker(s - 1) is a subgroup of S_2,
+    and so is the 2-part of ker(1 + s), which is isomorphic to B (the
+    `Reduction` docstring).  A subgroup of a finite abelian 2-group has at
+    most as many cyclic factors, and, both in descending order, each of its
+    exponents is at most the group's in the same place.  For a in S_2,
+    2a = (1 + s)a + (1 - s)a, where s(1 + s)a = (1 + s)a puts (1 + s)a in
+    A, and (1 + s)(1 - s)a = (1 - s^2)a = 0 puts (1 - s)a in the 2-part of
+    ker(1 + s).  So 2^c * 2a = 0: every element of S_2, and so every
+    cyclic factor, has order at most 2^(c + 1).
     """
 
-    def __init__(self, reduction: Reduction, curve: hyperjac.HyperCurve, order: int, degree: int):
+    def __init__(self, reduction: Reduction, make_curve, order: int, degree: int):
         self.reduction = reduction
-        self.add = partial(hyperjac.jac_add, curve)
-        self.identity = curve.identity()
-        self.classes = hyperjac.ClassStream(curve, order)
-        self.tables = curve.domain.tables
+        self.make_curve = make_curve
+        self.order = order
         self.degree = degree
         self._sylow: dict = {}
         self._ell_pairs: dict = {}
+
+    @cached_property
+    def classes(self) -> hyperjac.ClassStream:
+        return hyperjac.ClassStream(self.make_curve(), self.order)
+
+    @cached_property
+    def add(self):
+        return partial(hyperjac.jac_add, self.classes.curve)
+
+    @cached_property
+    def identity(self):
+        return self.classes.curve.identity()
 
     def sylow(self, ell: int):
         """The ell-Sylow subgroup of the classes, empty unless ell divides
@@ -381,7 +427,7 @@ class Census:
 
     @cached_property
     def _order_exponents(self) -> dict:
-        return factorize(len(self.classes))
+        return factorize(self.order)
 
     @cached_property
     def two_rank(self) -> int:
@@ -396,17 +442,34 @@ class Census:
         if e < 2:
             return [1] * e
         if ell == 2:
-            r = self.two_rank
-            if r in (1, e - 1, e):
-                return [1] * (r - 1) + [e - r + 1]
-            if r:
-                return self._two_exponents(e, r)
-        elif self.degree == 2:
+            left = self._two_partitions(e)
+            return sorted(left[0]) if len(left) == 1 else self._two_exponents(e, self.two_rank)
+        if self.degree == 2:
             return sorted(self.reduction.census(1).exponents(ell) + self.reduction.twist.exponents(ell))
         return self.sylow(ell).structure().prime_exponents()[ell]
 
+    def _two_partitions(self, e: int) -> list[tuple[int, ...]]:
+        """The partitions of e, 2^e || N and e >= 2, that the 2-part rule of
+        the class docstring leaves for S_2, each in descending order; A and
+        B are read only when r leaves more than one.  None left shows that
+        the rank is not r: CrossCheckError."""
+        r = self.two_rank
+        R = self.reduction
+        left = list(_partitions(e, r, e))
+        if len(left) > 1 and self.degree == 2:
+            sides = [sorted(cen.exponents(2), reverse=True) for cen in (R.census(1), R.twist)]
+            bound = 1 + max(side[0] if side else 0 for side in sides)
+            left = [
+                parts for parts in left
+                if parts[0] <= bound and all(len(side) <= r and all(a >= b for a, b in zip(parts, side)) for side in sides)
+            ]
+        if not left:
+            raise CrossCheckError(f"{R.model.label} at {R.p}: no 2-part of order 2^{e} with the 2-rank {r} fits the census")
+        return left
+
     def _two_exponents(self, e: int, r: int) -> list[int]:
-        """The exponents of S_2, 2^e || N, from its 2-rank r > 0.
+        """The exponents of S_2, 2^e || N, from its 2-rank r > 0, by a span
+        of 2*S_2, when the 2-part rule leaves more than one partition.
 
         Proof.  S_2 = Z/2^a_1 + ... + Z/2^a_r with every a_i >= 1, as r
         counts its cyclic factors.  So 2*S_2 = Z/2^(a_1 - 1) + ... +
@@ -419,7 +482,7 @@ class Census:
         passes it, shows that the rank is not r: CrossCheckError."""
         cap = 1 << (e - r)
         double = lambda x: self.add(x, x)
-        m2 = 2 * (len(self.classes) >> e)
+        m2 = 2 * (self.order >> e)
         images = (scalar_mul(m2, x, self.add, double, self.identity) for x in self.classes if x != self.identity)
         span = subgroup_span(images, self.add, self.identity, cap=cap, stop_at_cap=True)
         if span is None or len(span) != cap:
@@ -435,7 +498,7 @@ class Census:
         (else CrossCheckError, as when 2 | N but r = 0), and the Weil
         pairing makes the first of four factors divide q - 1, for the
         Jacobian over F_q, q = p^degree, of the curve or of its twist."""
-        n = len(self.classes)
+        n = self.order
         st = AbGroupStructure.from_prime_exponents({ell: self.exponents(ell) for ell in self._order_exponents})
         if st.order != n or st.rank() > 4:
             raise GroupError(f"census inconsistent: structure {st} vs order {n} and rank 4")
@@ -694,8 +757,9 @@ def _twisted_ell_torsion_data(model: CurveModel, d: int, p: int, ell: int):
     d*n*F/n = d*F.  sqrt(d*n) = n*c, c the least root of d/n, is the
     sqrt(d)*t of the twist's embedding (u, t*w) in J(F_{p^2}), t^2 = n,
     with sqrt(d) = c*t the least root of d there."""
-    cen = reduction(model, p).twist_census(d)
-    t = cen.tables
+    R = reduction(model, p)
+    cen = R.twist_census(d)
+    t = R.curve.domain.tables
     n = 1 if kronecker(d, p) == 1 else t.from_int(ff.make_field(p, 2).r)
     s = t.mul[n][t.sqrt[t.mul[t.from_int(d)][t.inv[n]]][0]]
     return [(u, tuple(t.mul[s][c] for c in v)) for u, v in cen.ell_pairs(ell)]

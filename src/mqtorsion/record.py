@@ -7,7 +7,13 @@ attribute of the same name is that field's default, and a dict default is
 copied for each record.  Fields named in `_uncompared` are left out of ==
 and hash.  A record equals only a record of its own class, its repr lists
 every field, and assignment and deletion raise AttributeError.  Records keep
-their instance `__dict__`, which a `cached_property` may fill."""
+their instance `__dict__`, which a `cached_property` may fill.
+
+The hash is computed on the first call and kept in the `__dict__` as
+`_hash`, since records are the keys of the `lru_cache` memos, each lookup of
+which hashes its arguments.  A copy or a pickle leaves it out
+(`__getstate__`): string hashes are salted per process.  A record with a
+dict field raises TypeError on every call, and keeps nothing."""
 
 from operator import itemgetter
 
@@ -53,7 +59,15 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key(self.__dict__))
+        values = self.__dict__
+        try:
+            return values["_hash"]
+        except KeyError:
+            h = values["_hash"] = hash(self._key(values))
+            return h
+
+    def __getstate__(self):
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
     def __repr__(self):
         fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)

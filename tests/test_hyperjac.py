@@ -80,6 +80,16 @@ class TestModelSanity:
         with pytest.raises(JacError):
             curve([0, 0, 1, 0, 0, 0, 1], 5, 1)  # x^6 + x^2 has gcd with derivative
 
+    def test_a_curve_over_q_is_checked_by_its_discriminant(self, monkeypatch):
+        """Over Q, F is checked squarefree by the integer discriminant, with
+        no Euclid of gcd(F, F') on Fractions; x^6 + x^2 is still refused."""
+        monkeypatch.setattr(hyperjac, "pgcdext", lambda *args: pytest.fail("gcd(F, F') over Q"))
+        for coeffs in MODELS.values():
+            HyperCurve.from_ints(QQ, coeffs)
+            HyperCurve.from_ints(QQ, [-3 * c for c in coeffs])
+        with pytest.raises(JacError, match="singular"):
+            HyperCurve.from_ints(QQ, [0, 0, 1, 0, 0, 0, 1])
+
     def test_sextic_leading_coefficient_over_q(self):
         """Over Q a sextic is monic (split at infinity) or has a non-square
         leading coefficient (inert); a square other than 1 is refused."""
@@ -377,6 +387,21 @@ class TestGroupStructure:
         assert fresh(model, 5).census(2).structure == AbGroupStructure((19, 19))  # its censuses of F_5 too
         assert calls == []
 
+    def test_x18_f121_census_draws_no_class(self, monkeypatch):
+        # J(F_121) has order 2^4 * 3^2 * 7 * 13 and 2-rank 2, so its 2-part
+        # is Z/2 x Z/8 or Z/4 x Z/4; J(F_11) = Z/2 x Z/42 and its twist
+        # Z/2 x Z/78 have 2-parts Z/2 x Z/2, so no element has order 8.  Its
+        # 3-part is read from those two censuses, so no class of J(F_121) is
+        # drawn, and neither the curve over F_121 nor its tables are built
+        calls = []
+        jac_add = hyperjac.jac_add
+        monkeypatch.setattr(hyperjac, "jac_add", lambda C, a, b: calls.append(1) or jac_add(C, a, b))
+        R = fresh(model_of(X18), 11)
+        cen = R.census(2)
+        assert cen.structure == AbGroupStructure.from_summands([12, 1092])
+        assert calls == [] and "curve2" not in vars(R) and "classes" not in vars(cen)
+        assert span_census(cen) == cen.structure and "curve2" in vars(R)
+
     def test_x18_f49_census_adds_fewer_than_classes(self):
         # |J(F_49)| = 1953 = 3^2 * 7 * 31: only the 3-Sylow subgroup is
         # projected out and layered, so most classes are never added
@@ -458,15 +483,16 @@ class TestLazyCensus:
 
 class TestCensusShortcuts:
     """The census reads the odd parts of J(F_{p^2}) from J(F_p) and its
-    inert twist, and a 2-part from its order and the 2-rank of the
-    Weierstrass points, spanning 2*S_2 when those two leave it open; the
-    span census (`reference.span_census`) spans every Sylow subgroup of
-    square order instead."""
+    inert twist, and a 2-part from its order, the 2-rank of the
+    Weierstrass points and, over F_{p^2}, the 2-parts of J(F_p) and its
+    inert twist, spanning 2*S_2 when those leave it open; the span census
+    (`reference.span_census`) spans every Sylow subgroup of square order
+    instead."""
 
     def test_split_and_two_rank_match_span_census(self):
         """Every good reduction p <= 47 of X1(13), X1(16) and X1(18): f = 1,
         and f = 2 and the twist where F_{p^2} has tables (p <= 31)."""
-        cases = fixed = doubled = split = 0
+        cases = fixed = doubled = settled = split = 0
         for label, coeffs in MODELS.items():
             model = model_of(coeffs)
             for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
@@ -483,20 +509,44 @@ class TestCensusShortcuts:
                     e, r = exps.get(2, 0), cen.two_rank
                     fixed += e > 1 and r in (1, e - 1, e)
                     doubled += e > 1 and r not in (0, 1, e - 1, e)
+                    settled += e > 1 and r not in (0, 1, e - 1, e) and len(cen._two_partitions(e)) == 1
                     split += f == 2 and not twisted and any(k > 1 for ell, k in exps.items() if ell != 2)
                     cases += 1
-        assert (cases, fixed, doubled, split) == (96, 29, 23, 25)
+        assert (cases, fixed, doubled, settled, split) == (96, 29, 23, 5, 25)
 
     @pytest.mark.parametrize("p,rank", [(3, 0), (5, 0), (5, 3)])
     def test_two_part_against_a_wrong_two_rank_raises(self, p, rank):
         # J(F_9) has 2-part (Z/2)^4, fixed by its rank; J(F_25) has 2-part
         # Z/2 x Z/2 x Z/4 x Z/8, whose rank 4 is not 3: its double has order
-        # 2^3, not the 2^(7 - 3) that rank 3 gives, and with rank 0 the
-        # spanned 2-part has rank 4
+        # 2^3, not the 2^(7 - 3) that rank 3 gives, and with rank 0 no
+        # partition of e > 0 into 0 parts is left
         cen = fresh(model_of(X16), p).census(2)
         cen.two_rank = rank
         with pytest.raises(mwtors.CrossCheckError):
             cen.structure
+
+    @PROPERTY
+    @given(random_curves(primes=(31, 29, 23, 19, 17, 13, 11, 7, 5, 3), min_f=2))
+    def test_two_part_rule_on_random_curves(self, C):
+        """Over F_{p^2}: the structure of the census is that of the span
+        census, and the 2-part rule leaves the spanned 2-part among its
+        partitions, each of them of e into r parts, with parts at most c + 1
+        and containing the spanned 2-parts of J(F_p) and J^tw(F_p)."""
+        p = C.domain.tables.p
+        R = fresh(model_from_curve(C), p)
+        cen = R.census(2)
+        two_part = lambda census: sorted(span_census(census).prime_exponents().get(2, []), reverse=True)
+        assert cen.structure == span_census(cen)
+        e, r = cen._order_exponents.get(2, 0), cen.two_rank
+        if e < 2:
+            return
+        left = cen._two_partitions(e)
+        assert tuple(two_part(cen)) in left
+        sides = [two_part(R.census(1)), two_part(R.twist)]
+        bound = 1 + max(side[0] if side else 0 for side in sides)
+        for parts in left:
+            assert sum(parts) == e and len(parts) == r and parts[0] <= bound
+            assert all(len(side) <= r and all(a >= b for a, b in zip(parts, side)) for side in sides), (parts, sides)
 
     @PROPERTY
     @given(random_curves(primes=(13, 11, 7, 5, 3)))

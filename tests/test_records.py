@@ -2,7 +2,13 @@
 validation and immutability, pinned at the values the frozen dataclasses they
 replace gave."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +16,7 @@ from mqtorsion import qfield
 from mqtorsion.classify import ExceptionalCurve, RankTable, Verdict, classify, default_ranks
 from mqtorsion.ff import FieldDesc, make_field
 from mqtorsion.groups import AbGroupStructure, GroupError
-from mqtorsion.mwtors import CrossCheckError, CurveModel, TorsionResult
+from mqtorsion.mwtors import CrossCheckError, CurveModel, TorsionResult, get_model
 
 G28 = AbGroupStructure((2, 8))
 MODEL = CurveModel("19a2", (1, 19), 1, None, (0, 1, 1, -769, -8470), None, "test")
@@ -20,6 +26,7 @@ RANKS = RankTable.from_records([{"jacobian": "X1(14)", "twist": -7, "rank": 0, "
 ORIGIN = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
 CURVE = ExceptionalCurve(14, -7, "14-I", ((Fraction(2), Fraction(3, 7)), (Fraction(0), Fraction(0))), ORIGIN)
 VERDICT = Verdict("15", (1,), None, "none", 0, "iff")
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # one instance of each record class, with a copy built from the same fields
 RECORDS = {
@@ -88,6 +95,39 @@ class TestEqualityAndHash:
         assert other == RESULT
         with pytest.raises(TypeError):
             hash(RESULT)
+
+    def test_a_dict_field_raises_on_every_hash(self):
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                hash(RESULT)
+        assert "_hash" not in vars(RESULT)
+
+    def test_hash_is_computed_once(self, monkeypatch):
+        record = CurveModel("19a2", (1, 19), 1, None, (0, 1, 1, -769, -8470), None, "test")
+        first = hash(record)
+        monkeypatch.setattr(CurveModel, "_key", staticmethod(lambda values: pytest.fail("hashed again")))
+        assert hash(record) == first and {record: 1}[record] == 1
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))])
+    def test_copy_and_pickle_leave_the_hash_behind(self, clone):
+        for name, (record, _) in RECORDS.items():
+            hash(record)
+            other = clone(record)
+            assert "_hash" not in vars(other), name
+            assert other == record and hash(other) == hash(record), name
+
+    def test_a_record_pickled_in_another_process_hashes_here(self):
+        # string hashes are salted per process, so a hash carried over in
+        # the pickle would not be the hash of the same fields here
+        code = (
+            "import pickle, sys; from mqtorsion.mwtors import get_model; m = get_model('X1(18)'); "
+            "hash(m); sys.stdout.buffer.write(pickle.dumps(m))"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True).stdout
+        there, here = pickle.loads(data), get_model("X1(18)")
+        assert hash(there) == hash(here) and {here: 1}[there] == 1
 
     def test_hash_is_the_hash_of_the_field_tuple(self):
         assert hash(G28) == hash(((2, 8),))
