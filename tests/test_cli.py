@@ -13,6 +13,21 @@ from mqtorsion.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+
+def child_env(**extra):
+    """The environment of a fresh interpreter: `src` on the path, and no
+    PYTHONUNBUFFERED, so that stdout is block-buffered as under a plain shell
+    and output that `cli.run` failed to flush would be lost."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""), **extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_child(*argv, env=None, **kwargs):
+    """A fresh ``python -m mqtorsion.cli`` call, in `child_env` by default."""
+    return subprocess.run([sys.executable, "-m", "mqtorsion.cli", *argv], env=env or child_env(), **kwargs)
+
+
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=40,
@@ -171,10 +186,8 @@ class TestTorsion:
             "label": "x(x-1)(x+P)", "level": [1, 2], "genus": 1, "base_field": "Q",
             "coeffs": [0, P - 1, 0, -P, 0], "primes": [7, 11],
         }))
-        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
         argv = ["torsion", "--model", str(path), "--mode", "derive", "--field=Q"]
-        run = subprocess.run([sys.executable, "-m", "mqtorsion.cli", *argv], capture_output=True, text=True,
-                             env=env, timeout=60)
+        run = run_child(*argv, capture_output=True, text=True, timeout=60)
         assert run.returncode in (0, 2, 3), run.stderr
         assert run.returncode == 2 or run.stderr == ""
 
@@ -189,10 +202,8 @@ class TestTorsion:
             "label": "m", "level": [1, 3], "genus": 1, "base_field": "Q",
             "coeffs": [1, 0, 7 * 13 * 19 * 31 * 37 * 43, 0, 0], "primes": [5, 11],
         }))
-        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
         argv = ["torsion", "--model", str(path), "--mode", "derive", "--field=Q"]
-        run = subprocess.run([sys.executable, "-m", "mqtorsion.cli", *argv], capture_output=True, text=True,
-                             env=env, timeout=20)
+        run = run_child(*argv, capture_output=True, text=True, timeout=20)
         assert run.returncode == 0 and json.loads(run.stdout)["lower"] == [3], run.stderr
 
     def test_unfactorable_discriminant_exit_2(self, capsys, tmp_path):
@@ -325,8 +336,7 @@ class TestVerify:
             "hyperjac.zeta_order = lambda C: (lambda N1, N2, *rest: (N1, N2 + 2, *rest))(*zeta(C))\n"
             "sys.exit(cli.main(['verify', '--only', 'symmetric-square']))\n"
         )
-        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env())
         assert (run.returncode, run.stderr) == (1, "")
         lines = run.stdout.splitlines()
         assert [line.split("  (")[0] for line in lines] == [
@@ -442,9 +452,7 @@ class TestDataFiles:
             if path.name == name:
                 edit(raw)
             (tmp_path / path.name).write_text(json.dumps(raw))
-        env = dict(os.environ, MQTORSION_DATA=str(tmp_path),
-                   PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        run = subprocess.run([sys.executable, "-m", "mqtorsion.cli", *argv], capture_output=True, text=True, env=env)
+        run = run_child(*argv, capture_output=True, text=True, env=child_env(MQTORSION_DATA=str(tmp_path)))
         return run.returncode, run.stdout, run.stderr
 
     @staticmethod
@@ -504,9 +512,73 @@ def test_closed_stdout_exits_quietly():
     and the exit code 141 (128 + SIGPIPE), outside the codes 0-4."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    argv = [sys.executable, "-m", "mqtorsion.cli", "torsion", "--model", "X1(16)", "--field=Q",
-            "--primes", "7", "--mode", "derive", "--format", "json"]
-    run = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    argv = ["torsion", "--model", "X1(16)", "--field=Q", "--primes", "7", "--mode", "derive", "--format", "json"]
+    run = run_child(*argv, stdout=write_end, stderr=subprocess.PIPE)
     os.close(write_end)
     assert (run.returncode, run.stderr) == (141, b"")
+
+
+class TestFastExit:
+    """``python -m mqtorsion.cli`` ends by `cli.run`: `main`, a flush of
+    stdout and stderr, then `os._exit` with `main`'s code.  Each child runs
+    block-buffered (`child_env`) and must give the exit code, stdout bytes
+    and stderr of the same argv through in-process `main`."""
+
+    # the first 14 generators of the CI degree-scaling list: 233,779 bytes of
+    # JSON, more than a pipe holds (64 KiB), so the child writes it in parts
+    # and waits for the reader before it can exit
+    LARGE = ["torsion", "--model", "X1(11)", "--field=-1,2,3,5,7,11,13,17,19,23,29,31,37,41", "--format", "json"]
+
+    @staticmethod
+    def child(tmp_path, stdout, *argv):
+        """(exit code, stdout bytes, stderr text) of a child whose stdout is
+        a pipe or a file."""
+        if stdout == "pipe":
+            run = run_child(*argv, capture_output=True)
+            return run.returncode, run.stdout, run.stderr.decode()
+        path = tmp_path / "stdout"
+        with open(path, "wb") as fh:
+            run = run_child(*argv, stdout=fh, stderr=subprocess.PIPE)
+        return run.returncode, path.read_bytes(), run.stderr.decode()
+
+    @pytest.mark.parametrize("stdout", ["pipe", "file"])
+    @pytest.mark.parametrize("argv, expect", [
+        (LARGE, 0),
+        (["torsion", "--model", "X1(11)", "--field=2,5", "--mode", "table"], 0),
+        (["torsion", "--model", "X1(99)", "--field=Q"], 2),
+        (["torsion", "--model", "X1(13)", "--field=Q", "--primes", "7"], 3),
+    ])
+    def test_child_matches_in_process_main(self, capsys, tmp_path, stdout, argv, expect):
+        code, out, err = run(capsys, *argv)
+        assert code == expect and (len(out) > 1 << 16) == (argv == self.LARGE)
+        got = self.child(tmp_path, stdout, *argv)
+        assert got[0] == code and got[2] == err
+        assert got[1] == out.encode(), (len(got[1]), len(out))
+
+    def test_argparse_errors_exit_as_before(self, tmp_path):
+        """argparse ends `main` by SystemExit, which takes the usual exit."""
+        code, out, err = self.child(tmp_path, "pipe", "torsion", "--model")
+        assert_one_line_error(code, out.decode(), err)
+        code, out, err = self.child(tmp_path, "pipe", "--help")
+        assert (code, err) == (0, "") and out.startswith(b"usage: mqtorsion")
+
+    def test_run_flushes_what_main_left_buffered(self):
+        """Output that `main` wrote but did not flush reaches the reader:
+        stdout to a pipe is block-buffered, and stderr holds a line with no
+        newline.  The child exits with `main`'s code."""
+        code = (
+            "import sys\n"
+            "from mqtorsion import cli\n"
+            "def main():\n"
+            "    print('out', end='')\n"
+            "    print('err', end='', file=sys.stderr)\n"
+            "    return 5\n"
+            "cli.main = main\n"
+            "cli.run()\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env())
+        assert (run.returncode, run.stdout, run.stderr) == (5, b"out", b"err")
+
+    def test_console_script_ends_by_run(self):
+        pyproject = (Path(SRC).parent / "pyproject.toml").read_text()
+        assert 'mqtorsion = "mqtorsion.cli:run"' in pyproject.splitlines()

@@ -91,6 +91,8 @@ def run_python(*argv):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    # block-buffered, as under a plain shell: the CLI's fast exit must flush
+    env.pop("PYTHONUNBUFFERED", None)
     run = subprocess.run([sys.executable, *argv], capture_output=True, env=env)
     assert (run.returncode, run.stderr) == (0, b"")
     return run.stdout
