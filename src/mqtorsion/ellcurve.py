@@ -3,11 +3,11 @@
 Long Weierstrass models y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with a
 complete chord-tangent group law, finite-field group structure by full
 enumeration + census, global minimal models over Q (Laska-Kraus-Connell),
-quadratic twists, reduction at good odd primes, point counts by one
-character sum over F_p, exact rational torsion via Nagell-Lutz
-(for the odd part of a twist, behind a screen by point counts mod p),
-exact 2-primary torsion over multi-quadratic towers, and exhaustive scans of
-all curves over a small field.
+reduction at good odd primes, point counts by one character sum over F_p,
+the division polynomials, the odd torsion of every quadratic twist over Q
+at once from their rational roots, exact 2-primary torsion over
+multi-quadratic towers, and exhaustive scans of all curves over a small
+field.
 
 Points are None (infinity) or (x, y) pairs of domain elements.  All curve
 objects are immutable; scans are embarrassingly parallel over the coefficient
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 from . import ff, qfield
 from .groups import AbGroupStructure, CrossCheckError, GroupError, scalar_mul, structure_from_elements
@@ -26,10 +26,9 @@ from .intutil import (
     factorize,
     integer_cubic_roots,
     is_prime,
-    kronecker,
     squarefree_part,
 )
-from .poly import QQ, TowerDomain, code_domain
+from .poly import QQ, TowerDomain, code_domain, low_degree_factors, pmul, pnormalize, pscale, psub
 
 
 class CurveError(ValueError):
@@ -176,7 +175,7 @@ def group_structure(E: EllipticCurve) -> AbGroupStructure:
 
 
 # ---------------------------------------------------------------------------
-# Integral models over Q: invariants, minimal models, reduction, twists
+# Integral models over Q: invariants, minimal models, reduction
 # ---------------------------------------------------------------------------
 
 
@@ -312,8 +311,8 @@ def affine_count(b2: int, b4: int, b6: int, p: int) -> int:
 @lru_cache(maxsize=64)
 def _square_counts(p: int) -> bytes:
     """squares[v] = #{Y in F_p : Y^2 = v}, which is 0, 1 or 2, built once
-    per prime p for `affine_count` and so for the twist screen
-    (`_screen_traces`); one byte per residue."""
+    per prime p for `affine_count` and so for the screen rows of a
+    genus-1 model (`mwtors._screen_orders`); one byte per residue."""
     squares = bytearray(p)
     for y in range(p):
         squares[y * y % p] += 1
@@ -338,61 +337,9 @@ def _normalize_short(A: int, B: int) -> tuple[int, int]:
     return A, B
 
 
-def short_curve(A: int, B: int, label=None) -> EllipticCurve:
-    return EllipticCurve.from_ints(QQ, (0, 0, 0, A, B), label)
-
-
-def quadratic_twist(E: EllipticCurve, d: int) -> EllipticCurve:
-    """The quadratic twist by squarefree d, as a normalized short model."""
-    if d == 0:
-        raise CurveError("twist parameter must be nonzero")
-    A, B = short_model(E)
-    A2, B2 = _normalize_short(A * d * d, B * d**3)
-    label = f"{E.label}^({d})" if E.label else None
-    return short_curve(A2, B2, label)
-
-
 # ---------------------------------------------------------------------------
-# Rational torsion, exact, via Nagell-Lutz
+# Odd torsion of the quadratic twists, from the division polynomials
 # ---------------------------------------------------------------------------
-
-
-def torsion_points_short(A: int, B: int, hint: tuple[int, ...] = ()) -> tuple:
-    """All rational torsion points of y^2 = x^3 + Ax + B (integral).
-
-    Torsion points on an integral short model are integral with y = 0 or
-    y^2 | 16|4A^3 + 27B^2|; each candidate is certified or rejected by
-    iteration (a non-torsion candidate must leave the finite candidate set)."""
-    E = short_curve(A, B)
-    D = 16 * abs(4 * A**3 + 27 * B**2)
-    ys = [1]
-    for p, e in factorize(D, hint=hint).items():
-        ys = [y * p**i for y in ys for i in range(e // 2 + 1)]
-    candidates: set = set()
-    for x in integer_cubic_roots(0, A, B):
-        candidates.add((x, 0))
-    for y in ys:
-        for x in integer_cubic_roots(0, A, B - y * y):
-            candidates.add((x, y))
-            candidates.add((x, -y))
-    limit = len(candidates) + 1
-    torsion = [INF]
-    for P in candidates:
-        acc = P
-        for _ in range(limit):
-            if acc is INF:
-                torsion.append(P)
-                break
-            if acc not in candidates:
-                break
-            acc = E.add(acc, P)
-    return tuple(sorted(torsion, key=lambda P: (0,) if P is INF else (1, P)))
-
-
-def torsion_structure_q(E: EllipticCurve, hint=()) -> AbGroupStructure:
-    A, B = short_model(E)
-    pts = list(torsion_points_short(A, B, tuple(hint)))
-    return structure_from_elements(pts, short_curve(A, B).add, INF, max_rank=2)
 
 
 # Odd primes below this carry the reduction screens of both genera.
@@ -412,47 +359,97 @@ def screen_primes(good, limit: float = math.inf) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def _screen_traces(A: int, B: int) -> tuple[tuple[int, int], ...]:
-    """(p, a_p) for y^2 = x^3 + Ax + B at each of its screen primes p
-    (`screen_primes`: odd, not dividing 4A^3 + 27B^2), with
-    a_p = p + 1 - #E(F_p) = p - the affine count of `affine_count` at
-    (b2, b4, b6) = (0, 2A, 4B)."""
-    D = 4 * A**3 + 27 * B**2
-    return tuple((p, p - affine_count(0, 2 * A, 4 * B, p)) for p in screen_primes(lambda p: D % p))
+def division_polynomial(b, n: int) -> tuple:
+    """f_n over Z for integer b-invariants b = (b2, b4, b6, b8): the n-th
+    division polynomial in x alone, psi_n = f_n for odd n and psi_2 * f_n
+    for even n, psi_2^2 = T = 4x^3 + b2 x^2 + 2 b4 x + b6.  From f_0 .. f_4
+    by the doubling recursion (Silverman, AEC, Exercise 3.7)
+    psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3 and
+    psi_2 psi_{2m} = psi_m (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2),
+    the term of even indices carrying T^2 in the first; memoised for one
+    call."""
+    b2, b4, b6, b8 = b
+    T = pnormalize((b6, 2 * b4, b2, 4))
+    memo = {0: (), 1: (1,), 2: (1,), 3: (b8, 3 * b6, 3 * b4, b2, 3),
+            4: (b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2)}
+    pm = lambda *fs: reduce(partial(pmul, QQ), fs)
+
+    def f(k):
+        if k not in memo:
+            m, odd = divmod(k, 2)
+            if odd:  # k = 2m + 1
+                a, c = pm(f(m + 2), f(m), f(m), f(m)), pm(f(m - 1), f(m + 1), f(m + 1), f(m + 1))
+                memo[k] = psub(QQ, pm(a, T, T), c) if m % 2 == 0 else psub(QQ, a, pm(c, T, T))
+            else:
+                memo[k] = pm(f(m), psub(QQ, pm(f(m + 2), f(m - 1), f(m - 1)), pm(f(m - 2), f(m + 1), f(m + 1))))
+        return memo[k]
+
+    return f(n)
 
 
-def twist_odd_torsion_q(E: EllipticCurve, d: int) -> AbGroupStructure:
-    """Odd part of E^d(Q)_tors, E a rational curve and d squarefree (d = 1
-    gives E itself): a reduction screen first, Nagell-Lutz when it fails.
+def odd_twists(A: int, B: int, rows) -> tuple[tuple[int, int], ...]:
+    """D of E: y^2 = f(x) = x^3 + Ax + B: the pairs (d, n), d ascending, of
+    the squarefree d whose twist E^d: d y^2 = f(x) has n = #E^d(Q)[odd] > 1.
 
-    Screen.  Let y^2 = x^3 + Ax + B be the short model of E and p an odd
-    prime dividing neither d nor 4A^3 + 27B^2.  The model
-    y^2 = x^3 + A d^2 x + B d^3 of E^d then has good reduction at p, and
-    reduction embeds E^d(Q)_tors in E^d(F_p): the prime-to-p part as at
-    every good prime, the p-part because the formal group over Z_p has no
-    torsion when the ramification index e = 1 < p - 1 (Silverman, AEC
-    VII.3.1 and IV.6.1).  E^d mod p is the twist by d of E mod p, so
-    #E^d(F_p) = p + 1 - (d/p) a_p(E).  The odd part of #E^d(Q)_tors thus
-    divides the odd part of each such count; when their gcd is 1 the odd
-    torsion is trivial."""
-    if _screen_kills_odd(*short_model(E), d):
-        return AbGroupStructure.trivial()
-    hint = tuple(factorize(minimal_disc(E))) + tuple(factorize(d))
-    return torsion_structure_q(quadratic_twist(E, d), hint=hint).odd_part()
-
-
-def _screen_kills_odd(A: int, B: int, d: int) -> bool:
-    """True when the odd parts of the counts #E^d(F_p), over the screen
-    primes p not dividing d, have gcd 1 (see twist_odd_torsion_q)."""
-    g = 0
-    for p, ap in _screen_traces(A, B):
-        if d % p:
-            n = p + 1 - kronecker(d, p) * ap
-            g = math.gcd(g, n // (n & -n))
-            if g == 1:
-                return True
-    return False
+    Proof.  (x, y) -> (x, y sqrt(d)) maps E^d(Q) onto the points of
+    E(Q(sqrt d)) that its conjugation negates.
+    - Which ell.  E^d is a curve over Q, so by Mazur's theorem
+      #E^d(Q)[odd] is 1, 3, 5, 7 or 9: ell is 3, 5 or 7, and
+      #E^d(Q)[ell^oo] <= 9.  The `rows` (p, L_p(1), L_p(-1)) of
+      `mwtors._screen_orders` are at primes p of good reduction.  For
+      p != ell, reduction at a prime of Q(sqrt d) above p is injective on
+      the ell-power torsion, as its kernel, the formal group, is pro-p
+      (AEC VII.3.1), and lands in E over a residue field inside F_{p^2},
+      of order L_p(1) L_p(-1).  So #E^d(Q)[ell^oo] divides `bound`, the
+      gcd of these orders over the rows with p != ell (0 for none), for
+      every d.
+    - Cyclic.  E^d[ell] in E^d(Q) would put mu_ell in Q (Weil pairing), so
+      E^d(Q)[ell^oo] = Z/ell^m and E^d(Q)[odd] = Z/n.
+    - Order ell.  The roots of f_ell at b = (0, 2A, 4B, -A^2) are the x(P),
+      P in E[ell] - O, one per pair +-P, and f(x(P)) != 0 as P != -P.  A
+      rational root x0 (a linear factor of the squarefree f_ell,
+      `poly.low_degree_factors`) gives the points (x0, +-sqrt(f(x0)/d)) of
+      E^d(Q), d the squarefree class of f(x0), and of no other twist.  So
+      #E^d(Q)[ell] = 1 + 2 #{x0 : f(x0) in d Q*^2}: 1 or ell, else
+      CrossCheckError.
+    - Order ell^(k+1).  For P0 = (x0, y0) in E^d(Q) of order ell^k >= ell,
+      m > k iff P0 = ell Q with Q in E^d(Q).  By x(ell Q) =
+      x - psi_{ell-1} psi_{ell+1} / psi_ell^2 (AEC, Exercise 3.7), with
+      psi_{ell-1} psi_{ell+1} = T f_{ell-1} f_{ell+1}, T = 4f, the x(Q)
+      with ell Q = +-P0 are the roots of h = (x - x0) f_ell^2 -
+      T f_{ell-1} f_{ell+1}, not 0 at a root of f_ell (no Q != O is killed
+      by ell and by 2 or ell +- 1).  h is monic of degree ell^2 with ell^2
+      distinct roots, one per pair +-Q: squarefree.  A rational root x1
+      with f(x1) in d Q*^2 is the x of such a Q of order ell^(k+1), from
+      which the step goes on; none gives m = k.  The step runs while
+      ell^(k+1) is at most 9 and divides `bound`: for ell = 3 and k = 1
+      alone, so h has degree 9 and f_ell degree at most 24."""
+    b, T = (0, 2 * A, 4 * B, -A * A), (4 * B, 4 * A, 0, 4)
+    f = lambda x: (x * x + A) * x + B
+    square_class = lambda r: squarefree_part(r.numerator * r.denominator)
+    roots = lambda F: [-h[0] for h in low_degree_factors(F) if len(h) == 2]
+    orders: dict[int, int] = {}
+    for ell in (3, 5, 7):
+        bound = math.gcd(*(order * twisted for p, order, twisted in rows if p != ell))
+        if bound % ell:
+            continue
+        below, psi, above = (division_polynomial(b, n) for n in (ell - 1, ell, ell + 1))
+        kill, psi2 = pmul(QQ, T, pmul(QQ, below, above)), pmul(QQ, psi, psi)
+        classes: dict[int, list] = {}
+        for x0 in roots(psi):
+            classes.setdefault(square_class(f(x0)), []).append(x0)
+        for d, xs in classes.items():
+            if 2 * len(xs) != ell - 1:
+                raise CrossCheckError(f"E^({d})(Q)[{ell}] would have {1 + 2 * len(xs)} points")
+            n, x0 = ell, xs[0]
+            while n * ell <= 9 and bound % (n * ell) == 0:
+                u, v = x0.numerator, x0.denominator  # h times v, over Z
+                lifts = [x for x in roots(psub(QQ, pmul(QQ, (-u, v), psi2), pscale(QQ, v, kill))) if square_class(f(x)) == d]
+                if not lifts:
+                    break
+                n, x0 = n * ell, lifts[0]
+            orders[d] = orders.get(d, 1) * n
+    return tuple(sorted(orders.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -47,32 +47,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, hint: tuple[int, ...] = ()) -> dict[int, int]:
-    """Factor |n| (`_factor`).  `hint` primes are tried first, which keeps
-    twist discriminants (known prime support) cheap.  Each call returns a
-    fresh dict, so a caller may change it."""
+def factorize(n: int) -> dict[int, int]:
+    """Factor |n| (`_factor`).  Each call returns a fresh dict, so a caller
+    may change it."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    return dict(_factor(abs(n), tuple(hint)))
+    return dict(_factor(abs(n)))
 
 
 @lru_cache(maxsize=256)
-def _factor(n: int, hint: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """The sorted (prime, exponent) pairs of n > 0, memoised: one run factors
     the same group orders and discriminants many times.
 
-    Trial division by the hint primes, then by p = 2, 3, 5, 7, ... while
-    p^2 <= n and p < _TRIAL_BOUND, so an n below _TRIAL_BOUND^2 is factored
-    by trial division alone.  Every prime factor of what is left is then at
+    Trial division by p = 2, 3, 5, 7, ... while p^2 <= n and
+    p < _TRIAL_BOUND, so an n below _TRIAL_BOUND^2 is factored by trial
+    division alone.  Every prime factor of what is left is then at
     least the last p, so a piece m of it is prime when m < p^2 or
     `is_prime(m)`; otherwise it splits as r * r for r = isqrt(m) when that
     is exact, and else by `_rho`.  Rho may spend _RHO_WORK squarings on n,
     and raises ModelError past them, so every call ends."""
     out: dict[int, int] = {}
-    for p in hint:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
     p = 2
     while p * p <= n and p < _TRIAL_BOUND:
         while n % p == 0:

@@ -1,10 +1,11 @@
 """The torsion-bound engine.
 
 Combines residue-field reductions, the quadratic-twist decomposition of odd
-torsion over the twists with primes in one finite set per model, for both
-genera (`_twist_primes`), Weierstrass 2-torsion analysis and, for a genus-1
-model, one search for the points of 2-power order over all multi-quadratic
-fields at once, read for each K, into two-sided bounds on J(K)_tors for
+torsion (over the twists with primes in one finite set per model for genus
+2, `_twist_primes`; from the twists with odd torsion, found once per model,
+for genus 1), Weierstrass 2-torsion analysis and, for a genus-1 model, one
+search for the points of 2-power order over all multi-quadratic fields at
+once, read for each K, into two-sided bounds on J(K)_tors for
 the eleven builtin modular Jacobians, over any multi-quadratic field K.
 `derive` mode recomputes everything from the models; `table` mode answers
 from the classification tables that data/models.json ships with each model,
@@ -587,12 +588,6 @@ def _reduction_meet(model: CurveModel, degrees: tuple) -> AbGroupStructure:
 
 
 @lru_cache(maxsize=256)
-def genus1_twist_torsion(model: CurveModel, d: int) -> AbGroupStructure:
-    """Odd part of the rational torsion of the d-twist of a genus-1 model."""
-    return ellcurve.twist_odd_torsion_q(model.elliptic(), d)
-
-
-@lru_cache(maxsize=256)
 def genus2_rational_torsion_bounds(model: CurveModel, primes: tuple = ()):
     """(lower, upper) for J(Q)_tors of a genus-2 model: the subgroup that the
     torsion classes among the small rational-point classes generate, against
@@ -848,18 +843,16 @@ def derive_torsion(model: CurveModel, K, primes=None) -> TorsionResult:
 
 @lru_cache(maxsize=None)
 def _bad_primes(model: CurveModel) -> frozenset:
-    """The primes of the minimal discriminant (genus 1) or of
-    disc(F) * lc(F) (genus 2): outside them and 2 the reduction is good."""
-    if model.genus == 1:
-        return frozenset(factorize(ellcurve.minimal_disc(model.elliptic())))
+    """The primes of disc(F) * lc(F) of a genus-2 model: outside them and 2
+    the reduction is good."""
     F = model.f_coeffs
     return frozenset(factorize(int(poly.discriminant(F) * F[-1])))
 
 
 def _genus1_torsion(model: CurveModel, K) -> AbGroupStructure:
     """Exact J(K)_tors of a genus-1 model E, read over K itself: the sum of
-    E^d(Q)[odd] (`genus1_twist_torsion`) over the classes d of
-    `_twist_classes`, and the points of G = E(Q(2^oo))[2^oo]
+    E^d(Q)[odd] = Z/n over the (d, n) of D (`_genus1_odd_twists`) with
+    sqrt(d) in K, and the points of G = E(Q(2^oo))[2^oo]
     (`_genus1_two_points`) with coordinates in K.
 
     K is multi-quadratic, so E(K)[2^oo] = G n E(K).  The points of G lie
@@ -875,13 +868,13 @@ def _genus1_torsion(model: CurveModel, K) -> AbGroupStructure:
     orders = [n for support, n in points if not support & ~image]
     e = max(orders, default=1)
     two = AbGroupStructure.from_summands(((len(orders) + 1) // e, e))
-    odd = (n for d in _twist_classes(model, K) for n in genus1_twist_torsion(model, d).factors)
+    odd = (n for d, n in _genus1_odd_twists(model) if K.contains_sqrt(d))
     return AbGroupStructure.from_summands(odd).direct_sum(two)
 
 
 def _twist_classes(model: CurveModel, K) -> tuple[int, ...]:
-    """The classes d of K whose primes lie in the set S of `_twist_primes`,
-    none when S is empty: the classes of K n Q(zeta_m),
+    """The classes d of K whose primes lie in the set S of `_twist_primes`
+    of a genus-2 model, none when S is empty: the classes of K n Q(zeta_m),
     m = 8 * prod(odd p in S), as Q(sqrt d) lies in Q(zeta_m) iff |disc(d)|
     divides m.  They come in the order of the classes of K: K n Q(zeta_m)
     is a subfield of K, so its span is the part of the span of K that lies
@@ -895,13 +888,16 @@ def _screen_orders(model: CurveModel) -> tuple[tuple[int, int, int], ...]:
     """(p, L_p(1), L_p(-1)) at each screen prime p of the model
     (`ellcurve.screen_primes`: odd, of good reduction): the orders of
     J(F_p) and of its inert twist, which is J^d(F_p) for p not dividing d
-    and (d/p) = -1.  For genus 1, p + 1 -+ a_p from the traces of
-    `ellcurve._screen_traces`; for genus 2, from the zeta data of each
-    `Reduction`, which needs a good prime up to `ff.MAX_TABLE_ORDER`, else
-    ModelError."""
+    and (d/p) = -1.  For genus 1, with y^2 = x^3 + Ax + B the short model,
+    p not dividing 4A^3 + 27B^2: #E(F_p) = 1 + `ellcurve.affine_count` at
+    (b2, b4, b6) = (0, 2A, 4B), and the twist has 2p + 2 - #E(F_p) points;
+    for genus 2, from the zeta data of each `Reduction`, which needs a good
+    prime up to `ff.MAX_TABLE_ORDER`, else ModelError."""
     if model.genus == 1:
-        traces = ellcurve._screen_traces(*ellcurve.short_model(model.elliptic()))
-        return tuple((p, p + 1 - ap, p + 1 + ap) for p, ap in traces)
+        A, B = ellcurve.short_model(model.elliptic())
+        primes = ellcurve.screen_primes(lambda p: (4 * A**3 + 27 * B**2) % p)
+        counts = {p: ellcurve.affine_count(0, 2 * A, 4 * B, p) for p in primes}
+        return tuple((p, n + 1, 2 * p + 1 - n) for p, n in counts.items())
     primes = ellcurve.screen_primes(lambda p: _reduction_or_none(model, p) is not None, ff.MAX_TABLE_ORDER)
     if not primes:
         raise ModelError(f"{model.label}: no odd prime of good reduction up to {ff.MAX_TABLE_ORDER}")
@@ -910,30 +906,38 @@ def _screen_orders(model: CurveModel) -> tuple[tuple[int, int, int], ...]:
 
 @lru_cache(maxsize=256)
 def _twist_primes(model: CurveModel) -> frozenset:
-    """S for a model of genus 1 or 2 with Jacobian J: J^d(Q)[odd] != 0 only
+    """S for a genus-2 model with Jacobian J: J^d(Q)[odd] != 0 only
     for d = +- a product of primes of S, and S is empty when no d has it.
     Gal(K/Q) of a multi-quadratic K splits J(K)[odd] into J^d(Q)[odd] over
     the classes d of K, so it is the sum over `_twist_classes`.
 
     Which ell.  Let J^d(Q)[ell] != 0, ell odd, and (p, L_p(1), L_p(-1)) a
     row of `_screen_orders`.  J^d(Q) is the group of classes of J(Q(sqrt d))
-    that the conjugation sigma negates (`genus2_twist_witness`; so for
-    genus 1).  J has good reduction at p, so the kernel of reduction at a
-    prime of Q(sqrt d) above p is pro-p (the formal group): reduction is
+    that the conjugation sigma negates (`genus2_twist_witness`).  J has
+    good reduction at p, so the kernel of reduction at a prime of
+    Q(sqrt d) above p is pro-p (the formal group): reduction is
     injective on the prime-to-p torsion, into J over a residue field inside
     F_{p^2}.  So ell = p or ell divides #J(F_{p^2}) = L_p(1) * L_p(-1), and
     ell divides g, the gcd over the rows of p * L_p(1) * L_p(-1), which is
-    not 0: there is a row, and L_p(+-1) >= (sqrt(p) - 1)^(2 genus) > 0.
+    not 0: there is a row, and L_p(+-1) >= (sqrt(p) - 1)^4 > 0.
 
     Which d.  For d != 1 and 0 != P in J^d(Q)[ell], P in J(Q(sqrt d)) has
     sigma P = -P != P, so Q(sqrt d) = Q(P) lies in Q(J[ell]), unramified
     outside ell*N (Neron-Ogg-Shafarevich; Serre-Tate), with N supported on
-    2 and `_bad_primes`: the model stays smooth of its genus mod every
+    2 and `_bad_primes`: the model stays smooth of genus 2 mod every
     other prime.  Q(sqrt d) is ramified at each odd prime of d, so d is
     +- a product of primes of S = {2} u odd primes(g) u primes(N)."""
     g = math.gcd(*(p * order * twisted for p, order, twisted in _screen_orders(model)))
     ells = set(factorize(g)) - {2}
     return frozenset({2} | ells | _bad_primes(model)) if ells else frozenset()
+
+
+@lru_cache(maxsize=256)
+def _genus1_odd_twists(model: CurveModel) -> tuple[tuple[int, int], ...]:
+    """D of a genus-1 model E: the (d, #E^d(Q)[odd]) of each squarefree d
+    whose twist has odd torsion (`ellcurve.odd_twists`), found once per
+    model and read for every K by `_genus1_torsion`."""
+    return ellcurve.odd_twists(*ellcurve.short_model(model.elliptic()), _screen_orders(model))
 
 
 @lru_cache(maxsize=256)

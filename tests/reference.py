@@ -43,9 +43,17 @@
   the production search's span that Gal(KF/K) fixes, F the field of the
   search (`two_primary_by_descent`), each lifted by the embedding of the
   basis of a subfield (`embedding`, `lift`).  Production derive reads the
-  odd part from the cached twist torsion of the model, one entry per
-  (model, d), and the 2-part of every field from one search per model, by
-  one mask test per point on the square classes of F.
+  odd part from D, the twists with odd torsion, found once per model, and
+  the 2-part of every field from one search per model, by one mask test
+  per point on the square classes of F.
+- The odd torsion of a twist E^d over Q by Nagell-Lutz on E^d
+  (`torsion_points_short`, `torsion_structure_q`, `quadratic_twist`,
+  `nagell_lutz_odd_twist`), one d at a time, and the finite set S of
+  primes whose +- products hold every d with E^d(Q)[odd] != 0
+  (`genus1_bad_primes`, `genus1_twist_primes`, `genus1_twist_classes`).
+  Production reads every d at once from the rational roots of the
+  division polynomials (`ellcurve.odd_twists`), and forms S for genus 2
+  only.
 - The dense polynomial kernels coefficient by coefficient, one `dom.add`,
   `dom.sub` or `dom.mul` call each (`generic_*`).  Production runs every
   kernel row through the domain's `axpy`.
@@ -97,11 +105,12 @@
   rational factors of its norm to Q (`tower_poly_roots_by_norm`).
   Production searches for no roots: each exceptional curve ships a point
   of exact order n, and the tests find its multiples among these roots.
-- The x-only division polynomials (`two_torsion_cubic`, `divpoly_f`,
-  `kill_poly`) from the b-invariants of a curve (`curve_b_invariants`),
-  checked against the group law and used to build kernel polynomials and
-  test inputs.  Production certifies torsion points by their multiples
-  (`ellcurve.has_order`) and never forms them.
+- The x-only division polynomials over any domain (`two_torsion_cubic`,
+  `divpoly_f`, `kill_poly`) from the b-invariants of a curve
+  (`curve_b_invariants`), checked against the group law and used to build
+  kernel polynomials and test inputs.  Production certifies torsion
+  points by their multiples (`ellcurve.has_order`), and forms f_n over Z
+  only, for the rational roots of D (`ellcurve.division_polynomial`).
 - The value of a rational tower element (`rational_value`), its Galois
   conjugates (`conjugate`) and its norm to Q (`norm_to_q`), which no
   production path takes.
@@ -113,7 +122,7 @@
   `twists_by_filter`, `weierstrass_orbits_per_call`) and the
   canonical form of a direct sum built afresh (`from_summands_uncached`).
   Production computes each once per distinct input it reads: the residue
-  degrees at the primes, the twist d of a genus-1 odd summand, the
+  degrees at the primes, the model of a genus-1 odd part (its D), the
   field K n Q(zeta_m) of the twist classes, the polynomial F and the
   summand tuple.
 - The questions asked of a multi-quadratic field, answered by enumerating
@@ -133,17 +142,16 @@
 - The rational factors of the 2-division cubic x^3 + Ax + B by factor
   extraction (`cubic_factors_by_extraction`).  Production reads them from
   the integer roots of the cubic (`ellcurve._cubic_factors`).
-- The rationals as Fractions throughout (`FractionDomain`, `FRACTIONS`),
-  and the Nagell-Lutz candidates as Fractions on a curve over it
-  (`torsion_points_short_by_fractions`): `poly.QQ` keeps an int for every
-  integral value and builds a Fraction only where a denominator appears.
+- The rationals as Fractions throughout (`FractionDomain`, `FRACTIONS`):
+  `poly.QQ` keeps an int for every integral value and builds a Fraction
+  only where a denominator appears.
   The exact square root of a rational (`rational_sqrt`), which production
   takes only of integers.
 - A tower element from its coordinates (`tower_elem`).  Production builds
   elements only through the field and through arithmetic.
 - Helpers that no production path calls: the meet of two structures, the
   odd torsion of a model through the twist decomposition (production
-  derive reads it per twist), a functional that avoids two vectors of
+  derive reads it from D), a functional that avoids two vectors of
   F_2^n, the polynomials of the points of exact order n
   (`primitive_kernel_poly`), and the smallest subfield holding a tower
   element (`support_gens`).
@@ -180,7 +188,6 @@ from mqtorsion.ellcurve import (
     c4c6_disc,
     short_model,
     tower_short_curve,
-    twist_odd_torsion_q,
     two_primary_over_tower,
 )
 from mqtorsion.ff import FieldDesc, FieldError
@@ -656,13 +663,13 @@ def genus2_rational_torsion_bounds_over_q(model, primes: tuple = ()):
 def torsion_over_tower(E: EllipticCurve, K) -> AbGroupStructure:
     """Exact torsion of a rational curve over the multi-quadratic field K:
     odd part through the twist decomposition, E(K)[odd] = sum over the
-    twist classes d of K of E^d(Q)[odd] (each settled by
-    `twist_odd_torsion_q`: the reduction screen, else Nagell-Lutz), 2-part
-    by the search over K(E[2]) descended to K (`two_primary_by_descent`)."""
+    twist classes d of K of E^d(Q)[odd] (each by Nagell-Lutz on E^d,
+    `nagell_lutz_odd_twist`), 2-part by the search over K(E[2]) descended
+    to K (`two_primary_by_descent`)."""
     A, B = short_model(E)
     odd = AbGroupStructure.trivial()
     for d in K.twist_classes():
-        odd = odd.direct_sum(twist_odd_torsion_q(E, d))
+        odd = odd.direct_sum(nagell_lutz_odd_twist(A, B, d))
     return odd.direct_sum(two_primary_by_descent(A, B, K))
 
 
@@ -728,17 +735,38 @@ def rational_sqrt(x):
     return None
 
 
-def torsion_points_short_by_fractions(A: int, B: int) -> tuple:
-    """`ellcurve.torsion_points_short` with its Nagell-Lutz candidates as
-    Fractions, iterated on the curve over `FRACTIONS`."""
-    E = EllipticCurve.from_ints(FRACTIONS, (0, 0, 0, A, B))
+def short_curve(A: int, B: int, label=None) -> EllipticCurve:
+    return EllipticCurve.from_ints(QQ, (0, 0, 0, A, B), label)
+
+
+def quadratic_twist(E: EllipticCurve, d: int) -> EllipticCurve:
+    """The quadratic twist by squarefree d, as a normalized short model."""
+    if d == 0:
+        raise CurveError("twist parameter must be nonzero")
+    A, B = short_model(E)
+    A2, B2 = ellcurve._normalize_short(A * d * d, B * d**3)
+    label = f"{E.label}^({d})" if E.label else None
+    return short_curve(A2, B2, label)
+
+
+def torsion_points_short(A: int, B: int) -> tuple:
+    """All rational torsion points of y^2 = x^3 + Ax + B (integral), by
+    Nagell-Lutz.
+
+    Torsion points on an integral short model are integral with y = 0 or
+    y^2 | 16|4A^3 + 27B^2|; each candidate is certified or rejected by
+    iteration (a non-torsion candidate must leave the finite candidate set)."""
+    E = short_curve(A, B)
     ys = [1]
     for p, e in factorize(16 * abs(4 * A**3 + 27 * B**2)).items():
         ys = [y * p**i for y in ys for i in range(e // 2 + 1)]
-    candidates = {(Fraction(x), Fraction(0)) for x in integer_cubic_roots(0, A, B)}
+    candidates: set = set()
+    for x in integer_cubic_roots(0, A, B):
+        candidates.add((x, 0))
     for y in ys:
         for x in integer_cubic_roots(0, A, B - y * y):
-            candidates |= {(Fraction(x), Fraction(y)), (Fraction(x), Fraction(-y))}
+            candidates.add((x, y))
+            candidates.add((x, -y))
     torsion = [INF]
     for P in candidates:
         acc = P
@@ -750,6 +778,45 @@ def torsion_points_short_by_fractions(A: int, B: int) -> tuple:
                 break
             acc = E.add(acc, P)
     return tuple(sorted(torsion, key=lambda P: (0,) if P is INF else (1, P)))
+
+
+def torsion_structure_q(E: EllipticCurve) -> AbGroupStructure:
+    A, B = short_model(E)
+    pts = list(torsion_points_short(A, B))
+    return structure_from_elements(pts, short_curve(A, B).add, INF, max_rank=2)
+
+
+@lru_cache(maxsize=None)
+def nagell_lutz_odd_twist(A: int, B: int, d: int) -> AbGroupStructure:
+    """E^d(Q)[odd] for E: y^2 = x^3 + Ax + B and squarefree d, by
+    Nagell-Lutz on the twist y^2 = x^3 + A d^2 x + B d^3, every d on its
+    own.  Production reads every d at once from D, the rational roots of
+    the division polynomials (`ellcurve.odd_twists`)."""
+    return torsion_structure_q(short_curve(A * d * d, B * d**3)).odd_part()
+
+
+def genus1_bad_primes(model: CurveModel) -> frozenset:
+    """The primes of the minimal discriminant of a genus-1 model: outside
+    them and 2 the reduction is good."""
+    return frozenset(factorize(ellcurve.minimal_disc(model.elliptic())))
+
+
+def genus1_twist_primes(model: CurveModel) -> frozenset:
+    """S of a genus-1 model E: E^d(Q)[odd] != 0 only for d = +- a product
+    of primes of S = {2}, the bad primes and the odd primes of g, the gcd
+    of p L_p(1) L_p(-1) over the rows of `mwtors._screen_orders`; empty
+    when g has no odd prime.  The proof is that of `mwtors._twist_primes`
+    with E for J.  Production forms no S for genus 1: it reads the d of D
+    (`ellcurve.odd_twists`), which the tests check against Nagell-Lutz on
+    the +- products of S."""
+    g = math.gcd(*(p * order * twisted for p, order, twisted in mwtors._screen_orders(model)))
+    ells = set(factorize(g)) - {2}
+    return frozenset({2} | ells | genus1_bad_primes(model)) if ells else frozenset()
+
+
+def genus1_twist_classes(model: CurveModel, K) -> list[int]:
+    """The classes of K whose primes lie in S (`genus1_twist_primes`)."""
+    return twists_by_filter(K, genus1_twist_primes(model))
 
 
 def tower_elem(field, coords):
@@ -1041,7 +1108,7 @@ def twist_odd_torsion(model: CurveModel, K, ell: int):
     decomposition: the direct sum over the twist classes of K of the
     ell-primary torsion of each twist over Q.
 
-    Genus-1 summands are exact (reduction screen, else Nagell-Lutz).
+    Genus-1 summands are exact (Nagell-Lutz on each twist).
     Genus-2 summands pair a reduction upper bound with an explicit
     divisor-witness lower bound and the result is flagged open when any
     summand fails to close."""
@@ -1054,7 +1121,7 @@ def twist_odd_torsion(model: CurveModel, K, ell: int):
     primes = model.primes or (3, 5)
     for d in K.twist_classes():
         if model.genus == 1:
-            total = total.direct_sum(twist_odd_torsion_q(model.elliptic(), d).ell_part(ell))
+            total = total.direct_sum(nagell_lutz_odd_twist(*short_model(model.elliptic()), d).ell_part(ell))
             continue
         if d == 1:
             low, up = genus2_rational_torsion_bounds(model, primes)
@@ -1517,11 +1584,12 @@ def reduction_bound_per_field(model: CurveModel, K, primes) -> AbGroupStructure:
 
 def genus1_odd_part_per_field(model: CurveModel, K) -> AbGroupStructure:
     """J(K)[odd] of a genus-1 model as the direct sum, one twist class of K
-    at a time, of the odd torsion of each twist (production reads only the
-    classes of K whose primes lie in `mwtors._twist_primes`)."""
+    at a time, of the odd torsion of each twist by Nagell-Lutz (production
+    reads the d of D, found once per model, that lie in K)."""
+    A, B = short_model(model.elliptic())
     odd = AbGroupStructure.trivial()
     for d in K.twist_classes():
-        odd = from_summands_uncached(odd.factors + twist_odd_torsion_q(model.elliptic(), d).factors)
+        odd = from_summands_uncached(odd.factors + nagell_lutz_odd_twist(A, B, d).factors)
     return odd
 
 

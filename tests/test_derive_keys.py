@@ -7,13 +7,15 @@ reads them.  The genus-1 2-part, read from one search per model, is checked
 against the affine reference search over K n M_E and over every subfield of
 M_E = Q(sqrt(-1), sqrt(2), sqrt(p) : odd p | N), the field that holds
 every point of 2-power order over every K, for the builtin models and for
-random curves.  The twists of both genera are the classes of K whose
-primes lie in the model's set S, whatever the primes of the call; the
-genus-1 odd part read over them is checked against the sum over all the
-twist classes of K, and the genus-1 table against T on every
-multi-quadratic subfield of Q(zeta_N), which proves it for every K.  A
-derive over 12 generators builds the span of K only for its signature."""
+random curves.  The genus-2 twists are the classes of K whose primes lie
+in the model's set S, whatever the primes of the call.  The genus-1 odd
+part is read from D, found once per model, and checked against
+Nagell-Lutz on every twist class of K; the genus-1 table is checked
+against T on every multi-quadratic subfield of Q(zeta_N), which proves it
+for every K.  A derive over 12 generators builds the span of K only for
+its signature."""
 
+import json
 import math
 from contextlib import contextmanager
 from itertools import product
@@ -29,13 +31,18 @@ from mqtorsion.intutil import factorize, is_prime
 from mqtorsion.qfield import QQ_FIELD, MultiQuadField, all_subfields
 from reference import (
     from_summands_uncached,
+    genus1_bad_primes,
     genus1_odd_part_per_field,
+    genus1_twist_primes,
+    nagell_lutz_odd_twist,
+    quadratic_twist,
     reduction_bound_per_field,
     torsion_over_tower,
     twists_by_filter,
     two_primary_over_tower_affine,
     weierstrass_orbits_per_call,
 )
+from test_cli import run_child
 
 # derandomized, so that every run draws the same examples
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -45,7 +52,7 @@ MODELS = [mwtors.get_model(label) for label in sorted(mwtors.model_registry())]
 GENUS1 = [m for m in MODELS if m.genus == 1]
 GENUS2 = [m for m in MODELS if m.genus == 2]
 MEMOS = (
-    mwtors._reduction_meet, mwtors._screen_orders, mwtors._twist_primes, mwtors.genus1_twist_torsion,
+    mwtors._reduction_meet, mwtors._screen_orders, mwtors._twist_primes, mwtors._genus1_odd_twists,
     mwtors._genus1_two_primary, mwtors._genus1_two_points, hyperjac._weierstrass_factors, groups._from_summands,
 )
 
@@ -68,9 +75,9 @@ def cleared_memos():
 def counted(name, module=ellcurve):
     """The arguments of each call of `module.<name>` in the block, which
     derive looks up in the module on every call: the curve (A, B) of each
-    `two_primary_over_tower` search, the (E, d) of each
-    `twist_odd_torsion_q`, the (model, d, ell, ...) of each twist bound or
-    witness of `mwtors`."""
+    `two_primary_over_tower` search, the (A, B, rows) of each `odd_twists`
+    build of D, the (b, n) of each `division_polynomial`, the
+    (model, d, ell, ...) of each twist bound or witness of `mwtors`."""
     calls, f = [], getattr(module, name)
     setattr(module, name, lambda *args: calls.append(args) or f(*args))
     try:
@@ -90,8 +97,8 @@ def check_reduction_bound(model, K):
 
 
 def check_genus1_odd_part(model, K):
-    """The odd part of T read over K itself against the sum over the twist
-    classes of K."""
+    """The odd part of T read over K itself against the sum of Nagell-Lutz
+    over the twist classes of K."""
     expect = genus1_odd_part_per_field(model, K)
     assert mwtors._genus1_torsion(model, K).odd_part() == expect, (model.label, K)
 
@@ -100,7 +107,7 @@ def check_genus1_two_part(model, K):
     """The 2-part over K read from the search against the affine reference
     search over K n Q(zeta_m), m = 8 * prod(odd p | N), which holds K n M_E
     and so every point of 2-power order over K."""
-    check_read(model, K, model.primes, K.cyclotomic_intersection(8 * math.prod(mwtors._bad_primes(model) - {2})))
+    check_read(model, K, model.primes, K.cyclotomic_intersection(8 * math.prod(genus1_bad_primes(model) - {2})))
 
 
 def search_field(model) -> MultiQuadField:
@@ -350,12 +357,9 @@ def level_field(model) -> MultiQuadField:
 
 
 def odd_twists(model) -> list:
-    """D: (d, factors of E^d(Q)[odd]) for each +- product d of the primes
-    of `_twist_primes` whose twist has odd torsion, every other d
-    having none.  Production tries only the classes of each K."""
-    S = mwtors._twist_primes(model)
-    classes = MultiQuadField([-1, *S]).twist_classes() if S else ()
-    return [(d, group.factors) for d in classes if (group := mwtors.genus1_twist_torsion(model, d)).order > 1]
+    """D, read from its memo: (d, n) for each squarefree d with
+    n = #E^d(Q)[odd] > 1."""
+    return list(mwtors._genus1_odd_twists(model))
 
 
 class TestGenus1Theorem:
@@ -384,43 +388,90 @@ class TestGenus1Theorem:
         assert checked == 20
 
     def test_the_twists_of_the_builtin_models(self):
+        """D of each model, which Nagell-Lutz confirms on every +- product d
+        of the primes of S (`genus1_twist_primes`), the only d that can carry odd
+        torsion."""
         D = {model.label: odd_twists(model) for model in GENUS1}
         assert D == {
-            "X1(11)": [(1, (5,))], "X1(14)": [(1, (3,))], "X1(2,10)": [(1, (3,))], "X1(6,6)": [(1, (3,))],
-            "X1(3,9)": [(1, (3,)), (-3, (3,))], "X1(15)": [], "X1(2,12)": [], "X1(4,8)": [],
+            "X1(11)": [(1, 5)], "X1(14)": [(1, 3)], "X1(2,10)": [(1, 3)], "X1(6,6)": [(1, 3)],
+            "X1(3,9)": [(-3, 3), (1, 3)], "X1(15)": [], "X1(2,12)": [], "X1(4,8)": [],
         }
+        for model in GENUS1:
+            S = genus1_twist_primes(model)
+            A, B = ellcurve.short_model(model.elliptic())
+            for d in MultiQuadField([-1, *S]).twist_classes() if S else ():
+                assert nagell_lutz_odd_twist(A, B, d) == AbGroupStructure.cyclic(dict(D[model.label]).get(d, 1))
 
     @pytest.mark.parametrize("label", ["X1(15)", "X1(2,12)", "X1(4,8)", "n = 3 * 5 * ... * 41"])
     def test_no_twist_is_tried_when_no_odd_prime_bounds_the_reductions(self, label):
         """No odd prime divides every p * #E(F_{p^2}) at the screen primes:
-        S is empty, and no twist is tried over any K, for 12 odd bad primes
-        too."""
+        S and D are empty, and no division polynomial is built, for 12 odd
+        bad primes too."""
         if label.startswith("n"):
             n = math.prod([p for p in range(3, 42) if is_prime(p)])
             model = mwtors.CurveModel(label, (1, 1), 1, None, (0, 0, 0, -n * n, 0), None, "test")
         else:
             model = mwtors.get_model(label)
-        with counted("twist_odd_torsion_q") as twists:
-            assert mwtors._twist_primes(model) == frozenset()
+        with counted("division_polynomial") as built:
+            assert genus1_twist_primes(model) == frozenset()
             assert mwtors._genus1_torsion(model, MultiQuadField([-1, 2, 3, 5, 7])).odd_part().order == 1
-        assert twists == []
+            assert odd_twists(model) == []
+        assert built == []
 
-    def test_the_twists_tried_are_those_of_k(self):
+    def test_one_d_build_per_model_over_any_k(self):
         """y^2 + xy + a3*y = x^3 has a point of order 3, and with
         a3 = 7 * 13 * 19 * 31 * 37 * 43 the screen keeps 3 while S holds
-        nine primes.  A derive tries only the classes of K with primes in S:
-        d = 1 over Q, the four classes of Q(sqrt 7, sqrt 13) over
-        Q(sqrt 5, sqrt 7, sqrt 13), each twist once per model."""
+        nine primes.  Derives over Q and over Q(sqrt 5, sqrt 7, sqrt 13),
+        twice, build D once, with psi_2, psi_3 and psi_4 only, and read
+        Z/3 from it."""
         a3 = 7 * 13 * 19 * 31 * 37 * 43
         model = mwtors.CurveModel("a3", (1, 3), 1, None, (1, 0, a3, 0, 0), None, "test", primes=(5, 11))
-        assert {3, 7, 13, 19, 31, 37, 43} < mwtors._twist_primes(model)
-        with counted("twist_odd_torsion_q") as twists:
+        assert {3, 7, 13, 19, 31, 37, 43} < genus1_twist_primes(model)
+        with counted("odd_twists") as builds, counted("division_polynomial") as built:
             assert mwtors.derive_torsion(model, QQ_FIELD).lower == AbGroupStructure.cyclic(3)
-            assert [d for _, d in twists] == [1]
             K = MultiQuadField([5, 7, 13])
             assert mwtors.derive_torsion(model, K).lower.odd_part() == AbGroupStructure.cyclic(3)
             mwtors.derive_torsion(model, K)
-        assert sorted(d for _, d in twists) == [1, 7, 13, 91]
+        assert [(A, B) for A, B, _ in builds] == [ellcurve.short_model(model.elliptic())]
+        assert sorted(n for _, n in built) == [2, 3, 4]
+        assert odd_twists(model) == [(1, 3)]
+
+    def test_the_a3_model_over_four_generators_in_a_fresh_process(self, tmp_path):
+        """The a3 model above derived over Q(sqrt 7, sqrt 13, sqrt 19,
+        sqrt 31), whose 16 classes all have their primes in S, by the CLI
+        in a fresh process, within 5 seconds."""
+        path = tmp_path / "a3.json"
+        path.write_text(json.dumps({
+            "label": "a3", "level": [1, 3], "genus": 1, "base_field": "Q",
+            "coeffs": [1, 0, 7 * 13 * 19 * 31 * 37 * 43, 0, 0], "primes": [5, 11],
+        }))
+        run = run_child("torsion", "--model", str(path), "--field=7,13,19,31", "--mode", "derive", "--format", "json",
+                        capture_output=True, text=True, timeout=5)
+        assert run.returncode == 0, run.stderr
+        out = json.loads(run.stdout)
+        assert out["lower"] == out["upper"] == [3] and out["closed"]
+
+    def test_a_model_bad_at_every_odd_prime_below_the_cap_in_a_fresh_process(self, tmp_path):
+        """y^2 = x^3 - n^2 x, n the product of the odd primes below 50, has
+        one screen row, at 53, so every odd prime of #E(F_{53^2}) = 40 * 68
+        divides the bound of each ell.  Mazur's theorem caps ell at 7: a
+        derive over Q(sqrt 7) in a fresh process ends within 5 seconds, D
+        is empty, and no division polynomial past f_8 is built."""
+        n = math.prod(p for p in range(3, 50) if is_prime(p))
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps({
+            "label": "n", "level": [1, 2], "genus": 1, "base_field": "Q",
+            "coeffs": [0, 0, 0, -n * n, 0], "primes": [53, 59],
+        }))
+        run = run_child("torsion", "--model", str(path), "--field=7", "--mode", "derive", "--format", "json",
+                        capture_output=True, text=True, timeout=5)
+        assert run.returncode == 0, run.stderr
+        out = json.loads(run.stdout)
+        assert out["lower"] == out["upper"] == [2, 2] and out["closed"]
+        model = mwtors.CurveModel("n", (1, 2), 1, None, (0, 0, 0, -n * n, 0), None, "test", primes=(53, 59))
+        with counted("division_polynomial") as built:
+            assert odd_twists(model) == []
+        assert sorted(n for _, n in built) == [4, 5, 6]
 
     @PROPERTY
     @given(
@@ -433,19 +484,19 @@ class TestGenus1Theorem:
         prime of N, with E^q(Q(sqrt q))[3] from E(Q)[3].  T read over random
         K, with and without sqrt(q), against the sum over the twist classes
         of K and against the torsion over K by the descent."""
-        A, B = ellcurve.short_model(ellcurve.quadratic_twist(mwtors.get_model("X1(14)").elliptic(), q))
+        A, B = ellcurve.short_model(quadratic_twist(mwtors.get_model("X1(14)").elliptic(), q))
         model = mwtors.CurveModel(f"X1(14)^({q})", (1, 1), 1, None, (0, 0, 0, A, B), None, "test")
-        assert odd_twists(model) == [(q, (3,))]
+        assert odd_twists(model) == [(q, 3)]
         K = MultiQuadField(gens + [q] * with_q)
         T = mwtors._genus1_torsion(model, K)
         assert T.odd_part() == genus1_odd_part_per_field(model, K)
         assert T == torsion_over_tower(model.elliptic(), K)
 
     def test_derive_builds_no_support_field(self):
-        """Both genera take their twists from `_twist_classes` over K
-        itself, with no support field of their own: every genus-1 derive
-        lists them once, and so does every genus-2 derive that enters its
-        twist loops, and each gives the table on every matrix field."""
+        """No derive builds a support field of its own: a genus-2 derive
+        that enters its twist loops lists the twists of `_twist_classes`
+        over K itself once, a genus-1 derive reads D and lists none, and
+        each gives the table on every matrix field."""
         with counted("_twist_classes", mwtors) as calls:
             for model in MODELS:
                 for K in MATRIX:
@@ -453,7 +504,7 @@ class TestGenus1Theorem:
                         calls.clear()
                         result = mwtors.derive_torsion(model, K)
                         assert result.closed and result.lower.factors == mwtors.table_lookup(model.label, K)
-                        assert calls == [(model, K)] or model.genus == 2 and calls == [], (model.label, K)
+                        assert calls == [] or model.genus == 2 and calls == [(model, K)], (model.label, K)
 
 
 def test_an_unbounded_part_is_refused_on_every_call():

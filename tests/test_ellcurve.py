@@ -4,10 +4,10 @@ from functools import lru_cache
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from mqtorsion import ellcurve, ff, qfield
+from mqtorsion import ellcurve, ff, mwtors, qfield
 from mqtorsion.ellcurve import (
     INF,
     BadReduction,
@@ -18,30 +18,30 @@ from mqtorsion.ellcurve import (
     minimal_disc,
     minimal_model,
     points_over_code_domain,
-    quadratic_twist,
     reduce_mod_p,
-    short_curve,
     short_model,
-    torsion_structure_q,
-    twist_odd_torsion_q,
     two_primary_over_tower,
 )
 from mqtorsion.groups import AbGroupStructure, structure_from_elements, subgroup_span
-from mqtorsion.intutil import factorize, is_prime, is_squarefree
+from mqtorsion.intutil import is_prime, is_squarefree
 from mqtorsion.mwtors import model_registry
 from mqtorsion.poly import QQ, TowerDomain, code_domain, peval, splitting_quadratic_field
 from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from reference import (
     cubic_factors_by_extraction,
     curve_mul,
+    nagell_lutz_odd_twist,
     order_reps_span,
     point_order,
     primitive_kernel_poly,
     quadratic_reduction_counts,
+    quadratic_twist,
     reduce_quadratic_curve,
     roots_in_tower_by_tower_sqrt,
+    short_curve,
     torsion_over_tower,
-    torsion_points_short_by_fractions,
+    torsion_points_short,
+    torsion_structure_q,
     tower_curve_affine,
     two_primary_by_descent,
     two_primary_over_tower_affine,
@@ -65,6 +65,11 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 def E(ainvs, label=None):
     return EllipticCurve.from_ints(QQ, ainvs, label)
+
+
+def curve_model(ainvs) -> mwtors.CurveModel:
+    """A genus-1 model of the curve, for the per-model memos of `mwtors`."""
+    return mwtors.CurveModel(str(ainvs), (1, 1), 1, None, tuple(ainvs), None, "test")
 
 
 def good_odd_primes(E: EllipticCurve, limit: int) -> list[int]:
@@ -368,57 +373,80 @@ class TestTorsionQ:
             c = E(ainvs)
             assert torsion_structure_q(c) == torsion_over_tower(c, QQ_FIELD)
 
-    @PROPERTY
-    @given(st.integers(-300, 300), st.integers(-300, 300))
-    @example(-43, 166)  # Z/7
-    @example(0, 1)  # Z/6
-    @example(-1, 0)  # Z/2 x Z/2
-    @example(-675, 13662)  # X14, Z/6
-    def test_integer_candidates_match_fraction_candidates(self, A, B):
-        """The Nagell-Lutz candidates as ints, iterated over the
-        integer-first `QQ`, give the points that Fraction candidates on the
-        curve over `reference.FRACTIONS` give, with int coordinates."""
-        if 4 * A**3 + 27 * B**2 == 0:
-            return  # singular
-        points = ellcurve.torsion_points_short(A, B)
-        assert points == torsion_points_short_by_fractions(A, B)
-        assert all(type(c) is int for P in points[1:] for c in P)
-
 
 GENUS1_LABELS = sorted(label for label, m in model_registry().items() if m.genus == 1)
 
 
 class TestReductionScreen:
-    """The reduction screen of twist_odd_torsion_q against Nagell-Lutz, the
-    slow path it replaces."""
+    """D, the twists E^d with odd torsion over Q, read from the rational
+    roots of the division polynomials at the ell and ell^k that the
+    screen rows leave (`ellcurve.odd_twists`), against Nagell-Lutz on each
+    twist E^d, the slow path it replaces."""
 
     TWISTS = [d for d in range(-100, 101) if d and is_squarefree(d)]
 
     @pytest.mark.parametrize("label", GENUS1_LABELS)
     def test_screen_agrees_with_nagell_lutz(self, label):
-        E = model_registry()[label].elliptic()
-        A, B = short_model(E)
-        hint = tuple(factorize(minimal_disc(E)))
-        screened = 0
+        """The 122 squarefree d with |d| <= 100: Z/n for the (d, n) of D,
+        trivial for a d outside it, is E^d(Q)[odd] by Nagell-Lutz."""
+        model = model_registry()[label]
+        A, B = short_model(model.elliptic())
+        D = dict(mwtors._genus1_odd_twists(model))
+        assert set(D) <= set(self.TWISTS)
         for d in self.TWISTS:
-            slow = torsion_structure_q(quadratic_twist(E, d), hint + tuple(factorize(d))).odd_part()
-            assert twist_odd_torsion_q(E, d) == slow, d
-            if ellcurve._screen_kills_odd(A, B, d):
-                screened += 1
-                assert slow.order == 1, d
-        # the screen decides nearly every twist, so Nagell-Lutz seldom runs
-        assert screened >= len(self.TWISTS) - 5
+            assert nagell_lutz_odd_twist(A, B, d) == AbGroupStructure.cyclic(D.get(d, 1)), d
 
     def test_twist_with_odd_torsion_is_not_screened(self):
-        A, B = short_model(E(X11))
-        assert not ellcurve._screen_kills_odd(A, B, 1)
-        assert twist_odd_torsion_q(E(X11), 1) == AbGroupStructure.cyclic(5)
+        """11a3 has Z/5 over Q: the screen rows leave 5, and D reads it."""
+        assert mwtors._genus1_odd_twists(curve_model(X11)) == ((1, 5),)
+        assert nagell_lutz_odd_twist(*short_model(E(X11)), 1) == AbGroupStructure.cyclic(5)
 
     def test_traces_match_point_counts(self):
-        A, B = short_model(E(X15))
-        for p, ap in ellcurve._screen_traces(A, B):
+        """The screen rows (p, #E(F_p), #E^tw(F_p)) of a genus-1 model, read
+        from one character sum each, against the points listed over F_p."""
+        model = curve_model(X15)
+        A, B = short_model(model.elliptic())
+        for p, order, twisted in mwtors._screen_orders(model):
             Ep = reduce_mod_p(short_curve(A, B), p)
-            assert len(points_over_code_domain(Ep)) == p + 1 - ap
+            assert len(points_over_code_domain(Ep)) == order == 2 * p + 2 - twisted
+
+
+# 54b3 (Z/9, so D takes the ell^2 step), 11a3 (Z/5) and 26b1 (Z/7)
+C54B3, C26B1 = (1, -1, 1, -14, 29), (1, -1, 1, -3, 3)
+SQUAREFREE = st.integers(-300, 300).filter(lambda d: d != 0 and is_squarefree(d))
+
+
+def _twisted(ainvs_and_q):
+    """The short model of the twist by q of a curve, as a-invariants."""
+    ainvs, q = ainvs_and_q
+    return (0, 0, 0, *short_model(quadratic_twist(E(ainvs), q)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100, phases=(Phase.explicit, Phase.generate))
+@given(
+    ainvs=st.one_of(
+        st.tuples(st.integers(-300, 300), st.integers(-300, 300)).map(lambda ab: (0, 0, 0, *ab)),
+        st.tuples(st.integers(-20, 20), st.integers(1, 60)).map(lambda t: (t[0], 0, t[1], 0, 0)),  # (0, 0) of order 3
+        st.tuples(st.sampled_from((C54B3, X11, C26B1)), SQUAREFREE).map(_twisted),
+    ),
+    d=SQUAREFREE,
+)
+@example(ainvs=C54B3, d=1)
+@example(ainvs=C54B3, d=-3)
+@example(ainvs=X11, d=5)
+@example(ainvs=C26B1, d=13)
+def test_odd_twists_equal_nagell_lutz(ainvs, d):
+    """On random curves, on curves with a point of order 3 and on random
+    twists of 54b3, 11a3 and 26b1: each (d', n) of D is E^d'(Q)[odd] =
+    Z/n by Nagell-Lutz, and so is a random squarefree d, trivial outside D."""
+    try:
+        model = curve_model(ainvs)
+        A, B = short_model(model.elliptic())
+    except CurveError:
+        return  # singular
+    D = dict(mwtors._genus1_odd_twists(model))
+    for twist in {d, *D}:
+        assert nagell_lutz_odd_twist(A, B, twist) == AbGroupStructure.cyclic(D.get(twist, 1)), twist
 
 
 SIGNED_GENS = [-1] + [s * p for p in (2, 3, 5, 7, 11, 13) for s in (1, -1)]
@@ -829,8 +857,6 @@ class TestDivisionPolynomialSurface:
     def test_found_torsion_x_kills_kernel_poly(self):
         """x(P) of every rational point of exact order n is a root of the
         exact-order-n kernel polynomial."""
-        from mqtorsion.ellcurve import short_curve, short_model, torsion_points_short
-
         for ainvs in (X11, X14, X15, M210, M212, M39, M48, M66):
             c = E(ainvs)
             A, B = short_model(c)

@@ -299,4 +299,4 @@ def test_factorize_returns_a_fresh_dict():
     first[2] = 99
     first[7] = 1
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
-    assert factorize(-360, hint=(5,)) == {2: 3, 3: 2, 5: 1}
+    assert factorize(-360) == {2: 3, 3: 2, 5: 1}

@@ -63,13 +63,12 @@ _PRIMES = [p for p in range(2, 1200) if is_prime(p)][::7] + [1021, 1031, 1033, 6
 
 class TestFactorize:
     @PROPERTY
-    @given(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=6), st.lists(st.sampled_from(_PRIMES), max_size=3))
-    def test_matches_trial_division(self, primes, hint):
-        """Products of primes below and above the bound, squares among them,
-        with and without hint primes: the factorization of trial division
-        up to the square root."""
+    @given(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=6))
+    def test_matches_trial_division(self, primes):
+        """Products of primes below and above the bound, squares among them:
+        the factorization of trial division up to the square root."""
         n = math.prod(primes)
-        assert factorize(n, tuple(hint)) == factorize(-n) == factorize_by_trial_division(n)
+        assert factorize(n) == factorize(-n) == factorize_by_trial_division(n)
 
     def test_past_the_bound(self):
         P = 999999999989
@@ -88,4 +87,4 @@ class TestFactorize:
         monkeypatch.setattr(intutil, "is_prime", None)
         monkeypatch.setattr(intutil, "_rho", None)
         for n in (1, 2, 997 * 1009, 1021 * 1021 - 2, 2**20 - 1):
-            assert intutil._factor.__wrapped__(n, ()) == tuple(sorted(factorize_by_trial_division(n).items()))
+            assert intutil._factor.__wrapped__(n) == tuple(sorted(factorize_by_trial_division(n).items()))

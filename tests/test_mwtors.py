@@ -16,7 +16,6 @@ from mqtorsion.mwtors import (
     ModelError,
     PreconditionError,
     derive_torsion,
-    genus1_twist_torsion,
     genus2_twist_witness,
     get_model,
     jac_structure,
@@ -32,6 +31,9 @@ from mqtorsion.qfield import MultiQuadField, QQ_FIELD, all_subfields
 from reference import (
     conjugate,
     eight_torsion_criterion,
+    genus1_bad_primes,
+    genus1_twist_classes,
+    genus1_twist_primes,
     genus2_rational_torsion_bounds_over_q,
     group_meet,
     jac_neg,
@@ -138,8 +140,7 @@ class TestReductionBound:
 class TestTwists:
     def test_x14_twist_odd_part_trivial(self):
         # the 3-part of J(K) stays Z/3 because the -7 twist carries none
-        st = genus1_twist_torsion(get_model("X1(14)"), -7)
-        assert st.odd_part().prime_exponents().get(3, []) == []
+        assert dict(mwtors._genus1_odd_twists(get_model("X1(14)"))) == {1: 3}
 
     def test_x18_twist_witness(self):
         w = genus2_twist_witness(get_model("X1(18)"), -3, 3)
@@ -269,16 +270,18 @@ SIGNED_PRIMES = [-1] + [s * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) for 
 
 class TestTorsionSupportField:
     """The odd torsion of J(K) lives on the twist classes of K whose primes
-    lie in S (`mwtors._twist_primes`), one set per model for both genera:
-    the classes of K n Q(zeta_m), m = 8 * prod(odd p in S)
-    (`mwtors._twist_classes`)."""
+    lie in a finite set S per model: for genus 2 the S of
+    `mwtors._twist_primes`, whose classes are those of K n Q(zeta_m),
+    m = 8 * prod(odd p in S) (`mwtors._twist_classes`); for genus 1 the
+    same set built by the tests (`genus1_twist_primes`), which production
+    does not form, as it reads D."""
 
     def test_tower_fields_collapse_to_level_field(self):
         # S = {2, 3, 7} for X1(14): its twists over a tower are those of
         # Q(sqrt(-7), sqrt(2))
         model = get_model("X1(14)")
         K = MultiQuadField([-7, 2, 11, -17, 23])
-        assert mwtors._twist_classes(model, K) == (1, 2, -7, -14)
+        assert genus1_twist_classes(model, K) == [1, 2, -7, -14]
         assert derive_torsion(model, K).lower.odd_part() == derive_torsion(model, MultiQuadField([-7, 2])).lower.odd_part()
 
     def test_torsion_ramified_at_a_good_prime(self):
@@ -288,8 +291,9 @@ class TestTorsionSupportField:
         K = MultiQuadField([-3, 11])
         r = derive_torsion(model, K, (5, 7))
         assert r.closed and r.lower == G(3)
-        assert mwtors._bad_primes(model) == {19} and 3 in mwtors._twist_primes(model)
-        assert mwtors._twist_classes(model, K) == (1, -3)
+        assert genus1_bad_primes(model) == {19} and 3 in genus1_twist_primes(model)
+        assert genus1_twist_classes(model, K) == [1, -3]
+        assert mwtors._genus1_odd_twists(model) == ((-3, 3),)
 
     def test_genus2_torsion_ramified_at_a_good_prime(self):
         """The genus-2 analogue: C: y^2 = g(x^2 + 2), with Y^2 = g(X) =
@@ -313,14 +317,14 @@ class TestTorsionSupportField:
         # K n Q(zeta_m), m = 8 * prod(odd p in S or bad)
         model = get_model(label)
         K = MultiQuadField(gens)
-        odd = (mwtors._twist_primes(model) | mwtors._bad_primes(model)) - {2}
+        odd = (genus1_twist_primes(model) | genus1_bad_primes(model)) - {2}
         M = K.cyclotomic_intersection(8 * math.prod(odd))
-        assert all(M.contains_sqrt(d) for d in mwtors._twist_classes(model, K))
+        assert all(M.contains_sqrt(d) for d in genus1_twist_classes(model, K))
         E = model.elliptic()
         exact = torsion_over_tower(E, K)
         assert exact == torsion_over_tower(E, M)
-        # derive's path: T read over K itself, the odd part over the classes
-        # of K with primes in S, the 2-part from the one search of the model
+        # derive's path: T read over K itself, the odd part from the d of D
+        # in K, the 2-part from the one search of the model
         assert mwtors._genus1_torsion(model, K) == exact
 
     def test_the_sets_of_the_genus2_models(self):
@@ -347,15 +351,16 @@ class TestTorsionSupportField:
         bad at each of them.  The screen reaches the least good odd prime,
         53, whose row is #E(F_53) and its twist's 2 * 54 - #E(F_53), counted
         here point by point; so g = 53 * #E(F_{53^2}) is not 0, and S is
-        finite: 2, the bad primes and the odd primes of g."""
+        finite: 2, the bad primes and the odd primes of g.  D is empty."""
         n = math.prod(p for p in range(3, 50) if is_prime(p))
         model = CurveModel("n", (1, 1), 1, None, (0, 0, 0, -n * n, 0), None, "test")
         count = 1 + sum(1 for x in range(53) for y in range(53) if (y * y - x**3 + n * n * x) % 53 == 0)
         assert mwtors._screen_orders(model) == ((53, count, 108 - count),)
         odd_g = {p for p in range(3, 54) if is_prime(p) and 53 * count * (108 - count) % p == 0}
         S = {2} | {p for p in range(3, 50) if is_prime(p)} | odd_g
-        assert mwtors._twist_primes(model) == S and 53 in S
-        assert mwtors._twist_classes(model, MultiQuadField([-1, 3, 59])) == (1, -1, 3, -3)
+        assert genus1_twist_primes(model) == S and 53 in S
+        assert genus1_twist_classes(model, MultiQuadField([-1, 3, 59])) == [1, -1, 3, -3]
+        assert mwtors._genus1_odd_twists(model) == ()
 
     def test_no_good_odd_prime_up_to_the_table_order(self, monkeypatch):
         # y^2 = 2x^6 + x^5 + 1 reduces to no curve that `Reduction` takes

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mqtorsion import poly
-from mqtorsion.ellcurve import INF, CurveError, EllipticCurve, points_over_code_domain
+from mqtorsion.ellcurve import INF, CurveError, EllipticCurve, division_polynomial, points_over_code_domain
 import reference
 from reference import (
     curve_b_invariants,
@@ -235,9 +235,11 @@ class TestDivisionPolynomials:
     def test_psi_product_identity(self, b):
         """psi_{m+n} psi_{m-n} = psi_{m+1} psi_{m-1} psi_n^2 - psi_{n+1} psi_{n-1} psi_m^2
         checked as an exact polynomial identity (x-only form, even parts
-        carrying T = psi_2^2)."""
+        carrying T = psi_2^2) on the integer recursion of production, which
+        equals the reference recursion over Q."""
         T = two_torsion_cubic(b)
-        f = [divpoly_f(QQ, b, n) for n in range(25)]
+        f = [division_polynomial(tuple(map(int, b)), n) for n in range(25)]
+        assert f == [divpoly_f(QQ, b, n) for n in range(25)]
 
         def psi_sq(n):  # psi_n^2 as x-polynomial
             sq = _mul(f[n], f[n])
